@@ -7,9 +7,10 @@ generator matrices take the standard displayed form
     beta_n(sigma_i) = I_{i-2} (+) [[1, 0, 0], [t, -t, 1], [0, 0, 1]] (+) I_{n-i-2}
 
 with the left or right neighbor column absent for i = 1 or i = n-1 (for
-n = 2 the image is the 1x1 matrix (-t)). Every generator image differs
-from the identity in a single row, which both word-product paths below
-exploit: applying a letter is three column updates instead of a full
+n = 2 the image is the 1x1 matrix (-t)). Every generator image, and every
+inverse, differs from the identity in a single row with a closed form, so
+one word-product loop serves the Laurent ring and every specialization
+alike: applying a letter is three column updates instead of a full
 matrix product.
 
 Also here: the crossed homomorphism v and the affine extension it defines
@@ -78,10 +79,28 @@ class AffineExtended:
 
 @lru_cache(maxsize=None)
 def burau_generator(strands_n: int, index: int, inverse: bool = False) -> BurauImage:
-    """The image of sigma_index (or its inverse) in B_strands_n.
+    """The image of sigma_index (or its inverse) in B_strands_n: the identity
+    with row index-1 replaced by the closed-form row of ``_letter_action``."""
+    r, left, center, right = _letter_action(strands_n, index, inverse)
+    rows = [list(row) for row in LaurentMatrix.identity(strands_n - 1).rows]
+    if left is not None:
+        rows[r][r - 1] = left
+    rows[r][r] = center
+    if right is not None:
+        rows[r][r + 1] = right
+    return BurauImage(strands_n, LaurentMatrix(rows))
 
-    Inverses are obtained once by exact matrix inversion and cached; their
-    entries are again Laurent because the determinant is a unit.
+
+@lru_cache(maxsize=None)
+def _letter_action(strands_n: int, index: int, inverse: bool):
+    """The single non-identity row of the image of sigma_index (or its
+    inverse), as (row, entry at row-1 or None, diagonal entry, entry at
+    row+1 or None).
+
+    The row of sigma_i is (t, -t, 1). Inverting a matrix that differs from
+    the identity only in row r negates that row's off-diagonal entries and
+    divides the row by its diagonal, here the unit -t: sigma_i^-1 has row
+    (1, -t^-1, t^-1).
     """
     if strands_n < 2:
         raise ValueError("a braid group needs at least 2 strands")
@@ -89,75 +108,50 @@ def burau_generator(strands_n: int, index: int, inverse: bool = False) -> BurauI
         raise IndexOutOfRange(
             f"generator index {index} outside 1..{strands_n - 1}"
         )
+    t = LaurentPoly.t
     if inverse:
-        return BurauImage(
-            strands_n, burau_generator(strands_n, index).matrix.inverse()
-        )
-    dim = strands_n - 1
-    rows = [
-        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(dim)]
-        for i in range(dim)
-    ]
+        left, center, right = LaurentPoly.one(), -t(-1), t(-1)
+    else:
+        left, center, right = t(), -t(), LaurentPoly.one()
     r = index - 1
-    if r - 1 >= 0:
-        rows[r][r - 1] = LaurentPoly.t()
-    rows[r][r] = LaurentPoly.monomial(-1, 1)
-    if r + 1 <= dim - 1:
-        rows[r][r + 1] = LaurentPoly.one()
-    return BurauImage(strands_n, LaurentMatrix(rows))
+    return r, left if r > 0 else None, center, right if r < strands_n - 2 else None
 
 
-@lru_cache(maxsize=None)
-def _letter_action(strands_n: int, index: int, inverse: bool):
-    """The single non-identity row of a generator image, as
-    (row, entry at row-1 or None, diagonal entry, entry at row+1 or None).
+def _word_product(letters, dim: int, one, zero) -> list[tuple]:
+    """The rows of the product, in order, of the row-sparse generator images
+    given by ``letters`` (tuples shaped like ``_letter_action``'s), over any
+    ring with + and *.
 
-    Asserting the sparsity here keeps the fast word products honest: they
-    read their update scalars straight off the cached generator matrix.
+    The product is kept column-wise, so right-multiplying by a letter is
+    three column updates: col_{r-1} += left*col_r, col_{r+1} += right*col_r,
+    col_r *= center.
     """
-    image = burau_generator(strands_n, index, inverse)
-    mat = image.matrix
-    r = index - 1
-    for i in range(mat.dim):
-        for j in range(mat.dim):
-            if i != r:
-                expected = LaurentPoly.one() if i == j else LaurentPoly.zero()
-                assert mat.entry(i, j) == expected, "generator image is not row-sparse"
-            elif j not in (r - 1, r, r + 1):
-                assert mat.entry(i, j).is_zero, "generator image is not row-sparse"
-    left = mat.entry(r, r - 1) if r - 1 >= 0 else None
-    right = mat.entry(r, r + 1) if r + 1 <= mat.dim - 1 else None
-    return r, left, mat.entry(r, r), right
-
-
-def _apply_letter(columns: list[list], r: int, left, center, right) -> None:
-    """Right-multiply the matrix stored column-wise by a row-sparse
-    generator: col_{r-1} += left*col_r, col_{r+1} += right*col_r,
-    col_r *= center. Works over any ring with + and *."""
-    col_r = columns[r]
-    if left is not None:
-        dest = columns[r - 1]
-        for k, v in enumerate(col_r):
-            dest[k] = dest[k] + left * v
-    if right is not None:
-        dest = columns[r + 1]
-        for k, v in enumerate(col_r):
-            dest[k] = dest[k] + right * v
-    columns[r] = [center * v for v in col_r]
+    columns = [[one if i == j else zero for i in range(dim)] for j in range(dim)]
+    for r, left, center, right in letters:
+        col_r = columns[r]
+        if left is not None:
+            dest = columns[r - 1]
+            for k, v in enumerate(col_r):
+                dest[k] = dest[k] + left * v
+        if right is not None:
+            dest = columns[r + 1]
+            for k, v in enumerate(col_r):
+                dest[k] = dest[k] + right * v
+        columns[r] = [center * v for v in col_r]
+    return list(zip(*columns))
 
 
 def burau_of_word(word: BraidWord) -> BurauImage:
     """The Burau image of a word: the exact product of generator images in
     word order."""
-    dim = max(word.strands_n - 1, 1)
-    one = LaurentPoly.one()
-    zero = LaurentPoly.zero()
-    columns = [[one if i == j else zero for i in range(dim)] for j in range(dim)]
-    for index, sign in word.letters:
-        r, left, center, right = _letter_action(word.strands_n, index, sign < 0)
-        _apply_letter(columns, r, left, center, right)
-    rows = [[columns[j][i] for j in range(dim)] for i in range(dim)]
-    return BurauImage(word.strands_n, LaurentMatrix(rows))
+    n = word.strands_n
+    rows = _word_product(
+        (_letter_action(n, index, sign < 0) for index, sign in word.letters),
+        n - 1,
+        LaurentPoly.one(),
+        LaurentPoly.zero(),
+    )
+    return BurauImage(n, LaurentMatrix(rows))
 
 
 @lru_cache(maxsize=None)
@@ -180,16 +174,16 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     """
     if minus_q.is_zero:
         raise ZeroInput("cannot specialize at zero")
-    dim = max(word.strands_n - 1, 1)
-    one = CyclotomicNumber.one(minus_q.order)
-    zero = CyclotomicNumber.zero(minus_q.order)
-    columns = [[one if i == j else zero for i in range(dim)] for j in range(dim)]
-    for index, sign in word.letters:
-        r, left, center, right = _specialized_letter_action(
-            word.strands_n, index, sign < 0, minus_q
-        )
-        _apply_letter(columns, r, left, center, right)
-    rows = [[columns[j][i] for j in range(dim)] for i in range(dim)]
+    n = word.strands_n
+    rows = _word_product(
+        (
+            _specialized_letter_action(n, index, sign < 0, minus_q)
+            for index, sign in word.letters
+        ),
+        n - 1,
+        CyclotomicNumber.one(minus_q.order),
+        CyclotomicNumber.zero(minus_q.order),
+    )
     return CycloMatrix(rows)
 
 

@@ -316,6 +316,10 @@ def cmd_orbifold_check(cfg: RunConfig) -> int:
 def cmd_monodromy_check(cfg: RunConfig) -> int:
     from .monodromy import diagram_check
 
+    if cfg.words < 1 or cfg.length < 1:
+        raise InvalidConfiguration(
+            f"--words and --length must be at least 1, got {cfg.words} and {cfg.length}"
+        )
     n = cfg.n
     d = cfg.d[0]
     m = cfg.m if cfg.m is not None else n + 1

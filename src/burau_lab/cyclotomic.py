@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, NotDivisible
 
 INFINITE = math.inf
 
@@ -64,7 +64,8 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
         if c:
             for i, dc in enumerate(den):
                 num[shift + i] -= c * dc
-    assert not any(num), "inexact cyclotomic division"
+    if any(num):
+        raise NotDivisible(f"{den} does not divide {num} exactly")
     return out
 
 
@@ -89,6 +90,19 @@ def _field(order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
                 current = [a + carry * b for a, b in zip(current, top)]
         rows.append(tuple(current))
     return deg, tuple(rows)
+
+
+def _substitute(num: tuple[int, ...], step: int, order: int) -> list[int]:
+    """The integer vector of sum_e num[e] * x^(e*step) reduced into
+    Q(zeta_order): the map zeta -> zeta_order^step."""
+    deg, rows = _field(order)
+    out = [0] * deg
+    for e, a in enumerate(num):
+        if a:
+            row = rows[(e * step) % order]
+            for j in range(deg):
+                out[j] += a * row[j]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -183,15 +197,9 @@ class CyclotomicNumber:
             return self
         if order % self.order:
             raise ValueError(f"cannot embed Q(zeta_{self.order}) into Q(zeta_{order})")
-        step = order // self.order
-        deg, rows = _field(order)
-        out = [0] * deg
-        for e, a in enumerate(self._num):
-            if a:
-                row = rows[(e * step) % order]
-                for j in range(deg):
-                    out[j] += a * row[j]
-        return CyclotomicNumber(order, out, self._den)
+        return CyclotomicNumber(
+            order, _substitute(self._num, order // self.order, order), self._den
+        )
 
     def _pair(self, other: CyclotomicNumber | int | Fraction) -> tuple[CyclotomicNumber, CyclotomicNumber]:
         if isinstance(other, (int, Fraction)):
@@ -210,7 +218,11 @@ class CyclotomicNumber:
         return a._num == b._num and a._den == b._den
 
     def __hash__(self) -> int:
-        return hash((self.order, self._num, self._den))
+        # A rational element equals the int or Fraction of the same value,
+        # in every field, so it must hash like that Fraction.
+        if any(self._num[1:]):
+            return hash((self.order, self._num, self._den))
+        return hash(Fraction(self._num[0], self._den))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -265,28 +277,28 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> CyclotomicNumber:
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_order (irreducible, so every nonzero element is a unit)."""
+        """Multiplicative inverse by the Galois norm, in integer arithmetic.
+
+        For self = a/den with a integral, the product c of the conjugates
+        sigma_k(a) (sigma_k: zeta -> zeta^k, gcd(k, order) = 1, k != 1)
+        gives a*c = N(a), a nonzero rational integer, so the inverse is
+        den*c/N(a).
+        """
         if self.is_zero:
             raise ZeroInput("zero has no inverse")
-        deg, _ = _field(self.order)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = [Fraction(x, self._den) for x in self._num]
-        # Extended gcd of a and phi in Q[x]: find u with u*a = gcd mod phi.
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1 or r1[0] != 0:
-            q, r = _frac_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-        g = r0
-        if len(g) != 1:
-            raise ArithmeticError("gcd with irreducible Phi has positive degree")
-        scale = 1 / g[0]
-        u = [c * scale for c in s0]
-        u += [Fraction(0)] * (deg - len(u))
-        den = math.lcm(*(c.denominator for c in u)) if u else 1
-        return CyclotomicNumber(self.order, [int(c * den) for c in u[:deg]], den)
+        order = self.order
+        conjugates = CyclotomicNumber.one(order)
+        for k in range(2, order):
+            if math.gcd(k, order) == 1:
+                conjugates = conjugates * CyclotomicNumber(
+                    order, _substitute(self._num, k, order)
+                )
+        norm = conjugates * CyclotomicNumber(order, self._num)
+        if any(norm._num[1:]):
+            raise ArithmeticError(f"the norm of {self} is not rational")
+        return CyclotomicNumber(
+            order, [c * self._den for c in conjugates._num], norm._num[0]
+        )
 
     def __truediv__(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
         if isinstance(other, (int, Fraction)):
@@ -342,45 +354,6 @@ class CyclotomicNumber:
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self.order}, '{self}')"
-
-
-def _trim(v: list[Fraction]) -> list[Fraction]:
-    out = list(v)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    if len(num) < len(den):
-        return [Fraction(0)], _trim(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        c = num[shift + len(den) - 1] / den[-1]
-        out[shift] = c
-        if c:
-            for i, dc in enumerate(den):
-                num[shift + i] -= c * dc
-    return _trim(out), _trim(num)
-
-
-def _frac_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
 
 
 def minus_q_from_d(d: int, numerator: int = 1) -> CyclotomicNumber:

@@ -119,7 +119,12 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._coeffs.items()))
+            # A constant equals the int of the same value, so it must hash
+            # like that int.
+            if self._coeffs.keys() <= {0}:
+                self._hash = hash(self._coeffs.get(0, 0))
+            else:
+                self._hash = hash(frozenset(self._coeffs.items()))
         return self._hash
 
     def __add__(self, other: LaurentPoly | int) -> LaurentPoly:

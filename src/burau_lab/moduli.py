@@ -244,8 +244,10 @@ def kernel_descriptor(n: int, d: int) -> KernelDescriptor | Inconclusive:
         i1, i2 = stratum.pair
         if i2 == n or i1 == n:
             j = stratum.orbifold_order
-        else:
-            assert stratum.orbifold_order == d, "sigma stratum must have order d"
+        elif stratum.orbifold_order != d:
+            raise ArithmeticError(
+                f"sigma stratum {stratum.pair} has order {stratum.orbifold_order}, not d={d}"
+            )
     l = 2 * d // math.gcd(2 * d, (d + 2) * n)
     return KernelDescriptor(n, d, j, l, curvatures)
 
@@ -262,7 +264,8 @@ def b3_kernel(d: int) -> KernelDescriptor:
         raise InvalidD(f"the 3-strand analysis requires d >= 7, got {d}")
     curvatures = curvatures_from_nd(3, d)
     tau_sum = curvatures.fractions[2] + curvatures.fractions[3]
-    assert tau_sum > 1, "the twist stratum must be absent for d >= 7"
+    if tau_sum <= 1:
+        raise ArithmeticError(f"the twist stratum must be absent for d >= 7, got d={d}")
     l = 2 * d // math.gcd(12, d + 6)
     order = multiplicative_order(minus_q_from_d(d) ** 3)
     if order != l:

@@ -5,25 +5,29 @@ Hermitian (area) form with its signature certificate.
 The generator matrices act on the difference coordinates of a developing
 image and are defined here through the evaluation of the Burau generator
 images (the interior generators then reproduce the displayed form
-I (+) [[1,0,0],[-q,q,1],[0,0,1]] (+) I). Diagram checks are exact
-cyclotomic arithmetic; floating point enters only for the Hermitian
-least-squares solve and the eigenvalue counts, where a signature is
-stable under small perturbations away from zero eigenvalues.
+I (+) [[1,0,0],[-q,q,1],[0,0,1]] (+) I). The affine extension followed by
+identity padding sends sigma_i in B_n to sigma_i in B_{m-1}, so a product
+of monodromy generators along a word is the specialized Burau image of the
+same word on m-1 strands, computed by the one word-product loop of
+``burau``; ``rho_generators`` keeps the evaluation-map definition that
+this identity is tested against. Diagram checks are exact cyclotomic
+arithmetic; floating point enters only for the Hermitian least-squares
+solve and the eigenvalue counts, where a signature is stable under small
+perturbations away from zero eigenvalues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .burau import (
-    _apply_letter,
     burau_generator,
     burau_of_word,
     ev_map,
     projectively_equal,
+    specialized_burau,
 )
 from .cyclotomic import CycloMatrix, CyclotomicNumber
 from .words import BraidWord
@@ -80,41 +84,17 @@ def rho_generators(n: int, m: int, minus_q: CyclotomicNumber) -> MonodromyGenera
     return MonodromyGenerators(n, m, minus_q, mats)
 
 
-@lru_cache(maxsize=None)
-def _rho_letter(n: int, m: int, minus_q: CyclotomicNumber, index: int, inverse: bool):
-    """Sparse row action of one monodromy generator (or inverse): each is
-    the identity except in row index-1, verified here once."""
-    mat = ev_map(burau_generator(n, index, inverse), minus_q, m).matrix
-    r = index - 1
-    for i in range(mat.dim):
-        for j in range(mat.dim):
-            if i != r:
-                expected = i == j
-                assert mat.entry(i, j).is_one == expected and (
-                    expected or mat.entry(i, j).is_zero
-                ), "monodromy generator is not row-sparse"
-            elif j not in (r - 1, r, r + 1):
-                assert mat.entry(i, j).is_zero, "monodromy generator is not row-sparse"
-    left = mat.entry(r, r - 1) if r - 1 >= 0 else None
-    right = mat.entry(r, r + 1) if r + 1 <= mat.dim - 1 else None
-    return r, left, mat.entry(r, r), right
-
-
 def rho_product(word: BraidWord, m: int, minus_q: CyclotomicNumber) -> CycloMatrix:
-    """The product of monodromy generator matrices along a word, built from
-    the cached evaluated generators."""
+    """The product of monodromy generator matrices along a word.
+
+    The monodromy generator of sigma_i in B_n is the Burau image of sigma_i
+    in B_{m-1} specialized at minus_q, so this is ``specialized_burau`` of
+    the same letters read on m-1 strands.
+    """
     n = word.strands_n
     if not 3 <= n <= m - 1:
         raise InvalidDims(f"need 3 <= n <= m-1, got n={n}, m={m}")
-    dim = m - 2
-    one = CyclotomicNumber.one(minus_q.order)
-    zero = CyclotomicNumber.zero(minus_q.order)
-    columns = [[one if i == j else zero for i in range(dim)] for j in range(dim)]
-    for index, sign in word.letters:
-        r, left, center, right = _rho_letter(n, m, minus_q, index, sign < 0)
-        _apply_letter(columns, r, left, center, right)
-    rows = [[columns[j][i] for j in range(dim)] for i in range(dim)]
-    return CycloMatrix(rows)
+    return specialized_burau(BraidWord(m - 1, word.letters), minus_q)
 
 
 def diagram_check(word: BraidWord, n: int, m: int, minus_q: CyclotomicNumber) -> bool:

@@ -64,6 +64,14 @@ class TestGenerators:
                 )
                 assert product == LaurentMatrix.identity(n - 1)
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_closed_form_inverse_matches_matrix_inverse(self, n):
+        for i in range(1, n):
+            assert (
+                burau_generator(n, i, inverse=True).matrix
+                == burau_generator(n, i).matrix.inverse()
+            )
+
     def test_index_out_of_range(self):
         from burau_lab.words import IndexOutOfRange
 

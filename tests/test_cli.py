@@ -223,3 +223,18 @@ class TestMonodromy:
             capsys, "monodromy", "signature", "--n", "4", "--d", "7", "--m", "4"
         )
         assert code == cli.EXIT_INVALID_PARAMS
+
+    def test_check_rejects_nonpositive_word_count(self, capsys):
+        for words in ("0", "-5"):
+            code, out, err = run(
+                capsys, "monodromy", "check", "--n", "4", "--d", "7", "--words", words
+            )
+            assert code == cli.EXIT_INVALID_PARAMS
+            assert "invalid parameters" in err and out == ""
+
+    def test_check_rejects_empty_word_length(self, capsys):
+        code, out, err = run(
+            capsys, "monodromy", "check", "--n", "4", "--d", "7", "--length", "0"
+        )
+        assert code == cli.EXIT_INVALID_PARAMS
+        assert "invalid parameters" in err and out == ""

@@ -1,10 +1,14 @@
 import cmath
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import burau_lab
 from burau_lab.cyclotomic import (
     INFINITE,
     CycloMatrix,
@@ -16,8 +20,9 @@ from burau_lab.cyclotomic import (
     multiplicative_order,
     specialize_matrix,
     specialize_poly,
+    _polydiv_exact,
 )
-from burau_lab.laurent import LaurentMatrix, LaurentPoly
+from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible
 
 
 def float_order(z: complex, bound: int = 300) -> int | None:
@@ -44,6 +49,30 @@ KNOWN_PHI = {
 @pytest.mark.parametrize("n,coeffs", sorted(KNOWN_PHI.items()))
 def test_cyclotomic_polynomials(n, coeffs):
     assert cyclotomic_polynomial(n) == coeffs
+
+
+def test_inexact_division_raises():
+    with pytest.raises(NotDivisible):
+        _polydiv_exact([1, 0, 1], [1, 1])
+
+
+def test_inexact_division_raises_under_optimize():
+    # The check must survive python -O, which strips assert statements.
+    code = (
+        "from burau_lab.cyclotomic import _polydiv_exact\n"
+        "from burau_lab.laurent import NotDivisible\n"
+        "try:\n"
+        "    _polydiv_exact([1, 0, 1], [1, 1])\n"
+        "except NotDivisible:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(burau_lab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_cyclotomic_polynomial_degree_is_totient():
@@ -110,6 +139,24 @@ class TestFieldArithmetic:
         x = CyclotomicNumber.root_of_unity(7, 3) + Fraction(1, 2)
         assert (x * x.inverse()).is_one
 
+    @pytest.mark.parametrize("order", [1, 2, 74])
+    def test_inverse_round_trip_by_order(self, order):
+        deg = len(cyclotomic_polynomial(order)) - 1
+        x = CyclotomicNumber(order, [3 - 2 * k for k in range(deg)], 5)
+        assert (x * x.inverse()).is_one
+
+    @given(
+        st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 20]),
+        st.lists(st.integers(min_value=-20, max_value=20), min_size=8, max_size=8),
+        st.integers(min_value=1, max_value=30),
+    )
+    @settings(max_examples=60)
+    def test_inverse_round_trip_property(self, order, coeffs, den):
+        deg = len(cyclotomic_polynomial(order)) - 1
+        x = CyclotomicNumber(order, coeffs[:deg], den)
+        if not x.is_zero:
+            assert (x * x.inverse()).is_one
+
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroInput):
             CyclotomicNumber.zero(5).inverse()
@@ -119,6 +166,21 @@ class TestFieldArithmetic:
         i_large = CyclotomicNumber.root_of_unity(8, 2)
         assert i_small == i_large
         assert i_small * i_large == -1
+
+    def test_rational_constants_collapse_across_orders(self):
+        assert len({CyclotomicNumber.one(4), CyclotomicNumber.one(8), 1}) == 1
+
+    @given(
+        st.fractions(max_denominator=50),
+        st.sampled_from([1, 2, 3, 4, 8, 12]),
+        st.sampled_from([1, 2, 3, 4, 8, 12]),
+    )
+    def test_equal_rationals_hash_equal(self, value, order_a, order_b):
+        a = CyclotomicNumber.from_fraction(value, order_a)
+        b = CyclotomicNumber.from_fraction(value, order_b)
+        for x, y in ((a, b), (a, value)):
+            assert x == y
+            assert hash(x) == hash(y)
 
     def test_negative_power(self):
         z = CyclotomicNumber.root_of_unity(9)

@@ -40,6 +40,13 @@ class TestPolyArithmetic:
         assert 2 * T == T + T
         assert T - 1 == -(ONE - T)
 
+    @given(laurent_polys(), st.integers(min_value=-9, max_value=9))
+    def test_equal_constants_hash_equal(self, p, c):
+        # p - p + c is built through arithmetic, not the constructor.
+        const = p - p + c
+        assert const == c
+        assert hash(const) == hash(c) == hash(LaurentPoly.constant(c))
+
     def test_negative_power_of_unit(self):
         assert LaurentPoly.monomial(-1, 1) ** -2 == LaurentPoly.t(-2)
         assert LaurentPoly.monomial(-1, 1) ** -1 == LaurentPoly.monomial(-1, -1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from burau_lab.burau import burau_generator, burau_of_word, ev_map
+from burau_lab.cli import KERNEL_TABLE_FIXTURE
 from burau_lab.cyclotomic import CyclotomicNumber, minus_q_from_d, specialize_matrix
 from burau_lab.monodromy import (
     HermitianForm,
@@ -14,7 +15,7 @@ from burau_lab.monodromy import (
     rho_product,
     signature,
 )
-from burau_lab.words import parse_word, random_word
+from burau_lab.words import BraidWord, parse_word, random_word
 
 
 class TestRhoGenerators:
@@ -97,6 +98,18 @@ class TestDiagramCheck:
         w = parse_word("s1 s3^-1 s2 s4", 5)
         expected = gens.mats[0] * gens.mats[2].inverse() * gens.mats[1] * gens.mats[3]
         assert rho_product(w, 7, mq) == expected
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n, d, _, _ in KERNEL_TABLE_FIXTURE])
+    def test_one_letter_products_match_evaluation_map(self, n, d):
+        # rho_product reads sigma_i in B_n as sigma_i in B_{m-1}; the
+        # evaluation of the Burau generator is the definition it must match.
+        mq = minus_q_from_d(d)
+        for m in (n + 1, n + 2):
+            for i in range(1, n):
+                for sign in (1, -1):
+                    word = BraidWord(n, ((i, sign),))
+                    expected = ev_map(burau_generator(n, i, sign < 0), mq, m).matrix
+                    assert rho_product(word, m, mq) == expected
 
     def test_strand_count_mismatch(self):
         with pytest.raises(ValueError):
