@@ -9,9 +9,16 @@ generator matrices take the standard displayed form
 with the left or right neighbor column absent for i = 1 or i = n-1 (for
 n = 2 the image is the 1x1 matrix (-t)). Every generator image, and every
 inverse, differs from the identity in a single row with a closed form, so
-one word-product loop serves the Laurent ring and every specialization
-alike: applying a letter is three column updates instead of a full
-matrix product.
+applying a letter is three column updates instead of a full matrix
+product.
+
+The exact Laurent image is built that way over Z[t, t^-1]. A
+specialization at t = -q, with -q = +-zeta_N^k a root of unity, runs the
+same column updates in the group ring Z[x]/(x^N - 1): every letter entry
+is then a signed power of x, so multiplying by it is a signed rotation of
+a length-N integer vector, with no reduction, gcd or fraction. Each entry
+is reduced into Q(zeta_N) (mod Phi_N) once, at the end. A point that is
+not a root of unity falls back to specializing the Laurent image.
 
 Also here: the crossed homomorphism v and the affine extension it defines
 (dimension n-1 -> n, a group homomorphism coinciding with the inclusion
@@ -21,6 +28,7 @@ projective class used to compare against the cone-metric monodromy.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,11 +36,12 @@ from .cyclotomic import (
     CycloMatrix,
     CyclotomicNumber,
     ZeroInput,
+    signed_root,
     specialize_matrix,
     specialize_poly,
 )
 from .laurent import LaurentMatrix, LaurentPoly
-from .words import BraidWord, IndexOutOfRange
+from .words import BraidWord, IndexOutOfRange, InvalidStrandCount
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,7 @@ def _letter_action(strands_n: int, index: int, inverse: bool):
     (1, -t^-1, t^-1).
     """
     if strands_n < 2:
-        raise ValueError("a braid group needs at least 2 strands")
+        raise InvalidStrandCount(strands_n)
     if not 1 <= index <= strands_n - 1:
         raise IndexOutOfRange(
             f"generator index {index} outside 1..{strands_n - 1}"
@@ -155,36 +164,83 @@ def burau_of_word(word: BraidWord) -> BurauImage:
 
 
 @lru_cache(maxsize=None)
-def _specialized_letter_action(
-    strands_n: int, index: int, inverse: bool, minus_q: CyclotomicNumber
-):
-    r, left, center, right = _letter_action(strands_n, index, inverse)
+def _rotation_letters(strands_n: int, order: int, sign: int, k: int) -> dict:
+    """Every letter (index, +-1) of B_strands_n mapped to its
+    ``_letter_action`` row at t = sign * zeta_order^k, each entry given as
+    the (sign, shift) with entry = sign * zeta_order^shift."""
+    point = CyclotomicNumber.root_of_unity(order, k) * sign
 
     def at_point(p):
-        return None if p is None else specialize_poly(p, minus_q)
+        return None if p is None else signed_root(specialize_poly(p, point))
 
-    return r, at_point(left), at_point(center), at_point(right)
+    table = {}
+    for index in range(1, strands_n):
+        for letter_sign in (1, -1):
+            r, left, center, right = _letter_action(strands_n, index, letter_sign < 0)
+            table[index, letter_sign] = r, at_point(left), at_point(center), at_point(right)
+    return table
+
+
+def _add_rotated(dest: list, col: list, sign: int, shift: int) -> list:
+    """dest + sign * x^shift * col, entrywise in Z[x]/(x^N - 1); where the
+    col entry is zero the dest entry is kept, not copied."""
+    op = operator.add if sign > 0 else operator.sub
+    return [
+        list(map(op, d, v[-shift:] + v[:-shift])) if any(v) else d
+        for d, v in zip(dest, col)
+    ]
+
+
+def _rotation_product(actions, dim: int, order: int) -> list[list[list[int]]]:
+    """``_word_product`` over Z[x]/(x^order - 1), for letters whose entries
+    are signed powers of x (the ``_rotation_letters`` rows): each entry is a
+    length-order integer vector, and multiplying by sign * x^shift is a
+    rotation by shift, negated when sign is -1. Returns the columns.
+
+    Entries are replaced, never changed in place, so they may be shared.
+    """
+    unit = [1] + [0] * (order - 1)
+    zero = [0] * order
+    columns = [[unit if i == j else zero for i in range(dim)] for j in range(dim)]
+    for r, left, (sign, shift), right in actions:
+        col_r = columns[r]
+        if left is not None:
+            columns[r - 1] = _add_rotated(columns[r - 1], col_r, *left)
+        if right is not None:
+            columns[r + 1] = _add_rotated(columns[r + 1], col_r, *right)
+        if sign > 0:
+            columns[r] = [v[-shift:] + v[:-shift] for v in col_r]
+        else:
+            columns[r] = [[-a for a in v[-shift:] + v[:-shift]] for v in col_r]
+    return columns
 
 
 def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix:
     """The word's Burau image specialized at t = minus_q, exactly.
+
+    At a root of unity minus_q = sign * zeta_N^k, every letter entry is a
+    signed power of zeta_N, so the product is taken in the group ring
+    Z[x]/(x^N - 1), where multiplying by an entry is a signed rotation of
+    an integer vector, and each entry is reduced into Q(zeta_N) once, at
+    the end. At any other point this is the reference path: the Laurent
+    image specialized entrywise.
 
     Kernel membership for the specialization means exact equality of this
     matrix with the identity (not projective equality).
     """
     if minus_q.is_zero:
         raise ZeroInput("cannot specialize at zero")
-    n = word.strands_n
-    rows = _word_product(
-        (
-            _specialized_letter_action(n, index, sign < 0, minus_q)
-            for index, sign in word.letters
-        ),
-        n - 1,
-        CyclotomicNumber.one(minus_q.order),
-        CyclotomicNumber.zero(minus_q.order),
+    root = signed_root(minus_q)
+    if root is None:
+        return specialize_matrix(burau_of_word(word).matrix, minus_q)
+    order = minus_q.order
+    table = _rotation_letters(word.strands_n, order, *root)
+    columns = _rotation_product(
+        map(table.__getitem__, word.letters), word.strands_n - 1, order
     )
-    return CycloMatrix(rows)
+    return CycloMatrix(
+        [CyclotomicNumber.from_powers(order, v) for v in row] for row in zip(*columns)
+    )
 
 
 def crossed_v(image: BurauImage) -> tuple[LaurentPoly, ...]:

@@ -41,7 +41,13 @@ from .moduli import (
     orbifold_check,
 )
 from .monodromy import InvalidDims, invariant_hermitian_form, rho_generators, signature
-from .words import IndexOutOfRange, WordSyntaxError, parse_word, random_word
+from .words import (
+    IndexOutOfRange,
+    InvalidStrandCount,
+    WordSyntaxError,
+    parse_word,
+    random_word,
+)
 
 # The known kernel rows (n, d, j or None for "no tau_{n-1} power", l).
 # kernel-table recomputes all of them and treats this tuple as the
@@ -73,6 +79,10 @@ EXIT_AUDIT_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INVALID_PARAMS = 3
 EXIT_FIXTURE_MISMATCH = 4
+
+
+class InvalidSpec(ValueError):
+    """A malformed integer spec (--n, --d) or fraction list (--curvatures)."""
 
 
 @dataclass
@@ -110,11 +120,14 @@ def _parse_int_spec(spec: str) -> list[int]:
     out: list[int] = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
+        try:
+            if ".." in chunk:
+                lo, hi = chunk.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(chunk))
+        except ValueError:
+            raise InvalidSpec(f"malformed integer spec {spec!r}") from None
     return out
 
 
@@ -294,7 +307,12 @@ def cmd_kernel_table(cfg: RunConfig) -> int:
 
 
 def cmd_orbifold_check(cfg: RunConfig) -> int:
-    fractions = tuple(Fraction(part.strip()) for part in (cfg.curvatures or "").split(","))
+    try:
+        fractions = tuple(
+            Fraction(part.strip()) for part in (cfg.curvatures or "").split(",")
+        )
+    except (ValueError, ZeroDivisionError):
+        raise InvalidSpec(f"malformed fraction list {cfg.curvatures!r}") from None
     labels = [part.strip() for part in (cfg.labels or "").split(",")]
     curvatures = CurvatureVector(fractions)
     report = orbifold_check(curvatures, labels)
@@ -495,7 +513,14 @@ def main(argv: list[str] | None = None) -> int:
     except (WordSyntaxError, IndexOutOfRange) as exc:
         print(f"word error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (InvalidD, InvalidConfiguration, InvalidCurvatures, InvalidDims, ValueError) as exc:
+    except (
+        InvalidD,
+        InvalidConfiguration,
+        InvalidCurvatures,
+        InvalidDims,
+        InvalidSpec,
+        InvalidStrandCount,
+    ) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .laurent import LaurentMatrix, LaurentPoly, NotDivisible
 
@@ -92,7 +93,7 @@ def _field(order: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return deg, tuple(rows)
 
 
-def _substitute(num: tuple[int, ...], step: int, order: int) -> list[int]:
+def _substitute(num: Sequence[int], step: int, order: int) -> list[int]:
     """The integer vector of sum_e num[e] * x^(e*step) reduced into
     Q(zeta_order): the map zeta -> zeta_order^step."""
     deg, rows = _field(order)
@@ -103,6 +104,28 @@ def _substitute(num: tuple[int, ...], step: int, order: int) -> list[int]:
             for j in range(deg):
                 out[j] += a * row[j]
     return out
+
+
+@lru_cache(maxsize=None)
+def _traces(order: int) -> tuple[int, ...]:
+    """Entry e is the trace Tr(zeta_order^e) from Q(zeta_order) to Q, for e
+    below phi(order): zeta_order^e is a primitive m-th root, m =
+    order/gcd(e, order), whose conjugates over Q sum to mu(m), the negated
+    second-highest coefficient of Phi_m, and each is hit phi(order)/phi(m)
+    times."""
+    deg, _ = _field(order)
+    out = []
+    for e in range(deg):
+        phi_m = cyclotomic_polynomial(order // math.gcd(e, order))
+        out.append(-phi_m[-2] * (deg // (len(phi_m) - 1)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _root_exponents(order: int) -> dict[tuple[int, ...], int]:
+    """The reduced vector of zeta_order^e, mapped to e, for e in 0..order-1."""
+    _, rows = _field(order)
+    return {rows[e]: e for e in range(order)}
 
 
 @lru_cache(maxsize=None)
@@ -165,6 +188,13 @@ class CyclotomicNumber:
         return cls(order, [f.numerator] + [0] * (deg - 1), f.denominator)
 
     @classmethod
+    def from_powers(cls, order: int, coeffs: Sequence[int]) -> CyclotomicNumber:
+        """sum_e coeffs[e] * zeta_order^e for an integer vector of length
+        order: the image of an element of Z[x]/(x^order - 1) under x ->
+        zeta_order, reduced mod Phi_order."""
+        return cls(order, _substitute(coeffs, 1, order))
+
+    @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> CyclotomicNumber:
         """zeta_order^power, reduced into the field of the given order."""
         deg, rows = _field(order)
@@ -218,11 +248,14 @@ class CyclotomicNumber:
         return a._num == b._num and a._den == b._den
 
     def __hash__(self) -> int:
-        # A rational element equals the int or Fraction of the same value,
-        # in every field, so it must hash like that Fraction.
-        if any(self._num[1:]):
-            return hash((self.order, self._num, self._den))
-        return hash(Fraction(self._num[0], self._den))
+        # Equal elements of different fields, and a rational element and the
+        # int or Fraction of the same value, must hash alike. The normalized
+        # trace Tr(x)/phi(order) is unchanged by ``promote`` and is x itself
+        # when x is rational, so hash that Fraction.
+        traces = _traces(self.order)
+        return hash(
+            Fraction(sum(map(operator.mul, self._num, traces)), len(traces) * self._den)
+        )
 
     # -- arithmetic --------------------------------------------------------
 
@@ -390,10 +423,41 @@ def multiplicative_order(x: CyclotomicNumber) -> int | float:
     return INFINITE
 
 
+def signed_root(x: CyclotomicNumber) -> tuple[int, int] | None:
+    """(sign, e) with x = sign * zeta_N^e, N = x.order and sign = +-1, or
+    None when x is not a root of unity.
+
+    For even N every root of unity in Q(zeta_N) is a power of zeta_N and the
+    sign is +1; for odd N the roots are +-zeta_N^e, and -zeta_N^e is reported
+    with sign -1 (as for -q at d = 2 mod 4).
+    """
+    if x._den != 1:
+        return None
+    exponents = _root_exponents(x.order)
+    e = exponents.get(x._num)
+    if e is not None:
+        return 1, e
+    e = exponents.get(tuple(-a for a in x._num))
+    return None if e is None else (-1, e)
+
+
 def specialize_poly(p: LaurentPoly, x: CyclotomicNumber) -> CyclotomicNumber:
-    """Evaluate a Laurent polynomial at a nonzero field element, exactly."""
+    """Evaluate a Laurent polynomial at a nonzero field element, exactly.
+
+    At a root of unity x = sign * zeta_N^k, t^e is sign^e * zeta_N^(k*e mod N),
+    so the coefficients are summed into one length-N vector and reduced mod
+    Phi_N once; negative exponents need no inverse. Other points evaluate
+    powers of x and of its inverse.
+    """
     if x.is_zero:
         raise ZeroInput("cannot specialize a Laurent polynomial at zero")
+    root = signed_root(x)
+    if root is not None:
+        sign, k = root
+        powers = [0] * x.order
+        for e, c in p:
+            powers[k * e % x.order] += -c if sign < 0 and e % 2 else c
+        return CyclotomicNumber.from_powers(x.order, powers)
     total = CyclotomicNumber.zero(x.order)
     pos_pow: dict[int, CyclotomicNumber] = {0: CyclotomicNumber.one(x.order)}
     inv = None

@@ -101,6 +101,8 @@ def diagram_check(word: BraidWord, n: int, m: int, minus_q: CyclotomicNumber) ->
     """True iff the evaluated Burau image of the word and the product of
     monodromy generators along it agree up to a nonzero scalar, in exact
     cyclotomic arithmetic."""
+    if not 3 <= n <= m - 1:
+        raise InvalidDims(f"need 3 <= n <= m-1, got n={n}, m={m}")
     if word.strands_n != n:
         raise ValueError("word strand count differs from n")
     via_burau = ev_map(burau_of_word(word), minus_q, m)

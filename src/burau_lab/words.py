@@ -42,6 +42,13 @@ class IndexOutOfRange(ValueError):
         self.position = position
 
 
+class InvalidStrandCount(ValueError):
+    """A braid group needs at least 2 strands."""
+
+    def __init__(self, strands_n: int):
+        super().__init__(f"a braid group needs at least 2 strands, got {strands_n}")
+
+
 class InvalidSupport(ValueError):
     """A named twist's support does not satisfy its constraints."""
 
@@ -62,7 +69,7 @@ class BraidWord:
 
     def __post_init__(self):
         if self.strands_n < 2:
-            raise ValueError("a braid group needs at least 2 strands")
+            raise InvalidStrandCount(self.strands_n)
         object.__setattr__(self, "letters", tuple((int(i), int(e)) for i, e in self.letters))
         for i, e in self.letters:
             if not 1 <= i <= self.strands_n - 1:
@@ -181,7 +188,7 @@ def parse_word(text: str, strands_n: int) -> BraidWord:
     strand count.
     """
     if strands_n < 2:
-        raise ValueError("a braid group needs at least 2 strands")
+        raise InvalidStrandCount(strands_n)
     letters, pos = _parse_sequence(text, 0, strands_n, top_level=True)
     return BraidWord(strands_n, tuple(letters))
 
@@ -267,6 +274,8 @@ def _expand_power(letters: list[tuple[int, int]], exponent: int) -> list[tuple[i
 
 def random_word(strands_n: int, length: int, rng: random.Random) -> BraidWord:
     """A uniformly random word of the given length (letters independent)."""
+    if strands_n < 2:
+        raise InvalidStrandCount(strands_n)
     letters = tuple(
         (rng.randint(1, strands_n - 1), rng.choice((1, -1))) for _ in range(length)
     )

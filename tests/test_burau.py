@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -263,13 +264,30 @@ class TestSpecializedBurau:
 
     def test_agrees_with_specializing_the_laurent_image(self):
         rng = random.Random(99)
+        cases = []
         for n in (3, 4, 5):
             for d in (4, 5, 7):
-                mq = minus_q_from_d(d)
-                w = random_word(n, 12, rng)
-                fast = specialized_burau(w, mq)
-                slow = specialize_matrix(burau_of_word(w).matrix, mq)
-                assert fast == slow
+                cases.append((random_word(n, 12, rng), minus_q_from_d(d)))
+        # Every d in 2..40 with a coprime numerator other than 1 where there
+        # is one, at -q and at the non-primitive roots q = -(-q) and (-q)^3
+        # (sign -1 with odd N when d = 2 mod 4), on words of length 0, 1 and
+        # random length; a central twist of 2500 letters; and a point that
+        # is not a root of unity, which takes the Laurent path.
+        for d in range(2, 41):
+            a = max(k for k in range(1, d) if math.gcd(k, d) == 1)
+            mq = minus_q_from_d(d, a)
+            for x in (mq, -mq, mq**3):
+                for length in (0, 1, rng.randint(2, 40)):
+                    cases.append((random_word(rng.randint(2, 6), length, rng), x))
+        twist = parse_word("T5^125", 5)
+        assert len(twist) == 2500
+        cases += [(twist, minus_q_from_d(7)), (twist, minus_q_from_d(10))]
+        non_root = CyclotomicNumber.root_of_unity(5) + 1
+        cases += [(random_word(4, length, rng), non_root) for length in (0, 1, 9)]
+        for w, x in cases:
+            fast = specialized_burau(w, x)
+            slow = specialize_matrix(burau_of_word(w).matrix, x)
+            assert fast == slow, (w, x)
 
     def test_first_generator_at_minus_i(self):
         # -t evaluates to i when t = -zeta_4 = -i.

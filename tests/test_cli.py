@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from burau_lab import cli
 from burau_lab.cyclotomic import INFINITE
 from burau_lab.moduli import KernelDescriptor, kernel_descriptor
@@ -238,3 +240,28 @@ class TestMonodromy:
         )
         assert code == cli.EXIT_INVALID_PARAMS
         assert "invalid parameters" in err and out == ""
+
+
+class TestExitCodes:
+    def test_malformed_user_input_exits_3(self, capsys):
+        cases = (
+            ("burau", "eval", "--n", "1", "--word", "s1"),
+            ("burau", "check-word", "--n", "4", "--word", "s1", "--d", "5..x"),
+            ("moduli", "kernel-table", "--n", "4", "--d", "5,,6"),
+            ("moduli", "orbifold-check", "--curvatures", "1/0,abc", "--labels", "a,b"),
+            ("monodromy", "check", "--n", "1", "--d", "5"),
+            ("monodromy", "check", "--n", "4", "--d", "5", "--m", "4"),
+        )
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == cli.EXIT_INVALID_PARAMS, argv
+            assert "invalid parameters" in err and out == "", argv
+
+    def test_internal_value_error_is_not_invalid_parameters(self, capsys, monkeypatch):
+        def broken(cfg):
+            raise ValueError("an internal invariant failed")
+
+        monkeypatch.setitem(cli._HANDLERS, "burau eval", broken)
+        with pytest.raises(ValueError, match="internal invariant"):
+            cli.main(["burau", "eval", "--n", "4", "--word", "s1"])
+        assert "invalid parameters" not in capsys.readouterr().err

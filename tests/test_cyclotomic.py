@@ -18,6 +18,7 @@ from burau_lab.cyclotomic import (
     cyclotomic_polynomial,
     minus_q_from_d,
     multiplicative_order,
+    signed_root,
     specialize_matrix,
     specialize_poly,
     _polydiv_exact,
@@ -285,3 +286,98 @@ def test_str_forms():
     assert "zeta(8)^3" in str(z)
     assert str(CyclotomicNumber.zero(4)) == "0"
     assert str(CyclotomicNumber.one(4)) == "1"
+
+
+ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20]
+
+
+def field_elements():
+    """Elements of Q(zeta_N) with small coefficients, for N in ORDERS."""
+
+    def build(order, coeffs, den):
+        deg = len(cyclotomic_polynomial(order)) - 1
+        return CyclotomicNumber(order, coeffs[:deg], den)
+
+    return st.builds(
+        build,
+        st.sampled_from(ORDERS),
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=8, max_size=8),
+        st.integers(min_value=1, max_value=12),
+    )
+
+
+class TestSignedRoot:
+    @pytest.mark.parametrize("order", range(1, 31))
+    def test_powers_of_zeta(self, order):
+        for e in range(order):
+            z = CyclotomicNumber.root_of_unity(order, e)
+            assert signed_root(z) == (1, e)
+            expected = (1, (e + order // 2) % order) if order % 2 == 0 else (-1, e)
+            assert signed_root(-z) == expected
+
+    def test_negated_entry_at_d_2_mod_4_has_sign_minus_one(self):
+        # -q has odd order there, so the letter entry -t = q is -zeta_N^k.
+        for d in (6, 10, 14, 18):
+            mq = minus_q_from_d(d)
+            assert mq.order % 2 == 1
+            sign, k = signed_root(-mq)
+            assert sign == -1 and signed_root(mq) == (1, k)
+
+    def test_non_roots(self):
+        z5 = CyclotomicNumber.root_of_unity(5)
+        for x in (
+            z5 + 1,
+            z5 * 2,
+            CyclotomicNumber.from_fraction(Fraction(1, 2), 8),
+            CyclotomicNumber.from_fraction(2, 1),
+            CyclotomicNumber.root_of_unity(4) + 1,
+            CyclotomicNumber.zero(6),
+        ):
+            assert signed_root(x) is None
+
+
+class TestHashAcrossOrders:
+    def test_root_of_unity_in_two_fields(self):
+        i_small = CyclotomicNumber.root_of_unity(4)
+        i_large = CyclotomicNumber.root_of_unity(8, 2)
+        assert len({i_small, i_large}) == 1
+        assert len({CycloMatrix([[i_small]]), CycloMatrix([[i_large]])}) == 1
+
+    @given(field_elements(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=80)
+    def test_promotion_keeps_the_hash(self, x, k):
+        y = x.promote(k * x.order)
+        assert x == y
+        assert hash(x) == hash(y)
+
+    @given(st.lists(field_elements(), min_size=4, max_size=4), st.integers(min_value=2, max_value=3))
+    @settings(max_examples=30)
+    def test_promoted_matrices_hash_equal(self, entries, k):
+        a = CycloMatrix([entries[:2], entries[2:]])
+        b = CycloMatrix([[e.promote(k * e.order) for e in row] for row in a.rows])
+        assert a == b
+        assert hash(a) == hash(b)
+
+
+def _points():
+    mq = [minus_q_from_d(d, a) for d, a in ((3, 1), (6, 5), (7, 3), (8, 3), (12, 5))]
+    z5 = CyclotomicNumber.root_of_unity(5)
+    return mq + [-x for x in mq] + [x**3 for x in mq] + [z5 + 1, z5 * 2 - Fraction(1, 3)]
+
+
+class TestExponentFlip:
+    @given(
+        st.dictionaries(
+            st.integers(min_value=-30, max_value=30),
+            st.integers(min_value=-5, max_value=5),
+            max_size=6,
+        ),
+        st.sampled_from(_points()),
+    )
+    @settings(max_examples=80)
+    def test_matches_powers_of_the_point(self, coeffs, x):
+        # Independent oracle: sum of c * x**e, negative powers by inverse().
+        expected = CyclotomicNumber.zero(x.order)
+        for e, c in coeffs.items():
+            expected = expected + x**e * c
+        assert specialize_poly(LaurentPoly(coeffs), x) == expected

@@ -8,6 +8,7 @@ from burau_lab.words import (
     BraidWord,
     EmptyGeneratorSet,
     IndexOutOfRange,
+    InvalidStrandCount,
     InvalidSupport,
     NamedTwist,
     TwistKind,
@@ -81,6 +82,15 @@ class TestBraidWord:
             BraidWord(1, ())
         with pytest.raises(ValueError):
             BraidWord(3, ((1, 2),))
+
+    def test_fewer_than_two_strands_is_a_typed_error(self):
+        for make in (
+            lambda: BraidWord(1),
+            lambda: parse_word("", 0),
+            lambda: random_word(1, 3, random.Random(0)),
+        ):
+            with pytest.raises(InvalidStrandCount):
+                make()
 
     def test_inverse_and_power(self):
         w = parse_word("s1 s2", 3)
