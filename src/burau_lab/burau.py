@@ -8,17 +8,22 @@ generator matrices take the standard displayed form
 
 with the left or right neighbor column absent for i = 1 or i = n-1 (for
 n = 2 the image is the 1x1 matrix (-t)). Every generator image, and every
-inverse, differs from the identity in a single row with a closed form, so
-applying a letter is three column updates instead of a full matrix
-product.
+inverse, differs from the identity in a single row whose entries are signed
+monomials +-t^e, so applying a letter is three column updates instead of a
+full matrix product.
 
-The exact Laurent image is built that way over Z[t, t^-1]. A
-specialization at t = -q, with -q = +-zeta_N^k a root of unity, runs the
-same column updates in the group ring Z[x]/(x^N - 1): every letter entry
-is then a signed power of x, so multiplying by it is a signed rotation of
-a length-N integer vector, with no reduction, gcd or fraction. Each entry
-is reduced into Q(zeta_N) (mod Phi_N) once, at the end. A point that is
-not a root of unity falls back to specializing the Laurent image.
+One loop, ``_word_product``, applies those updates over either of two
+rings, each supplying "multiply a column by +-t^e" and "add +-t^e times a
+column to another":
+
+- Z[t, t^-1], for the exact Laurent image (``burau_of_word``);
+- Z[x]/(x^N - 1), for a specialization at a root of unity t = -q =
+  +-zeta_N^k (``specialized_burau``): +-t^e becomes a signed power of x,
+  so multiplying by it is a signed rotation of a length-N integer vector,
+  with no reduction, gcd or fraction; each entry is reduced into Q(zeta_N)
+  (mod Phi_N) once, at the end.
+
+A point that is not a root of unity specializes the Laurent image instead.
 
 Also here: the crossed homomorphism v and the affine extension it defines
 (dimension n-1 -> n, a group homomorphism coinciding with the inclusion
@@ -38,10 +43,9 @@ from .cyclotomic import (
     ZeroInput,
     signed_root,
     specialize_matrix,
-    specialize_poly,
 )
 from .laurent import LaurentMatrix, LaurentPoly
-from .words import BraidWord, IndexOutOfRange, InvalidStrandCount
+from .words import BraidWord
 
 
 @dataclass(frozen=True)
@@ -88,66 +92,62 @@ class AffineExtended:
 
 @lru_cache(maxsize=None)
 def burau_generator(strands_n: int, index: int, inverse: bool = False) -> BurauImage:
-    """The image of sigma_index (or its inverse) in B_strands_n: the identity
-    with row index-1 replaced by the closed-form row of ``_letter_action``."""
-    r, left, center, right = _letter_action(strands_n, index, inverse)
-    rows = [list(row) for row in LaurentMatrix.identity(strands_n - 1).rows]
-    if left is not None:
-        rows[r][r - 1] = left
-    rows[r][r] = center
-    if right is not None:
-        rows[r][r + 1] = right
-    return BurauImage(strands_n, LaurentMatrix(rows))
+    """The image of sigma_index (or its inverse) in B_strands_n."""
+    return burau_of_word(BraidWord(strands_n, ((index, -1 if inverse else 1),)))
 
 
 @lru_cache(maxsize=None)
 def _letter_action(strands_n: int, index: int, inverse: bool):
     """The single non-identity row of the image of sigma_index (or its
     inverse), as (row, entry at row-1 or None, diagonal entry, entry at
-    row+1 or None).
+    row+1 or None), each entry a signed monomial given as (sign, e) for
+    sign * t^e.
 
     The row of sigma_i is (t, -t, 1). Inverting a matrix that differs from
     the identity only in row r negates that row's off-diagonal entries and
     divides the row by its diagonal, here the unit -t: sigma_i^-1 has row
     (1, -t^-1, t^-1).
     """
-    if strands_n < 2:
-        raise InvalidStrandCount(strands_n)
-    if not 1 <= index <= strands_n - 1:
-        raise IndexOutOfRange(
-            f"generator index {index} outside 1..{strands_n - 1}"
-        )
-    t = LaurentPoly.t
     if inverse:
-        left, center, right = LaurentPoly.one(), -t(-1), t(-1)
+        left, center, right = (1, 0), (-1, -1), (1, -1)
     else:
-        left, center, right = t(), -t(), LaurentPoly.one()
+        left, center, right = (1, 1), (-1, 1), (1, 0)
     r = index - 1
     return r, left if r > 0 else None, center, right if r < strands_n - 2 else None
 
 
-def _word_product(letters, dim: int, one, zero) -> list[tuple]:
-    """The rows of the product, in order, of the row-sparse generator images
-    given by ``letters`` (tuples shaped like ``_letter_action``'s), over any
-    ring with + and *.
+def _word_product(actions, dim: int, one, zero, times, add_times) -> list[tuple]:
+    """The rows, in order, of the product of the row-sparse generator images
+    given by ``actions`` (tuples shaped like ``_letter_action``'s), over the
+    ring whose unit and zero are ``one`` and ``zero``.
 
     The product is kept column-wise, so right-multiplying by a letter is
     three column updates: col_{r-1} += left*col_r, col_{r+1} += right*col_r,
-    col_r *= center.
+    col_r *= center. The ring supplies them for a letter entry (sign, e):
+    ``times(col, sign, e)`` returns sign * t^e * col and
+    ``add_times(dest, col, sign, e)`` returns dest + sign * t^e * col.
+    Columns are replaced, never changed in place, so entries may be shared.
     """
     columns = [[one if i == j else zero for i in range(dim)] for j in range(dim)]
-    for r, left, center, right in letters:
+    for r, left, center, right in actions:
         col_r = columns[r]
         if left is not None:
-            dest = columns[r - 1]
-            for k, v in enumerate(col_r):
-                dest[k] = dest[k] + left * v
+            columns[r - 1] = add_times(columns[r - 1], col_r, *left)
         if right is not None:
-            dest = columns[r + 1]
-            for k, v in enumerate(col_r):
-                dest[k] = dest[k] + right * v
-        columns[r] = [center * v for v in col_r]
+            columns[r + 1] = add_times(columns[r + 1], col_r, *right)
+        columns[r] = times(col_r, *center)
     return list(zip(*columns))
+
+
+def _laurent_times(col: list, sign: int, e: int) -> list:
+    """sign * t^e * col, entrywise; zero entries are kept."""
+    return [(v if sign > 0 else -v).shift(e) if v else v for v in col]
+
+
+def _laurent_add_times(dest: list, col: list, sign: int, e: int) -> list:
+    """dest + sign * t^e * col, entrywise; a zero col entry keeps dest's."""
+    op = operator.add if sign > 0 else operator.sub
+    return [op(d, v.shift(e)) if v else d for d, v in zip(dest, col)]
 
 
 def burau_of_word(word: BraidWord) -> BurauImage:
@@ -159,6 +159,8 @@ def burau_of_word(word: BraidWord) -> BurauImage:
         n - 1,
         LaurentPoly.one(),
         LaurentPoly.zero(),
+        _laurent_times,
+        _laurent_add_times,
     )
     return BurauImage(n, LaurentMatrix(rows))
 
@@ -166,12 +168,18 @@ def burau_of_word(word: BraidWord) -> BurauImage:
 @lru_cache(maxsize=None)
 def _rotation_letters(strands_n: int, order: int, sign: int, k: int) -> dict:
     """Every letter (index, +-1) of B_strands_n mapped to its
-    ``_letter_action`` row at t = sign * zeta_order^k, each entry given as
-    the (sign, shift) with entry = sign * zeta_order^shift."""
-    point = CyclotomicNumber.root_of_unity(order, k) * sign
+    ``_letter_action`` row at t = sign * zeta_order^k: s * t^e becomes
+    (s * sign^e, k*e mod order), with -1 = zeta^(order/2) for even order,
+    so sign -1 occurs only for odd order, as in ``signed_root``."""
 
-    def at_point(p):
-        return None if p is None else signed_root(specialize_poly(p, point))
+    def at_point(entry):
+        if entry is None:
+            return None
+        s, e = entry
+        s, shift = s * sign ** (e % 2), k * e % order
+        if s < 0 and order % 2 == 0:
+            s, shift = 1, (shift + order // 2) % order
+        return s, shift
 
     table = {}
     for index in range(1, strands_n):
@@ -181,38 +189,23 @@ def _rotation_letters(strands_n: int, order: int, sign: int, k: int) -> dict:
     return table
 
 
+def _rotated(col: list, sign: int, shift: int) -> list:
+    """sign * x^shift * col, entrywise in Z[x]/(x^N - 1)."""
+    if sign > 0:
+        return [v[-shift:] + v[:-shift] for v in col]
+    return [[-a for a in v[-shift:] + v[:-shift]] for v in col]
+
+
 def _add_rotated(dest: list, col: list, sign: int, shift: int) -> list:
-    """dest + sign * x^shift * col, entrywise in Z[x]/(x^N - 1); where the
-    col entry is zero the dest entry is kept, not copied."""
+    """dest + sign * x^shift * col, entrywise in Z[x]/(x^N - 1); a zero col
+    entry keeps dest's, and shift 0, in every letter, skips the rotation."""
     op = operator.add if sign > 0 else operator.sub
+    if not shift:
+        return [list(map(op, d, v)) if any(v) else d for d, v in zip(dest, col)]
     return [
         list(map(op, d, v[-shift:] + v[:-shift])) if any(v) else d
         for d, v in zip(dest, col)
     ]
-
-
-def _rotation_product(actions, dim: int, order: int) -> list[list[list[int]]]:
-    """``_word_product`` over Z[x]/(x^order - 1), for letters whose entries
-    are signed powers of x (the ``_rotation_letters`` rows): each entry is a
-    length-order integer vector, and multiplying by sign * x^shift is a
-    rotation by shift, negated when sign is -1. Returns the columns.
-
-    Entries are replaced, never changed in place, so they may be shared.
-    """
-    unit = [1] + [0] * (order - 1)
-    zero = [0] * order
-    columns = [[unit if i == j else zero for i in range(dim)] for j in range(dim)]
-    for r, left, (sign, shift), right in actions:
-        col_r = columns[r]
-        if left is not None:
-            columns[r - 1] = _add_rotated(columns[r - 1], col_r, *left)
-        if right is not None:
-            columns[r + 1] = _add_rotated(columns[r + 1], col_r, *right)
-        if sign > 0:
-            columns[r] = [v[-shift:] + v[:-shift] for v in col_r]
-        else:
-            columns[r] = [[-a for a in v[-shift:] + v[:-shift]] for v in col_r]
-    return columns
 
 
 def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix:
@@ -235,11 +228,16 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
         return specialize_matrix(burau_of_word(word).matrix, minus_q)
     order = minus_q.order
     table = _rotation_letters(word.strands_n, order, *root)
-    columns = _rotation_product(
-        map(table.__getitem__, word.letters), word.strands_n - 1, order
+    rows = _word_product(
+        map(table.__getitem__, word.letters),
+        word.strands_n - 1,
+        [1] + [0] * (order - 1),
+        [0] * order,
+        _rotated,
+        _add_rotated,
     )
     return CycloMatrix(
-        [CyclotomicNumber.from_powers(order, v) for v in row] for row in zip(*columns)
+        [CyclotomicNumber.from_powers(order, v) for v in row] for row in rows
     )
 
 

@@ -45,6 +45,7 @@ from .words import (
     IndexOutOfRange,
     InvalidStrandCount,
     WordSyntaxError,
+    WordTooLong,
     parse_word,
     random_word,
 )
@@ -81,8 +82,13 @@ EXIT_INVALID_PARAMS = 3
 EXIT_FIXTURE_MISMATCH = 4
 
 
+MAX_SPEC_VALUES = 1000
+"""The most integers one --n or --d spec may list."""
+
+
 class InvalidSpec(ValueError):
-    """A malformed integer spec (--n, --d) or fraction list (--curvatures)."""
+    """A malformed, empty-range or over-long integer spec (--n, --d), or a
+    malformed fraction list (--curvatures)."""
 
 
 @dataclass
@@ -116,18 +122,23 @@ def default_seed() -> int:
 
 
 def _parse_int_spec(spec: str) -> list[int]:
-    """Accept '5', '5..8', or comma lists of either."""
+    """Accept '5', '5..8', or comma lists of either, naming at most
+    MAX_SPEC_VALUES integers; a range must not be empty."""
     out: list[int] = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
         try:
             if ".." in chunk:
-                lo, hi = chunk.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, chunk.split("..", 1))
             else:
-                out.append(int(chunk))
+                lo = hi = int(chunk)
         except ValueError:
             raise InvalidSpec(f"malformed integer spec {spec!r}") from None
+        if hi < lo:
+            raise InvalidSpec(f"empty range {chunk!r} in spec {spec!r}")
+        if len(out) + hi - lo + 1 > MAX_SPEC_VALUES:
+            raise InvalidSpec(f"spec {spec!r} lists more than {MAX_SPEC_VALUES} integers")
+        out.extend(range(lo, hi + 1))
     return out
 
 
@@ -520,6 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         InvalidDims,
         InvalidSpec,
         InvalidStrandCount,
+        WordTooLong,
     ) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS

@@ -14,6 +14,9 @@ Word grammar (used by the CLI and by ``str``):
 ``s<i>`` is the Artin generator sigma_i (1-indexed), ``T<p>`` expands to
 the canonical full twist on the first p strands, (s1 ... s_{p-1})^p, and
 exponents expand by repetition or inversion. Whitespace separates terms.
+
+Expansion is bounded: a word that would have more than MAX_WORD_LETTERS
+letters raises WordTooLong before any list of that size is built.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ import enum
 import random
 from dataclasses import dataclass
 from typing import Sequence
+
+MAX_WORD_LETTERS = 10**6
+"""The most letters a parsed, powered, twist or random word may expand to."""
 
 
 class WordSyntaxError(ValueError):
@@ -47,6 +53,17 @@ class InvalidStrandCount(ValueError):
 
     def __init__(self, strands_n: int):
         super().__init__(f"a braid group needs at least 2 strands, got {strands_n}")
+
+
+class WordTooLong(ValueError):
+    """Expanding a word would exceed MAX_WORD_LETTERS letters."""
+
+
+def _check_length(letters: int) -> None:
+    if letters > MAX_WORD_LETTERS:
+        raise WordTooLong(
+            f"word would expand to {letters} letters, more than {MAX_WORD_LETTERS}"
+        )
 
 
 class InvalidSupport(ValueError):
@@ -95,6 +112,7 @@ class BraidWord:
         )
 
     def __pow__(self, n: int) -> BraidWord:
+        _check_length(len(self.letters) * abs(n))
         base = self if n >= 0 else self.inverse()
         return BraidWord(self.strands_n, base.letters * abs(n))
 
@@ -165,6 +183,7 @@ def canonical_twist_word(kind: TwistKind, support_p: int, strands_n: int) -> Bra
         )
     if kind is TwistKind.HALF_TWIST_SIGMA:
         return BraidWord(strands_n, ((1, 1),))
+    _check_length((support_p - 1) * support_p)
     ring = tuple((i, 1) for i in range(1, support_p))
     return BraidWord(strands_n, ring * support_p)
 
@@ -224,6 +243,7 @@ def _parse_sequence(
                 raise WordSyntaxError("unmatched ')'", pos)
             break
         term, pos = _parse_term(text, pos, strands_n)
+        _check_length(len(letters) + len(term))
         letters.extend(term)
         saw_term = True
         pos = _skip_ws(text, pos)
@@ -266,6 +286,7 @@ def _parse_term(text: str, pos: int, strands_n: int) -> tuple[list[tuple[int, in
 
 
 def _expand_power(letters: list[tuple[int, int]], exponent: int) -> list[tuple[int, int]]:
+    _check_length(len(letters) * abs(exponent))
     if exponent >= 0:
         return letters * exponent
     inverted = [(i, -e) for i, e in reversed(letters)]
@@ -276,6 +297,7 @@ def random_word(strands_n: int, length: int, rng: random.Random) -> BraidWord:
     """A uniformly random word of the given length (letters independent)."""
     if strands_n < 2:
         raise InvalidStrandCount(strands_n)
+    _check_length(length)
     letters = tuple(
         (rng.randint(1, strands_n - 1), rng.choice((1, -1))) for _ in range(length)
     )

@@ -6,6 +6,8 @@ import pytest
 from burau_lab.burau import (
     BurauImage,
     ProjectiveMatrix,
+    _letter_action,
+    _rotation_letters,
     affine_extension,
     burau_generator,
     burau_of_word,
@@ -19,7 +21,9 @@ from burau_lab.cyclotomic import (
     CyclotomicNumber,
     ZeroInput,
     minus_q_from_d,
+    signed_root,
     specialize_matrix,
+    specialize_poly,
 )
 from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible
 from burau_lab.words import BraidWord, parse_word, random_word
@@ -288,6 +292,31 @@ class TestSpecializedBurau:
             fast = specialized_burau(w, x)
             slow = specialize_matrix(burau_of_word(w).matrix, x)
             assert fast == slow, (w, x)
+
+    def test_letter_table_matches_field_evaluation(self):
+        # Each entry s * t^e of the table at a root x = sign * zeta_N^k must
+        # be the (sign, shift) of s * x^e evaluated in Q(zeta_N); sign is -1
+        # at -q for d = 2 mod 4 and at q = -(-q) for odd d.
+        for d in range(2, 41):
+            mq = minus_q_from_d(d)
+            for x in (mq, -mq, mq**3):
+                root = signed_root(x)
+                for n in range(2, 11):
+                    table = _rotation_letters(n, x.order, *root)
+                    for index in range(1, n):
+                        for letter_sign in (1, -1):
+                            r, *entries = _letter_action(n, index, letter_sign < 0)
+                            expected = tuple(
+                                None
+                                if entry is None
+                                else signed_root(
+                                    specialize_poly(LaurentPoly.monomial(*entry), x)
+                                )
+                                for entry in entries
+                            )
+                            assert table[index, letter_sign] == (r, *expected), (
+                                d, x, n, index, letter_sign
+                            )
 
     def test_first_generator_at_minus_i(self):
         # -t evaluates to i when t = -zeta_4 = -i.

@@ -4,10 +4,12 @@ from pathlib import Path
 import pytest
 
 from burau_lab import cli
-from burau_lab.cyclotomic import INFINITE
+from burau_lab.cyclotomic import INFINITE, MAX_D
 from burau_lab.moduli import KernelDescriptor, kernel_descriptor
+from burau_lab.words import MAX_WORD_LETTERS
 
 GOLDEN = Path(__file__).parent / "data" / "kernel_table.txt"
+CLI_TRANSCRIPTS = Path(__file__).parent / "data" / "cli"
 
 
 def run(capsys, *argv):
@@ -265,3 +267,38 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="internal invariant"):
             cli.main(["burau", "eval", "--n", "4", "--word", "s1"])
         assert "invalid parameters" not in capsys.readouterr().err
+
+    def test_inputs_over_a_cap_exit_3(self, capsys):
+        cases = (
+            ("burau", "eval", "--n", "4", "--word", "s1^99999999999999999999999"),
+            ("burau", "eval", "--n", "4", "--word", "(s1^1000)^1001"),
+            ("monodromy", "check", "--n", "4", "--d", "7", "--words", "1",
+             "--length", str(MAX_WORD_LETTERS + 1)),
+            ("burau", "check-word", "--n", "4", "--word", "s1", "--d", "7..5"),
+            ("burau", "check-word", "--n", "4", "--word", "s1", "--d", str(MAX_D + 1)),
+        )
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == cli.EXIT_INVALID_PARAMS, argv
+            assert "invalid parameters" in err and out == "", argv
+
+    def test_spec_longer_than_cap_rejected(self):
+        assert len(cli._parse_int_spec(f"1..{cli.MAX_SPEC_VALUES}")) == cli.MAX_SPEC_VALUES
+        for spec in (f"1..{cli.MAX_SPEC_VALUES + 1}", f"1..{cli.MAX_SPEC_VALUES},0"):
+            with pytest.raises(cli.InvalidSpec):
+                cli._parse_int_spec(spec)
+
+
+def _transcripts():
+    return json.loads((CLI_TRANSCRIPTS / "cases.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", _transcripts(), ids=lambda case: case["stdout"].removesuffix(".stdout")
+)
+def test_golden_transcript(capsys, case):
+    """stdout and exit code byte-identical to the recorded transcript."""
+    code = cli.main(case["argv"])
+    out = capsys.readouterr().out
+    assert code == case["exit_code"]
+    assert out.encode() == (CLI_TRANSCRIPTS / case["stdout"]).read_bytes()

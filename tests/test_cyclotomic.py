@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import burau_lab
 from burau_lab.cyclotomic import (
     INFINITE,
+    MAX_D,
     CycloMatrix,
     CyclotomicNumber,
     InvalidD,
@@ -109,6 +110,11 @@ class TestMinusQ:
             minus_q_from_d(1)
         with pytest.raises(InvalidD):
             minus_q_from_d(8, numerator=2)
+
+    def test_d_above_cap_rejected(self):
+        assert minus_q_from_d(MAX_D).order == MAX_D
+        with pytest.raises(InvalidD):
+            minus_q_from_d(MAX_D + 1)
 
 
 class TestMultiplicativeOrder:

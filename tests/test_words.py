@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from burau_lab.words import (
+    MAX_WORD_LETTERS,
     BraidWord,
     EmptyGeneratorSet,
     IndexOutOfRange,
@@ -13,6 +14,8 @@ from burau_lab.words import (
     NamedTwist,
     TwistKind,
     WordSyntaxError,
+    WordTooLong,
+    _expand_power,
     canonical_twist_word,
     free_reduce,
     parse_word,
@@ -193,3 +196,37 @@ class TestSampler:
         w = random_word(5, 20, rng)
         assert len(w) == 20
         assert all(1 <= i <= 4 for i, _ in w.letters)
+
+
+class TestExpansionCap:
+    # Rejection happens before anything of the rejected size is built.
+    def test_huge_exponent_rejected(self):
+        with pytest.raises(WordTooLong):
+            parse_word("s1^99999999999999999999999", 4)
+        with pytest.raises(WordTooLong):
+            parse_word(f"s1^-{MAX_WORD_LETTERS + 1}", 4)
+
+    def test_power_of_group_rejected(self):
+        assert 1000 * 1000 <= MAX_WORD_LETTERS < 1000 * 1001
+        with pytest.raises(WordTooLong):
+            parse_word("(s1^1000)^1001", 4)
+
+    def test_concatenated_terms_rejected(self):
+        with pytest.raises(WordTooLong):
+            parse_word(f"s1^{MAX_WORD_LETTERS} s2", 4)
+
+    def test_expansion_up_to_the_cap(self):
+        assert len(_expand_power([(1, 1)], MAX_WORD_LETTERS)) == MAX_WORD_LETTERS
+        assert len(parse_word("T5^125", 5)) == 2500
+
+    def test_twist_rejected(self):
+        with pytest.raises(WordTooLong):
+            canonical_twist_word(TwistKind.FULL_TWIST_TAU, 1001, 1001)
+
+    def test_word_power_rejected(self):
+        with pytest.raises(WordTooLong):
+            BraidWord(4, ((1, 1),)) ** -(MAX_WORD_LETTERS + 1)
+
+    def test_random_word_rejected(self):
+        with pytest.raises(WordTooLong):
+            random_word(4, MAX_WORD_LETTERS + 1, random.Random(0))
