@@ -23,6 +23,15 @@ column to another":
   with no reduction, gcd or fraction; each entry is reduced into Q(zeta_N)
   (mod Phi_N) once, at the end.
 
+At a root of unity, a word that is a proper power u^k (u its shortest
+root) is applied one copy of u at a time, continuing from the columns the
+loop returns. After j copies, j a proper divisor of k, the product is
+tested for an exact scalar c * I in Q(zeta_N); if it is one, the image is
+c^(k/j) * I and the rest of the word is not applied. The full twist T_n,
+whose image is t^n * I, is (s1 ... s_{n-1})^n, so T_n^k costs one T_n. A
+word that is not a power, or none of whose prefix powers is scalar, costs
+what it did without the test.
+
 A point that is not a root of unity specializes the Laurent image instead.
 
 Also here: the crossed homomorphism v and the affine extension it defines
@@ -33,6 +42,7 @@ projective class used to compare against the cone-metric monodromy.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -116,19 +126,21 @@ def _letter_action(strands_n: int, index: int, inverse: bool):
     return r, left if r > 0 else None, center, right if r < strands_n - 2 else None
 
 
-def _word_product(actions, dim: int, one, zero, times, add_times) -> list[tuple]:
-    """The rows, in order, of the product of the row-sparse generator images
-    given by ``actions`` (tuples shaped like ``_letter_action``'s), over the
-    ring whose unit and zero are ``one`` and ``zero``.
+def _word_product(actions, columns: list, times, add_times) -> list:
+    """The columns of the matrix whose columns are ``columns``, right-
+    multiplied in order by the row-sparse generator images given by
+    ``actions`` (tuples shaped like ``_letter_action``'s).
 
     The product is kept column-wise, so right-multiplying by a letter is
     three column updates: col_{r-1} += left*col_r, col_{r+1} += right*col_r,
     col_r *= center. The ring supplies them for a letter entry (sign, e):
     ``times(col, sign, e)`` returns sign * t^e * col and
     ``add_times(dest, col, sign, e)`` returns dest + sign * t^e * col.
-    Columns are replaced, never changed in place, so entries may be shared.
+    Columns are replaced, never changed in place, so entries may be shared
+    and the given list is left as it was: a product can continue from any
+    returned checkpoint.
     """
-    columns = [[one if i == j else zero for i in range(dim)] for j in range(dim)]
+    columns = list(columns)
     for r, left, center, right in actions:
         col_r = columns[r]
         if left is not None:
@@ -136,7 +148,11 @@ def _word_product(actions, dim: int, one, zero, times, add_times) -> list[tuple]
         if right is not None:
             columns[r + 1] = add_times(columns[r + 1], col_r, *right)
         columns[r] = times(col_r, *center)
-    return list(zip(*columns))
+    return columns
+
+
+def _identity_columns(dim: int, one, zero) -> list[list]:
+    return [[one if i == j else zero for i in range(dim)] for j in range(dim)]
 
 
 def _laurent_times(col: list, sign: int, e: int) -> list:
@@ -154,15 +170,13 @@ def burau_of_word(word: BraidWord) -> BurauImage:
     """The Burau image of a word: the exact product of generator images in
     word order."""
     n = word.strands_n
-    rows = _word_product(
+    columns = _word_product(
         (_letter_action(n, index, sign < 0) for index, sign in word.letters),
-        n - 1,
-        LaurentPoly.one(),
-        LaurentPoly.zero(),
+        _identity_columns(n - 1, LaurentPoly.one(), LaurentPoly.zero()),
         _laurent_times,
         _laurent_add_times,
     )
-    return BurauImage(n, LaurentMatrix(rows))
+    return BurauImage(n, LaurentMatrix(zip(*columns)))
 
 
 @lru_cache(maxsize=None)
@@ -208,6 +222,43 @@ def _add_rotated(dest: list, col: list, sign: int, shift: int) -> list:
     ]
 
 
+def _root_length(letters: tuple) -> int:
+    """The length p of the shortest u with letters = u^(len/p).
+
+    Only divisors p of the length are tried, in increasing order, each by
+    the period test letters[p:] == letters[:-p]. By Fine and Wilf, every
+    period dividing the length is a multiple of the shortest such one, so
+    the first hit is the primitive root. The empty word gives 0.
+    """
+    length = len(letters)
+    small = [p for p in range(1, math.isqrt(length) + 1) if length % p == 0]
+    for p in small + [length // p for p in reversed(small)]:
+        if letters[p:] == letters[:-p]:
+            return p
+    return length
+
+
+def _scalar_value(columns: list, order: int) -> CyclotomicNumber | None:
+    """c when the group-ring matrix with these columns reduces to c * I in
+    Q(zeta_order), else None.
+
+    Entries of Z[x]/(x^N - 1) can be nonzero vectors that vanish mod Phi_N
+    (with -1 written as x^(N/2), T4 at d = 5 has an off-diagonal entry
+    28 * (x^3 + x^8)), so each test is made in the field: an off-diagonal
+    entry is reduced only when its vector is nonzero, stopping at the first
+    that stays nonzero, and every diagonal entry must reduce to one c.
+    """
+    for j, col in enumerate(columns):
+        for i, v in enumerate(col):
+            if i != j and any(v) and not CyclotomicNumber.from_powers(order, v).is_zero:
+                return None
+    c = CyclotomicNumber.from_powers(order, columns[0][0])
+    for j in range(1, len(columns)):
+        if CyclotomicNumber.from_powers(order, columns[j][j]) != c:
+            return None
+    return c
+
+
 def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix:
     """The word's Burau image specialized at t = minus_q, exactly.
 
@@ -218,6 +269,12 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     the end. At any other point this is the reference path: the Laurent
     image specialized entrywise.
 
+    At a root of unity the word is written as u^k with u its shortest root
+    and applied one copy of u at a time. When the product after j copies,
+    j a proper divisor of k, reduces exactly to a scalar c * I, the image
+    is c^(k/j) * I and the remaining copies are not applied: T_n^k, whose
+    root is s1 ... s_{n-1}, costs n(n-1) letters and one field power.
+
     Kernel membership for the specialization means exact equality of this
     matrix with the identity (not projective equality).
     """
@@ -227,17 +284,20 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     if root is None:
         return specialize_matrix(burau_of_word(word).matrix, minus_q)
     order = minus_q.order
+    dim = word.strands_n - 1
     table = _rotation_letters(word.strands_n, order, *root)
-    rows = _word_product(
-        map(table.__getitem__, word.letters),
-        word.strands_n - 1,
-        [1] + [0] * (order - 1),
-        [0] * order,
-        _rotated,
-        _add_rotated,
-    )
+    p = _root_length(word.letters)
+    copies = len(word.letters) // p if p else 1
+    actions = [table[letter] for letter in word.letters[:p]]
+    columns = _identity_columns(dim, [1] + [0] * (order - 1), [0] * order)
+    for j in range(1, copies + 1):
+        columns = _word_product(actions, columns, _rotated, _add_rotated)
+        if j < copies and copies % j == 0:
+            c = _scalar_value(columns, order)
+            if c is not None:
+                return CycloMatrix.identity(dim, order).scale(c ** (copies // j))
     return CycloMatrix(
-        [CyclotomicNumber.from_powers(order, v) for v in row] for row in rows
+        [CyclotomicNumber.from_powers(order, v) for v in row] for row in zip(*columns)
     )
 
 

@@ -85,10 +85,15 @@ EXIT_FIXTURE_MISMATCH = 4
 MAX_SPEC_VALUES = 1000
 """The most integers one --n or --d spec may list."""
 
+MAX_STRANDS = 20
+"""The largest strand count (--n) or puncture count (--m) accepted: every
+command builds matrices of that order before doing any work."""
+
 
 class InvalidSpec(ValueError):
-    """A malformed, empty-range or over-long integer spec (--n, --d), or a
-    malformed fraction list (--curvatures)."""
+    """A malformed, empty-range or over-long integer spec (--n, --d), a
+    strand or puncture count above MAX_STRANDS, or a malformed fraction
+    list (--curvatures)."""
 
 
 @dataclass
@@ -502,6 +507,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.d = _parse_int_spec(d) if d else []
         if bool(cfg.n_list) != bool(cfg.d):
             raise InvalidConfiguration("kernel-table extras need both --n and --d")
+    for option, value in [("--n", cfg.n), ("--m", cfg.m), *(("--n", n) for n in cfg.n_list)]:
+        if value is not None and value > MAX_STRANDS:
+            raise InvalidSpec(f"{option} {value} is above the cap of {MAX_STRANDS}")
     return cfg
 
 

@@ -164,7 +164,7 @@ def invariant_hermitian_form(
             for b in basis
         ]
     )
-    _, svals, vt = np.linalg.svd(coeff, full_matrices=True)
+    _, svals, vt = np.linalg.svd(coeff, full_matrices=False)
     cutoff = rank_tol * (svals[0] if len(svals) and svals[0] > 0 else 1.0)
     rank = int(np.sum(svals > cutoff))
     null_dim = len(basis) - rank

@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from burau_lab import burau
 from burau_lab.burau import (
     BurauImage,
     ProjectiveMatrix,
     _letter_action,
+    _root_length,
     _rotation_letters,
+    _scalar_value,
     affine_extension,
     burau_generator,
     burau_of_word,
@@ -341,6 +344,74 @@ class TestSpecializedBurau:
     def test_rejects_zero(self):
         with pytest.raises(ZeroInput):
             specialized_burau(parse_word("s1", 4), CyclotomicNumber.zero(4))
+
+
+class TestPowerEarlyStop:
+    """At a root of unity a word u^k stops at its first scalar prefix u^j,
+    j | k, j < k; the result must still equal the full product."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_powers_agree_with_specializing_the_laurent_image(self, n):
+        # Central twists (scalar at j = n), powers that are never scalar
+        # before the end, delta^(n+1) (scalar prefix delta^n, n not dividing
+        # n+1), and words of length 0 and 1, at -q and (-q)^3 for d = 2..40:
+        # N even and odd, and sign -1 (d = 2 mod 4 at -q).
+        delta = " ".join(f"s{i}" for i in range(1, n))
+        texts = [f"({delta})^{n + 1}", "", "s1"]
+        for k in (1, 2, n, 2 * n + 1):
+            texts += [f"T{n}^{k}", f"s1^{k}"]
+            if n > 2:
+                texts.append(f"(s1 s2^-1)^{k}")
+        if n > 2:
+            # Never scalar unless the identity, so applied in full: kept short.
+            texts += [f"T{n - 1}", f"T{n - 1}^2"]
+        points = [x for d in range(2, 41) for x in (minus_q_from_d(d), minus_q_from_d(d) ** 3)]
+        for text in texts:
+            w = parse_word(text, n)
+            laurent = burau_of_word(w).matrix
+            for x in points:
+                assert specialized_burau(w, x) == specialize_matrix(laurent, x), (text, x)
+
+    def test_central_twist_power_applies_one_twist(self, monkeypatch):
+        applied = []
+        inner = burau._word_product
+
+        def counting(actions, *rest):
+            actions = list(actions)
+            applied.append(len(actions))
+            return inner(actions, *rest)
+
+        monkeypatch.setattr(burau, "_word_product", counting)
+        word = parse_word("T10^27", 10)
+        assert len(word) == 2430
+        assert specialized_burau(word, minus_q_from_d(3)).is_identity
+        assert sum(applied) <= 90
+
+    def test_scalar_test_is_made_in_the_field(self):
+        # Columns over Z[x]/(x^6 - 1); 1 + x^2 + x^4 is nonzero there but
+        # vanishes in Q(zeta_6).
+        one, zero, minus_one = [1, 0, 0, 0, 0, 0], [0] * 6, [0, 0, 0, 1, 0, 0]
+        vanishing = [1, 0, 1, 0, 1, 0]
+        one_plus_vanishing = [2, 0, 1, 0, 1, 0]
+        assert _scalar_value([[one, vanishing], [vanishing, one_plus_vanishing]], 6) == 1
+        assert _scalar_value([[minus_one, zero], [zero, minus_one]], 6) == -1
+        assert _scalar_value([[one, zero], [zero, minus_one]], 6) is None
+        assert _scalar_value([[one, zero], [one, one]], 6) is None
+
+    def test_root_length_is_the_shortest_root(self):
+        def naive(letters):
+            length = len(letters)
+            return next(
+                p for p in range(1, length + 1)
+                if length % p == 0 and letters == letters[:p] * (length // p)
+            )
+
+        rng = random.Random(5)
+        assert _root_length(()) == 0
+        for _ in range(300):
+            root = random_word(4, rng.randint(1, 6), rng).letters
+            letters = root * rng.randint(1, 12)
+            assert _root_length(letters) == naive(letters), letters
 
 
 class TestProjectiveEquality:

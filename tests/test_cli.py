@@ -282,6 +282,24 @@ class TestExitCodes:
             assert code == cli.EXIT_INVALID_PARAMS, argv
             assert "invalid parameters" in err and out == "", argv
 
+    def test_strand_and_puncture_counts_over_cap_exit_3(self, capsys):
+        over = str(cli.MAX_STRANDS + 1)
+        cases = (
+            ("burau", "eval", "--n", over, "--word", "s1"),
+            ("moduli", "kernel-table", "--n", f"4,{over}", "--d", "3"),
+            ("monodromy", "signature", "--n", "4", "--d", "7", "--m", over),
+        )
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == cli.EXIT_INVALID_PARAMS, argv
+            assert "invalid parameters" in err and out == "", argv
+
+    def test_strand_count_at_cap_runs(self, capsys):
+        n = cli.MAX_STRANDS
+        code, out, _ = run(capsys, "burau", "check-word", "--n", str(n), "--word", f"T{n}^6", "--d", "3")
+        assert code == 0
+        assert out == "d = 3: in kernel\nkernel member at d = 3\n"
+
     def test_spec_longer_than_cap_rejected(self):
         assert len(cli._parse_int_spec(f"1..{cli.MAX_SPEC_VALUES}")) == cli.MAX_SPEC_VALUES
         for spec in (f"1..{cli.MAX_SPEC_VALUES + 1}", f"1..{cli.MAX_SPEC_VALUES},0"):
