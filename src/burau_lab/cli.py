@@ -7,7 +7,7 @@ Subcommands:
     moduli kernel-table the built-in kernel table plus optional user grid
     moduli orbifold-check  the orbifold condition for explicit curvatures
     monodromy check     diagram audit: evaluation path vs monodromy product
-    monodromy signature invariant Hermitian form and its signature
+    monodromy signature invariant Hermitian form and its exact signature certificate
 
 Every command accepts --json for a machine-readable report with top-level
 keys {command, params, results, fixtures_matched}. Exit codes: 0 success,
@@ -108,7 +108,6 @@ class RunConfig:
     word: str | None = None
     seed: int = 0
     fmt: str = "text"
-    tol: float = 1e-9
     words: int = 100
     length: int = 14
     curvatures: str | None = None
@@ -381,24 +380,24 @@ def cmd_monodromy_signature(cfg: RunConfig) -> int:
     d = cfg.d[0]
     m = cfg.m if cfg.m is not None else n + 1
     minus_q = minus_q_from_d(d, cfg.numerator)
-    gens = rho_generators(n, m, minus_q)
-    result = invariant_hermitian_form(gens)
-    import numpy as np
-
-    eigs = sorted(np.linalg.eigvalsh(result.chosen.matrix))
-    sig = signature(result.chosen, cfg.tol)
-    params = {"n": n, "d": d, "m": m, "tol": cfg.tol, "numerator": cfg.numerator}
+    result = invariant_hermitian_form(rho_generators(n, m, minus_q))
+    form = result.chosen
+    sig = signature(form)
+    pivot, rest = form.pivot_size, form.dim - form.pivot_size
+    params = {"n": n, "d": d, "m": m, "numerator": cfg.numerator}
     results = {
-        "eigenvalues": [float(e) for e in eigs],
+        "certificate": {"pivot_size": pivot, "pivot_inertia": list(form.pivot_inertia),
+                        "schur_complement_inertia": list(form.schur_inertia)},
         "signature": list(sig),
         "solution_dimension": len(result.basis),
         "unitarity_residual": result.unitarity_residual,
     }
     lines = [
-        "eigenvalues: " + ", ".join(f"{e:.12g}" for e in eigs),
+        f"pivot block: leading {pivot}x{pivot}, inertia {form.pivot_inertia}",
+        f"Schur complement: {rest}x{rest}, inertia {form.schur_inertia}",
         f"signature: ({sig[0]}, {sig[1]}) with {sig[2]} zero(s)",
         f"solution space dimension: {len(result.basis)}",
-        f"unitarity residual: {result.unitarity_residual:.3e}",
+        f"unitarity residual: {result.unitarity_residual} (exact)",
     ]
     _emit(cfg, params, results, text="\n".join(lines))
     return EXIT_OK
@@ -470,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9, help="eigenvalue zero tolerance")
     p.add_argument("--numerator", type=int, default=1)
     add_common(p)
 
@@ -486,7 +484,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.word = getattr(args, "word", None)
     cfg.words = getattr(args, "words", 100)
     cfg.length = getattr(args, "length", 14)
-    cfg.tol = getattr(args, "tol", 1e-9)
     cfg.curvatures = getattr(args, "curvatures", None)
     cfg.labels = getattr(args, "labels", None)
     seed = getattr(args, "seed", None)

@@ -224,9 +224,6 @@ class CyclotomicNumber:
     def denominator(self) -> int:
         return self._den
 
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self._den) for a in self._num)
-
     def promote(self, order: int) -> CyclotomicNumber:
         """Re-express in Q(zeta_order); requires self.order | order."""
         if order == self.order:

@@ -1,35 +1,26 @@
 """Monodromy generators of the cone-metric moduli space, the commutative
 diagram audit against the Burau evaluation path, and the invariant
-Hermitian (area) form with its signature certificate.
+Hermitian (area) form with its exact signature certificate.
 
 The generator matrices act on the difference coordinates of a developing
-image and are defined here through the evaluation of the Burau generator
-images (the interior generators then reproduce the displayed form
+image (the interior generators take the displayed form
 I (+) [[1,0,0],[-q,q,1],[0,0,1]] (+) I). The affine extension followed by
 identity padding sends sigma_i in B_n to sigma_i in B_{m-1}, so a product
 of monodromy generators along a word is the specialized Burau image of the
 same word on m-1 strands, computed by the one word-product loop of
-``burau``; ``rho_generators`` keeps the evaluation-map definition that
-this identity is tested against. Diagram checks are exact cyclotomic
-arithmetic; floating point enters only for the Hermitian least-squares
-solve and the eigenvalue counts, where a signature is stable under small
-perturbations away from zero eigenvalues.
+``burau``; the evaluation of the Burau generator images is the definition
+this identity is tested against. The invariant form is Squier's (Proc. AMS
+90, 1984); its inertia is read off in closed form, added up over a Schur
+complement (Haynsworth, Linear Algebra Appl. 1, 1968) and checked exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-import numpy as np
-
-from .burau import (
-    burau_generator,
-    burau_of_word,
-    ev_map,
-    projectively_equal,
-    specialized_burau,
-)
-from .cyclotomic import CycloMatrix, CyclotomicNumber
+from .burau import burau_of_word, ev_map, projectively_equal, specialized_burau
+from .cyclotomic import CycloMatrix, CyclotomicNumber, _substitute, signed_root
 from .words import BraidWord
 
 
@@ -38,8 +29,8 @@ class InvalidDims(ValueError):
 
 
 class NoInvariantForm(RuntimeError):
-    """The invariant-form solve found a numerically zero solution space;
-    existence is guaranteed at unit-modulus parameters, so this signals a bug."""
+    """No closed-form invariant form exists at the point (not a root of unity,
+    or -1), or an exact check failed, which signals a bug."""
 
 
 @dataclass(frozen=True)
@@ -52,48 +43,51 @@ class MonodromyGenerators:
     mats: tuple[CycloMatrix, ...]
 
 
+def _conjugate(x: CyclotomicNumber) -> CyclotomicNumber:
+    """Complex conjugation on Q(zeta_N): the automorphism zeta -> zeta^-1."""
+    order = x.order
+    return CyclotomicNumber(order, _substitute(x.numerators, order - 1, order), x.denominator)
+
+
 @dataclass(frozen=True)
 class HermitianForm:
-    """A Hermitian matrix (float entries, symmetry enforced to 1e-12)."""
+    """An exact Hermitian matrix with its inertia certificate: the inertias
+    (positive, negative, zero) of a leading pivot block of ``pivot_size``
+    rows and of its Schur complement, which add up to the matrix's."""
 
-    matrix: np.ndarray
+    matrix: CycloMatrix
+    pivot_size: int
+    pivot_inertia: tuple[int, int, int]
+    schur_inertia: tuple[int, int, int]
 
     def __post_init__(self):
-        h = np.asarray(self.matrix, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("expected a square matrix")
-        defect = np.max(np.abs(h - h.conj().T))
-        scale = max(np.max(np.abs(h)), 1.0)
-        if defect > 1e-12 * scale:
-            raise ValueError(f"matrix is not Hermitian (defect {defect:.2e})")
-        object.__setattr__(self, "matrix", (h + h.conj().T) / 2)
+        rows, dim = self.matrix.rows, self.dim
+        pairs = ((rows[i][j], rows[j][i]) for i in range(dim) for j in range(i, dim))
+        if any(not (a.is_zero and b.is_zero) and a != _conjugate(b) for a, b in pairs):
+            raise ValueError("matrix is not Hermitian")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.dim
+
+
+def _check_dims(n: int, m: int) -> None:
+    if not 3 <= n <= m - 1:
+        raise InvalidDims(f"need 3 <= n <= m-1, got n={n}, m={m}")
 
 
 def rho_generators(n: int, m: int, minus_q: CyclotomicNumber) -> MonodromyGenerators:
-    """The n-1 monodromy generator matrices at the given evaluation point,
-    each the chosen representative of the evaluated Burau generator."""
-    if not 3 <= n <= m - 1:
-        raise InvalidDims(f"need 3 <= n <= m-1, got n={n}, m={m}")
-    mats = tuple(
-        ev_map(burau_generator(n, i), minus_q, m).matrix for i in range(1, n)
-    )
+    """The n-1 monodromy generator matrices at the given evaluation point:
+    the products along the one-letter words sigma_1 .. sigma_{n-1}."""
+    _check_dims(n, m)
+    mats = tuple(rho_product(BraidWord(n, ((i, 1),)), m, minus_q) for i in range(1, n))
     return MonodromyGenerators(n, m, minus_q, mats)
 
 
 def rho_product(word: BraidWord, m: int, minus_q: CyclotomicNumber) -> CycloMatrix:
-    """The product of monodromy generator matrices along a word.
-
-    The monodromy generator of sigma_i in B_n is the Burau image of sigma_i
-    in B_{m-1} specialized at minus_q, so this is ``specialized_burau`` of
-    the same letters read on m-1 strands.
-    """
-    n = word.strands_n
-    if not 3 <= n <= m - 1:
-        raise InvalidDims(f"need 3 <= n <= m-1, got n={n}, m={m}")
+    """The product of monodromy generator matrices along a word: the Burau
+    image of the same letters on m-1 strands, specialized at minus_q."""
+    _check_dims(word.strands_n, m)
     return specialized_burau(BraidWord(m - 1, word.letters), minus_q)
 
 
@@ -101,111 +95,119 @@ def diagram_check(word: BraidWord, n: int, m: int, minus_q: CyclotomicNumber) ->
     """True iff the evaluated Burau image of the word and the product of
     monodromy generators along it agree up to a nonzero scalar, in exact
     cyclotomic arithmetic."""
-    if not 3 <= n <= m - 1:
-        raise InvalidDims(f"need 3 <= n <= m-1, got n={n}, m={m}")
+    _check_dims(n, m)
     if word.strands_n != n:
         raise ValueError("word strand count differs from n")
-    via_burau = ev_map(burau_of_word(word), minus_q, m)
-    via_rho = rho_product(word, m, minus_q)
-    return projectively_equal(via_burau.matrix, via_rho)
+    via_burau = ev_map(burau_of_word(word), minus_q, m).matrix
+    return projectively_equal(via_burau, rho_product(word, m, minus_q))
 
 
 @dataclass(frozen=True)
 class InvariantFormResult:
-    """Solution space of G* H G = H over Hermitian H, with one normalized
-    representative chosen."""
+    """Exactly checked solutions of G* H G = H: a basis of the forms exhibited,
+    the certified form H, and the unitarity residual, exactly 0."""
 
-    basis: tuple[np.ndarray, ...]
+    basis: tuple[CycloMatrix, ...]
     chosen: HermitianForm
-    unitarity_residual: float
+    unitarity_residual: int
 
 
-def _hermitian_basis(dim: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1
-        basis.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = e[j, i] = 1
-            basis.append(e)
-            f = np.zeros((dim, dim), dtype=complex)
-            f[i, j] = 1j
-            f[j, i] = -1j
-            basis.append(f)
-    return basis
+def _squier_inertia(size: int, r: Fraction) -> tuple[int, int, int]:
+    """Inertia of S_size at t = e^(i theta), r the distance from theta/2pi
+    to the nearest integer. S_size is tridiagonal Toeplitz, with eigenvalues
+    4|cos(theta/2)| (cos(pi r) + cos(pi j/(size+1))), j = 1..size, so
+    eigenvalue j has the sign of 1 - (r + j/(size+1))."""
+    sides = [r + Fraction(j, size + 1) for j in range(1, size + 1)]
+    return sum(s < 1 for s in sides), sum(s > 1 for s in sides), sum(s == 1 for s in sides)
 
 
-def invariant_hermitian_form(
-    generators: MonodromyGenerators, rank_tol: float = 1e-9
-) -> InvariantFormResult:
-    """Solve G_i^* H G_i = H for Hermitian H by a real-linear null-space
-    computation over the float embedding of the generators.
+def _check_invariant(form: CycloMatrix, generators: MonodromyGenerators) -> None:
+    """Raise NoInvariantForm unless G* H G = H exactly for every generator.
 
-    Reports a basis of the full solution space and one representative,
-    scale-normalized and sign-fixed so that a representative of signature
-    (1, dim-1) is chosen whenever the solution space contains one.
+    Generator i is I outside row r = i-1. With u = row_r(G) - e_r,
+    G* H G - H = (H e_r + h_rr conj(u)) u + conj(u) (e_r^T H), which is 0
+    when row and column r of H are, and otherwise vanishes outside the rows
+    where H e_r or u is nonzero and the columns where u or e_r^T H is.
     """
-    mats = [np.array(g.to_complex_rows(), dtype=complex) for g in generators.mats]
-    dim = mats[0].shape[0]
-    basis = _hermitian_basis(dim)
-    # Columns map Hermitian-basis coordinates to the stacked real defect
-    # vectors G*BG - B over all generators.
-    coeff = np.column_stack(
-        [
-            np.concatenate(
-                [
-                    np.concatenate([d.real.ravel(), d.imag.ravel()])
-                    for d in ((g.conj().T @ b @ g - b) for g in mats)
-                ]
-            )
-            for b in basis
-        ]
+    rows, dim = form.rows, form.dim
+    for r, g in enumerate(generators.mats):
+        row_r, col_r = rows[r], [row[r] for row in rows]
+        if all(x.is_zero for x in row_r + tuple(col_r)):
+            continue
+        u = [x - 1 if b == r else x for b, x in enumerate(g.rows[r])]
+        u_bar = [_conjugate(x) for x in u]
+        cols = [b for b in range(dim) if not (row_r[b].is_zero and u[b].is_zero)]
+        for a in (a for a in range(dim) if not (col_r[a].is_zero and u[a].is_zero)):
+            left = col_r[a] + row_r[r] * u_bar[a]
+            for b in cols:
+                if not (left * u[b] + u_bar[a] * row_r[b]).is_zero:
+                    raise NoInvariantForm(f"G* H G != H at ({a}, {b}) for generator {r + 1}")
+
+
+def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormResult:
+    """Squier's form S at t = -q, completed on the trailing block and checked
+    exactly, with its signature certificate.
+
+    S is tridiagonal, with 2 + t + conj(t) on the diagonal, -(1 + conj(t))
+    above it and -(1 + t) below it (|1+t|^2 times Squier's, so integral).
+    With L = n-1 and k = m-1-n, H is c * S, c = +-1, outside the trailing
+    k x k block, which no generator changes. The pivot is c * S_L, or
+    c * S_{L-1} when k > 0 and det S_L = 0, with no more positive than
+    negative eigenvalues. The trailing block makes the Schur complement
+    diag(+1, -1, ..., -1) when the pivot has no positive eigenvalue, else
+    -I_k, using c |1+t|^2 det S_{L-1} / det S_L; past a singular S_L,
+    diag(0, -1, ..., -1) leaves a 2 x 2 block of inertia (1, 1, 0) (+) -I_{k-1}.
+    The basis is H and the k^2 matrix units on the trailing block.
+    """
+    n, m, t = generators.strands_n, generators.m, generators.minus_q
+    root = signed_root(t)
+    if root is None or t == -1:
+        raise NoInvariantForm(f"no closed-form invariant form at t = {t}")
+    sign, e = root
+    turn = (Fraction(e, t.order) + (Fraction(1, 2) if sign < 0 else 0)) % 1
+    r = min(turn, 1 - turn)
+    dim, lead, k = m - 2, n - 1, m - 1 - n
+    zero, one = CyclotomicNumber.zero(t.order), CyclotomicNumber.one(t.order)
+    t_bar = _conjugate(t)
+    diag, above, below = 2 + t + t_bar, -(1 + t_bar), -(1 + t)
+    # Leading minors: D_s = diag D_{s-1} - |1+t|^2 D_{s-2}, and |1+t|^2 = diag.
+    minors = [one, diag]
+    for _ in range(2, lead + 1):
+        minors.append(diag * (minors[-1] - minors[-2]))
+    singular = minors[lead].is_zero
+    if singular != (_squier_inertia(lead, r)[2] > 0):
+        raise NoInvariantForm("the closed-form inertia of S_L disagrees with det S_L")
+
+    pivot = lead - 1 if singular and k else lead
+    pos, neg, zeros = _squier_inertia(pivot, r)
+    if pos > neg:
+        pos, neg = neg, pos
+        diag, above, below = -diag, -above, -below
+    if not k:
+        first, schur = None, (0, 0, 0)
+    elif singular:
+        first, schur = zero, (1, k, 0)
+    else:
+        alpha = diag * minors[lead - 1] / minors[lead]
+        first, schur = (one + alpha, (1, k - 1, 0)) if pos == 0 else (alpha - 1, (0, k, 0))
+    grid = [[zero] * dim for _ in range(dim)]
+    for i in range(dim):
+        grid[i][i] = diag if i < lead else first if i == lead else -one
+        if i < min(lead, dim - 1):
+            grid[i][i + 1], grid[i + 1][i] = above, below
+    form = HermitianForm(CycloMatrix(grid), pivot, (pos, neg, zeros), schur)
+
+    basis = (form.matrix,) + tuple(
+        CycloMatrix([[one if (a, b) == (i, j) else zero for b in range(dim)] for a in range(dim)])
+        for i in range(lead, dim)
+        for j in range(lead, dim)
     )
-    _, svals, vt = np.linalg.svd(coeff, full_matrices=False)
-    cutoff = rank_tol * (svals[0] if len(svals) and svals[0] > 0 else 1.0)
-    rank = int(np.sum(svals > cutoff))
-    null_dim = len(basis) - rank
-    if null_dim == 0:
-        raise NoInvariantForm("no invariant Hermitian form found")
-    null_vecs = vt[rank:]
-    forms = []
-    for vec in null_vecs:
-        h = sum(c * b for c, b in zip(vec, basis))
-        h = (h + h.conj().T) / 2
-        h /= np.linalg.norm(h)
-        forms.append(h)
-
-    chosen = None
-    for h in forms:
-        for candidate in (h, -h):
-            pos, neg, zero = signature(HermitianForm(candidate))
-            if pos == 1 and neg == dim - 1 and zero == 0:
-                chosen = candidate
-                break
-        if chosen is not None:
-            break
-    if chosen is None:
-        # Fall back to a deterministic sign fix on the first basis form.
-        h = forms[0]
-        pos, neg, _ = signature(HermitianForm(h))
-        chosen = h if pos <= neg else -h
-    residual = max(
-        np.linalg.norm(g.conj().T @ chosen @ g - chosen) for g in mats
-    ) / np.linalg.norm(chosen)
-    return InvariantFormResult(tuple(forms), HermitianForm(chosen), float(residual))
+    for h in basis:
+        _check_invariant(h, generators)
+    return InvariantFormResult(basis, form, 0)
 
 
-def signature(form: HermitianForm, tol: float = 1e-9) -> tuple[int, int, int]:
-    """Eigenvalue sign counts (positive, negative, zero) with |lambda| below
-    tol * spectral radius counted as zero."""
-    eigs = np.linalg.eigvalsh(form.matrix)
-    radius = max(abs(eigs.min(initial=0.0)), abs(eigs.max(initial=0.0)))
-    if radius == 0.0:
-        return (0, 0, form.dim)
-    cut = tol * radius
-    pos = int(np.sum(eigs > cut))
-    neg = int(np.sum(eigs < -cut))
-    return (pos, neg, form.dim - pos - neg)
+def signature(form: HermitianForm) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of the form: the sum of
+    its pivot's inertia and its Schur complement's (Haynsworth)."""
+    return tuple(a + b for a, b in zip(form.pivot_inertia, form.schur_inertia))

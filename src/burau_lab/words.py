@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 MAX_WORD_LETTERS = 10**6
-"""The most letters a parsed, powered, twist or random word may expand to."""
+"""The most letters any word may expand to, and the most factors of a sample."""
 
 
 class WordSyntaxError(ValueError):
@@ -104,6 +104,7 @@ class BraidWord:
             return NotImplemented
         if self.strands_n != other.strands_n:
             raise ValueError("cannot concatenate words on different strand counts")
+        _check_length(len(self.letters) + len(other.letters))
         return BraidWord(self.strands_n, self.letters + other.letters)
 
     def inverse(self) -> BraidWord:
@@ -321,6 +322,8 @@ def sample_normal_closure(
         raise EmptyGeneratorSet("need at least one normal generator")
     if num_factors < 1:
         raise ValueError("num_factors must be at least 1")
+    if num_factors > MAX_WORD_LETTERS:
+        raise WordTooLong(f"{num_factors} factors, more than {MAX_WORD_LETTERS}")
     for g in gens:
         if g.strands_n != strands_n:
             raise ValueError("generator strand count differs from strands_n")

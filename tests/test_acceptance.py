@@ -1,9 +1,8 @@
 """Acceptance suite: every release-gating check, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines and timings. All algebraic assertions are exact (integer, rational,
-or cyclotomic arithmetic); floating point appears only in the Hermitian
-signature certification, with the stated tolerances pinned here.
+lines and timings. All assertions are exact (integer, rational, or
+cyclotomic arithmetic), the Hermitian signature certificate included.
 """
 
 import math
@@ -136,15 +135,14 @@ def test_criterion_6_commutative_diagram():
 
 
 def test_criterion_7_hermitian_signature():
-    # At m = n+1 an invariant Hermitian form exists for every row, with
-    # unitarity residual <= 1e-9 relative to ||H|| and normalized
-    # signature (1, n-2) at eigenvalue zero-tolerance 1e-9.
+    # At m = n+1 an invariant Hermitian form exists for every row, checked
+    # exactly (unitarity residual 0), with certified signature (1, n-2).
     with criterion("7 Hermitian signature"):
         for n, d, _, _ in KERNEL_TABLE_FIXTURE:
             gens = rho_generators(n, n + 1, minus_q_from_d(d))
             result = invariant_hermitian_form(gens)
-            assert result.unitarity_residual <= 1e-9, (n, d)
-            assert signature(result.chosen, tol=1e-9) == (1, n - 2, 0), (n, d)
+            assert result.unitarity_residual == 0, (n, d)
+            assert signature(result.chosen) == (1, n - 2, 0), (n, d)
 
 
 def test_criterion_8_negative_control():

@@ -218,9 +218,13 @@ class TestMonodromy:
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["signature"] == [1, 2, 0]
-        assert doc["results"]["unitarity_residual"] <= 1e-9
-        eigs = doc["results"]["eigenvalues"]
-        assert len(eigs) == 3 and sum(1 for e in eigs if e > 0) == 1
+        assert doc["results"]["unitarity_residual"] == 0
+        assert doc["results"]["certificate"] == {
+            "pivot_size": 3,
+            "pivot_inertia": [1, 2, 0],
+            "schur_complement_inertia": [0, 0, 0],
+        }
+        assert "tol" not in doc["params"]
 
     def test_invalid_dims(self, capsys):
         code, _, err = run(

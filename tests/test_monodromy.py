@@ -1,14 +1,25 @@
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import burau_lab
+from burau_lab import monodromy
 from burau_lab.burau import burau_generator, burau_of_word, ev_map
 from burau_lab.cli import KERNEL_TABLE_FIXTURE
-from burau_lab.cyclotomic import CyclotomicNumber, minus_q_from_d, specialize_matrix
+from burau_lab.cyclotomic import (
+    CycloMatrix,
+    CyclotomicNumber,
+    minus_q_from_d,
+    specialize_matrix,
+)
 from burau_lab.monodromy import (
     HermitianForm,
     InvalidDims,
+    NoInvariantForm,
     diagram_check,
     invariant_hermitian_form,
     rho_generators,
@@ -110,10 +121,59 @@ class TestDiagramCheck:
                     word = BraidWord(n, ((i, sign),))
                     expected = ev_map(burau_generator(n, i, sign < 0), mq, m).matrix
                     assert rho_product(word, m, mq) == expected
+                    if sign > 0:
+                        assert rho_generators(n, m, mq).mats[i - 1] == expected
 
     def test_strand_count_mismatch(self):
         with pytest.raises(ValueError):
             diagram_check(parse_word("s1", 3), 4, 5, minus_q_from_d(5))
+
+
+def _star(g: CycloMatrix) -> CycloMatrix:
+    """The conjugate transpose, entry by entry."""
+    return CycloMatrix(
+        [[monodromy._conjugate(g.entry(j, i)) for j in range(g.dim)] for i in range(g.dim)]
+    )
+
+
+def _float_inertia(np, form: CycloMatrix) -> tuple[int, int, int]:
+    """Eigenvalue sign counts of the complex embedding, zero below 1e-9 of
+    the spectral radius."""
+    eigs = np.linalg.eigvalsh(np.array(form.to_complex_rows()))
+    cut = 1e-9 * max(1.0, float(np.abs(eigs).max()))
+    return int((eigs > cut).sum()), int((eigs < -cut).sum()), int((abs(eigs) <= cut).sum())
+
+
+def _float_nullity(np, gens) -> int:
+    """Real dimension of the Hermitian H with G* H G = H for every generator,
+    from the singular values of that real-linear system."""
+    mats = [np.array(g.to_complex_rows()) for g in gens.mats]
+    dim = mats[0].shape[0]
+    basis = []
+    for i in range(dim):
+        for j in range(i, dim):
+            for value in ((1,) if i == j else (1, 1j)):
+                b = np.zeros((dim, dim), dtype=complex)
+                b[i, j], b[j, i] = value, np.conj(value)
+                basis.append(b)
+    coeff = np.column_stack([
+        np.concatenate([
+            np.concatenate([d.real.ravel(), d.imag.ravel()])
+            for d in (g.conj().T @ b @ g - b for g in mats)
+        ])
+        for b in basis
+    ])
+    svals = np.linalg.svd(coeff, compute_uv=False)
+    return len(basis) - int((svals > 1e-9 * svals[0]).sum())
+
+
+# (n, d, numerator, m): numerators other than 1, m up to 20, and (3, 6, 1, 5),
+# where the leading block S_2 is singular.
+ORACLE_POINTS = [
+    (3, 6, 1, 5), (3, 6, 1, 4), (4, 10, 1, 6), (5, 6, 1, 7), (7, 4, 1, 9),
+    (3, 7, 3, 20), (4, 9, 2, 11), (5, 8, 3, 8), (6, 5, 2, 9), (4, 12, 5, 6),
+    (8, 3, 2, 10), (10, 3, 1, 20), (3, 11, 4, 12), (4, 7, 6, 5), (5, 12, 7, 9),
+]
 
 
 class TestInvariantForm:
@@ -127,37 +187,105 @@ class TestInvariantForm:
     def test_unitarity_residual(self):
         gens = rho_generators(4, 5, minus_q_from_d(7))
         result = invariant_hermitian_form(gens)
-        assert result.unitarity_residual <= 1e-9
+        assert result.unitarity_residual == 0
+
+    def test_cone_sphere_points_at_minimal_padding(self):
+        # Every (n, d), 3 <= n <= 10 and 3 <= d <= 40, whose last curvature
+        # 2 - n(d-2)/(2d) lies in (0, 1): the 83 points of the benchmark.
+        points = [
+            (n, d) for n in range(3, 11) for d in range(3, 41)
+            if 0 < 2 - n * Fraction(d - 2, 2 * d) < 1
+        ]
+        assert len(points) == 83
+        for n, d in points:
+            result = invariant_hermitian_form(rho_generators(n, n + 1, minus_q_from_d(d)))
+            assert signature(result.chosen) == (1, n - 2, 0), (n, d)
+            assert result.unitarity_residual == 0
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n, d, _, _ in KERNEL_TABLE_FIXTURE])
+    def test_m_n_plus_2_signature(self, n, d):
+        # Includes the rows where a float solve that tried only +- each null
+        # vector reported (2, m-4): (4,7) (4,8) (4,18) (5,5) (5,8) (9,3).
+        m = n + 2
+        result = invariant_hermitian_form(rho_generators(n, m, minus_q_from_d(d)))
+        assert signature(result.chosen) == (1, m - 3, 0)
+        assert result.unitarity_residual == 0
+        assert len(result.basis) == 2
 
     def test_negation_flips_signature(self):
+        # The chooser picks the sign of the form: its negative has the
+        # flipped float inertia, which is not (1, m-3).
+        np = pytest.importorskip("numpy")
         gens = rho_generators(5, 6, minus_q_from_d(8))
         result = invariant_hermitian_form(gens)
         pos, neg, zero = signature(result.chosen)
-        flipped = signature(HermitianForm(-result.chosen.matrix))
+        negated = result.chosen.matrix.scale(CyclotomicNumber.from_fraction(-1, 8))
         assert (pos, neg) == (1, 3)
-        assert flipped == (neg, pos, zero)
+        assert _float_inertia(np, result.chosen.matrix) == (pos, neg, zero)
+        assert _float_inertia(np, negated) == (neg, pos, zero)
 
     def test_basis_reported(self):
-        gens = rho_generators(4, 5, minus_q_from_d(5))
-        result = invariant_hermitian_form(gens)
-        assert len(result.basis) >= 1
-        for h in result.basis:
-            assert np.allclose(h, h.conj().T)
+        # Every basis form is invariant under dense exact products, and the
+        # count is 1 + k^2 with k = m-1-n trailing identity rows.
+        for n, d, m in [(4, 5, 5), (3, 6, 5), (4, 7, 7)]:
+            gens = rho_generators(n, m, minus_q_from_d(d))
+            result = invariant_hermitian_form(gens)
+            assert len(result.basis) == 1 + (m - 1 - n) ** 2
+            assert result.basis[0] == result.chosen.matrix
+            for h in result.basis:
+                for g in gens.mats:
+                    assert _star(g) * h * g == h
+
+    @pytest.mark.parametrize("n, d, a, m", ORACLE_POINTS)
+    def test_inertia_matches_float_eigenvalues(self, n, d, a, m):
+        np = pytest.importorskip("numpy")
+        result = invariant_hermitian_form(rho_generators(n, m, minus_q_from_d(d, a)))
+        assert _float_inertia(np, result.chosen.matrix) == signature(result.chosen)
+
+    @pytest.mark.parametrize("n, d, a, m", ORACLE_POINTS[:8])
+    def test_solution_dimension_matches_float_nullity(self, n, d, a, m):
+        np = pytest.importorskip("numpy")
+        gens = rho_generators(n, m, minus_q_from_d(d, a))
+        assert len(invariant_hermitian_form(gens).basis) == _float_nullity(np, gens)
+
+    def test_singular_leading_block_certificate(self):
+        # At (n, d, m) = (3, 6, 5) the leading block S_2 has a zero
+        # eigenvalue, so the pivot is S_1 and the Schur complement holds a
+        # hyperbolic 2 x 2 block.
+        form = invariant_hermitian_form(rho_generators(3, 5, minus_q_from_d(6))).chosen
+        assert (form.pivot_size, form.pivot_inertia, form.schur_inertia) == (
+            1, (0, 1, 0), (1, 1, 0)
+        )
+
+    def test_zero_eigenvalue_at_minimal_padding(self):
+        # m = n+1 reports S itself, with an exact zero eigenvalue when one
+        # of r' + j/(s+1) equals 1: at d = 6, r' = 1/3 and s = 2, j = 2.
+        result = invariant_hermitian_form(rho_generators(3, 4, minus_q_from_d(6)))
+        assert signature(result.chosen) == (0, 1, 1)
+
+    def test_dropping_conjugation_is_caught(self, monkeypatch):
+        monkeypatch.setattr(monodromy, "_conjugate", lambda x: x)
+        with pytest.raises(NoInvariantForm, match=r"G\* H G != H"):
+            invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(7)))
+
+    def test_point_off_the_unit_circle_rejected(self):
+        gens = rho_generators(4, 5, CyclotomicNumber.from_fraction(2))
+        with pytest.raises(NoInvariantForm):
+            invariant_hermitian_form(gens)
 
 
 class TestSignature:
-    def test_diagonal(self):
-        form = HermitianForm(np.diag([1.0, -1.0, -1.0]).astype(complex))
-        assert signature(form) == (1, 2, 0)
-
-    def test_zero_matrix(self):
-        form = HermitianForm(np.zeros((3, 3), dtype=complex))
-        assert signature(form) == (0, 0, 3)
-
-    def test_near_zero_eigenvalue_counted_as_zero(self):
-        form = HermitianForm(np.diag([1.0, 1e-12, -1.0]).astype(complex))
-        assert signature(form) == (1, 1, 1)
-
     def test_rejects_non_hermitian(self):
+        one, zero = CyclotomicNumber.one(5), CyclotomicNumber.zero(5)
+        zeta = CyclotomicNumber.root_of_unity(5)
         with pytest.raises(ValueError):
-            HermitianForm(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+            HermitianForm(CycloMatrix([[zero, one], [zero, zero]]), 1, (0, 1, 0), (1, 0, 0))
+        with pytest.raises(ValueError):
+            HermitianForm(CycloMatrix([[zero, zeta], [zeta, zero]]), 1, (0, 1, 0), (1, 0, 0))
+
+
+def test_import_leaves_numpy_unloaded():
+    src = Path(burau_lab.__file__).resolve().parent.parent
+    code = "import sys, burau_lab; sys.exit('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)})
+    assert done.returncode == 0

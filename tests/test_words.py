@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from burau_lab import words
 from burau_lab.words import (
     MAX_WORD_LETTERS,
     BraidWord,
@@ -230,3 +231,23 @@ class TestExpansionCap:
     def test_random_word_rejected(self):
         with pytest.raises(WordTooLong):
             random_word(4, MAX_WORD_LETTERS + 1, random.Random(0))
+
+    def test_concatenation_up_to_the_cap(self, monkeypatch):
+        # A small cap keeps the words small; the check reads the constant.
+        monkeypatch.setattr(words, "MAX_WORD_LETTERS", 6)
+        s1, s2 = BraidWord(4, ((1, 1),)), BraidWord(4, ((2, -1),))
+        assert len(s1**5 * s2) == 6
+        with pytest.raises(WordTooLong):
+            s1**6 * s2
+
+    def test_normal_closure_factor_count_capped(self, monkeypatch):
+        empty = BraidWord(4)
+        with pytest.raises(WordTooLong):
+            sample_normal_closure(4, [empty], MAX_WORD_LETTERS + 1, 0, seed=0)
+        monkeypatch.setattr(words, "MAX_WORD_LETTERS", 6)
+        assert sample_normal_closure(4, [empty], 6, 0, seed=0) == empty
+        with pytest.raises(WordTooLong):
+            sample_normal_closure(4, [empty], 7, 0, seed=0)
+        # The product is capped as it grows, before it is built.
+        with pytest.raises(WordTooLong):
+            sample_normal_closure(4, [BraidWord(4, ((1, 1),)) ** 4], 2, 0, seed=0)
