@@ -369,21 +369,16 @@ def projectively_equal(a: CycloMatrix, b: CycloMatrix) -> bool:
     """True when a = c*b for some nonzero scalar c, by exact arithmetic."""
     if a.dim != b.dim:
         return False
-    scalar: CyclotomicNumber | None = None
-    for i in range(a.dim):
-        for j in range(a.dim):
-            x, y = a.entry(i, j), b.entry(i, j)
-            if x.is_zero != y.is_zero:
-                return False
-            if not x.is_zero and scalar is None:
-                scalar = x * y.inverse()
-    if scalar is None:
+    pairs = [(x, y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)]
+    first = next(((x, y) for x, y in pairs if not (x.is_zero and y.is_zero)), None)
+    if first is None:
         return True  # both zero matrices
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if a.entry(i, j) != scalar * b.entry(i, j):
-                return False
-    return True
+    x, y = first
+    if x.is_zero or y.is_zero:
+        return False
+    # A zero-pattern mismatch fails the entrywise comparison too.
+    scalar = x * y.inverse()
+    return all(x == scalar * y for x, y in pairs)
 
 
 def ev_map(image: BurauImage, minus_q: CyclotomicNumber, m: int) -> ProjectiveMatrix:

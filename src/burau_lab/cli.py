@@ -14,6 +14,9 @@ keys {command, params, results, fixtures_matched}. Exit codes: 0 success,
 1 audit failure, 2 word parse error, 3 invalid parameters, 4 kernel-table
 fixture mismatch. The built-in kernel table doubles as a regression
 fixture: the command recomputes every row and compares.
+
+Each handler takes the parsed argparse namespace and reads its own options
+from it; every default is declared once, in build_parser.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .burau import burau_of_word, specialized_burau
@@ -40,7 +42,13 @@ from .moduli import (
     kernel_descriptor,
     orbifold_check,
 )
-from .monodromy import InvalidDims, invariant_hermitian_form, rho_generators, signature
+from .monodromy import (
+    InvalidDims,
+    diagram_check,
+    invariant_hermitian_form,
+    rho_generators,
+    signature,
+)
 from .words import (
     IndexOutOfRange,
     InvalidStrandCount,
@@ -96,25 +104,6 @@ class InvalidSpec(ValueError):
     list (--curvatures)."""
 
 
-@dataclass
-class RunConfig:
-    """Resolved options for one CLI invocation."""
-
-    command: str
-    n: int | None = None
-    d: list[int] = field(default_factory=list)
-    m: int | None = None
-    numerator: int = 1
-    word: str | None = None
-    seed: int = 0
-    fmt: str = "text"
-    words: int = 100
-    length: int = 14
-    curvatures: str | None = None
-    labels: str | None = None
-    n_list: list[int] = field(default_factory=list)
-
-
 def default_seed() -> int:
     env = os.environ.get("BURAU_LAB_SEED")
     if env is not None:
@@ -144,6 +133,12 @@ def _parse_int_spec(spec: str) -> list[int]:
             raise InvalidSpec(f"spec {spec!r} lists more than {MAX_SPEC_VALUES} integers")
         out.extend(range(lo, hi + 1))
     return out
+
+
+def _check_cap(option: str, value: int | None) -> None:
+    """Reject a strand or puncture count above MAX_STRANDS."""
+    if value is not None and value > MAX_STRANDS:
+        raise InvalidSpec(f"{option} {value} is above the cap of {MAX_STRANDS}")
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -179,12 +174,13 @@ def _strata_json(strata) -> list[dict]:
     ]
 
 
-def _emit(cfg: RunConfig, params: dict, results, fixtures_matched=None, text: str = "") -> None:
-    if cfg.fmt == "json":
+def _emit(args: argparse.Namespace, params: dict, results, fixtures_matched=None,
+          text: str = "") -> None:
+    if args.json:
         print(
             json.dumps(
                 {
-                    "command": cfg.command,
+                    "command": f"{args.group} {args.command}",
                     "params": params,
                     "results": results,
                     "fixtures_matched": fixtures_matched,
@@ -199,32 +195,36 @@ def _emit(cfg: RunConfig, params: dict, results, fixtures_matched=None, text: st
 # -- burau ------------------------------------------------------------------
 
 
-def cmd_burau_eval(cfg: RunConfig) -> int:
-    word = parse_word(cfg.word or "", cfg.n)
-    params = {"n": cfg.n, "word": cfg.word, "at_root": cfg.d[0] if cfg.d else None,
-              "numerator": cfg.numerator}
-    if cfg.d:
-        minus_q = minus_q_from_d(cfg.d[0], cfg.numerator)
+def cmd_burau_eval(args: argparse.Namespace) -> int:
+    _check_cap("--n", args.n)
+    word = parse_word(args.word, args.n)
+    params = {"n": args.n, "word": args.word, "at_root": args.at_root,
+              "numerator": args.numerator}
+    if args.at_root is not None:
+        minus_q = minus_q_from_d(args.at_root, args.numerator)
         mat = specialized_burau(word, minus_q)
-        lines = [f"specialized at t = -q, q = exp(2*pi*i*{cfg.numerator}/{cfg.d[0]}):", str(mat)]
+        lines = [f"specialized at t = -q, q = exp(2*pi*i*{args.numerator}/{args.at_root}):",
+                 str(mat)]
         lines.append("approx:")
         for row in mat.to_complex_rows():
             lines.append("[ " + "  ".join(_complex_str(z) for z in row) + " ]")
-        _emit(cfg, params, _cyclo_matrix_json(mat), text="\n".join(lines))
+        _emit(args, params, _cyclo_matrix_json(mat), text="\n".join(lines))
     else:
         image = burau_of_word(word)
-        _emit(cfg, params, _laurent_matrix_json(image.matrix), text=str(image.matrix))
+        _emit(args, params, _laurent_matrix_json(image.matrix), text=str(image.matrix))
     return EXIT_OK
 
 
-def cmd_check_word(cfg: RunConfig) -> int:
-    word = parse_word(cfg.word or "", cfg.n)
-    params = {"n": cfg.n, "word": cfg.word, "d": cfg.d, "numerator": cfg.numerator}
+def cmd_check_word(args: argparse.Namespace) -> int:
+    ds = _parse_int_spec(args.d)
+    _check_cap("--n", args.n)
+    word = parse_word(args.word, args.n)
+    params = {"n": args.n, "word": args.word, "d": ds, "numerator": args.numerator}
     results = []
     lines = []
     survivors = []
-    for d in cfg.d:
-        minus_q = minus_q_from_d(d, cfg.numerator)
+    for d in ds:
+        minus_q = minus_q_from_d(d, args.numerator)
         in_kernel = specialized_burau(word, minus_q).is_identity
         results.append({"d": d, "in_kernel": in_kernel})
         verdict = "in kernel" if in_kernel else "not in kernel"
@@ -237,7 +237,7 @@ def cmd_check_word(cfg: RunConfig) -> int:
         else "not in the kernel of any requested specialization"
     )
     lines.append(summary)
-    _emit(cfg, params, results, text="\n".join(lines))
+    _emit(args, params, results, text="\n".join(lines))
     return EXIT_OK
 
 
@@ -288,7 +288,13 @@ def render_kernel_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def cmd_kernel_table(cfg: RunConfig) -> int:
+def cmd_kernel_table(args: argparse.Namespace) -> int:
+    extra_d = _parse_int_spec(args.d) if args.d is not None else []
+    extra_n = _parse_int_spec(args.n) if args.n is not None else []
+    if bool(extra_n) != bool(extra_d):
+        raise InvalidConfiguration("kernel-table extras need both --n and --d")
+    for n in extra_n:
+        _check_cap("--n", n)
     rows: list[dict] = []
     fixtures_matched = True
     for n, d, j, l in KERNEL_TABLE_FIXTURE:
@@ -299,8 +305,8 @@ def cmd_kernel_table(cfg: RunConfig) -> int:
             fixtures_matched = False
             row["fixture_mismatch"] = {"expected_j": j, "expected_l": l}
         rows.append(row)
-    requested = [(n, d) for n in cfg.n_list for d in cfg.d]
-    params = {"extra_n": cfg.n_list, "extra_d": cfg.d}
+    requested = [(n, d) for n in extra_n for d in extra_d]
+    params = {"extra_n": extra_n, "extra_d": extra_d}
     for n, d in requested:
         if any(r["n"] == n and r["d"] == d and r.get("builtin") for r in rows):
             continue
@@ -317,18 +323,16 @@ def cmd_kernel_table(cfg: RunConfig) -> int:
     text = render_kernel_table(rows)
     if not fixtures_matched:
         text += "\nFIXTURE MISMATCH: computed table deviates from the built-in fixture"
-    _emit(cfg, params, rows, fixtures_matched, text)
+    _emit(args, params, rows, fixtures_matched, text)
     return EXIT_OK if fixtures_matched else EXIT_FIXTURE_MISMATCH
 
 
-def cmd_orbifold_check(cfg: RunConfig) -> int:
+def cmd_orbifold_check(args: argparse.Namespace) -> int:
     try:
-        fractions = tuple(
-            Fraction(part.strip()) for part in (cfg.curvatures or "").split(",")
-        )
+        fractions = tuple(Fraction(part.strip()) for part in args.curvatures.split(","))
     except (ValueError, ZeroDivisionError):
-        raise InvalidSpec(f"malformed fraction list {cfg.curvatures!r}") from None
-    labels = [part.strip() for part in (cfg.labels or "").split(",")]
+        raise InvalidSpec(f"malformed fraction list {args.curvatures!r}") from None
+    labels = [part.strip() for part in args.labels.split(",")]
     curvatures = CurvatureVector(fractions)
     report = orbifold_check(curvatures, labels)
     params = {"curvatures": [_fraction_str(f) for f in fractions], "labels": labels}
@@ -339,52 +343,52 @@ def cmd_orbifold_check(cfg: RunConfig) -> int:
         lines.append(
             f"stratum (points {s.pair[0]}, {s.pair[1]}): angle {_fraction_str(s.angle_fraction)} of 2pi, order {order}"
         )
-    _emit(cfg, params, results, text="\n".join(lines))
+    _emit(args, params, results, text="\n".join(lines))
     return EXIT_OK
 
 
 # -- monodromy ---------------------------------------------------------------
 
 
-def cmd_monodromy_check(cfg: RunConfig) -> int:
-    from .monodromy import diagram_check
-
-    if cfg.words < 1 or cfg.length < 1:
+def cmd_monodromy_check(args: argparse.Namespace) -> int:
+    _check_cap("--n", args.n)
+    _check_cap("--m", args.m)
+    if args.words < 1 or args.length < 1:
         raise InvalidConfiguration(
-            f"--words and --length must be at least 1, got {cfg.words} and {cfg.length}"
+            f"--words and --length must be at least 1, got {args.words} and {args.length}"
         )
-    n = cfg.n
-    d = cfg.d[0]
-    m = cfg.m if cfg.m is not None else n + 1
-    minus_q = minus_q_from_d(d, cfg.numerator)
-    rng = random.Random(cfg.seed)
+    n, d = args.n, args.d
+    m = args.m if args.m is not None else n + 1
+    minus_q = minus_q_from_d(d, args.numerator)
+    rng = random.Random(args.seed)
     failures = 0
-    for _ in range(cfg.words):
-        w = random_word(n, cfg.length, rng)
+    for _ in range(args.words):
+        w = random_word(n, args.length, rng)
         if not diagram_check(w, n, m, minus_q):
             failures += 1
-    params = {"n": n, "d": d, "m": m, "words": cfg.words, "seed": cfg.seed,
-              "length": cfg.length, "numerator": cfg.numerator}
-    results = {"checked": cfg.words, "failures": failures}
+    params = {"n": n, "d": d, "m": m, "words": args.words, "seed": args.seed,
+              "length": args.length, "numerator": args.numerator}
+    results = {"checked": args.words, "failures": failures}
     text = (
-        f"seed: {cfg.seed}\n"
-        f"diagram agreement on {cfg.words - failures}/{cfg.words} random words "
+        f"seed: {args.seed}\n"
+        f"diagram agreement on {args.words - failures}/{args.words} random words "
         f"(n={n}, d={d}, m={m})"
     )
-    _emit(cfg, params, results, text=text)
+    _emit(args, params, results, text=text)
     return EXIT_OK if failures == 0 else EXIT_AUDIT_FAILED
 
 
-def cmd_monodromy_signature(cfg: RunConfig) -> int:
-    n = cfg.n
-    d = cfg.d[0]
-    m = cfg.m if cfg.m is not None else n + 1
-    minus_q = minus_q_from_d(d, cfg.numerator)
+def cmd_monodromy_signature(args: argparse.Namespace) -> int:
+    _check_cap("--n", args.n)
+    _check_cap("--m", args.m)
+    n, d = args.n, args.d
+    m = args.m if args.m is not None else n + 1
+    minus_q = minus_q_from_d(d, args.numerator)
     result = invariant_hermitian_form(rho_generators(n, m, minus_q))
     form = result.chosen
     sig = signature(form)
     pivot, rest = form.pivot_size, form.dim - form.pivot_size
-    params = {"n": n, "d": d, "m": m, "numerator": cfg.numerator}
+    params = {"n": n, "d": d, "m": m, "numerator": args.numerator}
     results = {
         "certificate": {"pivot_size": pivot, "pivot_inertia": list(form.pivot_inertia),
                         "schur_complement_inertia": list(form.schur_inertia)},
@@ -399,7 +403,7 @@ def cmd_monodromy_signature(cfg: RunConfig) -> int:
         f"solution space dimension: {len(result.basis)}",
         f"unitarity residual: {result.unitarity_residual} (exact)",
     ]
-    _emit(cfg, params, results, text="\n".join(lines))
+    _emit(args, params, results, text="\n".join(lines))
     return EXIT_OK
 
 
@@ -461,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="puncture count (default n+1)")
     p.add_argument("--words", type=int, default=100)
     p.add_argument("--length", type=int, default=14, help="random word length")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=default_seed(),
+                   help="random word seed (default $BURAU_LAB_SEED or 0)")
     p.add_argument("--numerator", type=int, default=1)
     add_common(p)
 
@@ -475,41 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=f"{args.group} {args.command}")
-    cfg.fmt = "json" if getattr(args, "json", False) else "text"
-    cfg.n = getattr(args, "n", None) if isinstance(getattr(args, "n", None), int) else None
-    cfg.m = getattr(args, "m", None)
-    cfg.numerator = getattr(args, "numerator", 1)
-    cfg.word = getattr(args, "word", None)
-    cfg.words = getattr(args, "words", 100)
-    cfg.length = getattr(args, "length", 14)
-    cfg.curvatures = getattr(args, "curvatures", None)
-    cfg.labels = getattr(args, "labels", None)
-    seed = getattr(args, "seed", None)
-    cfg.seed = seed if seed is not None else default_seed()
-
-    d = getattr(args, "d", None)
-    at_root = getattr(args, "at_root", None)
-    if isinstance(d, int):
-        cfg.d = [d]
-    elif isinstance(d, str):
-        cfg.d = _parse_int_spec(d)
-    elif at_root is not None:
-        cfg.d = [at_root]
-
-    if args.group == "moduli" and args.command == "kernel-table":
-        n_spec = getattr(args, "n", None)
-        cfg.n_list = _parse_int_spec(n_spec) if n_spec else []
-        cfg.d = _parse_int_spec(d) if d else []
-        if bool(cfg.n_list) != bool(cfg.d):
-            raise InvalidConfiguration("kernel-table extras need both --n and --d")
-    for option, value in [("--n", cfg.n), ("--m", cfg.m), *(("--n", n) for n in cfg.n_list)]:
-        if value is not None and value > MAX_STRANDS:
-            raise InvalidSpec(f"{option} {value} is above the cap of {MAX_STRANDS}")
-    return cfg
-
-
 _HANDLERS = {
     "burau eval": cmd_burau_eval,
     "burau check-word": cmd_check_word,
@@ -521,11 +491,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[f"{args.group} {args.command}"](args)
     except (WordSyntaxError, IndexOutOfRange) as exc:
         print(f"word error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

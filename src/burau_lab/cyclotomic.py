@@ -453,7 +453,7 @@ def specialize_poly(p: LaurentPoly, x: CyclotomicNumber) -> CyclotomicNumber:
     At a root of unity x = sign * zeta_N^k, t^e is sign^e * zeta_N^(k*e mod N),
     so the coefficients are summed into one length-N vector and reduced mod
     Phi_N once; negative exponents need no inverse. Other points evaluate
-    powers of x and of its inverse.
+    p / t^min_exp by Horner's rule and multiply by x^min_exp.
     """
     if x.is_zero:
         raise ZeroInput("cannot specialize a Laurent polynomial at zero")
@@ -465,27 +465,11 @@ def specialize_poly(p: LaurentPoly, x: CyclotomicNumber) -> CyclotomicNumber:
             powers[k * e % x.order] += -c if sign < 0 and e % 2 else c
         return CyclotomicNumber.from_powers(x.order, powers)
     total = CyclotomicNumber.zero(x.order)
-    pos_pow: dict[int, CyclotomicNumber] = {0: CyclotomicNumber.one(x.order)}
-    inv = None
-    for e, c in p:
-        if e >= 0:
-            power = _cached_pow(x, e, pos_pow)
-        else:
-            if inv is None:
-                inv = x.inverse()
-            power = inv ** (-e)
-        total = total + power * c
-    return total
-
-
-def _cached_pow(x: CyclotomicNumber, e: int, cache: dict[int, CyclotomicNumber]) -> CyclotomicNumber:
-    if e not in cache:
-        best = max(k for k in cache if k <= e)
-        acc = cache[best]
-        for k in range(best + 1, e + 1):
-            acc = acc * x
-            cache[k] = acc
-    return cache[e]
+    if p.is_zero:
+        return total
+    for e in range(p.max_exp, p.min_exp - 1, -1):
+        total = total * x + p.coefficient(e)
+    return total * x ** p.min_exp
 
 
 def specialize_matrix(m: LaurentMatrix, x: CyclotomicNumber) -> "CycloMatrix":

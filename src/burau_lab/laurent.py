@@ -408,59 +408,54 @@ class LaurentMatrix:
             raise DimensionMismatch("cannot shrink a 1x1 matrix")
         return LaurentMatrix([row[:-1] for row in self._rows[:-1]])
 
-    def det(self) -> LaurentPoly:
-        """Determinant by fraction-free (Bareiss) elimination; every interior
-        division is exact in the Laurent ring."""
+    def _det_adjugate(self) -> tuple[LaurentPoly, list[list[LaurentPoly]] | None]:
+        """(det, adjugate) by one fraction-free Gauss-Jordan elimination on
+        [A | I]; the adjugate is None when det = 0.
+
+        After step k every entry right of column k is a (k+1)-minor of
+        [A | I] (Bareiss, Math. Comp. 22, 1968), so each division by the
+        previous pivot is exact in the Laurent ring. A row swap negates one
+        of the two rows, so it keeps the determinant: the last pivot is
+        det(A) and the right block is adj(A).
+        """
         n = self.dim
-        a = [list(row) for row in self._rows]
-        sign = 1
+        a = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
+             for i, row in enumerate(self._rows)]
         prev = _ONE
-        for k in range(n - 1):
-            if a[k][k].is_zero:
-                for r in range(k + 1, n):
-                    if not a[r][k].is_zero:
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return _ZERO
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).exact_div(prev)
-                a[i][k] = _ZERO
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return -d if sign < 0 else d
+        for k in range(n):
+            p = next((r for r in range(k, n) if not a[r][k].is_zero), None)
+            if p is None:
+                return _ZERO, None
+            if p != k:
+                a[k], a[p] = a[p], [-e for e in a[k]]
+            pivot_row = a[k]
+            pivot = pivot_row[k]
+            for i in range(n):
+                if i == k:
+                    continue
+                row = a[i]
+                f = row[k]
+                for j in range(k + 1, 2 * n):
+                    x = row[j] * pivot
+                    if not f.is_zero:
+                        x = x - f * pivot_row[j]
+                    row[j] = x.exact_div(prev)
+            prev = pivot
+        return prev, [row[n:] for row in a]
+
+    def det(self) -> LaurentPoly:
+        """Determinant by fraction-free elimination."""
+        return self._det_adjugate()[0]
 
     def inverse(self) -> LaurentMatrix:
-        """Exact inverse over the Laurent ring.
+        """Exact inverse over the Laurent ring, adj(A) * det(A)^-1.
 
-        Exists iff det is a unit (+-t^k); otherwise adjugate entries fail
-        to divide and NotDivisible is raised.
+        Exists iff det is a unit (+-t^k); otherwise NotDivisible is raised.
         """
-        d = self.det()
-        if d.is_zero:
+        d, adj = self._det_adjugate()
+        if adj is None:
             raise NotDivisible("matrix is singular")
-        n = self.dim
-        if n == 1:
-            return LaurentMatrix([[_ONE.exact_div(d)]])
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = LaurentMatrix(
-                    [
-                        [self._rows[r][c] for c in range(n) if c != i]
-                        for r in range(n)
-                        if r != j
-                    ]
-                )
-                cof = minor.det()
-                if (i + j) % 2:
-                    cof = -cof
-                row.append(cof.exact_div(d))
-            out.append(row)
-        return LaurentMatrix(out)
+        return LaurentMatrix(adj).scale(d ** -1)
 
     def __str__(self) -> str:
         cells = [[str(e) for e in row] for row in self._rows]

@@ -131,17 +131,12 @@ def orbifold_check(curvatures: CurvatureVector, labels: Sequence[str]) -> Orbifo
             )
 
     strata: list[ConeStratum] = []
-    seen: set[tuple[str, str]] = set()
     names = sorted(by_label)
     for a_pos, label_a in enumerate(names):
         for label_b in names[a_pos:]:
             same = label_a == label_b
             if same and len(by_label[label_a]) < 2:
                 continue
-            key = (label_a, label_b)
-            if key in seen:
-                continue
-            seen.add(key)
             if same:
                 i, j = by_label[label_a][:2]
             else:

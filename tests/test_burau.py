@@ -433,3 +433,11 @@ class TestProjectiveEquality:
         a = CycloMatrix([[one, zero], [zero, one]])
         b = CycloMatrix([[one, one], [zero, one]])
         assert not projectively_equal(a, b)
+
+    def test_zero_matrix_against_nonzero(self):
+        zero = CyclotomicNumber.zero(4)
+        z = CycloMatrix([[zero, zero], [zero, zero]])
+        m = CycloMatrix.identity(2, 4)
+        assert not projectively_equal(z, m)
+        assert not projectively_equal(m, z)
+        assert projectively_equal(z, z)

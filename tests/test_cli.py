@@ -254,6 +254,7 @@ class TestExitCodes:
             ("burau", "eval", "--n", "1", "--word", "s1"),
             ("burau", "check-word", "--n", "4", "--word", "s1", "--d", "5..x"),
             ("moduli", "kernel-table", "--n", "4", "--d", "5,,6"),
+            ("moduli", "kernel-table", "--n", ""),
             ("moduli", "orbifold-check", "--curvatures", "1/0,abc", "--labels", "a,b"),
             ("monodromy", "check", "--n", "1", "--d", "5"),
             ("monodromy", "check", "--n", "4", "--d", "5", "--m", "4"),
@@ -303,6 +304,45 @@ class TestExitCodes:
         code, out, _ = run(capsys, "burau", "check-word", "--n", str(n), "--word", f"T{n}^6", "--d", "3")
         assert code == 0
         assert out == "d = 3: in kernel\nkernel member at d = 3\n"
+
+    def test_stderr_lines_pinned(self, capsys):
+        over = str(cli.MAX_STRANDS + 1)
+        cases = {
+            ("burau", "eval", "--n", "1", "--word", "s1"):
+                "a braid group needs at least 2 strands, got 1",
+            ("burau", "check-word", "--n", "4", "--word", "s1", "--d", "5..x"):
+                "malformed integer spec '5..x'",
+            ("moduli", "kernel-table", "--n", "4", "--d", "5,,6"):
+                "malformed integer spec '5,,6'",
+            ("moduli", "orbifold-check", "--curvatures", "1/0,abc", "--labels", "a,b"):
+                "malformed fraction list '1/0,abc'",
+            ("monodromy", "check", "--n", "1", "--d", "5"):
+                "a braid group needs at least 2 strands, got 1",
+            ("monodromy", "check", "--n", "4", "--d", "5", "--m", "4"):
+                "need 3 <= n <= m-1, got n=4, m=4",
+            ("burau", "eval", "--n", "4", "--word", "s1^99999999999999999999999"):
+                f"word would expand to 99999999999999999999999 letters, more than {MAX_WORD_LETTERS}",
+            ("burau", "eval", "--n", "4", "--word", "(s1^1000)^1001"):
+                f"word would expand to 1001000 letters, more than {MAX_WORD_LETTERS}",
+            ("monodromy", "check", "--n", "4", "--d", "7", "--words", "1",
+             "--length", str(MAX_WORD_LETTERS + 1)):
+                f"word would expand to {MAX_WORD_LETTERS + 1} letters, more than {MAX_WORD_LETTERS}",
+            ("burau", "check-word", "--n", "4", "--word", "s1", "--d", "7..5"):
+                "empty range '7..5' in spec '7..5'",
+            ("burau", "check-word", "--n", "4", "--word", "s1", "--d", str(MAX_D + 1)):
+                f"d must be at most {MAX_D}, got {MAX_D + 1}",
+            ("burau", "eval", "--n", over, "--word", "s1"):
+                f"--n {over} is above the cap of {cli.MAX_STRANDS}",
+            ("moduli", "kernel-table", "--n", f"4,{over}", "--d", "3"):
+                f"--n {over} is above the cap of {cli.MAX_STRANDS}",
+            ("monodromy", "signature", "--n", "4", "--d", "7", "--m", over):
+                f"--m {over} is above the cap of {cli.MAX_STRANDS}",
+        }
+        for argv, message in cases.items():
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (
+                cli.EXIT_INVALID_PARAMS, "", f"invalid parameters: {message}\n"
+            ), argv
 
     def test_spec_longer_than_cap_rejected(self):
         assert len(cli._parse_int_spec(f"1..{cli.MAX_SPEC_VALUES}")) == cli.MAX_SPEC_VALUES

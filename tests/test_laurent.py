@@ -163,6 +163,29 @@ class TestMatrices:
         cofactor = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         assert m.det() == cofactor
 
+    @given(st.data())
+    @settings(max_examples=25)
+    def test_det_multiplicative(self, data):
+        dim = data.draw(st.integers(min_value=1, max_value=4))
+        polys = laurent_polys(max_terms=3, min_exp=-2, max_exp=2, max_coeff=4)
+        draw_matrix = lambda: LaurentMatrix(
+            [[data.draw(polys) for _ in range(dim)] for _ in range(dim)]
+        )
+        a, b = draw_matrix(), draw_matrix()
+        assert (a * b).det() == a.det() * b.det()
+
+    def test_zero_leading_entry_needs_row_swap(self):
+        zero = LaurentPoly.zero()
+        m = LaurentMatrix([[zero, T, ONE], [ONE, ONE + T, zero], [T, zero, LaurentPoly.t(-1)]])
+        # Cofactor expansion along the first row.
+        assert m.det() == -T * LaurentPoly.t(-1) + ONE * (-T - T**2)
+        unit = LaurentMatrix([[zero, T], [ONE, ONE + T]])
+        assert unit.det() == -T
+        assert unit * unit.inverse() == LaurentMatrix.identity(2)
+        assert unit.inverse() == LaurentMatrix(
+            [[-(ONE + T) * LaurentPoly.t(-1), ONE], [LaurentPoly.t(-1), zero]]
+        )
+
     def test_inverse_round_trip(self):
         m = LaurentMatrix(
             [[LaurentPoly.monomial(-1, 1), ONE, LaurentPoly.zero()],
