@@ -18,10 +18,13 @@ column to another":
 
 - Z[t, t^-1], for the exact Laurent image (``burau_of_word``);
 - Z[x]/(x^N - 1), for a specialization at a root of unity t = -q =
-  +-zeta_N^k (``specialized_burau``): +-t^e becomes a signed power of x,
-  so multiplying by it is a signed rotation of a length-N integer vector,
-  with no reduction, gcd or fraction; each entry is reduced into Q(zeta_N)
-  (mod Phi_N) once, at the end.
+  +-zeta_N^k (``specialized_burau``): +-t^e becomes a signed power of x.
+  A column of dim entries is stored flat, as one list of dim * N integers
+  with the coefficient of x^k in entry i at index k * dim + i, so
+  multiplying a whole column by +-x^e is one rotation of that list by
+  e * dim, with no reduction, gcd or fraction. Entry i is the strided
+  slice col[i::dim]; each is reduced into Q(zeta_N) (mod Phi_N) once, at
+  the end.
 
 At a root of unity, a word that is a proper power u^k (u its shortest
 root) is applied one copy of u at a time, continuing from the columns the
@@ -203,23 +206,27 @@ def _rotation_letters(strands_n: int, order: int, sign: int, k: int) -> dict:
     return table
 
 
+def _flat_action(action: tuple, dim: int) -> tuple:
+    """A ``_rotation_letters`` row with each shift e scaled to e * dim, the
+    rotation that multiplies a flat column by x^e."""
+    r, *entries = action
+    return r, *(None if e is None else (e[0], e[1] * dim) for e in entries)
+
+
 def _rotated(col: list, sign: int, shift: int) -> list:
-    """sign * x^shift * col, entrywise in Z[x]/(x^N - 1)."""
-    if sign > 0:
-        return [v[-shift:] + v[:-shift] for v in col]
-    return [[-a for a in v[-shift:] + v[:-shift]] for v in col]
+    """sign * x^e * col for a flat column (see the module docstring) and
+    shift = e * dim: one slice rotates every entry. With shift 0 and sign
+    +1 the column itself is returned; columns are never changed in place."""
+    if shift:
+        col = col[-shift:] + col[:-shift]
+    return col if sign > 0 else list(map(operator.neg, col))
 
 
 def _add_rotated(dest: list, col: list, sign: int, shift: int) -> list:
-    """dest + sign * x^shift * col, entrywise in Z[x]/(x^N - 1); a zero col
-    entry keeps dest's, and shift 0, in every letter, skips the rotation."""
-    op = operator.add if sign > 0 else operator.sub
-    if not shift:
-        return [list(map(op, d, v)) if any(v) else d for d, v in zip(dest, col)]
-    return [
-        list(map(op, d, v[-shift:] + v[:-shift])) if any(v) else d
-        for d, v in zip(dest, col)
-    ]
+    """dest + sign * x^e * col for flat columns and shift = e * dim."""
+    if shift:
+        col = col[-shift:] + col[:-shift]
+    return list(map(operator.add if sign > 0 else operator.sub, dest, col))
 
 
 def _root_length(letters: tuple) -> int:
@@ -239,8 +246,8 @@ def _root_length(letters: tuple) -> int:
 
 
 def _scalar_value(columns: list, order: int) -> CyclotomicNumber | None:
-    """c when the group-ring matrix with these columns reduces to c * I in
-    Q(zeta_order), else None.
+    """c when the group-ring matrix with these flat columns reduces to c * I
+    in Q(zeta_order), else None; entry (i, j) is columns[j][i::dim].
 
     Entries of Z[x]/(x^N - 1) can be nonzero vectors that vanish mod Phi_N
     (with -1 written as x^(N/2), T4 at d = 5 has an off-diagonal entry
@@ -248,13 +255,15 @@ def _scalar_value(columns: list, order: int) -> CyclotomicNumber | None:
     entry is reduced only when its vector is nonzero, stopping at the first
     that stays nonzero, and every diagonal entry must reduce to one c.
     """
+    dim = len(columns)
     for j, col in enumerate(columns):
-        for i, v in enumerate(col):
+        for i in range(dim):
+            v = col[i::dim]
             if i != j and any(v) and not CyclotomicNumber.from_powers(order, v).is_zero:
                 return None
-    c = CyclotomicNumber.from_powers(order, columns[0][0])
-    for j in range(1, len(columns)):
-        if CyclotomicNumber.from_powers(order, columns[j][j]) != c:
+    c = CyclotomicNumber.from_powers(order, columns[0][::dim])
+    for j in range(1, dim):
+        if CyclotomicNumber.from_powers(order, columns[j][j::dim]) != c:
             return None
     return c
 
@@ -264,10 +273,11 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
 
     At a root of unity minus_q = sign * zeta_N^k, every letter entry is a
     signed power of zeta_N, so the product is taken in the group ring
-    Z[x]/(x^N - 1), where multiplying by an entry is a signed rotation of
-    an integer vector, and each entry is reduced into Q(zeta_N) once, at
-    the end. At any other point this is the reference path: the Laurent
-    image specialized entrywise.
+    Z[x]/(x^N - 1). Each column is one flat list of dim * N integers, so
+    multiplying it by a letter entry +-x^e is one slice rotating it by
+    e * dim, and entry (i, j) is the strided slice columns[j][i::dim],
+    reduced into Q(zeta_N) once, at the end. At any other point this is
+    the reference path: the Laurent image specialized entrywise.
 
     At a root of unity the word is written as u^k with u its shortest root
     and applied one copy of u at a time. When the product after j copies,
@@ -288,16 +298,26 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     table = _rotation_letters(word.strands_n, order, *root)
     p = _root_length(word.letters)
     copies = len(word.letters) // p if p else 1
-    actions = [table[letter] for letter in word.letters[:p]]
-    columns = _identity_columns(dim, [1] + [0] * (order - 1), [0] * order)
+    letters = word.letters[:p]
+    # Scaled per distinct letter: a one-letter word (rho_generators) does not
+    # pay for the whole table, nor a long word for every letter.
+    flat = {letter: _flat_action(table[letter], dim) for letter in set(letters)}
+    actions = [flat[letter] for letter in letters]
+    columns = [[0] * (dim * order) for _ in range(dim)]
+    for j, col in enumerate(columns):
+        col[j] = 1
     for j in range(1, copies + 1):
         columns = _word_product(actions, columns, _rotated, _add_rotated)
         if j < copies and copies % j == 0:
             c = _scalar_value(columns, order)
             if c is not None:
                 return CycloMatrix.identity(dim, order).scale(c ** (copies // j))
+    # Most entries of a short word's image are zero and skip the reduction.
+    zero = CyclotomicNumber.zero(order)
     return CycloMatrix(
-        [CyclotomicNumber.from_powers(order, v) for v in row] for row in zip(*columns)
+        [CyclotomicNumber.from_powers(order, v) if any(v) else zero
+         for v in (col[i::dim] for col in columns)]
+        for i in range(dim)
     )
 
 

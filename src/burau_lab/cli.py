@@ -50,6 +50,7 @@ from .monodromy import (
     signature,
 )
 from .words import (
+    MAX_WORD_LETTERS,
     IndexOutOfRange,
     InvalidStrandCount,
     WordSyntaxError,
@@ -360,6 +361,12 @@ def cmd_monodromy_check(args: argparse.Namespace) -> int:
     n, d = args.n, args.d
     m = args.m if args.m is not None else n + 1
     minus_q = minus_q_from_d(d, args.numerator)
+    # A single word over the cap is reported by random_word's own check.
+    if args.length <= MAX_WORD_LETTERS < args.words * args.length:
+        raise InvalidConfiguration(
+            f"--words {args.words} times --length {args.length} is "
+            f"{args.words * args.length} letters, more than {MAX_WORD_LETTERS}"
+        )
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.words):

@@ -328,11 +328,14 @@ def sample_normal_closure(
         if g.strands_n != strands_n:
             raise ValueError("generator strand count differs from strands_n")
     rng = random.Random(seed)
-    word = BraidWord(strands_n)
+    letters: list[tuple[int, int]] = []
     for _ in range(num_factors):
-        g = gens[rng.randrange(len(gens))]
+        g = gens[rng.randrange(len(gens))].letters
         if rng.random() < 0.5:
-            g = g.inverse()
-        conj = random_word(strands_n, rng.randint(0, max_conj_len), rng)
-        word = word * conj * g * conj.inverse()
-    return word
+            g = [(i, -e) for i, e in reversed(g)]
+        conj = random_word(strands_n, rng.randint(0, max_conj_len), rng).letters
+        _check_length(len(letters) + 2 * len(conj) + len(g))
+        letters += conj
+        letters += g
+        letters += [(i, -e) for i, e in reversed(conj)]
+    return BraidWord(strands_n, tuple(letters))

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burau_lab import burau
 from burau_lab.burau import (
@@ -296,6 +298,28 @@ class TestSpecializedBurau:
             slow = specialize_matrix(burau_of_word(w).matrix, x)
             assert fast == slow, (w, x)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_oracle_on_random_words_and_roots(self, data):
+        # n = 2 is dim 1; (-q)^3, and -q or q at odd N, give the sign -1
+        # rotations of the group-ring columns.
+        n = data.draw(st.integers(min_value=2, max_value=10), label="n")
+        letters = data.draw(
+            st.lists(
+                st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=40
+            ),
+            label="letters",
+        )
+        d = data.draw(st.integers(min_value=2, max_value=40), label="d")
+        numerator = data.draw(
+            st.sampled_from([a for a in range(1, d) if math.gcd(a, d) == 1]),
+            label="numerator",
+        )
+        mq = minus_q_from_d(d, numerator)
+        x = data.draw(st.sampled_from((mq, -mq, mq**3)), label="x")
+        w = BraidWord(n, tuple(letters))
+        assert specialized_burau(w, x) == specialize_matrix(burau_of_word(w).matrix, x)
+
     def test_letter_table_matches_field_evaluation(self):
         # Each entry s * t^e of the table at a root x = sign * zeta_N^k must
         # be the (sign, shift) of s * x^e evaluated in Q(zeta_N); sign is -1
@@ -390,13 +414,17 @@ class TestPowerEarlyStop:
     def test_scalar_test_is_made_in_the_field(self):
         # Columns over Z[x]/(x^6 - 1); 1 + x^2 + x^4 is nonzero there but
         # vanishes in Q(zeta_6).
+        # Each column is flat: entry i's coefficient of x^k at index 2k + i.
+        def flat(*columns):
+            return [[a for pair in zip(*col) for a in pair] for col in columns]
+
         one, zero, minus_one = [1, 0, 0, 0, 0, 0], [0] * 6, [0, 0, 0, 1, 0, 0]
         vanishing = [1, 0, 1, 0, 1, 0]
         one_plus_vanishing = [2, 0, 1, 0, 1, 0]
-        assert _scalar_value([[one, vanishing], [vanishing, one_plus_vanishing]], 6) == 1
-        assert _scalar_value([[minus_one, zero], [zero, minus_one]], 6) == -1
-        assert _scalar_value([[one, zero], [zero, minus_one]], 6) is None
-        assert _scalar_value([[one, zero], [one, one]], 6) is None
+        assert _scalar_value(flat([one, vanishing], [vanishing, one_plus_vanishing]), 6) == 1
+        assert _scalar_value(flat([minus_one, zero], [zero, minus_one]), 6) == -1
+        assert _scalar_value(flat([one, zero], [zero, minus_one]), 6) is None
+        assert _scalar_value(flat([one, zero], [one, one]), 6) is None
 
     def test_root_length_is_the_shortest_root(self):
         def naive(letters):

@@ -279,6 +279,8 @@ class TestExitCodes:
             ("burau", "eval", "--n", "4", "--word", "(s1^1000)^1001"),
             ("monodromy", "check", "--n", "4", "--d", "7", "--words", "1",
              "--length", str(MAX_WORD_LETTERS + 1)),
+            ("monodromy", "check", "--n", "4", "--d", "7", "--words", "101",
+             "--length", "9901"),
             ("burau", "check-word", "--n", "4", "--word", "s1", "--d", "7..5"),
             ("burau", "check-word", "--n", "4", "--word", "s1", "--d", str(MAX_D + 1)),
         )
@@ -298,6 +300,17 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv)
             assert code == cli.EXIT_INVALID_PARAMS, argv
             assert "invalid parameters" in err and out == "", argv
+
+    def test_word_budget_at_cap_runs(self, capsys, monkeypatch):
+        # A small cap keeps the run short; the check reads the constant.
+        monkeypatch.setattr(cli, "MAX_WORD_LETTERS", 20)
+        argv = ("monodromy", "check", "--n", "4", "--d", "7", "--seed", "1")
+        code, out, _ = run(capsys, *argv, "--words", "4", "--length", "5")
+        assert code == cli.EXIT_OK
+        assert "diagram agreement on 4/4 random words" in out
+        code, out, err = run(capsys, *argv, "--words", "3", "--length", "7")
+        assert (code, out) == (cli.EXIT_INVALID_PARAMS, "")
+        assert err == "invalid parameters: --words 3 times --length 7 is 21 letters, more than 20\n"
 
     def test_strand_count_at_cap_runs(self, capsys):
         n = cli.MAX_STRANDS
@@ -327,6 +340,10 @@ class TestExitCodes:
             ("monodromy", "check", "--n", "4", "--d", "7", "--words", "1",
              "--length", str(MAX_WORD_LETTERS + 1)):
                 f"word would expand to {MAX_WORD_LETTERS + 1} letters, more than {MAX_WORD_LETTERS}",
+            ("monodromy", "check", "--n", "4", "--d", "7", "--words", "101",
+             "--length", "9901"):
+                f"--words 101 times --length 9901 is {MAX_WORD_LETTERS + 1} letters, "
+                f"more than {MAX_WORD_LETTERS}",
             ("burau", "check-word", "--n", "4", "--word", "s1", "--d", "7..5"):
                 "empty range '7..5' in spec '7..5'",
             ("burau", "check-word", "--n", "4", "--word", "s1", "--d", str(MAX_D + 1)):

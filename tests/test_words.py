@@ -180,6 +180,40 @@ class TestSampler:
             w = sample_normal_closure(4, gens, 3, 4, seed=seed)
             assert len(w) <= 3 * (2 * 4 + 12)
 
+    def test_matches_concatenation_definition(self, monkeypatch):
+        def concatenated(strands_n, gens, num_factors, max_conj_len, seed):
+            rng = random.Random(seed)
+            word = BraidWord(strands_n)
+            for _ in range(num_factors):
+                g = gens[rng.randrange(len(gens))]
+                if rng.random() < 0.5:
+                    g = g.inverse()
+                conj = random_word(strands_n, rng.randint(0, max_conj_len), rng)
+                word = word * conj * g * conj.inverse()
+            return word
+
+        def outcome(sampler, *args):
+            try:
+                return sampler(*args)
+            except WordTooLong:
+                return WordTooLong
+
+        gen_sets = {
+            3: [parse_word("s1^3", 3)],
+            4: [parse_word("T4", 4), parse_word("s2^-5", 4), BraidWord(4)],
+            6: [parse_word("T3^2", 6), parse_word("s5 s4^-1 s1", 6)],
+        }
+        for strands_n, gens in gen_sets.items():
+            for seed in range(40):
+                for num_factors in (1, 2, 7):
+                    args = (strands_n, gens, num_factors, seed % 9, seed)
+                    assert sample_normal_closure(*args) == concatenated(*args), args
+        # Under a small cap both reject exactly the same samples.
+        monkeypatch.setattr(words, "MAX_WORD_LETTERS", 40)
+        for seed in range(60):
+            args = (4, gen_sets[4], 3, 8, seed)
+            assert outcome(sample_normal_closure, *args) == outcome(concatenated, *args)
+
     def test_empty_generators(self):
         with pytest.raises(EmptyGeneratorSet):
             sample_normal_closure(4, [], 1, 5, seed=0)
