@@ -276,14 +276,19 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     Z[x]/(x^N - 1). Each column is one flat list of dim * N integers, so
     multiplying it by a letter entry +-x^e is one slice rotating it by
     e * dim, and entry (i, j) is the strided slice columns[j][i::dim],
-    reduced into Q(zeta_N) once, at the end. At any other point this is
-    the reference path: the Laurent image specialized entrywise.
+    reduced into Q(zeta_N) once, at the end. Only the entries that can
+    differ from the identity's are read: a column that no letter of the
+    word touches (letter s_i touches columns i-2, i-1 and i) is emitted as
+    e_j, built from one shared one and zero, and a zero entry skips the
+    reduction. At any other point this is the reference path: the Laurent
+    image specialized entrywise.
 
     At a root of unity the word is written as u^k with u its shortest root
     and applied one copy of u at a time. When the product after j copies,
     j a proper divisor of k, reduces exactly to a scalar c * I, the image
-    is c^(k/j) * I and the remaining copies are not applied: T_n^k, whose
-    root is s1 ... s_{n-1}, costs n(n-1) letters and one field power.
+    is c^(k/j) on the diagonal and a shared zero elsewhere, and the
+    remaining copies are not applied: T_n^k, whose root is s1 ... s_{n-1},
+    costs n(n-1) letters and one field power.
 
     Kernel membership for the specialization means exact equality of this
     matrix with the identity (not projective equality).
@@ -306,19 +311,22 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     columns = [[0] * (dim * order) for _ in range(dim)]
     for j, col in enumerate(columns):
         col[j] = 1
+    zero = CyclotomicNumber.zero(order)
     for j in range(1, copies + 1):
         columns = _word_product(actions, columns, _rotated, _add_rotated)
         if j < copies and copies % j == 0:
             c = _scalar_value(columns, order)
             if c is not None:
-                return CycloMatrix.identity(dim, order).scale(c ** (copies // j))
-    # Most entries of a short word's image are zero and skip the reduction.
-    zero = CyclotomicNumber.zero(order)
-    return CycloMatrix(
+                c = c ** (copies // j)
+                return CycloMatrix([c if a == b else zero for b in range(dim)] for a in range(dim))
+    touched = {r + step for r, *_ in flat.values() for step in (-1, 0, 1)}
+    one = CyclotomicNumber.one(order)
+    return CycloMatrix(zip(*(
         [CyclotomicNumber.from_powers(order, v) if any(v) else zero
-         for v in (col[i::dim] for col in columns)]
-        for i in range(dim)
-    )
+         for v in (col[i::dim] for i in range(dim))]
+        if j in touched else [zero] * j + [one] + [zero] * (dim - 1 - j)
+        for j, col in enumerate(columns)
+    )))
 
 
 def crossed_v(image: BurauImage) -> tuple[LaurentPoly, ...]:

@@ -145,6 +145,12 @@ class CyclotomicNumber:
     Stored canonically: integer numerator vector of length phi(order) over a
     positive denominator, with the gcd of all numerators and the denominator
     equal to 1.
+
+    An operand from the same field is recognized before any int or
+    Fraction coercion is tried. A result of integral operands (denominator
+    1) is built by ``_canonical`` without renormalizing: with denominator 1
+    it is canonical as it stands. Every other result goes through
+    ``__init__``.
     """
 
     __slots__ = ("order", "_num", "_den")
@@ -198,7 +204,7 @@ class CyclotomicNumber:
         """sum_e coeffs[e] * zeta_order^e for an integer vector of length
         order: the image of an element of Z[x]/(x^order - 1) under x ->
         zeta_order, reduced mod Phi_order."""
-        return cls(order, _substitute(coeffs, 1, order))
+        return _canonical(order, tuple(_substitute(coeffs, 1, order)))
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> CyclotomicNumber:
@@ -235,6 +241,10 @@ class CyclotomicNumber:
         )
 
     def _pair(self, other: CyclotomicNumber | int | Fraction) -> tuple[CyclotomicNumber, CyclotomicNumber]:
+        if type(other) is CyclotomicNumber and other.order == self.order:
+            return self, other
+        if type(other) is int:
+            return self, _canonical(self.order, (other,) + (0,) * (len(self._num) - 1))
         if isinstance(other, (int, Fraction)):
             other = CyclotomicNumber.from_fraction(other, self.order)
         if self.order == other.order:
@@ -243,6 +253,8 @@ class CyclotomicNumber:
         return self.promote(common), other.promote(common)
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is CyclotomicNumber and other.order == self.order:
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             other = CyclotomicNumber.from_fraction(other, self.order)
         if not isinstance(other, CyclotomicNumber):
@@ -264,6 +276,8 @@ class CyclotomicNumber:
 
     def __add__(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
         a, b = self._pair(other)
+        if a._den == 1 == b._den:
+            return _canonical(a.order, tuple(map(operator.add, a._num, b._num)))
         if a._den == b._den:
             return CyclotomicNumber(a.order, [x + y for x, y in zip(a._num, b._num)], a._den)
         return CyclotomicNumber(
@@ -275,25 +289,32 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self) -> CyclotomicNumber:
-        return CyclotomicNumber(self.order, [-a for a in self._num], self._den)
+        return _canonical(self.order, tuple(map(operator.neg, self._num)), self._den)
 
     def __sub__(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
         a, b = self._pair(other)
+        if a._den == 1 == b._den:
+            return _canonical(a.order, tuple(map(operator.sub, a._num, b._num)))
         return a + (-b)
 
     def __rsub__(self, other: int | Fraction) -> CyclotomicNumber:
         return (-self) + other
 
     def __mul__(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
-        if isinstance(other, int):
+        if type(other) is CyclotomicNumber and other.order == self.order:
+            a, b = self, other
+        elif isinstance(other, int):
+            if self._den == 1:
+                return _canonical(self.order, tuple(a * other for a in self._num))
             return CyclotomicNumber(self.order, [a * other for a in self._num], self._den)
-        if isinstance(other, Fraction):
+        elif isinstance(other, Fraction):
             return CyclotomicNumber(
                 self.order,
                 [a * other.numerator for a in self._num],
                 self._den * other.denominator,
             )
-        a, b = self._pair(other)
+        else:
+            a, b = self._pair(other)
         deg, rows = _field(a.order)
         conv = [0] * (2 * deg - 1)
         for i, x in enumerate(a._num):
@@ -308,6 +329,8 @@ class CyclotomicNumber:
                 row = rows[e]
                 for j in range(deg):
                     out[j] += c * row[j]
+        if a._den == 1 == b._den:
+            return _canonical(a.order, tuple(out))
         return CyclotomicNumber(a.order, out, a._den * b._den)
 
     __rmul__ = __mul__
@@ -390,6 +413,15 @@ class CyclotomicNumber:
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self.order}, '{self}')"
+
+
+def _canonical(order: int, num: tuple[int, ...], den: int = 1) -> CyclotomicNumber:
+    """The element num/den of Q(zeta_order), stored as given: num and den
+    must already be canonical (see CyclotomicNumber), as they are for den 1
+    and for the negation of a canonical element."""
+    x = object.__new__(CyclotomicNumber)
+    x.order, x._num, x._den = order, num, den
+    return x
 
 
 def minus_q_from_d(d: int, numerator: int = 1) -> CyclotomicNumber:

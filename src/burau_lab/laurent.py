@@ -42,7 +42,7 @@ class LaurentPoly:
     __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping) else coeffs
         data: dict[int, int] = {}
         for exp, c in items:
             if c:

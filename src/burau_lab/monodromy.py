@@ -128,6 +128,8 @@ def _check_invariant(form: CycloMatrix, generators: MonodromyGenerators) -> None
     G* H G - H = (H e_r + h_rr conj(u)) u + conj(u) (e_r^T H), which is 0
     when row and column r of H are, and otherwise vanishes outside the rows
     where H e_r or u is nonzero and the columns where u or e_r^T H is.
+    u has at most three nonzero entries, and only those are conjugated:
+    the conjugate of zero is zero.
     """
     rows, dim = form.rows, form.dim
     for r, g in enumerate(generators.mats):
@@ -135,7 +137,7 @@ def _check_invariant(form: CycloMatrix, generators: MonodromyGenerators) -> None
         if all(x.is_zero for x in row_r + tuple(col_r)):
             continue
         u = [x - 1 if b == r else x for b, x in enumerate(g.rows[r])]
-        u_bar = [_conjugate(x) for x in u]
+        u_bar = [x if x.is_zero else _conjugate(x) for x in u]
         cols = [b for b in range(dim) if not (row_r[b].is_zero and u[b].is_zero)]
         for a in (a for a in range(dim) if not (col_r[a].is_zero and u[a].is_zero)):
             left = col_r[a] + row_r[r] * u_bar[a]

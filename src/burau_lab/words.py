@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 MAX_WORD_LETTERS = 10**6
@@ -74,11 +75,29 @@ class EmptyGeneratorSet(ValueError):
     """The normal-closure sampler needs at least one generator."""
 
 
+_TABLE_STRANDS = 64
+"""The letter tables stop at this strand count, so none holds more than
+2 * (_TABLE_STRANDS - 1) letters; a word with a larger index is checked
+letter by letter."""
+
+
+@lru_cache(maxsize=None)
+def _canonical_letters(strands_n: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """Each valid letter (i, +-1) of B_strands_n mapped to one shared pair of
+    ints. A letter that hashes and compares equal to it, such as (True, 1),
+    (1.0, -1) or a pair of numpy ints, maps to it as well."""
+    return {(i, e): (i, e) for i in range(1, strands_n) for e in (1, -1)}
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group on ``strands_n`` strands.
 
     ``letters`` is a sequence of (generator index in 1..n-1, sign in {+1,-1}).
+    It is stored as a tuple of int pairs, each looked up in a table of the
+    valid letters. When a letter is not in the table or cannot be hashed,
+    every letter is converted with ``int`` and range-checked instead, which
+    raises the error for the first invalid one.
     """
 
     strands_n: int
@@ -87,14 +106,22 @@ class BraidWord:
     def __post_init__(self):
         if self.strands_n < 2:
             raise InvalidStrandCount(self.strands_n)
-        object.__setattr__(self, "letters", tuple((int(i), int(e)) for i, e in self.letters))
-        for i, e in self.letters:
-            if not 1 <= i <= self.strands_n - 1:
-                raise IndexOutOfRange(
-                    f"generator index {i} outside 1..{self.strands_n - 1}"
-                )
-            if e not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {e}")
+        given = tuple(self.letters)
+        try:
+            table = _canonical_letters(min(self.strands_n, _TABLE_STRANDS))
+            letters = tuple(map(table.__getitem__, given))
+        except (KeyError, TypeError):
+            letters = None
+        if letters is None:
+            letters = tuple((int(i), int(e)) for i, e in given)
+            for i, e in letters:
+                if not 1 <= i <= self.strands_n - 1:
+                    raise IndexOutOfRange(
+                        f"generator index {i} outside 1..{self.strands_n - 1}"
+                    )
+                if e not in (1, -1):
+                    raise ValueError(f"letter sign must be +1 or -1, got {e}")
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -345,6 +345,28 @@ class TestSpecializedBurau:
                                 d, x, n, index, letter_sign
                             )
 
+    def test_words_that_leave_columns_untouched(self):
+        # A letter s_i changes only columns i-2, i-1 and i; every other
+        # column is emitted as e_j. Words on a few generators, up to the CLI's
+        # 20 strands, at -q, q and (-q)^3.
+        rng = random.Random(17)
+        cases = [(parse_word("s1 s2", 10), minus_q_from_d(3))]
+        for n in (3, 4, 7, 10, 15, 20):
+            for text in ("s1", f"s{n - 1}^-1", f"s{n // 2} s{max(1, n // 2 - 1)}^-1", "s1 s2^2"):
+                cases.append((parse_word(text, n), minus_q_from_d(5)))
+            low = rng.randint(1, n - 1)
+            high = min(n - 1, low + rng.randint(0, 2))
+            letters = tuple(
+                (rng.randint(low, high), rng.choice((1, -1))) for _ in range(rng.randint(1, 12))
+            )
+            for d in (4, 6, 7, 10):
+                mq = minus_q_from_d(d)
+                for x in (mq, -mq, mq**3):
+                    cases.append((BraidWord(n, letters), x))
+        for w, x in cases:
+            expected = specialize_matrix(burau_of_word(w).matrix, x)
+            assert specialized_burau(w, x) == expected, (w, x)
+
     def test_first_generator_at_minus_i(self):
         # -t evaluates to i when t = -zeta_4 = -i.
         mq = minus_q_from_d(4)
@@ -410,6 +432,20 @@ class TestPowerEarlyStop:
         assert len(word) == 2430
         assert specialized_burau(word, minus_q_from_d(3)).is_identity
         assert sum(applied) <= 90
+
+    def test_central_twist_powers_are_scalar_matrices(self):
+        # The full twist's image is t^n * I, so T_n^k gives x^(n*k) on the
+        # diagonal and zero elsewhere.
+        for n in (2, 3, 5, 8):
+            for d in (3, 4, 6, 7, 12):
+                x = minus_q_from_d(d)
+                for k in (2, 3, 5):
+                    got = specialized_burau(parse_word(f"T{n}^{k}", n), x)
+                    c = x ** (n * k)
+                    assert got == CycloMatrix.identity(n - 1, x.order).scale(c)
+                    for i, row in enumerate(got.rows):
+                        for j, entry in enumerate(row):
+                            assert entry == c if i == j else entry.is_zero
 
     def test_scalar_test_is_made_in_the_field(self):
         # Columns over Z[x]/(x^6 - 1); 1 + x^2 + x^4 is nonzero there but

@@ -1,4 +1,6 @@
 import cmath
+import math
+import operator
 import subprocess
 import sys
 from fractions import Fraction
@@ -387,3 +389,96 @@ class TestExponentFlip:
         for e, c in coeffs.items():
             expected = expected + x**e * c
         assert specialize_poly(LaurentPoly(coeffs), x) == expected
+
+
+FIELD_ORDERS = sorted({minus_q_from_d(d).order for d in range(2, 41)})
+
+
+@st.composite
+def same_field_operands(draw):
+    """(a, b): a in Q(zeta_N), N the field order of -q for some d in 2..40,
+    integral or not; b another element of that field, a itself, an int or a
+    Fraction."""
+    order = draw(st.sampled_from(FIELD_ORDERS))
+    deg = len(cyclotomic_polynomial(order)) - 1
+    element = st.builds(
+        lambda coeffs, den: CyclotomicNumber(order, coeffs, den),
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=deg, max_size=deg),
+        st.sampled_from((1, 1, 1, 2, 3, 6)),
+    )
+    a = draw(element)
+    b = draw(
+        st.one_of(
+            element,
+            st.just(a),
+            st.integers(min_value=-6, max_value=6),
+            st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(1, 6)),
+        )
+    )
+    return a, b
+
+
+def is_canonical(x: CyclotomicNumber) -> bool:
+    nums, den = x.numerators, x.denominator
+    return (
+        type(nums) is tuple
+        and len(nums) == len(cyclotomic_polynomial(x.order)) - 1
+        and den > 0
+        and math.gcd(den, *nums) == 1
+        and (den == 1 or any(nums))
+    )
+
+
+class TestSameFieldFastPath:
+    """Operands of one field skip coercion, and integral results skip
+    renormalization; promoting one operand to Q(zeta_2N), an int or Fraction
+    as a field element, takes the general path, which must give the same
+    value."""
+
+    @given(
+        same_field_operands(),
+        st.sampled_from((operator.add, operator.sub, operator.mul)),
+        st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_arithmetic_matches_the_general_path(self, operands, op, swap):
+        a, b = operands
+        wide = 2 * a.order
+        if isinstance(b, CyclotomicNumber):
+            b_wide = b.promote(wide)
+        else:
+            b_wide = CyclotomicNumber.from_fraction(b, wide)
+        if swap:
+            fast, general = op(b, a), op(b_wide, a)
+        else:
+            fast, general = op(a, b), op(a, b_wide)
+        assert fast.order == a.order and general.order == wide
+        promoted = fast.promote(wide)
+        assert (promoted.numerators, promoted.denominator) == (
+            general.numerators,
+            general.denominator,
+        )
+        assert is_canonical(fast) and is_canonical(general)
+        assert fast == general and hash(fast) == hash(general)
+
+    @given(same_field_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_equality_and_hash_match_the_general_path(self, operands):
+        a, b = operands
+        equal = a == b
+        assert equal == (a.promote(2 * a.order) == b) == (b == a)
+        if equal:
+            assert hash(a) == hash(b)
+
+    def test_non_integral_results_are_renormalized(self):
+        a = CyclotomicNumber(3, [2, 3], 3)
+        half = CyclotomicNumber(3, [1, 0], 2)
+        for product in (a * CyclotomicNumber(3, [3, 0], 2), a * Fraction(3, 2)):
+            assert (product.numerators, product.denominator) == ((2, 3), 2)
+        product = half * 4
+        assert (product.numerators, product.denominator) == ((2, 0), 1)
+        total = half + half
+        assert (total.numerators, total.denominator) == ((1, 0), 1)
+        difference = a - a
+        assert (difference.numerators, difference.denominator) == ((0, 0), 1)
+        assert is_canonical(-a) and (-a).denominator == 3

@@ -268,6 +268,21 @@ class TestInvariantForm:
         with pytest.raises(NoInvariantForm, match=r"G\* H G != H"):
             invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(7)))
 
+    @pytest.mark.parametrize("n, m, d", [(4, 5, 7), (5, 7, 8), (6, 7, 5), (10, 11, 3)])
+    def test_corrupted_generator_entry_is_caught(self, n, m, d):
+        # Interior generator i has row r = i-1 equal to (t, -t, 1) in columns
+        # r-1, r, r+1; replacing its t by conj(t) must fail the exact check.
+        gens = rho_generators(n, m, minus_q_from_d(d))
+        i = n // 2
+        rows = [list(row) for row in gens.mats[i - 1].rows]
+        t = rows[i - 1][i - 2]
+        assert t == gens.minus_q
+        rows[i - 1][i - 2] = monodromy._conjugate(t)
+        mats = gens.mats[: i - 1] + (CycloMatrix(rows),) + gens.mats[i:]
+        corrupted = monodromy.MonodromyGenerators(n, m, gens.minus_q, mats)
+        with pytest.raises(NoInvariantForm, match=rf"generator {i}$"):
+            invariant_hermitian_form(corrupted)
+
     def test_point_off_the_unit_circle_rejected(self):
         gens = rho_generators(4, 5, CyclotomicNumber.from_fraction(2))
         with pytest.raises(NoInvariantForm):

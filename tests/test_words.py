@@ -87,6 +87,58 @@ class TestBraidWord:
         with pytest.raises(ValueError):
             BraidWord(3, ((1, 2),))
 
+    def test_letters_become_int_pairs(self):
+        # Lists, bools, integral floats, non-integral floats, strings, an
+        # iterator and a strand count past the letter table all convert as
+        # int() does.
+        cases = [
+            (4, [[1, 1], [3, -1]], ((1, 1), (3, -1))),
+            (4, ((True, True), (2, -1)), ((1, 1), (2, -1))),
+            (4, ((1.0, -1.0), (3.0, 1)), ((1, -1), (3, 1))),
+            (4, ((1.5, 1), (2.5, 1.5)), ((1, 1), (2, 1))),
+            (4, (("2", "-1"),), ((2, -1),)),
+            (4, iter([(1, 1), (2, 1)]), ((1, 1), (2, 1))),
+            (100, ((99, 1), (70, -1), (1, 1)), ((99, 1), (70, -1), (1, 1))),
+        ]
+        for strands_n, letters, expected in cases:
+            got = BraidWord(strands_n, letters).letters
+            assert got == expected
+            assert all(type(i) is int and type(e) is int for i, e in got)
+
+    def test_numpy_letters_become_int_pairs(self):
+        np = pytest.importorskip("numpy")
+        letters = ((np.int64(2), np.int8(-1)), (np.float64(3.0), np.int32(1)))
+        got = BraidWord(4, letters).letters
+        assert got == ((2, -1), (3, 1))
+        assert all(type(i) is int and type(e) is int for i, e in got)
+
+    @pytest.mark.parametrize(
+        "letters, error, message",
+        [
+            (((0, 1),), IndexOutOfRange, "generator index 0 outside 1..3"),
+            (((4, 1),), IndexOutOfRange, "generator index 4 outside 1..3"),
+            (((-1, 1),), IndexOutOfRange, "generator index -1 outside 1..3"),
+            (((1, 2),), ValueError, "letter sign must be +1 or -1, got 2"),
+            (((1, 0),), ValueError, "letter sign must be +1 or -1, got 0"),
+            ((("a", 1),), ValueError, "invalid literal for int() with base 10: 'a'"),
+            (
+                ((None, 1),),
+                TypeError,
+                "int() argument must be a string, a bytes-like object or a real number,"
+                " not 'NoneType'",
+            ),
+            (((1,),), ValueError, "not enough values to unpack (expected 2, got 1)"),
+            (((1, 1, 1),), ValueError, "too many values to unpack (expected 2)"),
+            ((5,), TypeError, "cannot unpack non-iterable int object"),
+            (None, TypeError, "'NoneType' object is not iterable"),
+        ],
+    )
+    def test_invalid_letter_errors_pinned(self, letters, error, message):
+        with pytest.raises(error) as caught:
+            BraidWord(4, letters)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
     def test_fewer_than_two_strands_is_a_typed_error(self):
         for make in (
             lambda: BraidWord(1),
