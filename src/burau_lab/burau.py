@@ -57,7 +57,7 @@ from .cyclotomic import (
     signed_root,
     specialize_matrix,
 )
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, _scalar_rows
 from .words import BraidWord
 
 
@@ -154,10 +154,6 @@ def _word_product(actions, columns: list, times, add_times) -> list:
     return columns
 
 
-def _identity_columns(dim: int, one, zero) -> list[list]:
-    return [[one if i == j else zero for i in range(dim)] for j in range(dim)]
-
-
 def _laurent_times(col: list, sign: int, e: int) -> list:
     """sign * t^e * col, entrywise; zero entries are kept."""
     return [(v if sign > 0 else -v).shift(e) if v else v for v in col]
@@ -175,7 +171,7 @@ def burau_of_word(word: BraidWord) -> BurauImage:
     n = word.strands_n
     columns = _word_product(
         (_letter_action(n, index, sign < 0) for index, sign in word.letters),
-        _identity_columns(n - 1, LaurentPoly.one(), LaurentPoly.zero()),
+        _scalar_rows(n - 1, LaurentPoly.one(), LaurentPoly.zero()),
         _laurent_times,
         _laurent_add_times,
     )
@@ -185,9 +181,12 @@ def burau_of_word(word: BraidWord) -> BurauImage:
 @lru_cache(maxsize=None)
 def _rotation_letters(strands_n: int, order: int, sign: int, k: int) -> dict:
     """Every letter (index, +-1) of B_strands_n mapped to its
-    ``_letter_action`` row at t = sign * zeta_order^k: s * t^e becomes
-    (s * sign^e, k*e mod order), with -1 = zeta^(order/2) for even order,
-    so sign -1 occurs only for odd order, as in ``signed_root``."""
+    ``_letter_action`` row at t = sign * zeta_order^k, with each entry
+    s * t^e given as the rotation of a flat column (see the module
+    docstring) that multiplies it by s * t^e: (s * sign^e, (k*e mod order)
+    * dim), dim = strands_n - 1. -1 is zeta^(order/2) for even order, so
+    sign -1 occurs only for odd order, as in ``signed_root``."""
+    dim = strands_n - 1
 
     def at_point(entry):
         if entry is None:
@@ -196,7 +195,7 @@ def _rotation_letters(strands_n: int, order: int, sign: int, k: int) -> dict:
         s, shift = s * sign ** (e % 2), k * e % order
         if s < 0 and order % 2 == 0:
             s, shift = 1, (shift + order // 2) % order
-        return s, shift
+        return s, shift * dim
 
     table = {}
     for index in range(1, strands_n):
@@ -204,13 +203,6 @@ def _rotation_letters(strands_n: int, order: int, sign: int, k: int) -> dict:
             r, left, center, right = _letter_action(strands_n, index, letter_sign < 0)
             table[index, letter_sign] = r, at_point(left), at_point(center), at_point(right)
     return table
-
-
-def _flat_action(action: tuple, dim: int) -> tuple:
-    """A ``_rotation_letters`` row with each shift e scaled to e * dim, the
-    rotation that multiplies a flat column by x^e."""
-    r, *entries = action
-    return r, *(None if e is None else (e[0], e[1] * dim) for e in entries)
 
 
 def _rotated(col: list, sign: int, shift: int) -> list:
@@ -304,10 +296,7 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     p = _root_length(word.letters)
     copies = len(word.letters) // p if p else 1
     letters = word.letters[:p]
-    # Scaled per distinct letter: a one-letter word (rho_generators) does not
-    # pay for the whole table, nor a long word for every letter.
-    flat = {letter: _flat_action(table[letter], dim) for letter in set(letters)}
-    actions = [flat[letter] for letter in letters]
+    actions = [table[letter] for letter in letters]
     columns = [[0] * (dim * order) for _ in range(dim)]
     for j, col in enumerate(columns):
         col[j] = 1
@@ -318,8 +307,8 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
             c = _scalar_value(columns, order)
             if c is not None:
                 c = c ** (copies // j)
-                return CycloMatrix([c if a == b else zero for b in range(dim)] for a in range(dim))
-    touched = {r + step for r, *_ in flat.values() for step in (-1, 0, 1)}
+                return CycloMatrix(_scalar_rows(dim, c, zero))
+    touched = {table[letter][0] + step for letter in set(letters) for step in (-1, 0, 1)}
     one = CyclotomicNumber.one(order)
     return CycloMatrix(zip(*(
         [CyclotomicNumber.from_powers(order, v) if any(v) else zero

@@ -16,7 +16,9 @@ fixture mismatch. The built-in kernel table doubles as a regression
 fixture: the command recomputes every row and compares.
 
 Each handler takes the parsed argparse namespace and reads its own options
-from it; every default is declared once, in build_parser.
+from it; every default is declared once, in build_parser, except that of
+--seed, which ``monodromy check`` reads from BURAU_LAB_SEED when it runs,
+so that a malformed value exits 3 like any other invalid parameter.
 """
 
 from __future__ import annotations
@@ -101,18 +103,20 @@ command builds matrices of that order before doing any work."""
 
 class InvalidSpec(ValueError):
     """A malformed, empty-range or over-long integer spec (--n, --d), a
-    strand or puncture count above MAX_STRANDS, or a malformed fraction
-    list (--curvatures)."""
+    strand or puncture count above MAX_STRANDS, a malformed or over-long
+    fraction list (--curvatures), or a malformed BURAU_LAB_SEED."""
 
 
 def default_seed() -> int:
+    """$BURAU_LAB_SEED as an int, or 0 when it is unset; InvalidSpec when
+    it is not an integer."""
     env = os.environ.get("BURAU_LAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidSpec(f"BURAU_LAB_SEED={env!r} is not an integer") from None
 
 
 def _parse_int_spec(spec: str) -> list[int]:
@@ -329,8 +333,15 @@ def cmd_kernel_table(args: argparse.Namespace) -> int:
 
 
 def cmd_orbifold_check(args: argparse.Namespace) -> int:
+    parts = args.curvatures.split(",")
+    # The moduli space of B_n has n+1 cone points; every pair of labels is
+    # a stratum, so the report grows quadratically in the count.
+    if len(parts) > MAX_STRANDS + 1:
+        raise InvalidSpec(
+            f"--curvatures lists {len(parts)} cone points, more than {MAX_STRANDS + 1}"
+        )
     try:
-        fractions = tuple(Fraction(part.strip()) for part in args.curvatures.split(","))
+        fractions = tuple(Fraction(part.strip()) for part in parts)
     except (ValueError, ZeroDivisionError):
         raise InvalidSpec(f"malformed fraction list {args.curvatures!r}") from None
     labels = [part.strip() for part in args.labels.split(",")]
@@ -367,17 +378,18 @@ def cmd_monodromy_check(args: argparse.Namespace) -> int:
             f"--words {args.words} times --length {args.length} is "
             f"{args.words * args.length} letters, more than {MAX_WORD_LETTERS}"
         )
-    rng = random.Random(args.seed)
+    seed = default_seed() if args.seed is None else args.seed
+    rng = random.Random(seed)
     failures = 0
     for _ in range(args.words):
         w = random_word(n, args.length, rng)
         if not diagram_check(w, n, m, minus_q):
             failures += 1
-    params = {"n": n, "d": d, "m": m, "words": args.words, "seed": args.seed,
+    params = {"n": n, "d": d, "m": m, "words": args.words, "seed": seed,
               "length": args.length, "numerator": args.numerator}
     results = {"checked": args.words, "failures": failures}
     text = (
-        f"seed: {args.seed}\n"
+        f"seed: {seed}\n"
         f"diagram agreement on {args.words - failures}/{args.words} random words "
         f"(n={n}, d={d}, m={m})"
     )
@@ -472,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="puncture count (default n+1)")
     p.add_argument("--words", type=int, default=100)
     p.add_argument("--length", type=int, default=14, help="random word length")
-    p.add_argument("--seed", type=int, default=default_seed(),
+    p.add_argument("--seed", type=int, default=None,
                    help="random word seed (default $BURAU_LAB_SEED or 0)")
     p.add_argument("--numerator", type=int, default=1)
     add_common(p)

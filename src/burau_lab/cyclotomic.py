@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .laurent import LaurentMatrix, LaurentPoly, NotDivisible
+from .laurent import LaurentMatrix, LaurentPoly, NotDivisible, SquareMatrix, _scalar_rows
 
 INFINITE = math.inf
 
@@ -368,6 +368,12 @@ class CyclotomicNumber:
         a, b = self._pair(other)
         return a * b.inverse()
 
+    def exact_div(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
+        """self / other: every nonzero divisor divides exactly in a field.
+        The name is the ring interface that SquareMatrix's elimination
+        uses."""
+        return self / other
+
     def __pow__(self, n: int) -> CyclotomicNumber:
         base = self
         if n < 0:
@@ -511,70 +517,15 @@ def specialize_matrix(m: LaurentMatrix, x: CyclotomicNumber) -> "CycloMatrix":
     return CycloMatrix(m.map_entries(lambda p: specialize_poly(p, x)))
 
 
-class CycloMatrix:
-    """A square matrix over cyclotomic numbers with exact operations."""
+class CycloMatrix(SquareMatrix):
+    """A square matrix over cyclotomic numbers with exact operations (see
+    laurent.SquareMatrix)."""
 
-    __slots__ = ("dim", "_rows")
-
-    def __init__(self, rows: Iterable[Iterable[CyclotomicNumber]]):
-        grid = tuple(tuple(row) for row in rows)
-        dim = len(grid)
-        from .laurent import DimensionMismatch
-
-        if dim == 0 or any(len(row) != dim for row in grid):
-            raise DimensionMismatch("matrix must be square and nonempty")
-        self.dim = dim
-        self._rows = grid
+    __slots__ = ()
 
     @classmethod
     def identity(cls, dim: int, order: int = 1) -> CycloMatrix:
-        one = CyclotomicNumber.one(order)
-        zero = CyclotomicNumber.zero(order)
-        return cls([[one if i == j else zero for j in range(dim)] for i in range(dim)])
-
-    @property
-    def rows(self) -> tuple[tuple[CyclotomicNumber, ...], ...]:
-        return self._rows
-
-    def entry(self, i: int, j: int) -> CyclotomicNumber:
-        return self._rows[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycloMatrix):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        return all(
-            a == b for r1, r2 in zip(self._rows, other._rows) for a, b in zip(r1, r2)
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __mul__(self, other: CycloMatrix) -> CycloMatrix:
-        if not isinstance(other, CycloMatrix):
-            return NotImplemented
-        from .laurent import DimensionMismatch
-
-        if self.dim != other.dim:
-            raise DimensionMismatch("matrix dimensions differ")
-        cols = list(zip(*other._rows))
-        out = []
-        for row in self._rows:
-            new_row = []
-            for col in cols:
-                total = None
-                for a, b in zip(row, col):
-                    if a.is_zero or b.is_zero:
-                        continue
-                    term = a * b
-                    total = term if total is None else total + term
-                new_row.append(total if total is not None else CyclotomicNumber.zero(row[0].order))
-            out.append(new_row)
-        return CycloMatrix(out)
-
-    def scale(self, c: CyclotomicNumber) -> CycloMatrix:
-        return CycloMatrix([[e * c for e in row] for row in self._rows])
+        return cls(_scalar_rows(dim, CyclotomicNumber.one(order), CyclotomicNumber.zero(order)))
 
     @property
     def is_identity(self) -> bool:
@@ -584,41 +535,5 @@ class CycloMatrix:
             for j, e in enumerate(row)
         )
 
-    def inverse(self) -> CycloMatrix:
-        """Gauss-Jordan inverse over the field; raises ZeroInput on a
-        singular matrix."""
-        n = self.dim
-        a = [list(row) for row in self._rows]
-        order = a[0][0].order
-        inv = [
-            [CyclotomicNumber.one(order) if i == j else CyclotomicNumber.zero(order) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not a[r][col].is_zero), None)
-            if pivot is None:
-                raise ZeroInput("matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            scale = a[col][col].inverse()
-            a[col] = [e * scale for e in a[col]]
-            inv[col] = [e * scale for e in inv[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return CycloMatrix(inv)
-
     def to_complex_rows(self) -> list[list[complex]]:
         return [[e.to_complex() for e in row] for row in self._rows]
-
-    def __str__(self) -> str:
-        cells = [[str(e) for e in row] for row in self._rows]
-        widths = [max(len(cells[i][j]) for i in range(self.dim)) for j in range(self.dim)]
-        return "\n".join(
-            "[ " + "  ".join(s.rjust(w) for s, w in zip(row, widths)) + " ]" for row in cells
-        )
-
-    def __repr__(self) -> str:
-        return f"CycloMatrix(dim={self.dim})"

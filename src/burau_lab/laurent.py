@@ -1,5 +1,6 @@
 """Exact arithmetic for integer-coefficient Laurent polynomials in one
-variable t, and for square matrices over them.
+variable t, and for square matrices over them and over any other exact
+ring with the same operations (``SquareMatrix``).
 
 A Laurent polynomial is stored as a finitely supported map from integer
 exponents to nonzero integer coefficients, so equality is structural and
@@ -10,6 +11,7 @@ without limit in the word length, so nothing here may round or overflow.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Iterator, Mapping
 
@@ -298,82 +300,77 @@ _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
 
 
-class LaurentMatrix:
-    """A square matrix over LaurentPoly with exact operations.
+def _scalar_rows(dim: int, c, zero) -> list[list]:
+    """The rows of c * I_dim."""
+    return [[c if i == j else zero for j in range(dim)] for i in range(dim)]
 
-    Immutable once constructed; all arithmetic returns new matrices.
+
+class SquareMatrix:
+    """A square matrix over an exact integral domain, immutable once built.
+
+    The operations are the same for every ring. Entries need ``+ - *``,
+    ``is_zero``, ``exact_div`` and ``**``: the ring's one is ``e ** 0``,
+    its zero ``e * 0``, and a unit's inverse ``e ** -1``. A subclass names
+    the ring (``LaurentMatrix`` over Z[t, t^-1], ``cyclotomic.CycloMatrix``
+    over Q(zeta_N)), and every result is built as the caller's subclass.
     """
 
     __slots__ = ("dim", "_rows")
 
-    def __init__(self, rows: Iterable[Iterable[LaurentPoly | int]]):
-        grid = tuple(
-            tuple(r if isinstance(r, LaurentPoly) else LaurentPoly({0: r}) for r in row)
-            for row in rows
-        )
+    def __init__(self, rows: Iterable[Iterable]):
+        grid = tuple(tuple(row) for row in rows)
         dim = len(grid)
         if dim == 0 or any(len(row) != dim for row in grid):
             raise DimensionMismatch("matrix must be square and nonempty")
         self.dim = dim
         self._rows = grid
 
-    @classmethod
-    def identity(cls, dim: int) -> LaurentMatrix:
-        if dim < 1:
-            raise DimensionMismatch("dimension must be positive")
-        return cls(
-            [[_ONE if i == j else _ZERO for j in range(dim)] for i in range(dim)]
-        )
+    def _one_zero(self) -> tuple:
+        e = self._rows[0][0]
+        return e ** 0, e * 0
 
     @property
-    def rows(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+    def rows(self) -> tuple[tuple, ...]:
         return self._rows
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
+    def entry(self, i: int, j: int):
         return self._rows[i][j]
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentMatrix):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.dim == other.dim and self._rows == other._rows
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         return hash(self._rows)
 
-    def __mul__(self, other: LaurentMatrix) -> LaurentMatrix:
-        if not isinstance(other, LaurentMatrix):
+    def __mul__(self, other: SquareMatrix) -> SquareMatrix:
+        if type(other) is not type(self):
             return NotImplemented
         if self.dim != other.dim:
             raise DimensionMismatch(f"cannot multiply {self.dim}x{self.dim} by {other.dim}x{other.dim}")
+        zero = self._rows[0][0] * 0
         cols = list(zip(*other._rows))
-        out = []
-        for row in self._rows:
-            out.append(
-                [
-                    sum((a * b for a, b in zip(row, col) if not a.is_zero), _ZERO)
-                    for col in cols
-                ]
-            )
-        return LaurentMatrix(out)
-
-    def __add__(self, other: LaurentMatrix) -> LaurentMatrix:
-        if self.dim != other.dim:
-            raise DimensionMismatch("matrix dimensions differ")
-        return LaurentMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
+        return type(self)(
+            [sum((a * b for a, b in zip(row, col) if not a.is_zero), zero) for col in cols]
+            for row in self._rows
         )
 
-    def __sub__(self, other: LaurentMatrix) -> LaurentMatrix:
+    def _entrywise(self, other: SquareMatrix, op) -> SquareMatrix:
         if self.dim != other.dim:
             raise DimensionMismatch("matrix dimensions differ")
-        return LaurentMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
-        )
+        return type(self)(map(op, r1, r2) for r1, r2 in zip(self._rows, other._rows))
 
-    def __pow__(self, n: int) -> LaurentMatrix:
+    def __add__(self, other: SquareMatrix) -> SquareMatrix:
+        return self._entrywise(other, operator.add)
+
+    def __sub__(self, other: SquareMatrix) -> SquareMatrix:
+        return self._entrywise(other, operator.sub)
+
+    def __pow__(self, n: int) -> SquareMatrix:
         if n < 0:
             return self.inverse() ** (-n)
-        result = LaurentMatrix.identity(self.dim)
+        result = type(self)(_scalar_rows(self.dim, *self._one_zero()))
         base = self
         while n:
             if n & 1:
@@ -382,50 +379,48 @@ class LaurentMatrix:
             n >>= 1
         return result
 
-    def scale(self, c: LaurentPoly | int) -> LaurentMatrix:
-        return LaurentMatrix([[e * c for e in row] for row in self._rows])
+    def scale(self, c) -> SquareMatrix:
+        return type(self)([e * c for e in row] for row in self._rows)
 
     def map_entries(self, fn) -> list[list]:
         """Apply fn to every entry, returning a plain nested list."""
         return [[fn(e) for e in row] for row in self._rows]
 
-    def pad_identity(self, extra: int) -> LaurentMatrix:
+    def pad_identity(self, extra: int) -> SquareMatrix:
         """Direct sum with an identity block of the given size."""
         if extra < 0:
             raise DimensionMismatch("padding size must be nonnegative")
         if extra == 0:
             return self
-        d = self.dim + extra
-        out = [[_ZERO] * d for _ in range(d)]
+        one, zero = self._one_zero()
+        out = _scalar_rows(self.dim + extra, one, zero)
         for i, row in enumerate(self._rows):
             out[i][: self.dim] = row
-        for i in range(self.dim, d):
-            out[i][i] = _ONE
-        return LaurentMatrix(out)
+        return type(self)(out)
 
-    def drop_last_row_col(self) -> LaurentMatrix:
+    def drop_last_row_col(self) -> SquareMatrix:
         if self.dim < 2:
             raise DimensionMismatch("cannot shrink a 1x1 matrix")
-        return LaurentMatrix([row[:-1] for row in self._rows[:-1]])
+        return type(self)(row[:-1] for row in self._rows[:-1])
 
-    def _det_adjugate(self) -> tuple[LaurentPoly, list[list[LaurentPoly]] | None]:
+    def _det_adjugate(self) -> tuple:
         """(det, adjugate) by one fraction-free Gauss-Jordan elimination on
         [A | I]; the adjugate is None when det = 0.
 
         After step k every entry right of column k is a (k+1)-minor of
         [A | I] (Bareiss, Math. Comp. 22, 1968), so each division by the
-        previous pivot is exact in the Laurent ring. A row swap negates one
-        of the two rows, so it keeps the determinant: the last pivot is
+        previous pivot is exact in any integral domain. A row swap negates
+        one of the two rows, so it keeps the determinant: the last pivot is
         det(A) and the right block is adj(A).
         """
         n = self.dim
-        a = [list(row) + [_ONE if i == j else _ZERO for j in range(n)]
-             for i, row in enumerate(self._rows)]
-        prev = _ONE
+        one, zero = self._one_zero()
+        a = [list(row) + unit for row, unit in zip(self._rows, _scalar_rows(n, one, zero))]
+        prev = one
         for k in range(n):
             p = next((r for r in range(k, n) if not a[r][k].is_zero), None)
             if p is None:
-                return _ZERO, None
+                return zero, None
             if p != k:
                 a[k], a[p] = a[p], [-e for e in a[k]]
             pivot_row = a[k]
@@ -443,27 +438,38 @@ class LaurentMatrix:
             prev = pivot
         return prev, [row[n:] for row in a]
 
-    def det(self) -> LaurentPoly:
+    def det(self):
         """Determinant by fraction-free elimination."""
         return self._det_adjugate()[0]
 
-    def inverse(self) -> LaurentMatrix:
-        """Exact inverse over the Laurent ring, adj(A) * det(A)^-1.
+    def inverse(self) -> SquareMatrix:
+        """Exact inverse adj(A) * det(A)^-1.
 
-        Exists iff det is a unit (+-t^k); otherwise NotDivisible is raised.
+        It exists iff det(A) is a unit of the ring; otherwise ``det ** -1``
+        raises the ring's error: NotDivisible over Z[t, t^-1], whose units
+        are +-t^k, and cyclotomic.ZeroInput over Q(zeta_N), where det = 0.
         """
         d, adj = self._det_adjugate()
-        if adj is None:
-            raise NotDivisible("matrix is singular")
-        return LaurentMatrix(adj).scale(d ** -1)
+        unit = d ** -1
+        return type(self)(adj).scale(unit)
 
     def __str__(self) -> str:
         cells = [[str(e) for e in row] for row in self._rows]
         widths = [max(len(cells[i][j]) for i in range(self.dim)) for j in range(self.dim)]
-        lines = []
-        for row in cells:
-            lines.append("[ " + "  ".join(s.rjust(w) for s, w in zip(row, widths)) + " ]")
-        return "\n".join(lines)
+        return "\n".join(
+            "[ " + "  ".join(s.rjust(w) for s, w in zip(row, widths)) + " ]" for row in cells
+        )
 
     def __repr__(self) -> str:
-        return f"LaurentMatrix(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
+
+
+class LaurentMatrix(SquareMatrix):
+    """A square matrix over LaurentPoly with exact operations (see
+    SquareMatrix)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def identity(cls, dim: int) -> LaurentMatrix:
+        return cls(_scalar_rows(dim, _ONE, _ZERO))

@@ -30,6 +30,11 @@ from typing import Sequence
 MAX_WORD_LETTERS = 10**6
 """The most letters any word may expand to, and the most factors of a sample."""
 
+MAX_GROUP_DEPTH = 100
+"""The deepest nesting of parenthesized groups that ``parse_word`` accepts;
+the parser recurses once per level, so the cap keeps it off Python's
+recursion limit."""
+
 
 class WordSyntaxError(ValueError):
     """Malformed braid-word text; carries the offending position."""
@@ -230,13 +235,15 @@ def free_reduce(word: BraidWord) -> BraidWord:
 def parse_word(text: str, strands_n: int) -> BraidWord:
     """Parse the word grammar documented in the module docstring.
 
-    Raises WordSyntaxError with a position for malformed text and
+    Raises WordSyntaxError with a position for malformed text, for groups
+    nested more than MAX_GROUP_DEPTH deep and for an integer literal that
+    ``int`` cannot read (more digits than Python's int-string limit), and
     IndexOutOfRange when a generator or twist index does not fit the
     strand count.
     """
     if strands_n < 2:
         raise InvalidStrandCount(strands_n)
-    letters, pos = _parse_sequence(text, 0, strands_n, top_level=True)
+    letters, pos = _parse_sequence(text, 0, strands_n, depth=0)
     return BraidWord(strands_n, tuple(letters))
 
 
@@ -255,12 +262,20 @@ def _parse_int(text: str, pos: int, signed: bool = False) -> tuple[int, int]:
         pos += 1
     if pos == digits:
         raise WordSyntaxError("expected an integer", start)
-    return int(text[start:pos]), pos
+    try:
+        return int(text[start:pos]), pos
+    except ValueError:  # over sys.get_int_max_str_digits(), or a non-ASCII digit
+        raise WordSyntaxError(
+            f"unreadable integer literal (length {pos - digits})", start
+        ) from None
 
 
 def _parse_sequence(
-    text: str, pos: int, strands_n: int, top_level: bool
+    text: str, pos: int, strands_n: int, depth: int
 ) -> tuple[list[tuple[int, int]], int]:
+    """The terms from pos up to an unmatched ')' or the end of the text,
+    inside ``depth`` open groups (0: the whole word)."""
+    top_level = depth == 0
     letters: list[tuple[int, int]] = []
     saw_term = False
     pos = _skip_ws(text, pos)
@@ -270,7 +285,7 @@ def _parse_sequence(
             if top_level:
                 raise WordSyntaxError("unmatched ')'", pos)
             break
-        term, pos = _parse_term(text, pos, strands_n)
+        term, pos = _parse_term(text, pos, strands_n, depth)
         _check_length(len(letters) + len(term))
         letters.extend(term)
         saw_term = True
@@ -282,7 +297,9 @@ def _parse_sequence(
     return letters, pos
 
 
-def _parse_term(text: str, pos: int, strands_n: int) -> tuple[list[tuple[int, int]], int]:
+def _parse_term(
+    text: str, pos: int, strands_n: int, depth: int
+) -> tuple[list[tuple[int, int]], int]:
     start = pos
     ch = text[pos]
     if ch == "s":
@@ -302,7 +319,9 @@ def _parse_term(text: str, pos: int, strands_n: int) -> tuple[list[tuple[int, in
             canonical_twist_word(TwistKind.FULL_TWIST_TAU, support, strands_n).letters
         )
     elif ch == "(":
-        inner, pos = _parse_sequence(text, pos + 1, strands_n, top_level=False)
+        if depth == MAX_GROUP_DEPTH:
+            raise WordSyntaxError(f"groups nested more than {MAX_GROUP_DEPTH} deep", pos)
+        inner, pos = _parse_sequence(text, pos + 1, strands_n, depth + 1)
         pos += 1  # consume ')'
         base = inner
     else:

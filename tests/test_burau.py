@@ -322,8 +322,9 @@ class TestSpecializedBurau:
 
     def test_letter_table_matches_field_evaluation(self):
         # Each entry s * t^e of the table at a root x = sign * zeta_N^k must
-        # be the (sign, shift) of s * x^e evaluated in Q(zeta_N); sign is -1
-        # at -q for d = 2 mod 4 and at q = -(-q) for odd d.
+        # be (sign, e' * (n-1)) for s * x^e = sign * zeta_N^e' evaluated in
+        # Q(zeta_N): the rotation of a flat column of n-1 entries. sign is
+        # -1 at -q for d = 2 mod 4 and at q = -(-q) for odd d.
         for d in range(2, 41):
             mq = minus_q_from_d(d)
             for x in (mq, -mq, mq**3):
@@ -333,14 +334,15 @@ class TestSpecializedBurau:
                     for index in range(1, n):
                         for letter_sign in (1, -1):
                             r, *entries = _letter_action(n, index, letter_sign < 0)
-                            expected = tuple(
-                                None
-                                if entry is None
-                                else signed_root(
+                            expected = []
+                            for entry in entries:
+                                if entry is None:
+                                    expected.append(None)
+                                    continue
+                                s, e = signed_root(
                                     specialize_poly(LaurentPoly.monomial(*entry), x)
                                 )
-                                for entry in entries
-                            )
+                                expected.append((s, e * (n - 1)))
                             assert table[index, letter_sign] == (r, *expected), (
                                 d, x, n, index, letter_sign
                             )

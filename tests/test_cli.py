@@ -211,6 +211,17 @@ class TestMonodromy:
         assert code == 0
         assert "seed: 42" in out
 
+    def test_malformed_seed_env_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("BURAU_LAB_SEED", "abc")
+        argv = ("monodromy", "check", "--n", "4", "--d", "7", "--words", "3")
+        assert run(capsys, *argv) == (
+            cli.EXIT_INVALID_PARAMS, "",
+            "invalid parameters: BURAU_LAB_SEED='abc' is not an integer\n",
+        )
+        # An explicit --seed does not read the variable.
+        code, out, _ = run(capsys, *argv, "--seed", "5")
+        assert code == cli.EXIT_OK and "seed: 5" in out
+
     def test_signature_command(self, capsys):
         code, out, _ = run(
             capsys, "monodromy", "signature", "--n", "4", "--d", "7", "--json"
@@ -283,11 +294,20 @@ class TestExitCodes:
              "--length", "9901"),
             ("burau", "check-word", "--n", "4", "--word", "s1", "--d", "7..5"),
             ("burau", "check-word", "--n", "4", "--word", "s1", "--d", str(MAX_D + 1)),
+            _cone_points(cli.MAX_STRANDS + 2),
         )
         for argv in cases:
             code, out, err = run(capsys, *argv)
             assert code == cli.EXIT_INVALID_PARAMS, argv
             assert "invalid parameters" in err and out == "", argv
+
+    def test_cone_points_at_cap_run(self, capsys):
+        points = cli.MAX_STRANDS + 1
+        code, out, err = run(capsys, *_cone_points(points))
+        assert (code, err) == (cli.EXIT_OK, "")
+        lines = out.splitlines()
+        assert lines[0] == "orbifold: no"
+        assert len(lines) == 1 + points * (points - 1) // 2
 
     def test_strand_and_puncture_counts_over_cap_exit_3(self, capsys):
         over = str(cli.MAX_STRANDS + 1)
@@ -354,18 +374,41 @@ class TestExitCodes:
                 f"--n {over} is above the cap of {cli.MAX_STRANDS}",
             ("monodromy", "signature", "--n", "4", "--d", "7", "--m", over):
                 f"--m {over} is above the cap of {cli.MAX_STRANDS}",
+            _cone_points(cli.MAX_STRANDS + 2):
+                f"--curvatures lists {cli.MAX_STRANDS + 2} cone points, "
+                f"more than {cli.MAX_STRANDS + 1}",
         }
         for argv, message in cases.items():
             code, out, err = run(capsys, *argv)
             assert (code, out, err) == (
                 cli.EXIT_INVALID_PARAMS, "", f"invalid parameters: {message}\n"
             ), argv
+        word_errors = {
+            "(" * 600 + "s1" + ")" * 600: "groups nested more than 100 deep (at position 100)",
+            "s1^" + "9" * 5000: "unreadable integer literal (length 5000) (at position 3)",
+            "s" + "9" * 5000: "unreadable integer literal (length 5000) (at position 1)",
+        }
+        for word, message in word_errors.items():
+            code, out, err = run(capsys, "burau", "eval", "--n", "4", "--word", word)
+            assert (code, out, err) == (
+                cli.EXIT_PARSE_ERROR, "", f"word error: {message}\n"
+            ), word[:8]
 
     def test_spec_longer_than_cap_rejected(self):
         assert len(cli._parse_int_spec(f"1..{cli.MAX_SPEC_VALUES}")) == cli.MAX_SPEC_VALUES
         for spec in (f"1..{cli.MAX_SPEC_VALUES + 1}", f"1..{cli.MAX_SPEC_VALUES},0"):
             with pytest.raises(cli.InvalidSpec):
                 cli._parse_int_spec(spec)
+
+
+def _cone_points(count: int) -> tuple[str, ...]:
+    """orbifold-check argv for count points of curvature 2/count, each with
+    its own label."""
+    return (
+        "moduli", "orbifold-check",
+        "--curvatures", ",".join([f"2/{count}"] * count),
+        "--labels", ",".join(f"p{i}" for i in range(count)),
+    )
 
 
 def _transcripts():

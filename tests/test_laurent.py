@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burau_lab.cyclotomic import CycloMatrix, CyclotomicNumber, ZeroInput
 from burau_lab.laurent import (
     DimensionMismatch,
     LaurentMatrix,
@@ -212,6 +215,88 @@ class TestMatrices:
         assert padded.entry(0, 0) == T
         assert padded.entry(2, 2) == ONE
         assert padded.drop_last_row_col().drop_last_row_col() == m
+
+    def test_operations_keep_the_subclass(self):
+        z = CyclotomicNumber.root_of_unity(8)
+        one = CyclotomicNumber.one(8)
+        for m in (
+            LaurentMatrix([[T, ONE], [LaurentPoly.zero(), LaurentPoly.t(-1)]]),
+            CycloMatrix([[z, one], [CyclotomicNumber.zero(8), z**3]]),
+        ):
+            results = (
+                m * m, m + m, m - m, m**2, m**-1, m.inverse(), m.scale(m.entry(0, 0)),
+                m.pad_identity(1), m.pad_identity(1).drop_last_row_col(),
+            )
+            assert all(type(r) is type(m) for r in results), type(m)
+            assert m.pad_identity(1).drop_last_row_col() == m
+            assert repr(m) == f"{type(m).__name__}(dim=2)"
+        assert LaurentMatrix([[ONE]]) != CycloMatrix([[one]])
+        with pytest.raises(TypeError):
+            LaurentMatrix([[ONE]]) * CycloMatrix([[one]])
+
+
+def _leibniz_det(m):
+    """Independent oracle: the sum over permutations, in the entries' ring."""
+    total = m.entry(0, 0) * 0
+    for perm in itertools.permutations(range(m.dim)):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(m.dim), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = m.entry(i, j) * term
+        total = total + term
+    return total
+
+
+@st.composite
+def cyclo_matrices(draw, dim, order):
+    """A dim x dim CycloMatrix over Q(zeta_order). About one entry in five
+    is zero, so pivots need row swaps, and some draws are made singular by
+    setting one row to a multiple of another."""
+    phi = len(CyclotomicNumber.one(order).numerators)
+    nonzero = st.builds(
+        lambda num, den: CyclotomicNumber(order, num, den),
+        st.lists(st.integers(-3, 3), min_size=phi, max_size=phi).filter(any),
+        st.sampled_from((1, 1, 2, 3)),
+    )
+    entry = st.one_of(st.just(CyclotomicNumber.zero(order)), *[nonzero] * 4)
+    rows = [[draw(entry) for _ in range(dim)] for _ in range(dim)]
+    if dim > 1 and draw(st.integers(0, 2)) == 2:
+        src, dst = draw(st.permutations(range(dim)))[:2]
+        c = draw(entry)
+        rows[dst] = [c * e for e in rows[src]]
+    return CycloMatrix(rows)
+
+
+class TestCyclotomicElimination:
+    """The one fraction-free elimination, run over Q(zeta_N)."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_det_and_inverse(self, data):
+        dim = data.draw(st.integers(min_value=1, max_value=3), label="dim")
+        order = data.draw(st.sampled_from((5, 8, 12)), label="order")
+        a = data.draw(cyclo_matrices(dim, order), label="a")
+        b = data.draw(cyclo_matrices(dim, order), label="b")
+        product = a * b
+        assert type(product) is CycloMatrix
+        assert a.det() == _leibniz_det(a)
+        assert product.det() == a.det() * b.det()
+        if a.det().is_zero:
+            with pytest.raises(ZeroInput):
+                a.inverse()
+            return
+        inv = a.inverse()
+        assert type(inv) is CycloMatrix
+        assert (a * inv).is_identity and (inv * a).is_identity
+        assert inv == a**-1
+
+    def test_zero_leading_entry_needs_row_swap(self):
+        zero, one = CyclotomicNumber.zero(5), CyclotomicNumber.one(5)
+        z = CyclotomicNumber.root_of_unity(5)
+        m = CycloMatrix([[zero, z], [one, one + z]])
+        assert m.det() == -z
+        assert m.inverse() == CycloMatrix([[-(one + z) * z**-1, one], [z**-1, zero]])
+        assert (m * m.inverse()).is_identity
 
 
 def test_module_doctests():

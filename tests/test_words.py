@@ -63,11 +63,26 @@ class TestParser:
         assert parse_word("", 4).letters == ()
         assert parse_word("   ", 4).letters == ()
 
-    @pytest.mark.parametrize("bad", ["s", "^2", "(s1", "s1)", "q3", "s1^", "()"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "s", "^2", "(s1", "s1)", "q3", "s1^", "()",
+            pytest.param("(" * 600 + "s1" + ")" * 600, id="groups-600-deep"),
+            pytest.param("s1^" + "9" * 5000, id="exponent-5000-digits"),
+            pytest.param("s" + "9" * 5000, id="index-5000-digits"),
+        ],
+    )
     def test_syntax_errors_report_position(self, bad):
         with pytest.raises(WordSyntaxError) as err:
             parse_word(bad, 4)
         assert err.value.position is not None
+
+    def test_group_depth_cap(self):
+        depth = words.MAX_GROUP_DEPTH
+        assert parse_word("(" * depth + "s1" + ")" * depth, 3).letters == ((1, 1),)
+        with pytest.raises(WordSyntaxError, match=f"more than {depth} deep") as err:
+            parse_word("s2 " + "(" * (depth + 1) + "s1" + ")" * (depth + 1), 3)
+        assert err.value.position == 3 + depth
 
     def test_nested_groups(self):
         w = parse_word("((s1)^2 s2)^2", 3)
