@@ -336,23 +336,34 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> CyclotomicNumber:
-        """Multiplicative inverse by the Galois norm, in integer arithmetic.
+        """Multiplicative inverse through the real subfield, in integer
+        arithmetic.
 
-        For self = a/den with a integral, the product c of the conjugates
-        sigma_k(a) (sigma_k: zeta -> zeta^k, gcd(k, order) = 1, k != 1)
-        gives a*c = N(a), a nonzero rational integer, so the inverse is
-        den*c/N(a).
+        For self = a/den with a integral, y = a*conj(a) (or y = a when a is
+        real) lies in the real subfield Q(zeta + zeta^-1). Its conjugates
+        over Q are sigma_k(y), sigma_k: zeta -> zeta^k, for one k of each
+        pair +-k coprime to the order, 1 <= k < order/2, so with P their
+        product over k >= 2, N+(y) = y*P is a nonzero rational integer, and
+        the inverse is den*conj(a)*P/N+(y) (den*P/N+(a) for real a). That
+        is at most phi/2 + 1 products, where the norm over Q takes phi. For
+        orders 1 and 2 the field is Q and P = 1.
         """
         if self.is_zero:
             raise ZeroInput("zero has no inverse")
         order = self.order
-        conjugates = CyclotomicNumber.one(order)
-        for k in range(2, order):
+        a = _canonical(order, self._num)
+        a_bar = tuple(_substitute(self._num, order - 1, order))
+        if a_bar == self._num:
+            y, conjugates = a, CyclotomicNumber.one(order)
+        else:
+            conjugates = _canonical(order, a_bar)
+            y = a * conjugates
+        for k in range(2, (order + 1) // 2):
             if math.gcd(k, order) == 1:
-                conjugates = conjugates * CyclotomicNumber(
-                    order, _substitute(self._num, k, order)
+                conjugates = conjugates * _canonical(
+                    order, tuple(_substitute(y._num, k, order))
                 )
-        norm = conjugates * CyclotomicNumber(order, self._num)
+        norm = a * conjugates
         if any(norm._num[1:]):
             raise ArithmeticError(f"the norm of {self} is not rational")
         return CyclotomicNumber(

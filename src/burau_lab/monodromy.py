@@ -10,17 +10,41 @@ of monodromy generators along a word is the specialized Burau image of the
 same word on m-1 strands, computed by the one word-product loop of
 ``burau``; the evaluation of the Burau generator images is the definition
 this identity is tested against. The invariant form is Squier's (Proc. AMS
-90, 1984); its inertia is read off in closed form, added up over a Schur
-complement (Haynsworth, Linear Algebra Appl. 1, 1968) and checked exactly.
+90, 1984); its inertia is read off in closed form and added up over a Schur
+complement (Haynsworth, Linear Algebra Appl. 1, 1968).
+
+Its invariance is proved without field products. G(t^-1)^T S G(t) = S is
+an identity over Z[t, t^-1], checked once, exactly, for the three shapes
+a letter's row takes (first, interior, last). G* H G - H depends only on
+the letter's row of G and on that row and column of H, so at a root of
+unity t = -q, where conj(t) = t^-1, it vanishes as soon as every
+generator is I outside its row and the specialized Burau row inside it,
+and each basis form H agrees in that row and column with +-1 or 0 times
+the specialized S: comparisons of field elements only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .burau import burau_of_word, ev_map, projectively_equal, specialized_burau
-from .cyclotomic import CycloMatrix, CyclotomicNumber, _substitute, signed_root
+from .burau import (
+    _letter_action,
+    burau_generator,
+    burau_of_word,
+    ev_map,
+    projectively_equal,
+    specialized_burau,
+)
+from .cyclotomic import (
+    CycloMatrix,
+    CyclotomicNumber,
+    _substitute,
+    signed_root,
+    specialize_poly,
+)
+from .laurent import LaurentMatrix, LaurentPoly, _scalar_rows
 from .words import BraidWord
 
 
@@ -121,34 +145,112 @@ def _squier_inertia(size: int, r: Fraction) -> tuple[int, int, int]:
     return sum(s < 1 for s in sides), sum(s > 1 for s in sides), sum(s == 1 for s in sides)
 
 
-def _check_invariant(form: CycloMatrix, generators: MonodromyGenerators) -> None:
-    """Raise NoInvariantForm unless G* H G = H exactly for every generator.
+# Squier's form, scaled by |1+t|^2 to be integral, as the tridiagonal
+# (diagonal, above, below) entries over Z[t, t^-1] with conj(t) = t^-1.
+_SQUIER = (
+    2 + LaurentPoly.t(1) + LaurentPoly.t(-1),
+    -(1 + LaurentPoly.t(-1)),
+    -(1 + LaurentPoly.t(1)),
+)
+
+
+def _tridiagonal(dim: int, diag, above, below, zero) -> list[list]:
+    return [
+        [diag if a == b else above if b == a + 1 else below if a == b + 1 else zero
+         for b in range(dim)]
+        for a in range(dim)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _laurent_certificate(entries: tuple[LaurentPoly, ...]) -> None:
+    """Raise NoInvariantForm unless G(t^-1)^T S G(t) = S over Z[t, t^-1] for
+    the Burau images G of sigma_1 .. sigma_4 in B_5, S the tridiagonal form
+    with the given (diagonal, above, below) entries.
+
+    sigma_1, sigma_2 and sigma_4 are the three shapes a letter's row takes
+    in any dimension >= 2: first (no left entry), interior and last (no
+    right entry). By the formula in ``_check_invariant``, G* S G - S is
+    local to the letter's row and column, so this identity for the shape
+    is the identity for every letter of that shape, in any dimension.
+    """
+    s = LaurentMatrix(_tridiagonal(4, *entries, LaurentPoly.zero()))
+    for i in range(1, 5):
+        g = burau_generator(5, i).matrix
+        g_star = LaurentMatrix(
+            [[LaurentPoly({-e: c for e, c in g.entry(b, a)}) for b in range(4)] for a in range(4)]
+        )
+        if g_star * s * g != s:
+            raise NoInvariantForm(f"G* S G != S over Z[t, t^-1] for generator {i} of B_5")
+
+
+@lru_cache(maxsize=None)
+def _values_at(order: int, sign: int, k: int) -> tuple[dict, tuple]:
+    """The letter entries (s, e) mapped to s * t^e, and Squier's (diagonal,
+    above, below), at t = sign * zeta_order^k."""
+    t = CyclotomicNumber.root_of_unity(order, k) * sign
+    letters = {
+        (s, e): specialize_poly(LaurentPoly.monomial(s, e), t) for s in (1, -1) for e in (-1, 0, 1)
+    }
+    return letters, tuple(specialize_poly(p, t) for p in _SQUIER)
+
+
+def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenerators) -> None:
+    """Raise NoInvariantForm unless every basis form H is proved to satisfy
+    G* H G = H for every generator G, by comparisons only.
 
     Generator i is I outside row r = i-1. With u = row_r(G) - e_r,
-    G* H G - H = (H e_r + h_rr conj(u)) u + conj(u) (e_r^T H), which is 0
-    when row and column r of H are, and otherwise vanishes outside the rows
-    where H e_r or u is nonzero and the columns where u or e_r^T H is.
-    u has at most three nonzero entries, and only those are conjugated:
-    the conjugate of zero is zero.
+    G* H G - H = (H e_r + h_rr conj(u)) u + conj(u) (e_r^T H), which is
+    linear in row and column r of H and needs nothing else of it. So it is
+    0 when those are c times row and column r of Squier's form S at t,
+    c = +-1 or 0, and G is the specialization at t of a Burau letter: then
+    it is c times the specialization of G(t^-1)^T S G(t) - S, which
+    ``_laurent_certificate`` proves to be 0 over Z[t, t^-1], provided
+    conj(t) = t^-1, so that conjugation commutes with specialization.
+    Those three facts are what is checked here: conj(t) against t^-1 by
+    ``signed_root``'s exponent flip, every generator against I outside
+    row r and against its ``_letter_action`` row at t inside it, and row
+    and column r of every basis form against +-1 or 0 times S's.
     """
-    rows, dim = form.rows, form.dim
+    _laurent_certificate(_SQUIER)
+    t, dim = generators.minus_q, generators.m - 2
+    letter_values, entries = _values_at(t.order, *signed_root(t))
+    if _conjugate(t) != letter_values[1, -1]:
+        raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
+    one, zero = CyclotomicNumber.one(t.order), CyclotomicNumber.zero(t.order)
+    identity = [tuple(row) for row in _scalar_rows(dim, one, zero)]
     for r, g in enumerate(generators.mats):
-        row_r, col_r = rows[r], [row[r] for row in rows]
-        if all(x.is_zero for x in row_r + tuple(col_r)):
-            continue
-        u = [x - 1 if b == r else x for b, x in enumerate(g.rows[r])]
-        u_bar = [x if x.is_zero else _conjugate(x) for x in u]
-        cols = [b for b in range(dim) if not (row_r[b].is_zero and u[b].is_zero)]
-        for a in (a for a in range(dim) if not (col_r[a].is_zero and u[a].is_zero)):
-            left = col_r[a] + row_r[r] * u_bar[a]
-            for b in cols:
-                if not (left * u[b] + u_bar[a] * row_r[b]).is_zero:
-                    raise NoInvariantForm(f"G* H G != H at ({a}, {b}) for generator {r + 1}")
+        _, *letter_row = _letter_action(generators.m - 1, r + 1, False)
+        row_r = list(identity[r])
+        for b, entry in enumerate(letter_row, start=r - 1):
+            if entry is not None:
+                row_r[b] = letter_values[entry]
+        expected = identity[:r] + [tuple(row_r)] + identity[r + 1:]
+        for a, (row, expected_row) in enumerate(zip(g.rows, expected)):
+            if row != expected_row:
+                raise NoInvariantForm(
+                    f"G* H G != H: row {a} is not the Burau letter's for generator {r + 1}"
+                )
+
+    scaled = [
+        _tridiagonal(dim, *entries, zero),
+        _tridiagonal(dim, *[-x for x in entries], zero),
+        _scalar_rows(dim, zero, zero),
+    ]
+    for j, h in enumerate(basis):
+        for r in range(len(generators.mats)):
+            row, col = list(h.rows[r]), [h_row[r] for h_row in h.rows]
+            if not any(row == s[r] and col == [s_row[r] for s_row in s] for s in scaled):
+                raise NoInvariantForm(
+                    f"G* H G != H: basis form {j} is not +-1 or 0 times S in row and "
+                    f"column {r} for generator {r + 1}"
+                )
 
 
 def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormResult:
-    """Squier's form S at t = -q, completed on the trailing block and checked
-    exactly, with its signature certificate.
+    """Squier's form S at t = -q, completed on the trailing block and
+    certified invariant (``_check_invariant``), with its signature
+    certificate.
 
     S is tridiagonal, with 2 + t + conj(t) on the diagonal, -(1 + conj(t))
     above it and -(1 + t) below it (|1+t|^2 times Squier's, so integral).
@@ -204,8 +306,7 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
         for i in range(lead, dim)
         for j in range(lead, dim)
     )
-    for h in basis:
-        _check_invariant(h, generators)
+    _check_invariant(basis, generators)
     return InvariantFormResult(basis, form, 0)
 
 

@@ -30,6 +30,12 @@ from typing import Sequence
 MAX_WORD_LETTERS = 10**6
 """The most letters any word may expand to, and the most factors of a sample."""
 
+MAX_LITERAL_DIGITS = 4300
+"""The most digits an integer literal may have; a longer one is a syntax
+error before ``int`` sees it. This is CPython's default int-string limit,
+fixed here so that a word's verdict does not depend on the interpreter's
+setting (PYTHONINTMAXSTRDIGITS=0 lifts that limit)."""
+
 MAX_GROUP_DEPTH = 100
 """The deepest nesting of parenthesized groups that ``parse_word`` accepts;
 the parser recurses once per level, so the cap keeps it off Python's
@@ -236,8 +242,8 @@ def parse_word(text: str, strands_n: int) -> BraidWord:
     """Parse the word grammar documented in the module docstring.
 
     Raises WordSyntaxError with a position for malformed text, for groups
-    nested more than MAX_GROUP_DEPTH deep and for an integer literal that
-    ``int`` cannot read (more digits than Python's int-string limit), and
+    nested more than MAX_GROUP_DEPTH deep and for an integer literal of
+    more than MAX_LITERAL_DIGITS digits or that ``int`` cannot read, and
     IndexOutOfRange when a generator or twist index does not fit the
     strand count.
     """
@@ -262,12 +268,12 @@ def _parse_int(text: str, pos: int, signed: bool = False) -> tuple[int, int]:
         pos += 1
     if pos == digits:
         raise WordSyntaxError("expected an integer", start)
-    try:
-        return int(text[start:pos]), pos
-    except ValueError:  # over sys.get_int_max_str_digits(), or a non-ASCII digit
-        raise WordSyntaxError(
-            f"unreadable integer literal (length {pos - digits})", start
-        ) from None
+    if pos - digits <= MAX_LITERAL_DIGITS:
+        try:
+            return int(text[start:pos]), pos
+        except ValueError:  # a non-ASCII digit, or over a lower sys.get_int_max_str_digits()
+            pass
+    raise WordSyntaxError(f"unreadable integer literal (length {pos - digits})", start)
 
 
 def _parse_sequence(

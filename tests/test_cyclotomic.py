@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import burau_lab
@@ -25,6 +25,7 @@ from burau_lab.cyclotomic import (
     specialize_matrix,
     specialize_poly,
     _polydiv_exact,
+    _substitute,
 )
 from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible
 
@@ -165,6 +166,32 @@ class TestFieldArithmetic:
         x = CyclotomicNumber(order, coeffs[:deg], den)
         if not x.is_zero:
             assert (x * x.inverse()).is_one
+
+    @given(
+        st.sampled_from([13, 21, 36, 40, 74, 78]),
+        st.data(),
+        st.integers(min_value=2, max_value=60),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_inverse_round_trip_large_fields(self, order, data, den):
+        # Every coefficient nonzero, so no reduction of the field degree
+        # hides a wrong conjugate; x + conj(x) takes the real-input path.
+        deg = len(cyclotomic_polynomial(order)) - 1
+        nonzero = st.integers(min_value=-50, max_value=50).filter(bool)
+        coeffs = data.draw(st.lists(nonzero, min_size=deg, max_size=deg))
+        x = CyclotomicNumber(order, coeffs, den)
+        real = x + CyclotomicNumber(order, _substitute(x.numerators, order - 1, order), den)
+        for value in (x, real):
+            assume(not value.is_zero)
+            assert (value * value.inverse()).is_one
+        conj_inverse = _substitute(real.inverse().numerators, order - 1, order)
+        assert tuple(conj_inverse) == real.inverse().numerators
+
+    @given(st.sampled_from([1, 2]), st.fractions(max_denominator=10**6))
+    def test_inverse_in_the_rational_fields(self, order, value):
+        # phi = 1: there are no +-k pairs, and the inverse is 1/value.
+        assume(value != 0)
+        assert CyclotomicNumber.from_fraction(value, order).inverse() == 1 / value
 
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroInput):

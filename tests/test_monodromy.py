@@ -283,6 +283,90 @@ class TestInvariantForm:
         with pytest.raises(NoInvariantForm, match=rf"generator {i}$"):
             invariant_hermitian_form(corrupted)
 
+    @pytest.mark.parametrize(
+        "n, m, d, i, a, b",
+        [
+            pytest.param(4, 6, 7, 1, 0, 1, id="first-generator"),
+            pytest.param(5, 6, 8, 4, 3, 2, id="last-generator-m-n-plus-1"),
+            pytest.param(5, 7, 8, 4, 3, 4, id="last-generator-right-entry-in-trailing-block"),
+            pytest.param(4, 6, 9, 2, 3, 3, id="outside-row-r-in-row-L"),
+        ],
+    )
+    def test_corrupted_letter_shapes_are_caught(self, n, m, d, i, a, b):
+        # Entry (a, b) of generator i, plus one. The dense product confirms
+        # that the corrupted generator no longer preserves the form.
+        gens = rho_generators(n, m, minus_q_from_d(d))
+        form = invariant_hermitian_form(gens).chosen.matrix
+        rows = [list(row) for row in gens.mats[i - 1].rows]
+        rows[a][b] = rows[a][b] + 1
+        g = CycloMatrix(rows)
+        assert _star(g) * form * g != form
+        mats = gens.mats[: i - 1] + (g,) + gens.mats[i:]
+        corrupted = monodromy.MonodromyGenerators(n, m, gens.minus_q, mats)
+        with pytest.raises(NoInvariantForm, match=rf"generator {i}$"):
+            invariant_hermitian_form(corrupted)
+
+    @pytest.mark.parametrize("n, m, d", [(4, 5, 7), (5, 7, 8), (3, 5, 6)])
+    def test_transposed_basis_form_is_caught(self, n, m, d):
+        # The transpose of the chosen form is Hermitian too, but swaps the
+        # entries above and below the diagonal, so no generator keeps it.
+        gens = rho_generators(n, m, minus_q_from_d(d))
+        basis = invariant_hermitian_form(gens).basis
+        transposed = CycloMatrix(zip(*basis[0].rows))
+        assert all(_star(g) * transposed * g != transposed for g in gens.mats)
+        with pytest.raises(NoInvariantForm, match=r"basis form 1 .* generator 1$"):
+            monodromy._check_invariant(basis[:1] + (transposed,), gens)
+
+    def test_conjugation_checked_at_the_point(self, monkeypatch):
+        gens = rho_generators(4, 6, minus_q_from_d(7))
+        basis = invariant_hermitian_form(gens).basis
+        monkeypatch.setattr(monodromy, "_conjugate", lambda x: x)
+        with pytest.raises(NoInvariantForm, match=r"conj\(t\) is not t\^-1"):
+            monodromy._check_invariant(basis, gens)
+
+    def test_laurent_identity_rejects_a_transposed_form(self):
+        diag, above, below = monodromy._SQUIER
+        assert monodromy._laurent_certificate((diag, above, below)) is None
+        with pytest.raises(NoInvariantForm, match=r"over Z\[t, t\^-1\] for generator"):
+            monodromy._laurent_certificate((diag, below, above))
+
+    def test_roots_rest_on_the_laurent_identity(self, monkeypatch):
+        # With Squier's entries transposed, the certificate fails on the
+        # Laurent identity before any comparison at the root.
+        diag, above, below = monodromy._SQUIER
+        monkeypatch.setattr(monodromy, "_SQUIER", (diag, below, above))
+        monodromy._values_at.cache_clear()
+        try:
+            with pytest.raises(NoInvariantForm, match=r"over Z\[t, t\^-1\]"):
+                invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(7)))
+        finally:
+            monodromy._values_at.cache_clear()
+
+    def test_column_of_a_basis_form_is_checked(self):
+        # The matrix unit at (L, 0) has a zero row 0 but column 0 = e_L, so
+        # generator 1 moves it: G* E G - E = e_L u, u = row_0(G) - e_0.
+        n, m = 4, 6
+        gens = rho_generators(n, m, minus_q_from_d(7))
+        basis = invariant_hermitian_form(gens).basis
+        one, zero = CyclotomicNumber.one(gens.minus_q.order), CyclotomicNumber.zero(gens.minus_q.order)
+        unit = CycloMatrix([
+            [one if (a, b) == (n - 1, 0) else zero for b in range(m - 2)] for a in range(m - 2)
+        ])
+        assert _star(gens.mats[0]) * unit * gens.mats[0] != unit
+        with pytest.raises(NoInvariantForm, match=rf"basis form {len(basis)} .* generator 1$"):
+            monodromy._check_invariant(basis + (unit,), gens)
+
+    @pytest.mark.parametrize(
+        "n, d, a, m",
+        [(n, d, a, m) for n in range(3, 8) for d, a in ((7, 3), (12, 5)) for m in (n + 1, n + 2)]
+        + [(3, 9, 2, 6), (5, 10, 3, 8)],
+    )
+    def test_basis_invariant_under_dense_products(self, n, d, a, m):
+        gens = rho_generators(n, m, minus_q_from_d(d, a))
+        for h in invariant_hermitian_form(gens).basis:
+            for g in gens.mats:
+                assert _star(g) * h * g == h
+
     def test_point_off_the_unit_circle_rejected(self):
         gens = rho_generators(4, 5, CyclotomicNumber.from_fraction(2))
         with pytest.raises(NoInvariantForm):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -83,6 +84,24 @@ class TestParser:
         with pytest.raises(WordSyntaxError, match=f"more than {depth} deep") as err:
             parse_word("s2 " + "(" * (depth + 1) + "s1" + ")" * (depth + 1), 3)
         assert err.value.position == 3 + depth
+
+    def test_literal_digit_cap_without_the_interpreter_limit(self):
+        # With Python's int-string limit lifted, a literal one digit over
+        # the cap is still a syntax error, and one at the cap still parses.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int-string limit")
+        cap = words.MAX_LITERAL_DIGITS
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(WordTooLong):
+                parse_word("s1^" + "9" * cap, 4)
+            for text, position in (("s1^" + "9" * (cap + 1), 3), ("s" + "9" * (cap + 1), 1)):
+                with pytest.raises(WordSyntaxError, match=f"length {cap + 1}") as err:
+                    parse_word(text, 4)
+                assert err.value.position == position
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_nested_groups(self):
         w = parse_word("((s1)^2 s2)^2", 3)
