@@ -57,6 +57,7 @@ from .words import (
     InvalidStrandCount,
     WordSyntaxError,
     WordTooLong,
+    count_text,
     parse_word,
     random_word,
 )
@@ -375,8 +376,8 @@ def cmd_monodromy_check(args: argparse.Namespace) -> int:
     # A single word over the cap is reported by random_word's own check.
     if args.length <= MAX_WORD_LETTERS < args.words * args.length:
         raise InvalidConfiguration(
-            f"--words {args.words} times --length {args.length} is "
-            f"{args.words * args.length} letters, more than {MAX_WORD_LETTERS}"
+            f"--words {count_text(args.words)} times --length {args.length} is "
+            f"{count_text(args.words * args.length)} letters, more than {MAX_WORD_LETTERS}"
         )
     seed = default_seed() if args.seed is None else args.seed
     rng = random.Random(seed)

@@ -379,12 +379,6 @@ class CyclotomicNumber:
         a, b = self._pair(other)
         return a * b.inverse()
 
-    def exact_div(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
-        """self / other: every nonzero divisor divides exactly in a field.
-        The name is the ring interface that SquareMatrix's elimination
-        uses."""
-        return self / other
-
     def __pow__(self, n: int) -> CyclotomicNumber:
         base = self
         if n < 0:

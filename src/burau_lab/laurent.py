@@ -1,6 +1,6 @@
 """Exact arithmetic for integer-coefficient Laurent polynomials in one
-variable t, and for square matrices over them and over any other exact
-ring with the same operations (``SquareMatrix``).
+variable t, and sums, products and non-negative powers of square matrices
+over them or over any other exact ring (``SquareMatrix``).
 
 A Laurent polynomial is stored as a finitely supported map from integer
 exponents to nonzero integer coefficients, so equality is structural and
@@ -12,7 +12,6 @@ without limit in the word length, so nothing here may round or overflow.
 from __future__ import annotations
 
 import operator
-import re
 from typing import Iterable, Iterator, Mapping
 
 
@@ -23,12 +22,6 @@ class NotDivisible(ArithmeticError):
 
 class DimensionMismatch(ValueError):
     """Matrix operands have incompatible dimensions."""
-
-
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?"
-    r"(?:(?P<var>t)(?:\^(?P<exp>[+-]?\d+))?)?"
-)
 
 
 class LaurentPoly:
@@ -254,40 +247,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
 
-    @classmethod
-    def parse(cls, text: str) -> LaurentPoly:
-        """Parse the textual form produced by ``str``: integer coefficients
-        and caret exponents, e.g. ``1 - t + t^2 - t^-1``."""
-        out: dict[int, int] = {}
-        pos = 0
-        stripped = text.strip()
-        if not stripped:
-            raise ValueError("empty polynomial text")
-        if stripped == "0":
-            return _ZERO
-        n = len(text)
-        first = True
-        while pos < n:
-            m = _TERM_RE.match(text, pos)
-            if not m or (m.group("coeff") is None and m.group("var") is None):
-                raise ValueError(f"bad polynomial syntax at position {pos}: {text!r}")
-            sign = m.group("sign")
-            if sign is None and not first:
-                raise ValueError(f"missing +/- between terms at position {pos}: {text!r}")
-            c = int(m.group("coeff")) if m.group("coeff") else 1
-            if sign == "-":
-                c = -c
-            if m.group("var"):
-                e = int(m.group("exp")) if m.group("exp") else 1
-            else:
-                e = 0
-            out[e] = out.get(e, 0) + c
-            pos = m.end()
-            first = False
-            while pos < n and text[pos].isspace():
-                pos += 1
-        return cls(out)
-
 
 def _raw(coeffs: dict[int, int]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
@@ -306,13 +265,13 @@ def _scalar_rows(dim: int, c, zero) -> list[list]:
 
 
 class SquareMatrix:
-    """A square matrix over an exact integral domain, immutable once built.
+    """A square matrix over an exact commutative ring, immutable once built.
 
-    The operations are the same for every ring. Entries need ``+ - *``,
-    ``is_zero``, ``exact_div`` and ``**``: the ring's one is ``e ** 0``,
-    its zero ``e * 0``, and a unit's inverse ``e ** -1``. A subclass names
-    the ring (``LaurentMatrix`` over Z[t, t^-1], ``cyclotomic.CycloMatrix``
-    over Q(zeta_N)), and every result is built as the caller's subclass.
+    The operations are the same for every ring. Entries need only
+    ``+ - *`` (also with an int operand) and ``is_zero``: the ring's zero
+    is ``e * 0`` and its one ``e * 0 + 1``. A subclass names the ring
+    (``LaurentMatrix`` over Z[t, t^-1], ``cyclotomic.CycloMatrix`` over
+    Q(zeta_N)), and every result is built as the caller's subclass.
     """
 
     __slots__ = ("dim", "_rows")
@@ -326,8 +285,8 @@ class SquareMatrix:
         self._rows = grid
 
     def _one_zero(self) -> tuple:
-        e = self._rows[0][0]
-        return e ** 0, e * 0
+        zero = self._rows[0][0] * 0
+        return zero + 1, zero
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -368,8 +327,9 @@ class SquareMatrix:
         return self._entrywise(other, operator.sub)
 
     def __pow__(self, n: int) -> SquareMatrix:
+        """The n-th power, n >= 0; a word's inverse has the inverse word's image."""
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("a matrix power needs a non-negative exponent")
         result = type(self)(_scalar_rows(self.dim, *self._one_zero()))
         base = self
         while n:
@@ -402,56 +362,6 @@ class SquareMatrix:
         if self.dim < 2:
             raise DimensionMismatch("cannot shrink a 1x1 matrix")
         return type(self)(row[:-1] for row in self._rows[:-1])
-
-    def _det_adjugate(self) -> tuple:
-        """(det, adjugate) by one fraction-free Gauss-Jordan elimination on
-        [A | I]; the adjugate is None when det = 0.
-
-        After step k every entry right of column k is a (k+1)-minor of
-        [A | I] (Bareiss, Math. Comp. 22, 1968), so each division by the
-        previous pivot is exact in any integral domain. A row swap negates
-        one of the two rows, so it keeps the determinant: the last pivot is
-        det(A) and the right block is adj(A).
-        """
-        n = self.dim
-        one, zero = self._one_zero()
-        a = [list(row) + unit for row, unit in zip(self._rows, _scalar_rows(n, one, zero))]
-        prev = one
-        for k in range(n):
-            p = next((r for r in range(k, n) if not a[r][k].is_zero), None)
-            if p is None:
-                return zero, None
-            if p != k:
-                a[k], a[p] = a[p], [-e for e in a[k]]
-            pivot_row = a[k]
-            pivot = pivot_row[k]
-            for i in range(n):
-                if i == k:
-                    continue
-                row = a[i]
-                f = row[k]
-                for j in range(k + 1, 2 * n):
-                    x = row[j] * pivot
-                    if not f.is_zero:
-                        x = x - f * pivot_row[j]
-                    row[j] = x.exact_div(prev)
-            prev = pivot
-        return prev, [row[n:] for row in a]
-
-    def det(self):
-        """Determinant by fraction-free elimination."""
-        return self._det_adjugate()[0]
-
-    def inverse(self) -> SquareMatrix:
-        """Exact inverse adj(A) * det(A)^-1.
-
-        It exists iff det(A) is a unit of the ring; otherwise ``det ** -1``
-        raises the ring's error: NotDivisible over Z[t, t^-1], whose units
-        are +-t^k, and cyclotomic.ZeroInput over Q(zeta_N), where det = 0.
-        """
-        d, adj = self._det_adjugate()
-        unit = d ** -1
-        return type(self)(adj).scale(unit)
 
     def __str__(self) -> str:
         cells = [[str(e) for e in row] for row in self._rows]

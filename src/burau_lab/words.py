@@ -22,6 +22,7 @@ letters raises WordTooLong before any list of that size is built.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,10 +72,24 @@ class WordTooLong(ValueError):
     """Expanding a word would exceed MAX_WORD_LETTERS letters."""
 
 
+def count_text(count: int) -> str:
+    """A non-negative count for a message: in full up to 30 digits, else
+    as the power of ten it reaches, found without converting the count to
+    text (CPython refuses to convert an int of more than 4300 digits)."""
+    if count < 10**30:
+        return str(count)
+    exp = int(math.log10(count))  # the float may be one off near 10^exp
+    while 10**exp > count:
+        exp -= 1
+    while 10 ** (exp + 1) <= count:
+        exp += 1
+    return f"at least 10^{exp}"
+
+
 def _check_length(letters: int) -> None:
     if letters > MAX_WORD_LETTERS:
         raise WordTooLong(
-            f"word would expand to {letters} letters, more than {MAX_WORD_LETTERS}"
+            f"word would expand to {count_text(letters)} letters, more than {MAX_WORD_LETTERS}"
         )
 
 

@@ -32,6 +32,7 @@ from burau_lab.cyclotomic import (
 )
 from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible
 from burau_lab.words import BraidWord, parse_word, random_word
+from oracles import leibniz_det
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.one()
@@ -66,21 +67,12 @@ class TestGenerators:
         assert burau_generator(2, 1).matrix == LaurentMatrix([[-1 * T]])
 
     def test_inverse_is_exact(self):
-        for n in range(2, 7):
+        for n in range(2, 11):
             for i in range(1, n):
-                product = (
-                    burau_generator(n, i, inverse=True).matrix
-                    * burau_generator(n, i).matrix
-                )
-                assert product == LaurentMatrix.identity(n - 1)
-
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_closed_form_inverse_matches_matrix_inverse(self, n):
-        for i in range(1, n):
-            assert (
-                burau_generator(n, i, inverse=True).matrix
-                == burau_generator(n, i).matrix.inverse()
-            )
+                g = burau_generator(n, i).matrix
+                g_inv = burau_generator(n, i, inverse=True).matrix
+                assert g_inv * g == LaurentMatrix.identity(n - 1)
+                assert g * g_inv == LaurentMatrix.identity(n - 1)
 
     def test_index_out_of_range(self):
         from burau_lab.words import IndexOutOfRange
@@ -148,7 +140,7 @@ class TestWordImages:
         for n in (3, 4, 5, 6):
             for _ in range(4):
                 w = random_word(n, 8, rng)
-                det = burau_of_word(w).matrix.det()
+                det = leibniz_det(burau_of_word(w).matrix)
                 assert det == LaurentPoly.monomial((-1) ** (w.writhe % 2), w.writhe)
 
     def test_image_wrapper_validates_dim(self):

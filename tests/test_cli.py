@@ -394,6 +394,19 @@ class TestExitCodes:
                 cli.EXIT_PARSE_ERROR, "", f"word error: {message}\n"
             ), word[:8]
 
+    def test_huge_letter_counts_get_a_short_line(self, capsys):
+        # Each count has over 4300 digits, more than CPython converts to text.
+        nines = "9" * 4300
+        for argv in (
+            ("burau", "eval", "--n", "4", "--word", f"T4^{nines}"),
+            ("burau", "eval", "--n", "4", "--word", f"(s1 s2)^{nines}"),
+            ("burau", "eval", "--n", "4", "--word", f"s1^{nines}"),
+            ("monodromy", "check", "--n", "4", "--d", "5", "--words", nines, "--length", "5"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (cli.EXIT_INVALID_PARAMS, ""), argv[:3]
+            assert err.count("\n") == 1 and len(err.encode()) <= 200, err[:80]
+
     def test_spec_longer_than_cap_rejected(self):
         assert len(cli._parse_int_spec(f"1..{cli.MAX_SPEC_VALUES}")) == cli.MAX_SPEC_VALUES
         for spec in (f"1..{cli.MAX_SPEC_VALUES + 1}", f"1..{cli.MAX_SPEC_VALUES},0"):

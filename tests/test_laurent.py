@@ -1,10 +1,8 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burau_lab.cyclotomic import CycloMatrix, CyclotomicNumber, ZeroInput
+from burau_lab.cyclotomic import CycloMatrix, CyclotomicNumber
 from burau_lab.laurent import (
     DimensionMismatch,
     LaurentMatrix,
@@ -63,10 +61,6 @@ class TestPolyArithmetic:
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
 
-    @given(laurent_polys())
-    def test_canonical_form_round_trips_through_text(self, p):
-        assert LaurentPoly.parse(str(p)) == p
-
 
 class TestExactDivision:
     def test_geometric_factor(self):
@@ -104,29 +98,6 @@ class TestExactDivision:
         assert (a * b).exact_div(b) == a
 
 
-class TestParsing:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("0", LaurentPoly.zero()),
-            ("1 - t + t^2 - t^-1", LaurentPoly({0: 1, 1: -1, 2: 1, -1: -1})),
-            ("3t^2", LaurentPoly({2: 3})),
-            ("-t", LaurentPoly({1: -1})),
-            ("2 + 2", LaurentPoly({0: 4})),
-        ],
-    )
-    def test_examples(self, text, expected):
-        assert LaurentPoly.parse(text) == expected
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            LaurentPoly.parse("t + + t")
-        with pytest.raises(ValueError):
-            LaurentPoly.parse("x^2")
-        with pytest.raises(ValueError):
-            LaurentPoly.parse("")
-
-
 class TestMatrices:
     def test_identity_product(self):
         eye = LaurentMatrix.identity(3)
@@ -149,65 +120,6 @@ class TestMatrices:
         a, b, c = draw_matrix(), draw_matrix(), draw_matrix()
         assert (a * b) * c == a * (b * c)
 
-    def test_det_two_by_two(self):
-        m = LaurentMatrix([[T, ONE], [ONE - T, LaurentPoly.t(-1)]])
-        assert m.det() == ONE - (ONE - T)
-
-    def test_det_matches_cofactor_expansion(self):
-        rows = [
-            [T, ONE, LaurentPoly.zero()],
-            [ONE - T, LaurentPoly.t(2), ONE],
-            [ONE, LaurentPoly.zero(), LaurentPoly.monomial(-1, -1)],
-        ]
-        m = LaurentMatrix(rows)
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        cofactor = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        assert m.det() == cofactor
-
-    @given(st.data())
-    @settings(max_examples=25)
-    def test_det_multiplicative(self, data):
-        dim = data.draw(st.integers(min_value=1, max_value=4))
-        polys = laurent_polys(max_terms=3, min_exp=-2, max_exp=2, max_coeff=4)
-        draw_matrix = lambda: LaurentMatrix(
-            [[data.draw(polys) for _ in range(dim)] for _ in range(dim)]
-        )
-        a, b = draw_matrix(), draw_matrix()
-        assert (a * b).det() == a.det() * b.det()
-
-    def test_zero_leading_entry_needs_row_swap(self):
-        zero = LaurentPoly.zero()
-        m = LaurentMatrix([[zero, T, ONE], [ONE, ONE + T, zero], [T, zero, LaurentPoly.t(-1)]])
-        # Cofactor expansion along the first row.
-        assert m.det() == -T * LaurentPoly.t(-1) + ONE * (-T - T**2)
-        unit = LaurentMatrix([[zero, T], [ONE, ONE + T]])
-        assert unit.det() == -T
-        assert unit * unit.inverse() == LaurentMatrix.identity(2)
-        assert unit.inverse() == LaurentMatrix(
-            [[-(ONE + T) * LaurentPoly.t(-1), ONE], [LaurentPoly.t(-1), zero]]
-        )
-
-    def test_inverse_round_trip(self):
-        m = LaurentMatrix(
-            [[LaurentPoly.monomial(-1, 1), ONE, LaurentPoly.zero()],
-             [LaurentPoly.zero(), ONE, LaurentPoly.zero()],
-             [T, LaurentPoly.zero(), ONE]]
-        )
-        assert m * m.inverse() == LaurentMatrix.identity(3)
-        assert m.inverse() * m == LaurentMatrix.identity(3)
-
-    def test_non_unit_determinant_not_invertible(self):
-        m = LaurentMatrix([[ONE + T, LaurentPoly.zero()], [LaurentPoly.zero(), ONE]])
-        with pytest.raises(NotDivisible):
-            m.inverse()
-
-    def test_singular_not_invertible(self):
-        m = LaurentMatrix([[ONE, ONE], [ONE, ONE]])
-        with pytest.raises(NotDivisible):
-            m.inverse()
-
     def test_pad_and_drop(self):
         m = LaurentMatrix([[T]])
         padded = m.pad_identity(2)
@@ -224,7 +136,7 @@ class TestMatrices:
             CycloMatrix([[z, one], [CyclotomicNumber.zero(8), z**3]]),
         ):
             results = (
-                m * m, m + m, m - m, m**2, m**-1, m.inverse(), m.scale(m.entry(0, 0)),
+                m * m, m + m, m - m, m**2, m.scale(m.entry(0, 0)),
                 m.pad_identity(1), m.pad_identity(1).drop_last_row_col(),
             )
             assert all(type(r) is type(m) for r in results), type(m)
@@ -234,69 +146,23 @@ class TestMatrices:
         with pytest.raises(TypeError):
             LaurentMatrix([[ONE]]) * CycloMatrix([[one]])
 
+    def test_powers_and_padding_stay_in_the_matrix_ring(self):
+        # Equal values from different rings compare equal, so compare each
+        # entry's ring as well: its type and, over Q(zeta_N), its order N.
+        def typed(rows):
+            return [[(type(e), getattr(e, "order", None), e) for e in row] for row in rows]
 
-def _leibniz_det(m):
-    """Independent oracle: the sum over permutations, in the entries' ring."""
-    total = m.entry(0, 0) * 0
-    for perm in itertools.permutations(range(m.dim)):
-        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(m.dim), 2))
-        term = -1 if inversions % 2 else 1
-        for i, j in enumerate(perm):
-            term = m.entry(i, j) * term
-        total = total + term
-    return total
-
-
-@st.composite
-def cyclo_matrices(draw, dim, order):
-    """A dim x dim CycloMatrix over Q(zeta_order). About one entry in five
-    is zero, so pivots need row swaps, and some draws are made singular by
-    setting one row to a multiple of another."""
-    phi = len(CyclotomicNumber.one(order).numerators)
-    nonzero = st.builds(
-        lambda num, den: CyclotomicNumber(order, num, den),
-        st.lists(st.integers(-3, 3), min_size=phi, max_size=phi).filter(any),
-        st.sampled_from((1, 1, 2, 3)),
-    )
-    entry = st.one_of(st.just(CyclotomicNumber.zero(order)), *[nonzero] * 4)
-    rows = [[draw(entry) for _ in range(dim)] for _ in range(dim)]
-    if dim > 1 and draw(st.integers(0, 2)) == 2:
-        src, dst = draw(st.permutations(range(dim)))[:2]
-        c = draw(entry)
-        rows[dst] = [c * e for e in rows[src]]
-    return CycloMatrix(rows)
-
-
-class TestCyclotomicElimination:
-    """The one fraction-free elimination, run over Q(zeta_N)."""
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_det_and_inverse(self, data):
-        dim = data.draw(st.integers(min_value=1, max_value=3), label="dim")
-        order = data.draw(st.sampled_from((5, 8, 12)), label="order")
-        a = data.draw(cyclo_matrices(dim, order), label="a")
-        b = data.draw(cyclo_matrices(dim, order), label="b")
-        product = a * b
-        assert type(product) is CycloMatrix
-        assert a.det() == _leibniz_det(a)
-        assert product.det() == a.det() * b.det()
-        if a.det().is_zero:
-            with pytest.raises(ZeroInput):
-                a.inverse()
-            return
-        inv = a.inverse()
-        assert type(inv) is CycloMatrix
-        assert (a * inv).is_identity and (inv * a).is_identity
-        assert inv == a**-1
-
-    def test_zero_leading_entry_needs_row_swap(self):
-        zero, one = CyclotomicNumber.zero(5), CyclotomicNumber.one(5)
-        z = CyclotomicNumber.root_of_unity(5)
-        m = CycloMatrix([[zero, z], [one, one + z]])
-        assert m.det() == -z
-        assert m.inverse() == CycloMatrix([[-(one + z) * z**-1, one], [z**-1, zero]])
-        assert (m * m.inverse()).is_identity
+        z = CyclotomicNumber.root_of_unity(8)
+        laurent = LaurentMatrix([[T, ONE], [LaurentPoly.zero(), LaurentPoly.t(-1)]])
+        cyclo = CycloMatrix([[z, z**2], [CyclotomicNumber.zero(8), z**3]])
+        for m, eye in ((laurent, LaurentMatrix.identity(4)), (cyclo, CycloMatrix.identity(4, 8))):
+            for n in (-1, -(10**100)):
+                with pytest.raises(ValueError):
+                    m**n
+            padded = m.pad_identity(2)
+            assert typed((m**0).rows) == typed(row[:2] for row in eye.rows[:2])
+            assert typed(row[2:] for row in padded.rows) == typed(row[2:] for row in eye.rows)
+            assert typed(padded.rows[2:]) == typed(eye.rows[2:])
 
 
 def test_module_doctests():

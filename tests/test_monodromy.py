@@ -107,7 +107,9 @@ class TestDiagramCheck:
         mq = minus_q_from_d(8)
         gens = rho_generators(5, 7, mq)
         w = parse_word("s1 s3^-1 s2 s4", 5)
-        expected = gens.mats[0] * gens.mats[2].inverse() * gens.mats[1] * gens.mats[3]
+        s3_inv = rho_product(parse_word("s3^-1", 5), 7, mq)
+        assert (gens.mats[2] * s3_inv).is_identity
+        expected = gens.mats[0] * s3_inv * gens.mats[1] * gens.mats[3]
         assert rho_product(w, 7, mq) == expected
 
     @pytest.mark.parametrize("n, d", [(n, d) for n, d, _, _ in KERNEL_TABLE_FIXTURE])
