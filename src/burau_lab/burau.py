@@ -37,10 +37,10 @@ what it did without the test.
 
 A point that is not a root of unity specializes the Laurent image instead.
 
-Also here: the crossed homomorphism v and the affine extension it defines
-(dimension n-1 -> n, a group homomorphism coinciding with the inclusion
-beta_n -> beta_{n+1} on generator images), and the evaluation map into a
-projective class used to compare against the cone-metric monodromy.
+Also here: the crossed homomorphism v, the affine extension it defines
+(beta_n(w) bordered by v(w), which is beta_{n+1}(w): the image of the same
+word one strand up), and the evaluation map into a projective class used
+to compare against the cone-metric monodromy.
 """
 
 from __future__ import annotations
@@ -81,26 +81,6 @@ class BurauImage:
         if self.strands_n != other.strands_n:
             raise ValueError("strand counts differ")
         return BurauImage(self.strands_n, self.matrix * other.matrix)
-
-
-@dataclass(frozen=True)
-class AffineExtended:
-    """The affine extension of a Burau image: one dimension larger, last
-    row (0, ..., 0, 1)."""
-
-    strands_n: int
-    matrix: LaurentMatrix
-
-    def __post_init__(self):
-        if self.matrix.dim != self.strands_n:
-            raise ValueError(f"expected a {self.strands_n}x{self.strands_n} matrix")
-
-    def __mul__(self, other: AffineExtended) -> AffineExtended:
-        if not isinstance(other, AffineExtended):
-            return NotImplemented
-        if self.strands_n != other.strands_n:
-            raise ValueError("strand counts differ")
-        return AffineExtended(self.strands_n, self.matrix * other.matrix)
 
 
 @lru_cache(maxsize=None)
@@ -342,18 +322,19 @@ def crossed_v(image: BurauImage) -> tuple[LaurentPoly, ...]:
     return tuple(out)
 
 
-def affine_extension(image: BurauImage) -> AffineExtended:
-    """Border a Burau image with v(A) and a (0, ..., 0, 1) last row.
+def affine_extension(image: BurauImage) -> BurauImage:
+    """The image A = beta_n(w) one strand up: A bordered by the column
+    v(A) and the last row (0, ..., 0, 1), which is beta_{n+1}(w).
 
-    A group homomorphism; on generator images it reproduces the same
-    generator's image one strand count higher.
+    A group homomorphism that agrees with beta_{n+1} on generator images,
+    so it agrees on every word.
     """
     v = crossed_v(image)
     dim = image.strands_n - 1
     zero = LaurentPoly.zero()
     rows = [list(image.matrix.rows[i]) + [v[i]] for i in range(dim)]
     rows.append([zero] * dim + [LaurentPoly.one()])
-    return AffineExtended(image.strands_n, LaurentMatrix(rows))
+    return BurauImage(image.strands_n + 1, LaurentMatrix(rows))
 
 
 @dataclass(frozen=True)
@@ -399,18 +380,17 @@ def projectively_equal(a: CycloMatrix, b: CycloMatrix) -> bool:
 
 
 def ev_map(image: BurauImage, minus_q: CyclotomicNumber, m: int) -> ProjectiveMatrix:
-    """Evaluation into PGL_{m-2}: extend affinely, pad with an identity
-    block up to dimension m-2 (or, when m = n+1, delete the last row and
-    column, undoing the extension), then substitute t = minus_q.
+    """Evaluation into PGL_{m-2}: substitute t = minus_q in the image
+    itself when m = n+1, and otherwise in its affine extension padded
+    with an identity block up to dimension m-2.
     """
     n = image.strands_n
     if m < n + 1:
         raise ValueError(f"target puncture count m={m} must be at least n+1={n + 1}")
     if minus_q.is_zero:
         raise ZeroInput("cannot evaluate at zero")
-    extended = affine_extension(image).matrix
     if m == n + 1:
-        padded = extended.drop_last_row_col()
+        matrix = image.matrix
     else:
-        padded = extended.pad_identity(m - 2 - n)
-    return ProjectiveMatrix(specialize_matrix(padded, minus_q))
+        matrix = affine_extension(image).matrix.pad_identity(m - 2 - n)
+    return ProjectiveMatrix(specialize_matrix(matrix, minus_q))

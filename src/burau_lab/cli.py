@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 
 from .burau import burau_of_word, specialized_burau
-from .cyclotomic import CycloMatrix, InvalidD, minus_q_from_d
+from .cyclotomic import MAX_D, CycloMatrix, InvalidD, minus_q_from_d
 from .laurent import LaurentMatrix
 from .moduli import (
     CurvatureVector,
@@ -101,11 +101,23 @@ MAX_STRANDS = 20
 """The largest strand count (--n) or puncture count (--m) accepted: every
 command builds matrices of that order before doing any work."""
 
+MAX_QUOTED_CHARS = 40
+"""The most characters of a user's text that a message quotes."""
+
 
 class InvalidSpec(ValueError):
     """A malformed, empty-range or over-long integer spec (--n, --d), a
-    strand or puncture count above MAX_STRANDS, a malformed or over-long
-    fraction list (--curvatures), or a malformed BURAU_LAB_SEED."""
+    strand or puncture count above MAX_STRANDS, a kernel-table --d above
+    MAX_D, a malformed or over-long fraction list (--curvatures), or a
+    malformed BURAU_LAB_SEED."""
+
+
+def _quoted(text: str) -> str:
+    """repr of text cut to its first MAX_QUOTED_CHARS characters, marked
+    by '...' when cut."""
+    if len(text) <= MAX_QUOTED_CHARS:
+        return repr(text)
+    return repr(text[:MAX_QUOTED_CHARS]) + "..."
 
 
 def default_seed() -> int:
@@ -117,7 +129,7 @@ def default_seed() -> int:
     try:
         return int(env)
     except ValueError:
-        raise InvalidSpec(f"BURAU_LAB_SEED={env!r} is not an integer") from None
+        raise InvalidSpec(f"BURAU_LAB_SEED={_quoted(env)} is not an integer") from None
 
 
 def _parse_int_spec(spec: str) -> list[int]:
@@ -132,19 +144,19 @@ def _parse_int_spec(spec: str) -> list[int]:
             else:
                 lo = hi = int(chunk)
         except ValueError:
-            raise InvalidSpec(f"malformed integer spec {spec!r}") from None
+            raise InvalidSpec(f"malformed integer spec {_quoted(spec)}") from None
         if hi < lo:
-            raise InvalidSpec(f"empty range {chunk!r} in spec {spec!r}")
+            raise InvalidSpec(f"empty range {_quoted(chunk)} in spec {_quoted(spec)}")
         if len(out) + hi - lo + 1 > MAX_SPEC_VALUES:
-            raise InvalidSpec(f"spec {spec!r} lists more than {MAX_SPEC_VALUES} integers")
+            raise InvalidSpec(f"spec {_quoted(spec)} lists more than {MAX_SPEC_VALUES} integers")
         out.extend(range(lo, hi + 1))
     return out
 
 
-def _check_cap(option: str, value: int | None) -> None:
-    """Reject a strand or puncture count above MAX_STRANDS."""
-    if value is not None and value > MAX_STRANDS:
-        raise InvalidSpec(f"{option} {value} is above the cap of {MAX_STRANDS}")
+def _check_cap(option: str, value: int | None, cap: int = MAX_STRANDS) -> None:
+    """Reject an option's value above its cap, by default MAX_STRANDS."""
+    if value is not None and value > cap:
+        raise InvalidSpec(f"{option} {count_text(value)} is above the cap of {cap}")
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -301,6 +313,8 @@ def cmd_kernel_table(args: argparse.Namespace) -> int:
         raise InvalidConfiguration("kernel-table extras need both --n and --d")
     for n in extra_n:
         _check_cap("--n", n)
+    for d in extra_d:
+        _check_cap("--d", d, MAX_D)
     rows: list[dict] = []
     fixtures_matched = True
     for n, d, j, l in KERNEL_TABLE_FIXTURE:
@@ -344,7 +358,7 @@ def cmd_orbifold_check(args: argparse.Namespace) -> int:
     try:
         fractions = tuple(Fraction(part.strip()) for part in parts)
     except (ValueError, ZeroDivisionError):
-        raise InvalidSpec(f"malformed fraction list {args.curvatures!r}") from None
+        raise InvalidSpec(f"malformed fraction list {_quoted(args.curvatures)}") from None
     labels = [part.strip() for part in args.labels.split(",")]
     curvatures = CurvatureVector(fractions)
     report = orbifold_check(curvatures, labels)
@@ -368,7 +382,8 @@ def cmd_monodromy_check(args: argparse.Namespace) -> int:
     _check_cap("--m", args.m)
     if args.words < 1 or args.length < 1:
         raise InvalidConfiguration(
-            f"--words and --length must be at least 1, got {args.words} and {args.length}"
+            f"--words and --length must be at least 1, got {count_text(args.words)} "
+            f"and {count_text(args.length)}"
         )
     n, d = args.n, args.d
     m = args.m if args.m is not None else n + 1

@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .laurent import LaurentMatrix, LaurentPoly, NotDivisible, SquareMatrix, _scalar_rows
+from .words import count_text
 
 INFINITE = math.inf
 
@@ -444,11 +445,11 @@ def minus_q_from_d(d: int, numerator: int = 1) -> CyclotomicNumber:
     identifies the exact order N of -q and the element zeta_N^k.
     """
     if d < 2:
-        raise InvalidD(f"d must be at least 2, got {d}")
+        raise InvalidD(f"d must be at least 2, got {count_text(d)}")
     if d > MAX_D:
-        raise InvalidD(f"d must be at most {MAX_D}, got {d}")
+        raise InvalidD(f"d must be at most {MAX_D}, got {count_text(d)}")
     if math.gcd(numerator, d) != 1:
-        raise InvalidD(f"numerator {numerator} is not coprime to d={d}")
+        raise InvalidD(f"numerator {count_text(numerator)} is not coprime to d={d}")
     num = (d + 2 * numerator) % (2 * d)
     g = math.gcd(num, 2 * d)
     order = 2 * d // g

@@ -358,11 +358,6 @@ class SquareMatrix:
             out[i][: self.dim] = row
         return type(self)(out)
 
-    def drop_last_row_col(self) -> SquareMatrix:
-        if self.dim < 2:
-            raise DimensionMismatch("cannot shrink a 1x1 matrix")
-        return type(self)(row[:-1] for row in self._rows[:-1])
-
     def __str__(self) -> str:
         cells = [[str(e) for e in row] for row in self._rows]
         widths = [max(len(cells[i][j]) for i in range(self.dim)) for j in range(self.dim)]

@@ -126,9 +126,8 @@ def orbifold_check(curvatures: CurvatureVector, labels: Sequence[str]) -> Orbifo
     for label, members in by_label.items():
         values = {curvatures.fractions[i] for i in members}
         if len(values) > 1:
-            raise InvalidCurvatures(
-                f"label {label!r} mixes curvatures {sorted(values)}"
-            )
+            mixed = ", ".join(map(str, sorted(values)))
+            raise InvalidCurvatures(f"label {label!r} mixes curvatures [{mixed}]")
 
     strata: list[ConeStratum] = []
     names = sorted(by_label)

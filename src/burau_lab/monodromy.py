@@ -45,7 +45,7 @@ from .cyclotomic import (
     specialize_poly,
 )
 from .laurent import LaurentMatrix, LaurentPoly, _scalar_rows
-from .words import BraidWord
+from .words import BraidWord, count_text
 
 
 class InvalidDims(ValueError):
@@ -97,7 +97,7 @@ class HermitianForm:
 
 def _check_dims(n: int, m: int) -> None:
     if not 3 <= n <= m - 1:
-        raise InvalidDims(f"need 3 <= n <= m-1, got n={n}, m={m}")
+        raise InvalidDims(f"need 3 <= n <= m-1, got n={count_text(n)}, m={count_text(m)}")
 
 
 def rho_generators(n: int, m: int, minus_q: CyclotomicNumber) -> MonodromyGenerators:

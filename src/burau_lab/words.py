@@ -65,7 +65,7 @@ class InvalidStrandCount(ValueError):
     """A braid group needs at least 2 strands."""
 
     def __init__(self, strands_n: int):
-        super().__init__(f"a braid group needs at least 2 strands, got {strands_n}")
+        super().__init__(f"a braid group needs at least 2 strands, got {count_text(strands_n)}")
 
 
 class WordTooLong(ValueError):
@@ -73,17 +73,18 @@ class WordTooLong(ValueError):
 
 
 def count_text(count: int) -> str:
-    """A non-negative count for a message: in full up to 30 digits, else
-    as the power of ten it reaches, found without converting the count to
-    text (CPython refuses to convert an int of more than 4300 digits)."""
-    if count < 10**30:
+    """An integer for a message: in full up to 30 digits, else as the
+    power of ten its size reaches, found without converting it to text
+    (CPython refuses to convert an int of more than 4300 digits)."""
+    size = abs(count)
+    if size < 10**30:
         return str(count)
-    exp = int(math.log10(count))  # the float may be one off near 10^exp
-    while 10**exp > count:
+    exp = int(math.log10(size))  # the float may be one off near 10^exp
+    while 10**exp > size:
         exp -= 1
-    while 10 ** (exp + 1) <= count:
+    while 10 ** (exp + 1) <= size:
         exp += 1
-    return f"at least 10^{exp}"
+    return f"at least 10^{exp}" if count > 0 else f"at most -10^{exp}"
 
 
 def _check_length(letters: int) -> None:

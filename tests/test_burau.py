@@ -177,12 +177,23 @@ class TestCrossedHomomorphism:
         outside = BurauImage(3, LaurentMatrix([[ONE, ONE], [ZERO, ONE]]))
         with pytest.raises(NotDivisible):
             crossed_v(outside)
+        with pytest.raises(NotDivisible):
+            ev_map(outside, minus_q_from_d(5), 5)
 
 
 class TestAffineExtension:
     def test_identity(self):
         eye = BurauImage(4, LaurentMatrix.identity(3))
-        assert affine_extension(eye).matrix == LaurentMatrix.identity(4)
+        assert affine_extension(eye) == BurauImage(5, LaurentMatrix.identity(4))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_is_the_image_one_strand_up(self, n):
+        rng = random.Random(n)
+        words = [BraidWord(n, ())] + [random_word(n, length, rng) for length in (1, 5, 12, 20)]
+        for w in words:
+            extended = affine_extension(burau_of_word(w))
+            assert type(extended) is BurauImage
+            assert extended == burau_of_word(BraidWord(n + 1, w.letters)), w
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_agrees_with_next_strand_count(self, n):
@@ -211,10 +222,13 @@ class TestEvMap:
         mq = minus_q_from_d(6)
         image = burau_generator(4, 1)
         via_ev = ev_map(image, mq, 5)
-        direct = specialize_matrix(image.matrix, mq)
-        assert projectively_equal(via_ev.matrix, direct)
+        assert via_ev.matrix == specialize_matrix(image.matrix, mq)
         # -t evaluates to q = -(-q) at the top-left corner.
         assert via_ev.matrix.entry(0, 0) == -mq
+        rng = random.Random(6)
+        for n in (2, 3, 5):
+            image = burau_of_word(random_word(n, 12, rng))
+            assert ev_map(image, mq, n + 1).matrix == specialize_matrix(image.matrix, mq)
 
     def test_identity_any_padding(self):
         eye = BurauImage(4, LaurentMatrix.identity(3))

@@ -294,6 +294,7 @@ class TestExitCodes:
              "--length", "9901"),
             ("burau", "check-word", "--n", "4", "--word", "s1", "--d", "7..5"),
             ("burau", "check-word", "--n", "4", "--word", "s1", "--d", str(MAX_D + 1)),
+            ("moduli", "kernel-table", "--n", "4", "--d", str(MAX_D + 1)),
             _cone_points(cli.MAX_STRANDS + 2),
         )
         for argv in cases:
@@ -331,6 +332,11 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--words", "3", "--length", "7")
         assert (code, out) == (cli.EXIT_INVALID_PARAMS, "")
         assert err == "invalid parameters: --words 3 times --length 7 is 21 letters, more than 20\n"
+
+    def test_kernel_table_d_at_cap_runs(self, capsys):
+        code, out, err = run(capsys, "moduli", "kernel-table", "--n", "4", "--d", str(MAX_D))
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out.splitlines()[-1].startswith(f"  4  {MAX_D}  ")
 
     def test_strand_count_at_cap_runs(self, capsys):
         n = cli.MAX_STRANDS
@@ -374,6 +380,11 @@ class TestExitCodes:
                 f"--n {over} is above the cap of {cli.MAX_STRANDS}",
             ("monodromy", "signature", "--n", "4", "--d", "7", "--m", over):
                 f"--m {over} is above the cap of {cli.MAX_STRANDS}",
+            ("moduli", "kernel-table", "--n", "4", "--d", f"3,{MAX_D + 1}"):
+                f"--d {MAX_D + 1} is above the cap of {MAX_D}",
+            ("moduli", "orbifold-check", "--curvatures", "1/4,3/4,1/2,1/2",
+             "--labels", "a,a,b,c"):
+                "label 'a' mixes curvatures [1/4, 3/4]",
             _cone_points(cli.MAX_STRANDS + 2):
                 f"--curvatures lists {cli.MAX_STRANDS + 2} cone points, "
                 f"more than {cli.MAX_STRANDS + 1}",
@@ -395,17 +406,38 @@ class TestExitCodes:
             ), word[:8]
 
     def test_huge_letter_counts_get_a_short_line(self, capsys):
-        # Each count has over 4300 digits, more than CPython converts to text.
+        # A letter count has over 4300 digits, more than CPython converts to
+        # text; every other line would repeat a 4300-digit input in full.
         nines = "9" * 4300
         for argv in (
             ("burau", "eval", "--n", "4", "--word", f"T4^{nines}"),
             ("burau", "eval", "--n", "4", "--word", f"(s1 s2)^{nines}"),
             ("burau", "eval", "--n", "4", "--word", f"s1^{nines}"),
             ("monodromy", "check", "--n", "4", "--d", "5", "--words", nines, "--length", "5"),
+            ("burau", "eval", "--n", nines, "--word", "s1"),
+            ("burau", "eval", "--n", f"-{nines}", "--word", "s1"),
+            ("burau", "eval", "--n", "4", "--word", "s1", "--at-root", nines),
+            ("burau", "check-word", "--n", "4", "--word", "s1", "--d", nines),
+            ("burau", "check-word", "--n", "4", "--word", "s1", "--d", "3", "--numerator", nines),
+            ("moduli", "kernel-table", "--n", "4", "--d", f"1..{nines}"),
+            ("moduli", "kernel-table", "--n", "4", "--d", nines),
+            ("monodromy", "check", "--n", "4", "--d", "5", "--words", f"-{nines}", "--length", "5"),
+            ("monodromy", "check", "--n", "4", "--d", "5", "--words", "3", "--length", f"-{nines}"),
+            ("monodromy", "check", "--n", "4", "--d", "5", "--m", nines),
+            ("monodromy", "signature", "--n", f"-{nines}", "--d", "5"),
+            ("monodromy", "signature", "--n", "4", "--d", nines),
+            ("monodromy", "signature", "--n", "4", "--d", "5", "--m", f"-{nines}"),
+            ("moduli", "orbifold-check", "--curvatures", f"{nines}x", "--labels", "a"),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (cli.EXIT_INVALID_PARAMS, ""), argv[:3]
             assert err.count("\n") == 1 and len(err.encode()) <= 200, err[:80]
+
+    def test_long_seed_is_quoted_short(self, capsys, monkeypatch):
+        monkeypatch.setenv("BURAU_LAB_SEED", "x" * 5000)
+        code, out, err = run(capsys, "monodromy", "check", "--n", "4", "--d", "5")
+        assert (code, out) == (cli.EXIT_INVALID_PARAMS, "")
+        assert err == f"invalid parameters: BURAU_LAB_SEED={'x' * 40!r}... is not an integer\n"
 
     def test_spec_longer_than_cap_rejected(self):
         assert len(cli._parse_int_spec(f"1..{cli.MAX_SPEC_VALUES}")) == cli.MAX_SPEC_VALUES

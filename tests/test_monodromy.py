@@ -95,6 +95,16 @@ class TestDiagramCheck:
             w = random_word(4, 12, rng)
             assert diagram_check(w, 4, 6, mq)
 
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_random_words_through_the_padding(self, n):
+        # m >= n+3 pads the affine extension with an identity block.
+        rng = random.Random(100 + n)
+        for d, numerator in ((5, 2), (8, 3)):
+            mq = minus_q_from_d(d, numerator)
+            for m in (n + 3, n + 4):
+                for _ in range(10):
+                    assert diagram_check(random_word(n, 10, rng), n, m, mq), (d, m)
+
     def test_central_twist_scalar_class(self):
         mq = minus_q_from_d(7)
         w = parse_word("T4", 4)

@@ -375,8 +375,11 @@ class TestExpansionCap:
     def test_count_text(self):
         assert words.count_text(0) == "0"
         assert words.count_text(10**30 - 1) == "9" * 30
+        assert words.count_text(1 - 10**30) == "-" + "9" * 30
         # Near a power of ten the float logarithm can be one off: it reads
         # high just below 10^k, and low at 10^512, 10^1024 and 10^2048.
         for k in range(30, 2100):
             assert words.count_text(10**k) == f"at least 10^{k}"
             assert words.count_text(10 ** (k + 1) - 1) == f"at least 10^{k}"
+            assert words.count_text(-(10**k)) == f"at most -10^{k}"
+            assert words.count_text(-(10 ** (k + 1)) + 1) == f"at most -10^{k}"
