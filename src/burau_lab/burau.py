@@ -18,7 +18,7 @@ column to another":
 
 - Z[t, t^-1], for the exact Laurent image (``burau_of_word``);
 - Z[x]/(x^N - 1), for a specialization at a root of unity t = -q =
-  +-zeta_N^k (``specialized_burau``): +-t^e becomes a signed power of x.
+  zeta_N^k (``specialized_burau``): +-t^e becomes a signed power of x.
   A column of dim entries is stored flat, as one list of dim * N integers
   with the coefficient of x^k in entry i at index k * dim + i, so
   multiplying a whole column by +-x^e is one rotation of that list by
@@ -35,7 +35,8 @@ whose image is t^n * I, is (s1 ... s_{n-1})^n, so T_n^k costs one T_n. A
 word that is not a power, or none of whose prefix powers is scalar, costs
 what it did without the test.
 
-A point that is not a root of unity specializes the Laurent image instead.
+Every specialization point is a power zeta_N^k (``root_exponent``); any
+other point raises NotARoot.
 
 Also here: the crossed homomorphism v, the affine extension it defines
 (beta_n(w) bordered by v(w), which is beta_{n+1}(w): the image of the same
@@ -50,13 +51,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import (
-    CycloMatrix,
-    CyclotomicNumber,
-    ZeroInput,
-    signed_root,
-    specialize_matrix,
-)
+from .cyclotomic import CycloMatrix, CyclotomicNumber, root_exponent, specialize_matrix
 from .laurent import LaurentMatrix, LaurentPoly, _scalar_rows
 from .words import BraidWord
 
@@ -159,20 +154,20 @@ def burau_of_word(word: BraidWord) -> BurauImage:
 
 
 @lru_cache(maxsize=None)
-def _rotation_letters(strands_n: int, order: int, sign: int, k: int) -> dict:
+def _rotation_letters(strands_n: int, order: int, k: int) -> dict:
     """Every letter (index, +-1) of B_strands_n mapped to its
-    ``_letter_action`` row at t = sign * zeta_order^k, with each entry
-    s * t^e given as the rotation of a flat column (see the module
-    docstring) that multiplies it by s * t^e: (s * sign^e, (k*e mod order)
-    * dim), dim = strands_n - 1. -1 is zeta^(order/2) for even order, so
-    sign -1 occurs only for odd order, as in ``signed_root``."""
+    ``_letter_action`` row at t = zeta_order^k, with each entry s * t^e
+    given as the rotation of a flat column (see the module docstring) that
+    multiplies it by s * t^e: (s, (k*e mod order) * dim), dim =
+    strands_n - 1. -1 is zeta^(order/2) for even order, so s = -1 is kept
+    only for odd order."""
     dim = strands_n - 1
 
     def at_point(entry):
         if entry is None:
             return None
         s, e = entry
-        s, shift = s * sign ** (e % 2), k * e % order
+        shift = k * e % order
         if s < 0 and order % 2 == 0:
             s, shift = 1, (shift + order // 2) % order
         return s, shift * dim
@@ -243,7 +238,8 @@ def _scalar_value(columns: list, order: int) -> CyclotomicNumber | None:
 def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix:
     """The word's Burau image specialized at t = minus_q, exactly.
 
-    At a root of unity minus_q = sign * zeta_N^k, every letter entry is a
+    minus_q must be a power zeta_N^k (``root_exponent``): any other point
+    raises NotARoot, and zero ZeroInput. Every letter entry is then a
     signed power of zeta_N, so the product is taken in the group ring
     Z[x]/(x^N - 1). Each column is one flat list of dim * N integers, so
     multiplying it by a letter entry +-x^e is one slice rotating it by
@@ -252,12 +248,11 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     differ from the identity's are read: a column that no letter of the
     word touches (letter s_i touches columns i-2, i-1 and i) is emitted as
     e_j, built from one shared one and zero, and a zero entry skips the
-    reduction. At any other point this is the reference path: the Laurent
-    image specialized entrywise.
+    reduction.
 
-    At a root of unity the word is written as u^k with u its shortest root
-    and applied one copy of u at a time. When the product after j copies,
-    j a proper divisor of k, reduces exactly to a scalar c * I, the image
+    The word is written as u^k with u its shortest root and applied one
+    copy of u at a time. When the product after j copies, j a proper
+    divisor of k, reduces exactly to a scalar c * I, the image
     is c^(k/j) on the diagonal and a shared zero elsewhere, and the
     remaining copies are not applied: T_n^k, whose root is s1 ... s_{n-1},
     costs n(n-1) letters and one field power.
@@ -265,14 +260,9 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     Kernel membership for the specialization means exact equality of this
     matrix with the identity (not projective equality).
     """
-    if minus_q.is_zero:
-        raise ZeroInput("cannot specialize at zero")
-    root = signed_root(minus_q)
-    if root is None:
-        return specialize_matrix(burau_of_word(word).matrix, minus_q)
     order = minus_q.order
     dim = word.strands_n - 1
-    table = _rotation_letters(word.strands_n, order, *root)
+    table = _rotation_letters(word.strands_n, order, root_exponent(minus_q))
     p = _root_length(word.letters)
     copies = len(word.letters) // p if p else 1
     letters = word.letters[:p]
@@ -387,8 +377,6 @@ def ev_map(image: BurauImage, minus_q: CyclotomicNumber, m: int) -> ProjectiveMa
     n = image.strands_n
     if m < n + 1:
         raise ValueError(f"target puncture count m={m} must be at least n+1={n + 1}")
-    if minus_q.is_zero:
-        raise ZeroInput("cannot evaluate at zero")
     if m == n + 1:
         matrix = image.matrix
     else:

@@ -28,6 +28,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -52,6 +53,7 @@ from .monodromy import (
     signature,
 )
 from .words import (
+    MAX_FULL_DIGITS,
     MAX_WORD_LETTERS,
     IndexOutOfRange,
     InvalidStrandCount,
@@ -59,6 +61,7 @@ from .words import (
     WordTooLong,
     count_text,
     parse_word,
+    quoted_text,
     random_word,
 )
 
@@ -101,8 +104,10 @@ MAX_STRANDS = 20
 """The largest strand count (--n) or puncture count (--m) accepted: every
 command builds matrices of that order before doing any work."""
 
-MAX_QUOTED_CHARS = 40
-"""The most characters of a user's text that a message quotes."""
+_DIGITS = f"[0-9]{{1,{MAX_FULL_DIGITS}}}"
+_FRACTION_TEXT = re.compile(f"[+-]?{_DIGITS}(?:[/.]{_DIGITS})?")
+"""One --curvatures entry: an optional sign and digits, then /digits or
+.digits, each run of digits at most MAX_FULL_DIGITS long."""
 
 
 class InvalidSpec(ValueError):
@@ -110,14 +115,6 @@ class InvalidSpec(ValueError):
     strand or puncture count above MAX_STRANDS, a kernel-table --d above
     MAX_D, a malformed or over-long fraction list (--curvatures), or a
     malformed BURAU_LAB_SEED."""
-
-
-def _quoted(text: str) -> str:
-    """repr of text cut to its first MAX_QUOTED_CHARS characters, marked
-    by '...' when cut."""
-    if len(text) <= MAX_QUOTED_CHARS:
-        return repr(text)
-    return repr(text[:MAX_QUOTED_CHARS]) + "..."
 
 
 def default_seed() -> int:
@@ -129,7 +126,7 @@ def default_seed() -> int:
     try:
         return int(env)
     except ValueError:
-        raise InvalidSpec(f"BURAU_LAB_SEED={_quoted(env)} is not an integer") from None
+        raise InvalidSpec(f"BURAU_LAB_SEED={quoted_text(env)} is not an integer") from None
 
 
 def _parse_int_spec(spec: str) -> list[int]:
@@ -144,11 +141,11 @@ def _parse_int_spec(spec: str) -> list[int]:
             else:
                 lo = hi = int(chunk)
         except ValueError:
-            raise InvalidSpec(f"malformed integer spec {_quoted(spec)}") from None
+            raise InvalidSpec(f"malformed integer spec {quoted_text(spec)}") from None
         if hi < lo:
-            raise InvalidSpec(f"empty range {_quoted(chunk)} in spec {_quoted(spec)}")
+            raise InvalidSpec(f"empty range {quoted_text(chunk)} in spec {quoted_text(spec)}")
         if len(out) + hi - lo + 1 > MAX_SPEC_VALUES:
-            raise InvalidSpec(f"spec {_quoted(spec)} lists more than {MAX_SPEC_VALUES} integers")
+            raise InvalidSpec(f"spec {quoted_text(spec)} lists more than {MAX_SPEC_VALUES} integers")
         out.extend(range(lo, hi + 1))
     return out
 
@@ -355,10 +352,17 @@ def cmd_orbifold_check(args: argparse.Namespace) -> int:
         raise InvalidSpec(
             f"--curvatures lists {len(parts)} cone points, more than {MAX_STRANDS + 1}"
         )
+    # Each entry is checked before Fraction sees it: Fraction("1e-10000000")
+    # builds a ten-million-digit int, and longer runs of digits than a
+    # message prints in full would reach every sum and angle below.
+    texts = [part.strip() for part in parts]
+    malformed = InvalidSpec(f"malformed fraction list {quoted_text(args.curvatures)}")
+    if not all(map(_FRACTION_TEXT.fullmatch, texts)):
+        raise malformed
     try:
-        fractions = tuple(Fraction(part.strip()) for part in parts)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidSpec(f"malformed fraction list {_quoted(args.curvatures)}") from None
+        fractions = tuple(map(Fraction, texts))
+    except ZeroDivisionError:
+        raise malformed from None
     labels = [part.strip() for part in args.labels.split(",")]
     curvatures = CurvatureVector(fractions)
     report = orbifold_check(curvatures, labels)

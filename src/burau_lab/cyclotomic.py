@@ -11,7 +11,9 @@ hot loops need.
 The module also provides the root used to specialize Burau matrices:
 for q the canonical primitive d-th root of unity, ``minus_q_from_d(d)``
 returns -q embedded in the smallest field containing it, namely Q(zeta_N)
-with N = 2d (d odd), N = d (d = 0 mod 4) or N = d/2 (d = 2 mod 4).
+with N = 2d (d odd), N = d (d = 0 mod 4) or N = d/2 (d = 2 mod 4), as a
+power zeta_N^k. A specialization point always has that form:
+``root_exponent`` reads k back, and raises NotARoot for any other point.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ of RSS, against 30 MiB at d = 5 (CPython 3.11)."""
 
 class ZeroInput(ValueError):
     """A nonzero value was required (inversion or specialization at zero)."""
+
+
+class NotARoot(ValueError):
+    """A specialization point is not a power zeta_N^k of its field's zeta_N."""
 
 
 class InvalidD(ValueError):
@@ -473,53 +479,49 @@ def multiplicative_order(x: CyclotomicNumber) -> int | float:
     return INFINITE
 
 
-def signed_root(x: CyclotomicNumber) -> tuple[int, int] | None:
-    """(sign, e) with x = sign * zeta_N^e, N = x.order and sign = +-1, or
-    None when x is not a root of unity.
+def root_exponent(x: CyclotomicNumber) -> int:
+    """The k, 0 <= k < N, with x = zeta_N^k, N = x.order.
 
-    For even N every root of unity in Q(zeta_N) is a power of zeta_N and the
-    sign is +1; for odd N the roots are +-zeta_N^e, and -zeta_N^e is reported
-    with sign -1 (as for -q at d = 2 mod 4).
+    Every point -q that ``minus_q_from_d`` returns has this form, and this
+    is the one test of whether a point has it: zero raises ZeroInput, and
+    any other x NotARoot. For odd N that includes -zeta_N^k, which is the
+    point zeta_2N^(2k + N) of Q(zeta_2N).
+
+    >>> root_exponent(minus_q_from_d(5))
+    7
     """
-    if x._den != 1:
-        return None
     exponents = _root_exponents(x.order)
-    e = exponents.get(x._num)
-    if e is not None:
-        return 1, e
-    e = exponents.get(tuple(-a for a in x._num))
-    return None if e is None else (-1, e)
+    if x._den == 1:
+        k = exponents.get(x._num)
+        if k is not None:
+            return k
+        k = exponents.get(tuple(-a for a in x._num))
+        if k is not None:
+            raise NotARoot(
+                f"{x} is not a power of zeta({x.order}); as a point it is "
+                f"root_of_unity({2 * x.order}, {2 * k + x.order})"
+            )
+    if x.is_zero:
+        raise ZeroInput("cannot specialize at zero")
+    raise NotARoot(f"{x} is not a power of zeta({x.order})")
 
 
 def specialize_poly(p: LaurentPoly, x: CyclotomicNumber) -> CyclotomicNumber:
-    """Evaluate a Laurent polynomial at a nonzero field element, exactly.
+    """Evaluate a Laurent polynomial at a point x = zeta_N^k, exactly.
 
-    At a root of unity x = sign * zeta_N^k, t^e is sign^e * zeta_N^(k*e mod N),
-    so the coefficients are summed into one length-N vector and reduced mod
-    Phi_N once; negative exponents need no inverse. Other points evaluate
-    p / t^min_exp by Horner's rule and multiply by x^min_exp.
+    t^e is zeta_N^(k*e mod N), so the coefficients are summed into one
+    length-N vector and reduced mod Phi_N once; negative exponents need no
+    inverse.
     """
-    if x.is_zero:
-        raise ZeroInput("cannot specialize a Laurent polynomial at zero")
-    root = signed_root(x)
-    if root is not None:
-        sign, k = root
-        powers = [0] * x.order
-        for e, c in p:
-            powers[k * e % x.order] += -c if sign < 0 and e % 2 else c
-        return CyclotomicNumber.from_powers(x.order, powers)
-    total = CyclotomicNumber.zero(x.order)
-    if p.is_zero:
-        return total
-    for e in range(p.max_exp, p.min_exp - 1, -1):
-        total = total * x + p.coefficient(e)
-    return total * x ** p.min_exp
+    k = root_exponent(x)
+    powers = [0] * x.order
+    for e, c in p:
+        powers[k * e % x.order] += c
+    return CyclotomicNumber.from_powers(x.order, powers)
 
 
 def specialize_matrix(m: LaurentMatrix, x: CyclotomicNumber) -> "CycloMatrix":
     """Entrywise evaluation t -> x of a Laurent matrix."""
-    if x.is_zero:
-        raise ZeroInput("cannot specialize a Laurent matrix at zero")
     return CycloMatrix(m.map_entries(lambda p: specialize_poly(p, x)))
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import INFINITE, InvalidD, minus_q_from_d, multiplicative_order
-from .words import BraidWord, TwistKind, canonical_twist_word
+from .words import BraidWord, TwistKind, canonical_twist_word, quoted_text
 
 
 class InvalidFraction(ValueError):
@@ -127,7 +127,7 @@ def orbifold_check(curvatures: CurvatureVector, labels: Sequence[str]) -> Orbifo
         values = {curvatures.fractions[i] for i in members}
         if len(values) > 1:
             mixed = ", ".join(map(str, sorted(values)))
-            raise InvalidCurvatures(f"label {label!r} mixes curvatures [{mixed}]")
+            raise InvalidCurvatures(f"label {quoted_text(label)} mixes curvatures [{mixed}]")
 
     strata: list[ConeStratum] = []
     names = sorted(by_label)

@@ -41,7 +41,7 @@ from .cyclotomic import (
     CycloMatrix,
     CyclotomicNumber,
     _substitute,
-    signed_root,
+    root_exponent,
     specialize_poly,
 )
 from .laurent import LaurentMatrix, LaurentPoly, _scalar_rows
@@ -53,8 +53,8 @@ class InvalidDims(ValueError):
 
 
 class NoInvariantForm(RuntimeError):
-    """No closed-form invariant form exists at the point (not a root of unity,
-    or -1), or an exact check failed, which signals a bug."""
+    """No closed-form invariant form exists at the point t = -1, or an exact
+    check failed, which signals a bug."""
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,10 @@ def _laurent_certificate(entries: tuple[LaurentPoly, ...]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _values_at(order: int, sign: int, k: int) -> tuple[dict, tuple]:
+def _values_at(order: int, k: int) -> tuple[dict, tuple]:
     """The letter entries (s, e) mapped to s * t^e, and Squier's (diagonal,
-    above, below), at t = sign * zeta_order^k."""
-    t = CyclotomicNumber.root_of_unity(order, k) * sign
+    above, below), at t = zeta_order^k."""
+    t = CyclotomicNumber.root_of_unity(order, k)
     letters = {
         (s, e): specialize_poly(LaurentPoly.monomial(s, e), t) for s in (1, -1) for e in (-1, 0, 1)
     }
@@ -208,13 +208,13 @@ def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenera
     ``_laurent_certificate`` proves to be 0 over Z[t, t^-1], provided
     conj(t) = t^-1, so that conjugation commutes with specialization.
     Those three facts are what is checked here: conj(t) against t^-1 by
-    ``signed_root``'s exponent flip, every generator against I outside
+    ``root_exponent``'s exponent flip, every generator against I outside
     row r and against its ``_letter_action`` row at t inside it, and row
     and column r of every basis form against +-1 or 0 times S's.
     """
     _laurent_certificate(_SQUIER)
     t, dim = generators.minus_q, generators.m - 2
-    letter_values, entries = _values_at(t.order, *signed_root(t))
+    letter_values, entries = _values_at(t.order, root_exponent(t))
     if _conjugate(t) != letter_values[1, -1]:
         raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
     one, zero = CyclotomicNumber.one(t.order), CyclotomicNumber.zero(t.order)
@@ -264,11 +264,9 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     The basis is H and the k^2 matrix units on the trailing block.
     """
     n, m, t = generators.strands_n, generators.m, generators.minus_q
-    root = signed_root(t)
-    if root is None or t == -1:
+    if t == -1:
         raise NoInvariantForm(f"no closed-form invariant form at t = {t}")
-    sign, e = root
-    turn = (Fraction(e, t.order) + (Fraction(1, 2) if sign < 0 else 0)) % 1
+    turn = Fraction(root_exponent(t), t.order)
     r = min(turn, 1 - turn)
     dim, lead, k = m - 2, n - 1, m - 1 - n
     zero, one = CyclotomicNumber.zero(t.order), CyclotomicNumber.one(t.order)

@@ -37,6 +37,12 @@ error before ``int`` sees it. This is CPython's default int-string limit,
 fixed here so that a word's verdict does not depend on the interpreter's
 setting (PYTHONINTMAXSTRDIGITS=0 lifts that limit)."""
 
+MAX_FULL_DIGITS = 30
+"""The most digits of a number that a message prints in full."""
+
+MAX_QUOTED_CHARS = 40
+"""The most characters of a user's text that a message quotes."""
+
 MAX_GROUP_DEPTH = 100
 """The deepest nesting of parenthesized groups that ``parse_word`` accepts;
 the parser recurses once per level, so the cap keeps it off Python's
@@ -73,11 +79,11 @@ class WordTooLong(ValueError):
 
 
 def count_text(count: int) -> str:
-    """An integer for a message: in full up to 30 digits, else as the
-    power of ten its size reaches, found without converting it to text
-    (CPython refuses to convert an int of more than 4300 digits)."""
+    """An integer for a message: in full up to MAX_FULL_DIGITS digits, else
+    as the power of ten its size reaches, found without converting it to
+    text (CPython refuses to convert an int of more than 4300 digits)."""
     size = abs(count)
-    if size < 10**30:
+    if size < 10**MAX_FULL_DIGITS:
         return str(count)
     exp = int(math.log10(size))  # the float may be one off near 10^exp
     while 10**exp > size:
@@ -85,6 +91,14 @@ def count_text(count: int) -> str:
     while 10 ** (exp + 1) <= size:
         exp += 1
     return f"at least 10^{exp}" if count > 0 else f"at most -10^{exp}"
+
+
+def quoted_text(text: str) -> str:
+    """A user's text for a message: its repr, cut to the first
+    MAX_QUOTED_CHARS characters and marked by '...' when cut."""
+    if len(text) <= MAX_QUOTED_CHARS:
+        return repr(text)
+    return repr(text[:MAX_QUOTED_CHARS]) + "..."
 
 
 def _check_length(letters: int) -> None:

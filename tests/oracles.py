@@ -14,3 +14,17 @@ def leibniz_det(m):
             term = m.entry(i, j) * term
         total = total + term
     return total
+
+
+def q_point(d, a=1):
+    """The point q = -(-q) = exp(2*pi*i*a/d) for -q = minus_q_from_d(d, a).
+
+    It is -(-q) in the field of -q when that field has even order N (d odd,
+    or d = 0 mod 4). For d = 2 mod 4, -q = zeta_N^k has odd order N = d/2,
+    and q = -zeta_N^k is no power of zeta_N; it is zeta_2N^(2k + N), built
+    here as zeta_d^a.
+    """
+    from burau_lab.cyclotomic import CyclotomicNumber, minus_q_from_d
+
+    mq = minus_q_from_d(d, a)
+    return -mq if mq.order % 2 == 0 else CyclotomicNumber.root_of_unity(d, a)

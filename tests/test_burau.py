@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,15 +25,17 @@ from burau_lab.burau import (
 from burau_lab.cyclotomic import (
     CycloMatrix,
     CyclotomicNumber,
+    NotARoot,
     ZeroInput,
     minus_q_from_d,
-    signed_root,
+    root_exponent,
     specialize_matrix,
     specialize_poly,
 )
 from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible
+from burau_lab.monodromy import rho_generators
 from burau_lab.words import BraidWord, parse_word, random_word
-from oracles import leibniz_det
+from oracles import leibniz_det, q_point
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.one()
@@ -285,20 +288,17 @@ class TestSpecializedBurau:
                 cases.append((random_word(n, 12, rng), minus_q_from_d(d)))
         # Every d in 2..40 with a coprime numerator other than 1 where there
         # is one, at -q and at the non-primitive roots q = -(-q) and (-q)^3
-        # (sign -1 with odd N when d = 2 mod 4), on words of length 0, 1 and
-        # random length; a central twist of 2500 letters; and a point that
-        # is not a root of unity, which takes the Laurent path.
+        # (odd N when d = 2 mod 4), on words of length 0, 1 and random
+        # length; and a central twist of 2500 letters.
         for d in range(2, 41):
             a = max(k for k in range(1, d) if math.gcd(k, d) == 1)
             mq = minus_q_from_d(d, a)
-            for x in (mq, -mq, mq**3):
+            for x in (mq, q_point(d, a), mq**3):
                 for length in (0, 1, rng.randint(2, 40)):
                     cases.append((random_word(rng.randint(2, 6), length, rng), x))
         twist = parse_word("T5^125", 5)
         assert len(twist) == 2500
         cases += [(twist, minus_q_from_d(7)), (twist, minus_q_from_d(10))]
-        non_root = CyclotomicNumber.root_of_unity(5) + 1
-        cases += [(random_word(4, length, rng), non_root) for length in (0, 1, 9)]
         for w, x in cases:
             fast = specialized_burau(w, x)
             slow = specialize_matrix(burau_of_word(w).matrix, x)
@@ -307,7 +307,7 @@ class TestSpecializedBurau:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_oracle_on_random_words_and_roots(self, data):
-        # n = 2 is dim 1; (-q)^3, and -q or q at odd N, give the sign -1
+        # n = 2 is dim 1; (-q)^3, -q and q at odd N give the sign -1
         # rotations of the group-ring columns.
         n = data.draw(st.integers(min_value=2, max_value=10), label="n")
         letters = data.draw(
@@ -322,21 +322,20 @@ class TestSpecializedBurau:
             label="numerator",
         )
         mq = minus_q_from_d(d, numerator)
-        x = data.draw(st.sampled_from((mq, -mq, mq**3)), label="x")
+        x = data.draw(st.sampled_from((mq, q_point(d, numerator), mq**3)), label="x")
         w = BraidWord(n, tuple(letters))
         assert specialized_burau(w, x) == specialize_matrix(burau_of_word(w).matrix, x)
 
     def test_letter_table_matches_field_evaluation(self):
-        # Each entry s * t^e of the table at a root x = sign * zeta_N^k must
-        # be (sign, e' * (n-1)) for s * x^e = sign * zeta_N^e' evaluated in
+        # Each entry s * t^e of the table at a root x = zeta_N^k must be
+        # (sign, e' * (n-1)) for s * x^e = sign * zeta_N^e' evaluated in
         # Q(zeta_N): the rotation of a flat column of n-1 entries. sign is
-        # -1 at -q for d = 2 mod 4 and at q = -(-q) for odd d.
+        # -1 only for odd N, where -zeta_N^e' is no power of zeta_N.
         for d in range(2, 41):
             mq = minus_q_from_d(d)
-            for x in (mq, -mq, mq**3):
-                root = signed_root(x)
+            for x in (mq, q_point(d), mq**3):
                 for n in range(2, 11):
-                    table = _rotation_letters(n, x.order, *root)
+                    table = _rotation_letters(n, x.order, root_exponent(x))
                     for index in range(1, n):
                         for letter_sign in (1, -1):
                             r, *entries = _letter_action(n, index, letter_sign < 0)
@@ -345,9 +344,11 @@ class TestSpecializedBurau:
                                 if entry is None:
                                     expected.append(None)
                                     continue
-                                s, e = signed_root(
-                                    specialize_poly(LaurentPoly.monomial(*entry), x)
-                                )
+                                value = specialize_poly(LaurentPoly.monomial(*entry), x)
+                                try:
+                                    s, e = 1, root_exponent(value)
+                                except NotARoot:
+                                    s, e = -1, root_exponent(-value)
                                 expected.append((s, e * (n - 1)))
                             assert table[index, letter_sign] == (r, *expected), (
                                 d, x, n, index, letter_sign
@@ -369,7 +370,7 @@ class TestSpecializedBurau:
             )
             for d in (4, 6, 7, 10):
                 mq = minus_q_from_d(d)
-                for x in (mq, -mq, mq**3):
+                for x in (mq, q_point(d), mq**3):
                     cases.append((BraidWord(n, letters), x))
         for w, x in cases:
             expected = specialize_matrix(burau_of_word(w).matrix, x)
@@ -398,6 +399,34 @@ class TestSpecializedBurau:
     def test_rejects_zero(self):
         with pytest.raises(ZeroInput):
             specialized_burau(parse_word("s1", 4), CyclotomicNumber.zero(4))
+
+
+class TestPointsThatAreNotRoots:
+    """Wherever a Burau matrix or polynomial is specialized, a point that
+    is not a power zeta_N^k of its own field's zeta_N raises NotARoot, and
+    zero raises ZeroInput."""
+
+    @pytest.mark.parametrize(
+        "x, error",
+        [
+            (CyclotomicNumber.root_of_unity(5) + 1, NotARoot),
+            (CyclotomicNumber.root_of_unity(5) * 2 - Fraction(1, 3), NotARoot),
+            (CyclotomicNumber.from_fraction(2), NotARoot),
+            (-CyclotomicNumber.root_of_unity(3), NotARoot),
+            (CyclotomicNumber.zero(4), ZeroInput),
+        ],
+        ids=["1+zeta5", "2zeta5-1/3", "2", "-zeta3", "zero"],
+    )
+    def test_every_specialization_refuses_it(self, x, error):
+        for specialize in (
+            lambda: specialize_poly(LaurentPoly.t(), x),
+            lambda: specialize_matrix(burau_generator(4, 1).matrix, x),
+            lambda: specialized_burau(parse_word("s1 s2^-1", 4), x),
+            lambda: ev_map(burau_generator(4, 1), x, 6),
+            lambda: rho_generators(4, 5, x),
+        ):
+            with pytest.raises(error):
+                specialize()
 
 
 class TestPowerEarlyStop:

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -432,6 +433,47 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (cli.EXIT_INVALID_PARAMS, ""), argv[:3]
             assert err.count("\n") == 1 and len(err.encode()) <= 200, err[:80]
+
+    @pytest.mark.parametrize(
+        "curvatures, labels",
+        [
+            ("1e-10000000,1/2,1/2,1/2,1/2", "a,b,c,d,e"),
+            ("1e-30000000,1/2,1/2,1/2,1/2", "a,b,c,d,e"),
+            (f"1/{'9' * 4300},1/3,1/2", "a,b,c"),
+            ("1/4,3/4,1/2,1/2", f"{'x' * 5000},{'x' * 5000},b,c"),
+        ],
+        ids=["exponent-1e7", "exponent-3e7", "denominator-4300-digits", "label-5000-chars"],
+    )
+    def test_hostile_orbifold_input_fails_fast_and_short(self, capsys, curvatures, labels):
+        # Exponent notation would have Fraction build an int of millions of
+        # digits; a long label would be quoted in full.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "moduli", "orbifold-check", "--curvatures", curvatures, "--labels", labels
+        )
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (cli.EXIT_INVALID_PARAMS, "")
+        assert err.count("\n") == 1 and len(err.encode()) <= 200, err[:80]
+
+    def test_fraction_entries_up_to_30_digits(self, capsys):
+        # 1/4 four times, 1/10, 2/5 and 1/2 sum to 2; the longest runs of
+        # digits have 30.
+        longest = "9" * 30
+        accepted = (
+            "1/4", "+1/4", "0.25", "0.250", f"{longest[1:]}/{longest[1:]}0", f"0.4{'0' * 29}", "1/2"
+        )
+        code, out, err = run(
+            capsys, "moduli", "orbifold-check", "--curvatures", ",".join(accepted),
+            "--labels", "a,b,c,d,e,f,g",
+        )
+        assert code == cli.EXIT_OK, err
+        for entry in (f"1{longest}/2", f"1/1{longest}", "1e0", ".5", "1.", "1_0/20", "1/2/3"):
+            code, _, err = run(
+                capsys, "moduli", "orbifold-check", "--curvatures", f"{entry},1/2,1/2,1/2",
+                "--labels", "a,b,c,d",
+            )
+            assert code == cli.EXIT_INVALID_PARAMS
+            assert err.startswith("invalid parameters: malformed fraction list"), entry
 
     def test_long_seed_is_quoted_short(self, capsys, monkeypatch):
         monkeypatch.setenv("BURAU_LAB_SEED", "x" * 5000)

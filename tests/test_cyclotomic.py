@@ -17,17 +17,19 @@ from burau_lab.cyclotomic import (
     CycloMatrix,
     CyclotomicNumber,
     InvalidD,
+    NotARoot,
     ZeroInput,
     cyclotomic_polynomial,
     minus_q_from_d,
     multiplicative_order,
-    signed_root,
+    root_exponent,
     specialize_matrix,
     specialize_poly,
     _polydiv_exact,
     _substitute,
 )
 from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible
+from oracles import q_point
 
 
 def float_order(z: complex, bound: int = 300) -> int | None:
@@ -330,21 +332,33 @@ def field_elements():
 
 
 class TestSignedRoot:
+    """``root_exponent`` on signed roots +-zeta_N^e: -zeta_N^e is a power of
+    zeta_N for even N only, and is refused for odd N, naming the point of
+    Q(zeta_2N) that it is."""
+
     @pytest.mark.parametrize("order", range(1, 31))
     def test_powers_of_zeta(self, order):
         for e in range(order):
             z = CyclotomicNumber.root_of_unity(order, e)
-            assert signed_root(z) == (1, e)
-            expected = (1, (e + order // 2) % order) if order % 2 == 0 else (-1, e)
-            assert signed_root(-z) == expected
+            assert root_exponent(z) == e
+            if order % 2 == 0:
+                assert root_exponent(-z) == (e + order // 2) % order
+                continue
+            with pytest.raises(NotARoot, match=rf"root_of_unity\({2 * order}, {2 * e + order}\)$"):
+                root_exponent(-z)
+            assert CyclotomicNumber.root_of_unity(2 * order, 2 * e + order) == -z
 
     def test_negated_entry_at_d_2_mod_4_has_sign_minus_one(self):
-        # -q has odd order there, so the letter entry -t = q is -zeta_N^k.
+        # -q has odd order there, so the letter entry -t = q is -zeta_N^k:
+        # not a point of Q(zeta_N), but zeta_d^a with d = 2N.
         for d in (6, 10, 14, 18):
             mq = minus_q_from_d(d)
             assert mq.order % 2 == 1
-            sign, k = signed_root(-mq)
-            assert sign == -1 and signed_root(mq) == (1, k)
+            with pytest.raises(NotARoot):
+                root_exponent(-mq)
+            q = q_point(d)
+            assert q == -mq and q.order == d
+            assert root_exponent(q) == (2 * root_exponent(mq) + mq.order) % d
 
     def test_non_roots(self):
         z5 = CyclotomicNumber.root_of_unity(5)
@@ -354,9 +368,21 @@ class TestSignedRoot:
             CyclotomicNumber.from_fraction(Fraction(1, 2), 8),
             CyclotomicNumber.from_fraction(2, 1),
             CyclotomicNumber.root_of_unity(4) + 1,
-            CyclotomicNumber.zero(6),
         ):
-            assert signed_root(x) is None
+            with pytest.raises(NotARoot, match=r"is not a power of zeta\(\d+\)$"):
+                root_exponent(x)
+        with pytest.raises(ZeroInput):
+            root_exponent(CyclotomicNumber.zero(6))
+
+
+def test_every_specialization_point_is_a_power_of_zeta():
+    # The assumption behind specializing only at zeta_N^k: every point
+    # minus_q_from_d returns is one.
+    points = [
+        minus_q_from_d(d, a) for d in range(2, 61) for a in range(1, d) if math.gcd(a, d) == 1
+    ]
+    for x in points + [minus_q_from_d(MAX_D)]:
+        assert CyclotomicNumber.root_of_unity(x.order, root_exponent(x)) == x
 
 
 class TestHashAcrossOrders:
@@ -383,9 +409,9 @@ class TestHashAcrossOrders:
 
 
 def _points():
-    mq = [minus_q_from_d(d, a) for d, a in ((3, 1), (6, 5), (7, 3), (8, 3), (12, 5))]
-    z5 = CyclotomicNumber.root_of_unity(5)
-    return mq + [-x for x in mq] + [x**3 for x in mq] + [z5 + 1, z5 * 2 - Fraction(1, 3)]
+    pairs = ((3, 1), (6, 5), (7, 3), (8, 3), (12, 5))
+    mq = [minus_q_from_d(d, a) for d, a in pairs]
+    return mq + [q_point(d, a) for d, a in pairs] + [x**3 for x in mq]
 
 
 class TestExponentFlip:
