@@ -327,30 +327,14 @@ def affine_extension(image: BurauImage) -> BurauImage:
     return BurauImage(image.strands_n + 1, LaurentMatrix(rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveMatrix:
-    """A matrix considered up to a nonzero scalar (a PGL representative).
-
-    Equality is projective; use ``.matrix`` for the chosen representative.
+    """A matrix considered up to a nonzero scalar (a PGL representative),
+    held as its chosen representative ``matrix``. Compare two classes with
+    ``projectively_equal`` on their representatives.
     """
 
     matrix: CycloMatrix
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProjectiveMatrix):
-            return NotImplemented
-        return projectively_equal(self.matrix, other.matrix)
-
-    def __hash__(self) -> int:
-        return hash(self.matrix.dim)
-
-    @property
-    def is_identity(self) -> bool:
-        """Projective triviality: the representative is a nonzero scalar
-        multiple of the identity."""
-        return projectively_equal(
-            self.matrix, CycloMatrix.identity(self.matrix.dim)
-        )
 
 
 def projectively_equal(a: CycloMatrix, b: CycloMatrix) -> bool:

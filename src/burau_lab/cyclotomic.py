@@ -120,21 +120,6 @@ def _substitute(num: Sequence[int], step: int, order: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _traces(order: int) -> tuple[int, ...]:
-    """Entry e is the trace Tr(zeta_order^e) from Q(zeta_order) to Q, for e
-    below phi(order): zeta_order^e is a primitive m-th root, m =
-    order/gcd(e, order), whose conjugates over Q sum to mu(m), the negated
-    second-highest coefficient of Phi_m, and each is hit phi(order)/phi(m)
-    times."""
-    deg, _ = _field(order)
-    out = []
-    for e in range(deg):
-        phi_m = cyclotomic_polynomial(order // math.gcd(e, order))
-        out.append(-phi_m[-2] * (deg // (len(phi_m) - 1)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _root_exponents(order: int) -> dict[tuple[int, ...], int]:
     """The reduced vector of zeta_order^e, mapped to e, for e in 0..order-1."""
     _, rows = _field(order)
@@ -152,6 +137,13 @@ class CyclotomicNumber:
     Stored canonically: integer numerator vector of length phi(order) over a
     positive denominator, with the gcd of all numerators and the denominator
     equal to 1.
+
+    An element belongs to one field: arithmetic with an element of another
+    field raises ValueError naming both. ``==`` against another field's
+    element is true only when both are rational with equal value, as it is
+    against an int or Fraction of that value, so ``==`` stays transitive
+    through int and Fraction, and a rational element hashes like its
+    Fraction.
 
     An operand from the same field is recognized before any int or
     Fraction coercion is tried. A result of integral operands (denominator
@@ -237,47 +229,33 @@ class CyclotomicNumber:
     def denominator(self) -> int:
         return self._den
 
-    def promote(self, order: int) -> CyclotomicNumber:
-        """Re-express in Q(zeta_order); requires self.order | order."""
-        if order == self.order:
-            return self
-        if order % self.order:
-            raise ValueError(f"cannot embed Q(zeta_{self.order}) into Q(zeta_{order})")
-        return CyclotomicNumber(
-            order, _substitute(self._num, order // self.order, order), self._den
-        )
-
     def _pair(self, other: CyclotomicNumber | int | Fraction) -> tuple[CyclotomicNumber, CyclotomicNumber]:
         if type(other) is CyclotomicNumber and other.order == self.order:
             return self, other
         if type(other) is int:
             return self, _canonical(self.order, (other,) + (0,) * (len(self._num) - 1))
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_fraction(other, self.order)
-        if self.order == other.order:
-            return self, other
-        common = self.order * other.order // math.gcd(self.order, other.order)
-        return self.promote(common), other.promote(common)
+            return self, CyclotomicNumber.from_fraction(other, self.order)
+        raise ValueError(
+            f"cannot combine elements of Q(zeta_{self.order}) and Q(zeta_{other.order})"
+        )
 
     def __eq__(self, other: object) -> bool:
         if type(other) is CyclotomicNumber and other.order == self.order:
             return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_fraction(other, self.order)
+            return self == CyclotomicNumber.from_fraction(other, self.order)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        a, b = self._pair(other)
-        return a._num == b._num and a._den == b._den
+        return (
+            not any(self._num[1:]) and not any(other._num[1:])
+            and self._num[0] == other._num[0] and self._den == other._den
+        )
 
     def __hash__(self) -> int:
-        # Equal elements of different fields, and a rational element and the
-        # int or Fraction of the same value, must hash alike. The normalized
-        # trace Tr(x)/phi(order) is unchanged by ``promote`` and is x itself
-        # when x is rational, so hash that Fraction.
-        traces = _traces(self.order)
-        return hash(
-            Fraction(sum(map(operator.mul, self._num, traces)), len(traces) * self._den)
-        )
+        if any(self._num[1:]):
+            return hash((self.order, self._num, self._den))
+        return hash(Fraction(self._num[0], self._den))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -314,12 +292,6 @@ class CyclotomicNumber:
             if self._den == 1:
                 return _canonical(self.order, tuple(a * other for a in self._num))
             return CyclotomicNumber(self.order, [a * other for a in self._num], self._den)
-        elif isinstance(other, Fraction):
-            return CyclotomicNumber(
-                self.order,
-                [a * other.numerator for a in self._num],
-                self._den * other.denominator,
-            )
         else:
             a, b = self._pair(other)
         deg, rows = _field(a.order)
@@ -378,11 +350,6 @@ class CyclotomicNumber:
         )
 
     def __truediv__(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if not f:
-                raise ZeroInput("division by zero")
-            return self * Fraction(f.denominator, f.numerator)
         a, b = self._pair(other)
         return a * b.inverse()
 

@@ -1,6 +1,6 @@
 """Exact arithmetic for integer-coefficient Laurent polynomials in one
-variable t, and sums, products and non-negative powers of square matrices
-over them or over any other exact ring (``SquareMatrix``).
+variable t, and products of square matrices over them or over any other
+exact ring (``SquareMatrix``).
 
 A Laurent polynomial is stored as a finitely supported map from integer
 exponents to nonzero integer coefficients, so equality is structural and
@@ -11,7 +11,6 @@ without limit in the word length, so nothing here may round or overflow.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Iterator, Mapping
 
 
@@ -56,10 +55,6 @@ class LaurentPoly:
         return _ONE
 
     @classmethod
-    def constant(cls, c: int) -> LaurentPoly:
-        return cls({0: c})
-
-    @classmethod
     def t(cls, exp: int = 1) -> LaurentPoly:
         """The monomial t^exp."""
         return cls({exp: 1})
@@ -78,13 +73,6 @@ class LaurentPoly:
         return not self._coeffs
 
     @property
-    def is_unit(self) -> bool:
-        """True for the ring units: the monomials with coefficient +-1."""
-        if len(self._coeffs) != 1:
-            return False
-        return next(iter(self._coeffs.values())) in (1, -1)
-
-    @property
     def min_exp(self) -> int:
         if not self._coeffs:
             raise ValueError("the zero polynomial has no exponents")
@@ -95,9 +83,6 @@ class LaurentPoly:
         if not self._coeffs:
             raise ValueError("the zero polynomial has no exponents")
         return max(self._coeffs)
-
-    def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._coeffs.items()))
@@ -170,22 +155,6 @@ class LaurentPoly:
         if not exp:
             return self
         return _raw({e + exp: c for e, c in self._coeffs.items()})
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            # Only units +-t^e are invertible, and their inverses are +-t^-e.
-            if not self.is_unit:
-                raise NotDivisible(f"cannot invert non-unit {self}")
-            ((e, c),) = self._coeffs.items()
-            return LaurentPoly({-e: c}) ** (-n)
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def exact_div(self, den: LaurentPoly) -> LaurentPoly:
         """Divide exactly by ``den``, raising NotDivisible if no Laurent
@@ -284,10 +253,6 @@ class SquareMatrix:
         self.dim = dim
         self._rows = grid
 
-    def _one_zero(self) -> tuple:
-        zero = self._rows[0][0] * 0
-        return zero + 1, zero
-
     @property
     def rows(self) -> tuple[tuple, ...]:
         return self._rows
@@ -315,33 +280,6 @@ class SquareMatrix:
             for row in self._rows
         )
 
-    def _entrywise(self, other: SquareMatrix, op) -> SquareMatrix:
-        if self.dim != other.dim:
-            raise DimensionMismatch("matrix dimensions differ")
-        return type(self)(map(op, r1, r2) for r1, r2 in zip(self._rows, other._rows))
-
-    def __add__(self, other: SquareMatrix) -> SquareMatrix:
-        return self._entrywise(other, operator.add)
-
-    def __sub__(self, other: SquareMatrix) -> SquareMatrix:
-        return self._entrywise(other, operator.sub)
-
-    def __pow__(self, n: int) -> SquareMatrix:
-        """The n-th power, n >= 0; a word's inverse has the inverse word's image."""
-        if n < 0:
-            raise ValueError("a matrix power needs a non-negative exponent")
-        result = type(self)(_scalar_rows(self.dim, *self._one_zero()))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scale(self, c) -> SquareMatrix:
-        return type(self)([e * c for e in row] for row in self._rows)
-
     def map_entries(self, fn) -> list[list]:
         """Apply fn to every entry, returning a plain nested list."""
         return [[fn(e) for e in row] for row in self._rows]
@@ -352,8 +290,8 @@ class SquareMatrix:
             raise DimensionMismatch("padding size must be nonnegative")
         if extra == 0:
             return self
-        one, zero = self._one_zero()
-        out = _scalar_rows(self.dim + extra, one, zero)
+        zero = self._rows[0][0] * 0
+        out = _scalar_rows(self.dim + extra, zero + 1, zero)
         for i, row in enumerate(self._rows):
             out[i][: self.dim] = row
         return type(self)(out)

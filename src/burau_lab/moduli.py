@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import INFINITE, InvalidD, minus_q_from_d, multiplicative_order
-from .words import BraidWord, TwistKind, canonical_twist_word, quoted_text
+from .words import MAX_FULL_DIGITS, BraidWord, TwistKind, canonical_twist_word, count_text, quoted_text
 
 
 class InvalidFraction(ValueError):
@@ -58,7 +58,12 @@ class CurvatureVector:
                 raise InvalidCurvatures(f"curvature fraction {f} outside (0, 1)")
         total = sum(fracs)
         if total != 2:
-            raise InvalidCurvatures(f"curvature fractions sum to {total}, not 2")
+            if max(abs(total.numerator), total.denominator) < 10**MAX_FULL_DIGITS:
+                text = f"{total}, not 2"
+            else:
+                side = "less" if total < 2 else "more"
+                text = f"{side} than 2 (denominator {count_text(total.denominator)})"
+            raise InvalidCurvatures(f"curvature fractions sum to {text}")
 
     def __len__(self) -> int:
         return len(self.fractions)

@@ -185,11 +185,6 @@ class BraidWord:
         base = self if n >= 0 else self.inverse()
         return BraidWord(self.strands_n, base.letters * abs(n))
 
-    @property
-    def writhe(self) -> int:
-        """Exponent sum of the word."""
-        return sum(e for _, e in self.letters)
-
     def __str__(self) -> str:
         if not self.letters:
             return ""
@@ -219,24 +214,6 @@ class TwistKind(enum.Enum):
     FULL_TWIST_TAU = "full_twist_tau"
 
 
-@dataclass(frozen=True)
-class NamedTwist:
-    """A named twist macro: the half twist sigma on 2 strands, or the full
-    twist tau_p about the first p strands."""
-
-    kind: TwistKind
-    support_p: int
-
-    def __post_init__(self):
-        if self.kind is TwistKind.HALF_TWIST_SIGMA and self.support_p != 2:
-            raise InvalidSupport("a half twist supports exactly 2 strands")
-        if self.kind is TwistKind.FULL_TWIST_TAU and self.support_p < 2:
-            raise InvalidSupport("a full twist needs support at least 2")
-
-    def word(self, strands_n: int) -> BraidWord:
-        return canonical_twist_word(self.kind, self.support_p, strands_n)
-
-
 def canonical_twist_word(kind: TwistKind, support_p: int, strands_n: int) -> BraidWord:
     """The canonical word for a named twist on the first ``support_p`` strands:
     sigma -> s1, tau_p -> (s1 ... s_{p-1})^p.
@@ -245,7 +222,10 @@ def canonical_twist_word(kind: TwistKind, support_p: int, strands_n: int) -> Bra
     representative suffices for kernel-membership work; conjugate variants
     are reachable through the sampler.
     """
-    NamedTwist(kind, support_p)  # validates the pair
+    if kind is TwistKind.HALF_TWIST_SIGMA and support_p != 2:
+        raise InvalidSupport("a half twist supports exactly 2 strands")
+    if kind is TwistKind.FULL_TWIST_TAU and support_p < 2:
+        raise InvalidSupport("a full twist needs support at least 2")
     if support_p > strands_n:
         raise InvalidSupport(
             f"support {support_p} exceeds strand count {strands_n}"

@@ -28,3 +28,24 @@ def q_point(d, a=1):
 
     mq = minus_q_from_d(d, a)
     return -mq if mq.order % 2 == 0 else CyclotomicNumber.root_of_unity(d, a)
+
+
+def embed(x, order):
+    """x re-expressed in Q(zeta_order), for x.order dividing order: the
+    field map zeta_{x.order} -> zeta_order^(order / x.order)."""
+    from burau_lab.cyclotomic import CyclotomicNumber, _substitute
+
+    if order % x.order:
+        raise ValueError(f"cannot embed Q(zeta_{x.order}) into Q(zeta_{order})")
+    step = order // x.order
+    return CyclotomicNumber(order, _substitute(x.numerators, step, order), x.denominator)
+
+
+def scaled(m, c):
+    """The matrix c * m, entrywise, of m's type."""
+    return type(m)([e * c for e in row] for row in m.rows)
+
+
+def writhe(word):
+    """The exponent sum of a braid word."""
+    return sum(e for _, e in word.letters)

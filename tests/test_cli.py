@@ -13,6 +13,12 @@ GOLDEN = Path(__file__).parent / "data" / "kernel_table.txt"
 CLI_TRANSCRIPTS = Path(__file__).parent / "data" / "cli"
 
 
+# 21 cone points with 30-digit denominators, each its own label: their sum
+# has a denominator of 600 digits.
+WIDE_SUM_CURVATURES = ",".join(f"1/{10**29 + 7 + 2 * i}" for i in range(21))
+WIDE_SUM_LABELS = ",".join(f"p{i}" for i in range(21))
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -386,6 +392,11 @@ class TestExitCodes:
             ("moduli", "orbifold-check", "--curvatures", "1/4,3/4,1/2,1/2",
              "--labels", "a,a,b,c"):
                 "label 'a' mixes curvatures [1/4, 3/4]",
+            ("moduli", "orbifold-check", "--curvatures", "1/4,1/2,1/2", "--labels", "a,b,c"):
+                "curvature fractions sum to 5/4, not 2",
+            ("moduli", "orbifold-check", "--curvatures", WIDE_SUM_CURVATURES,
+             "--labels", WIDE_SUM_LABELS):
+                "curvature fractions sum to less than 2 (denominator at least 10^599)",
             _cone_points(cli.MAX_STRANDS + 2):
                 f"--curvatures lists {cli.MAX_STRANDS + 2} cone points, "
                 f"more than {cli.MAX_STRANDS + 1}",
@@ -441,8 +452,12 @@ class TestExitCodes:
             ("1e-30000000,1/2,1/2,1/2,1/2", "a,b,c,d,e"),
             (f"1/{'9' * 4300},1/3,1/2", "a,b,c"),
             ("1/4,3/4,1/2,1/2", f"{'x' * 5000},{'x' * 5000},b,c"),
+            (WIDE_SUM_CURVATURES, WIDE_SUM_LABELS),
         ],
-        ids=["exponent-1e7", "exponent-3e7", "denominator-4300-digits", "label-5000-chars"],
+        ids=[
+            "exponent-1e7", "exponent-3e7", "denominator-4300-digits", "label-5000-chars",
+            "sum-of-21-wide-fractions",
+        ],
     )
     def test_hostile_orbifold_input_fails_fast_and_short(self, capsys, curvatures, labels):
         # Exponent notation would have Fraction build an int of millions of

@@ -29,7 +29,7 @@ from burau_lab.cyclotomic import (
     _substitute,
 )
 from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible
-from oracles import q_point
+from oracles import embed, q_point, scaled
 
 
 def float_order(z: complex, bound: int = 300) -> int | None:
@@ -198,9 +198,13 @@ class TestFieldArithmetic:
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroInput):
             CyclotomicNumber.zero(5).inverse()
+        for zero in (0, Fraction(0), CyclotomicNumber.zero(5)):
+            with pytest.raises(ZeroInput):
+                CyclotomicNumber.one(5) / zero
 
     def test_promotion_equality(self):
-        i_small = CyclotomicNumber.root_of_unity(4)
+        # zeta_4 is zeta_8^2 once Q(zeta_4) is embedded in Q(zeta_8).
+        i_small = embed(CyclotomicNumber.root_of_unity(4), 8)
         i_large = CyclotomicNumber.root_of_unity(8, 2)
         assert i_small == i_large
         assert i_small * i_large == -1
@@ -302,8 +306,8 @@ class TestCycloMatrix:
     def test_scalar_action(self):
         z = CyclotomicNumber.root_of_unity(6)
         eye = CycloMatrix.identity(2, 6)
-        assert eye.scale(z).entry(0, 0) == z
-        assert eye.scale(z).entry(0, 1).is_zero
+        assert scaled(eye, z).entry(0, 0) == z
+        assert scaled(eye, z).entry(0, 1).is_zero
 
 
 def test_str_forms():
@@ -346,7 +350,7 @@ class TestSignedRoot:
                 continue
             with pytest.raises(NotARoot, match=rf"root_of_unity\({2 * order}, {2 * e + order}\)$"):
                 root_exponent(-z)
-            assert CyclotomicNumber.root_of_unity(2 * order, 2 * e + order) == -z
+            assert CyclotomicNumber.root_of_unity(2 * order, 2 * e + order) == embed(-z, 2 * order)
 
     def test_negated_entry_at_d_2_mod_4_has_sign_minus_one(self):
         # -q has odd order there, so the letter entry -t = q is -zeta_N^k:
@@ -357,7 +361,7 @@ class TestSignedRoot:
             with pytest.raises(NotARoot):
                 root_exponent(-mq)
             q = q_point(d)
-            assert q == -mq and q.order == d
+            assert q == embed(-mq, d) and q.order == d
             assert root_exponent(q) == (2 * root_exponent(mq) + mq.order) % d
 
     def test_non_roots(self):
@@ -385,27 +389,66 @@ def test_every_specialization_point_is_a_power_of_zeta():
         assert CyclotomicNumber.root_of_unity(x.order, root_exponent(x)) == x
 
 
-class TestHashAcrossOrders:
-    def test_root_of_unity_in_two_fields(self):
+@st.composite
+def one_field_operands(draw):
+    """(order, operands): three operands for Q(zeta_order), each an element
+    of that field (often rational), an int, a Fraction, or a rational
+    element of another field."""
+    order = draw(st.sampled_from(ORDERS))
+    deg = len(cyclotomic_polynomial(order)) - 1
+    small = st.integers(min_value=-2, max_value=2)
+    value = st.builds(Fraction, small, st.sampled_from((1, 2)))
+    other_order = st.sampled_from([n for n in ORDERS if n != order])
+    operand = st.one_of(
+        st.builds(
+            lambda coeffs, den: CyclotomicNumber(order, coeffs, den),
+            st.lists(small, min_size=deg, max_size=deg),
+            st.sampled_from((1, 2)),
+        ),
+        st.builds(CyclotomicNumber.from_fraction, value, st.just(order)),
+        small,
+        value,
+        st.builds(CyclotomicNumber.from_fraction, value, other_order),
+    )
+    return order, draw(st.lists(operand, min_size=3, max_size=3))
+
+
+class TestOneFieldContract:
+    """An element belongs to one field. Across fields, ``==`` holds only
+    between rationals of equal value, and arithmetic raises ValueError."""
+
+    @given(one_field_operands())
+    @settings(max_examples=300)
+    def test_equality_is_an_equivalence_with_matching_hashes(self, drawn):
+        _, operands = drawn
+        for a in operands:
+            for b in operands:
+                assert (a == b) == (b == a), (a, b)
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
+                for k in range(-2, 3):
+                    if a == k and k == b:
+                        assert a == b, (a, k, b)
+        a, b, c = operands
+        if a == b and b == c:
+            assert a == c
+
+    def test_roots_of_two_fields_are_unequal(self):
         i_small = CyclotomicNumber.root_of_unity(4)
         i_large = CyclotomicNumber.root_of_unity(8, 2)
-        assert len({i_small, i_large}) == 1
-        assert len({CycloMatrix([[i_small]]), CycloMatrix([[i_large]])}) == 1
+        assert i_small != i_large and i_large != i_small
+        assert len({i_small, i_large}) == 2
 
-    @given(field_elements(), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=80)
-    def test_promotion_keeps_the_hash(self, x, k):
-        y = x.promote(k * x.order)
-        assert x == y
-        assert hash(x) == hash(y)
-
-    @given(st.lists(field_elements(), min_size=4, max_size=4), st.integers(min_value=2, max_value=3))
-    @settings(max_examples=30)
-    def test_promoted_matrices_hash_equal(self, entries, k):
-        a = CycloMatrix([entries[:2], entries[2:]])
-        b = CycloMatrix([[e.promote(k * e.order) for e in row] for row in a.rows])
-        assert a == b
-        assert hash(a) == hash(b)
+    @given(field_elements(), field_elements())
+    @settings(max_examples=100)
+    def test_arithmetic_across_fields_raises(self, a, b):
+        assume(a.order != b.order)
+        for x, y in ((a, b), (b, a)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(ValueError) as caught:
+                    op(x, y)
+                message = str(caught.value)
+                assert f"Q(zeta_{a.order})" in message and f"Q(zeta_{b.order})" in message
 
 
 def _points():
@@ -472,9 +515,15 @@ def is_canonical(x: CyclotomicNumber) -> bool:
 
 class TestSameFieldFastPath:
     """Operands of one field skip coercion, and integral results skip
-    renormalization; promoting one operand to Q(zeta_2N), an int or Fraction
-    as a field element, takes the general path, which must give the same
-    value."""
+    renormalization. The general path takes both operands into Q(zeta_2N),
+    an int or Fraction as a field element, and must give the same value
+    embedded there."""
+
+    @staticmethod
+    def widen(x, order):
+        if isinstance(x, CyclotomicNumber):
+            return embed(x, order)
+        return CyclotomicNumber.from_fraction(x, order)
 
     @given(
         same_field_operands(),
@@ -485,29 +534,26 @@ class TestSameFieldFastPath:
     def test_arithmetic_matches_the_general_path(self, operands, op, swap):
         a, b = operands
         wide = 2 * a.order
-        if isinstance(b, CyclotomicNumber):
-            b_wide = b.promote(wide)
-        else:
-            b_wide = CyclotomicNumber.from_fraction(b, wide)
+        a_wide, b_wide = embed(a, wide), self.widen(b, wide)
         if swap:
-            fast, general = op(b, a), op(b_wide, a)
+            fast, general = op(b, a), op(b_wide, a_wide)
         else:
-            fast, general = op(a, b), op(a, b_wide)
+            fast, general = op(a, b), op(a_wide, b_wide)
         assert fast.order == a.order and general.order == wide
-        promoted = fast.promote(wide)
+        promoted = embed(fast, wide)
         assert (promoted.numerators, promoted.denominator) == (
             general.numerators,
             general.denominator,
         )
         assert is_canonical(fast) and is_canonical(general)
-        assert fast == general and hash(fast) == hash(general)
 
     @given(same_field_operands())
     @settings(max_examples=200, deadline=None)
     def test_equality_and_hash_match_the_general_path(self, operands):
         a, b = operands
         equal = a == b
-        assert equal == (a.promote(2 * a.order) == b) == (b == a)
+        wide = 2 * a.order
+        assert equal == (embed(a, wide) == self.widen(b, wide)) == (b == a)
         if equal:
             assert hash(a) == hash(b)
 

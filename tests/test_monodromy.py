@@ -8,7 +8,7 @@ import pytest
 
 import burau_lab
 from burau_lab import monodromy
-from burau_lab.burau import burau_generator, burau_of_word, ev_map
+from burau_lab.burau import burau_generator, burau_of_word, ev_map, projectively_equal
 from burau_lab.cli import KERNEL_TABLE_FIXTURE
 from burau_lab.cyclotomic import (
     CycloMatrix,
@@ -28,6 +28,7 @@ from burau_lab.monodromy import (
     signature,
 )
 from burau_lab.words import BraidWord, parse_word, random_word
+from oracles import scaled
 
 
 class TestRhoGenerators:
@@ -111,7 +112,8 @@ class TestDiagramCheck:
         w = parse_word("T4", 4)
         assert diagram_check(w, 4, 5, mq)
         evaluated = ev_map(burau_of_word(w), mq, 5)
-        assert evaluated.is_identity  # class of (-q)^4 times the identity
+        # The class of (-q)^4 times the identity.
+        assert projectively_equal(evaluated.matrix, CycloMatrix.identity(3, mq.order))
         assert evaluated.matrix.entry(0, 0) == mq**4
 
     def test_product_matches_generator_matrices(self):
@@ -232,7 +234,7 @@ class TestInvariantForm:
         gens = rho_generators(5, 6, minus_q_from_d(8))
         result = invariant_hermitian_form(gens)
         pos, neg, zero = signature(result.chosen)
-        negated = result.chosen.matrix.scale(CyclotomicNumber.from_fraction(-1, 8))
+        negated = scaled(result.chosen.matrix, -1)
         assert (pos, neg) == (1, 3)
         assert _float_inertia(np, result.chosen.matrix) == (pos, neg, zero)
         assert _float_inertia(np, negated) == (neg, pos, zero)

@@ -13,7 +13,6 @@ from burau_lab.words import (
     IndexOutOfRange,
     InvalidStrandCount,
     InvalidSupport,
-    NamedTwist,
     TwistKind,
     WordSyntaxError,
     WordTooLong,
@@ -24,6 +23,7 @@ from burau_lab.words import (
     random_word,
     sample_normal_closure,
 )
+from oracles import writhe
 
 
 def braid_words(max_n=6, max_len=12):
@@ -190,8 +190,8 @@ class TestBraidWord:
         assert free_reduce(w * w.inverse()).letters == ()
 
     def test_writhe(self):
-        assert parse_word("s1 s2^-1 s1", 3).writhe == 1
-        assert parse_word("T3", 3).writhe == 6
+        assert writhe(parse_word("s1 s2^-1 s1", 3)) == 1
+        assert writhe(parse_word("T3", 3)) == 6
 
     def test_concatenation_needs_same_strands(self):
         with pytest.raises(ValueError):
@@ -232,14 +232,13 @@ class TestNamedTwists:
     def test_invalid_support(self):
         with pytest.raises(InvalidSupport):
             canonical_twist_word(TwistKind.FULL_TWIST_TAU, 5, 4)
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidSupport, match="^a full twist needs support at least 2$"):
             canonical_twist_word(TwistKind.FULL_TWIST_TAU, 1, 4)
-        with pytest.raises(InvalidSupport):
-            NamedTwist(TwistKind.HALF_TWIST_SIGMA, 3)
+        with pytest.raises(InvalidSupport, match="^a half twist supports exactly 2 strands$"):
+            canonical_twist_word(TwistKind.HALF_TWIST_SIGMA, 3, 4)
 
     def test_named_twist_word(self):
-        twist = NamedTwist(TwistKind.FULL_TWIST_TAU, 2)
-        assert twist.word(4).letters == ((1, 1), (1, 1))
+        assert canonical_twist_word(TwistKind.FULL_TWIST_TAU, 2, 4).letters == ((1, 1), (1, 1))
 
 
 class TestSampler:
