@@ -260,24 +260,17 @@ def cmd_check_word(args: argparse.Namespace) -> int:
 
 
 def _descriptor_json(desc: KernelDescriptor | Inconclusive) -> dict:
-    if isinstance(desc, Inconclusive):
+    inconclusive = isinstance(desc, Inconclusive)
+    if inconclusive:
         report = desc.report
-        return {
-            "n": desc.strands_n,
-            "d": desc.d,
-            "j": None,
-            "l": None,
-            "status": "inconclusive",
-            "curvatures": [_fraction_str(f) for f in desc.curvatures.fractions],
-            "strata": _strata_json(report.strata),
-        }
-    report = orbifold_check(desc.curvatures, distinguished_labels(desc.strands_n))
+    else:
+        report = orbifold_check(desc.curvatures, distinguished_labels(desc.strands_n))
     return {
         "n": desc.strands_n,
         "d": desc.d,
-        "j": None if desc.j == math.inf else int(desc.j),
-        "l": desc.l,
-        "status": "orbifold",
+        "j": None if inconclusive or desc.j == math.inf else int(desc.j),
+        "l": None if inconclusive else desc.l,
+        "status": "inconclusive" if inconclusive else "orbifold",
         "curvatures": [_fraction_str(f) for f in desc.curvatures.fractions],
         "strata": _strata_json(report.strata),
     }

@@ -229,16 +229,20 @@ class CyclotomicNumber:
     def denominator(self) -> int:
         return self._den
 
-    def _pair(self, other: CyclotomicNumber | int | Fraction) -> tuple[CyclotomicNumber, CyclotomicNumber]:
+    def _coerce(self, other: object) -> CyclotomicNumber | None:
+        """other as an element of this field, or None when it is not a field
+        element, int or Fraction (the operator then returns NotImplemented)."""
         if type(other) is CyclotomicNumber and other.order == self.order:
-            return self, other
+            return other
         if type(other) is int:
-            return self, _canonical(self.order, (other,) + (0,) * (len(self._num) - 1))
+            return _canonical(self.order, (other,) + (0,) * (len(self._num) - 1))
         if isinstance(other, (int, Fraction)):
-            return self, CyclotomicNumber.from_fraction(other, self.order)
-        raise ValueError(
-            f"cannot combine elements of Q(zeta_{self.order}) and Q(zeta_{other.order})"
-        )
+            return CyclotomicNumber.from_fraction(other, self.order)
+        if isinstance(other, CyclotomicNumber):
+            raise ValueError(
+                f"cannot combine elements of Q(zeta_{self.order}) and Q(zeta_{other.order})"
+            )
+        return None
 
     def __eq__(self, other: object) -> bool:
         if type(other) is CyclotomicNumber and other.order == self.order:
@@ -260,15 +264,17 @@ class CyclotomicNumber:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
-        a, b = self._pair(other)
-        if a._den == 1 == b._den:
-            return _canonical(a.order, tuple(map(operator.add, a._num, b._num)))
-        if a._den == b._den:
-            return CyclotomicNumber(a.order, [x + y for x, y in zip(a._num, b._num)], a._den)
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        if self._den == 1 == b._den:
+            return _canonical(self.order, tuple(map(operator.add, self._num, b._num)))
+        if self._den == b._den:
+            return CyclotomicNumber(self.order, [x + y for x, y in zip(self._num, b._num)], self._den)
         return CyclotomicNumber(
-            a.order,
-            [x * b._den + y * a._den for x, y in zip(a._num, b._num)],
-            a._den * b._den,
+            self.order,
+            [x * b._den + y * self._den for x, y in zip(self._num, b._num)],
+            self._den * b._den,
         )
 
     __radd__ = __add__
@@ -277,13 +283,18 @@ class CyclotomicNumber:
         return _canonical(self.order, tuple(map(operator.neg, self._num)), self._den)
 
     def __sub__(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
-        a, b = self._pair(other)
-        if a._den == 1 == b._den:
-            return _canonical(a.order, tuple(map(operator.sub, a._num, b._num)))
-        return a + (-b)
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        if self._den == 1 == b._den:
+            return _canonical(self.order, tuple(map(operator.sub, self._num, b._num)))
+        return self + (-b)
 
     def __rsub__(self, other: int | Fraction) -> CyclotomicNumber:
-        return (-self) + other
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        return b - self
 
     def __mul__(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
         if type(other) is CyclotomicNumber and other.order == self.order:
@@ -293,7 +304,9 @@ class CyclotomicNumber:
                 return _canonical(self.order, tuple(a * other for a in self._num))
             return CyclotomicNumber(self.order, [a * other for a in self._num], self._den)
         else:
-            a, b = self._pair(other)
+            a, b = self, self._coerce(other)
+            if b is None:
+                return NotImplemented
         deg, rows = _field(a.order)
         conv = [0] * (2 * deg - 1)
         for i, x in enumerate(a._num):
@@ -350,8 +363,10 @@ class CyclotomicNumber:
         )
 
     def __truediv__(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
-        a, b = self._pair(other)
-        return a * b.inverse()
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        return self * b.inverse()
 
     def __pow__(self, n: int) -> CyclotomicNumber:
         base = self

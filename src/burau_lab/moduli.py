@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import INFINITE, InvalidD, minus_q_from_d, multiplicative_order
-from .words import MAX_FULL_DIGITS, BraidWord, TwistKind, canonical_twist_word, count_text, quoted_text
+from .words import MAX_FULL_DIGITS, BraidWord, count_text, parse_word, quoted_text
 
 
 class InvalidFraction(ValueError):
@@ -174,17 +174,14 @@ class KernelDescriptor:
             raise ValueError(f"l = {self.l} violates 2d/gcd(2d, (d+2)n) = {expected}")
 
     def normal_generators(self) -> tuple[BraidWord, ...]:
-        """Canonical words for the normal generators: sigma^d, tau_{n-1}^j
-        when j is finite, and the central generator tau_n^l."""
+        """The normal generators as words of the grammar: s1^d, T{n-1}^j
+        when j is finite, and the central generator T{n}^l."""
         n = self.strands_n
-        sigma = canonical_twist_word(TwistKind.HALF_TWIST_SIGMA, 2, n)
-        gens = [sigma**self.d]
+        texts = [f"s1^{self.d}"]
         if self.j != INFINITE:
-            tau_sub = canonical_twist_word(TwistKind.FULL_TWIST_TAU, n - 1, n)
-            gens.append(tau_sub ** int(self.j))
-        tau_full = canonical_twist_word(TwistKind.FULL_TWIST_TAU, n, n)
-        gens.append(tau_full**self.l)
-        return tuple(gens)
+            texts.append(f"T{n - 1}^{int(self.j)}")
+        texts.append(f"T{n}^{self.l}")
+        return tuple(parse_word(text, n) for text in texts)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Braid words: the data model, a text parser, canonical named twists,
-free reduction, and a seeded sampler for normal-closure elements.
+"""Braid words: the data model, a text parser, free reduction, and a
+seeded sampler for normal-closure elements.
 
 Words are plain sequences of signed Artin generators. No normal-form
 machinery is implemented here; representation images are the equality
@@ -21,7 +21,6 @@ letters raises WordTooLong before any list of that size is built.
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 from dataclasses import dataclass
@@ -108,10 +107,6 @@ def _check_length(letters: int) -> None:
         )
 
 
-class InvalidSupport(ValueError):
-    """A named twist's support does not satisfy its constraints."""
-
-
 class EmptyGeneratorSet(ValueError):
     """The normal-closure sampler needs at least one generator."""
 
@@ -180,11 +175,6 @@ class BraidWord:
             self.strands_n, tuple((i, -e) for i, e in reversed(self.letters))
         )
 
-    def __pow__(self, n: int) -> BraidWord:
-        _check_length(len(self.letters) * abs(n))
-        base = self if n >= 0 else self.inverse()
-        return BraidWord(self.strands_n, base.letters * abs(n))
-
     def __str__(self) -> str:
         if not self.letters:
             return ""
@@ -207,34 +197,6 @@ class BraidWord:
                 run_letter, run = letter, 1
         flush()
         return " ".join(parts)
-
-
-class TwistKind(enum.Enum):
-    HALF_TWIST_SIGMA = "half_twist_sigma"
-    FULL_TWIST_TAU = "full_twist_tau"
-
-
-def canonical_twist_word(kind: TwistKind, support_p: int, strands_n: int) -> BraidWord:
-    """The canonical word for a named twist on the first ``support_p`` strands:
-    sigma -> s1, tau_p -> (s1 ... s_{p-1})^p.
-
-    All twists of the same kind and support are conjugate, so this single
-    representative suffices for kernel-membership work; conjugate variants
-    are reachable through the sampler.
-    """
-    if kind is TwistKind.HALF_TWIST_SIGMA and support_p != 2:
-        raise InvalidSupport("a half twist supports exactly 2 strands")
-    if kind is TwistKind.FULL_TWIST_TAU and support_p < 2:
-        raise InvalidSupport("a full twist needs support at least 2")
-    if support_p > strands_n:
-        raise InvalidSupport(
-            f"support {support_p} exceeds strand count {strands_n}"
-        )
-    if kind is TwistKind.HALF_TWIST_SIGMA:
-        return BraidWord(strands_n, ((1, 1),))
-    _check_length((support_p - 1) * support_p)
-    ring = tuple((i, 1) for i in range(1, support_p))
-    return BraidWord(strands_n, ring * support_p)
 
 
 def free_reduce(word: BraidWord) -> BraidWord:
@@ -331,9 +293,8 @@ def _parse_term(
             raise IndexOutOfRange(
                 f"twist T{support} needs support in 2..{strands_n}", start
             )
-        base = list(
-            canonical_twist_word(TwistKind.FULL_TWIST_TAU, support, strands_n).letters
-        )
+        _check_length(support * (support - 1))
+        base = [(i, 1) for i in range(1, support)] * support
     elif ch == "(":
         if depth == MAX_GROUP_DEPTH:
             raise WordSyntaxError(f"groups nested more than {MAX_GROUP_DEPTH} deep", pos)

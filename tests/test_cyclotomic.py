@@ -415,7 +415,9 @@ def one_field_operands(draw):
 
 class TestOneFieldContract:
     """An element belongs to one field. Across fields, ``==`` holds only
-    between rationals of equal value, and arithmetic raises ValueError."""
+    between rationals of equal value, and arithmetic raises ValueError.
+    Arithmetic with an operand that is not a field element, int or Fraction
+    is a TypeError."""
 
     @given(one_field_operands())
     @settings(max_examples=300)
@@ -449,6 +451,14 @@ class TestOneFieldContract:
                     op(x, y)
                 message = str(caught.value)
                 assert f"Q(zeta_{a.order})" in message and f"Q(zeta_{b.order})" in message
+
+    def test_arithmetic_with_a_foreign_operand_is_a_type_error(self):
+        x = CyclotomicNumber.one(5)
+        for other in ([1], "x", 1.5, CycloMatrix.identity(2, 5)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                for left, right in ((x, other), (other, x)):
+                    with pytest.raises(TypeError):
+                        op(left, right)
 
 
 def _points():

@@ -164,11 +164,15 @@ class TestKernelDescriptor:
             KernelDescriptor(4, 5, INFINITE, 4, cv)  # l must be 5
 
     def test_normal_generator_words(self):
-        kd = kernel_descriptor(5, 8)
-        sigma_pow, tau_sub, tau_full = kd.normal_generators()
-        assert sigma_pow.letters == ((1, 1),) * 8
-        assert len(tau_sub) == 12 * 2  # (s1 s2 s3)^4 squared
-        assert len(tau_full) == 20 * 8
+        # sigma^d and tau_p^k from the ring definition, not from the parser.
+        def tau(p, k):
+            return tuple((i, 1) for i in range(1, p)) * (p * k)
+
+        for n, d, j, l in KERNEL_TABLE_FIXTURE:
+            expected = [((1, 1),) * d] + ([] if j is None else [tau(n - 1, j)]) + [tau(n, l)]
+            gens = kernel_descriptor(n, d).normal_generators()
+            assert [g.letters for g in gens] == expected, (n, d)
+            assert all(g.strands_n == n for g in gens), (n, d)
 
     def test_infinite_j_omits_sub_twist(self):
         kd = kernel_descriptor(4, 5)

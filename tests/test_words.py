@@ -12,12 +12,9 @@ from burau_lab.words import (
     EmptyGeneratorSet,
     IndexOutOfRange,
     InvalidStrandCount,
-    InvalidSupport,
-    TwistKind,
     WordSyntaxError,
     WordTooLong,
     _expand_power,
-    canonical_twist_word,
     free_reduce,
     parse_word,
     random_word,
@@ -185,8 +182,8 @@ class TestBraidWord:
     def test_inverse_and_power(self):
         w = parse_word("s1 s2", 3)
         assert w.inverse().letters == ((2, -1), (1, -1))
-        assert (w**2).letters == w.letters * 2
-        assert (w**-1) == w.inverse()
+        assert parse_word("(s1 s2)^2", 3) == BraidWord(3, w.letters * 2)
+        assert parse_word("(s1 s2)^-1", 3) == w.inverse()
         assert free_reduce(w * w.inverse()).letters == ()
 
     def test_writhe(self):
@@ -221,24 +218,24 @@ class TestFreeReduce:
 
 
 class TestNamedTwists:
+    """tau_p is the grammar's full-twist macro T<p>, the ring s1 ... s_{p-1}
+    repeated p times; sigma is s1."""
+
     def test_tau_examples(self):
-        w = canonical_twist_word(TwistKind.FULL_TWIST_TAU, 3, 4)
-        assert w.letters == tuple([(1, 1), (2, 1)] * 3)
-        assert len(w) == 6
-        assert canonical_twist_word(TwistKind.HALF_TWIST_SIGMA, 2, 4).letters == ((1, 1),)
-        full = canonical_twist_word(TwistKind.FULL_TWIST_TAU, 4, 4)
-        assert full.letters == tuple([(1, 1), (2, 1), (3, 1)] * 4)
+        for n in range(2, 11):
+            for p in range(2, n + 1):
+                ring = tuple((i, 1) for i in range(1, p))
+                assert parse_word(f"T{p}", n).letters == ring * p, (n, p)
 
     def test_invalid_support(self):
-        with pytest.raises(InvalidSupport):
-            canonical_twist_word(TwistKind.FULL_TWIST_TAU, 5, 4)
-        with pytest.raises(InvalidSupport, match="^a full twist needs support at least 2$"):
-            canonical_twist_word(TwistKind.FULL_TWIST_TAU, 1, 4)
-        with pytest.raises(InvalidSupport, match="^a half twist supports exactly 2 strands$"):
-            canonical_twist_word(TwistKind.HALF_TWIST_SIGMA, 3, 4)
+        for text in ("T0", "T1", "T5"):
+            with pytest.raises(
+                IndexOutOfRange, match=rf"^twist {text} needs support in 2\.\.4 \(at position 0\)$"
+            ):
+                parse_word(text, 4)
 
     def test_named_twist_word(self):
-        assert canonical_twist_word(TwistKind.FULL_TWIST_TAU, 2, 4).letters == ((1, 1), (1, 1))
+        assert parse_word("T2", 4).letters == ((1, 1), (1, 1))
 
 
 class TestSampler:
@@ -340,12 +337,15 @@ class TestExpansionCap:
         assert len(parse_word("T5^125", 5)) == 2500
 
     def test_twist_rejected(self):
-        with pytest.raises(WordTooLong):
-            canonical_twist_word(TwistKind.FULL_TWIST_TAU, 1001, 1001)
+        with pytest.raises(
+            WordTooLong, match="^word would expand to 1001000 letters, more than 1000000$"
+        ):
+            parse_word("T1001", 1001)
 
     def test_word_power_rejected(self):
+        # The inverse of a two-letter word, repeated one time too many.
         with pytest.raises(WordTooLong):
-            BraidWord(4, ((1, 1),)) ** -(MAX_WORD_LETTERS + 1)
+            parse_word(f"(s1 s2)^-{MAX_WORD_LETTERS // 2 + 1}", 4)
 
     def test_random_word_rejected(self):
         with pytest.raises(WordTooLong):
@@ -354,10 +354,10 @@ class TestExpansionCap:
     def test_concatenation_up_to_the_cap(self, monkeypatch):
         # A small cap keeps the words small; the check reads the constant.
         monkeypatch.setattr(words, "MAX_WORD_LETTERS", 6)
-        s1, s2 = BraidWord(4, ((1, 1),)), BraidWord(4, ((2, -1),))
-        assert len(s1**5 * s2) == 6
+        s2 = BraidWord(4, ((2, -1),))
+        assert len(BraidWord(4, ((1, 1),) * 5) * s2) == 6
         with pytest.raises(WordTooLong):
-            s1**6 * s2
+            BraidWord(4, ((1, 1),) * 6) * s2
 
     def test_normal_closure_factor_count_capped(self, monkeypatch):
         empty = BraidWord(4)
@@ -369,7 +369,7 @@ class TestExpansionCap:
             sample_normal_closure(4, [empty], 7, 0, seed=0)
         # The product is capped as it grows, before it is built.
         with pytest.raises(WordTooLong):
-            sample_normal_closure(4, [BraidWord(4, ((1, 1),)) ** 4], 2, 0, seed=0)
+            sample_normal_closure(4, [BraidWord(4, ((1, 1),) * 4)], 2, 0, seed=0)
 
     def test_count_text(self):
         assert words.count_text(0) == "0"
