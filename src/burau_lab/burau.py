@@ -17,14 +17,17 @@ rings, each supplying "multiply a column by +-t^e" and "add +-t^e times a
 column to another":
 
 - Z[t, t^-1], for the exact Laurent image (``burau_of_word``);
-- Z[x]/(x^N - 1), for a specialization at a root of unity t = -q =
-  zeta_N^k (``specialized_burau``): +-t^e becomes a signed power of x.
-  A column of dim entries is stored flat, as one list of dim * N integers
-  with the coefficient of x^k in entry i at index k * dim + i, so
-  multiplying a whole column by +-x^e is one rotation of that list by
-  e * dim, with no reduction, gcd or fraction. Entry i is the strided
-  slice col[i::dim]; each is reduced into Q(zeta_N) (mod Phi_N) once, at
-  the end.
+- Z[x]/(x^H + 1) with x -> zeta_2H, for a specialization at a root of
+  unity t = -q = zeta_N^k (``specialized_burau``). H is N/2 for even N
+  and N for odd N, where Q(zeta_2N) = Q(zeta_N), so zeta_N is a power
+  of x and -1 is x^H: each +-t^e is one power x^p, with no sign. A column
+  of dim entries is stored flat, as one list of dim * H integers with the
+  coefficient of x^k in entry i at index k * dim + i, so multiplying a
+  whole column by x^p is one negacyclic rotation of that list by
+  (p mod H) * dim: the part that wraps around changes sign (as x^H = -1),
+  with no reduction, gcd or fraction. Entry i is the strided slice
+  col[i::dim]; each is reduced into Q(zeta_N) (mod Phi_N) once, at the
+  end.
 
 At a root of unity, a word that is a proper power u^k (u its shortest
 root) is applied one copy of u at a time, continuing from the columns the
@@ -111,9 +114,10 @@ def _word_product(actions, columns: list, times, add_times) -> list:
 
     The product is kept column-wise, so right-multiplying by a letter is
     three column updates: col_{r-1} += left*col_r, col_{r+1} += right*col_r,
-    col_r *= center. The ring supplies them for a letter entry (sign, e):
-    ``times(col, sign, e)`` returns sign * t^e * col and
-    ``add_times(dest, col, sign, e)`` returns dest + sign * t^e * col.
+    col_r *= center. The ring supplies them for a letter entry, given as
+    the ring's own pair (for Z[t, t^-1], (sign, e) for sign * t^e):
+    ``times(col, *entry)`` returns entry * col and
+    ``add_times(dest, col, *entry)`` returns dest + entry * col.
     Columns are replaced, never changed in place, so entries may be shared
     and the given list is left as it was: a product can continue from any
     returned checkpoint.
@@ -153,24 +157,31 @@ def burau_of_word(word: BraidWord) -> BurauImage:
     return BurauImage(n, LaurentMatrix(zip(*columns)))
 
 
+def _half_order(order: int) -> int:
+    """H, the degree of the ring Z[x]/(x^H + 1) that a word at a root of
+    order N is multiplied out in: N/2 for even N, N for odd N."""
+    return order // 2 if order % 2 == 0 else order
+
+
 @lru_cache(maxsize=None)
 def _rotation_letters(strands_n: int, order: int, k: int) -> dict:
     """Every letter (index, +-1) of B_strands_n mapped to its
-    ``_letter_action`` row at t = zeta_order^k, with each entry s * t^e
-    given as the rotation of a flat column (see the module docstring) that
-    multiplies it by s * t^e: (s, (k*e mod order) * dim), dim =
-    strands_n - 1. -1 is zeta^(order/2) for even order, so s = -1 is kept
-    only for odd order."""
+    ``_letter_action`` row at t = zeta_order^k, over Z[x]/(x^H + 1) with
+    x -> zeta_2H (see the module docstring). t is x^(m*k), m = 2H/order,
+    and -1 is x^H, so each entry s * t^e is one power x^p, 0 <= p < 2H,
+    given as the negacyclic rotation of a flat column that multiplies it
+    by x^p: (p >= H, (p mod H) * dim), dim = strands_n - 1, since
+    x^p = -x^(p - H) when p >= H."""
     dim = strands_n - 1
+    half = _half_order(order)
+    step = 2 * half // order * k
 
     def at_point(entry):
         if entry is None:
             return None
         s, e = entry
-        shift = k * e % order
-        if s < 0 and order % 2 == 0:
-            s, shift = 1, (shift + order // 2) % order
-        return s, shift * dim
+        p = (step * e + (half if s < 0 else 0)) % (2 * half)
+        return p >= half, p % half * dim
 
     table = {}
     for index in range(1, strands_n):
@@ -180,20 +191,26 @@ def _rotation_letters(strands_n: int, order: int, k: int) -> dict:
     return table
 
 
-def _rotated(col: list, sign: int, shift: int) -> list:
-    """sign * x^e * col for a flat column (see the module docstring) and
-    shift = e * dim: one slice rotates every entry. With shift 0 and sign
-    +1 the column itself is returned; columns are never changed in place."""
-    if shift:
-        col = col[-shift:] + col[:-shift]
-    return col if sign > 0 else list(map(operator.neg, col))
+def _rotated(col: list, negate: bool, shift: int) -> list:
+    """x^p * col for a flat column (see the module docstring), given as
+    negate = p >= H and shift = (p mod H) * dim: the last shift ints wrap
+    to the front, and the wrapped part changes sign, or with negate the
+    rest does. With shift 0 and negate False the column itself is
+    returned; columns are never changed in place."""
+    cut = len(col) - shift
+    if negate:
+        return col[cut:] + list(map(operator.neg, col[:cut]))
+    if not shift:
+        return col
+    return list(map(operator.neg, col[cut:])) + col[:cut]
 
 
-def _add_rotated(dest: list, col: list, sign: int, shift: int) -> list:
-    """dest + sign * x^e * col for flat columns and shift = e * dim."""
-    if shift:
-        col = col[-shift:] + col[:-shift]
-    return list(map(operator.add if sign > 0 else operator.sub, dest, col))
+def _add_rotated(dest: list, col: list, negate: bool, shift: int) -> list:
+    """dest + x^p * col for flat columns, with (negate, shift) as in
+    ``_rotated``: one map over the wrapped part and one over the rest."""
+    cut = len(col) - shift
+    wrap, stay = (operator.add, operator.sub) if negate else (operator.sub, operator.add)
+    return [*map(wrap, dest, col[cut:]), *map(stay, dest[shift:], col)]
 
 
 def _root_length(letters: tuple) -> int:
@@ -212,13 +229,30 @@ def _root_length(letters: tuple) -> int:
     return length
 
 
-def _scalar_value(columns: list, order: int) -> CyclotomicNumber | None:
-    """c when the group-ring matrix with these flat columns reduces to c * I
-    in Q(zeta_order), else None; entry (i, j) is columns[j][i::dim].
+def _field_value(order: int, v: list) -> CyclotomicNumber:
+    """The image in Q(zeta_order) of the element sum_e v[e] * x^e of
+    Z[x]/(x^H + 1) under x -> zeta_2H. For even order, zeta_2H is
+    zeta_order. For odd order it is -zeta_order^((order+1)/2), so the
+    coefficient of x^e goes to zeta_order^(e*(order+1)/2) with sign (-1)^e:
+    a signed permutation of the powers, as (order+1)/2 is a unit mod order.
+    """
+    if order % 2:
+        half = (order + 1) // 2
+        powers = [0] * order
+        for e, a in enumerate(v):
+            powers[e * half % order] = -a if e % 2 else a
+        v = powers
+    return CyclotomicNumber.from_powers(order, v)
 
-    Entries of Z[x]/(x^N - 1) can be nonzero vectors that vanish mod Phi_N
-    (with -1 written as x^(N/2), T4 at d = 5 has an off-diagonal entry
-    28 * (x^3 + x^8)), so each test is made in the field: an off-diagonal
+
+def _scalar_value(columns: list, order: int) -> CyclotomicNumber | None:
+    """c when the matrix over Z[x]/(x^H + 1) with these flat columns
+    reduces to c * I in Q(zeta_order), else None; entry (i, j) is
+    columns[j][i::dim].
+
+    Entries of the ring can be nonzero vectors that vanish in the field
+    (1 - x + x^2, H = 3, at order 3 or 6: x -> zeta_6 is a root of it), so
+    each test is made in the field: an off-diagonal
     entry is reduced only when its vector is nonzero, stopping at the first
     that stays nonzero, and every diagonal entry must reduce to one c.
     """
@@ -226,11 +260,11 @@ def _scalar_value(columns: list, order: int) -> CyclotomicNumber | None:
     for j, col in enumerate(columns):
         for i in range(dim):
             v = col[i::dim]
-            if i != j and any(v) and not CyclotomicNumber.from_powers(order, v).is_zero:
+            if i != j and any(v) and not _field_value(order, v).is_zero:
                 return None
-    c = CyclotomicNumber.from_powers(order, columns[0][::dim])
+    c = _field_value(order, columns[0][::dim])
     for j in range(1, dim):
-        if CyclotomicNumber.from_powers(order, columns[j][j::dim]) != c:
+        if _field_value(order, columns[j][j::dim]) != c:
             return None
     return c
 
@@ -240,11 +274,12 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
 
     minus_q must be a power zeta_N^k (``root_exponent``): any other point
     raises NotARoot, and zero ZeroInput. Every letter entry is then a
-    signed power of zeta_N, so the product is taken in the group ring
-    Z[x]/(x^N - 1). Each column is one flat list of dim * N integers, so
-    multiplying it by a letter entry +-x^e is one slice rotating it by
-    e * dim, and entry (i, j) is the strided slice columns[j][i::dim],
-    reduced into Q(zeta_N) once, at the end. Only the entries that can
+    power x^p of x -> zeta_2H, H = N/2 for even N and N for odd N, so the
+    product is taken in Z[x]/(x^H + 1). Each column is one flat list of
+    dim * H integers, so multiplying it by a letter entry is one
+    negacyclic rotation by (p mod H) * dim, and entry (i, j) is the
+    strided slice columns[j][i::dim], reduced into Q(zeta_N)
+    (``_field_value``) once, at the end. Only the entries that can
     differ from the identity's are read: a column that no letter of the
     word touches (letter s_i touches columns i-2, i-1 and i) is emitted as
     e_j, built from one shared one and zero, and a zero entry skips the
@@ -267,7 +302,7 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     copies = len(word.letters) // p if p else 1
     letters = word.letters[:p]
     actions = [table[letter] for letter in letters]
-    columns = [[0] * (dim * order) for _ in range(dim)]
+    columns = [[0] * (dim * _half_order(order)) for _ in range(dim)]
     for j, col in enumerate(columns):
         col[j] = 1
     zero = CyclotomicNumber.zero(order)
@@ -281,7 +316,7 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     touched = {table[letter][0] + step for letter in set(letters) for step in (-1, 0, 1)}
     one = CyclotomicNumber.one(order)
     return CycloMatrix(zip(*(
-        [CyclotomicNumber.from_powers(order, v) if any(v) else zero
+        [_field_value(order, v) if any(v) else zero
          for v in (col[i::dim] for i in range(dim))]
         if j in touched else [zero] * j + [one] + [zero] * (dim - 1 - j)
         for j, col in enumerate(columns)

@@ -200,9 +200,11 @@ class CyclotomicNumber:
 
     @classmethod
     def from_powers(cls, order: int, coeffs: Sequence[int]) -> CyclotomicNumber:
-        """sum_e coeffs[e] * zeta_order^e for an integer vector of length
-        order: the image of an element of Z[x]/(x^order - 1) under x ->
-        zeta_order, reduced mod Phi_order."""
+        """sum_e coeffs[e] * zeta_order^e, reduced mod Phi_order, for an
+        integer vector of any length up to order: the image under
+        x -> zeta_order of a polynomial of degree below order, such as an
+        element of Z[x]/(x^order - 1) or, for even order, of
+        Z[x]/(x^(order/2) + 1)."""
         return _canonical(order, tuple(_substitute(coeffs, 1, order)))
 
     @classmethod

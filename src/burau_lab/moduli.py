@@ -169,6 +169,8 @@ class KernelDescriptor:
     curvatures: CurvatureVector
 
     def __post_init__(self):
+        if not (self.j == INFINITE or type(self.j) is int and self.j >= 1):
+            raise ValueError(f"j = {self.j!r} is neither INFINITE nor an integer >= 1")
         expected = 2 * self.d // math.gcd(2 * self.d, (self.d + 2) * self.strands_n)
         if self.l != expected:
             raise ValueError(f"l = {self.l} violates 2d/gcd(2d, (d+2)n) = {expected}")
@@ -179,7 +181,7 @@ class KernelDescriptor:
         n = self.strands_n
         texts = [f"s1^{self.d}"]
         if self.j != INFINITE:
-            texts.append(f"T{n - 1}^{int(self.j)}")
+            texts.append(f"T{n - 1}^{self.j}")
         texts.append(f"T{n}^{self.l}")
         return tuple(parse_word(text, n) for text in texts)
 

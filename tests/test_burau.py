@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from burau_lab import burau
 from burau_lab.burau import (
     BurauImage,
+    _field_value,
     _letter_action,
     _root_length,
     _rotation_letters,
@@ -308,8 +309,9 @@ class TestSpecializedBurau:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_oracle_on_random_words_and_roots(self, data):
-        # n = 2 is dim 1; (-q)^3, -q and q at odd N give the sign -1
-        # rotations of the group-ring columns.
+        # n = 2 is dim 1; -q, q and (-q)^3 reach both parities of N, and
+        # letter entries x^p with p >= H, whose rotation flips the sign of
+        # the part that does not wrap.
         n = data.draw(st.integers(min_value=2, max_value=10), label="n")
         letters = data.draw(
             st.lists(
@@ -328,32 +330,61 @@ class TestSpecializedBurau:
         assert specialized_burau(w, x) == specialize_matrix(burau_of_word(w).matrix, x)
 
     def test_letter_table_matches_field_evaluation(self):
-        # Each entry s * t^e of the table at a root x = zeta_N^k must be
-        # (sign, e' * (n-1)) for s * x^e = sign * zeta_N^e' evaluated in
-        # Q(zeta_N): the rotation of a flat column of n-1 entries. sign is
-        # -1 only for odd N, where -zeta_N^e' is no power of zeta_N.
+        # At a root x = zeta_N^k the word is multiplied out in
+        # Z[x]/(x^H + 1), H = N/2 for even N and N for odd N, with
+        # x -> zeta_2H. Each entry s * t^e of the table must be one power
+        # x^p, 0 <= p < 2H, stored as (p >= H, (p mod H) * (n-1)): evaluated
+        # at zeta_2H it is s * y^e, y = x written in Q(zeta_2H), and
+        # _field_value carries it to s * x^e in Q(zeta_N).
         for d in range(2, 41):
             mq = minus_q_from_d(d)
             for x in (mq, q_point(d), mq**3):
+                order = x.order
+                half = order // 2 if order % 2 == 0 else order
+                k = root_exponent(x)
+                y = CyclotomicNumber.root_of_unity(2 * half, 2 * half // order * k)
                 for n in range(2, 11):
-                    table = _rotation_letters(n, x.order, root_exponent(x))
+                    dim = n - 1
+                    table = _rotation_letters(n, order, k)
                     for index in range(1, n):
                         for letter_sign in (1, -1):
                             r, *entries = _letter_action(n, index, letter_sign < 0)
-                            expected = []
-                            for entry in entries:
+                            got_r, *got = table[index, letter_sign]
+                            case = (d, x, n, index, letter_sign)
+                            assert got_r == r, case
+                            assert len(got) == len(entries), case
+                            for entry, pair in zip(entries, got):
                                 if entry is None:
-                                    expected.append(None)
+                                    assert pair is None, case
                                     continue
-                                value = specialize_poly(LaurentPoly.monomial(*entry), x)
-                                try:
-                                    s, e = 1, root_exponent(value)
-                                except NotARoot:
-                                    s, e = -1, root_exponent(-value)
-                                expected.append((s, e * (n - 1)))
-                            assert table[index, letter_sign] == (r, *expected), (
-                                d, x, n, index, letter_sign
-                            )
+                                negate, shift = pair
+                                assert isinstance(negate, bool), case
+                                assert 0 <= shift < half * dim and shift % dim == 0, case
+                                power = CyclotomicNumber.root_of_unity(2 * half, shift // dim)
+                                monomial = LaurentPoly.monomial(*entry)
+                                assert (-power if negate else power) == specialize_poly(
+                                    monomial, y
+                                ), case
+                                unit = [0] * half
+                                unit[shift // dim] = -1 if negate else 1
+                                assert _field_value(order, unit) == specialize_poly(
+                                    monomial, x
+                                ), case
+
+    def test_rings_of_degree_one(self):
+        # H = 1: at order 1 (x = 1) and order 2 (x = -1) the ring is
+        # Z[x]/(x + 1) and each column holds one int per entry.
+        rng = random.Random(23)
+        points = [CyclotomicNumber.one(1), CyclotomicNumber.root_of_unity(2)]
+        assert points[1] == -1
+        for n in range(2, 7):
+            words = [BraidWord(n, ())]
+            words += [random_word(n, rng.randint(1, 30), rng) for _ in range(8)]
+            words += [parse_word(f"T{n}^{k}", n) for k in (1, 2, 3)]
+            for w in words:
+                for x in points:
+                    expected = specialize_matrix(burau_of_word(w).matrix, x)
+                    assert specialized_burau(w, x) == expected, (w, x)
 
     def test_words_that_leave_columns_untouched(self):
         # A letter s_i changes only columns i-2, i-1 and i; every other
@@ -486,19 +517,29 @@ class TestPowerEarlyStop:
                             assert entry == c if i == j else entry.is_zero
 
     def test_scalar_test_is_made_in_the_field(self):
-        # Columns over Z[x]/(x^6 - 1); 1 + x^2 + x^4 is nonzero there but
-        # vanishes in Q(zeta_6).
+        # Columns over Z[x]/(x^3 + 1), the ring of orders 6 and 3, where
+        # x -> zeta_6; 1 - x + x^2 is nonzero there but vanishes in the field.
         # Each column is flat: entry i's coefficient of x^k at index 2k + i.
         def flat(*columns):
             return [[a for pair in zip(*col) for a in pair] for col in columns]
 
-        one, zero, minus_one = [1, 0, 0, 0, 0, 0], [0] * 6, [0, 0, 0, 1, 0, 0]
-        vanishing = [1, 0, 1, 0, 1, 0]
-        one_plus_vanishing = [2, 0, 1, 0, 1, 0]
+        one, zero, minus_one = [1, 0, 0], [0] * 3, [-1, 0, 0]
+        vanishing = [1, -1, 1]
+        one_plus_vanishing = [2, -1, 1]
         assert _scalar_value(flat([one, vanishing], [vanishing, one_plus_vanishing]), 6) == 1
         assert _scalar_value(flat([minus_one, zero], [zero, minus_one]), 6) == -1
         assert _scalar_value(flat([one, zero], [zero, minus_one]), 6) is None
         assert _scalar_value(flat([one, zero], [one, one]), 6) is None
+        # At odd order 3, x is zeta_6 = -zeta_3^2: x^2 is zeta_3 and -x is
+        # zeta_3^2, and the vanishing vector still vanishes.
+        x_squared, minus_x = [0, 0, 1], [0, -1, 0]
+        zeta3 = CyclotomicNumber.root_of_unity(3)
+        assert _scalar_value(
+            flat([x_squared, vanishing], [vanishing, [1, -1, 2]]), 3
+        ) == zeta3
+        assert _scalar_value(flat([minus_x, zero], [zero, minus_x]), 3) == zeta3**2
+        assert _scalar_value(flat([one, vanishing], [zero, minus_one]), 3) is None
+        assert _scalar_value(flat([x_squared, [1, 1, 0]], [zero, x_squared]), 3) is None
 
     def test_root_length_is_the_shortest_root(self):
         def naive(letters):

@@ -163,6 +163,18 @@ class TestKernelDescriptor:
         with pytest.raises(ValueError):
             KernelDescriptor(4, 5, INFINITE, 4, cv)  # l must be 5
 
+    def test_descriptor_rejects_j_that_is_not_a_twist_power(self):
+        # j names the power T{n-1}^j, so it is INFINITE or an int >= 1;
+        # 4.5 used to be truncated to T3^4 and 0 gave an empty generator.
+        cv = curvatures_from_nd(4, 12)
+        for j in (4.5, 4.0, 0, -4, True, "4", None, F(4)):
+            with pytest.raises(ValueError, match="neither INFINITE nor an integer"):
+                KernelDescriptor(4, 12, j, 3, cv)
+        kd = KernelDescriptor(4, 12, 4, 3, cv)
+        assert kd == kernel_descriptor(4, 12)
+        assert kd.normal_generators()[1].letters == ((1, 1), (2, 1)) * 12
+        assert len(KernelDescriptor(4, 12, INFINITE, 3, cv).normal_generators()) == 2
+
     def test_normal_generator_words(self):
         # sigma^d and tau_p^k from the ring definition, not from the parser.
         def tau(p, k):
