@@ -195,13 +195,11 @@ def _rotated(col: list, negate: bool, shift: int) -> list:
     """x^p * col for a flat column (see the module docstring), given as
     negate = p >= H and shift = (p mod H) * dim: the last shift ints wrap
     to the front, and the wrapped part changes sign, or with negate the
-    rest does. With shift 0 and negate False the column itself is
-    returned; columns are never changed in place."""
+    rest does. The result is always a new list; columns are never changed
+    in place."""
     cut = len(col) - shift
     if negate:
         return col[cut:] + list(map(operator.neg, col[:cut]))
-    if not shift:
-        return col
     return list(map(operator.neg, col[cut:])) + col[:cut]
 
 
@@ -280,10 +278,10 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     negacyclic rotation by (p mod H) * dim, and entry (i, j) is the
     strided slice columns[j][i::dim], reduced into Q(zeta_N)
     (``_field_value``) once, at the end. Only the entries that can
-    differ from the identity's are read: a column that no letter of the
-    word touches (letter s_i touches columns i-2, i-1 and i) is emitted as
-    e_j, built from one shared one and zero, and a zero entry skips the
-    reduction.
+    differ from the identity's are read: a column that no letter replaced
+    (the loop builds a new list for every column a letter touches) is
+    emitted as e_j, built from one shared one and zero, and a zero entry
+    skips the reduction.
 
     The word is written as u^k with u its shortest root and applied one
     copy of u at a time. When the product after j copies, j a proper
@@ -302,8 +300,8 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     copies = len(word.letters) // p if p else 1
     letters = word.letters[:p]
     actions = [table[letter] for letter in letters]
-    columns = [[0] * (dim * _half_order(order)) for _ in range(dim)]
-    for j, col in enumerate(columns):
+    start = columns = [[0] * (dim * _half_order(order)) for _ in range(dim)]
+    for j, col in enumerate(start):
         col[j] = 1
     zero = CyclotomicNumber.zero(order)
     for j in range(1, copies + 1):
@@ -313,12 +311,11 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
             if c is not None:
                 c = c ** (copies // j)
                 return CycloMatrix(_scalar_rows(dim, c, zero))
-    touched = {table[letter][0] + step for letter in set(letters) for step in (-1, 0, 1)}
     one = CyclotomicNumber.one(order)
     return CycloMatrix(zip(*(
-        [_field_value(order, v) if any(v) else zero
-         for v in (col[i::dim] for i in range(dim))]
-        if j in touched else [zero] * j + [one] + [zero] * (dim - 1 - j)
+        [zero] * j + [one] + [zero] * (dim - 1 - j) if col is start[j]
+        else [_field_value(order, v) if any(v) else zero
+              for v in (col[i::dim] for i in range(dim))]
         for j, col in enumerate(columns)
     )))
 

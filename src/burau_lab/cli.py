@@ -15,8 +15,9 @@ keys {command, params, results, fixtures_matched}. Exit codes: 0 success,
 fixture mismatch. The built-in kernel table doubles as a regression
 fixture: the command recomputes every row and compares.
 
-Each handler takes the parsed argparse namespace and reads its own options
-from it; every default is declared once, in build_parser, except that of
+Each subcommand's parser names its handler (the ``handler`` default), which
+takes the parsed argparse namespace and reads its own options from it;
+every default is declared once, in build_parser, except that of
 --seed, which ``monodromy check`` reads from BURAU_LAB_SEED when it runs,
 so that a malformed value exits 3 like any other invalid parameter.
 """
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import re
@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 
 from .burau import burau_of_word, specialized_burau
-from .cyclotomic import MAX_D, CycloMatrix, InvalidD, minus_q_from_d
+from .cyclotomic import INFINITE, MAX_D, CycloMatrix, InvalidD, minus_q_from_d
 from .laurent import LaurentMatrix
 from .moduli import (
     CurvatureVector,
@@ -156,10 +156,6 @@ def _check_cap(option: str, value: int | None, cap: int = MAX_STRANDS) -> None:
         raise InvalidSpec(f"{option} {count_text(value)} is above the cap of {cap}")
 
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def _complex_str(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
@@ -182,7 +178,7 @@ def _strata_json(strata) -> list[dict]:
     return [
         {
             "pair": list(s.pair),
-            "angle_fraction": _fraction_str(s.angle_fraction),
+            "angle_fraction": str(s.angle_fraction),
             "orbifold_order": s.orbifold_order,
         }
         for s in strata
@@ -268,10 +264,10 @@ def _descriptor_json(desc: KernelDescriptor | Inconclusive) -> dict:
     return {
         "n": desc.strands_n,
         "d": desc.d,
-        "j": None if inconclusive or desc.j == math.inf else int(desc.j),
+        "j": None if inconclusive or desc.j == INFINITE else desc.j,
         "l": None if inconclusive else desc.l,
         "status": "inconclusive" if inconclusive else "orbifold",
-        "curvatures": [_fraction_str(f) for f in desc.curvatures.fractions],
+        "curvatures": list(map(str, desc.curvatures.fractions)),
         "strata": _strata_json(report.strata),
     }
 
@@ -359,13 +355,13 @@ def cmd_orbifold_check(args: argparse.Namespace) -> int:
     labels = [part.strip() for part in args.labels.split(",")]
     curvatures = CurvatureVector(fractions)
     report = orbifold_check(curvatures, labels)
-    params = {"curvatures": [_fraction_str(f) for f in fractions], "labels": labels}
+    params = {"curvatures": list(map(str, fractions)), "labels": labels}
     results = {"is_orbifold": report.is_orbifold, "strata": _strata_json(report.strata)}
     lines = [f"orbifold: {'yes' if report.is_orbifold else 'no'}"]
     for s in report.strata:
         order = "none" if s.orbifold_order is None else str(s.orbifold_order)
         lines.append(
-            f"stratum (points {s.pair[0]}, {s.pair[1]}): angle {_fraction_str(s.angle_fraction)} of 2pi, order {order}"
+            f"stratum (points {s.pair[0]}, {s.pair[1]}): angle {s.angle_fraction} of 2pi, order {order}"
         )
     _emit(args, params, results, text="\n".join(lines))
     return EXIT_OK
@@ -450,8 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="group", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, handler) -> None:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.set_defaults(handler=handler)
 
     burau = top.add_parser("burau", help="Burau matrices of braid words")
     burau_sub = burau.add_subparsers(dest="command", required=True)
@@ -463,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="specialize t = -q at a primitive D-th root q")
     p.add_argument("--numerator", type=int, default=1, metavar="A",
                    help="use q = exp(2*pi*i*A/D), gcd(A, D) = 1")
-    add_common(p)
+    add_common(p, cmd_burau_eval)
 
     p = burau_sub.add_parser("check-word", help="kernel membership at chosen roots")
     p.add_argument("--n", type=int, required=True)
@@ -471,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, metavar="SPEC",
                    help="root parameter(s): '5', '5..8', or '5,7,9'")
     p.add_argument("--numerator", type=int, default=1)
-    add_common(p)
+    add_common(p, cmd_check_word)
 
     moduli = top.add_parser("moduli", help="cone-metric moduli and kernel table")
     moduli_sub = moduli.add_subparsers(dest="command", required=True)
@@ -479,14 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = moduli_sub.add_parser("kernel-table", help="built-in kernel table plus optional grid")
     p.add_argument("--n", default=None, metavar="SPEC", help="extra strand counts")
     p.add_argument("--d", default=None, metavar="SPEC", help="extra root parameters")
-    add_common(p)
+    add_common(p, cmd_kernel_table)
 
     p = moduli_sub.add_parser("orbifold-check", help="orbifold condition for explicit curvatures")
     p.add_argument("--curvatures", required=True,
                    help="comma-separated fractions of 2*pi, e.g. '1/4,1/4,1/4,1/4,1/4,1/4,2/4'")
     p.add_argument("--labels", required=True,
                    help="comma-separated labels marking interchangeable points")
-    add_common(p)
+    add_common(p, cmd_orbifold_check)
 
     monodromy = top.add_parser("monodromy", help="moduli-space monodromy checks")
     monodromy_sub = monodromy.add_subparsers(dest="command", required=True)
@@ -500,32 +497,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="random word seed (default $BURAU_LAB_SEED or 0)")
     p.add_argument("--numerator", type=int, default=1)
-    add_common(p)
+    add_common(p, cmd_monodromy_check)
 
     p = monodromy_sub.add_parser("signature", help="invariant Hermitian form signature")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--numerator", type=int, default=1)
-    add_common(p)
+    add_common(p, cmd_monodromy_signature)
 
     return parser
-
-
-_HANDLERS = {
-    "burau eval": cmd_burau_eval,
-    "burau check-word": cmd_check_word,
-    "moduli kernel-table": cmd_kernel_table,
-    "moduli orbifold-check": cmd_orbifold_check,
-    "monodromy check": cmd_monodromy_check,
-    "monodromy signature": cmd_monodromy_signature,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[f"{args.group} {args.command}"](args)
+        return args.handler(args)
     except (WordSyntaxError, IndexOutOfRange) as exc:
         print(f"word error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

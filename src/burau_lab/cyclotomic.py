@@ -25,7 +25,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .laurent import LaurentMatrix, LaurentPoly, NotDivisible, SquareMatrix, _scalar_rows
+from .laurent import (
+    LaurentMatrix,
+    LaurentPoly,
+    NotDivisible,
+    SquareMatrix,
+    _scalar_rows,
+    _signed_sum,
+)
 from .words import count_text
 
 INFINITE = math.inf
@@ -271,8 +278,6 @@ class CyclotomicNumber:
             return NotImplemented
         if self._den == 1 == b._den:
             return _canonical(self.order, tuple(map(operator.add, self._num, b._num)))
-        if self._den == b._den:
-            return CyclotomicNumber(self.order, [x + y for x, y in zip(self._num, b._num)], self._den)
         return CyclotomicNumber(
             self.order,
             [x * b._den + y * self._den for x, y in zip(self._num, b._num)],
@@ -299,19 +304,12 @@ class CyclotomicNumber:
         return b - self
 
     def __mul__(self, other: CyclotomicNumber | int | Fraction) -> CyclotomicNumber:
-        if type(other) is CyclotomicNumber and other.order == self.order:
-            a, b = self, other
-        elif isinstance(other, int):
-            if self._den == 1:
-                return _canonical(self.order, tuple(a * other for a in self._num))
-            return CyclotomicNumber(self.order, [a * other for a in self._num], self._den)
-        else:
-            a, b = self, self._coerce(other)
-            if b is None:
-                return NotImplemented
-        deg, rows = _field(a.order)
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        deg, rows = _field(self.order)
         conv = [0] * (2 * deg - 1)
-        for i, x in enumerate(a._num):
+        for i, x in enumerate(self._num):
             if x:
                 for j, y in enumerate(b._num):
                     if y:
@@ -323,11 +321,17 @@ class CyclotomicNumber:
                 row = rows[e]
                 for j in range(deg):
                     out[j] += c * row[j]
-        if a._den == 1 == b._den:
-            return _canonical(a.order, tuple(out))
-        return CyclotomicNumber(a.order, out, a._den * b._den)
+        if self._den == 1 == b._den:
+            return _canonical(self.order, tuple(out))
+        return CyclotomicNumber(self.order, out, self._den * b._den)
 
     __rmul__ = __mul__
+
+    def conjugate(self) -> CyclotomicNumber:
+        """Complex conjugation zeta -> zeta^-1. It maps Z[zeta] onto itself,
+        so the numerators keep gcd 1 with the unchanged denominator."""
+        order = self.order
+        return _canonical(order, tuple(_substitute(self._num, order - 1, order)), self._den)
 
     def inverse(self) -> CyclotomicNumber:
         """Multiplicative inverse through the real subfield, in integer
@@ -346,11 +350,10 @@ class CyclotomicNumber:
             raise ZeroInput("zero has no inverse")
         order = self.order
         a = _canonical(order, self._num)
-        a_bar = tuple(_substitute(self._num, order - 1, order))
-        if a_bar == self._num:
+        conjugates = a.conjugate()
+        if conjugates._num == a._num:
             y, conjugates = a, CyclotomicNumber.one(order)
         else:
-            conjugates = _canonical(order, a_bar)
             y = a * conjugates
         for k in range(2, (order + 1) // 2):
             if math.gcd(k, order) == 1:
@@ -394,24 +397,13 @@ class CyclotomicNumber:
         return total / self._den
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
+        terms = []
         for e, a in enumerate(self._num):
-            if not a:
-                continue
-            coeff = Fraction(a, self._den)
-            mag = abs(coeff)
-            if e == 0:
-                body = str(mag)
-            else:
+            if a:
+                mag = Fraction(abs(a), self._den)
                 z = f"zeta({self.order})" if e == 1 else f"zeta({self.order})^{e}"
-                body = z if mag == 1 else f"({mag})*{z}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+                terms.append((a < 0, str(mag) if e == 0 else z if mag == 1 else f"({mag})*{z}"))
+        return _signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self.order}, '{self}')"
@@ -420,7 +412,7 @@ class CyclotomicNumber:
 def _canonical(order: int, num: tuple[int, ...], den: int = 1) -> CyclotomicNumber:
     """The element num/den of Q(zeta_order), stored as given: num and den
     must already be canonical (see CyclotomicNumber), as they are for den 1
-    and for the negation of a canonical element."""
+    and for the negation or conjugate of a canonical element."""
     x = object.__new__(CyclotomicNumber)
     x.order, x._num, x._den = order, num, den
     return x

@@ -166,8 +166,6 @@ class LaurentPoly:
         >>> print((LaurentPoly.one() - LaurentPoly.t(4)).exact_div(1 - LaurentPoly.t()))
         1 + t + t^2 + t^3
         """
-        if isinstance(den, int):
-            den = LaurentPoly({0: den})
         if den.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
@@ -197,24 +195,27 @@ class LaurentPoly:
         return _raw(quot)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
+        terms = []
         for e, c in sorted(self._coeffs.items()):
+            var = "t" if e == 1 else f"t^{e}"
             mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            terms.append((c < 0, str(mag) if e == 0 else var if mag == 1 else f"{mag}{var}"))
+        return _signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
+
+
+def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, magnitude text) pairs as "a - b + c", the first
+    term signed only when negative; no terms give "0"."""
+    parts: list[str] = []
+    for negative, body in terms:
+        if parts:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return " ".join(parts) or "0"
 
 
 def _raw(coeffs: dict[int, int]) -> LaurentPoly:

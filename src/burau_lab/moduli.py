@@ -160,7 +160,8 @@ def orbifold_check(curvatures: CurvatureVector, labels: Sequence[str]) -> Orbifo
 class KernelDescriptor:
     """The kernel of the Burau specialization at a primitive d-th root,
     described as the normal closure of sigma^d and tau_{n-1}^j (j = INFINITE
-    meaning no tau_{n-1} power at all) together with the central tau_n^l."""
+    meaning no tau_{n-1} power at all) together with the central tau_n^l. The
+    first and last points' collision stratum has angle 1/j of 2*pi, or none."""
 
     strands_n: int
     d: int
@@ -171,6 +172,13 @@ class KernelDescriptor:
     def __post_init__(self):
         if not (self.j == INFINITE or type(self.j) is int and self.j >= 1):
             raise ValueError(f"j = {self.j!r} is neither INFINITE nor an integer >= 1")
+        fractions = self.curvatures.fractions
+        angle = cone_angle(fractions[0], fractions[-1], same_label=False)
+        if angle is not None and angle.numerator != 1:
+            raise ValueError(f"the twist stratum has angle {angle} of 2pi, not 1/j")
+        j = INFINITE if angle is None else angle.denominator
+        if self.j != j:
+            raise ValueError(f"j = {self.j} disagrees with the curvatures, which give {j}")
         expected = 2 * self.d // math.gcd(2 * self.d, (self.d + 2) * self.strands_n)
         if self.l != expected:
             raise ValueError(f"l = {self.l} violates 2d/gcd(2d, (d+2)n) = {expected}")
@@ -251,23 +259,21 @@ def kernel_descriptor(n: int, d: int) -> KernelDescriptor | Inconclusive:
 
 
 def b3_kernel(d: int) -> KernelDescriptor:
-    """The 3-strand kernel descriptor for d >= 7: always j = INFINITE (the
-    last two curvatures sum past 2*pi, so no twist stratum is added) and
-    l = 2d/gcd(12, d+6).
+    """The 3-strand kernel descriptor for d >= 7: ``kernel_descriptor(3, d)``,
+    checked to have j = INFINITE (the last two curvatures sum past 2*pi, so
+    no twist stratum is added) and l = 2d/gcd(12, d+6).
 
     The closed form is cross-checked at call time against the
     multiplicative order of (-q)^3 computed in the cyclotomic field.
     """
     if d < 7:
         raise InvalidD(f"the 3-strand analysis requires d >= 7, got {d}")
-    curvatures = curvatures_from_nd(3, d)
-    tau_sum = curvatures.fractions[2] + curvatures.fractions[3]
-    if tau_sum <= 1:
+    desc = kernel_descriptor(3, d)
+    if not isinstance(desc, KernelDescriptor) or desc.j != INFINITE:
         raise ArithmeticError(f"the twist stratum must be absent for d >= 7, got d={d}")
     l = 2 * d // math.gcd(12, d + 6)
     order = multiplicative_order(minus_q_from_d(d) ** 3)
-    if order != l:
-        raise ArithmeticError(
-            f"closed form l={l} disagrees with computed order {order} at d={d}"
-        )
-    return KernelDescriptor(3, d, INFINITE, l, curvatures)
+    if not desc.l == l == order:
+        raise ArithmeticError(f"closed form l={l}, descriptor l={desc.l} and computed "
+                              f"order {order} disagree at d={d}")
+    return desc

@@ -26,7 +26,6 @@ the specialized S: comparisons of field elements only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .burau import (
@@ -37,13 +36,7 @@ from .burau import (
     projectively_equal,
     specialized_burau,
 )
-from .cyclotomic import (
-    CycloMatrix,
-    CyclotomicNumber,
-    _substitute,
-    root_exponent,
-    specialize_poly,
-)
+from .cyclotomic import CycloMatrix, CyclotomicNumber, root_exponent, specialize_poly
 from .laurent import LaurentMatrix, LaurentPoly, _scalar_rows
 from .words import BraidWord, count_text
 
@@ -67,12 +60,6 @@ class MonodromyGenerators:
     mats: tuple[CycloMatrix, ...]
 
 
-def _conjugate(x: CyclotomicNumber) -> CyclotomicNumber:
-    """Complex conjugation on Q(zeta_N): the automorphism zeta -> zeta^-1."""
-    order = x.order
-    return CyclotomicNumber(order, _substitute(x.numerators, order - 1, order), x.denominator)
-
-
 @dataclass(frozen=True)
 class HermitianForm:
     """An exact Hermitian matrix with its inertia certificate: the inertias
@@ -87,7 +74,7 @@ class HermitianForm:
     def __post_init__(self):
         rows, dim = self.matrix.rows, self.dim
         pairs = ((rows[i][j], rows[j][i]) for i in range(dim) for j in range(i, dim))
-        if any(not (a.is_zero and b.is_zero) and a != _conjugate(b) for a, b in pairs):
+        if any(not (a.is_zero and b.is_zero) and a != b.conjugate() for a, b in pairs):
             raise ValueError("matrix is not Hermitian")
 
     @property
@@ -136,13 +123,13 @@ class InvariantFormResult:
     unitarity_residual: int
 
 
-def _squier_inertia(size: int, r: Fraction) -> tuple[int, int, int]:
-    """Inertia of S_size at t = e^(i theta), r the distance from theta/2pi
-    to the nearest integer. S_size is tridiagonal Toeplitz, with eigenvalues
-    4|cos(theta/2)| (cos(pi r) + cos(pi j/(size+1))), j = 1..size, so
-    eigenvalue j has the sign of 1 - (r + j/(size+1))."""
-    sides = [r + Fraction(j, size + 1) for j in range(1, size + 1)]
-    return sum(s < 1 for s in sides), sum(s > 1 for s in sides), sum(s == 1 for s in sides)
+def _squier_inertia(size: int, a: int, order: int) -> tuple[int, int, int]:
+    """Inertia of S_size at t = zeta_order^k, a = min(k, order - k). S_size
+    is tridiagonal Toeplitz, with eigenvalues 4|cos(pi k/order)|
+    (cos(pi a/order) + cos(pi j/(size+1))), j = 1..size, so eigenvalue j
+    has the sign of 1 - a/order - j/(size+1), or of (order - a)(size+1) - j*order."""
+    sides = [(order - a) * (size + 1) - j * order for j in range(1, size + 1)]
+    return sum(s > 0 for s in sides), sum(s < 0 for s in sides), sides.count(0)
 
 
 # Squier's form, scaled by |1+t|^2 to be integral, as the tridiagonal
@@ -215,7 +202,7 @@ def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenera
     _laurent_certificate(_SQUIER)
     t, dim = generators.minus_q, generators.m - 2
     letter_values, entries = _values_at(t.order, root_exponent(t))
-    if _conjugate(t) != letter_values[1, -1]:
+    if t.conjugate() != letter_values[1, -1]:
         raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
     one, zero = CyclotomicNumber.one(t.order), CyclotomicNumber.zero(t.order)
     identity = [tuple(row) for row in _scalar_rows(dim, one, zero)]
@@ -266,22 +253,22 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     n, m, t = generators.strands_n, generators.m, generators.minus_q
     if t == -1:
         raise NoInvariantForm(f"no closed-form invariant form at t = {t}")
-    turn = Fraction(root_exponent(t), t.order)
-    r = min(turn, 1 - turn)
+    e = root_exponent(t)
+    a = min(e, t.order - e)
     dim, lead, k = m - 2, n - 1, m - 1 - n
     zero, one = CyclotomicNumber.zero(t.order), CyclotomicNumber.one(t.order)
-    t_bar = _conjugate(t)
+    t_bar = t.conjugate()
     diag, above, below = 2 + t + t_bar, -(1 + t_bar), -(1 + t)
     # Leading minors: D_s = diag D_{s-1} - |1+t|^2 D_{s-2}, and |1+t|^2 = diag.
     minors = [one, diag]
     for _ in range(2, lead + 1):
         minors.append(diag * (minors[-1] - minors[-2]))
     singular = minors[lead].is_zero
-    if singular != (_squier_inertia(lead, r)[2] > 0):
+    if singular != (_squier_inertia(lead, a, t.order)[2] > 0):
         raise NoInvariantForm("the closed-form inertia of S_L disagrees with det S_L")
 
     pivot = lead - 1 if singular and k else lead
-    pos, neg, zeros = _squier_inertia(pivot, r)
+    pos, neg, zeros = _squier_inertia(pivot, a, t.order)
     if pos > neg:
         pos, neg = neg, pos
         diag, above, below = -diag, -above, -below

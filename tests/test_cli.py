@@ -286,7 +286,7 @@ class TestExitCodes:
         def broken(cfg):
             raise ValueError("an internal invariant failed")
 
-        monkeypatch.setitem(cli._HANDLERS, "burau eval", broken)
+        monkeypatch.setattr(cli, "cmd_burau_eval", broken)
         with pytest.raises(ValueError, match="internal invariant"):
             cli.main(["burau", "eval", "--n", "4", "--word", "s1"])
         assert "invalid parameters" not in capsys.readouterr().err

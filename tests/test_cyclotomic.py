@@ -317,6 +317,22 @@ def test_str_forms():
     assert str(CyclotomicNumber.one(4)) == "1"
 
 
+@pytest.mark.parametrize(
+    "num, den, text",
+    [
+        ((-1, 1, 0, 0), 1, "-1 + zeta(8)"),
+        ((1, -1, 0, 1), 2, "1/2 - (1/2)*zeta(8) + (1/2)*zeta(8)^3"),
+        ((0, 0, 0, 1), 2, "(1/2)*zeta(8)^3"),
+        ((0, -2, 0, 0), 1, "-(2)*zeta(8)"),
+        ((0, -1, 0, 0), 1, "-zeta(8)"),
+        ((-3, 0, 0, 0), 2, "-3/2"),
+        ((0, 0, 0, 0), 1, "0"),
+    ],
+)
+def test_str_pinned(num, den, text):
+    assert str(CyclotomicNumber(8, num, den)) == text
+
+
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20]
 
 
@@ -387,6 +403,39 @@ def test_every_specialization_point_is_a_power_of_zeta():
     ]
     for x in points + [minus_q_from_d(MAX_D)]:
         assert CyclotomicNumber.root_of_unity(x.order, root_exponent(x)) == x
+
+
+@st.composite
+def same_field_pairs(draw):
+    """Two elements of one Q(zeta_N), with denominators, for N in ORDERS or
+    one of three larger orders."""
+    order = draw(st.sampled_from(ORDERS + [13, 21, 36]))
+    deg = len(cyclotomic_polynomial(order)) - 1
+    coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=deg, max_size=deg)
+    dens = st.integers(min_value=1, max_value=12)
+    return tuple(CyclotomicNumber(order, draw(coeffs), draw(dens)) for _ in range(2))
+
+
+class TestConjugate:
+    @given(same_field_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_conjugate_is_the_substitution_zeta_to_its_inverse(self, pair):
+        x, y = pair
+        order = x.order
+        bar = x.conjugate()
+        rebuilt = CyclotomicNumber(order, _substitute(x.numerators, order - 1, order), x.denominator)
+        assert bar == rebuilt
+        # Canonical as built: renormalizing changes nothing.
+        assert (rebuilt.numerators, rebuilt.denominator) == (bar.numerators, bar.denominator)
+        assert bar.conjugate() == x
+        assert (x * y).conjugate() == bar * y.conjugate()
+        assert cmath.isclose(bar.to_complex(), x.to_complex().conjugate(), abs_tol=1e-9)
+
+    def test_conjugate_of_a_root_is_its_inverse(self):
+        for order in range(1, 31):
+            for e in range(order):
+                z = CyclotomicNumber.root_of_unity(order, e)
+                assert z.conjugate() == CyclotomicNumber.root_of_unity(order, -e)
 
 
 @st.composite

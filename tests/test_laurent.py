@@ -156,6 +156,20 @@ class TestMatrices:
             assert typed(padded.rows[2:]) == typed(eye.rows[2:])
 
 
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [
+        ({-1: -2, 0: -1, 1: 1}, "-2t^-1 - 1 + t"),
+        ({0: 1, 1: -1, 2: 5}, "1 - t + 5t^2"),
+        ({1: -1}, "-t"),
+        ({0: -1}, "-1"),
+        ({}, "0"),
+    ],
+)
+def test_str_pinned(coeffs, text):
+    assert str(LaurentPoly(coeffs)) == text
+
+
 def test_module_doctests():
     import doctest
 

@@ -173,7 +173,25 @@ class TestKernelDescriptor:
         kd = KernelDescriptor(4, 12, 4, 3, cv)
         assert kd == kernel_descriptor(4, 12)
         assert kd.normal_generators()[1].letters == ((1, 1), (2, 1)) * 12
-        assert len(KernelDescriptor(4, 12, INFINITE, 3, cv).normal_generators()) == 2
+        assert len(kernel_descriptor(4, 5).normal_generators()) == 2
+
+    def test_descriptor_rejects_j_that_disagrees_with_the_curvatures(self):
+        # At (4, 12) the first and last points collide at angle 1/4 of 2pi,
+        # so j is 4: neither another power nor INFINITE is accepted.
+        cv = curvatures_from_nd(4, 12)
+        for j in (7, INFINITE):
+            with pytest.raises(ValueError, match="disagrees with the curvatures"):
+                KernelDescriptor(4, 12, j, 3, cv)
+        # At (4, 5) that stratum is absent, so only INFINITE is accepted.
+        cv = curvatures_from_nd(4, 5)
+        with pytest.raises(ValueError, match="disagrees with the curvatures"):
+            KernelDescriptor(4, 5, 5, 5, cv)
+        assert KernelDescriptor(4, 5, INFINITE, 5, cv) == kernel_descriptor(4, 5)
+        # At (4, 11) the angle is 5/22 of 2pi, which no j gives.
+        cv = curvatures_from_nd(4, 11)
+        for j in (4, 22, INFINITE):
+            with pytest.raises(ValueError, match="angle 5/22 of 2pi, not 1/j"):
+                KernelDescriptor(4, 11, j, 11, cv)
 
     def test_normal_generator_words(self):
         # sigma^d and tau_p^k from the ring definition, not from the parser.
@@ -209,11 +227,10 @@ class TestB3:
             assert kd.strands_n == 3
 
     def test_matches_general_descriptor(self):
-        for d in range(7, 20):
+        for d in range(7, 41):
             general = kernel_descriptor(3, d)
-            special = b3_kernel(d)
             assert isinstance(general, KernelDescriptor)
-            assert (general.j, general.l) == (special.j, special.l)
+            assert b3_kernel(d) == general, d
 
     def test_formula_equals_cyclotomic_order(self):
         for d in range(7, 25):

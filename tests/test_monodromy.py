@@ -147,7 +147,7 @@ class TestDiagramCheck:
 def _star(g: CycloMatrix) -> CycloMatrix:
     """The conjugate transpose, entry by entry."""
     return CycloMatrix(
-        [[monodromy._conjugate(g.entry(j, i)) for j in range(g.dim)] for i in range(g.dim)]
+        [[g.entry(j, i).conjugate() for j in range(g.dim)] for i in range(g.dim)]
     )
 
 
@@ -279,8 +279,18 @@ class TestInvariantForm:
         assert signature(result.chosen) == (0, 1, 1)
 
     def test_dropping_conjugation_is_caught(self, monkeypatch):
-        monkeypatch.setattr(monodromy, "_conjugate", lambda x: x)
+        # At m = n+1 nothing is divided, so the run reaches the invariance
+        # check, which compares conj(t) with t^-1.
+        monkeypatch.setattr(CyclotomicNumber, "conjugate", lambda x: x)
         with pytest.raises(NoInvariantForm, match=r"G\* H G != H"):
+            invariant_hermitian_form(rho_generators(4, 5, minus_q_from_d(7)))
+
+    def test_dropping_conjugation_stops_the_pivot_inverse(self, monkeypatch):
+        # At m = n+2 the Schur complement divides by det S_L, and the
+        # inverse conjugates too: without conjugation its norm is not
+        # rational, so the run stops there.
+        monkeypatch.setattr(CyclotomicNumber, "conjugate", lambda x: x)
+        with pytest.raises(ArithmeticError, match="is not rational"):
             invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(7)))
 
     @pytest.mark.parametrize("n, m, d", [(4, 5, 7), (5, 7, 8), (6, 7, 5), (10, 11, 3)])
@@ -292,7 +302,7 @@ class TestInvariantForm:
         rows = [list(row) for row in gens.mats[i - 1].rows]
         t = rows[i - 1][i - 2]
         assert t == gens.minus_q
-        rows[i - 1][i - 2] = monodromy._conjugate(t)
+        rows[i - 1][i - 2] = t.conjugate()
         mats = gens.mats[: i - 1] + (CycloMatrix(rows),) + gens.mats[i:]
         corrupted = monodromy.MonodromyGenerators(n, m, gens.minus_q, mats)
         with pytest.raises(NoInvariantForm, match=rf"generator {i}$"):
@@ -335,7 +345,7 @@ class TestInvariantForm:
     def test_conjugation_checked_at_the_point(self, monkeypatch):
         gens = rho_generators(4, 6, minus_q_from_d(7))
         basis = invariant_hermitian_form(gens).basis
-        monkeypatch.setattr(monodromy, "_conjugate", lambda x: x)
+        monkeypatch.setattr(CyclotomicNumber, "conjugate", lambda x: x)
         with pytest.raises(NoInvariantForm, match=r"conj\(t\) is not t\^-1"):
             monodromy._check_invariant(basis, gens)
 
@@ -386,6 +396,27 @@ class TestInvariantForm:
         # Such a point is no zeta_N^k, so no generator is even built.
         with pytest.raises(NotARoot):
             rho_generators(4, 5, CyclotomicNumber.from_fraction(2))
+
+
+def _fraction_inertia(size: int, r: Fraction) -> tuple[int, int, int]:
+    """The closed-form inertia of S_size in Fraction arithmetic: eigenvalue
+    j has the sign of 1 - (r + j/(size+1)), r the distance from theta/2pi
+    to the nearest integer."""
+    sides = [r + Fraction(j, size + 1) for j in range(1, size + 1)]
+    return sum(s < 1 for s in sides), sum(s > 1 for s in sides), sum(s == 1 for s in sides)
+
+
+def test_integer_inertia_matches_the_fraction_form():
+    oracle = {}
+    for order in range(1, 81):
+        for k in range(order):
+            turn = Fraction(k, order)
+            r = min(turn, 1 - turn)
+            a = min(k, order - k)
+            for size in range(22):
+                if (size, r) not in oracle:
+                    oracle[size, r] = _fraction_inertia(size, r)
+                assert monodromy._squier_inertia(size, a, order) == oracle[size, r], (size, k, order)
 
 
 class TestSignature:
