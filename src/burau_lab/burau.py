@@ -8,29 +8,36 @@ generator matrices take the standard displayed form
 
 with the left or right neighbor column absent for i = 1 or i = n-1 (for
 n = 2 the image is the 1x1 matrix (-t)). Every generator image, and every
-inverse, differs from the identity in a single row whose entries are signed
-monomials +-t^e, so applying a letter is three column updates instead of a
-full matrix product.
+inverse, differs from the identity in a single row. Numbering rows and
+columns 1..n-1 like the letters, sigma_i^s (s = +-1) has row i, with t^s
+in column i-s, -t^s on the diagonal and 1 in column i+s: sigma_i^-1 has
+the row (1, -t^-1, t^-1). So a word's product G_1 ... G_L is built from
+the identity by left multiplication, last letter first, and each letter
+rewrites a single row:
 
-One loop, ``_word_product``, applies those updates over either of two
-rings, each supplying "multiply a column by +-t^e" and "add +-t^e times a
-column to another":
+    row_i <- row_{i+s} + t^s * (row_{i-s} - row_i)
+
+with the rows padded by one zero row at 0 and at n, standing for the
+columns that sigma_1 and sigma_{n-1} lack.
+
+One loop, ``_word_product``, applies that step over either of two rings,
+each supplying it:
 
 - Z[t, t^-1], for the exact Laurent image (``burau_of_word``);
 - Z[x]/(x^H + 1) with x -> zeta_2H, for a specialization at a root of
   unity t = -q = zeta_N^k (``specialized_burau``). H is N/2 for even N
   and N for odd N, where Q(zeta_2N) = Q(zeta_N), so zeta_N is a power
-  of x and -1 is x^H: each +-t^e is one power x^p, with no sign. A column
-  of dim entries is stored flat, as one list of dim * H integers with the
-  coefficient of x^k in entry i at index k * dim + i, so multiplying a
-  whole column by x^p is one negacyclic rotation of that list by
+  of x and -1 is x^H: t^s is one power x^p, with no sign. A row of dim
+  entries is stored flat, as one list of dim * H integers with the
+  coefficient of x^k in entry j at index k * dim + j, so multiplying a
+  whole row by x^p is one negacyclic rotation of that list by
   (p mod H) * dim: the part that wraps around changes sign (as x^H = -1),
-  with no reduction, gcd or fraction. Entry i is the strided slice
-  col[i::dim]; each is reduced into Q(zeta_N) (mod Phi_N) once, at the
+  with no reduction, gcd or fraction. Entry j is the strided slice
+  row[j::dim]; each is reduced into Q(zeta_N) (mod Phi_N) once, at the
   end.
 
 At a root of unity, a word that is a proper power u^k (u its shortest
-root) is applied one copy of u at a time, continuing from the columns the
+root) is applied one copy of u at a time, continuing from the rows the
 loop returns. After j copies, j a proper divisor of k, the product is
 tested for an exact scalar c * I in Q(zeta_N); if it is one, the image is
 c^(k/j) * I and the rest of the word is not applied. The full twist T_n,
@@ -94,67 +101,54 @@ def _letter_action(strands_n: int, index: int, inverse: bool):
     row+1 or None), each entry a signed monomial given as (sign, e) for
     sign * t^e.
 
-    The row of sigma_i is (t, -t, 1). Inverting a matrix that differs from
-    the identity only in row r negates that row's off-diagonal entries and
-    divides the row by its diagonal, here the unit -t: sigma_i^-1 has row
-    (1, -t^-1, t^-1).
+    With s = -1 for the inverse (else 1) and columns numbered 1..n-1 like
+    the letters, the row holds t^s in column index-s, -t^s in column index
+    and 1 in column index+s, as in ``_word_product``'s step; columns 0 and
+    n do not exist.
     """
-    if inverse:
-        left, center, right = (1, 0), (-1, -1), (1, -1)
-    else:
-        left, center, right = (1, 1), (-1, 1), (1, 0)
-    r = index - 1
-    return r, left if r > 0 else None, center, right if r < strands_n - 2 else None
+    s = -1 if inverse else 1
+    row = {index - s: (1, s), index: (-1, s), index + s: (1, 0)}
+    columns = (index - 1, index, index + 1)
+    return index - 1, *(row[j] if 0 < j < strands_n else None for j in columns)
 
 
-def _word_product(actions, columns: list, times, add_times) -> list:
-    """The columns of the matrix whose columns are ``columns``, right-
-    multiplied in order by the row-sparse generator images given by
-    ``actions`` (tuples shaped like ``_letter_action``'s).
+def _word_product(actions, rows: list, step) -> list:
+    """The padded rows of G_1 ... G_L times the matrix whose padded rows
+    are ``rows``, for the letters ``actions`` = G_1 ... G_L in word order,
+    each given as (i, s, power): sigma_i^s, s = +-1, with power the ring's
+    own form of t^s.
 
-    The product is kept column-wise, so right-multiplying by a letter is
-    three column updates: col_{r-1} += left*col_r, col_{r+1} += right*col_r,
-    col_r *= center. The ring supplies them for a letter entry, given as
-    the ring's own pair (for Z[t, t^-1], (sign, e) for sign * t^e):
-    ``times(col, *entry)`` returns entry * col and
-    ``add_times(dest, col, *entry)`` returns dest + entry * col.
-    Columns are replaced, never changed in place, so entries may be shared
-    and the given list is left as it was: a product can continue from any
+    Padded row i is matrix row i-1, and rows 0 and dim+1 are zero. The
+    letters are applied last first, each by left multiplication, which
+    rewrites padded row i alone: ``step(a, b, c, power)`` returns
+    a + t^s * (b - c) for a = rows[i+s], b = rows[i-s] and c = rows[i].
+    Rows are replaced, never changed in place, so rows may be shared and
+    the given list is left as it was: a product can continue from any
     returned checkpoint.
     """
-    columns = list(columns)
-    for r, left, center, right in actions:
-        col_r = columns[r]
-        if left is not None:
-            columns[r - 1] = add_times(columns[r - 1], col_r, *left)
-        if right is not None:
-            columns[r + 1] = add_times(columns[r + 1], col_r, *right)
-        columns[r] = times(col_r, *center)
-    return columns
+    rows = list(rows)
+    for i, s, power in reversed(actions):
+        rows[i] = step(rows[i + s], rows[i - s], rows[i], power)
+    return rows
 
 
-def _laurent_times(col: list, sign: int, e: int) -> list:
-    """sign * t^e * col, entrywise; zero entries are kept."""
-    return [(v if sign > 0 else -v).shift(e) if v else v for v in col]
-
-
-def _laurent_add_times(dest: list, col: list, sign: int, e: int) -> list:
-    """dest + sign * t^e * col, entrywise; a zero col entry keeps dest's."""
-    op = operator.add if sign > 0 else operator.sub
-    return [op(d, v.shift(e)) if v else d for d, v in zip(dest, col)]
+def _laurent_step(a: list, b: list, c: list, s: int) -> list:
+    """a + t^s * (b - c), entrywise over Z[t, t^-1]; where b and c are
+    both zero, a's entry is kept."""
+    return [x + (y - z).shift(s) if y or z else x for x, y, z in zip(a, b, c)]
 
 
 def burau_of_word(word: BraidWord) -> BurauImage:
     """The Burau image of a word: the exact product of generator images in
     word order."""
     n = word.strands_n
-    columns = _word_product(
-        (_letter_action(n, index, sign < 0) for index, sign in word.letters),
-        _scalar_rows(n - 1, LaurentPoly.one(), LaurentPoly.zero()),
-        _laurent_times,
-        _laurent_add_times,
+    pad = [LaurentPoly.zero()] * (n - 1)
+    rows = _word_product(
+        [(i, s, s) for i, s in word.letters],
+        [pad, *_scalar_rows(n - 1, LaurentPoly.one(), LaurentPoly.zero()), pad],
+        _laurent_step,
     )
-    return BurauImage(n, LaurentMatrix(zip(*columns)))
+    return BurauImage(n, LaurentMatrix(rows[1:-1]))
 
 
 def _half_order(order: int) -> int:
@@ -165,50 +159,32 @@ def _half_order(order: int) -> int:
 
 @lru_cache(maxsize=None)
 def _rotation_letters(strands_n: int, order: int, k: int) -> dict:
-    """Every letter (index, +-1) of B_strands_n mapped to its
-    ``_letter_action`` row at t = zeta_order^k, over Z[x]/(x^H + 1) with
-    x -> zeta_2H (see the module docstring). t is x^(m*k), m = 2H/order,
-    and -1 is x^H, so each entry s * t^e is one power x^p, 0 <= p < 2H,
-    given as the negacyclic rotation of a flat column that multiplies it
-    by x^p: (p >= H, (p mod H) * dim), dim = strands_n - 1, since
-    x^p = -x^(p - H) when p >= H."""
+    """Every letter (i, s) of B_strands_n, s = +-1, mapped to its
+    ``_word_product`` action (i, s, x^p) at t = zeta_order^k, over
+    Z[x]/(x^H + 1) with x -> zeta_2H (see the module docstring). t is
+    x^(m*k), m = 2H/order, so t^s is x^p with p = s*m*k mod 2H, given as
+    the negacyclic rotation of a flat row that multiplies it by x^p:
+    (p >= H, (p mod H) * dim), dim = strands_n - 1, since x^p = -x^(p - H)
+    when p >= H."""
     dim = strands_n - 1
     half = _half_order(order)
-    step = 2 * half // order * k
-
-    def at_point(entry):
-        if entry is None:
-            return None
-        s, e = entry
-        p = (step * e + (half if s < 0 else 0)) % (2 * half)
-        return p >= half, p % half * dim
-
-    table = {}
-    for index in range(1, strands_n):
-        for letter_sign in (1, -1):
-            r, left, center, right = _letter_action(strands_n, index, letter_sign < 0)
-            table[index, letter_sign] = r, at_point(left), at_point(center), at_point(right)
-    return table
+    powers = {}
+    for s in (1, -1):
+        p = s * (2 * half // order) * k % (2 * half)
+        powers[s] = p >= half, p % half * dim
+    return {(i, s): (i, s, powers[s]) for i in range(1, strands_n) for s in (1, -1)}
 
 
-def _rotated(col: list, negate: bool, shift: int) -> list:
-    """x^p * col for a flat column (see the module docstring), given as
-    negate = p >= H and shift = (p mod H) * dim: the last shift ints wrap
-    to the front, and the wrapped part changes sign, or with negate the
-    rest does. The result is always a new list; columns are never changed
-    in place."""
-    cut = len(col) - shift
-    if negate:
-        return col[cut:] + list(map(operator.neg, col[:cut]))
-    return list(map(operator.neg, col[cut:])) + col[:cut]
-
-
-def _add_rotated(dest: list, col: list, negate: bool, shift: int) -> list:
-    """dest + x^p * col for flat columns, with (negate, shift) as in
-    ``_rotated``: one map over the wrapped part and one over the rest."""
-    cut = len(col) - shift
+def _root_step(a: list, b: list, c: list, power: tuple) -> list:
+    """a + x^p * (b - c) for flat rows over Z[x]/(x^H + 1), with x^p given
+    as (negate, shift) = (p >= H, (p mod H) * dim): b - c is one pass, and
+    adding x^p times it to a another, in which the last shift ints of
+    b - c wrap to the front and change sign, or with negate the rest do."""
+    negate, shift = power
+    d = list(map(operator.sub, b, c))
+    cut = len(d) - shift
     wrap, stay = (operator.add, operator.sub) if negate else (operator.sub, operator.add)
-    return [*map(wrap, dest, col[cut:]), *map(stay, dest[shift:], col)]
+    return [*map(wrap, a, d[cut:]), *map(stay, a[shift:], d)]
 
 
 def _root_length(letters: tuple) -> int:
@@ -243,10 +219,9 @@ def _field_value(order: int, v: list) -> CyclotomicNumber:
     return CyclotomicNumber.from_powers(order, v)
 
 
-def _scalar_value(columns: list, order: int) -> CyclotomicNumber | None:
-    """c when the matrix over Z[x]/(x^H + 1) with these flat columns
-    reduces to c * I in Q(zeta_order), else None; entry (i, j) is
-    columns[j][i::dim].
+def _scalar_value(rows: list, order: int) -> CyclotomicNumber | None:
+    """c when the matrix over Z[x]/(x^H + 1) with these flat rows reduces
+    to c * I in Q(zeta_order), else None; entry (i, j) is rows[i][j::dim].
 
     Entries of the ring can be nonzero vectors that vanish in the field
     (1 - x + x^2, H = 3, at order 3 or 6: x -> zeta_6 is a root of it), so
@@ -254,15 +229,15 @@ def _scalar_value(columns: list, order: int) -> CyclotomicNumber | None:
     entry is reduced only when its vector is nonzero, stopping at the first
     that stays nonzero, and every diagonal entry must reduce to one c.
     """
-    dim = len(columns)
-    for j, col in enumerate(columns):
-        for i in range(dim):
-            v = col[i::dim]
+    dim = len(rows)
+    for i, row in enumerate(rows):
+        for j in range(dim):
+            v = row[j::dim]
             if i != j and any(v) and not _field_value(order, v).is_zero:
                 return None
-    c = _field_value(order, columns[0][::dim])
-    for j in range(1, dim):
-        if _field_value(order, columns[j][j::dim]) != c:
+    c = _field_value(order, rows[0][::dim])
+    for i in range(1, dim):
+        if _field_value(order, rows[i][i::dim]) != c:
             return None
     return c
 
@@ -273,14 +248,14 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     minus_q must be a power zeta_N^k (``root_exponent``): any other point
     raises NotARoot, and zero ZeroInput. Every letter entry is then a
     power x^p of x -> zeta_2H, H = N/2 for even N and N for odd N, so the
-    product is taken in Z[x]/(x^H + 1). Each column is one flat list of
-    dim * H integers, so multiplying it by a letter entry is one
-    negacyclic rotation by (p mod H) * dim, and entry (i, j) is the
-    strided slice columns[j][i::dim], reduced into Q(zeta_N)
-    (``_field_value``) once, at the end. Only the entries that can
-    differ from the identity's are read: a column that no letter replaced
-    (the loop builds a new list for every column a letter touches) is
-    emitted as e_j, built from one shared one and zero, and a zero entry
+    product is taken in Z[x]/(x^H + 1). Each row is one flat list of
+    dim * H integers, a letter rewrites one row (``_word_product``), and
+    multiplying a row by t^s is one negacyclic rotation by (p mod H) * dim.
+    Entry (i, j) is the strided slice rows[i][j::dim], reduced into
+    Q(zeta_N) (``_field_value``) once, at the end. Only the entries that
+    can differ from the identity's are read: a row that no letter replaced
+    (the loop builds a new list for every row a letter rewrites) is
+    emitted as e_i, built from one shared one and zero, and a zero entry
     skips the reduction.
 
     The word is written as u^k with u its shortest root and applied one
@@ -298,26 +273,27 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     table = _rotation_letters(word.strands_n, order, root_exponent(minus_q))
     p = _root_length(word.letters)
     copies = len(word.letters) // p if p else 1
-    letters = word.letters[:p]
-    actions = [table[letter] for letter in letters]
-    start = columns = [[0] * (dim * _half_order(order)) for _ in range(dim)]
-    for j, col in enumerate(start):
-        col[j] = 1
+    actions = [table[letter] for letter in word.letters[:p]]
+    size = dim * _half_order(order)
+    pad = [0] * size
+    start = rows = [pad, *([0] * size for _ in range(dim)), pad]
+    for i in range(dim):
+        start[i + 1][i] = 1
     zero = CyclotomicNumber.zero(order)
     for j in range(1, copies + 1):
-        columns = _word_product(actions, columns, _rotated, _add_rotated)
+        rows = _word_product(actions, rows, _root_step)
         if j < copies and copies % j == 0:
-            c = _scalar_value(columns, order)
+            c = _scalar_value(rows[1:-1], order)
             if c is not None:
                 c = c ** (copies // j)
                 return CycloMatrix(_scalar_rows(dim, c, zero))
     one = CyclotomicNumber.one(order)
-    return CycloMatrix(zip(*(
-        [zero] * j + [one] + [zero] * (dim - 1 - j) if col is start[j]
+    return CycloMatrix(
+        [zero] * i + [one] + [zero] * (dim - 1 - i) if row is start[i + 1]
         else [_field_value(order, v) if any(v) else zero
-              for v in (col[i::dim] for i in range(dim))]
-        for j, col in enumerate(columns)
-    )))
+              for v in (row[j::dim] for j in range(dim))]
+        for i, row in enumerate(rows[1:-1])
+    )
 
 
 def crossed_v(image: BurauImage) -> tuple[LaurentPoly, ...]:

@@ -77,6 +77,24 @@ class TestGenerators:
                 assert g_inv * g == LaurentMatrix.identity(n - 1)
                 assert g * g_inv == LaurentMatrix.identity(n - 1)
 
+    def test_each_letter_is_its_letter_action_row(self):
+        # The image of every letter is I with row i-1 replaced by the
+        # monomials of _letter_action, which monodromy checks generators
+        # against.
+        for n in range(2, 11):
+            for i in range(1, n):
+                for inverse in (False, True):
+                    r, *entries = _letter_action(n, i, inverse)
+                    assert r == i - 1
+                    rows = [list(row) for row in LaurentMatrix.identity(n - 1).rows]
+                    for col, entry in enumerate(entries, start=r - 1):
+                        if entry is None:
+                            assert col in (-1, n - 1), (n, i, inverse)
+                        else:
+                            rows[r][col] = LaurentPoly.monomial(*entry)
+                    expected = LaurentMatrix(rows)
+                    assert burau_generator(n, i, inverse).matrix == expected, (n, i, inverse)
+
     def test_index_out_of_range(self):
         from burau_lab.words import IndexOutOfRange
 
@@ -329,13 +347,29 @@ class TestSpecializedBurau:
         w = BraidWord(n, tuple(letters))
         assert specialized_burau(w, x) == specialize_matrix(burau_of_word(w).matrix, x)
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_agrees_with_the_dense_product(self, n):
+        # The oracle multiplies dense generator images in word order, so it
+        # shares no code with the row loop beyond the generator images, which
+        # test_each_letter_is_its_letter_action_row pins.
+        rng = random.Random(n)
+        words = [BraidWord(n, ()), random_word(n, 1, rng)]
+        words += [random_word(n, rng.randint(2, 24), rng) for _ in range(4)]
+        for w in words:
+            dense = naive_word_image(w)
+            for d in range(2, 41):
+                a = rng.choice([a for a in range(1, d) if math.gcd(a, d) == 1])
+                mq = minus_q_from_d(d, a)
+                for x in (mq, q_point(d, a), mq**3):
+                    assert specialized_burau(w, x) == specialize_matrix(dense, x), (w, x)
+
     def test_letter_table_matches_field_evaluation(self):
         # At a root x = zeta_N^k the word is multiplied out in
         # Z[x]/(x^H + 1), H = N/2 for even N and N for odd N, with
-        # x -> zeta_2H. Each entry s * t^e of the table must be one power
-        # x^p, 0 <= p < 2H, stored as (p >= H, (p mod H) * (n-1)): evaluated
-        # at zeta_2H it is s * y^e, y = x written in Q(zeta_2H), and
-        # _field_value carries it to s * x^e in Q(zeta_N).
+        # x -> zeta_2H. The table maps each letter (i, s) to (i, s, t^s),
+        # t^s one power x^p, 0 <= p < 2H, stored as (p >= H, (p mod H) * (n-1)):
+        # evaluated at zeta_2H it is y^s, y = x written in Q(zeta_2H), and
+        # _field_value carries it to x^s in Q(zeta_N).
         for d in range(2, 41):
             mq = minus_q_from_d(d)
             for x in (mq, q_point(d), mq**3):
@@ -346,30 +380,24 @@ class TestSpecializedBurau:
                 for n in range(2, 11):
                     dim = n - 1
                     table = _rotation_letters(n, order, k)
+                    assert len(table) == 2 * dim
                     for index in range(1, n):
                         for letter_sign in (1, -1):
-                            r, *entries = _letter_action(n, index, letter_sign < 0)
-                            got_r, *got = table[index, letter_sign]
                             case = (d, x, n, index, letter_sign)
-                            assert got_r == r, case
-                            assert len(got) == len(entries), case
-                            for entry, pair in zip(entries, got):
-                                if entry is None:
-                                    assert pair is None, case
-                                    continue
-                                negate, shift = pair
-                                assert isinstance(negate, bool), case
-                                assert 0 <= shift < half * dim and shift % dim == 0, case
-                                power = CyclotomicNumber.root_of_unity(2 * half, shift // dim)
-                                monomial = LaurentPoly.monomial(*entry)
-                                assert (-power if negate else power) == specialize_poly(
-                                    monomial, y
-                                ), case
-                                unit = [0] * half
-                                unit[shift // dim] = -1 if negate else 1
-                                assert _field_value(order, unit) == specialize_poly(
-                                    monomial, x
-                                ), case
+                            i, s, (negate, shift) = table[index, letter_sign]
+                            assert (i, s) == (index, letter_sign), case
+                            assert isinstance(negate, bool), case
+                            assert 0 <= shift < half * dim and shift % dim == 0, case
+                            power = CyclotomicNumber.root_of_unity(2 * half, shift // dim)
+                            monomial = LaurentPoly.t(s)
+                            assert (-power if negate else power) == specialize_poly(
+                                monomial, y
+                            ), case
+                            unit = [0] * half
+                            unit[shift // dim] = -1 if negate else 1
+                            assert _field_value(order, unit) == specialize_poly(
+                                monomial, x
+                            ), case
 
     def test_rings_of_degree_one(self):
         # H = 1: at order 1 (x = 1) and order 2 (x = -1) the ring is
@@ -387,9 +415,9 @@ class TestSpecializedBurau:
                     assert specialized_burau(w, x) == expected, (w, x)
 
     def test_words_that_leave_columns_untouched(self):
-        # A letter s_i changes only columns i-2, i-1 and i; every other
-        # column is emitted as e_j. Words on a few generators, up to the CLI's
-        # 20 strands, at -q, q and (-q)^3.
+        # A letter s_i changes only row i-1; every other row is emitted as
+        # e_i. Words on a few generators, up to the CLI's 20 strands, at -q,
+        # q and (-q)^3.
         rng = random.Random(17)
         cases = [(parse_word("s1 s2", 10), minus_q_from_d(3))]
         for n in (3, 4, 7, 10, 15, 20):
@@ -517,11 +545,11 @@ class TestPowerEarlyStop:
                             assert entry == c if i == j else entry.is_zero
 
     def test_scalar_test_is_made_in_the_field(self):
-        # Columns over Z[x]/(x^3 + 1), the ring of orders 6 and 3, where
+        # Rows over Z[x]/(x^3 + 1), the ring of orders 6 and 3, where
         # x -> zeta_6; 1 - x + x^2 is nonzero there but vanishes in the field.
-        # Each column is flat: entry i's coefficient of x^k at index 2k + i.
-        def flat(*columns):
-            return [[a for pair in zip(*col) for a in pair] for col in columns]
+        # Each row is flat: entry j's coefficient of x^k at index 2k + j.
+        def flat(*rows):
+            return [[a for pair in zip(*row) for a in pair] for row in rows]
 
         one, zero, minus_one = [1, 0, 0], [0] * 3, [-1, 0, 0]
         vanishing = [1, -1, 1]
