@@ -94,24 +94,6 @@ def burau_generator(strands_n: int, index: int, inverse: bool = False) -> BurauI
     return burau_of_word(BraidWord(strands_n, ((index, -1 if inverse else 1),)))
 
 
-@lru_cache(maxsize=None)
-def _letter_action(strands_n: int, index: int, inverse: bool):
-    """The single non-identity row of the image of sigma_index (or its
-    inverse), as (row, entry at row-1 or None, diagonal entry, entry at
-    row+1 or None), each entry a signed monomial given as (sign, e) for
-    sign * t^e.
-
-    With s = -1 for the inverse (else 1) and columns numbered 1..n-1 like
-    the letters, the row holds t^s in column index-s, -t^s in column index
-    and 1 in column index+s, as in ``_word_product``'s step; columns 0 and
-    n do not exist.
-    """
-    s = -1 if inverse else 1
-    row = {index - s: (1, s), index: (-1, s), index + s: (1, 0)}
-    columns = (index - 1, index, index + 1)
-    return index - 1, *(row[j] if 0 < j < strands_n else None for j in columns)
-
-
 def _word_product(actions, rows: list, step) -> list:
     """The padded rows of G_1 ... G_L times the matrix whose padded rows
     are ``rows``, for the letters ``actions`` = G_1 ... G_L in word order,

@@ -498,7 +498,7 @@ def specialize_poly(p: LaurentPoly, x: CyclotomicNumber) -> CyclotomicNumber:
 
 def specialize_matrix(m: LaurentMatrix, x: CyclotomicNumber) -> "CycloMatrix":
     """Entrywise evaluation t -> x of a Laurent matrix."""
-    return CycloMatrix(m.map_entries(lambda p: specialize_poly(p, x)))
+    return CycloMatrix([specialize_poly(p, x) for p in row] for row in m.rows)
 
 
 class CycloMatrix(SquareMatrix):

@@ -39,6 +39,8 @@ class LaurentPoly:
         items = coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping) else coeffs
         data: dict[int, int] = {}
         for exp, c in items:
+            if not (isinstance(exp, int) and isinstance(c, int)):
+                raise TypeError(f"exponent {exp!r} and coefficient {c!r} must be ints")
             if c:
                 data[exp] = data.get(exp, 0) + c
                 if not data[exp]:
@@ -58,10 +60,6 @@ class LaurentPoly:
     def t(cls, exp: int = 1) -> LaurentPoly:
         """The monomial t^exp."""
         return cls({exp: 1})
-
-    @classmethod
-    def monomial(cls, coeff: int, exp: int) -> LaurentPoly:
-        return cls({exp: coeff})
 
     @property
     def coeffs(self) -> dict[int, int]:
@@ -108,7 +106,9 @@ class LaurentPoly:
         return self._hash
 
     def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
+        if type(other) is not LaurentPoly:
+            if not isinstance(other, int):
+                return NotImplemented
             other = LaurentPoly({0: other})
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
@@ -125,15 +125,21 @@ class LaurentPoly:
         return _raw({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
+        if type(other) is not LaurentPoly:
+            if not isinstance(other, int):
+                return NotImplemented
             other = LaurentPoly({0: other})
         return self + (-other)
 
     def __rsub__(self, other: int) -> LaurentPoly:
+        if not isinstance(other, int):
+            return NotImplemented
         return LaurentPoly({0: other}) - self
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
+        if type(other) is not LaurentPoly:
+            if not isinstance(other, int):
+                return NotImplemented
             if not other:
                 return _ZERO
             return _raw({e: c * other for e, c in self._coeffs.items()})
@@ -166,6 +172,8 @@ class LaurentPoly:
         >>> print((LaurentPoly.one() - LaurentPoly.t(4)).exact_div(1 - LaurentPoly.t()))
         1 + t + t^2 + t^3
         """
+        if type(den) is not LaurentPoly:
+            raise TypeError(f"cannot divide a LaurentPoly by {type(den).__name__}")
         if den.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
@@ -280,10 +288,6 @@ class SquareMatrix:
             [sum((a * b for a, b in zip(row, col) if not a.is_zero), zero) for col in cols]
             for row in self._rows
         )
-
-    def map_entries(self, fn) -> list[list]:
-        """Apply fn to every entry, returning a plain nested list."""
-        return [[fn(e) for e in row] for row in self._rows]
 
     def pad_identity(self, extra: int) -> SquareMatrix:
         """Direct sum with an identity block of the given size."""

@@ -156,6 +156,25 @@ def orbifold_check(curvatures: CurvatureVector, labels: Sequence[str]) -> Orbifo
     return OrbifoldReport(ok, tuple(strata))
 
 
+def _twist_order(curvatures: CurvatureVector) -> int | float:
+    """j: the orbifold order of the stratum where the first and last points
+    collide, or INFINITE when they cannot. Raises ValueError when the
+    stratum's angle is not 1/j of 2*pi."""
+    fractions = curvatures.fractions
+    angle = cone_angle(fractions[0], fractions[-1], same_label=False)
+    if angle is None:
+        return INFINITE
+    if angle.numerator != 1:
+        raise ValueError(f"the twist stratum has angle {angle} of 2pi, not 1/j")
+    return angle.denominator
+
+
+def _central_power(n: int, d: int) -> int:
+    """l = 2d/gcd(2d, (d+2)n), the power of the central twist tau_n in the
+    kernel at a primitive d-th root."""
+    return 2 * d // math.gcd(2 * d, (d + 2) * n)
+
+
 @dataclass(frozen=True)
 class KernelDescriptor:
     """The kernel of the Burau specialization at a primitive d-th root,
@@ -172,14 +191,10 @@ class KernelDescriptor:
     def __post_init__(self):
         if not (self.j == INFINITE or type(self.j) is int and self.j >= 1):
             raise ValueError(f"j = {self.j!r} is neither INFINITE nor an integer >= 1")
-        fractions = self.curvatures.fractions
-        angle = cone_angle(fractions[0], fractions[-1], same_label=False)
-        if angle is not None and angle.numerator != 1:
-            raise ValueError(f"the twist stratum has angle {angle} of 2pi, not 1/j")
-        j = INFINITE if angle is None else angle.denominator
+        j = _twist_order(self.curvatures)
         if self.j != j:
             raise ValueError(f"j = {self.j} disagrees with the curvatures, which give {j}")
-        expected = 2 * self.d // math.gcd(2 * self.d, (self.d + 2) * self.strands_n)
+        expected = _central_power(self.strands_n, self.d)
         if self.l != expected:
             raise ValueError(f"l = {self.l} violates 2d/gcd(2d, (d+2)n) = {expected}")
 
@@ -245,17 +260,12 @@ def kernel_descriptor(n: int, d: int) -> KernelDescriptor | Inconclusive:
     report = orbifold_check(curvatures, labels)
     if not report.is_orbifold:
         return Inconclusive(n, d, curvatures, report)
-    j: int | float = INFINITE
     for stratum in report.strata:
-        i1, i2 = stratum.pair
-        if i2 == n or i1 == n:
-            j = stratum.orbifold_order
-        elif stratum.orbifold_order != d:
+        if n not in stratum.pair and stratum.orbifold_order != d:
             raise ArithmeticError(
                 f"sigma stratum {stratum.pair} has order {stratum.orbifold_order}, not d={d}"
             )
-    l = 2 * d // math.gcd(2 * d, (d + 2) * n)
-    return KernelDescriptor(n, d, j, l, curvatures)
+    return KernelDescriptor(n, d, _twist_order(curvatures), _central_power(n, d), curvatures)
 
 
 def b3_kernel(d: int) -> KernelDescriptor:

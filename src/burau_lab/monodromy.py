@@ -18,9 +18,11 @@ an identity over Z[t, t^-1], checked once, exactly, for the three shapes
 a letter's row takes (first, interior, last). G* H G - H depends only on
 the letter's row of G and on that row and column of H, so at a root of
 unity t = -q, where conj(t) = t^-1, it vanishes as soon as every
-generator is I outside its row and the specialized Burau row inside it,
-and each basis form H agrees in that row and column with +-1 or 0 times
-the specialized S: comparisons of field elements only.
+generator sigma_i is I outside row r = i-1 (numbering from 0) and, inside
+it, the row that the word loop's rule gives the letter (i, +1): t, -t
+and 1 in columns r-1, r and r+1. Each basis form H must also agree in that
+row and column with +-1 or 0 times the specialized S. All of these are
+comparisons of field elements.
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .burau import (
-    _letter_action,
-    burau_generator,
-    burau_of_word,
-    ev_map,
-    projectively_equal,
-    specialized_burau,
-)
+from .burau import burau_generator, burau_of_word, ev_map, projectively_equal, specialized_burau
 from .cyclotomic import CycloMatrix, CyclotomicNumber, root_exponent, specialize_poly
 from .laurent import LaurentMatrix, LaurentPoly, _scalar_rows
 from .words import BraidWord, count_text
@@ -156,10 +151,12 @@ def _laurent_certificate(entries: tuple[LaurentPoly, ...]) -> None:
     with the given (diagonal, above, below) entries.
 
     sigma_1, sigma_2 and sigma_4 are the three shapes a letter's row takes
-    in any dimension >= 2: first (no left entry), interior and last (no
-    right entry). By the formula in ``_check_invariant``, G* S G - S is
-    local to the letter's row and column, so this identity for the shape
-    is the identity for every letter of that shape, in any dimension.
+    in any dimension >= 2: first (no t in a left column), interior, and
+    last (no 1 in a right column). By the formula in ``_check_invariant``,
+    G* S G - S is local to the letter's row and column, so this identity
+    for the shape is the identity for every letter of that shape, in any
+    dimension. The entries are a parameter so that a form that is not
+    invariant, such as Squier's transposed, can be shown to fail.
     """
     s = LaurentMatrix(_tridiagonal(4, *entries, LaurentPoly.zero()))
     for i in range(1, 5):
@@ -172,14 +169,11 @@ def _laurent_certificate(entries: tuple[LaurentPoly, ...]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _values_at(order: int, k: int) -> tuple[dict, tuple]:
-    """The letter entries (s, e) mapped to s * t^e, and Squier's (diagonal,
-    above, below), at t = zeta_order^k."""
+def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple]:
+    """t^-1, and Squier's (diagonal, above, below), at t = zeta_order^k."""
     t = CyclotomicNumber.root_of_unity(order, k)
-    letters = {
-        (s, e): specialize_poly(LaurentPoly.monomial(s, e), t) for s in (1, -1) for e in (-1, 0, 1)
-    }
-    return letters, tuple(specialize_poly(p, t) for p in _SQUIER)
+    t_inverse = CyclotomicNumber.root_of_unity(order, -k)
+    return t_inverse, tuple(specialize_poly(p, t) for p in _SQUIER)
 
 
 def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenerators) -> None:
@@ -194,24 +188,26 @@ def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenera
     it is c times the specialization of G(t^-1)^T S G(t) - S, which
     ``_laurent_certificate`` proves to be 0 over Z[t, t^-1], provided
     conj(t) = t^-1, so that conjugation commutes with specialization.
-    Those three facts are what is checked here: conj(t) against t^-1 by
-    ``root_exponent``'s exponent flip, every generator against I outside
-    row r and against its ``_letter_action`` row at t inside it, and row
-    and column r of every basis form against +-1 or 0 times S's.
+    Those three facts are what is checked here: conj(t) against t^-1,
+    zeta_N^-k for t = zeta_N^k; every generator against I outside row r
+    and, inside it, against the row of the letter (r+1, +1) by the word
+    loop's rule (``burau._word_product``), t in column r-1, -t in column r
+    and 1 in column r+1, where those columns exist; and row and column r
+    of every basis form against +-1 or 0 times S's.
     """
     _laurent_certificate(_SQUIER)
     t, dim = generators.minus_q, generators.m - 2
-    letter_values, entries = _values_at(t.order, root_exponent(t))
-    if t.conjugate() != letter_values[1, -1]:
+    t_inverse, entries = _values_at(t.order, root_exponent(t))
+    if t.conjugate() != t_inverse:
         raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
     one, zero = CyclotomicNumber.one(t.order), CyclotomicNumber.zero(t.order)
     identity = [tuple(row) for row in _scalar_rows(dim, one, zero)]
+    letter_row = ((-1, t), (0, -t), (1, one))
     for r, g in enumerate(generators.mats):
-        _, *letter_row = _letter_action(generators.m - 1, r + 1, False)
         row_r = list(identity[r])
-        for b, entry in enumerate(letter_row, start=r - 1):
-            if entry is not None:
-                row_r[b] = letter_values[entry]
+        for offset, entry in letter_row:
+            if 0 <= r + offset < dim:
+                row_r[r + offset] = entry
         expected = identity[:r] + [tuple(row_r)] + identity[r + 1:]
         for a, (row, expected_row) in enumerate(zip(g.rows, expected)):
             if row != expected_row:

@@ -321,6 +321,8 @@ def random_word(strands_n: int, length: int, rng: random.Random) -> BraidWord:
     """A uniformly random word of the given length (letters independent)."""
     if strands_n < 2:
         raise InvalidStrandCount(strands_n)
+    if length < 0:
+        raise ValueError(f"word length must be nonnegative, got {length}")
     _check_length(length)
     letters = tuple(
         (rng.randint(1, strands_n - 1), rng.choice((1, -1))) for _ in range(length)

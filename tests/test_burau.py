@@ -10,7 +10,6 @@ from burau_lab import burau
 from burau_lab.burau import (
     BurauImage,
     _field_value,
-    _letter_action,
     _root_length,
     _rotation_letters,
     _scalar_value,
@@ -78,22 +77,20 @@ class TestGenerators:
                 assert g * g_inv == LaurentMatrix.identity(n - 1)
 
     def test_each_letter_is_its_letter_action_row(self):
-        # The image of every letter is I with row i-1 replaced by the
-        # monomials of _letter_action, which monodromy checks generators
-        # against.
+        # The image of every letter (i, s) is I with row i-1 rewritten by
+        # the word loop's rule: t^s in column i-1-s, -t^s in column i-1 and
+        # 1 in column i-1+s, where those columns exist. monodromy checks
+        # generators against the same rule at a root.
         for n in range(2, 11):
             for i in range(1, n):
-                for inverse in (False, True):
-                    r, *entries = _letter_action(n, i, inverse)
-                    assert r == i - 1
+                for s in (1, -1):
+                    r, power = i - 1, LaurentPoly.t(s)
                     rows = [list(row) for row in LaurentMatrix.identity(n - 1).rows]
-                    for col, entry in enumerate(entries, start=r - 1):
-                        if entry is None:
-                            assert col in (-1, n - 1), (n, i, inverse)
-                        else:
-                            rows[r][col] = LaurentPoly.monomial(*entry)
+                    for col, entry in ((r - s, power), (r, -power), (r + s, ONE)):
+                        if 0 <= col < n - 1:
+                            rows[r][col] = entry
                     expected = LaurentMatrix(rows)
-                    assert burau_generator(n, i, inverse).matrix == expected, (n, i, inverse)
+                    assert burau_generator(n, i, s == -1).matrix == expected, (n, i, s)
 
     def test_index_out_of_range(self):
         from burau_lab.words import IndexOutOfRange
@@ -146,7 +143,7 @@ class TestWordImages:
         got = burau_of_word(parse_word(f"s1^{d}", 4)).matrix
         top = LaurentPoly({k: (-1) ** k for k in range(d)})
         expected = LaurentMatrix(
-            [[LaurentPoly.monomial((-1) ** d, d), top, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+            [[LaurentPoly({d: (-1) ** d}), top, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
         )
         assert got == expected
 
@@ -163,7 +160,7 @@ class TestWordImages:
             for _ in range(4):
                 w = random_word(n, 8, rng)
                 det = leibniz_det(burau_of_word(w).matrix)
-                assert det == LaurentPoly.monomial((-1) ** (writhe(w) % 2), writhe(w))
+                assert det == LaurentPoly({writhe(w): (-1) ** (writhe(w) % 2)})
 
     def test_image_wrapper_validates_dim(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import operator
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +171,30 @@ class TestMatrices:
 )
 def test_str_pinned(coeffs, text):
     assert str(LaurentPoly(coeffs)) == text
+
+
+@pytest.mark.parametrize("other", [1.5, None, "a", [1], Fraction(1, 2), Fraction(2), 1j])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_with_a_non_int_operand_is_a_type_error(op, other):
+    # Only a LaurentPoly or an int is an operand, on either side.
+    p = ONE - T
+    for left, right in ((p, other), (other, p)):
+        with pytest.raises(TypeError):
+            op(left, right)
+
+
+@pytest.mark.parametrize("den", [2, 1.5, None, Fraction(1)])
+def test_exact_division_by_a_non_polynomial_is_a_type_error(den):
+    with pytest.raises(TypeError):
+        (ONE - T).exact_div(den)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [{0.5: 1}, [(1, 2.5)], {Fraction(1): 1}, {0: Fraction(2)}, {"1": 1}, {0: None}]
+)
+def test_constructor_rejects_exponents_and_coefficients_that_are_not_ints(coeffs):
+    with pytest.raises(TypeError):
+        LaurentPoly(coeffs)
 
 
 def test_module_doctests():

@@ -314,6 +314,12 @@ class TestSampler:
         assert len(w) == 20
         assert all(1 <= i <= 4 for i, _ in w.letters)
 
+    def test_random_word_rejects_a_negative_length(self):
+        for length in (-1, -3):
+            with pytest.raises(ValueError, match="nonnegative"):
+                random_word(4, length, random.Random(0))
+        assert len(random_word(4, 0, random.Random(0))) == 0
+
 
 class TestExpansionCap:
     # Rejection happens before anything of the rejected size is built.
