@@ -28,13 +28,16 @@ each supplying it:
   unity t = -q = zeta_N^k (``specialized_burau``). H is N/2 for even N
   and N for odd N, where Q(zeta_2N) = Q(zeta_N), so zeta_N is a power
   of x and -1 is x^H: t^s is one power x^p, with no sign. A row of dim
-  entries is stored flat, as one list of dim * H integers with the
-  coefficient of x^k in entry j at index k * dim + j, so multiplying a
-  whole row by x^p is one negacyclic rotation of that list by
-  (p mod H) * dim: the part that wraps around changes sign (as x^H = -1),
-  with no reduction, gcd or fraction. Entry j is the strided slice
-  row[j::dim]; each is reduced into Q(zeta_N) (mod Phi_N) once, at the
-  end.
+  entries is stored packed, as one Python int of dim * H signed slots of
+  W bits, row = sum c * 2^(W * (k * dim + j)) with c the coefficient of
+  x^k in entry j, so multiplying a whole row by x^p is one negacyclic
+  rotation by (p mod H) * dim slots: a shift, with the part that wraps
+  around subtracted at the bottom (as x^H = -1), and a letter is a few
+  big-int operations with no reduction, gcd or fraction. The slots start
+  at W = 64 bits; before each chunk of 14 letters a range check on every
+  row doubles W in place when the coefficients could outgrow it. Entry j
+  is the strided slice row[j::dim] of the unpacked row; each is reduced
+  into Q(zeta_N) (mod Phi_N) once, at the end.
 
 At a root of unity, a word that is a proper power u^k (u its shortest
 root) is applied one copy of u at a time, continuing from the rows the
@@ -57,7 +60,7 @@ to compare against the cone-metric monodromy.
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -139,34 +142,79 @@ def _half_order(order: int) -> int:
     return order // 2 if order % 2 == 0 else order
 
 
+# Packed rows start at W = 64 bits per slot and are range-checked before
+# each chunk of at most K = 14 letters against T = W - 24, which keeps
+# 2^T * 3^K < 2^(W-1) (see specialized_burau).
+_START_WIDTH = 64
+_CHUNK = 14
+_HEADROOM = 24
+
+
 @lru_cache(maxsize=None)
-def _rotation_letters(strands_n: int, order: int, k: int) -> dict:
+def _rotation_letters(strands_n: int, order: int, k: int, width: int) -> dict:
     """Every letter (i, s) of B_strands_n, s = +-1, mapped to its
     ``_word_product`` action (i, s, x^p) at t = zeta_order^k, over
     Z[x]/(x^H + 1) with x -> zeta_2H (see the module docstring). t is
-    x^(m*k), m = 2H/order, so t^s is x^p with p = s*m*k mod 2H, given as
-    the negacyclic rotation of a flat row that multiplies it by x^p:
-    (p >= H, (p mod H) * dim), dim = strands_n - 1, since x^p = -x^(p - H)
-    when p >= H."""
+    x^(m*k), m = 2H/order, so t^s is x^p with p = s*m*k mod 2H, given in
+    bits as the negacyclic rotation of a packed row of dim * H slots of
+    ``width`` bits that multiplies it by x^p: (negate, shift, cut) =
+    (p >= H, (p mod H) * dim * width, dim * H * width - shift),
+    dim = strands_n - 1, since x^p = -x^(p - H) when p >= H."""
     dim = strands_n - 1
     half = _half_order(order)
     powers = {}
     for s in (1, -1):
         p = s * (2 * half // order) * k % (2 * half)
-        powers[s] = p >= half, p % half * dim
+        shift = p % half * dim * width
+        powers[s] = p >= half, shift, dim * half * width - shift
     return {(i, s): (i, s, powers[s]) for i in range(1, strands_n) for s in (1, -1)}
 
 
-def _root_step(a: list, b: list, c: list, power: tuple) -> list:
-    """a + x^p * (b - c) for flat rows over Z[x]/(x^H + 1), with x^p given
-    as (negate, shift) = (p >= H, (p mod H) * dim): b - c is one pass, and
-    adding x^p times it to a another, in which the last shift ints of
-    b - c wrap to the front and change sign, or with negate the rest do."""
-    negate, shift = power
-    d = list(map(operator.sub, b, c))
-    cut = len(d) - shift
-    wrap, stay = (operator.add, operator.sub) if negate else (operator.sub, operator.add)
-    return [*map(wrap, a, d[cut:]), *map(stay, a[shift:], d)]
+def _root_step(a: int, b: int, c: int, power: tuple) -> int:
+    """a + x^p * (b - c) for packed rows over Z[x]/(x^H + 1), with x^p
+    given as (negate, shift, cut) in bits (``_rotation_letters``). The
+    slots of d = b - c above bit cut form hi, rounded so that the rest,
+    d - hi * 2^cut, is the signed value of the slots below it; x^p moves
+    that rest up by shift bits and wraps hi around to the bottom with its
+    sign changed, as x^H = -1."""
+    negate, shift, cut = power
+    d = b - c
+    hi = ((d >> (cut - 1)) + 1) >> 1
+    r = ((d - (hi << cut)) << shift) - hi
+    return a - r if negate else a + r
+
+
+@lru_cache(maxsize=None)
+def _slot_masks(size: int, width: int) -> tuple[int, int, int]:
+    """(safe, top, sign) for rows of ``size`` slots of ``width`` bits, with
+    T = width - 24: safe has 2^T in every slot, top bits T+1 .. width-1 of
+    every slot and sign bit width-1 of every slot. Every slot of a row
+    lies in [-2^T, 2^T) exactly when (row + safe) & top == 0."""
+    ones = ((1 << size * width) - 1) // ((1 << width) - 1)
+    low = width - _HEADROOM
+    return ones << low, ones * ((1 << width) - (2 << low)), ones << width - 1
+
+
+def _unpack(row: int, size: int, width: int) -> list:
+    """The ``size`` signed slots of a packed row, lowest first. Adding the
+    sign mask makes every slot nonnegative with no carry, and the XOR then
+    leaves each slot in two's complement."""
+    sign = _slot_masks(size, width)[2]
+    data = ((row + sign) ^ sign).to_bytes(size * width // 8, "little")
+    if width == 64 and sys.byteorder == "little":
+        return memoryview(data).cast("q").tolist()
+    step = width // 8
+    return [
+        int.from_bytes(data[i:i + step], "little", signed=True)
+        for i in range(0, len(data), step)
+    ]
+
+
+def _pack(slots: list, width: int) -> int:
+    """The packed row sum_e slots[e] * 2^(width * e): ``_unpack``'s inverse."""
+    sign = _slot_masks(len(slots), width)[2]
+    data = b"".join(v.to_bytes(width // 8, "little", signed=True) for v in slots)
+    return (int.from_bytes(data, "little") ^ sign) - sign
 
 
 def _root_length(letters: tuple) -> int:
@@ -224,21 +272,51 @@ def _scalar_value(rows: list, order: int) -> CyclotomicNumber | None:
     return c
 
 
+def _chunks(letters: tuple, table: dict) -> list:
+    """The ``_word_product`` actions of ``letters`` from ``table``, in
+    chunks of at most K letters, last chunk first: the order in which left
+    multiplication applies them."""
+    actions = [table[letter] for letter in letters]
+    return [actions[i:i + _CHUNK] for i in reversed(range(0, len(actions), _CHUNK))]
+
+
+def _field_row(flat: list, dim: int, order: int, zero: CyclotomicNumber) -> list:
+    """The dim entries in Q(zeta_order) of an unpacked row, entry j the
+    strided slice flat[j::dim]; an all-zero entry is the shared zero."""
+    return [
+        _field_value(order, v) if any(v) else zero
+        for v in (flat[j::dim] for j in range(dim))
+    ]
+
+
 def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix:
     """The word's Burau image specialized at t = minus_q, exactly.
 
     minus_q must be a power zeta_N^k (``root_exponent``): any other point
     raises NotARoot, and zero ZeroInput. Every letter entry is then a
     power x^p of x -> zeta_2H, H = N/2 for even N and N for odd N, so the
-    product is taken in Z[x]/(x^H + 1). Each row is one flat list of
-    dim * H integers, a letter rewrites one row (``_word_product``), and
-    multiplying a row by t^s is one negacyclic rotation by (p mod H) * dim.
-    Entry (i, j) is the strided slice rows[i][j::dim], reduced into
-    Q(zeta_N) (``_field_value``) once, at the end. Only the entries that
-    can differ from the identity's are read: a row that no letter replaced
-    (the loop builds a new list for every row a letter rewrites) is
-    emitted as e_i, built from one shared one and zero, and a zero entry
-    skips the reduction.
+    product is taken in Z[x]/(x^H + 1). Each row is one Python int of
+    dim * H signed slots of W bits, the coefficient of x^e in entry j in
+    slot e * dim + j, a letter rewrites one row (``_word_product``), and
+    multiplying a row by t^s is a negacyclic rotation by (p mod H) * dim
+    slots: a few big-int operations (``_root_step``).
+
+    W starts at 64. The letters go to the loop in chunks of at most K = 14,
+    and before each chunk but the first every row is checked, with one add
+    and one AND, to have all its slots in [-2^T, 2^T), T = W - 24. A letter
+    at most triples the largest |coefficient| and 2^T * 3^14 < 2^(W-1), so
+    no slot overflows within a chunk. When the check fails, the rows are
+    still exact (they were in range one chunk earlier), so they are
+    repacked at width 2W, where they pass, and the word goes on from
+    there: nothing is applied twice. A word of at most 14 letters is never
+    checked.
+
+    Rows are unpacked only for the scalar test below and at the end, where
+    entry (i, j), the strided slice row[j::dim] of row i, is reduced into
+    Q(zeta_N) (``_field_value``). Only the entries that can differ from the
+    identity's are read: a row that no letter replaced (the loop makes a
+    new int for every row a letter rewrites) is emitted as e_i, built from
+    one shared one and zero, and a zero entry skips the reduction.
 
     The word is written as u^k with u its shortest root and applied one
     copy of u at a time. When the product after j copies, j a proper
@@ -251,29 +329,42 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     matrix with the identity (not projective equality).
     """
     order = minus_q.order
-    dim = word.strands_n - 1
-    table = _rotation_letters(word.strands_n, order, root_exponent(minus_q))
+    n = word.strands_n
+    dim = n - 1
+    k = root_exponent(minus_q)
     p = _root_length(word.letters)
     copies = len(word.letters) // p if p else 1
-    actions = [table[letter] for letter in word.letters[:p]]
+    root = word.letters[:p]
     size = dim * _half_order(order)
-    pad = [0] * size
-    start = rows = [pad, *([0] * size for _ in range(dim)), pad]
-    for i in range(dim):
-        start[i + 1][i] = 1
+    width = _START_WIDTH
+    chunks = _chunks(root, _rotation_letters(n, order, k, width))
+    start = rows = [0, *(1 << width * i for i in range(dim)), 0]
+    # Letters applied since every slot was last known to lie in [-2^T, 2^T).
+    fresh = 0
     zero = CyclotomicNumber.zero(order)
     for j in range(1, copies + 1):
-        rows = _word_product(actions, rows, _root_step)
+        # Indexed, not iterated: a widening rebuilds chunks for the new width.
+        for chunk_index in range(len(chunks)):
+            if fresh + len(chunks[chunk_index]) > _CHUNK:
+                safe, top, _ = _slot_masks(size, width)
+                if any((row + safe) & top for row in rows):
+                    # At most K letters since the last check: still exact.
+                    rows = [_pack(_unpack(row, size, width), 2 * width) for row in rows]
+                    width *= 2
+                    chunks = _chunks(root, _rotation_letters(n, order, k, width))
+                fresh = 0
+            chunk = chunks[chunk_index]
+            rows = _word_product(chunk, rows, _root_step)
+            fresh += len(chunk)
         if j < copies and copies % j == 0:
-            c = _scalar_value(rows[1:-1], order)
+            c = _scalar_value([_unpack(row, size, width) for row in rows[1:-1]], order)
             if c is not None:
                 c = c ** (copies // j)
                 return CycloMatrix(_scalar_rows(dim, c, zero))
     one = CyclotomicNumber.one(order)
     return CycloMatrix(
         [zero] * i + [one] + [zero] * (dim - 1 - i) if row is start[i + 1]
-        else [_field_value(order, v) if any(v) else zero
-              for v in (row[j::dim] for j in range(dim))]
+        else _field_row(_unpack(row, size, width), dim, order, zero)
         for i, row in enumerate(rows[1:-1])
     )
 

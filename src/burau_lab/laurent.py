@@ -158,6 +158,8 @@ class LaurentPoly:
 
     def shift(self, exp: int) -> LaurentPoly:
         """Multiply by the monomial t^exp."""
+        if not isinstance(exp, int):
+            raise TypeError(f"exponent {exp!r} must be an int")
         if not exp:
             return self
         return _raw({e + exp: c for e, c in self._coeffs.items()})

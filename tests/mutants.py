@@ -1,0 +1,141 @@
+"""Mutation checks: small deliberate faults in the package that named tests
+must catch.
+
+Each mutant replaces one exact piece of text in one file. For each mutant
+this script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, applies the edit there and runs the mutant's tests with pytest.
+The mutant is killed when at least one of them fails, and survives when all
+of them pass. The unmutated copy must pass every named test first, so that
+a kill means the fault was caught.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py
+
+It exits 0 when every mutant is killed, and 1 when a mutant survives, its
+text is missing or ambiguous, or a pytest run does not finish normally.
+It starts one pytest run per mutant, about 15 s in all for the mutants
+below, so it is not part of the tier-1 run; pytest does not collect this
+file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+DENSE = "tests/test_burau.py::TestSpecializedBurau::test_agrees_with_the_dense_product"
+WIDENING = "tests/test_burau.py::TestPackedRows::test_words_that_outgrow_the_slots"
+LETTER_TABLE = "tests/test_burau.py::TestSpecializedBurau::test_letter_table_matches_field_evaluation"
+# The dense oracle multiplies generator images that the word loop builds, so
+# a changed letter rule changes both sides; these tests pin the images.
+LETTER_ROWS = "tests/test_burau.py::TestGenerators::test_each_letter_is_its_letter_action_row"
+FIRST_GENERATOR = "tests/test_burau.py::TestGenerators::test_first_generator"
+EVAL_POWER_50 = "tests/test_cli.py::test_golden_transcript[eval_power_50_at_root_7.text]"
+
+MUTANTS = [
+    Mutant(
+        "packed rows are never checked, so never widened",
+        "src/burau_lab/burau.py",
+        "if any((row + safe) & top for row in rows):",
+        "if False:",
+        (WIDENING, EVAL_POWER_50),
+    ),
+    Mutant(
+        "the sign of x^p (p >= H) is ignored in the row step",
+        "src/burau_lab/burau.py",
+        "return a - r if negate else a + r",
+        "return a + r",
+        (LETTER_TABLE, DENSE),
+    ),
+    Mutant(
+        "the word loop applies the letters first to last",
+        "src/burau_lab/burau.py",
+        "for i, s, power in reversed(actions):",
+        "for i, s, power in actions:",
+        (DENSE,),
+    ),
+    Mutant(
+        "rows i+s and i-s swap places in the letter rule",
+        "src/burau_lab/burau.py",
+        "rows[i] = step(rows[i + s], rows[i - s], rows[i], power)",
+        "rows[i] = step(rows[i - s], rows[i + s], rows[i], power)",
+        (LETTER_ROWS, FIRST_GENERATOR),
+    ),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def run_tests(tree: Path, tests: tuple[str, ...]) -> tuple[int, str]:
+    """pytest's exit code and its last output line, for ``tests`` in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    return done.returncode, lines[-1] if lines else done.stderr.strip()
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="burau-mutants-") as tmp:
+        base = Path(tmp) / "unmutated"
+        copy_tree(base)
+        every = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        code, summary = run_tests(base, every)
+        print(f"unmutated: {summary}")
+        if code != 0:
+            print("the named tests fail without a mutant; nothing is checked")
+            return 1
+        for number, mutant in enumerate(MUTANTS, 1):
+            tree = Path(tmp) / f"mutant-{number}"
+            copy_tree(tree)
+            target = tree / mutant.path
+            text = target.read_text()
+            count = text.count(mutant.old)
+            if count != 1:
+                print(f"ERROR     {mutant.name}: old text found {count} times in {mutant.path}")
+                bad += 1
+                continue
+            target.write_text(text.replace(mutant.old, mutant.new))
+            start = time.perf_counter()
+            code, summary = run_tests(tree, mutant.tests)
+            seconds = time.perf_counter() - start
+            if code == 1:
+                verdict = "killed"
+            elif code == 0:
+                verdict, bad = "SURVIVED", bad + 1
+            else:
+                verdict, bad = f"ERROR({code})", bad + 1
+            print(f"{verdict:9} {mutant.name}: {summary} [{seconds:.1f} s]")
+            shutil.rmtree(tree)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,8 +11,10 @@ from burau_lab.burau import (
     BurauImage,
     _field_value,
     _root_length,
+    _root_step,
     _rotation_letters,
     _scalar_value,
+    _unpack,
     affine_extension,
     burau_generator,
     burau_of_word,
@@ -363,10 +365,19 @@ class TestSpecializedBurau:
     def test_letter_table_matches_field_evaluation(self):
         # At a root x = zeta_N^k the word is multiplied out in
         # Z[x]/(x^H + 1), H = N/2 for even N and N for odd N, with
-        # x -> zeta_2H. The table maps each letter (i, s) to (i, s, t^s),
-        # t^s one power x^p, 0 <= p < 2H, stored as (p >= H, (p mod H) * (n-1)):
-        # evaluated at zeta_2H it is y^s, y = x written in Q(zeta_2H), and
-        # _field_value carries it to x^s in Q(zeta_N).
+        # x -> zeta_2H, on packed rows of dim * H slots of W bits, the
+        # coefficient of x^e in entry j in slot e * dim + j. The table maps
+        # each letter (i, s) to (i, s, t^s), t^s one power x^p, 0 <= p < 2H,
+        # stored in bits as (p >= H, (p mod H) * dim * W, dim * H * W - shift).
+        # _root_step must multiply a unit row x^e in entry j by x^p,
+        # wrapping with a sign change past x^(H-1); x^p evaluated at zeta_2H
+        # is y^s, y = x written in Q(zeta_2H), and _field_value carries it
+        # to x^s in Q(zeta_N).
+        def ring_power(p, half):
+            v = [0] * half
+            v[p % half] = -1 if p % (2 * half) >= half else 1
+            return v
+
         for d in range(2, 41):
             mq = minus_q_from_d(d)
             for x in (mq, q_point(d), mq**3):
@@ -376,25 +387,38 @@ class TestSpecializedBurau:
                 y = CyclotomicNumber.root_of_unity(2 * half, 2 * half // order * k)
                 for n in range(2, 11):
                     dim = n - 1
-                    table = _rotation_letters(n, order, k)
+                    size = dim * half
+                    width = 64 if (d + n) % 2 else 128
+                    table = _rotation_letters(n, order, k, width)
                     assert len(table) == 2 * dim
                     for index in range(1, n):
                         for letter_sign in (1, -1):
                             case = (d, x, n, index, letter_sign)
-                            i, s, (negate, shift) = table[index, letter_sign]
+                            i, s, power = table[index, letter_sign]
+                            negate, shift, cut = power
                             assert (i, s) == (index, letter_sign), case
                             assert isinstance(negate, bool), case
-                            assert 0 <= shift < half * dim and shift % dim == 0, case
-                            power = CyclotomicNumber.root_of_unity(2 * half, shift // dim)
+                            assert 0 <= shift < size * width, case
+                            assert shift % (dim * width) == 0, case
+                            assert cut == size * width - shift, case
+                            p = shift // (dim * width) + (half if negate else 0)
                             monomial = LaurentPoly.t(s)
-                            assert (-power if negate else power) == specialize_poly(
-                                monomial, y
+                            assert CyclotomicNumber.root_of_unity(2 * half, p) == (
+                                specialize_poly(monomial, y)
                             ), case
-                            unit = [0] * half
-                            unit[shift // dim] = -1 if negate else 1
-                            assert _field_value(order, unit) == specialize_poly(
-                                monomial, x
-                            ), case
+                            j = index - 1
+                            # x^(H-1) * x^p wraps past x^(H-1) unless H divides p.
+                            for e in {0, half - 1}:
+                                unit = 1 << (e * dim + j) * width
+                                got = _root_step(0, unit, 0, power)
+                                flat = _unpack(got, size, width)
+                                entry = ring_power(p + e, half)
+                                assert flat[j::dim] == entry, (case, e)
+                                assert sum(map(abs, flat)) == 1, (case, e)
+                                if e == 0:
+                                    assert _field_value(order, entry) == specialize_poly(
+                                        monomial, x
+                                    ), case
 
     def test_rings_of_degree_one(self):
         # H = 1: at order 1 (x = 1) and order 2 (x = -1) the ring is
@@ -580,6 +604,66 @@ class TestPowerEarlyStop:
             root = random_word(4, rng.randint(1, 6), rng).letters
             letters = root * rng.randint(1, 12)
             assert _root_length(letters) == naive(letters), letters
+
+
+class TestPackedRows:
+    """At a root of unity each row is one int of W-bit slots. Before each
+    chunk of at most 14 letters (but the first), every slot must lie in
+    [-2^T, 2^T), T = W - 24; when one does not, the rows are repacked at
+    width 2W and the word goes on. Each word here outgrows 64-bit slots,
+    so a broken or missing guard gives a wrong matrix or an error."""
+
+    @staticmethod
+    def record_widenings(monkeypatch):
+        # Each widening repacks every row at the new width.
+        packed = []
+        inner = burau._pack
+
+        def spy(slots, width):
+            packed.append(width)
+            return inner(slots, width)
+
+        monkeypatch.setattr(burau, "_pack", spy)
+        return packed
+
+    @pytest.mark.parametrize(
+        "text, n, ds, widths",
+        [
+            ("(s1 s2^-1)^50", 3, (7, 12, 40), {128}),
+            # The scalar test runs at every proper divisor of 300, so also
+            # on rows that were widened three times, to 512 bits.
+            ("(s1 s2^-1)^300", 3, (7,), {128, 256, 512}),
+            # Not a power: its 122 letters are one chunked pass.
+            ("(s1 s2^-1 s3)^40 s1 s2", 4, (7, 12, 40), {128}),
+        ],
+    )
+    def test_words_that_outgrow_the_slots(self, monkeypatch, text, n, ds, widths):
+        packed = self.record_widenings(monkeypatch)
+        w = parse_word(text, n)
+        laurent = burau_of_word(w).matrix
+        for d in ds:
+            x = minus_q_from_d(d)
+            packed.clear()
+            assert specialized_burau(w, x) == specialize_matrix(laurent, x), (text, d)
+            assert set(packed) == widths, (text, d)
+
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_slot_range_check_and_round_trip(self, width):
+        # (row + safe) & top is zero exactly when every slot is in [-2^T, 2^T).
+        low = width - 24
+        safe, top, _ = burau._slot_masks(5, width)
+        inside = [-(1 << low), (1 << low) - 1, 0, -1, 1]
+        for bad in (1 << low, -(1 << low) - 1, 1 << width - 2, -(1 << width - 1)):
+            for slot in range(5):
+                slots = inside[:slot] + [bad] + inside[slot + 1:]
+                row = burau._pack(slots, width)
+                assert _unpack(row, 5, width) == slots
+                assert (row + safe) & top, (bad, slot)
+        row = burau._pack(inside, width)
+        assert _unpack(row, 5, width) == inside
+        assert not (row + safe) & top
+        extremes = [(1 << width - 1) - 1, -(1 << width - 1), 0, 1, -1]
+        assert _unpack(burau._pack(extremes, width), 5, width) == extremes
 
 
 class TestProjectiveEquality:
