@@ -20,8 +20,9 @@ rewrites a single row:
 with the rows padded by one zero row at 0 and at n, standing for the
 columns that sigma_1 and sigma_{n-1} lack.
 
-One loop, ``_word_product``, applies that step over either of two rings,
-each supplying it:
+One loop, ``_word_product``, reads the word's own letters (i, s) and
+applies that step to a list of rows in place, over either of two rings,
+each supplying the step as a function of (row_{i+s}, row_{i-s}, row_i, s):
 
 - Z[t, t^-1], for the exact Laurent image (``burau_of_word``);
 - Z[x]/(x^H + 1) with x -> zeta_2H, for a specialization at a root of
@@ -35,13 +36,14 @@ each supplying it:
   around subtracted at the bottom (as x^H = -1), and a letter is a few
   big-int operations with no reduction, gcd or fraction. The slots start
   at W = 64 bits; before each chunk of 14 letters a range check on every
-  row doubles W in place when the coefficients could outgrow it. Entry j
-  is the strided slice row[j::dim] of the unpacked row; each is reduced
-  into Q(zeta_N) (mod Phi_N) once, at the end.
+  row doubles W in place when the coefficients could outgrow it, and the
+  step for the new width takes over. Entry j is the strided slice
+  row[j::dim] of the unpacked row; each is reduced into Q(zeta_N)
+  (mod Phi_N) once, at the end.
 
 At a root of unity, a word that is a proper power u^k (u its shortest
-root) is applied one copy of u at a time, continuing from the rows the
-loop returns. After j copies, j a proper divisor of k, the product is
+root) is applied one copy of u at a time, each continuing on the rows
+the last left. After j copies, j a proper divisor of k, the product is
 tested for an exact scalar c * I in Q(zeta_N); if it is one, the image is
 c^(k/j) * I and the rest of the word is not applied. The full twist T_n,
 whose image is t^n * I, is (s1 ... s_{n-1})^n, so T_n^k costs one T_n. A
@@ -97,24 +99,18 @@ def burau_generator(strands_n: int, index: int, inverse: bool = False) -> BurauI
     return burau_of_word(BraidWord(strands_n, ((index, -1 if inverse else 1),)))
 
 
-def _word_product(actions, rows: list, step) -> list:
-    """The padded rows of G_1 ... G_L times the matrix whose padded rows
-    are ``rows``, for the letters ``actions`` = G_1 ... G_L in word order,
-    each given as (i, s, power): sigma_i^s, s = +-1, with power the ring's
-    own form of t^s.
+def _word_product(letters, rows: list, step) -> None:
+    """Replace the padded ``rows`` of a matrix R, in place, by those of
+    G_1 ... G_L R, for the letters (i, s) = sigma_i^s, s = +-1, of
+    ``letters`` = G_1 ... G_L in word order.
 
     Padded row i is matrix row i-1, and rows 0 and dim+1 are zero. The
     letters are applied last first, each by left multiplication, which
-    rewrites padded row i alone: ``step(a, b, c, power)`` returns
+    rewrites padded row i alone: ``step(a, b, c, s)`` returns
     a + t^s * (b - c) for a = rows[i+s], b = rows[i-s] and c = rows[i].
-    Rows are replaced, never changed in place, so rows may be shared and
-    the given list is left as it was: a product can continue from any
-    returned checkpoint.
     """
-    rows = list(rows)
-    for i, s, power in reversed(actions):
-        rows[i] = step(rows[i + s], rows[i - s], rows[i], power)
-    return rows
+    for i, s in reversed(letters):
+        rows[i] = step(rows[i + s], rows[i - s], rows[i], s)
 
 
 def _laurent_step(a: list, b: list, c: list, s: int) -> list:
@@ -128,11 +124,8 @@ def burau_of_word(word: BraidWord) -> BurauImage:
     word order."""
     n = word.strands_n
     pad = [LaurentPoly.zero()] * (n - 1)
-    rows = _word_product(
-        [(i, s, s) for i, s in word.letters],
-        [pad, *_scalar_rows(n - 1, LaurentPoly.one(), LaurentPoly.zero()), pad],
-        _laurent_step,
-    )
+    rows = [pad, *_scalar_rows(n - 1, LaurentPoly.one(), LaurentPoly.zero()), pad]
+    _word_product(word.letters, rows, _laurent_step)
     return BurauImage(n, LaurentMatrix(rows[1:-1]))
 
 
@@ -151,37 +144,36 @@ _HEADROOM = 24
 
 
 @lru_cache(maxsize=None)
-def _rotation_letters(strands_n: int, order: int, k: int, width: int) -> dict:
-    """Every letter (i, s) of B_strands_n, s = +-1, mapped to its
-    ``_word_product`` action (i, s, x^p) at t = zeta_order^k, over
-    Z[x]/(x^H + 1) with x -> zeta_2H (see the module docstring). t is
-    x^(m*k), m = 2H/order, so t^s is x^p with p = s*m*k mod 2H, given in
-    bits as the negacyclic rotation of a packed row of dim * H slots of
-    ``width`` bits that multiplies it by x^p: (negate, shift, cut) =
-    (p >= H, (p mod H) * dim * width, dim * H * width - shift),
-    dim = strands_n - 1, since x^p = -x^(p - H) when p >= H."""
-    dim = strands_n - 1
-    half = _half_order(order)
-    powers = {}
-    for s in (1, -1):
-        p = s * (2 * half // order) * k % (2 * half)
-        shift = p % half * dim * width
-        powers[s] = p >= half, shift, dim * half * width - shift
-    return {(i, s): (i, s, powers[s]) for i in range(1, strands_n) for s in (1, -1)}
+def _root_step_at(order: int, k: int, dim: int, width: int):
+    """The ``_word_product`` step at t = zeta_order^k for packed rows of
+    dim * H slots of ``width`` bits over Z[x]/(x^H + 1), x -> zeta_2H (see
+    the module docstring): step(a, b, c, s) = a + t^s * (b - c).
 
-
-def _root_step(a: int, b: int, c: int, power: tuple) -> int:
-    """a + x^p * (b - c) for packed rows over Z[x]/(x^H + 1), with x^p
-    given as (negate, shift, cut) in bits (``_rotation_letters``). The
+    t is x^(m*k), m = 2H/order, so t^s is x^p with p = s*m*k mod 2H, and
+    multiplying a row by it is the negacyclic rotation given in bits by
+    (negate, shift, cut) = (p >= H, (p mod H) * dim * width,
+    dim * H * width - shift), since x^p = -x^(p - H) when p >= H. The
     slots of d = b - c above bit cut form hi, rounded so that the rest,
     d - hi * 2^cut, is the signed value of the slots below it; x^p moves
     that rest up by shift bits and wraps hi around to the bottom with its
-    sign changed, as x^H = -1."""
-    negate, shift, cut = power
-    d = b - c
-    hi = ((d >> (cut - 1)) + 1) >> 1
-    r = ((d - (hi << cut)) << shift) - hi
-    return a - r if negate else a + r
+    sign changed, as x^H = -1.
+    """
+    half = _half_order(order)
+    # Indexed by s: rotations[1] is t's, rotations[-1] is t^-1's.
+    rotations = [None] * 3
+    for s in (1, -1):
+        p = s * (2 * half // order) * k % (2 * half)
+        shift = p % half * dim * width
+        rotations[s] = p >= half, shift, dim * half * width - shift
+
+    def step(a: int, b: int, c: int, s: int) -> int:
+        negate, shift, cut = rotations[s]
+        d = b - c
+        hi = ((d >> (cut - 1)) + 1) >> 1
+        r = ((d - (hi << cut)) << shift) - hi
+        return a - r if negate else a + r
+
+    return step
 
 
 @lru_cache(maxsize=None)
@@ -272,14 +264,6 @@ def _scalar_value(rows: list, order: int) -> CyclotomicNumber | None:
     return c
 
 
-def _chunks(letters: tuple, table: dict) -> list:
-    """The ``_word_product`` actions of ``letters`` from ``table``, in
-    chunks of at most K letters, last chunk first: the order in which left
-    multiplication applies them."""
-    actions = [table[letter] for letter in letters]
-    return [actions[i:i + _CHUNK] for i in reversed(range(0, len(actions), _CHUNK))]
-
-
 def _field_row(flat: list, dim: int, order: int, zero: CyclotomicNumber) -> list:
     """The dim entries in Q(zeta_order) of an unpacked row, entry j the
     strided slice flat[j::dim]; an all-zero entry is the shared zero."""
@@ -299,24 +283,25 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     dim * H signed slots of W bits, the coefficient of x^e in entry j in
     slot e * dim + j, a letter rewrites one row (``_word_product``), and
     multiplying a row by t^s is a negacyclic rotation by (p mod H) * dim
-    slots: a few big-int operations (``_root_step``).
+    slots: a few big-int operations (the step of ``_root_step_at``).
 
-    W starts at 64. The letters go to the loop in chunks of at most K = 14,
-    and before each chunk but the first every row is checked, with one add
-    and one AND, to have all its slots in [-2^T, 2^T), T = W - 24. A letter
-    at most triples the largest |coefficient| and 2^T * 3^14 < 2^(W-1), so
-    no slot overflows within a chunk. When the check fails, the rows are
-    still exact (they were in range one chunk earlier), so they are
-    repacked at width 2W, where they pass, and the word goes on from
-    there: nothing is applied twice. A word of at most 14 letters is never
+    W starts at 64. The root's letters are cut once into chunks of at most
+    K = 14, and before each chunk but the first every row is checked, with
+    one add and one AND, to have all its slots in [-2^T, 2^T), T = W - 24.
+    A letter at most triples the largest |coefficient| and
+    2^T * 3^14 < 2^(W-1), so no slot overflows within a chunk. When the
+    check fails, the rows are still exact (they were in range one chunk
+    earlier), so they are repacked at width 2W, where they pass, the step
+    for width 2W replaces the old one, and the word goes on from there:
+    nothing is applied twice. A word of at most 14 letters is never
     checked.
 
     Rows are unpacked only for the scalar test below and at the end, where
     entry (i, j), the strided slice row[j::dim] of row i, is reduced into
     Q(zeta_N) (``_field_value``). Only the entries that can differ from the
-    identity's are read: a row that no letter replaced (the loop makes a
-    new int for every row a letter rewrites) is emitted as e_i, built from
-    one shared one and zero, and a zero entry skips the reduction.
+    identity's are read: a row equal to the packed unit row e_i, such as
+    one no letter touched, is emitted as e_i, built from one shared one and
+    zero, and a zero entry skips the reduction.
 
     The word is written as u^k with u its shortest root and applied one
     copy of u at a time. When the product after j copies, j a proper
@@ -329,32 +314,31 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     matrix with the identity (not projective equality).
     """
     order = minus_q.order
-    n = word.strands_n
-    dim = n - 1
+    dim = word.strands_n - 1
     k = root_exponent(minus_q)
     p = _root_length(word.letters)
     copies = len(word.letters) // p if p else 1
     root = word.letters[:p]
+    # At most K letters each, last first: the order left multiplication takes.
+    chunks = [root[i:i + _CHUNK] for i in reversed(range(0, len(root), _CHUNK))]
     size = dim * _half_order(order)
     width = _START_WIDTH
-    chunks = _chunks(root, _rotation_letters(n, order, k, width))
-    start = rows = [0, *(1 << width * i for i in range(dim)), 0]
+    step = _root_step_at(order, k, dim, width)
+    rows = [0, *(1 << width * i for i in range(dim)), 0]
     # Letters applied since every slot was last known to lie in [-2^T, 2^T).
     fresh = 0
     zero = CyclotomicNumber.zero(order)
     for j in range(1, copies + 1):
-        # Indexed, not iterated: a widening rebuilds chunks for the new width.
-        for chunk_index in range(len(chunks)):
-            if fresh + len(chunks[chunk_index]) > _CHUNK:
+        for chunk in chunks:
+            if fresh + len(chunk) > _CHUNK:
                 safe, top, _ = _slot_masks(size, width)
                 if any((row + safe) & top for row in rows):
                     # At most K letters since the last check: still exact.
                     rows = [_pack(_unpack(row, size, width), 2 * width) for row in rows]
                     width *= 2
-                    chunks = _chunks(root, _rotation_letters(n, order, k, width))
+                    step = _root_step_at(order, k, dim, width)
                 fresh = 0
-            chunk = chunks[chunk_index]
-            rows = _word_product(chunk, rows, _root_step)
+            _word_product(chunk, rows, step)
             fresh += len(chunk)
         if j < copies and copies % j == 0:
             c = _scalar_value([_unpack(row, size, width) for row in rows[1:-1]], order)
@@ -363,7 +347,7 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
                 return CycloMatrix(_scalar_rows(dim, c, zero))
     one = CyclotomicNumber.one(order)
     return CycloMatrix(
-        [zero] * i + [one] + [zero] * (dim - 1 - i) if row is start[i + 1]
+        [zero] * i + [one] + [zero] * (dim - 1 - i) if row == 1 << width * i
         else _field_row(_unpack(row, size, width), dim, order, zero)
         for i, row in enumerate(rows[1:-1])
     )

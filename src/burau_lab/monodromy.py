@@ -176,6 +176,16 @@ def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple]:
     return t_inverse, tuple(specialize_poly(p, t) for p in _SQUIER)
 
 
+def _squier_at(t: CyclotomicNumber) -> tuple:
+    """Squier's (diagonal, above, below) at t = zeta_N^k. They are
+    ``_SQUIER`` specialized at t, with conj(t) read as t^-1, so conj(t) is
+    checked against t^-1 = zeta_N^-k first."""
+    t_inverse, entries = _values_at(t.order, root_exponent(t))
+    if t.conjugate() != t_inverse:
+        raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
+    return entries
+
+
 def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenerators) -> None:
     """Raise NoInvariantForm unless every basis form H is proved to satisfy
     G* H G = H for every generator G, by comparisons only.
@@ -197,9 +207,7 @@ def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenera
     """
     _laurent_certificate(_SQUIER)
     t, dim = generators.minus_q, generators.m - 2
-    t_inverse, entries = _values_at(t.order, root_exponent(t))
-    if t.conjugate() != t_inverse:
-        raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
+    entries = _squier_at(t)
     one, zero = CyclotomicNumber.one(t.order), CyclotomicNumber.zero(t.order)
     identity = [tuple(row) for row in _scalar_rows(dim, one, zero)]
     letter_row = ((-1, t), (0, -t), (1, one))
@@ -236,7 +244,8 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     certificate.
 
     S is tridiagonal, with 2 + t + conj(t) on the diagonal, -(1 + conj(t))
-    above it and -(1 + t) below it (|1+t|^2 times Squier's, so integral).
+    above it and -(1 + t) below it (|1+t|^2 times Squier's, so integral):
+    the entries ``_check_invariant`` compares against (``_squier_at``).
     With L = n-1 and k = m-1-n, H is c * S, c = +-1, outside the trailing
     k x k block, which no generator changes. The pivot is c * S_L, or
     c * S_{L-1} when k > 0 and det S_L = 0, with no more positive than
@@ -253,8 +262,7 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     a = min(e, t.order - e)
     dim, lead, k = m - 2, n - 1, m - 1 - n
     zero, one = CyclotomicNumber.zero(t.order), CyclotomicNumber.one(t.order)
-    t_bar = t.conjugate()
-    diag, above, below = 2 + t + t_bar, -(1 + t_bar), -(1 + t)
+    diag, above, below = _squier_at(t)
     # Leading minors: D_s = diag D_{s-1} - |1+t|^2 D_{s-2}, and |1+t|^2 = diag.
     minors = [one, diag]
     for _ in range(2, lead + 1):

@@ -14,7 +14,7 @@ Run from anywhere, with the test dependencies installed:
 
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, or a pytest run does not finish normally.
-It starts one pytest run per mutant, about 15 s in all for the mutants
+It starts one pytest run per mutant, about 20 s in all for the mutants
 below, so it is not part of the tier-1 run; pytest does not collect this
 file.
 """
@@ -49,6 +49,10 @@ LETTER_TABLE = "tests/test_burau.py::TestSpecializedBurau::test_letter_table_mat
 LETTER_ROWS = "tests/test_burau.py::TestGenerators::test_each_letter_is_its_letter_action_row"
 FIRST_GENERATOR = "tests/test_burau.py::TestGenerators::test_first_generator"
 EVAL_POWER_50 = "tests/test_cli.py::test_golden_transcript[eval_power_50_at_root_7.text]"
+UNTOUCHED_ROWS = "tests/test_burau.py::TestPackedRows::test_rows_no_letter_touched_are_not_reduced"
+INERTIA = "tests/test_monodromy.py::test_integer_inertia_matches_the_fraction_form"
+ZERO_EIGENVALUE = "tests/test_monodromy.py::TestInvariantForm::test_zero_eigenvalue_at_minimal_padding"
+CONJUGATE = "tests/test_cyclotomic.py::TestConjugate::test_conjugate_of_a_root_is_its_inverse"
 
 MUTANTS = [
     Mutant(
@@ -68,16 +72,44 @@ MUTANTS = [
     Mutant(
         "the word loop applies the letters first to last",
         "src/burau_lab/burau.py",
-        "for i, s, power in reversed(actions):",
-        "for i, s, power in actions:",
+        "for i, s in reversed(letters):",
+        "for i, s in letters:",
         (DENSE,),
     ),
     Mutant(
         "rows i+s and i-s swap places in the letter rule",
         "src/burau_lab/burau.py",
-        "rows[i] = step(rows[i + s], rows[i - s], rows[i], power)",
-        "rows[i] = step(rows[i - s], rows[i + s], rows[i], power)",
+        "rows[i] = step(rows[i + s], rows[i - s], rows[i], s)",
+        "rows[i] = step(rows[i - s], rows[i + s], rows[i], s)",
         (LETTER_ROWS, FIRST_GENERATOR),
+    ),
+    Mutant(
+        "a widening keeps the step built for the old slot width",
+        "src/burau_lab/burau.py",
+        "width *= 2\n                    step = _root_step_at(order, k, dim, width)\n",
+        "width *= 2\n",
+        (WIDENING,),
+    ),
+    Mutant(
+        "an untouched row is compared with the next row's unit row",
+        "src/burau_lab/burau.py",
+        "if row == 1 << width * i",
+        "if row == 1 << width * (i + 1)",
+        (UNTOUCHED_ROWS,),
+    ),
+    Mutant(
+        "Squier's inertia counts a zero eigenvalue as positive",
+        "src/burau_lab/monodromy.py",
+        "sum(s > 0 for s in sides)",
+        "sum(s >= 0 for s in sides)",
+        (INERTIA, ZERO_EIGENVALUE),
+    ),
+    Mutant(
+        "conjugation maps zeta to zeta^(N-2) instead of zeta^-1",
+        "src/burau_lab/cyclotomic.py",
+        "_substitute(self._num, order - 1, order)",
+        "_substitute(self._num, order - 2, order)",
+        (CONJUGATE,),
     ),
 ]
 

@@ -11,8 +11,7 @@ from burau_lab.burau import (
     BurauImage,
     _field_value,
     _root_length,
-    _root_step,
-    _rotation_letters,
+    _root_step_at,
     _scalar_value,
     _unpack,
     affine_extension,
@@ -366,13 +365,11 @@ class TestSpecializedBurau:
         # At a root x = zeta_N^k the word is multiplied out in
         # Z[x]/(x^H + 1), H = N/2 for even N and N for odd N, with
         # x -> zeta_2H, on packed rows of dim * H slots of W bits, the
-        # coefficient of x^e in entry j in slot e * dim + j. The table maps
-        # each letter (i, s) to (i, s, t^s), t^s one power x^p, 0 <= p < 2H,
-        # stored in bits as (p >= H, (p mod H) * dim * W, dim * H * W - shift).
-        # _root_step must multiply a unit row x^e in entry j by x^p,
-        # wrapping with a sign change past x^(H-1); x^p evaluated at zeta_2H
-        # is y^s, y = x written in Q(zeta_2H), and _field_value carries it
-        # to x^s in Q(zeta_N).
+        # coefficient of x^e in entry j in slot e * dim + j. t^s is one
+        # power x^p, 0 <= p < 2H: x^p evaluated at zeta_2H is y^s, y = x
+        # written in Q(zeta_2H). The step of _root_step_at must multiply a
+        # unit row x^e in entry j by x^p, wrapping with a sign change past
+        # x^(H-1), and _field_value carries x^p to x^s in Q(zeta_N).
         def ring_power(p, half):
             v = [0] * half
             v[p % half] = -1 if p % (2 * half) >= half else 1
@@ -385,39 +382,34 @@ class TestSpecializedBurau:
                 half = order // 2 if order % 2 == 0 else order
                 k = root_exponent(x)
                 y = CyclotomicNumber.root_of_unity(2 * half, 2 * half // order * k)
+                powers = {
+                    s: next(
+                        p for p in range(2 * half)
+                        if CyclotomicNumber.root_of_unity(2 * half, p)
+                        == specialize_poly(LaurentPoly.t(s), y)
+                    )
+                    for s in (1, -1)
+                }
                 for n in range(2, 11):
                     dim = n - 1
                     size = dim * half
                     width = 64 if (d + n) % 2 else 128
-                    table = _rotation_letters(n, order, k, width)
-                    assert len(table) == 2 * dim
+                    step = _root_step_at(order, k, dim, width)
                     for index in range(1, n):
-                        for letter_sign in (1, -1):
-                            case = (d, x, n, index, letter_sign)
-                            i, s, power = table[index, letter_sign]
-                            negate, shift, cut = power
-                            assert (i, s) == (index, letter_sign), case
-                            assert isinstance(negate, bool), case
-                            assert 0 <= shift < size * width, case
-                            assert shift % (dim * width) == 0, case
-                            assert cut == size * width - shift, case
-                            p = shift // (dim * width) + (half if negate else 0)
-                            monomial = LaurentPoly.t(s)
-                            assert CyclotomicNumber.root_of_unity(2 * half, p) == (
-                                specialize_poly(monomial, y)
-                            ), case
+                        for s in (1, -1):
+                            case = (d, x, n, index, s)
+                            p = powers[s]
                             j = index - 1
                             # x^(H-1) * x^p wraps past x^(H-1) unless H divides p.
                             for e in {0, half - 1}:
                                 unit = 1 << (e * dim + j) * width
-                                got = _root_step(0, unit, 0, power)
-                                flat = _unpack(got, size, width)
+                                flat = _unpack(step(0, unit, 0, s), size, width)
                                 entry = ring_power(p + e, half)
                                 assert flat[j::dim] == entry, (case, e)
                                 assert sum(map(abs, flat)) == 1, (case, e)
                                 if e == 0:
                                     assert _field_value(order, entry) == specialize_poly(
-                                        monomial, x
+                                        LaurentPoly.t(s), x
                                     ), case
 
     def test_rings_of_degree_one(self):
@@ -540,10 +532,9 @@ class TestPowerEarlyStop:
         applied = []
         inner = burau._word_product
 
-        def counting(actions, *rest):
-            actions = list(actions)
-            applied.append(len(actions))
-            return inner(actions, *rest)
+        def counting(letters, *rest):
+            applied.append(len(letters))
+            return inner(letters, *rest)
 
         monkeypatch.setattr(burau, "_word_product", counting)
         word = parse_word("T10^27", 10)
@@ -646,6 +637,27 @@ class TestPackedRows:
             packed.clear()
             assert specialized_burau(w, x) == specialize_matrix(laurent, x), (text, d)
             assert set(packed) == widths, (text, d)
+
+    def test_rows_no_letter_touched_are_not_reduced(self, monkeypatch):
+        # (s1 s2^-1)^300 on 4 strands never touches matrix row 2, and at
+        # d = 7 it widens the slots, repacking every row: row 2 is still
+        # the unit row e_2, so only rows 0 and 1 are reduced into the field.
+        packed = self.record_widenings(monkeypatch)
+        reduced = []
+        inner = burau._field_row
+
+        def spy(flat, *rest):
+            reduced.append(flat)
+            return inner(flat, *rest)
+
+        monkeypatch.setattr(burau, "_field_row", spy)
+        w = parse_word("(s1 s2^-1)^300", 4)
+        x = minus_q_from_d(7)
+        got = specialized_burau(w, x)
+        assert set(packed) == {128, 256, 512}
+        assert got == specialize_matrix(burau_of_word(w).matrix, x)
+        assert len(reduced) == 2
+        assert got.rows[2] == CycloMatrix.identity(3, x.order).rows[2]
 
     @pytest.mark.parametrize("width", [64, 128])
     def test_slot_range_check_and_round_trip(self, width):

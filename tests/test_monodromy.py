@@ -279,18 +279,19 @@ class TestInvariantForm:
         assert signature(result.chosen) == (0, 1, 1)
 
     def test_dropping_conjugation_is_caught(self, monkeypatch):
-        # At m = n+1 nothing is divided, so the run reaches the invariance
-        # check, which compares conj(t) with t^-1.
+        # At m = n+1 nothing is divided; conj(t) is compared with t^-1,
+        # the invariance check's first step, before the form is built.
         monkeypatch.setattr(CyclotomicNumber, "conjugate", lambda x: x)
         with pytest.raises(NoInvariantForm, match=r"G\* H G != H"):
             invariant_hermitian_form(rho_generators(4, 5, minus_q_from_d(7)))
 
-    def test_dropping_conjugation_stops_the_pivot_inverse(self, monkeypatch):
-        # At m = n+2 the Schur complement divides by det S_L, and the
-        # inverse conjugates too: without conjugation its norm is not
-        # rational, so the run stops there.
+    def test_dropping_conjugation_is_caught_before_the_pivot_inverse(self, monkeypatch):
+        # At m = n+2 the Schur complement divides by det S_L. S's entries
+        # read conj(t) as t^-1, so det S_L is real and its inverse comes out
+        # right even without conjugation; conj(t) is checked against t^-1
+        # before the form is built, and the run stops there.
         monkeypatch.setattr(CyclotomicNumber, "conjugate", lambda x: x)
-        with pytest.raises(ArithmeticError, match="is not rational"):
+        with pytest.raises(NoInvariantForm, match=r"conj\(t\) is not t\^-1"):
             invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(7)))
 
     @pytest.mark.parametrize("n, m, d", [(4, 5, 7), (5, 7, 8), (6, 7, 5), (10, 11, 3)])
