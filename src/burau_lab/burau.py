@@ -24,7 +24,9 @@ One loop, ``_word_product``, reads the word's own letters (i, s) and
 applies that step to a list of rows in place, over either of two rings,
 each supplying the step as a function of (row_{i+s}, row_{i-s}, row_i, s):
 
-- Z[t, t^-1], for the exact Laurent image (``burau_of_word``);
+- Z[t, t^-1], for the exact Laurent image (``burau_of_word``), where
+  each new entry is one merge of coefficients (``laurent._accumulate``):
+  a's copied, b's added and c's subtracted at exponent e + s;
 - Z[x]/(x^H + 1) with x -> zeta_2H, for a specialization at a root of
   unity t = -q = zeta_N^k (``specialized_burau``). H is N/2 for even N
   and N for odd N, where Q(zeta_2N) = Q(zeta_N), so zeta_N is a power
@@ -53,7 +55,8 @@ what it did without the test.
 Every specialization point is a power zeta_N^k (``root_exponent``); any
 other point raises NotARoot.
 
-Also here: the crossed homomorphism v, the affine extension it defines
+Also here: the crossed homomorphism v (each entry one merge of
+coefficients and one exact division), the affine extension it defines
 (beta_n(w) bordered by v(w), which is beta_{n+1}(w): the image of the same
 word one strand up), and the evaluation map into a projective class used
 to compare against the cone-metric monodromy.
@@ -67,7 +70,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import CycloMatrix, CyclotomicNumber, root_exponent, specialize_matrix
-from .laurent import LaurentMatrix, LaurentPoly, _scalar_rows
+from .laurent import LaurentMatrix, LaurentPoly, _accumulate, _raw, _scalar_rows
 from .words import BraidWord
 
 
@@ -114,9 +117,13 @@ def _word_product(letters, rows: list, step) -> None:
 
 
 def _laurent_step(a: list, b: list, c: list, s: int) -> list:
-    """a + t^s * (b - c), entrywise over Z[t, t^-1]; where b and c are
-    both zero, a's entry is kept."""
-    return [x + (y - z).shift(s) if y or z else x for x, y, z in zip(a, b, c)]
+    """a + t^s * (b - c), entrywise over Z[t, t^-1], each entry one merge
+    into a copy of a's coefficients; where b and c are both zero, a's
+    entry is kept."""
+    return [
+        _raw(_accumulate(_accumulate(x.coeffs, y, s), z, s, -1)) if y or z else x
+        for x, y, z in zip(a, b, c)
+    ]
 
 
 def burau_of_word(word: BraidWord) -> BurauImage:
@@ -359,21 +366,24 @@ def crossed_v(image: BurauImage) -> tuple[LaurentPoly, ...]:
     The division is exact for every matrix in the Burau image; a
     NotDivisible error means the input matrix is not in the image (or an
     upstream bug). Satisfies v(AB) = v(A) + A v(B).
+
+    Row i of (I - A) u, u_j = 1 - t^(j+1), is merged into one coefficient
+    map: 1 - t^(i+1) from I, then -a_ij and +a_ij * t^(j+1) for each
+    nonzero a_ij; one exact division follows.
+
+    >>> crossed_v(burau_generator(4, 3)) == (0, 0, 1)
+    True
     """
     n = image.strands_n
-    dim = n - 1
-    one = LaurentPoly.one()
-    u = [one - LaurentPoly.t(k) for k in range(1, n)]
-    denom = one - LaurentPoly.t(n)
-    a = image.matrix
+    denom = LaurentPoly({0: 1, n: -1})
     out = []
-    for i in range(dim):
-        total = LaurentPoly.zero()
-        for j in range(dim):
-            c = (one if i == j else LaurentPoly.zero()) - a.entry(i, j)
-            if not c.is_zero:
-                total = total + c * u[j]
-        out.append(total.exact_div(denom))
+    for i, row in enumerate(image.matrix.rows):
+        acc = {0: 1, i + 1: -1}
+        for j, a in enumerate(row):
+            if a:
+                _accumulate(acc, a, 0, -1)
+                _accumulate(acc, a, j + 1)
+        out.append(_raw(acc).exact_div(denom))
     return tuple(out)
 
 
@@ -415,7 +425,7 @@ def projectively_equal(a: CycloMatrix, b: CycloMatrix) -> bool:
         return False
     # A zero-pattern mismatch fails the entrywise comparison too.
     scalar = x * y.inverse()
-    return all(x == scalar * y for x, y in pairs)
+    return all(x.is_zero if y.is_zero else x == scalar * y for x, y in pairs)
 
 
 def ev_map(image: BurauImage, minus_q: CyclotomicNumber, m: int) -> ProjectiveMatrix:

@@ -482,6 +482,17 @@ def root_exponent(x: CyclotomicNumber) -> int:
     raise NotARoot(f"{x} is not a power of zeta({x.order})")
 
 
+def _specialize(p: LaurentPoly, order: int, k: int, zero: CyclotomicNumber) -> CyclotomicNumber:
+    """p at t = zeta_order^k (see specialize_poly); the zero polynomial
+    gives ``zero``."""
+    if not p:
+        return zero
+    powers = [0] * order
+    for e, c in p.coeffs.items():
+        powers[k * e % order] += c
+    return CyclotomicNumber.from_powers(order, powers)
+
+
 def specialize_poly(p: LaurentPoly, x: CyclotomicNumber) -> CyclotomicNumber:
     """Evaluate a Laurent polynomial at a point x = zeta_N^k, exactly.
 
@@ -489,16 +500,15 @@ def specialize_poly(p: LaurentPoly, x: CyclotomicNumber) -> CyclotomicNumber:
     length-N vector and reduced mod Phi_N once; negative exponents need no
     inverse.
     """
-    k = root_exponent(x)
-    powers = [0] * x.order
-    for e, c in p:
-        powers[k * e % x.order] += c
-    return CyclotomicNumber.from_powers(x.order, powers)
+    return _specialize(p, x.order, root_exponent(x), CyclotomicNumber.zero(x.order))
 
 
 def specialize_matrix(m: LaurentMatrix, x: CyclotomicNumber) -> "CycloMatrix":
-    """Entrywise evaluation t -> x of a Laurent matrix."""
-    return CycloMatrix([specialize_poly(p, x) for p in row] for row in m.rows)
+    """Entrywise evaluation t -> x of a Laurent matrix, with k read once
+    and one shared zero for the zero entries."""
+    order, k = x.order, root_exponent(x)
+    zero = CyclotomicNumber.zero(order)
+    return CycloMatrix([_specialize(p, order, k, zero) for p in row] for row in m.rows)
 
 
 class CycloMatrix(SquareMatrix):

@@ -7,6 +7,12 @@ exponents to nonzero integer coefficients, so equality is structural and
 the zero polynomial has empty support. Coefficients are Python ints and
 therefore unbounded; matrix entries in braid-group representations grow
 without limit in the word length, so nothing here may round or overflow.
+
+Sums and differences go through one merge loop, ``_accumulate``, which
+adds sign * t^shift * p into a coefficient map in place and drops every
+coefficient that cancels; the Burau word step and the crossed
+homomorphism call it directly, one merge per entry, with no intermediate
+polynomial.
 """
 
 from __future__ import annotations
@@ -110,14 +116,7 @@ class LaurentPoly:
             if not isinstance(other, int):
                 return NotImplemented
             other = LaurentPoly({0: other})
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _raw(out)
+        return _raw(_accumulate(dict(self._coeffs), other))
 
     __radd__ = __add__
 
@@ -129,12 +128,12 @@ class LaurentPoly:
             if not isinstance(other, int):
                 return NotImplemented
             other = LaurentPoly({0: other})
-        return self + (-other)
+        return _raw(_accumulate(dict(self._coeffs), other, sign=-1))
 
     def __rsub__(self, other: int) -> LaurentPoly:
         if not isinstance(other, int):
             return NotImplemented
-        return LaurentPoly({0: other}) - self
+        return _raw(_accumulate({0: other} if other else {}, self, sign=-1))
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if type(other) is not LaurentPoly:
@@ -226,6 +225,21 @@ def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
         else:
             parts.append(f"-{body}" if negative else body)
     return " ".join(parts) or "0"
+
+
+def _accumulate(
+    acc: dict[int, int], p: LaurentPoly, shift: int = 0, sign: int = 1
+) -> dict[int, int]:
+    """Add sign * t^shift * p into the coefficient map ``acc`` in place,
+    deleting every coefficient that cancels, and return ``acc``."""
+    for e, c in p._coeffs.items():
+        e += shift
+        v = acc.get(e, 0) + sign * c
+        if v:
+            acc[e] = v
+        else:
+            del acc[e]
+    return acc
 
 
 def _raw(coeffs: dict[int, int]) -> LaurentPoly:

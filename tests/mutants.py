@@ -14,7 +14,7 @@ Run from anywhere, with the test dependencies installed:
 
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, or a pytest run does not finish normally.
-It starts one pytest run per mutant, about 20 s in all for the mutants
+It starts one pytest run per mutant, about 25 s in all for the mutants
 below, so it is not part of the tier-1 run; pytest does not collect this
 file.
 """
@@ -53,6 +53,9 @@ UNTOUCHED_ROWS = "tests/test_burau.py::TestPackedRows::test_rows_no_letter_touch
 INERTIA = "tests/test_monodromy.py::test_integer_inertia_matches_the_fraction_form"
 ZERO_EIGENVALUE = "tests/test_monodromy.py::TestInvariantForm::test_zero_eigenvalue_at_minimal_padding"
 CONJUGATE = "tests/test_cyclotomic.py::TestConjugate::test_conjugate_of_a_root_is_its_inverse"
+MERGE = "tests/test_burau.py::TestLaurentStep::test_merge_matches_the_public_operators"
+CROSSED_V = "tests/test_burau.py::TestCrossedHomomorphism::test_generator_values"
+ZERO_PATTERN = "tests/test_burau.py::TestProjectiveEquality::test_zero_pattern_mismatch"
 
 MUTANTS = [
     Mutant(
@@ -110,6 +113,27 @@ MUTANTS = [
         "_substitute(self._num, order - 1, order)",
         "_substitute(self._num, order - 2, order)",
         (CONJUGATE,),
+    ),
+    Mutant(
+        "a Laurent merge keeps a cancelled coefficient as 0",
+        "src/burau_lab/laurent.py",
+        "        if v:\n            acc[e] = v\n        else:\n            del acc[e]\n",
+        "        acc[e] = v\n",
+        (MERGE,),
+    ),
+    Mutant(
+        "crossed_v multiplies a_ij by t^j instead of t^(j+1)",
+        "src/burau_lab/burau.py",
+        "_accumulate(acc, a, j + 1)",
+        "_accumulate(acc, a, j)",
+        (CROSSED_V,),
+    ),
+    Mutant(
+        "the projective test passes a zero of y without testing x",
+        "src/burau_lab/burau.py",
+        "x.is_zero if y.is_zero else",
+        "True if y.is_zero else",
+        (ZERO_PATTERN,),
     ),
 ]
 

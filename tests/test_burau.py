@@ -10,6 +10,7 @@ from burau_lab import burau
 from burau_lab.burau import (
     BurauImage,
     _field_value,
+    _laurent_step,
     _root_length,
     _root_step_at,
     _scalar_value,
@@ -32,7 +33,7 @@ from burau_lab.cyclotomic import (
     specialize_matrix,
     specialize_poly,
 )
-from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible
+from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible, _accumulate
 from burau_lab.monodromy import rho_generators
 from burau_lab.words import BraidWord, parse_word, random_word
 from oracles import leibniz_det, q_point, scaled, writhe
@@ -166,6 +167,59 @@ class TestWordImages:
     def test_image_wrapper_validates_dim(self):
         with pytest.raises(ValueError):
             BurauImage(4, LaurentMatrix.identity(2))
+
+
+class TestLaurentStep:
+    @staticmethod
+    def _cases(rng):
+        """(x, y, z, s) with many cancellations: z shares terms with y, and
+        every third case has z = y + t^-s * x, so x + t^s * (y - z) is 0."""
+        def poly():
+            return LaurentPoly(
+                [(rng.randint(-4, 4), rng.randint(-3, 3)) for _ in range(rng.randint(0, 5))]
+            )
+
+        for case in range(600):
+            s = rng.choice((1, -1))
+            x, y = poly(), poly()
+            if case % 3 == 0:
+                z = y + x.shift(-s)
+            elif case % 3 == 1:
+                z = y + poly()
+            else:
+                z = poly()
+            yield x, y, z, s
+
+    def test_merge_matches_the_public_operators(self):
+        zeros = 0
+        for x, y, z, s in self._cases(random.Random(24)):
+            expected = x + (y - z).shift(s)
+            # The constructor sums repeated exponents by a loop of its own.
+            summed = LaurentPoly(
+                [*x.coeffs.items()]
+                + [(e + s, c) for e, c in y.coeffs.items()]
+                + [(e + s, -c) for e, c in z.coeffs.items()]
+            )
+            assert expected == summed
+            acc = x.coeffs
+            assert _accumulate(_accumulate(acc, y, s), z, s, -1) is acc
+            assert acc == expected.coeffs
+            assert 0 not in acc.values()
+            [stepped] = _laurent_step([x], [y], [z], s)
+            assert stepped == expected
+            assert hash(stepped) == hash(expected)
+            assert 0 not in stepped.coeffs.values()
+            if expected.is_zero:
+                zeros += 1
+                assert stepped == LaurentPoly.zero()
+                assert hash(stepped) == hash(LaurentPoly.zero())
+                assert stepped.coeffs == {}
+        assert zeros >= 200
+
+    def test_untouched_entries_are_kept(self):
+        x = LaurentPoly({-1: 2, 3: -5})
+        [kept] = _laurent_step([x], [ZERO], [ZERO], 1)
+        assert kept is x
 
 
 class TestCrossedHomomorphism:
@@ -697,6 +751,8 @@ class TestProjectiveEquality:
         a = CycloMatrix([[one, zero], [zero, one]])
         b = CycloMatrix([[one, one], [zero, one]])
         assert not projectively_equal(a, b)
+        # x nonzero where y is zero: decided by testing x, not by a product.
+        assert not projectively_equal(b, a)
 
     def test_zero_matrix_against_nonzero(self):
         zero = CyclotomicNumber.zero(4)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import operator
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -293,6 +294,20 @@ class TestSpecialize:
         x = minus_q_from_d(7)
         assert specialize_poly(a * b, x) == specialize_poly(a, x) * specialize_poly(b, x)
         assert specialize_poly(a + b, x) == specialize_poly(a, x) + specialize_poly(b, x)
+
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_matrix_is_entrywise_poly(self, d):
+        # Zero entries and negative exponents, at odd and even orders N.
+        rng = random.Random(d)
+        entries = [LaurentPoly.zero()] * 4 + [
+            LaurentPoly({rng.randint(-9, 9): rng.randint(-4, 4) for _ in range(rng.randint(1, 4))})
+            for _ in range(12)
+        ]
+        rng.shuffle(entries)
+        m = LaurentMatrix([entries[i:i + 4] for i in range(0, 16, 4)])
+        x = minus_q_from_d(d)
+        spec = specialize_matrix(m, x)
+        assert spec.rows == tuple(tuple(specialize_poly(p, x) for p in row) for row in m.rows)
 
     def test_matrix_specialization(self):
         m = LaurentMatrix([[LaurentPoly.t(), LaurentPoly.one()], [LaurentPoly.zero(), LaurentPoly.t(-1)]])
