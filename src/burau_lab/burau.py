@@ -69,7 +69,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycloMatrix, CyclotomicNumber, root_exponent, specialize_matrix
+from .cyclotomic import CycloMatrix, CyclotomicNumber, _unit_rows, root_exponent, specialize_matrix
 from .laurent import LaurentMatrix, LaurentPoly, _accumulate, _raw, _scalar_rows
 from .words import BraidWord
 
@@ -222,12 +222,14 @@ def _root_length(letters: tuple) -> int:
     Only divisors p of the length are tried, in increasing order, each by
     the period test letters[p:] == letters[:-p]. By Fine and Wilf, every
     period dividing the length is a multiple of the shortest such one, so
-    the first hit is the primitive root. The empty word gives 0.
+    the first hit is the primitive root. A divisor whose second block of p
+    letters differs from the first is rejected in O(p) before that test.
+    The empty word gives 0.
     """
     length = len(letters)
     small = [p for p in range(1, math.isqrt(length) + 1) if length % p == 0]
     for p in small + [length // p for p in reversed(small)]:
-        if letters[p:] == letters[:-p]:
+        if letters[p:2 * p] == letters[:p] and letters[p:] == letters[:-p]:
             return p
     return length
 
@@ -248,25 +250,31 @@ def _field_value(order: int, v: list) -> CyclotomicNumber:
     return CyclotomicNumber.from_powers(order, v)
 
 
-def _scalar_value(rows: list, order: int) -> CyclotomicNumber | None:
-    """c when the matrix over Z[x]/(x^H + 1) with these flat rows reduces
-    to c * I in Q(zeta_order), else None; entry (i, j) is rows[i][j::dim].
+def _scalar_value(rows: list, order: int, size: int, width: int) -> CyclotomicNumber | None:
+    """c when the matrix over Z[x]/(x^H + 1) with these packed rows of
+    ``size`` slots of ``width`` bits reduces to c * I in Q(zeta_order),
+    else None; entry (i, j) is the strided slice flat[j::dim] of row i
+    unpacked.
 
     Entries of the ring can be nonzero vectors that vanish in the field
     (1 - x + x^2, H = 3, at order 3 or 6: x -> zeta_6 is a root of it), so
-    each test is made in the field: an off-diagonal
-    entry is reduced only when its vector is nonzero, stopping at the first
-    that stays nonzero, and every diagonal entry must reduce to one c.
+    each test is made in the field. Rows are unpacked one at a time, as
+    the test reaches them, and it stops at the first failure: an
+    off-diagonal entry is reduced only when its vector is nonzero, and it
+    must vanish; the diagonal entry must reduce to row 0's, which is c.
     """
     dim = len(rows)
-    for i, row in enumerate(rows):
+    c = None
+    for i, packed in enumerate(rows):
+        flat = _unpack(packed, size, width)
         for j in range(dim):
-            v = row[j::dim]
+            v = flat[j::dim]
             if i != j and any(v) and not _field_value(order, v).is_zero:
                 return None
-    c = _field_value(order, rows[0][::dim])
-    for i in range(1, dim):
-        if _field_value(order, rows[i][i::dim]) != c:
+        diagonal = _field_value(order, flat[i::dim])
+        if c is None:
+            c = diagonal
+        elif diagonal != c:
             return None
     return c
 
@@ -303,12 +311,13 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     nothing is applied twice. A word of at most 14 letters is never
     checked.
 
-    Rows are unpacked only for the scalar test below and at the end, where
-    entry (i, j), the strided slice row[j::dim] of row i, is reduced into
-    Q(zeta_N) (``_field_value``). Only the entries that can differ from the
-    identity's are read: a row equal to the packed unit row e_i, such as
-    one no letter touched, is emitted as e_i, built from one shared one and
-    zero, and a zero entry skips the reduction.
+    Rows are unpacked only for the scalar test below, one at a time as it
+    reaches them, and at the end, where entry (i, j), the strided slice
+    row[j::dim] of row i, is reduced into Q(zeta_N) (``_field_value``).
+    Only the entries that can differ from the identity's are read: a row
+    equal to the packed unit row e_i, such as one no letter touched, is
+    emitted as the cached row e_i of ``CycloMatrix.identity``, which holds
+    the field's shared one and zero, and a zero entry skips the reduction.
 
     The word is written as u^k with u its shortest root and applied one
     copy of u at a time. When the product after j copies, j a proper
@@ -348,13 +357,13 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
             _word_product(chunk, rows, step)
             fresh += len(chunk)
         if j < copies and copies % j == 0:
-            c = _scalar_value([_unpack(row, size, width) for row in rows[1:-1]], order)
+            c = _scalar_value(rows[1:-1], order, size, width)
             if c is not None:
                 c = c ** (copies // j)
                 return CycloMatrix(_scalar_rows(dim, c, zero))
-    one = CyclotomicNumber.one(order)
+    units = _unit_rows(order, dim)
     return CycloMatrix(
-        [zero] * i + [one] + [zero] * (dim - 1 - i) if row == 1 << width * i
+        units[i] if row == 1 << width * i
         else _field_row(_unpack(row, size, width), dim, order, zero)
         for i, row in enumerate(rows[1:-1])
     )

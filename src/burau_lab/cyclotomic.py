@@ -30,7 +30,6 @@ from .laurent import (
     LaurentPoly,
     NotDivisible,
     SquareMatrix,
-    _scalar_rows,
     _signed_sum,
 )
 from .words import count_text
@@ -191,13 +190,13 @@ class CyclotomicNumber:
 
     @classmethod
     def zero(cls, order: int = 1) -> CyclotomicNumber:
-        deg, _ = _field(order)
-        return cls(order, [0] * deg)
+        """The field's zero: one shared instance per order."""
+        return _constants(order)[0]
 
     @classmethod
     def one(cls, order: int = 1) -> CyclotomicNumber:
-        deg, _ = _field(order)
-        return cls(order, [1] + [0] * (deg - 1))
+        """The field's one: one shared instance per order."""
+        return _constants(order)[1]
 
     @classmethod
     def from_fraction(cls, value: Fraction | int, order: int = 1) -> CyclotomicNumber:
@@ -418,6 +417,22 @@ def _canonical(order: int, num: tuple[int, ...], den: int = 1) -> CyclotomicNumb
     return x
 
 
+@lru_cache(maxsize=None)
+def _constants(order: int) -> tuple[CyclotomicNumber, CyclotomicNumber]:
+    """(zero, one) of Q(zeta_order). Elements are never mutated, so one
+    instance of each serves every caller."""
+    deg, _ = _field(order)
+    return CyclotomicNumber(order, [0] * deg), CyclotomicNumber(order, [1] + [0] * (deg - 1))
+
+
+@lru_cache(maxsize=None)
+def _unit_rows(order: int, dim: int) -> tuple[tuple[CyclotomicNumber, ...], ...]:
+    """The rows of I_dim over Q(zeta_order), built from the shared one and
+    zero: one tuple per row, shared by every matrix that holds it."""
+    zero, one = _constants(order)
+    return tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
+
+
 def minus_q_from_d(d: int, numerator: int = 1) -> CyclotomicNumber:
     """The specialization point -q for q = exp(2*pi*i*numerator/d) a primitive
     d-th root of unity, returned as a primitive root in its own field, for
@@ -519,7 +534,7 @@ class CycloMatrix(SquareMatrix):
 
     @classmethod
     def identity(cls, dim: int, order: int = 1) -> CycloMatrix:
-        return cls(_scalar_rows(dim, CyclotomicNumber.one(order), CyclotomicNumber.zero(order)))
+        return cls(_unit_rows(order, dim))
 
     @property
     def is_identity(self) -> bool:

@@ -22,7 +22,13 @@ generator sigma_i is I outside row r = i-1 (numbering from 0) and, inside
 it, the row that the word loop's rule gives the letter (i, +1): t, -t
 and 1 in columns r-1, r and r+1. Each basis form H must also agree in that
 row and column with +-1 or 0 times the specialized S. All of these are
-comparisons of field elements.
+comparisons of field elements, and none builds a dense matrix: a
+generator's rows outside r are compared with the cached unit rows of
+``CycloMatrix.identity``, the very tuples ``specialized_burau`` emits for
+untouched rows, and row and column r of a form with the three nonzero
+entries of +-S's band at r. The field's zero and one, Squier's entries and
+their negatives are one shared instance each, so most equal entries are
+the same object and compare by identity.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .burau import burau_generator, burau_of_word, ev_map, projectively_equal, specialized_burau
-from .cyclotomic import CycloMatrix, CyclotomicNumber, root_exponent, specialize_poly
-from .laurent import LaurentMatrix, LaurentPoly, _scalar_rows
+from .cyclotomic import CycloMatrix, CyclotomicNumber, _unit_rows, root_exponent, specialize_poly
+from .laurent import LaurentMatrix, LaurentPoly
 from .words import BraidWord, count_text
 
 
@@ -67,10 +73,22 @@ class HermitianForm:
     schur_inertia: tuple[int, int, int]
 
     def __post_init__(self):
+        """Test h_ij = conj(h_ji) for every pair i <= j. A pair of two shared
+        zeros passes as it stands, and each distinct entry object is
+        conjugated once: a band form repeats a few objects along its rows."""
         rows, dim = self.matrix.rows, self.dim
-        pairs = ((rows[i][j], rows[j][i]) for i in range(dim) for j in range(i, dim))
-        if any(not (a.is_zero and b.is_zero) and a != b.conjugate() for a, b in pairs):
-            raise ValueError("matrix is not Hermitian")
+        zero = CyclotomicNumber.zero(rows[0][0].order)
+        conjugates = {}
+        for i in range(dim):
+            for j in range(i, dim):
+                a, b = rows[i][j], rows[j][i]
+                if a is zero and b is zero:
+                    continue
+                conj_b = conjugates.get(id(b))
+                if conj_b is None:
+                    conj_b = conjugates[id(b)] = b.conjugate()
+                if a != conj_b:
+                    raise ValueError("matrix is not Hermitian")
 
     @property
     def dim(self) -> int:
@@ -84,9 +102,10 @@ def _check_dims(n: int, m: int) -> None:
 
 def rho_generators(n: int, m: int, minus_q: CyclotomicNumber) -> MonodromyGenerators:
     """The n-1 monodromy generator matrices at the given evaluation point:
-    the products along the one-letter words sigma_1 .. sigma_{n-1}."""
+    the products along the one-letter words sigma_1 .. sigma_{n-1}
+    (``rho_product``), each built once as a word on m-1 strands."""
     _check_dims(n, m)
-    mats = tuple(rho_product(BraidWord(n, ((i, 1),)), m, minus_q) for i in range(1, n))
+    mats = tuple(specialized_burau(BraidWord(m - 1, ((i, 1),)), minus_q) for i in range(1, n))
     return MonodromyGenerators(n, m, minus_q, mats)
 
 
@@ -136,12 +155,19 @@ _SQUIER = (
 )
 
 
-def _tridiagonal(dim: int, diag, above, below, zero) -> list[list]:
-    return [
-        [diag if a == b else above if b == a + 1 else below if a == b + 1 else zero
-         for b in range(dim)]
-        for a in range(dim)
-    ]
+def _band(dim: int, r: int, entries: tuple, zero) -> tuple:
+    """Row r of the dim x dim tridiagonal matrix with these (diagonal,
+    above, below) entries: below in column r-1, the diagonal in column r
+    and above in column r+1, where those exist, and zero elsewhere. Column
+    r is row r of the transpose, whose entries are (diagonal, below, above)."""
+    diag, above, below = entries
+    row = [zero] * dim
+    row[r] = diag
+    if r:
+        row[r - 1] = below
+    if r + 1 < dim:
+        row[r + 1] = above
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +184,7 @@ def _laurent_certificate(entries: tuple[LaurentPoly, ...]) -> None:
     dimension. The entries are a parameter so that a form that is not
     invariant, such as Squier's transposed, can be shown to fail.
     """
-    s = LaurentMatrix(_tridiagonal(4, *entries, LaurentPoly.zero()))
+    s = LaurentMatrix(_band(4, r, entries, LaurentPoly.zero()) for r in range(4))
     for i in range(1, 5):
         g = burau_generator(5, i).matrix
         g_star = LaurentMatrix(
@@ -169,21 +195,25 @@ def _laurent_certificate(entries: tuple[LaurentPoly, ...]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple]:
-    """t^-1, and Squier's (diagonal, above, below), at t = zeta_order^k."""
+def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple, tuple]:
+    """t^-1, and Squier's (diagonal, above, below) and their negatives, at
+    t = zeta_order^k."""
     t = CyclotomicNumber.root_of_unity(order, k)
     t_inverse = CyclotomicNumber.root_of_unity(order, -k)
-    return t_inverse, tuple(specialize_poly(p, t) for p in _SQUIER)
+    entries = tuple(specialize_poly(p, t) for p in _SQUIER)
+    return t_inverse, entries, tuple(-x for x in entries)
 
 
-def _squier_at(t: CyclotomicNumber) -> tuple:
-    """Squier's (diagonal, above, below) at t = zeta_N^k. They are
-    ``_SQUIER`` specialized at t, with conj(t) read as t^-1, so conj(t) is
-    checked against t^-1 = zeta_N^-k first."""
-    t_inverse, entries = _values_at(t.order, root_exponent(t))
+def _squier_at(t: CyclotomicNumber) -> tuple[tuple, tuple]:
+    """Squier's (diagonal, above, below) at t = zeta_N^k, and their
+    negatives: one instance of each per root, which the form and its
+    invariance check share. They are ``_SQUIER`` specialized at t, with
+    conj(t) read as t^-1, so conj(t) is checked against t^-1 = zeta_N^-k
+    first."""
+    t_inverse, entries, negated = _values_at(t.order, root_exponent(t))
     if t.conjugate() != t_inverse:
         raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
-    return entries
+    return entries, negated
 
 
 def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenerators) -> None:
@@ -203,35 +233,34 @@ def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenera
     and, inside it, against the row of the letter (r+1, +1) by the word
     loop's rule (``burau._word_product``), t in column r-1, -t in column r
     and 1 in column r+1, where those columns exist; and row and column r
-    of every basis form against +-1 or 0 times S's.
+    of every basis form against +-1 or 0 times S's, built for that r alone
+    (``_band``).
     """
     _laurent_certificate(_SQUIER)
     t, dim = generators.minus_q, generators.m - 2
-    entries = _squier_at(t)
+    entries, negated = _squier_at(t)
     one, zero = CyclotomicNumber.one(t.order), CyclotomicNumber.zero(t.order)
-    identity = [tuple(row) for row in _scalar_rows(dim, one, zero)]
-    letter_row = ((-1, t), (0, -t), (1, one))
+    # The rows specialized_burau emits for untouched rows, so that equal
+    # entries compare by identity.
+    identity = _unit_rows(t.order, dim)
+    letter = (-t, one, t)
     for r, g in enumerate(generators.mats):
-        row_r = list(identity[r])
-        for offset, entry in letter_row:
-            if 0 <= r + offset < dim:
-                row_r[r + offset] = entry
-        expected = identity[:r] + [tuple(row_r)] + identity[r + 1:]
-        for a, (row, expected_row) in enumerate(zip(g.rows, expected)):
-            if row != expected_row:
+        letter_row = _band(dim, r, letter, zero)
+        for a, row in enumerate(g.rows):
+            if row != (letter_row if a == r else identity[a]):
                 raise NoInvariantForm(
                     f"G* H G != H: row {a} is not the Burau letter's for generator {r + 1}"
                 )
 
-    scaled = [
-        _tridiagonal(dim, *entries, zero),
-        _tridiagonal(dim, *[-x for x in entries], zero),
-        _scalar_rows(dim, zero, zero),
-    ]
+    scaled = (entries, negated, (zero, zero, zero))
     for j, h in enumerate(basis):
         for r in range(len(generators.mats)):
-            row, col = list(h.rows[r]), [h_row[r] for h_row in h.rows]
-            if not any(row == s[r] and col == [s_row[r] for s_row in s] for s in scaled):
+            row, col = h.rows[r], tuple(h_row[r] for h_row in h.rows)
+            if not any(
+                row == _band(dim, r, (diag, above, below), zero)
+                and col == _band(dim, r, (diag, below, above), zero)
+                for diag, above, below in scaled
+            ):
                 raise NoInvariantForm(
                     f"G* H G != H: basis form {j} is not +-1 or 0 times S in row and "
                     f"column {r} for generator {r + 1}"
@@ -262,7 +291,7 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     a = min(e, t.order - e)
     dim, lead, k = m - 2, n - 1, m - 1 - n
     zero, one = CyclotomicNumber.zero(t.order), CyclotomicNumber.one(t.order)
-    diag, above, below = _squier_at(t)
+    (diag, above, below), negated = _squier_at(t)
     # Leading minors: D_s = diag D_{s-1} - |1+t|^2 D_{s-2}, and |1+t|^2 = diag.
     minors = [one, diag]
     for _ in range(2, lead + 1):
@@ -275,7 +304,7 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     pos, neg, zeros = _squier_inertia(pivot, a, t.order)
     if pos > neg:
         pos, neg = neg, pos
-        diag, above, below = -diag, -above, -below
+        diag, above, below = negated
     if not k:
         first, schur = None, (0, 0, 0)
     elif singular:
@@ -290,8 +319,10 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
             grid[i][i + 1], grid[i + 1][i] = above, below
     form = HermitianForm(CycloMatrix(grid), pivot, (pos, neg, zeros), schur)
 
+    # The matrix unit at (i, j): row i is the unit row e_j, every other row zero.
+    units, zero_row = _unit_rows(t.order, dim), (zero,) * dim
     basis = (form.matrix,) + tuple(
-        CycloMatrix([[one if (a, b) == (i, j) else zero for b in range(dim)] for a in range(dim)])
+        CycloMatrix(units[j] if a == i else zero_row for a in range(dim))
         for i in range(lead, dim)
         for j in range(lead, dim)
     )

@@ -14,7 +14,7 @@ Run from anywhere, with the test dependencies installed:
 
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, or a pytest run does not finish normally.
-It starts one pytest run per mutant, about 25 s in all for the mutants
+It starts one pytest run per mutant, about 25 s in all for the 15 mutants
 below, so it is not part of the tier-1 run; pytest does not collect this
 file.
 """
@@ -56,6 +56,10 @@ CONJUGATE = "tests/test_cyclotomic.py::TestConjugate::test_conjugate_of_a_root_i
 MERGE = "tests/test_burau.py::TestLaurentStep::test_merge_matches_the_public_operators"
 CROSSED_V = "tests/test_burau.py::TestCrossedHomomorphism::test_generator_values"
 ZERO_PATTERN = "tests/test_burau.py::TestProjectiveEquality::test_zero_pattern_mismatch"
+OFF_BAND = "tests/test_monodromy.py::TestSignature::test_rejects_a_fault_off_the_band"
+BASIS_COLUMN = "tests/test_monodromy.py::TestInvariantForm::test_column_of_a_basis_form_is_checked"
+ROOT_LENGTH = "tests/test_burau.py::TestPowerEarlyStop::test_root_length_is_the_shortest_root"
+SCALAR_TEST = "tests/test_burau.py::TestPowerEarlyStop::test_scalar_test_is_made_in_the_field"
 
 MUTANTS = [
     Mutant(
@@ -134,6 +138,35 @@ MUTANTS = [
         "x.is_zero if y.is_zero else",
         "True if y.is_zero else",
         (ZERO_PATTERN,),
+    ),
+    Mutant(
+        "the Hermitian test skips the pairs off the tridiagonal band",
+        "src/burau_lab/monodromy.py",
+        "for j in range(i, dim):",
+        "for j in range(i, min(i + 2, dim)):",
+        (OFF_BAND,),
+    ),
+    Mutant(
+        "the basis check compares row r of a form but not column r",
+        "src/burau_lab/monodromy.py",
+        "row == _band(dim, r, (diag, above, below), zero)\n"
+        "                and col == _band(dim, r, (diag, below, above), zero)\n",
+        "row == _band(dim, r, (diag, above, below), zero)\n",
+        (BASIS_COLUMN,),
+    ),
+    Mutant(
+        "the root length's quick reject accepts p without the period test",
+        "src/burau_lab/burau.py",
+        "if letters[p:2 * p] == letters[:p] and letters[p:] == letters[:-p]:",
+        "if letters[p:2 * p] == letters[:p]:",
+        (ROOT_LENGTH,),
+    ),
+    Mutant(
+        "the scalar test never reaches the last row",
+        "src/burau_lab/burau.py",
+        "for i, packed in enumerate(rows):",
+        "for i, packed in enumerate(rows[:-1]):",
+        (SCALAR_TEST,),
     ),
 ]
 

@@ -503,6 +503,20 @@ class TestSpecializedBurau:
             expected = specialize_matrix(burau_of_word(w).matrix, x)
             assert specialized_burau(w, x) == expected, (w, x)
 
+    def test_untouched_rows_are_the_identity_rows(self):
+        # Every row but the letter's is the very row tuple of
+        # CycloMatrix.identity, built from the field's shared one and zero.
+        for n, d in ((3, 5), (6, 7), (10, 12)):
+            x = minus_q_from_d(d)
+            identity = CycloMatrix.identity(n - 1, x.order)
+            for i in range(1, n):
+                got = specialized_burau(BraidWord(n, ((i, 1),)), x)
+                for a, (row, unit) in enumerate(zip(got.rows, identity.rows)):
+                    if a != i - 1:
+                        assert row is unit and row == unit, (n, d, i, a)
+                        assert row[a] is CyclotomicNumber.one(x.order)
+                assert got.rows[i - 1] != identity.rows[i - 1]
+
     def test_first_generator_at_minus_i(self):
         # -t evaluates to i when t = -zeta_4 = -i.
         mq = minus_q_from_d(4)
@@ -613,27 +627,48 @@ class TestPowerEarlyStop:
     def test_scalar_test_is_made_in_the_field(self):
         # Rows over Z[x]/(x^3 + 1), the ring of orders 6 and 3, where
         # x -> zeta_6; 1 - x + x^2 is nonzero there but vanishes in the field.
-        # Each row is flat: entry j's coefficient of x^k at index 2k + j.
-        def flat(*rows):
-            return [[a for pair in zip(*row) for a in pair] for row in rows]
+        # Each row is flat, entry j's coefficient of x^k at index 2k + j, and
+        # packed into one int of 6 slots of 64 bits, as the word loop holds it.
+        def scalar_value(order, *rows):
+            flat = [[a for pair in zip(*row) for a in pair] for row in rows]
+            return _scalar_value([burau._pack(row, 64) for row in flat], order, 6, 64)
 
         one, zero, minus_one = [1, 0, 0], [0] * 3, [-1, 0, 0]
         vanishing = [1, -1, 1]
         one_plus_vanishing = [2, -1, 1]
-        assert _scalar_value(flat([one, vanishing], [vanishing, one_plus_vanishing]), 6) == 1
-        assert _scalar_value(flat([minus_one, zero], [zero, minus_one]), 6) == -1
-        assert _scalar_value(flat([one, zero], [zero, minus_one]), 6) is None
-        assert _scalar_value(flat([one, zero], [one, one]), 6) is None
+        assert scalar_value(6, [one, vanishing], [vanishing, one_plus_vanishing]) == 1
+        assert scalar_value(6, [minus_one, zero], [zero, minus_one]) == -1
+        assert scalar_value(6, [one, zero], [zero, minus_one]) is None
+        assert scalar_value(6, [one, zero], [one, one]) is None
         # At odd order 3, x is zeta_6 = -zeta_3^2: x^2 is zeta_3 and -x is
         # zeta_3^2, and the vanishing vector still vanishes.
         x_squared, minus_x = [0, 0, 1], [0, -1, 0]
         zeta3 = CyclotomicNumber.root_of_unity(3)
-        assert _scalar_value(
-            flat([x_squared, vanishing], [vanishing, [1, -1, 2]]), 3
-        ) == zeta3
-        assert _scalar_value(flat([minus_x, zero], [zero, minus_x]), 3) == zeta3**2
-        assert _scalar_value(flat([one, vanishing], [zero, minus_one]), 3) is None
-        assert _scalar_value(flat([x_squared, [1, 1, 0]], [zero, x_squared]), 3) is None
+        assert scalar_value(3, [x_squared, vanishing], [vanishing, [1, -1, 2]]) == zeta3
+        assert scalar_value(3, [minus_x, zero], [zero, minus_x]) == zeta3**2
+        assert scalar_value(3, [one, vanishing], [zero, minus_one]) is None
+        assert scalar_value(3, [x_squared, [1, 1, 0]], [zero, x_squared]) is None
+
+    def test_scalar_test_unpacks_rows_as_it_reaches_them(self, monkeypatch):
+        # A fault in row 0 ends the test before rows 1 and 2 are unpacked.
+        unpacked = []
+        inner = burau._unpack
+
+        def spy(row, *rest):
+            unpacked.append(row)
+            return inner(row, *rest)
+
+        monkeypatch.setattr(burau, "_unpack", spy)
+        one, zero = [1, 0, 0], [0, 0, 0]
+        rows = [[one, one, zero], [zero, one, zero], [zero, zero, one]]
+        packed = [burau._pack([a for slots in zip(*row) for a in slots], 64) for row in rows]
+        assert _scalar_value(packed, 6, 9, 64) is None
+        assert unpacked == packed[:1]
+        unpacked.clear()
+        rows[0][1] = zero
+        packed[0] = burau._pack([a for slots in zip(*rows[0]) for a in slots], 64)
+        assert _scalar_value(packed, 6, 9, 64) == 1
+        assert unpacked == packed
 
     def test_root_length_is_the_shortest_root(self):
         def naive(letters):

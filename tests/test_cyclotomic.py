@@ -254,6 +254,17 @@ class TestFieldArithmetic:
         assert abs(exact - approx) < 1e-10
 
 
+def test_zero_and_one_are_shared_per_field():
+    for order in (1, 2, 5, 12, 40):
+        zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)
+        assert CyclotomicNumber.zero(order) is zero and zero.is_zero
+        assert CyclotomicNumber.one(order) is one and one.is_one
+        assert zero == CyclotomicNumber.from_fraction(0, order)
+        assert one == CyclotomicNumber.from_fraction(1, order)
+        assert (zero.order, one.order) == (order, order)
+    assert CyclotomicNumber.zero(5) is not CyclotomicNumber.zero(10)
+
+
 class TestSpecialize:
     def test_alternating_sum_vanishes(self):
         # 1 - t + t^2 - ... + (-t)^(d-1) vanishes at t = -q for every

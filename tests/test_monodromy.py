@@ -430,6 +430,47 @@ class TestSignature:
             HermitianForm(CycloMatrix([[zero, zeta], [zeta, zero]]), 1, (0, 1, 0), (1, 0, 0))
 
 
+    @staticmethod
+    def band_form(dim: int) -> list[list]:
+        # Squier's form at -q for d = 7, read off the certified form.
+        return [list(row) for row in invariant_hermitian_form(
+            rho_generators(dim + 1, dim + 2, minus_q_from_d(7))
+        ).chosen.matrix.rows]
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_rejects_a_fault_off_the_band(self, dim):
+        # The band is Hermitian; only the pair (0, dim-1), (dim-1, 0) is not.
+        rows = self.band_form(dim)
+        HermitianForm(CycloMatrix(rows), 1, (0, 1, 0), (0, dim - 1, 0))
+        zeta = CyclotomicNumber.root_of_unity(rows[0][0].order)
+        rows[0][dim - 1] = zeta
+        assert rows[dim - 1][0] is CyclotomicNumber.zero(zeta.order)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianForm(CycloMatrix(rows), 1, (0, 1, 0), (0, dim - 1, 0))
+
+    def test_rejects_one_non_real_object_at_both_places(self):
+        # conj(x) != x, so x at (1, 2) and at (2, 1) fails, although the two
+        # entries are one object.
+        rows = self.band_form(4)
+        x = rows[1][2]
+        assert x.conjugate() != x
+        rows[2][1] = x
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianForm(CycloMatrix(rows), 1, (0, 1, 0), (0, 3, 0))
+
+    def test_fresh_zeros_are_tested_like_shared_ones(self):
+        # A zero that is not the field's shared instance is conjugated and
+        # compared, and passes against a zero.
+        zero = CyclotomicNumber.zero(5)
+        fresh = CyclotomicNumber(5, [0, 0, 0, 0])
+        assert fresh is not zero
+        rows = [[CyclotomicNumber.one(5), fresh], [zero, -CyclotomicNumber.one(5)]]
+        HermitianForm(CycloMatrix(rows), 1, (1, 0, 0), (0, 1, 0))
+        rows[1][0] = CyclotomicNumber.root_of_unity(5)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianForm(CycloMatrix(rows), 1, (1, 0, 0), (0, 1, 0))
+
+
 def test_import_leaves_numpy_unloaded():
     src = Path(burau_lab.__file__).resolve().parent.parent
     code = "import sys, burau_lab; sys.exit('numpy' in sys.modules)"
