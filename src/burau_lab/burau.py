@@ -69,7 +69,14 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycloMatrix, CyclotomicNumber, _unit_rows, root_exponent, specialize_matrix
+from .cyclotomic import (
+    CycloMatrix,
+    CyclotomicNumber,
+    _roots_of_unity,
+    _unit_rows,
+    root_exponent,
+    specialize_matrix,
+)
 from .laurent import LaurentMatrix, LaurentPoly, _accumulate, _raw, _scalar_rows
 from .words import BraidWord
 
@@ -240,7 +247,16 @@ def _field_value(order: int, v: list) -> CyclotomicNumber:
     zeta_order. For odd order it is -zeta_order^((order+1)/2), so the
     coefficient of x^e goes to zeta_order^(e*(order+1)/2) with sign (-1)^e:
     a signed permutation of the powers, as (order+1)/2 is a unit mod order.
+
+    A single +-x^e, which most entries of a letter's row and of a short
+    word's product are, is the root of unity zeta_2H^e or, as x^H = -1,
+    zeta_2H^(e+H): the field's shared instance (``_roots_of_unity``), with
+    no reduction.
     """
+    if v.count(0) == len(v) - 1:
+        c = sum(v)
+        if c == 1 or c == -1:
+            return _roots_of_unity(order)[v.index(c) + (0 if c == 1 else len(v))]
     if order % 2:
         half = (order + 1) // 2
         powers = [0] * order
@@ -317,7 +333,8 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     Only the entries that can differ from the identity's are read: a row
     equal to the packed unit row e_i, such as one no letter touched, is
     emitted as the cached row e_i of ``CycloMatrix.identity``, which holds
-    the field's shared one and zero, and a zero entry skips the reduction.
+    the field's shared one and zero, a zero entry skips the reduction, and
+    a single +-x^e is the field's shared root of unity.
 
     The word is written as u^k with u its shortest root and applied one
     copy of u at a time. When the product after j copies, j a proper

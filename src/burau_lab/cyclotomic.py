@@ -156,6 +156,10 @@ class CyclotomicNumber:
     1) is built by ``_canonical`` without renormalizing: with denominator 1
     it is canonical as it stands. Every other result goes through
     ``__init__``.
+
+    Elements are immutable: assigning or deleting an attribute raises
+    AttributeError, as zero, one and the roots of unity of each field are
+    shared instances that every caller holds.
     """
 
     __slots__ = ("order", "_num", "_den")
@@ -182,9 +186,20 @@ class CyclotomicNumber:
             vec = [a // g for a in vec]
         if not any(vec):
             den = 1
-        self.order = order
-        self._num = tuple(vec)
-        self._den = den
+        _set_order(self, order)
+        _set_num(self, tuple(vec))
+        _set_den(self, den)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CyclotomicNumber is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CyclotomicNumber is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild the element from its canonical slots, as
+        # they cannot assign them.
+        return _canonical, (self.order, self._num, self._den)
 
     # -- constructors ------------------------------------------------------
 
@@ -215,9 +230,10 @@ class CyclotomicNumber:
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> CyclotomicNumber:
-        """zeta_order^power, reduced into the field of the given order."""
-        deg, rows = _field(order)
-        return cls(order, rows[power % order])
+        """zeta_order^power, reduced into the field of the given order: the
+        field's shared instance (``_roots_of_unity``)."""
+        roots = _roots_of_unity(order)
+        return roots[power * (len(roots) // order) % len(roots)]
 
     # -- structure ---------------------------------------------------------
 
@@ -413,16 +429,43 @@ def _canonical(order: int, num: tuple[int, ...], den: int = 1) -> CyclotomicNumb
     must already be canonical (see CyclotomicNumber), as they are for den 1
     and for the negation or conjugate of a canonical element."""
     x = object.__new__(CyclotomicNumber)
-    x.order, x._num, x._den = order, num, den
+    _set_order(x, order)
+    _set_num(x, num)
+    _set_den(x, den)
     return x
+
+
+# The slots' own setters: the one way to fill a new element's slots, as
+# CyclotomicNumber refuses attribute assignment.
+_set_order = CyclotomicNumber.order.__set__
+_set_num = CyclotomicNumber._num.__set__
+_set_den = CyclotomicNumber._den.__set__
+
+
+@lru_cache(maxsize=None)
+def _roots_of_unity(order: int) -> tuple[CyclotomicNumber, ...]:
+    """Every root of unity of Q(zeta_order), one shared instance each, read
+    off the reduction rows. They form a cyclic group of order R, R = order
+    for even order and 2 * order for odd order, and entry p is zeta_R^p:
+    zeta_order^k is entry k * R/order, and -zeta_R^p is entry p + R/2
+    (mod R). For odd order, zeta_R = -zeta_order^h with h = (order + 1)/2,
+    so entry p is (-1)^p * zeta_order^(p*h)."""
+    _, rows = _field(order)
+    powers = [_canonical(order, rows[e]) for e in range(order)]
+    if order % 2 == 0:
+        return tuple(powers)
+    h = (order + 1) // 2
+    return tuple(
+        -powers[p * h % order] if p % 2 else powers[p * h % order] for p in range(2 * order)
+    )
 
 
 @lru_cache(maxsize=None)
 def _constants(order: int) -> tuple[CyclotomicNumber, CyclotomicNumber]:
-    """(zero, one) of Q(zeta_order). Elements are never mutated, so one
-    instance of each serves every caller."""
+    """(zero, one) of Q(zeta_order). Elements cannot be changed, so one
+    instance of each serves every caller; one is the shared zeta_order^0."""
     deg, _ = _field(order)
-    return CyclotomicNumber(order, [0] * deg), CyclotomicNumber(order, [1] + [0] * (deg - 1))
+    return CyclotomicNumber(order, [0] * deg), _roots_of_unity(order)[0]
 
 
 @lru_cache(maxsize=None)

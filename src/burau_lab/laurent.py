@@ -259,7 +259,10 @@ def _scalar_rows(dim: int, c, zero) -> list[list]:
 
 
 class SquareMatrix:
-    """A square matrix over an exact commutative ring, immutable once built.
+    """A square matrix over an exact commutative ring, immutable once built:
+    assigning or deleting an attribute raises AttributeError, so a matrix
+    that a cache hands to every caller, such as a monodromy generator,
+    cannot be changed by one of them.
 
     The operations are the same for every ring. Entries need only
     ``+ - *`` (also with an int operand) and ``is_zero``: the ring's zero
@@ -275,8 +278,19 @@ class SquareMatrix:
         dim = len(grid)
         if dim == 0 or any(len(row) != dim for row in grid):
             raise DimensionMismatch("matrix must be square and nonempty")
-        self.dim = dim
-        self._rows = grid
+        _set_dim(self, dim)
+        _set_rows(self, grid)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild the matrix from its rows, as they cannot
+        # assign its slots.
+        return type(self), (self._rows,)
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -326,6 +340,11 @@ class SquareMatrix:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
+
+
+# The slots' own setters, which ``SquareMatrix.__init__`` fills a new matrix with.
+_set_dim = SquareMatrix.dim.__set__
+_set_rows = SquareMatrix._rows.__set__
 
 
 class LaurentMatrix(SquareMatrix):

@@ -9,9 +9,12 @@ identity padding sends sigma_i in B_n to sigma_i in B_{m-1}, so a product
 of monodromy generators along a word is the specialized Burau image of the
 same word on m-1 strands, computed by the one word-product loop of
 ``burau``; the evaluation of the Burau generator images is the definition
-this identity is tested against. The invariant form is Squier's (Proc. AMS
-90, 1984); its inertia is read off in closed form and added up over a Schur
-complement (Haynsworth, Linear Algebra Appl. 1, 1968).
+this identity is tested against. The generators of a point are built once
+and cached under (n, m, N, k), -q = zeta_N^k (``rho_generators``): every
+later call at that point shares the one immutable result. The invariant
+form is Squier's (Proc. AMS 90, 1984); its inertia is read off in closed
+form and added up over a Schur complement (Haynsworth, Linear Algebra
+Appl. 1, 1968).
 
 Its invariance is proved without field products. G(t^-1)^T S G(t) = S is
 an identity over Z[t, t^-1], checked once, exactly, for the three shapes
@@ -26,9 +29,10 @@ comparisons of field elements, and none builds a dense matrix: a
 generator's rows outside r are compared with the cached unit rows of
 ``CycloMatrix.identity``, the very tuples ``specialized_burau`` emits for
 untouched rows, and row and column r of a form with the three nonzero
-entries of +-S's band at r. The field's zero and one, Squier's entries and
-their negatives are one shared instance each, so most equal entries are
-the same object and compare by identity.
+entries of +-S's band at r. The field's zero and one, its roots of unity
+t, t^-1 and -t, Squier's entries and their negatives are one shared
+instance each, and a generator's row holds the very same t, -t and 1, so
+most equal entries are the same object and compare by identity.
 """
 
 from __future__ import annotations
@@ -37,7 +41,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .burau import burau_generator, burau_of_word, ev_map, projectively_equal, specialized_burau
-from .cyclotomic import CycloMatrix, CyclotomicNumber, _unit_rows, root_exponent, specialize_poly
+from .cyclotomic import (
+    CycloMatrix,
+    CyclotomicNumber,
+    _roots_of_unity,
+    _unit_rows,
+    root_exponent,
+    specialize_poly,
+)
 from .laurent import LaurentMatrix, LaurentPoly
 from .words import BraidWord, count_text
 
@@ -103,8 +114,25 @@ def _check_dims(n: int, m: int) -> None:
 def rho_generators(n: int, m: int, minus_q: CyclotomicNumber) -> MonodromyGenerators:
     """The n-1 monodromy generator matrices at the given evaluation point:
     the products along the one-letter words sigma_1 .. sigma_{n-1}
-    (``rho_product``), each built once as a word on m-1 strands."""
+    (``rho_product``), each a word on m-1 strands.
+
+    They are built once per point and cached under (n, m, N, k), for
+    minus_q = zeta_N^k (``root_exponent``): every later call at that point
+    returns the same object, whose matrices and values cannot be changed.
+    The dims and the point are checked on every call, before the lookup,
+    so a bad (n, m) raises InvalidDims, zero ZeroInput and any other point
+    that is no zeta_N^k NotARoot. The key is (N, k), not minus_q: rationals
+    of different fields compare and hash equal, and -1 in Q, which is no
+    power of zeta_1, must not find the generators of -1 = zeta_2.
+    """
     _check_dims(n, m)
+    return _generators_at(n, m, minus_q.order, root_exponent(minus_q))
+
+
+@lru_cache(maxsize=None)
+def _generators_at(n: int, m: int, order: int, k: int) -> MonodromyGenerators:
+    """``rho_generators`` at t = zeta_order^k, the field's shared instance."""
+    minus_q = CyclotomicNumber.root_of_unity(order, k)
     mats = tuple(specialized_burau(BraidWord(m - 1, ((i, 1),)), minus_q) for i in range(1, n))
     return MonodromyGenerators(n, m, minus_q, mats)
 
@@ -195,25 +223,30 @@ def _laurent_certificate(entries: tuple[LaurentPoly, ...]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple, tuple]:
-    """t^-1, and Squier's (diagonal, above, below) and their negatives, at
-    t = zeta_order^k."""
-    t = CyclotomicNumber.root_of_unity(order, k)
-    t_inverse = CyclotomicNumber.root_of_unity(order, -k)
-    entries = tuple(specialize_poly(p, t) for p in _SQUIER)
-    return t_inverse, entries, tuple(-x for x in entries)
+def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple, tuple, tuple]:
+    """At t = zeta_order^k: t^-1; the (diagonal, above, below) entries
+    (-t, 1, t) of the Burau letter's row; and Squier's (diagonal, above,
+    below) and their negatives. t, t^-1, -t and 1 are the field's shared
+    roots of unity (``cyclotomic._roots_of_unity``), read off the reduction
+    rows, and the very instances a generator's row holds."""
+    roots = _roots_of_unity(order)
+    size = len(roots)
+    p = k * (size // order)
+    t, t_inverse, minus_t = roots[p % size], roots[-p % size], roots[(p + size // 2) % size]
+    entries = tuple(specialize_poly(poly, t) for poly in _SQUIER)
+    return t_inverse, (minus_t, roots[0], t), entries, tuple(-x for x in entries)
 
 
-def _squier_at(t: CyclotomicNumber) -> tuple[tuple, tuple]:
-    """Squier's (diagonal, above, below) at t = zeta_N^k, and their
-    negatives: one instance of each per root, which the form and its
-    invariance check share. They are ``_SQUIER`` specialized at t, with
-    conj(t) read as t^-1, so conj(t) is checked against t^-1 = zeta_N^-k
-    first."""
-    t_inverse, entries, negated = _values_at(t.order, root_exponent(t))
+def _squier_at(t: CyclotomicNumber) -> tuple[tuple, tuple, tuple]:
+    """The Burau letter's (diagonal, above, below) at t = zeta_N^k, and
+    Squier's and their negatives: one instance of each per root, which the
+    form and its invariance check share. Squier's are ``_SQUIER``
+    specialized at t, with conj(t) read as t^-1, so conj(t) is checked
+    against t^-1 = zeta_N^-k first."""
+    t_inverse, letter, entries, negated = _values_at(t.order, root_exponent(t))
     if t.conjugate() != t_inverse:
         raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
-    return entries, negated
+    return letter, entries, negated
 
 
 def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenerators) -> None:
@@ -238,12 +271,11 @@ def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenera
     """
     _laurent_certificate(_SQUIER)
     t, dim = generators.minus_q, generators.m - 2
-    entries, negated = _squier_at(t)
-    one, zero = CyclotomicNumber.one(t.order), CyclotomicNumber.zero(t.order)
-    # The rows specialized_burau emits for untouched rows, so that equal
-    # entries compare by identity.
+    letter, entries, negated = _squier_at(t)
+    zero = CyclotomicNumber.zero(t.order)
+    # The rows specialized_burau emits for untouched rows, and the letter's
+    # shared entries, so that equal entries compare by identity.
     identity = _unit_rows(t.order, dim)
-    letter = (-t, one, t)
     for r, g in enumerate(generators.mats):
         letter_row = _band(dim, r, letter, zero)
         for a, row in enumerate(g.rows):
@@ -291,7 +323,7 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     a = min(e, t.order - e)
     dim, lead, k = m - 2, n - 1, m - 1 - n
     zero, one = CyclotomicNumber.zero(t.order), CyclotomicNumber.one(t.order)
-    (diag, above, below), negated = _squier_at(t)
+    _, (diag, above, below), negated = _squier_at(t)
     # Leading minors: D_s = diag D_{s-1} - |1+t|^2 D_{s-2}, and |1+t|^2 = diag.
     minors = [one, diag]
     for _ in range(2, lead + 1):

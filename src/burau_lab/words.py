@@ -171,9 +171,7 @@ class BraidWord:
         return BraidWord(self.strands_n, self.letters + other.letters)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(
-            self.strands_n, tuple((i, -e) for i, e in reversed(self.letters))
-        )
+        return BraidWord(self.strands_n, _inverse_letters(self.letters))
 
     def __str__(self) -> str:
         if not self.letters:
@@ -197,6 +195,11 @@ class BraidWord:
                 run_letter, run = letter, 1
         flush()
         return " ".join(parts)
+
+
+def _inverse_letters(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The letters of the inverse word: reversed, each with its sign negated."""
+    return [(i, -e) for i, e in reversed(letters)]
 
 
 def free_reduce(word: BraidWord) -> BraidWord:
@@ -313,8 +316,7 @@ def _expand_power(letters: list[tuple[int, int]], exponent: int) -> list[tuple[i
     _check_length(len(letters) * abs(exponent))
     if exponent >= 0:
         return letters * exponent
-    inverted = [(i, -e) for i, e in reversed(letters)]
-    return inverted * (-exponent)
+    return _inverse_letters(letters) * (-exponent)
 
 
 def random_word(strands_n: int, length: int, rng: random.Random) -> BraidWord:
@@ -357,10 +359,10 @@ def sample_normal_closure(
     for _ in range(num_factors):
         g = gens[rng.randrange(len(gens))].letters
         if rng.random() < 0.5:
-            g = [(i, -e) for i, e in reversed(g)]
+            g = _inverse_letters(g)
         conj = random_word(strands_n, rng.randint(0, max_conj_len), rng).letters
         _check_length(len(letters) + 2 * len(conj) + len(g))
         letters += conj
         letters += g
-        letters += [(i, -e) for i, e in reversed(conj)]
+        letters += _inverse_letters(conj)
     return BraidWord(strands_n, tuple(letters))

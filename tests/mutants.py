@@ -14,7 +14,7 @@ Run from anywhere, with the test dependencies installed:
 
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, or a pytest run does not finish normally.
-It starts one pytest run per mutant, about 25 s in all for the 15 mutants
+It starts one pytest run per mutant, about 28 s in all for the 17 mutants
 below, so it is not part of the tier-1 run; pytest does not collect this
 file.
 """
@@ -60,6 +60,10 @@ OFF_BAND = "tests/test_monodromy.py::TestSignature::test_rejects_a_fault_off_the
 BASIS_COLUMN = "tests/test_monodromy.py::TestInvariantForm::test_column_of_a_basis_form_is_checked"
 ROOT_LENGTH = "tests/test_burau.py::TestPowerEarlyStop::test_root_length_is_the_shortest_root"
 SCALAR_TEST = "tests/test_burau.py::TestPowerEarlyStop::test_scalar_test_is_made_in_the_field"
+CACHE_KEY = "tests/test_monodromy.py::TestGeneratorCache::test_key_is_the_field_and_exponent"
+SHARED_ROOTS = (
+    "tests/test_burau.py::TestSpecializedBurau::test_signed_unit_vectors_are_the_shared_roots"
+)
 
 MUTANTS = [
     Mutant(
@@ -167,6 +171,20 @@ MUTANTS = [
         "for i, packed in enumerate(rows):",
         "for i, packed in enumerate(rows[:-1]):",
         (SCALAR_TEST,),
+    ),
+    Mutant(
+        "the generators are cached under minus_q itself, not (N, k)",
+        "src/burau_lab/monodromy.py",
+        "def rho_generators(",
+        "@lru_cache(maxsize=None)\ndef rho_generators(",
+        (CACHE_KEY,),
+    ),
+    Mutant(
+        "a single -x^e is read from the table as +x^e",
+        "src/burau_lab/burau.py",
+        "v.index(c) + (0 if c == 1 else len(v))",
+        "v.index(c) + (len(v) if c == 1 else 0)",
+        (SHARED_ROOTS,),
     ),
 ]
 

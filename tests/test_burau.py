@@ -34,7 +34,7 @@ from burau_lab.cyclotomic import (
     specialize_poly,
 )
 from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible, _accumulate
-from burau_lab.monodromy import rho_generators
+from burau_lab.monodromy import _values_at, rho_generators
 from burau_lab.words import BraidWord, parse_word, random_word
 from oracles import leibniz_det, q_point, scaled, writhe
 
@@ -465,6 +465,32 @@ class TestSpecializedBurau:
                                     assert _field_value(order, entry) == specialize_poly(
                                         LaurentPoly.t(s), x
                                     ), case
+
+    def test_signed_unit_vectors_are_the_shared_roots(self):
+        # A single +-x^e is read from the field's table of roots of unity;
+        # it must equal the reduction of that vector, after the signed
+        # permutation x^e -> (-1)^e zeta_N^(e(N+1)/2) for odd N, and t^-1
+        # of the signature check, read from the same table, must be t's.
+        for order in range(1, 81):
+            half = order // 2 if order % 2 == 0 else order
+            for e in range(half):
+                for c in (1, -1):
+                    powers = [0] * order
+                    if order % 2:
+                        powers[e * (order + 1) // 2 % order] = -c if e % 2 else c
+                    else:
+                        powers[e] = c
+                    v = [0] * half
+                    v[e] = c
+                    value = _field_value(order, v)
+                    assert value == CyclotomicNumber.from_powers(order, powers), (order, e, c)
+                    assert _field_value(order, list(v)) is value
+            for k in range(order):
+                t = CyclotomicNumber.root_of_unity(order, k)
+                t_inverse, (minus_t, one, at_t), _, _ = _values_at(order, k)
+                assert t_inverse == CyclotomicNumber.root_of_unity(order, -k)
+                assert (t * t_inverse).is_one and one.is_one
+                assert at_t is t and minus_t == -t
 
     def test_rings_of_degree_one(self):
         # H = 1: at order 1 (x = 1) and order 2 (x = -1) the ring is

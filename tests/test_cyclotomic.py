@@ -1,6 +1,8 @@
 import cmath
+import copy
 import math
 import operator
+import pickle
 import random
 import subprocess
 import sys
@@ -27,6 +29,7 @@ from burau_lab.cyclotomic import (
     specialize_matrix,
     specialize_poly,
     _polydiv_exact,
+    _roots_of_unity,
     _substitute,
 )
 from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible
@@ -263,6 +266,57 @@ def test_zero_and_one_are_shared_per_field():
         assert one == CyclotomicNumber.from_fraction(1, order)
         assert (zero.order, one.order) == (order, order)
     assert CyclotomicNumber.zero(5) is not CyclotomicNumber.zero(10)
+
+
+class TestImmutable:
+    """Elements and matrices refuse assignment and deletion: zero, one, the
+    roots of unity and the unit rows are shared by every caller, so a change
+    to one of them would change every matrix that holds it."""
+
+    VALUES = {"order": 7, "_num": (1, 0, 0, 0), "_den": 3}
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_shared_elements(self, name):
+        shared = (
+            CyclotomicNumber.zero(5),
+            CyclotomicNumber.one(5),
+            CyclotomicNumber.root_of_unity(5, 3),
+            _roots_of_unity(7)[9],
+        )
+        before = [(x.order, x.numerators, x.denominator) for x in shared]
+        for x in shared:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(x, name, self.VALUES[name])
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(x, name)
+        assert [(x.order, x.numerators, x.denominator) for x in shared] == before
+        assert CyclotomicNumber.zero(5).is_zero and CyclotomicNumber.one(5).is_one
+        assert CyclotomicNumber.one(5).order == 5 and CyclotomicNumber.one(5) is shared[1]
+        assert CyclotomicNumber.root_of_unity(5, 3) is shared[2]
+
+    @pytest.mark.parametrize("name, value", [("_rows", ((1,),)), ("dim", 1)])
+    def test_identity_matrix(self, name, value):
+        identity = CycloMatrix.identity(3, 5)
+        for m in (identity, LaurentMatrix.identity(2)):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(m, name, value)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(m, name)
+        assert identity.dim == 3 and identity.is_identity
+        assert CycloMatrix.identity(3, 5).rows == identity.rows
+
+    def test_pickle_and_copy_rebuild_values(self):
+        # They cannot assign slots, so each value says how to rebuild itself.
+        x = CyclotomicNumber(12, [1, -2, 0, 3], 5)
+        values = (
+            x,
+            minus_q_from_d(7),
+            CycloMatrix([[x, CyclotomicNumber.zero(12)], [x * x, CyclotomicNumber.one(12)]]),
+            LaurentMatrix.identity(3),
+        )
+        for value in values:
+            for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+                assert type(clone) is type(value) and clone == value
 
 
 class TestSpecialize:

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,12 +9,19 @@ import pytest
 
 import burau_lab
 from burau_lab import monodromy
-from burau_lab.burau import burau_generator, burau_of_word, ev_map, projectively_equal
+from burau_lab.burau import (
+    burau_generator,
+    burau_of_word,
+    ev_map,
+    projectively_equal,
+    specialized_burau,
+)
 from burau_lab.cli import KERNEL_TABLE_FIXTURE
 from burau_lab.cyclotomic import (
     CycloMatrix,
     CyclotomicNumber,
     NotARoot,
+    ZeroInput,
     minus_q_from_d,
     specialize_matrix,
 )
@@ -81,6 +89,66 @@ class TestRhoGenerators:
             rho_generators(4, 4, mq)
         with pytest.raises(InvalidDims):
             rho_generators(2, 5, mq)
+
+
+def _signature_points() -> list[tuple[int, int, int]]:
+    """(n, d, m): the m = n+1 points with 3 <= n <= 10 and 3 <= d <= 40 whose
+    equal-curvature cone sphere exists (last curvature 2 - n(d-2)/(2d) in
+    (0, 1)), and the kernel table's rows at m = n+2."""
+    points = [
+        (n, d, n + 1)
+        for n in range(3, 11)
+        for d in range(3, 41)
+        if 0 < 2 - n * Fraction(d - 2, 2 * d) < 1
+    ]
+    return points + [(n, d, n + 2) for n, d, _, _ in KERNEL_TABLE_FIXTURE]
+
+
+class TestGeneratorCache:
+    """rho_generators builds each point's generators once and caches them
+    under (n, m, N, k), after checking the dims and the point."""
+
+    def test_key_is_the_field_and_exponent(self):
+        # -1 is zeta_2 in Q(zeta_2), and compares and hashes equal to -1 in
+        # Q, which is no power of zeta_1: that point must still be refused.
+        assert rho_generators(3, 4, CyclotomicNumber.from_fraction(-1, 2)).minus_q.order == 2
+        with pytest.raises(NotARoot):
+            rho_generators(3, 4, CyclotomicNumber.from_fraction(-1, 1))
+        mq = minus_q_from_d(5)
+        rho_generators(4, 5, mq)
+        with pytest.raises(InvalidDims):
+            rho_generators(4, 4, mq)
+        with pytest.raises(ZeroInput):
+            rho_generators(4, 5, CyclotomicNumber.zero(mq.order))
+
+    def test_cached_generators_equal_a_fresh_build(self):
+        points = _signature_points()
+        assert len(points) == 102
+        for n, d, m in points:
+            mq = minus_q_from_d(d)
+            gens = rho_generators(n, m, mq)
+            for i in range(1, n):
+                fresh = specialized_burau(BraidWord(m - 1, ((i, 1),)), mq)
+                assert gens.mats[i - 1] == fresh, (n, d, m, i)
+            # An equal point that is another object finds the same result.
+            again = CyclotomicNumber(mq.order, mq.numerators)
+            assert again is not gens.minus_q
+            assert rho_generators(n, m, again) is gens
+            assert (gens.strands_n, gens.m, gens.minus_q) == (n, m, mq)
+
+    @pytest.mark.parametrize("name, value", [("_rows", ((1,),)), ("dim", 1)])
+    def test_cached_matrices_refuse_assignment(self, name, value):
+        gens = rho_generators(4, 6, minus_q_from_d(7))
+        g = gens.mats[0]
+        before = g.rows
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(g, name, value)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(g, name)
+        with pytest.raises(FrozenInstanceError):
+            gens.mats = ()
+        assert rho_generators(4, 6, minus_q_from_d(7)).mats[0] is g
+        assert g.rows is before and g.dim == 4
 
 
 class TestDiagramCheck:

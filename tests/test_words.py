@@ -256,6 +256,16 @@ class TestSampler:
         c = sample_normal_closure(4, gens, 2, 5, seed=8)
         assert a != c  # overwhelmingly likely under any sane sampling
 
+    def test_output_pinned_for_a_fixed_seed(self):
+        # c s1 s2^-1 c^-1 twice, then the inverse s2 s1^-1 with an empty
+        # conjugator: both inversions of the sampler, letter for letter.
+        w = sample_normal_closure(3, [parse_word("s1 s2^-1", 3)], 3, 2, seed=11)
+        assert w.letters == (
+            (2, 1), (1, 1), (2, -1), (2, -1),
+            (1, 1), (1, 1), (2, -1), (1, -1),
+            (2, 1), (1, -1),
+        )
+
     def test_length_bound(self):
         gens = [parse_word("s1^3", 4), parse_word("T3^2", 4)]
         for seed in range(10):
