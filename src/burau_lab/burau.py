@@ -24,9 +24,12 @@ One loop, ``_word_product``, reads the word's own letters (i, s) and
 applies that step to a list of rows in place, over either of two rings,
 each supplying the step as a function of (row_{i+s}, row_{i-s}, row_i, s):
 
-- Z[t, t^-1], for the exact Laurent image (``burau_of_word``), where
-  each new entry is one merge of coefficients (``laurent._accumulate``):
-  a's copied, b's added and c's subtracted at exponent e + s;
+- Z[t, t^-1], for the exact Laurent image (``burau_of_word``). A row is
+  one coefficient map keyed e * dim + j, the coefficient of t^e in entry
+  j, so t^s moves the whole row by s * dim keys, and a letter is two
+  merges (``laurent._accumulate``): a's map copied, b's added and c's
+  subtracted at key + s * dim, every cancelled coefficient dropped. Each
+  row is split into its dim polynomials once, at the end;
 - Z[x]/(x^H + 1) with x -> zeta_2H, for a specialization at a root of
   unity t = -q = zeta_N^k (``specialized_burau``). H is N/2 for even N
   and N for odd N, where Q(zeta_2N) = Q(zeta_N), so zeta_N is a power
@@ -77,7 +80,14 @@ from .cyclotomic import (
     root_exponent,
     specialize_matrix,
 )
-from .laurent import LaurentMatrix, LaurentPoly, _accumulate, _raw, _scalar_rows
+from .laurent import (
+    LaurentMatrix,
+    LaurentPoly,
+    _accumulate,
+    _identity_rows,
+    _raw,
+    _scalar_rows,
+)
 from .words import BraidWord
 
 
@@ -123,24 +133,53 @@ def _word_product(letters, rows: list, step) -> None:
         rows[i] = step(rows[i + s], rows[i - s], rows[i], s)
 
 
-def _laurent_step(a: list, b: list, c: list, s: int) -> list:
-    """a + t^s * (b - c), entrywise over Z[t, t^-1], each entry one merge
-    into a copy of a's coefficients; where b and c are both zero, a's
-    entry is kept."""
-    return [
-        _raw(_accumulate(_accumulate(x.coeffs, y, s), z, s, -1)) if y or z else x
-        for x, y, z in zip(a, b, c)
-    ]
+@lru_cache(maxsize=None)
+def _laurent_step_at(dim: int):
+    """The ``_word_product`` step over Z[t, t^-1] for rows of dim entries,
+    each row one coefficient map keyed e * dim + j for the coefficient of
+    t^e in entry j: step(a, b, c, s) = a + t^s * (b - c). Multiplying a
+    row by t^s adds s * dim to every key, so the step is a copy of a's map
+    with b's merged in and c's merged out at that shift. The inputs are
+    not changed."""
+    def step(a: dict, b: dict, c: dict, s: int) -> dict:
+        shift = s * dim
+        return _accumulate(_accumulate(dict(a), b, shift), c, shift, -1)
+
+    return step
+
+
+def _laurent_row(row: dict, dim: int) -> list[LaurentPoly]:
+    """The dim entries of a row held as one coefficient map (see
+    ``_laurent_step_at``): key e * dim + j goes to t^e of entry j, and an
+    entry with no coefficient is the shared zero."""
+    entries = [{} for _ in range(dim)]
+    for key, c in row.items():
+        e, j = divmod(key, dim)
+        entries[j][e] = c
+    zero = LaurentPoly.zero()
+    return [_raw(m) if m else zero for m in entries]
 
 
 def burau_of_word(word: BraidWord) -> BurauImage:
     """The Burau image of a word: the exact product of generator images in
-    word order."""
+    word order.
+
+    Each row is one coefficient map while the letters are applied
+    (``_laurent_step_at``) and is split into its dim polynomials at the
+    end. A row that no letter touched is emitted as the shared unit row of
+    ``LaurentMatrix.identity``, which holds ``LaurentPoly.one()`` and
+    ``zero()``.
+    """
     n = word.strands_n
-    pad = [LaurentPoly.zero()] * (n - 1)
-    rows = [pad, *_scalar_rows(n - 1, LaurentPoly.one(), LaurentPoly.zero()), pad]
-    _word_product(word.letters, rows, _laurent_step)
-    return BurauImage(n, LaurentMatrix(rows[1:-1]))
+    dim = n - 1
+    start = [{i: 1} for i in range(dim)]
+    rows = [{}, *start, {}]
+    _word_product(word.letters, rows, _laurent_step_at(dim))
+    units = _identity_rows(dim)
+    return BurauImage(n, LaurentMatrix(
+        units[i] if row is start[i] else _laurent_row(row, dim)
+        for i, row in enumerate(rows[1:-1])
+    ))
 
 
 def _half_order(order: int) -> int:
@@ -407,8 +446,8 @@ def crossed_v(image: BurauImage) -> tuple[LaurentPoly, ...]:
         acc = {0: 1, i + 1: -1}
         for j, a in enumerate(row):
             if a:
-                _accumulate(acc, a, 0, -1)
-                _accumulate(acc, a, j + 1)
+                _accumulate(acc, a._coeffs, 0, -1)
+                _accumulate(acc, a._coeffs, j + 1)
         out.append(_raw(acc).exact_div(denom))
     return tuple(out)
 
@@ -439,17 +478,27 @@ class ProjectiveMatrix:
 
 
 def projectively_equal(a: CycloMatrix, b: CycloMatrix) -> bool:
-    """True when a = c*b for some nonzero scalar c, by exact arithmetic."""
+    """True when a = c*b for some nonzero scalar c, by exact arithmetic.
+
+    c is x/y for the first pair (x, y) of entries that are not both zero.
+    When x == y, c is 1 and the test is a.rows == b.rows, which every
+    true diagram audit meets: ``ev_map`` and ``rho_product`` give the
+    same matrix there. Any other c is tested entry by entry.
+    """
     if a.dim != b.dim:
         return False
-    pairs = [(x, y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)]
+    pairs = ((x, y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
     first = next(((x, y) for x, y in pairs if not (x.is_zero and y.is_zero)), None)
     if first is None:
         return True  # both zero matrices
     x, y = first
     if x.is_zero or y.is_zero:
         return False
-    # A zero-pattern mismatch fails the entrywise comparison too.
+    if x == y:
+        # The scalar is 1: no inverse and no products.
+        return a.rows == b.rows
+    # A zero-pattern mismatch fails the entrywise comparison too. The pairs
+    # before the first are both zero, and the first is x = scalar * y.
     scalar = x * y.inverse()
     return all(x.is_zero if y.is_zero else x == scalar * y for x, y in pairs)
 

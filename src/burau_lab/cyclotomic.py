@@ -157,14 +157,17 @@ class CyclotomicNumber:
     it is canonical as it stands. Every other result goes through
     ``__init__``.
 
-    Elements are immutable: assigning or deleting an attribute raises
-    AttributeError, as zero, one and the roots of unity of each field are
-    shared instances that every caller holds.
+    Elements are immutable: assigning or deleting an attribute, or calling
+    ``__init__`` again on a built element, raises AttributeError, as zero,
+    one and the roots of unity of each field are shared instances that
+    every caller holds.
     """
 
     __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, num: Iterable[int], den: int = 1):
+        if hasattr(self, "_den"):
+            raise AttributeError("CyclotomicNumber is immutable: cannot build it again")
         if order < 1:
             raise ValueError("field order must be positive")
         deg, _ = _field(order)
@@ -225,8 +228,20 @@ class CyclotomicNumber:
         integer vector of any length up to order: the image under
         x -> zeta_order of a polynomial of degree below order, such as an
         element of Z[x]/(x^order - 1) or, for even order, of
-        Z[x]/(x^(order/2) + 1)."""
-        return _canonical(order, tuple(_substitute(coeffs, 1, order)))
+        Z[x]/(x^(order/2) + 1).
+
+        The first phi(order) coefficients are taken as they are, and each
+        nonzero coefficient of a higher power is folded in through its
+        reduction row. An element of Z[x]/(x^H + 1) at order 2^j has
+        H = phi(order) coefficients, so nothing is folded."""
+        deg, rows = _field(order)
+        out = list(coeffs[:deg])
+        out += [0] * (deg - len(out))
+        for e in range(deg, len(coeffs)):
+            c = coeffs[e]
+            if c:
+                out = [a + c * r for a, r in zip(out, rows[e % order])]
+        return _canonical(order, tuple(out))
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> CyclotomicNumber:
@@ -545,8 +560,16 @@ def _specialize(p: LaurentPoly, order: int, k: int, zero: CyclotomicNumber) -> C
     gives ``zero``."""
     if not p:
         return zero
+    coeffs = p._coeffs
+    if len(coeffs) == 1:
+        [(e, c)] = coeffs.items()
+        if c == 1 or c == -1:
+            # +-t^e is a root of unity: the field's shared instance.
+            roots = _roots_of_unity(order)
+            size = len(roots)
+            return roots[(k * e * (size // order) + (0 if c == 1 else size // 2)) % size]
     powers = [0] * order
-    for e, c in p.coeffs.items():
+    for e, c in coeffs.items():
         powers[k * e % order] += c
     return CyclotomicNumber.from_powers(order, powers)
 
@@ -556,7 +579,8 @@ def specialize_poly(p: LaurentPoly, x: CyclotomicNumber) -> CyclotomicNumber:
 
     t^e is zeta_N^(k*e mod N), so the coefficients are summed into one
     length-N vector and reduced mod Phi_N once; negative exponents need no
-    inverse.
+    inverse. A single +-t^e is the field's shared root of unity
+    (``_roots_of_unity``), with no reduction.
     """
     return _specialize(p, x.order, root_exponent(x), CyclotomicNumber.zero(x.order))
 

@@ -9,14 +9,19 @@ therefore unbounded; matrix entries in braid-group representations grow
 without limit in the word length, so nothing here may round or overflow.
 
 Sums and differences go through one merge loop, ``_accumulate``, which
-adds sign * t^shift * p into a coefficient map in place and drops every
-coefficient that cancels; the Burau word step and the crossed
-homomorphism call it directly, one merge per entry, with no intermediate
-polynomial.
+adds sign * c at key e + shift, for each coefficient c at key e of a map,
+into another map in place and drops every coefficient that cancels. Its
+callers pass a polynomial's own map ``p._coeffs``. The crossed homomorphism
+calls it once per matrix entry, with shift an exponent. The Burau word
+step calls it twice per letter on whole rows, each row one map keyed
+e * dim + j for the coefficient of t^e in entry j, so that the shift
+s * dim multiplies every entry of the row by t^s. Neither builds an
+intermediate polynomial.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 
@@ -116,7 +121,7 @@ class LaurentPoly:
             if not isinstance(other, int):
                 return NotImplemented
             other = LaurentPoly({0: other})
-        return _raw(_accumulate(dict(self._coeffs), other))
+        return _raw(_accumulate(dict(self._coeffs), other._coeffs))
 
     __radd__ = __add__
 
@@ -128,12 +133,12 @@ class LaurentPoly:
             if not isinstance(other, int):
                 return NotImplemented
             other = LaurentPoly({0: other})
-        return _raw(_accumulate(dict(self._coeffs), other, sign=-1))
+        return _raw(_accumulate(dict(self._coeffs), other._coeffs, sign=-1))
 
     def __rsub__(self, other: int) -> LaurentPoly:
         if not isinstance(other, int):
             return NotImplemented
-        return _raw(_accumulate({0: other} if other else {}, self, sign=-1))
+        return _raw(_accumulate({0: other} if other else {}, self._coeffs, sign=-1))
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if type(other) is not LaurentPoly:
@@ -154,14 +159,6 @@ class LaurentPoly:
         return _raw(out)
 
     __rmul__ = __mul__
-
-    def shift(self, exp: int) -> LaurentPoly:
-        """Multiply by the monomial t^exp."""
-        if not isinstance(exp, int):
-            raise TypeError(f"exponent {exp!r} must be an int")
-        if not exp:
-            return self
-        return _raw({e + exp: c for e, c in self._coeffs.items()})
 
     def exact_div(self, den: LaurentPoly) -> LaurentPoly:
         """Divide exactly by ``den``, raising NotDivisible if no Laurent
@@ -228,11 +225,13 @@ def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
 
 
 def _accumulate(
-    acc: dict[int, int], p: LaurentPoly, shift: int = 0, sign: int = 1
+    acc: dict[int, int], coeffs: dict[int, int], shift: int = 0, sign: int = 1
 ) -> dict[int, int]:
-    """Add sign * t^shift * p into the coefficient map ``acc`` in place,
-    deleting every coefficient that cancels, and return ``acc``."""
-    for e, c in p._coeffs.items():
+    """Add sign * c at key e + shift into the map ``acc`` in place, for
+    each c at key e of ``coeffs``, deleting every coefficient that
+    cancels, and return ``acc``. For a polynomial's map p._coeffs that is
+    acc + sign * t^shift * p."""
+    for e, c in coeffs.items():
         e += shift
         v = acc.get(e, 0) + sign * c
         if v:
@@ -258,11 +257,19 @@ def _scalar_rows(dim: int, c, zero) -> list[list]:
     return [[c if i == j else zero for j in range(dim)] for i in range(dim)]
 
 
+@lru_cache(maxsize=None)
+def _identity_rows(dim: int) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """The rows of I_dim over Z[t, t^-1], built from the shared one and
+    zero: one tuple per row, shared by every matrix that holds it."""
+    return tuple(map(tuple, _scalar_rows(dim, _ONE, _ZERO)))
+
+
 class SquareMatrix:
     """A square matrix over an exact commutative ring, immutable once built:
-    assigning or deleting an attribute raises AttributeError, so a matrix
-    that a cache hands to every caller, such as a monodromy generator,
-    cannot be changed by one of them.
+    assigning or deleting an attribute, or calling ``__init__`` again on a
+    built matrix, raises AttributeError, so a matrix that a cache hands to
+    every caller, such as a monodromy generator, cannot be changed by one
+    of them.
 
     The operations are the same for every ring. Entries need only
     ``+ - *`` (also with an int operand) and ``is_zero``: the ring's zero
@@ -274,6 +281,8 @@ class SquareMatrix:
     __slots__ = ("dim", "_rows")
 
     def __init__(self, rows: Iterable[Iterable]):
+        if hasattr(self, "_rows"):
+            raise AttributeError(f"{type(self).__name__} is immutable: cannot build it again")
         grid = tuple(tuple(row) for row in rows)
         dim = len(grid)
         if dim == 0 or any(len(row) != dim for row in grid):
@@ -355,4 +364,4 @@ class LaurentMatrix(SquareMatrix):
 
     @classmethod
     def identity(cls, dim: int) -> LaurentMatrix:
-        return cls(_scalar_rows(dim, _ONE, _ZERO))
+        return cls(_identity_rows(dim))

@@ -11,8 +11,12 @@ where nothing but the package is installed:
     python tests/golden_cli.py burau-lab
     python tests/golden_cli.py python -m burau_lab.cli
 
-It exits 0 when every case matches and 1 otherwise; pytest does not
-collect this file.
+The command is first run once with ``--help``; if that fails, its
+stderr is printed once and the script exits 2 without running the cases
+(a command that cannot import the package, such as ``python -m
+burau_lab.cli`` from a checkout without ``PYTHONPATH=src``). Otherwise it
+exits 0 when every case matches and 1 otherwise; pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -39,6 +43,15 @@ def main(command: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     env = {key: value for key, value in os.environ.items() if key != "BURAU_LAB_SEED"}
+    probe = subprocess.run([*command, "--help"], env=env, capture_output=True)
+    if probe.returncode != 0:
+        sys.stderr.write(probe.stderr.decode(errors="replace"))
+        print(
+            f"{' '.join(command)} --help exited {probe.returncode}; no transcript was run. "
+            "From a checkout, run it with PYTHONPATH=src or install the package.",
+            file=sys.stderr,
+        )
+        return 2
     bad = 0
     every = cases()
     for argv, stdout, exit_code in every:

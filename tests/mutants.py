@@ -14,7 +14,7 @@ Run from anywhere, with the test dependencies installed:
 
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, or a pytest run does not finish normally.
-It starts one pytest run per mutant, about 28 s in all for the 17 mutants
+It starts one pytest run per mutant, about 30 s in all for the 20 mutants
 below, so it is not part of the tier-1 run; pytest does not collect this
 file.
 """
@@ -63,6 +63,15 @@ SCALAR_TEST = "tests/test_burau.py::TestPowerEarlyStop::test_scalar_test_is_made
 CACHE_KEY = "tests/test_monodromy.py::TestGeneratorCache::test_key_is_the_field_and_exponent"
 SHARED_ROOTS = (
     "tests/test_burau.py::TestSpecializedBurau::test_signed_unit_vectors_are_the_shared_roots"
+)
+GENERATOR_PRODUCT = (
+    "tests/test_burau.py::TestWordImages::test_matches_the_product_of_generator_images"
+)
+LATER_MISMATCH = (
+    "tests/test_burau.py::TestProjectiveEquality::test_equal_first_pair_then_a_later_mismatch"
+)
+SIGNED_MONOMIALS = (
+    "tests/test_cyclotomic.py::TestSpecialize::test_signed_monomials_are_the_shared_roots"
 )
 
 MUTANTS = [
@@ -132,8 +141,8 @@ MUTANTS = [
     Mutant(
         "crossed_v multiplies a_ij by t^j instead of t^(j+1)",
         "src/burau_lab/burau.py",
-        "_accumulate(acc, a, j + 1)",
-        "_accumulate(acc, a, j)",
+        "_accumulate(acc, a._coeffs, j + 1)",
+        "_accumulate(acc, a._coeffs, j)",
         (CROSSED_V,),
     ),
     Mutant(
@@ -185,6 +194,27 @@ MUTANTS = [
         "v.index(c) + (0 if c == 1 else len(v))",
         "v.index(c) + (len(v) if c == 1 else 0)",
         (SHARED_ROOTS,),
+    ),
+    Mutant(
+        "the Laurent row step multiplies by t^-s instead of t^s",
+        "src/burau_lab/burau.py",
+        "shift = s * dim",
+        "shift = -s * dim",
+        (MERGE, GENERATOR_PRODUCT),
+    ),
+    Mutant(
+        "the projective test passes scalar 1 without comparing the rows",
+        "src/burau_lab/burau.py",
+        "return a.rows == b.rows",
+        "return True",
+        (LATER_MISMATCH,),
+    ),
+    Mutant(
+        "a single -t^e is specialized as +t^e",
+        "src/burau_lab/cyclotomic.py",
+        "(0 if c == 1 else size // 2)",
+        "0",
+        (SIGNED_MONOMIALS,),
     ),
 ]
 

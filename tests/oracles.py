@@ -46,6 +46,15 @@ def scaled(m, c):
     return type(m)([e * c for e in row] for row in m.rows)
 
 
+def shift(p, exp):
+    """The Laurent polynomial t^exp * p, built from p's coefficients."""
+    from burau_lab.laurent import LaurentPoly
+
+    if not isinstance(exp, int):
+        raise TypeError(f"exponent {exp!r} must be an int")
+    return LaurentPoly({e + exp: c for e, c in p.coeffs.items()})
+
+
 def writhe(word):
     """The exponent sum of a braid word."""
     return sum(e for _, e in word.letters)

@@ -10,7 +10,8 @@ from burau_lab import burau
 from burau_lab.burau import (
     BurauImage,
     _field_value,
-    _laurent_step,
+    _laurent_row,
+    _laurent_step_at,
     _root_length,
     _root_step_at,
     _scalar_value,
@@ -33,10 +34,16 @@ from burau_lab.cyclotomic import (
     specialize_matrix,
     specialize_poly,
 )
-from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible, _accumulate
+from burau_lab.laurent import (
+    LaurentMatrix,
+    LaurentPoly,
+    NotDivisible,
+    _accumulate,
+    _identity_rows,
+)
 from burau_lab.monodromy import _values_at, rho_generators
 from burau_lab.words import BraidWord, parse_word, random_word
-from oracles import leibniz_det, q_point, scaled, writhe
+from oracles import leibniz_det, q_point, scaled, shift, writhe
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.one()
@@ -156,6 +163,36 @@ class TestWordImages:
                 w = random_word(n, 10, rng)
                 assert burau_of_word(w).matrix == naive_word_image(w)
 
+    def test_matches_the_product_of_generator_images(self):
+        # The row maps, split at the end, against BurauImage products of
+        # the generators, on random words of up to 40 letters.
+        rng = random.Random(27)
+        for n in range(2, 13):
+            for _ in range(3):
+                w = random_word(n, rng.randint(0, 40), rng)
+                product = BurauImage(n, LaurentMatrix.identity(n - 1))
+                for i, e in w.letters:
+                    product = product * burau_generator(n, i, e < 0)
+                assert burau_of_word(w) == product, w
+
+    def test_untouched_rows_are_the_identity_rows(self):
+        # A row no letter touched is the very row tuple of
+        # LaurentMatrix.identity, built from the shared one and zero.
+        for n in (2, 3, 6, 11):
+            units = _identity_rows(n - 1)
+            empty = burau_of_word(BraidWord(n)).matrix
+            for rows in (LaurentMatrix.identity(n - 1).rows, empty.rows):
+                assert all(row is unit for row, unit in zip(rows, units))
+            for w in (BraidWord(n, ((1, 1),)), BraidWord(n, ((n - 1, -1), (n - 1, -1)))):
+                touched = {i - 1 for i, _ in w.letters}
+                rows = burau_of_word(w).matrix.rows
+                for a, (row, unit) in enumerate(zip(rows, units)):
+                    if a in touched:
+                        assert row is not unit and row != unit, (n, w, a)
+                    else:
+                        assert row is unit and row[a] is ONE, (n, w, a)
+                        assert all(e is ZERO for b, e in enumerate(row) if b != a)
+
     def test_determinant_tracks_writhe(self):
         rng = random.Random(5)
         for n in (3, 4, 5, 6):
@@ -169,11 +206,19 @@ class TestWordImages:
             BurauImage(4, LaurentMatrix.identity(2))
 
 
+def _row_map(row):
+    """A row of polynomials as the word loop's coefficient map: key
+    e * dim + j for the coefficient of t^e in entry j."""
+    dim = len(row)
+    return {e * dim + j: c for j, p in enumerate(row) for e, c in p.coeffs.items()}
+
+
 class TestLaurentStep:
     @staticmethod
     def _cases(rng):
-        """(x, y, z, s) with many cancellations: z shares terms with y, and
-        every third case has z = y + t^-s * x, so x + t^s * (y - z) is 0."""
+        """(x, y, z, s), rows of 1 to 4 polynomials, with many
+        cancellations: z shares terms with y, and every third case has
+        z = y + t^-s * x entrywise, so x + t^s * (y - z) is 0."""
         def poly():
             return LaurentPoly(
                 [(rng.randint(-4, 4), rng.randint(-3, 3)) for _ in range(rng.randint(0, 5))]
@@ -181,45 +226,54 @@ class TestLaurentStep:
 
         for case in range(600):
             s = rng.choice((1, -1))
-            x, y = poly(), poly()
+            dim = rng.randint(1, 4)
+            x, y = [poly() for _ in range(dim)], [poly() for _ in range(dim)]
             if case % 3 == 0:
-                z = y + x.shift(-s)
+                z = [b + shift(a, -s) for a, b in zip(x, y)]
             elif case % 3 == 1:
-                z = y + poly()
+                z = [b + poly() for b in y]
             else:
-                z = poly()
+                z = [poly() for _ in range(dim)]
             yield x, y, z, s
 
     def test_merge_matches_the_public_operators(self):
         zeros = 0
         for x, y, z, s in self._cases(random.Random(24)):
-            expected = x + (y - z).shift(s)
-            # The constructor sums repeated exponents by a loop of its own.
-            summed = LaurentPoly(
-                [*x.coeffs.items()]
-                + [(e + s, c) for e, c in y.coeffs.items()]
-                + [(e + s, -c) for e, c in z.coeffs.items()]
-            )
-            assert expected == summed
-            acc = x.coeffs
-            assert _accumulate(_accumulate(acc, y, s), z, s, -1) is acc
-            assert acc == expected.coeffs
-            assert 0 not in acc.values()
-            [stepped] = _laurent_step([x], [y], [z], s)
-            assert stepped == expected
-            assert hash(stepped) == hash(expected)
-            assert 0 not in stepped.coeffs.values()
-            if expected.is_zero:
+            dim = len(x)
+            expected = [a + shift(b - c, s) for a, b, c in zip(x, y, z)]
+            for a, b, c, want in zip(x, y, z, expected):
+                # The constructor sums repeated exponents by a loop of its own.
+                summed = LaurentPoly(
+                    [*a.coeffs.items()]
+                    + [(e + s, v) for e, v in b.coeffs.items()]
+                    + [(e + s, -v) for e, v in c.coeffs.items()]
+                )
+                assert want == summed
+                acc = a.coeffs
+                assert _accumulate(_accumulate(acc, b._coeffs, s), c._coeffs, s, -1) is acc
+                assert acc == want.coeffs
+            stepped = _laurent_step_at(dim)(_row_map(x), _row_map(y), _row_map(z), s)
+            assert stepped == _row_map(expected)
+            assert 0 not in stepped.values()
+            entries = _laurent_row(stepped, dim)
+            assert entries == expected
+            assert [hash(e) for e in entries] == [hash(e) for e in expected]
+            if not stepped:
                 zeros += 1
-                assert stepped == LaurentPoly.zero()
-                assert hash(stepped) == hash(LaurentPoly.zero())
-                assert stepped.coeffs == {}
+                assert all(e is ZERO for e in entries)
         assert zeros >= 200
 
     def test_untouched_entries_are_kept(self):
-        x = LaurentPoly({-1: 2, 3: -5})
-        [kept] = _laurent_step([x], [ZERO], [ZERO], 1)
-        assert kept is x
+        # Where b and c are zero, a's entry comes through as it is; the
+        # step copies a's map and changes none of its inputs.
+        a = [LaurentPoly({-1: 2, 3: -5}), ONE, T]
+        b = [ZERO, T, ZERO]
+        c = [ZERO, ZERO, ZERO]
+        maps = [_row_map(a), _row_map(b), _row_map(c)]
+        before = [dict(m) for m in maps]
+        stepped = _laurent_step_at(3)(*maps, 1)
+        assert maps == before and stepped is not maps[0]
+        assert _laurent_row(stepped, 3) == [a[0], ONE + LaurentPoly.t(2), T]
 
 
 class TestCrossedHomomorphism:
@@ -814,6 +868,33 @@ class TestProjectiveEquality:
         assert not projectively_equal(a, b)
         # x nonzero where y is zero: decided by testing x, not by a product.
         assert not projectively_equal(b, a)
+        # The same with a scalar other than 1, which is tested entry by entry.
+        assert not projectively_equal(scaled(b, 2), a)
+        assert projectively_equal(scaled(a, 2), a)
+
+    def test_equal_first_pair_then_a_later_mismatch(self):
+        # The first nonzero pair is equal, so the scalar is 1, and a later
+        # entry decides: a zero against a nonzero, or two unequal values.
+        one, zero = CyclotomicNumber.one(5), CyclotomicNumber.zero(5)
+        x = CyclotomicNumber.root_of_unity(5, 2)
+        a = CycloMatrix([[zero, one], [zero, x]])
+        for b in ([[zero, one], [x, x]], [[zero, one], [zero, zero]], [[zero, one], [zero, -x]]):
+            assert not projectively_equal(a, CycloMatrix(b))
+            assert not projectively_equal(CycloMatrix(b), a)
+        assert projectively_equal(a, CycloMatrix([[zero, one], [zero, x]]))
+
+    def test_scalar_other_than_one(self):
+        # A scalar c != 1 takes the general path, entry by entry.
+        rng = random.Random(29)
+        mq = minus_q_from_d(7)
+        for n in (3, 5):
+            m = specialized_burau(random_word(n, 12, rng), mq)
+            for c in (mq, -1, CyclotomicNumber(mq.order, [1, 2, 0, -1, 0, 3], 7)):
+                assert projectively_equal(scaled(m, c), m)
+                assert projectively_equal(m, scaled(m, c))
+                rows = [list(row) for row in scaled(m, c).rows]
+                rows[-1][-1] = rows[-1][-1] + 1
+                assert not projectively_equal(CycloMatrix(rows), m)
 
     def test_zero_matrix_against_nonzero(self):
         zero = CyclotomicNumber.zero(4)

@@ -28,8 +28,10 @@ from burau_lab.cyclotomic import (
     root_exponent,
     specialize_matrix,
     specialize_poly,
+    _field,
     _polydiv_exact,
     _roots_of_unity,
+    _specialize,
     _substitute,
 )
 from burau_lab.laurent import LaurentMatrix, LaurentPoly, NotDivisible
@@ -305,6 +307,21 @@ class TestImmutable:
         assert identity.dim == 3 and identity.is_identity
         assert CycloMatrix.identity(3, 5).rows == identity.rows
 
+    def test_a_second_init_is_refused(self):
+        # __init__ on a built element or matrix would rewrite its slots.
+        one = CyclotomicNumber.one(5)
+        with pytest.raises(AttributeError, match="immutable"):
+            one.__init__(5, [2, 0, 0, 0])
+        assert one is CyclotomicNumber.one(5) and one.is_one and str(one) == "1"
+        identity = CycloMatrix.identity(3, 5)
+        two = CyclotomicNumber.from_fraction(2, 5)
+        for m, rows in ((identity, [[two]]), (LaurentMatrix.identity(2), [[LaurentPoly.t()]])):
+            with pytest.raises(AttributeError, match="immutable"):
+                m.__init__(rows)
+        assert identity.dim == 3 and identity.is_identity
+        assert CycloMatrix.identity(3, 5).is_identity
+        assert LaurentMatrix.identity(2) == LaurentMatrix([[1, 0], [0, 1]])
+
     def test_pickle_and_copy_rebuild_values(self):
         # They cannot assign slots, so each value says how to rebuild itself.
         x = CyclotomicNumber(12, [1, -2, 0, 3], 5)
@@ -334,6 +351,22 @@ class TestSpecialize:
     def test_zero_point_rejected(self):
         with pytest.raises(ZeroInput):
             specialize_poly(LaurentPoly.t(), CyclotomicNumber.zero(4))
+
+    def test_signed_monomials_are_the_shared_roots(self):
+        # +-t^e at t = zeta_N^k is read from the field's table of roots of
+        # unity; it must equal the reduction of its power vector.
+        rng = random.Random(31)
+        for order in range(1, 81):
+            roots = _roots_of_unity(order)
+            zero = CyclotomicNumber.zero(order)
+            for k in {1, order - 1, rng.randrange(order)}:
+                for e in range(-order, 2 * order):
+                    for c in (1, -1):
+                        powers = [0] * order
+                        powers[k * e % order] = c
+                        value = _specialize(LaurentPoly({e: c}), order, k, zero)
+                        assert value == CyclotomicNumber.from_powers(order, powers), (order, k, e)
+                        assert any(value is r for r in roots), (order, k, e, c)
 
     def test_negative_exponents(self):
         mq = minus_q_from_d(5)
@@ -380,6 +413,22 @@ class TestSpecialize:
         spec = specialize_matrix(m, mq)
         assert spec.entry(0, 0) == mq
         assert spec.entry(1, 1) == mq.inverse()
+
+
+class TestFromPowers:
+    def test_matches_the_full_substitution(self):
+        # The head of phi coefficients is kept as it is and only the tail
+        # is folded; vectors shorter than phi are padded with zeros, and
+        # powers of order or more wrap around as zeta^order = 1.
+        rng = random.Random(37)
+        for order in range(1, 81):
+            deg, _ = _field(order)
+            for length in {0, 1, deg // 2, deg, order, 2 * order + 1, rng.randint(0, order)}:
+                for _ in range(3):
+                    v = [rng.randint(-5, 5) for _ in range(length)]
+                    got = CyclotomicNumber.from_powers(order, v)
+                    assert got.numerators == tuple(_substitute(v, 1, order)), (order, v)
+                    assert got.denominator == 1
 
 
 class TestCycloMatrix:
