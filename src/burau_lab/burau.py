@@ -36,14 +36,19 @@ each supplying the step as a function of (row_{i+s}, row_{i-s}, row_i, s):
   of x and -1 is x^H: t^s is one power x^p, with no sign. A row of dim
   entries is stored packed, as one Python int of dim * H signed slots of
   W bits, row = sum c * 2^(W * (k * dim + j)) with c the coefficient of
-  x^k in entry j, so multiplying a whole row by x^p is one negacyclic
-  rotation by (p mod H) * dim slots: a shift, with the part that wraps
-  around subtracted at the bottom (as x^H = -1), and a letter is a few
-  big-int operations with no reduction, gcd or fraction. The slots start
-  at W = 64 bits; before each chunk of 14 letters a range check on every
-  row doubles W in place when the coefficients could outgrow it, and the
-  step for the new width takes over. Entry j is the strided slice
-  row[j::dim] of the unpacked row; each is reduced into Q(zeta_N)
+  x^k in entry j, read modulo F = 2^(dim * H * W) + 1. There 2^(dim*H*W)
+  is -1, as x^H is, so multiplying a whole row by x^p is multiplying it
+  by a power of two mod F: a floor split of the int at one bit, the low
+  part shifted up and the high part, which wraps around, subtracted at
+  the bottom. A letter is six big-int operations with no rounding,
+  reduction, gcd or fraction. The floor split can leave the row off its
+  balanced form by F: a small count in one extra top slot, index
+  dim * H (x^H in entry 0), and the same count in slot 0; unpacking
+  folds the top slot back into slot 0. The slots start at W = 64 bits;
+  before each chunk of 14 letters a range check on every slot, the top
+  one included, doubles W in place when the coefficients could outgrow
+  it, and the step for the new width takes over. Entry j is the strided
+  slice row[j::dim] of the unpacked row; each is reduced into Q(zeta_N)
   (mod Phi_N) once, at the end.
 
 At a root of unity, a word that is a proper power u^k (u its shortest
@@ -190,7 +195,8 @@ def _half_order(order: int) -> int:
 
 # Packed rows start at W = 64 bits per slot and are range-checked before
 # each chunk of at most K = 14 letters against T = W - 24, which keeps
-# 2^T * 3^K < 2^(W-1) (see specialized_burau).
+# 3^K * (2^T + L) + (3^K - 1)/2 < 2^(W-1) for L < 2^(T-1) letters (see
+# specialized_burau).
 _START_WIDTH = 64
 _CHUNK = 14
 _HEADROOM = 24
@@ -202,28 +208,37 @@ def _root_step_at(order: int, k: int, dim: int, width: int):
     dim * H slots of ``width`` bits over Z[x]/(x^H + 1), x -> zeta_2H (see
     the module docstring): step(a, b, c, s) = a + t^s * (b - c).
 
-    t is x^(m*k), m = 2H/order, so t^s is x^p with p = s*m*k mod 2H, and
-    multiplying a row by it is the negacyclic rotation given in bits by
-    (negate, shift, cut) = (p >= H, (p mod H) * dim * width,
-    dim * H * width - shift), since x^p = -x^(p - H) when p >= H. The
-    slots of d = b - c above bit cut form hi, rounded so that the rest,
-    d - hi * 2^cut, is the signed value of the slots below it; x^p moves
-    that rest up by shift bits and wraps hi around to the bottom with its
-    sign changed, as x^H = -1.
+    A packed row is read modulo F = 2^total + 1, total = dim * H * width:
+    there 2^total is -1, as x^H is, so multiplying a row by x^q, 0 <= q < H,
+    is multiplying it by 2^(q * dim * width) mod F. t is x^(m*k),
+    m = 2H/order, so t^s is x^p with p = s*m*k mod 2H, which is the
+    rotation given in bits by (negate, shift, cut, mask) = (p >= H,
+    (p mod H) * dim * width, total - shift, 2^cut - 1), since
+    x^p = -x^(p - H) when p >= H. The floor split d = hi * 2^cut + lo,
+    lo = d & mask and hi = d >> cut, gives d * 2^shift = hi * 2^total +
+    lo * 2^shift, which is lo * 2^shift - hi mod F: one AND, two shifts and
+    one subtraction, with no rounding.
+
+    So t^s * (b - c) comes out as its balanced row plus delta * F, delta
+    in {0, 1} (1 when the slots below cut are negative as a whole): delta
+    in the top slot, index dim * H, which stands for x^H in entry 0, and
+    delta in slot 0. The step thus moves a's top slot by at most one, and
+    ``_unpack`` folds the top slot back into slot 0.
     """
     half = _half_order(order)
+    total = dim * half * width
     # Indexed by s: rotations[1] is t's, rotations[-1] is t^-1's.
     rotations = [None] * 3
     for s in (1, -1):
         p = s * (2 * half // order) * k % (2 * half)
         shift = p % half * dim * width
-        rotations[s] = p >= half, shift, dim * half * width - shift
+        cut = total - shift
+        rotations[s] = p >= half, shift, cut, (1 << cut) - 1
 
     def step(a: int, b: int, c: int, s: int) -> int:
-        negate, shift, cut = rotations[s]
+        negate, shift, cut, mask = rotations[s]
         d = b - c
-        hi = ((d >> (cut - 1)) + 1) >> 1
-        r = ((d - (hi << cut)) << shift) - hi
+        r = ((d & mask) << shift) - (d >> cut)
         return a - r if negate else a + r
 
     return step
@@ -241,22 +256,31 @@ def _slot_masks(size: int, width: int) -> tuple[int, int, int]:
 
 
 def _unpack(row: int, size: int, width: int) -> list:
-    """The ``size`` signed slots of a packed row, lowest first. Adding the
-    sign mask makes every slot nonnegative with no carry, and the XOR then
-    leaves each slot in two's complement."""
-    sign = _slot_masks(size, width)[2]
-    data = ((row + sign) ^ sign).to_bytes(size * width // 8, "little")
+    """The ``size`` coefficients of a packed row, lowest first.
+
+    The row is read as size + 1 signed slots: the top slot, index size, is
+    what the step's floor split leaves there, x^H in entry 0, so it is
+    folded into slot 0 with sign -1, as x^H = -1. Adding the sign mask
+    makes every slot nonnegative with no carry, and the XOR then leaves
+    each slot in two's complement.
+    """
+    sign = _slot_masks(size + 1, width)[2]
+    data = ((row + sign) ^ sign).to_bytes((size + 1) * width // 8, "little")
     if width == 64 and sys.byteorder == "little":
-        return memoryview(data).cast("q").tolist()
-    step = width // 8
-    return [
-        int.from_bytes(data[i:i + step], "little", signed=True)
-        for i in range(0, len(data), step)
-    ]
+        slots = memoryview(data).cast("q").tolist()
+    else:
+        step = width // 8
+        slots = [
+            int.from_bytes(data[i:i + step], "little", signed=True)
+            for i in range(0, len(data), step)
+        ]
+    slots[0] -= slots.pop()
+    return slots
 
 
 def _pack(slots: list, width: int) -> int:
-    """The packed row sum_e slots[e] * 2^(width * e): ``_unpack``'s inverse."""
+    """The packed row sum_e slots[e] * 2^(width * e), its top slot zero:
+    ``_unpack``'s inverse."""
     sign = _slot_masks(len(slots), width)[2]
     data = b"".join(v.to_bytes(width // 8, "little", signed=True) for v in slots)
     return (int.from_bytes(data, "little") ^ sign) - sign
@@ -351,20 +375,29 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     power x^p of x -> zeta_2H, H = N/2 for even N and N for odd N, so the
     product is taken in Z[x]/(x^H + 1). Each row is one Python int of
     dim * H signed slots of W bits, the coefficient of x^e in entry j in
-    slot e * dim + j, a letter rewrites one row (``_word_product``), and
-    multiplying a row by t^s is a negacyclic rotation by (p mod H) * dim
-    slots: a few big-int operations (the step of ``_root_step_at``).
+    slot e * dim + j, read as a residue modulo F = 2^(dim * H * W) + 1, and
+    a letter rewrites one row (``_word_product``): multiplying a row by t^s
+    is multiplying it by a power of two mod F, a floor split, two shifts
+    and a subtraction (the step of ``_root_step_at``). The split can leave
+    a small count in a top slot, index dim * H, and the same count in slot
+    0, which ``_unpack`` folds back; it moves by at most one per letter.
 
     W starts at 64. The root's letters are cut once into chunks of at most
     K = 14, and before each chunk but the first every row is checked, with
-    one add and one AND, to have all its slots in [-2^T, 2^T), T = W - 24.
-    A letter at most triples the largest |coefficient| and
-    2^T * 3^14 < 2^(W-1), so no slot overflows within a chunk. When the
-    check fails, the rows are still exact (they were in range one chunk
-    earlier), so they are repacked at width 2W, where they pass, the step
-    for width 2W replaces the old one, and the word goes on from there:
-    nothing is applied twice. A word of at most 14 letters is never
-    checked.
+    one add and one AND, to have all its dim * H + 1 slots in [-2^T, 2^T),
+    T = W - 24. Let M bound every slot and every coefficient of x^0 in
+    entry 0 (slot 0 minus the top slot). A letter a + x^p * (b - c) then
+    bounds every slot by 3M + 1 and that coefficient by 3M, so K letters
+    bound them by 3^K * M + (3^K - 1)/2. At a check M <= 2^T + L, where L
+    is the number of letters applied since the rows were last packed (the
+    top slot starts at 0, moves by at most one per letter and is folded
+    away by a repack), and 3^14 * (2^T + L) + (3^14 - 1)/2 < 2^(W-1) for
+    every L < 2^(T-1), far more letters than any word in memory has: no
+    slot overflows within a chunk. When the check fails, the rows are still
+    exact (they were in range one chunk earlier), so they are repacked at
+    width 2W, where they pass, the step for width 2W replaces the old one,
+    and the word goes on from there: nothing is applied twice. A word of at
+    most 14 letters is never checked.
 
     Rows are unpacked only for the scalar test below, one at a time as it
     reaches them, and at the end, where entry (i, j), the strided slice
@@ -403,7 +436,7 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     for j in range(1, copies + 1):
         for chunk in chunks:
             if fresh + len(chunk) > _CHUNK:
-                safe, top, _ = _slot_masks(size, width)
+                safe, top, _ = _slot_masks(size + 1, width)
                 if any((row + safe) & top for row in rows):
                     # At most K letters since the last check: still exact.
                     rows = [_pack(_unpack(row, size, width), 2 * width) for row in rows]

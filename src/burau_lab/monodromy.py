@@ -50,7 +50,7 @@ from .cyclotomic import (
     specialize_poly,
 )
 from .laurent import LaurentMatrix, LaurentPoly
-from .words import BraidWord, count_text
+from .words import BraidWord, _valid_word, count_text
 
 
 class InvalidDims(ValueError):
@@ -141,7 +141,7 @@ def rho_product(word: BraidWord, m: int, minus_q: CyclotomicNumber) -> CycloMatr
     """The product of monodromy generator matrices along a word: the Burau
     image of the same letters on m-1 strands, specialized at minus_q."""
     _check_dims(word.strands_n, m)
-    return specialized_burau(BraidWord(m - 1, word.letters), minus_q)
+    return specialized_burau(_valid_word(m - 1, word.letters), minus_q)
 
 
 def diagram_check(word: BraidWord, n: int, m: int, minus_q: CyclotomicNumber) -> bool:

@@ -17,6 +17,14 @@ exponents expand by repetition or inversion. Whitespace separates terms.
 
 Expansion is bounded: a word that would have more than MAX_WORD_LETTERS
 letters raises WordTooLong before any list of that size is built.
+
+Which constructors check their letters: ``BraidWord(n, letters)`` converts
+every letter to a pair of ints and checks its index and sign. The words
+this module builds itself hold letters that are valid by construction, so
+they skip those checks (``_valid_word``): ``parse_word`` after its own
+index checks, ``*``, ``inverse``, ``free_reduce``, ``random_word`` and
+``sample_normal_closure``. So does ``monodromy.rho_product``, which reads
+a word on n strands as the same letters on m - 1 >= n strands.
 """
 
 from __future__ import annotations
@@ -133,7 +141,8 @@ class BraidWord:
     It is stored as a tuple of int pairs, each looked up in a table of the
     valid letters. When a letter is not in the table or cannot be hashed,
     every letter is converted with ``int`` and range-checked instead, which
-    raises the error for the first invalid one.
+    raises the error for the first invalid one. The package's own
+    constructors of valid words skip this (see the module docstring).
     """
 
     strands_n: int
@@ -168,10 +177,10 @@ class BraidWord:
         if self.strands_n != other.strands_n:
             raise ValueError("cannot concatenate words on different strand counts")
         _check_length(len(self.letters) + len(other.letters))
-        return BraidWord(self.strands_n, self.letters + other.letters)
+        return _valid_word(self.strands_n, self.letters + other.letters)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(self.strands_n, _inverse_letters(self.letters))
+        return _valid_word(self.strands_n, tuple(_inverse_letters(self.letters)))
 
     def __str__(self) -> str:
         if not self.letters:
@@ -197,6 +206,16 @@ class BraidWord:
         return " ".join(parts)
 
 
+def _valid_word(strands_n: int, letters: tuple[tuple[int, int], ...]) -> BraidWord:
+    """The word on ``strands_n`` strands holding ``letters`` as given,
+    without ``BraidWord``'s checks: only for a tuple of int pairs (i, +-1),
+    1 <= i < strands_n, which the callers' letters are by construction."""
+    word = object.__new__(BraidWord)
+    object.__setattr__(word, "strands_n", strands_n)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 def _inverse_letters(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """The letters of the inverse word: reversed, each with its sign negated."""
     return [(i, -e) for i, e in reversed(letters)]
@@ -210,7 +229,7 @@ def free_reduce(word: BraidWord) -> BraidWord:
             stack.pop()
         else:
             stack.append(letter)
-    return BraidWord(word.strands_n, tuple(stack))
+    return _valid_word(word.strands_n, tuple(stack))
 
 
 def parse_word(text: str, strands_n: int) -> BraidWord:
@@ -225,7 +244,7 @@ def parse_word(text: str, strands_n: int) -> BraidWord:
     if strands_n < 2:
         raise InvalidStrandCount(strands_n)
     letters, pos = _parse_sequence(text, 0, strands_n, depth=0)
-    return BraidWord(strands_n, tuple(letters))
+    return _valid_word(strands_n, tuple(letters))
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -329,7 +348,7 @@ def random_word(strands_n: int, length: int, rng: random.Random) -> BraidWord:
     letters = tuple(
         (rng.randint(1, strands_n - 1), rng.choice((1, -1))) for _ in range(length)
     )
-    return BraidWord(strands_n, letters)
+    return _valid_word(strands_n, letters)
 
 
 def sample_normal_closure(
@@ -365,4 +384,4 @@ def sample_normal_closure(
         letters += conj
         letters += g
         letters += _inverse_letters(conj)
-    return BraidWord(strands_n, tuple(letters))
+    return _valid_word(strands_n, tuple(letters))

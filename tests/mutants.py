@@ -14,7 +14,7 @@ Run from anywhere, with the test dependencies installed:
 
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, or a pytest run does not finish normally.
-It starts one pytest run per mutant, about 30 s in all for the 20 mutants
+It starts one pytest run per mutant, about 40 s in all for the 24 mutants
 below, so it is not part of the tier-1 run; pytest does not collect this
 file.
 """
@@ -70,6 +70,10 @@ GENERATOR_PRODUCT = (
 LATER_MISMATCH = (
     "tests/test_burau.py::TestProjectiveEquality::test_equal_first_pair_then_a_later_mismatch"
 )
+FLOOR_SPLIT = "tests/test_burau.py::TestFloorSplitStep::test_matches_the_rounded_split"
+TOP_SLOT = "tests/test_burau.py::TestFloorSplitStep::test_a_top_slot_is_folded_before_a_widening"
+PARSER_INDEX = "tests/test_words.py::TestParser::test_generator_out_of_range"
+RANDOM_LETTERS = "tests/test_words.py::TestTrustedConstructors::test_random_words"
 SIGNED_MONOMIALS = (
     "tests/test_cyclotomic.py::TestSpecialize::test_signed_monomials_are_the_shared_roots"
 )
@@ -215,6 +219,34 @@ MUTANTS = [
         "(0 if c == 1 else size // 2)",
         "0",
         (SIGNED_MONOMIALS,),
+    ),
+    Mutant(
+        "the row step drops the wrap term of the floor split",
+        "src/burau_lab/burau.py",
+        "r = ((d & mask) << shift) - (d >> cut)",
+        "r = (d & mask) << shift",
+        (FLOOR_SPLIT, DENSE),
+    ),
+    Mutant(
+        "the top slot is folded into slot 0 with sign +1",
+        "src/burau_lab/burau.py",
+        "slots[0] -= slots.pop()",
+        "slots[0] += slots.pop()",
+        (TOP_SLOT,),
+    ),
+    Mutant(
+        "the parser accepts any generator index",
+        "src/burau_lab/words.py",
+        "if not 1 <= idx <= strands_n - 1:",
+        "if False:",
+        (PARSER_INDEX,),
+    ),
+    Mutant(
+        "random_word draws generator indices from 1..n",
+        "src/burau_lab/words.py",
+        "rng.randint(1, strands_n - 1)",
+        "rng.randint(1, strands_n)",
+        (RANDOM_LETTERS,),
     ),
 ]
 

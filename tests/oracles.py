@@ -58,3 +58,55 @@ def shift(p, exp):
 def writhe(word):
     """The exponent sum of a braid word."""
     return sum(e for _, e in word.letters)
+
+
+def rounding_root_step(order, k, dim, width):
+    """The packed-row step a + t^s * (b - c) at t = zeta_order^k with the
+    rounded split: the slots of d = b - c above bit cut form hi, rounded so
+    that the rest, d - hi * 2^cut, is the signed value of the slots below
+    it; x^p moves that rest up by shift bits and wraps hi around to the
+    bottom with its sign changed, as x^H = -1. For balanced rows it gives
+    balanced rows, with no top slot."""
+    half = order // 2 if order % 2 == 0 else order
+    rotations = {}
+    for s in (1, -1):
+        p = s * (2 * half // order) * k % (2 * half)
+        shift = p % half * dim * width
+        rotations[s] = p >= half, shift, dim * half * width - shift
+
+    def step(a, b, c, s):
+        negate, shift, cut = rotations[s]
+        d = b - c
+        hi = ((d >> (cut - 1)) + 1) >> 1
+        r = ((d - (hi << cut)) << shift) - hi
+        return a - r if negate else a + r
+
+    return step
+
+
+def pack_slots(slots, width):
+    """The int sum_e slots[e] * 2^(width * e)."""
+    return sum(v << width * e for e, v in enumerate(slots))
+
+
+def signed_slots(row, count, width):
+    """The ``count`` signed ``width``-bit slots of an int that is their sum,
+    lowest first, peeled off one at a time."""
+    slots = []
+    for _ in range(count):
+        v = row & ((1 << width) - 1)
+        if v >> (width - 1):
+            v -= 1 << width
+        slots.append(v)
+        row = (row - v) >> width
+    assert row == 0, "the int has more slots than count"
+    return slots
+
+
+def ring_row(row, size, width):
+    """The ``size`` coefficients over Z[x]/(x^H + 1) of a packed row of
+    size + 1 slots: the top slot stands for x^H = -1 in entry 0, so it is
+    subtracted from slot 0."""
+    slots = signed_slots(row, size + 1, width)
+    slots[0] -= slots.pop()
+    return slots

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +44,17 @@ from burau_lab.laurent import (
 )
 from burau_lab.monodromy import _values_at, rho_generators
 from burau_lab.words import BraidWord, parse_word, random_word
-from oracles import leibniz_det, q_point, scaled, shift, writhe
+from oracles import (
+    leibniz_det,
+    pack_slots,
+    q_point,
+    ring_row,
+    rounding_root_step,
+    scaled,
+    shift,
+    signed_slots,
+    writhe,
+)
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.one()
@@ -830,21 +841,89 @@ class TestPackedRows:
 
     @pytest.mark.parametrize("width", [64, 128])
     def test_slot_range_check_and_round_trip(self, width):
-        # (row + safe) & top is zero exactly when every slot is in [-2^T, 2^T).
+        # A row of 5 coefficients has 6 slots, the top one x^H in entry 0.
+        # (row + safe) & top is zero exactly when every slot, the top one
+        # included, is in [-2^T, 2^T), and unpacking folds the top slot
+        # into slot 0 with sign -1.
         low = width - 24
-        safe, top, _ = burau._slot_masks(5, width)
-        inside = [-(1 << low), (1 << low) - 1, 0, -1, 1]
+        safe, top, _ = burau._slot_masks(6, width)
+
+        def folded(slots):
+            return [slots[0] - slots[5], *slots[1:5]]
+
+        inside = [-(1 << low), (1 << low) - 1, 0, -1, 1, 0]
         for bad in (1 << low, -(1 << low) - 1, 1 << width - 2, -(1 << width - 1)):
-            for slot in range(5):
+            for slot in range(6):
                 slots = inside[:slot] + [bad] + inside[slot + 1:]
                 row = burau._pack(slots, width)
-                assert _unpack(row, 5, width) == slots
+                assert _unpack(row, 5, width) == folded(slots)
                 assert (row + safe) & top, (bad, slot)
-        row = burau._pack(inside, width)
-        assert _unpack(row, 5, width) == inside
-        assert not (row + safe) & top
+        for top_slot in (0, 1, -1, (1 << low) - 1, -(1 << low)):
+            slots = inside[:5] + [top_slot]
+            row = burau._pack(slots, width)
+            assert _unpack(row, 5, width) == folded(slots)
+            assert not (row + safe) & top, top_slot
         extremes = [(1 << width - 1) - 1, -(1 << width - 1), 0, 1, -1]
         assert _unpack(burau._pack(extremes, width), 5, width) == extremes
+
+
+KERNEL_TABLE = Path(__file__).parent / "data" / "kernel_table.txt"
+
+
+def golden_points():
+    """(dim, order, k) for each row (n, d) of the kernel table: dim = n - 1
+    and -q = zeta_order^k."""
+    points = []
+    for line in KERNEL_TABLE.read_text().splitlines()[1:]:
+        n, d = map(int, line.split()[:2])
+        x = minus_q_from_d(d)
+        points.append((n - 1, x.order, root_exponent(x)))
+    return points
+
+
+class TestFloorSplitStep:
+    """The step reads a packed row modulo F = 2^(dim*H*W) + 1 and splits
+    d = b - c by floor, which can leave 1 in the top slot and in slot 0.
+    The rounded split it replaced (``oracles.rounding_root_step``) is the
+    reference: after folding, both give the same ring row."""
+
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_matches_the_rounded_split(self, width):
+        rng = random.Random(width)
+        bound = (1 << width - 24) - 1
+        for dim, order, k in golden_points():
+            size = dim * (order // 2 if order % 2 == 0 else order)
+            modulus = (1 << size * width) + 1
+            step = _root_step_at(order, k, dim, width)
+            reference = rounding_root_step(order, k, dim, width)
+            for s in (1, -1):
+                for _ in range(4):
+                    rows = [
+                        [rng.randint(-bound, bound) for _ in range(size)] for _ in range(3)
+                    ]
+                    tops = [rng.randint(-3, 3) for _ in range(3)]
+                    balanced = [pack_slots(v, width) for v in rows]
+                    # The same ring rows with a top slot: row + top * F.
+                    lifted = [row + t * modulus for row, t in zip(balanced, tops)]
+                    got = step(*lifted, s)
+                    want = signed_slots(reference(*balanced, s), size, width)
+                    assert ring_row(got, size, width) == want, (dim, order, k, s)
+                    assert _unpack(got, size, width) == want
+                    # The top slot moves by at most one per letter.
+                    top = signed_slots(got, size + 1, width)[-1]
+                    assert abs(top - tops[0]) <= 1
+
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_a_top_slot_is_folded_before_a_widening(self, width):
+        rng = random.Random(width + 1)
+        bound = (1 << width - 24) - 1
+        for size in (1, 5, 12):
+            coeffs = [rng.randint(-bound, bound) for _ in range(size)]
+            for top in (1, -1, 5):
+                row = pack_slots(coeffs, width) + top * ((1 << size * width) + 1)
+                assert signed_slots(row, size + 1, width)[-1] == top
+                wide = burau._pack(_unpack(row, size, width), 2 * width)
+                assert signed_slots(wide, size + 1, 2 * width) == coeffs + [0]
 
 
 class TestProjectiveEquality:

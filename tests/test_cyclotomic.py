@@ -188,11 +188,27 @@ class TestFieldArithmetic:
         nonzero = st.integers(min_value=-50, max_value=50).filter(bool)
         coeffs = data.draw(st.lists(nonzero, min_size=deg, max_size=deg))
         x = CyclotomicNumber(order, coeffs, den)
-        real = x + CyclotomicNumber(order, _substitute(x.numerators, order - 1, order), den)
+        real = x + self.conjugate(x)
+        assume(not x.is_zero and not real.is_zero)
+        self.check_inverses(x, real)
+
+    def test_inverse_round_trip_after_normalising(self):
+        # Twelve 2s over 2 are stored as twelve 1s over 1, so the conjugate
+        # built from x's numerators must take x's denominator, not 2.
+        x = CyclotomicNumber(13, [2] * 12, 2)
+        self.check_inverses(x, x + self.conjugate(x))
+
+    @staticmethod
+    def conjugate(x):
+        return CyclotomicNumber(
+            x.order, _substitute(x.numerators, x.order - 1, x.order), x.denominator
+        )
+
+    @staticmethod
+    def check_inverses(x, real):
         for value in (x, real):
-            assume(not value.is_zero)
             assert (value * value.inverse()).is_one
-        conj_inverse = _substitute(real.inverse().numerators, order - 1, order)
+        conj_inverse = _substitute(real.inverse().numerators, real.order - 1, real.order)
         assert tuple(conj_inverse) == real.inverse().numerators
 
     @given(st.sampled_from([1, 2]), st.fractions(max_denominator=10**6))

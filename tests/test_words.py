@@ -195,6 +195,57 @@ class TestBraidWord:
             parse_word("s1", 3) * parse_word("s1", 4)
 
 
+class TestTrustedConstructors:
+    """``*``, ``inverse``, ``free_reduce``, ``parse_word``, ``random_word``
+    and ``sample_normal_closure`` store their letters unchecked; every
+    letter must be what the checked constructor stores for it."""
+
+    @staticmethod
+    def assert_as_checked(w):
+        assert type(w.letters) is tuple
+        assert all(
+            type(letter) is tuple and type(letter[0]) is int and type(letter[1]) is int
+            for letter in w.letters
+        )
+        assert w.letters == BraidWord(w.strands_n, w.letters).letters
+
+    def test_random_words(self):
+        # On 2 strands an index drawn from 1..n would be invalid half the time.
+        rng = random.Random(5)
+        for strands_n in (2, 3, 5, 9, 70):
+            for _ in range(10):
+                self.assert_as_checked(random_word(strands_n, 40, rng))
+
+    def test_normal_closure_samples(self):
+        for strands_n, texts in ((2, ("s1^3",)), (4, ("T4", "s3^-2")), (6, ("T3^2", "s5 s4^-1"))):
+            gens = [parse_word(text, strands_n) for text in texts]
+            for seed in range(10):
+                self.assert_as_checked(sample_normal_closure(strands_n, gens, 3, 8, seed))
+
+    def test_parsed_and_combined_words(self):
+        for text, strands_n in (
+            ("s1 s2^-1 s3", 4),
+            ("T4^-2 (s1 s3^2)^-3", 4),
+            ("((s2 s1^-1)^2 T3)^3", 5),
+            ("s69^5 T70^-1", 70),
+            ("", 2),
+        ):
+            w = parse_word(text, strands_n)
+            for word in (w, w * w, w.inverse(), free_reduce(w * w.inverse() * w)):
+                self.assert_as_checked(word)
+
+    @pytest.mark.parametrize("strands_n", [2, 4, 64, 65, 100])
+    def test_the_public_constructor_still_checks(self, strands_n):
+        for letter, error in (
+            ((0, 1), IndexOutOfRange),
+            ((strands_n, 1), IndexOutOfRange),
+            ((1, 2), ValueError),
+            ((1, 0), ValueError),
+        ):
+            with pytest.raises(error):
+                BraidWord(strands_n, ((1, 1), letter))
+
+
 class TestFreeReduce:
     def test_cancellation(self):
         assert free_reduce(parse_word("s1 s1^-1", 4)).letters == ()
