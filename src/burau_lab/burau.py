@@ -49,7 +49,8 @@ each supplying the step as a function of (row_{i+s}, row_{i-s}, row_i, s):
   one included, doubles W in place when the coefficients could outgrow
   it, and the step for the new width takes over. Entry j is the strided
   slice row[j::dim] of the unpacked row; each is reduced into Q(zeta_N)
-  (mod Phi_N) once, at the end.
+  (mod Phi_N) once, at the end, by ``cyclotomic._field_value``, the
+  module that owns the field's roots of unity.
 
 At a root of unity, a word that is a proper power u^k (u its shortest
 root) is applied one copy of u at a time, each continuing on the rows
@@ -80,7 +81,8 @@ from functools import lru_cache
 from .cyclotomic import (
     CycloMatrix,
     CyclotomicNumber,
-    _roots_of_unity,
+    _field_value,
+    _half_order,
     _unit_rows,
     root_exponent,
     specialize_matrix,
@@ -93,7 +95,7 @@ from .laurent import (
     _raw,
     _scalar_rows,
 )
-from .words import BraidWord
+from .words import BraidWord, InvalidStrandCount
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,9 @@ class BurauImage:
     matrix: LaurentMatrix
 
     def __post_init__(self):
-        if self.matrix.dim != max(self.strands_n - 1, 1):
+        if self.strands_n < 2:
+            raise InvalidStrandCount(self.strands_n)
+        if self.matrix.dim != self.strands_n - 1:
             raise ValueError(
                 f"expected a {self.strands_n - 1}x{self.strands_n - 1} matrix"
             )
@@ -172,7 +176,7 @@ def burau_of_word(word: BraidWord) -> BurauImage:
     Each row is one coefficient map while the letters are applied
     (``_laurent_step_at``) and is split into its dim polynomials at the
     end. A row that no letter touched is emitted as the shared unit row of
-    ``LaurentMatrix.identity``, which holds ``LaurentPoly.one()`` and
+    ``laurent._identity_rows``, which holds ``LaurentPoly.one()`` and
     ``zero()``.
     """
     n = word.strands_n
@@ -185,12 +189,6 @@ def burau_of_word(word: BraidWord) -> BurauImage:
         units[i] if row is start[i] else _laurent_row(row, dim)
         for i, row in enumerate(rows[1:-1])
     ))
-
-
-def _half_order(order: int) -> int:
-    """H, the degree of the ring Z[x]/(x^H + 1) that a word at a root of
-    order N is multiplied out in: N/2 for even N, N for odd N."""
-    return order // 2 if order % 2 == 0 else order
 
 
 # Packed rows start at W = 64 bits per slot and are range-checked before
@@ -304,31 +302,6 @@ def _root_length(letters: tuple) -> int:
     return length
 
 
-def _field_value(order: int, v: list) -> CyclotomicNumber:
-    """The image in Q(zeta_order) of the element sum_e v[e] * x^e of
-    Z[x]/(x^H + 1) under x -> zeta_2H. For even order, zeta_2H is
-    zeta_order. For odd order it is -zeta_order^((order+1)/2), so the
-    coefficient of x^e goes to zeta_order^(e*(order+1)/2) with sign (-1)^e:
-    a signed permutation of the powers, as (order+1)/2 is a unit mod order.
-
-    A single +-x^e, which most entries of a letter's row and of a short
-    word's product are, is the root of unity zeta_2H^e or, as x^H = -1,
-    zeta_2H^(e+H): the field's shared instance (``_roots_of_unity``), with
-    no reduction.
-    """
-    if v.count(0) == len(v) - 1:
-        c = sum(v)
-        if c == 1 or c == -1:
-            return _roots_of_unity(order)[v.index(c) + (0 if c == 1 else len(v))]
-    if order % 2:
-        half = (order + 1) // 2
-        powers = [0] * order
-        for e, a in enumerate(v):
-            powers[e * half % order] = -a if e % 2 else a
-        v = powers
-    return CyclotomicNumber.from_powers(order, v)
-
-
 def _scalar_value(rows: list, order: int, size: int, width: int) -> CyclotomicNumber | None:
     """c when the matrix over Z[x]/(x^H + 1) with these packed rows of
     ``size`` slots of ``width`` bits reduces to c * I in Q(zeta_order),
@@ -401,10 +374,11 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
 
     Rows are unpacked only for the scalar test below, one at a time as it
     reaches them, and at the end, where entry (i, j), the strided slice
-    row[j::dim] of row i, is reduced into Q(zeta_N) (``_field_value``).
-    Only the entries that can differ from the identity's are read: a row
-    equal to the packed unit row e_i, such as one no letter touched, is
-    emitted as the cached row e_i of ``CycloMatrix.identity``, which holds
+    row[j::dim] of row i, is reduced into Q(zeta_N)
+    (``cyclotomic._field_value``). Only the entries that can differ from
+    the identity's are read: a row equal to the packed unit row e_i, such
+    as one no letter touched, is emitted as the cached unit row e_i of
+    ``cyclotomic._unit_rows``, which holds
     the field's shared one and zero, a zero entry skips the reduction, and
     a single +-x^e is the field's shared root of unity.
 

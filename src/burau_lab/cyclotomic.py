@@ -14,6 +14,13 @@ returns -q embedded in the smallest field containing it, namely Q(zeta_N)
 with N = 2d (d odd), N = d (d = 0 mod 4) or N = d/2 (d = 2 mod 4), as a
 power zeta_N^k. A specialization point always has that form:
 ``root_exponent`` reads k back, and raises NotARoot for any other point.
+
+This is the one module that indexes the roots of unity. Each field has
+one table of them, shared instances (``_roots_of_unity``): ``root_exponent``
+reads k off it, and ``specialize_poly`` for a single +-t^e and
+``_field_value`` for a single +-x^e return its entries. ``_field_value`` is
+also the map from Z[x]/(x^H + 1), H = ``_half_order(N)``, the ring the
+word loop of ``burau`` multiplies out in at a root, into Q(zeta_N).
 """
 
 from __future__ import annotations
@@ -123,13 +130,6 @@ def _substitute(num: Sequence[int], step: int, order: int) -> list[int]:
             for j in range(deg):
                 out[j] += a * row[j]
     return out
-
-
-@lru_cache(maxsize=None)
-def _root_exponents(order: int) -> dict[tuple[int, ...], int]:
-    """The reduced vector of zeta_order^e, mapped to e, for e in 0..order-1."""
-    _, rows = _field(order)
-    return {rows[e]: e for e in range(order)}
 
 
 @lru_cache(maxsize=None)
@@ -476,6 +476,44 @@ def _roots_of_unity(order: int) -> tuple[CyclotomicNumber, ...]:
 
 
 @lru_cache(maxsize=None)
+def _root_positions(order: int) -> dict[tuple[int, ...], int]:
+    """The numerators of each entry p of ``_roots_of_unity(order)``, mapped
+    to p: the table read backwards, one lookup for any root of unity."""
+    return {root._num: p for p, root in enumerate(_roots_of_unity(order))}
+
+
+def _half_order(order: int) -> int:
+    """H, the degree of the ring Z[x]/(x^H + 1) that a word at a root of
+    order N is multiplied out in: N/2 for even N, N for odd N."""
+    return order // 2 if order % 2 == 0 else order
+
+
+def _field_value(order: int, v: list) -> CyclotomicNumber:
+    """The image in Q(zeta_order) of the element sum_e v[e] * x^e of
+    Z[x]/(x^H + 1) under x -> zeta_2H. For even order, zeta_2H is
+    zeta_order. For odd order it is -zeta_order^((order+1)/2), so the
+    coefficient of x^e goes to zeta_order^(e*(order+1)/2) with sign (-1)^e:
+    a signed permutation of the powers, as (order+1)/2 is a unit mod order.
+
+    A single +-x^e, which most entries of a letter's row and of a short
+    word's product are, is the root of unity zeta_2H^e or, as x^H = -1,
+    zeta_2H^(e+H): the field's shared instance (``_roots_of_unity``), with
+    no reduction.
+    """
+    if v.count(0) == len(v) - 1:
+        c = sum(v)
+        if c == 1 or c == -1:
+            return _roots_of_unity(order)[v.index(c) + (0 if c == 1 else len(v))]
+    if order % 2:
+        half = (order + 1) // 2
+        powers = [0] * order
+        for e, a in enumerate(v):
+            powers[e * half % order] = -a if e % 2 else a
+        v = powers
+    return CyclotomicNumber.from_powers(order, v)
+
+
+@lru_cache(maxsize=None)
 def _constants(order: int) -> tuple[CyclotomicNumber, CyclotomicNumber]:
     """(zero, one) of Q(zeta_order). Elements cannot be changed, so one
     instance of each serves every caller; one is the shared zeta_order^0."""
@@ -539,20 +577,21 @@ def root_exponent(x: CyclotomicNumber) -> int:
     >>> root_exponent(minus_q_from_d(5))
     7
     """
-    exponents = _root_exponents(x.order)
-    if x._den == 1:
-        k = exponents.get(x._num)
-        if k is not None:
-            return k
-        k = exponents.get(tuple(-a for a in x._num))
-        if k is not None:
-            raise NotARoot(
-                f"{x} is not a power of zeta({x.order}); as a point it is "
-                f"root_of_unity({2 * x.order}, {2 * k + x.order})"
-            )
+    order = x.order
+    p = _root_positions(order).get(x._num) if x._den == 1 else None
+    if p is not None:
+        # zeta_N^k is entry k * R/N of the table of R roots, R/N = 1 for even
+        # N and 2 for odd N, where -zeta_N^j is entry 2j + N (mod 2N).
+        step = 1 + order % 2
+        if p % step == 0:
+            return p // step
+        raise NotARoot(
+            f"{x} is not a power of zeta({order}); as a point it is "
+            f"root_of_unity({2 * order}, {(p - order) % (2 * order) + order})"
+        )
     if x.is_zero:
         raise ZeroInput("cannot specialize at zero")
-    raise NotARoot(f"{x} is not a power of zeta({x.order})")
+    raise NotARoot(f"{x} is not a power of zeta({order})")
 
 
 def _specialize(p: LaurentPoly, order: int, k: int, zero: CyclotomicNumber) -> CyclotomicNumber:
@@ -598,10 +637,6 @@ class CycloMatrix(SquareMatrix):
     laurent.SquareMatrix)."""
 
     __slots__ = ()
-
-    @classmethod
-    def identity(cls, dim: int, order: int = 1) -> CycloMatrix:
-        return cls(_unit_rows(order, dim))
 
     @property
     def is_identity(self) -> bool:

@@ -361,7 +361,3 @@ class LaurentMatrix(SquareMatrix):
     SquareMatrix)."""
 
     __slots__ = ()
-
-    @classmethod
-    def identity(cls, dim: int) -> LaurentMatrix:
-        return cls(_identity_rows(dim))

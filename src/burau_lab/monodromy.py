@@ -27,7 +27,7 @@ and 1 in columns r-1, r and r+1. Each basis form H must also agree in that
 row and column with +-1 or 0 times the specialized S. All of these are
 comparisons of field elements, and none builds a dense matrix: a
 generator's rows outside r are compared with the cached unit rows of
-``CycloMatrix.identity``, the very tuples ``specialized_burau`` emits for
+``cyclotomic._unit_rows``, the very tuples ``specialized_burau`` emits for
 untouched rows, and row and column r of a form with the three nonzero
 entries of +-S's band at r. The field's zero and one, its roots of unity
 t, t^-1 and -t, Squier's entries and their negatives are one shared
@@ -44,7 +44,6 @@ from .burau import burau_generator, burau_of_word, ev_map, projectively_equal, s
 from .cyclotomic import (
     CycloMatrix,
     CyclotomicNumber,
-    _roots_of_unity,
     _unit_rows,
     root_exponent,
     specialize_poly,
@@ -133,7 +132,7 @@ def rho_generators(n: int, m: int, minus_q: CyclotomicNumber) -> MonodromyGenera
 def _generators_at(n: int, m: int, order: int, k: int) -> MonodromyGenerators:
     """``rho_generators`` at t = zeta_order^k, the field's shared instance."""
     minus_q = CyclotomicNumber.root_of_unity(order, k)
-    mats = tuple(specialized_burau(BraidWord(m - 1, ((i, 1),)), minus_q) for i in range(1, n))
+    mats = tuple(specialized_burau(_valid_word(m - 1, ((i, 1),)), minus_q) for i in range(1, n))
     return MonodromyGenerators(n, m, minus_q, mats)
 
 
@@ -224,17 +223,17 @@ def _laurent_certificate(entries: tuple[LaurentPoly, ...]) -> None:
 
 @lru_cache(maxsize=None)
 def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple, tuple, tuple]:
-    """At t = zeta_order^k: t^-1; the (diagonal, above, below) entries
-    (-t, 1, t) of the Burau letter's row; and Squier's (diagonal, above,
-    below) and their negatives. t, t^-1, -t and 1 are the field's shared
-    roots of unity (``cyclotomic._roots_of_unity``), read off the reduction
-    rows, and the very instances a generator's row holds."""
-    roots = _roots_of_unity(order)
-    size = len(roots)
-    p = k * (size // order)
-    t, t_inverse, minus_t = roots[p % size], roots[-p % size], roots[(p + size // 2) % size]
+    """At t = zeta_order^k: t^-1; the letter's (diagonal, above, below)
+    entries (-t, 1, t); and Squier's (diagonal, above, below) and their
+    negatives. Each is its Laurent polynomial specialized at t, so t^-1,
+    -t, 1 and t are the field's shared roots of unity, the very instances
+    a generator's row holds."""
+    t = CyclotomicNumber.root_of_unity(order, k)
+    letter = tuple(
+        specialize_poly(poly, t) for poly in (-LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.t())
+    )
     entries = tuple(specialize_poly(poly, t) for poly in _SQUIER)
-    return t_inverse, (minus_t, roots[0], t), entries, tuple(-x for x in entries)
+    return specialize_poly(LaurentPoly.t(-1), t), letter, entries, tuple(-x for x in entries)
 
 
 def _squier_at(t: CyclotomicNumber) -> tuple[tuple, tuple, tuple]:

@@ -19,12 +19,14 @@ Expansion is bounded: a word that would have more than MAX_WORD_LETTERS
 letters raises WordTooLong before any list of that size is built.
 
 Which constructors check their letters: ``BraidWord(n, letters)`` converts
-every letter to a pair of ints and checks its index and sign. The words
-this module builds itself hold letters that are valid by construction, so
-they skip those checks (``_valid_word``): ``parse_word`` after its own
-index checks, ``*``, ``inverse``, ``free_reduce``, ``random_word`` and
-``sample_normal_closure``. So does ``monodromy.rho_product``, which reads
-a word on n strands as the same letters on m - 1 >= n strands.
+every letter to a pair of ints and checks its index and sign, one letter at
+a time; that is the one letter check. The words the package builds itself
+hold letters that are valid by construction, so they skip it
+(``_valid_word``): ``parse_word`` after its own index checks, ``*``,
+``inverse``, ``free_reduce``, ``random_word`` and ``sample_normal_closure``
+here, ``monodromy.rho_product``, which reads a word on n strands as the
+same letters on m - 1 >= n strands, and ``monodromy.rho_generators``'
+one-letter words sigma_i on m - 1 strands.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 MAX_WORD_LETTERS = 10**6
@@ -119,30 +120,15 @@ class EmptyGeneratorSet(ValueError):
     """The normal-closure sampler needs at least one generator."""
 
 
-_TABLE_STRANDS = 64
-"""The letter tables stop at this strand count, so none holds more than
-2 * (_TABLE_STRANDS - 1) letters; a word with a larger index is checked
-letter by letter."""
-
-
-@lru_cache(maxsize=None)
-def _canonical_letters(strands_n: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """Each valid letter (i, +-1) of B_strands_n mapped to one shared pair of
-    ints. A letter that hashes and compares equal to it, such as (True, 1),
-    (1.0, -1) or a pair of numpy ints, maps to it as well."""
-    return {(i, e): (i, e) for i in range(1, strands_n) for e in (1, -1)}
-
-
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group on ``strands_n`` strands.
 
     ``letters`` is a sequence of (generator index in 1..n-1, sign in {+1,-1}).
-    It is stored as a tuple of int pairs, each looked up in a table of the
-    valid letters. When a letter is not in the table or cannot be hashed,
-    every letter is converted with ``int`` and range-checked instead, which
-    raises the error for the first invalid one. The package's own
-    constructors of valid words skip this (see the module docstring).
+    It is stored as a tuple of int pairs: every letter is converted with
+    ``int`` and then checked, which raises the error for the first invalid
+    one. The package's own constructors of valid words skip this (see the
+    module docstring).
     """
 
     strands_n: int
@@ -151,21 +137,12 @@ class BraidWord:
     def __post_init__(self):
         if self.strands_n < 2:
             raise InvalidStrandCount(self.strands_n)
-        given = tuple(self.letters)
-        try:
-            table = _canonical_letters(min(self.strands_n, _TABLE_STRANDS))
-            letters = tuple(map(table.__getitem__, given))
-        except (KeyError, TypeError):
-            letters = None
-        if letters is None:
-            letters = tuple((int(i), int(e)) for i, e in given)
-            for i, e in letters:
-                if not 1 <= i <= self.strands_n - 1:
-                    raise IndexOutOfRange(
-                        f"generator index {i} outside 1..{self.strands_n - 1}"
-                    )
-                if e not in (1, -1):
-                    raise ValueError(f"letter sign must be +1 or -1, got {e}")
+        letters = tuple((int(i), int(e)) for i, e in self.letters)
+        for i, e in letters:
+            if not 1 <= i <= self.strands_n - 1:
+                raise IndexOutOfRange(f"generator index {i} outside 1..{self.strands_n - 1}")
+            if e not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {e}")
         object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:

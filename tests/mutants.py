@@ -14,7 +14,7 @@ Run from anywhere, with the test dependencies installed:
 
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, or a pytest run does not finish normally.
-It starts one pytest run per mutant, about 40 s in all for the 24 mutants
+It starts one pytest run per mutant, about 50 s in all for the 27 mutants
 below, so it is not part of the tier-1 run; pytest does not collect this
 file.
 """
@@ -77,6 +77,8 @@ RANDOM_LETTERS = "tests/test_words.py::TestTrustedConstructors::test_random_word
 SIGNED_MONOMIALS = (
     "tests/test_cyclotomic.py::TestSpecialize::test_signed_monomials_are_the_shared_roots"
 )
+WORD_INDEX = "tests/test_words.py::TestBraidWord::test_validation"
+POWERS_OF_ZETA = "tests/test_cyclotomic.py::TestSignedRoot::test_powers_of_zeta"
 
 MUTANTS = [
     Mutant(
@@ -194,7 +196,7 @@ MUTANTS = [
     ),
     Mutant(
         "a single -x^e is read from the table as +x^e",
-        "src/burau_lab/burau.py",
+        "src/burau_lab/cyclotomic.py",
         "v.index(c) + (0 if c == 1 else len(v))",
         "v.index(c) + (len(v) if c == 1 else 0)",
         (SHARED_ROOTS,),
@@ -247,6 +249,27 @@ MUTANTS = [
         "rng.randint(1, strands_n - 1)",
         "rng.randint(1, strands_n)",
         (RANDOM_LETTERS,),
+    ),
+    Mutant(
+        "the odd-order permutation of the powers drops the sign (-1)^e",
+        "src/burau_lab/cyclotomic.py",
+        "powers[e * half % order] = -a if e % 2 else a",
+        "powers[e * half % order] = a",
+        (DENSE,),
+    ),
+    Mutant(
+        "BraidWord accepts the generator index n",
+        "src/burau_lab/words.py",
+        "if not 1 <= i <= self.strands_n - 1:",
+        "if not 1 <= i <= self.strands_n:",
+        (WORD_INDEX,),
+    ),
+    Mutant(
+        "root_exponent returns the table index itself, 2k for odd N",
+        "src/burau_lab/cyclotomic.py",
+        "return p // step",
+        "return p",
+        (POWERS_OF_ZETA,),
     ),
 ]
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from burau_lab import burau
 from burau_lab.burau import (
     BurauImage,
-    _field_value,
     _laurent_row,
     _laurent_step_at,
     _root_length,
@@ -34,6 +33,8 @@ from burau_lab.cyclotomic import (
     root_exponent,
     specialize_matrix,
     specialize_poly,
+    _field_value,
+    _unit_rows,
 )
 from burau_lab.laurent import (
     LaurentMatrix,
@@ -43,7 +44,7 @@ from burau_lab.laurent import (
     _identity_rows,
 )
 from burau_lab.monodromy import _values_at, rho_generators
-from burau_lab.words import BraidWord, parse_word, random_word
+from burau_lab.words import BraidWord, InvalidStrandCount, parse_word, random_word
 from oracles import (
     leibniz_det,
     pack_slots,
@@ -63,7 +64,7 @@ ZERO = LaurentPoly.zero()
 
 def naive_word_image(word: BraidWord) -> LaurentMatrix:
     """Independent oracle: plain matrix product of the generator images."""
-    out = LaurentMatrix.identity(max(word.strands_n - 1, 1))
+    out = LaurentMatrix(_identity_rows(word.strands_n - 1))
     for i, e in word.letters:
         out = out * burau_generator(word.strands_n, i, e < 0).matrix
     return out
@@ -93,8 +94,8 @@ class TestGenerators:
             for i in range(1, n):
                 g = burau_generator(n, i).matrix
                 g_inv = burau_generator(n, i, inverse=True).matrix
-                assert g_inv * g == LaurentMatrix.identity(n - 1)
-                assert g * g_inv == LaurentMatrix.identity(n - 1)
+                assert g_inv * g == LaurentMatrix(_identity_rows(n - 1))
+                assert g * g_inv == LaurentMatrix(_identity_rows(n - 1))
 
     def test_each_letter_is_its_letter_action_row(self):
         # The image of every letter (i, s) is I with row i-1 rewritten by
@@ -105,7 +106,7 @@ class TestGenerators:
             for i in range(1, n):
                 for s in (1, -1):
                     r, power = i - 1, LaurentPoly.t(s)
-                    rows = [list(row) for row in LaurentMatrix.identity(n - 1).rows]
+                    rows = [list(row) for row in LaurentMatrix(_identity_rows(n - 1)).rows]
                     for col, entry in ((r - s, power), (r, -power), (r + s, ONE)):
                         if 0 <= col < n - 1:
                             rows[r][col] = entry
@@ -135,16 +136,16 @@ class TestGenerators:
 
 class TestWordImages:
     def test_empty_word(self):
-        assert burau_of_word(BraidWord(4)).matrix == LaurentMatrix.identity(3)
+        assert burau_of_word(BraidWord(4)).matrix == LaurentMatrix(_identity_rows(3))
 
     def test_group_inverse(self):
         w = parse_word("s1 s1^-1", 4)
-        assert burau_of_word(w).matrix == LaurentMatrix.identity(3)
+        assert burau_of_word(w).matrix == LaurentMatrix(_identity_rows(3))
 
     def test_full_twist_is_central_scalar(self):
         for n in range(3, 11):
             tau = parse_word(f"T{n}", n)
-            expected = scaled(LaurentMatrix.identity(n - 1), LaurentPoly.t(n))
+            expected = scaled(LaurentMatrix(_identity_rows(n - 1)), LaurentPoly.t(n))
             assert burau_of_word(tau).matrix == expected
 
     def test_sub_full_twist_affine_form(self):
@@ -181,18 +182,18 @@ class TestWordImages:
         for n in range(2, 13):
             for _ in range(3):
                 w = random_word(n, rng.randint(0, 40), rng)
-                product = BurauImage(n, LaurentMatrix.identity(n - 1))
+                product = BurauImage(n, LaurentMatrix(_identity_rows(n - 1)))
                 for i, e in w.letters:
                     product = product * burau_generator(n, i, e < 0)
                 assert burau_of_word(w) == product, w
 
     def test_untouched_rows_are_the_identity_rows(self):
         # A row no letter touched is the very row tuple of
-        # LaurentMatrix.identity, built from the shared one and zero.
+        # laurent._identity_rows, built from the shared one and zero.
         for n in (2, 3, 6, 11):
             units = _identity_rows(n - 1)
             empty = burau_of_word(BraidWord(n)).matrix
-            for rows in (LaurentMatrix.identity(n - 1).rows, empty.rows):
+            for rows in (LaurentMatrix(_identity_rows(n - 1)).rows, empty.rows):
                 assert all(row is unit for row, unit in zip(rows, units))
             for w in (BraidWord(n, ((1, 1),)), BraidWord(n, ((n - 1, -1), (n - 1, -1)))):
                 touched = {i - 1 for i, _ in w.letters}
@@ -214,7 +215,16 @@ class TestWordImages:
 
     def test_image_wrapper_validates_dim(self):
         with pytest.raises(ValueError):
-            BurauImage(4, LaurentMatrix.identity(2))
+            BurauImage(4, LaurentMatrix(_identity_rows(2)))
+
+    def test_image_wrapper_needs_two_strands(self):
+        # B_n has a Burau image only for n >= 2; a 1x1 matrix is no image
+        # on fewer strands, and its affine extension would be B_(n+1)'s.
+        one = LaurentMatrix(_identity_rows(1))
+        for strands_n in (1, 0, -3):
+            with pytest.raises(InvalidStrandCount, match=f"got {strands_n}$"):
+                BurauImage(strands_n, one)
+        assert BurauImage(2, one).matrix is one
 
 
 def _row_map(row):
@@ -294,7 +304,7 @@ class TestCrossedHomomorphism:
         assert crossed_v(burau_generator(4, 3)) == (ZERO, ZERO, ONE)
 
     def test_identity_value(self):
-        eye = BurauImage(4, LaurentMatrix.identity(3))
+        eye = BurauImage(4, LaurentMatrix(_identity_rows(3)))
         assert crossed_v(eye) == (ZERO, ZERO, ZERO)
 
     def test_crossed_law(self):
@@ -322,8 +332,8 @@ class TestCrossedHomomorphism:
 
 class TestAffineExtension:
     def test_identity(self):
-        eye = BurauImage(4, LaurentMatrix.identity(3))
-        assert affine_extension(eye) == BurauImage(5, LaurentMatrix.identity(4))
+        eye = BurauImage(4, LaurentMatrix(_identity_rows(3)))
+        assert affine_extension(eye) == BurauImage(5, LaurentMatrix(_identity_rows(4)))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_is_the_image_one_strand_up(self, n):
@@ -370,10 +380,10 @@ class TestEvMap:
             assert ev_map(image, mq, n + 1).matrix == specialize_matrix(image.matrix, mq)
 
     def test_identity_any_padding(self):
-        eye = BurauImage(4, LaurentMatrix.identity(3))
+        eye = BurauImage(4, LaurentMatrix(_identity_rows(3)))
         mq = minus_q_from_d(5)
         pm = ev_map(eye, mq, 6)
-        assert projectively_equal(pm.matrix, CycloMatrix.identity(4, mq.order))
+        assert projectively_equal(pm.matrix, CycloMatrix(_unit_rows(mq.order, 4)))
         assert pm.matrix.dim == 4
 
     def test_padding_agrees_with_independent_composition(self):
@@ -392,7 +402,7 @@ class TestEvMap:
         mq = minus_q_from_d(7)
         tau = burau_of_word(parse_word("T4", 4))
         pm = ev_map(tau, mq, 5)
-        assert projectively_equal(pm.matrix, CycloMatrix.identity(3, mq.order))
+        assert projectively_equal(pm.matrix, CycloMatrix(_unit_rows(mq.order, 3)))
         assert not specialize_matrix(tau.matrix, mq).is_identity
 
     def test_rejects_small_m(self):
@@ -596,10 +606,10 @@ class TestSpecializedBurau:
 
     def test_untouched_rows_are_the_identity_rows(self):
         # Every row but the letter's is the very row tuple of
-        # CycloMatrix.identity, built from the field's shared one and zero.
+        # cyclotomic._unit_rows, built from the field's shared one and zero.
         for n, d in ((3, 5), (6, 7), (10, 12)):
             x = minus_q_from_d(d)
-            identity = CycloMatrix.identity(n - 1, x.order)
+            identity = CycloMatrix(_unit_rows(x.order, n - 1))
             for i in range(1, n):
                 got = specialized_burau(BraidWord(n, ((i, 1),)), x)
                 for a, (row, unit) in enumerate(zip(got.rows, identity.rows)):
@@ -710,7 +720,7 @@ class TestPowerEarlyStop:
                 for k in (2, 3, 5):
                     got = specialized_burau(parse_word(f"T{n}^{k}", n), x)
                     c = x ** (n * k)
-                    assert got == scaled(CycloMatrix.identity(n - 1, x.order), c)
+                    assert got == scaled(CycloMatrix(_unit_rows(x.order, n - 1)), c)
                     for i, row in enumerate(got.rows):
                         for j, entry in enumerate(row):
                             assert entry == c if i == j else entry.is_zero
@@ -837,7 +847,7 @@ class TestPackedRows:
         assert set(packed) == {128, 256, 512}
         assert got == specialize_matrix(burau_of_word(w).matrix, x)
         assert len(reduced) == 2
-        assert got.rows[2] == CycloMatrix.identity(3, x.order).rows[2]
+        assert got.rows[2] == CycloMatrix(_unit_rows(x.order, 3)).rows[2]
 
     @pytest.mark.parametrize("width", [64, 128])
     def test_slot_range_check_and_round_trip(self, width):
@@ -978,7 +988,7 @@ class TestProjectiveEquality:
     def test_zero_matrix_against_nonzero(self):
         zero = CyclotomicNumber.zero(4)
         z = CycloMatrix([[zero, zero], [zero, zero]])
-        m = CycloMatrix.identity(2, 4)
+        m = CycloMatrix(_unit_rows(4, 2))
         assert not projectively_equal(z, m)
         assert not projectively_equal(m, z)
         assert projectively_equal(z, z)

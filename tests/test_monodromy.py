@@ -24,6 +24,7 @@ from burau_lab.cyclotomic import (
     ZeroInput,
     minus_q_from_d,
     specialize_matrix,
+    _unit_rows,
 )
 from burau_lab.monodromy import (
     HermitianForm,
@@ -35,7 +36,7 @@ from burau_lab.monodromy import (
     rho_product,
     signature,
 )
-from burau_lab.words import BraidWord, parse_word, random_word
+from burau_lab.words import BraidWord, parse_word, random_word, sample_normal_closure
 from oracles import scaled
 
 
@@ -151,6 +152,23 @@ class TestGeneratorCache:
         assert g.rows is before and g.dim == 4
 
 
+def test_package_words_skip_the_letter_check(monkeypatch):
+    # BraidWord's check is for letters from outside the package: the words
+    # that the package builds for itself hold valid letters and skip it.
+    checked = []
+    check = BraidWord.__post_init__
+    monkeypatch.setattr(BraidWord, "__post_init__", lambda w: checked.append(w) or check(w))
+    # The generators uncached, as at the first call at a point.
+    monkeypatch.setattr(monodromy, "_generators_at", monodromy._generators_at.__wrapped__)
+    mq = minus_q_from_d(7)
+    rho_generators(4, 6, mq)
+    sample = sample_normal_closure(4, [parse_word("T4 s3^-2", 4)], 3, 5, seed=1)
+    word = parse_word("(s1 s2^-1)^2 T3", 4) * sample
+    rho_product(word, 6, mq)
+    assert diagram_check(word, 4, 6, mq)
+    assert checked == []
+
+
 class TestDiagramCheck:
     def test_single_generators(self):
         mq = minus_q_from_d(6)
@@ -181,7 +199,7 @@ class TestDiagramCheck:
         assert diagram_check(w, 4, 5, mq)
         evaluated = ev_map(burau_of_word(w), mq, 5)
         # The class of (-q)^4 times the identity.
-        assert projectively_equal(evaluated.matrix, CycloMatrix.identity(3, mq.order))
+        assert projectively_equal(evaluated.matrix, CycloMatrix(_unit_rows(mq.order, 3)))
         assert evaluated.matrix.entry(0, 0) == mq**4
 
     def test_product_matches_generator_matrices(self):

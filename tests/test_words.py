@@ -120,8 +120,8 @@ class TestBraidWord:
 
     def test_letters_become_int_pairs(self):
         # Lists, bools, integral floats, non-integral floats, strings, an
-        # iterator and a strand count past the letter table all convert as
-        # int() does.
+        # iterator and indices of a hundred strands all convert as int()
+        # does: every letter goes through the one check.
         cases = [
             (4, [[1, 1], [3, -1]], ((1, 1), (3, -1))),
             (4, ((True, True), (2, -1)), ((1, 1), (2, -1))),
