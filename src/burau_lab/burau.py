@@ -95,7 +95,7 @@ from .laurent import (
     _raw,
     _scalar_rows,
 )
-from .words import BraidWord, InvalidStrandCount
+from .words import BraidWord, _check_strand_count
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ class BurauImage:
     matrix: LaurentMatrix
 
     def __post_init__(self):
-        if self.strands_n < 2:
-            raise InvalidStrandCount(self.strands_n)
+        _check_strand_count(self.strands_n)
         if self.matrix.dim != self.strands_n - 1:
             raise ValueError(
                 f"expected a {self.strands_n - 1}x{self.strands_n - 1} matrix"

@@ -33,6 +33,19 @@ entries of +-S's band at r. The field's zero and one, its roots of unity
 t, t^-1 and -t, Squier's entries and their negatives are one shared
 instance each, and a generator's row holds the very same t, -t and 1, so
 most equal entries are the same object and compare by identity.
+
+The certificate's work is split by how often it can change. Per root
+t = zeta_N^k, once the Laurent identity holds: Squier's entries, their
+negatives, t^-1 and the letter's entries; the leading minors det S_s, one
+sequence that every n and m extend as far as they need; and, per root and
+leading size L, the Schur complement's one division. Per cached generator
+set: the check of its rows, made before ``_generators_at`` caches it. Per
+call: t is compared with the field's shared -1, k is read off t once and
+conj(t) compared with t^-1 once, det S_L = 0 is compared with the
+closed-form inertia, and row and column r of each basis form are compared
+with the one band of +-S or 0 that h_rr selects. A generator set that is
+not the cached object of its point has its rows checked on every call. No
+call makes a field product once its root's values exist.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ from .burau import burau_generator, burau_of_word, ev_map, projectively_equal, s
 from .cyclotomic import (
     CycloMatrix,
     CyclotomicNumber,
+    _roots_of_unity,
     _unit_rows,
     root_exponent,
     specialize_poly,
@@ -53,7 +67,7 @@ from .words import BraidWord, _valid_word, count_text
 
 
 class InvalidDims(ValueError):
-    """The (n, m) pair does not satisfy 3 <= n <= m-1."""
+    """n or m is not an integer, or the pair does not satisfy 3 <= n <= m-1."""
 
 
 class NoInvariantForm(RuntimeError):
@@ -106,6 +120,9 @@ class HermitianForm:
 
 
 def _check_dims(n: int, m: int) -> None:
+    for name, count in (("n", n), ("m", m)):
+        if not isinstance(count, int):
+            raise InvalidDims(f"{name} is not an integer, got {type(count).__name__}")
     if not 3 <= n <= m - 1:
         raise InvalidDims(f"need 3 <= n <= m-1, got n={count_text(n)}, m={count_text(m)}")
 
@@ -116,8 +133,9 @@ def rho_generators(n: int, m: int, minus_q: CyclotomicNumber) -> MonodromyGenera
     (``rho_product``), each a word on m-1 strands.
 
     They are built once per point and cached under (n, m, N, k), for
-    minus_q = zeta_N^k (``root_exponent``): every later call at that point
-    returns the same object, whose matrices and values cannot be changed.
+    minus_q = zeta_N^k (``root_exponent``), after their rows are checked
+    against the Burau letter's: every later call at that point returns the
+    same object, whose matrices and values cannot be changed.
     The dims and the point are checked on every call, before the lookup,
     so a bad (n, m) raises InvalidDims, zero ZeroInput and any other point
     that is no zeta_N^k NotARoot. The key is (N, k), not minus_q: rationals
@@ -130,9 +148,13 @@ def rho_generators(n: int, m: int, minus_q: CyclotomicNumber) -> MonodromyGenera
 
 @lru_cache(maxsize=None)
 def _generators_at(n: int, m: int, order: int, k: int) -> MonodromyGenerators:
-    """``rho_generators`` at t = zeta_order^k, the field's shared instance."""
+    """``rho_generators`` at t = zeta_order^k, the field's shared instance.
+    Every generator's rows are checked against the Burau letter's
+    (``_check_letter_rows``) before the result is cached, so the invariance
+    check need not compare this object's rows again."""
     minus_q = CyclotomicNumber.root_of_unity(order, k)
     mats = tuple(specialized_burau(_valid_word(m - 1, ((i, 1),)), minus_q) for i in range(1, n))
+    _check_letter_rows(mats, order, m - 2, _values_at(order, k)[1])
     return MonodromyGenerators(n, m, minus_q, mats)
 
 
@@ -227,7 +249,10 @@ def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple, tuple, tupl
     entries (-t, 1, t); and Squier's (diagonal, above, below) and their
     negatives. Each is its Laurent polynomial specialized at t, so t^-1,
     -t, 1 and t are the field's shared roots of unity, the very instances
-    a generator's row holds."""
+    a generator's row holds. Squier's entries are specialized only after
+    ``_laurent_certificate`` has proved the form invariant over
+    Z[t, t^-1], so every root's values rest on that identity."""
+    _laurent_certificate(_SQUIER)
     t = CyclotomicNumber.root_of_unity(order, k)
     letter = tuple(
         specialize_poly(poly, t) for poly in (-LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.t())
@@ -236,21 +261,77 @@ def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple, tuple, tupl
     return specialize_poly(LaurentPoly.t(-1), t), letter, entries, tuple(-x for x in entries)
 
 
-def _squier_at(t: CyclotomicNumber) -> tuple[tuple, tuple, tuple]:
-    """The Burau letter's (diagonal, above, below) at t = zeta_N^k, and
-    Squier's and their negatives: one instance of each per root, which the
-    form and its invariance check share. Squier's are ``_SQUIER``
-    specialized at t, with conj(t) read as t^-1, so conj(t) is checked
-    against t^-1 = zeta_N^-k first."""
-    t_inverse, letter, entries, negated = _values_at(t.order, root_exponent(t))
+@lru_cache(maxsize=None)
+def _minors_at(order: int, k: int) -> dict[int, CyclotomicNumber]:
+    """The leading minors D_s = det S_s at t = zeta_order^k found so far,
+    keyed by s; it starts as D_0 = 1 and D_1 = the diagonal entry, and
+    ``_leading_minors`` extends it."""
+    return {0: CyclotomicNumber.one(order), 1: _values_at(order, k)[2][0]}
+
+
+def _leading_minors(order: int, k: int, size: int) -> dict[int, CyclotomicNumber]:
+    """D_0 .. D_size of S at t = zeta_order^k. S is tridiagonal, so
+    D_s = delta D_{s-1} - |1+t|^2 D_{s-2} with delta the diagonal entry,
+    and |1+t|^2 = delta: D_s = delta (D_{s-1} - D_{s-2}). There is one
+    sequence per root, which every n and m read, extended in place as far
+    as a call needs, so each D_s costs one product for the life of the
+    process. A second fill of the same s writes the same value."""
+    minors = _minors_at(order, k)
+    delta = minors[1]
+    for s in range(len(minors), size + 1):
+        minors[s] = delta * (minors[s - 1] - minors[s - 2])
+    return minors
+
+
+@lru_cache(maxsize=None)
+def _schur_entry(order: int, k: int, size: int) -> CyclotomicNumber:
+    """alpha = delta D_{size-1} / D_size at t = zeta_order^k, D_size != 0:
+    bordering c S_size, c = +-1, by S's next row and column with corner x
+    leaves the Schur complement x - c alpha. It is the certificate's one
+    division, made once per root and size."""
+    minors = _leading_minors(order, k, size)
+    return minors[1] * minors[size - 1] / minors[size]
+
+
+def _squier_at(t: CyclotomicNumber) -> tuple[int, tuple, tuple, tuple]:
+    """(k, letter, entries, negated) at t = zeta_N^k: k, the Burau letter's
+    (diagonal, above, below), and Squier's and their negatives, one
+    instance of each per root (``_values_at``), which the form and its
+    invariance check share. Squier's are ``_SQUIER`` specialized at t, with
+    conj(t) read as t^-1, so conj(t) is checked against t^-1 = zeta_N^-k
+    first, on every call."""
+    k = root_exponent(t)
+    t_inverse, letter, entries, negated = _values_at(t.order, k)
     if t.conjugate() != t_inverse:
         raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
-    return letter, entries, negated
+    return k, letter, entries, negated
 
 
-def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenerators) -> None:
+def _check_letter_rows(mats: tuple[CycloMatrix, ...], order: int, dim: int, letter: tuple) -> None:
+    """Raise NoInvariantForm unless generator r+1 is I outside row r and,
+    inside it, the row of the letter (r+1, +1) by the word loop's rule
+    (``burau._word_product``): t in column r-1, -t in column r and 1 in
+    column r+1, where those columns exist. The other rows are compared with
+    the cached unit rows that ``specialized_burau`` emits for untouched
+    rows, and row r with the letter's shared entries, so that equal entries
+    compare by identity."""
+    zero = CyclotomicNumber.zero(order)
+    identity = _unit_rows(order, dim)
+    for r, g in enumerate(mats):
+        letter_row = _band(dim, r, letter, zero)
+        for a, row in enumerate(g.rows):
+            if row != (letter_row if a == r else identity[a]):
+                raise NoInvariantForm(
+                    f"G* H G != H: row {a} is not the Burau letter's for generator {r + 1}"
+                )
+
+
+def _check_invariant(
+    basis: tuple[CycloMatrix, ...], generators: MonodromyGenerators, point: tuple | None = None
+) -> None:
     """Raise NoInvariantForm unless every basis form H is proved to satisfy
-    G* H G = H for every generator G, by comparisons only.
+    G* H G = H for every generator G, by comparisons only. ``point`` is
+    ``_squier_at(t)`` when the caller has made it; else it is made here.
 
     Generator i is I outside row r = i-1. With u = row_r(G) - e_r,
     G* H G - H = (H e_r + h_rr conj(u)) u + conj(u) (e_r^T H), which is
@@ -260,37 +341,34 @@ def _check_invariant(basis: tuple[CycloMatrix, ...], generators: MonodromyGenera
     it is c times the specialization of G(t^-1)^T S G(t) - S, which
     ``_laurent_certificate`` proves to be 0 over Z[t, t^-1], provided
     conj(t) = t^-1, so that conjugation commutes with specialization.
-    Those three facts are what is checked here: conj(t) against t^-1,
-    zeta_N^-k for t = zeta_N^k; every generator against I outside row r
-    and, inside it, against the row of the letter (r+1, +1) by the word
-    loop's rule (``burau._word_product``), t in column r-1, -t in column r
-    and 1 in column r+1, where those columns exist; and row and column r
-    of every basis form against +-1 or 0 times S's, built for that r alone
-    (``_band``).
+    Those three facts are what is checked here: conj(t) against t^-1
+    (``_squier_at``); every generator's rows (``_check_letter_rows``),
+    which ``_generators_at`` checked before caching its result, so they
+    are compared here unless ``generators`` is that very object; and row
+    and column r of every basis form against c times S's. S's diagonal
+    entry |1+t|^2 is not 0 at t != -1, so h_rr fixes c, and only the band
+    of c S built for that r (``_band``) is compared.
     """
-    _laurent_certificate(_SQUIER)
-    t, dim = generators.minus_q, generators.m - 2
-    letter, entries, negated = _squier_at(t)
-    zero = CyclotomicNumber.zero(t.order)
-    # The rows specialized_burau emits for untouched rows, and the letter's
-    # shared entries, so that equal entries compare by identity.
-    identity = _unit_rows(t.order, dim)
-    for r, g in enumerate(generators.mats):
-        letter_row = _band(dim, r, letter, zero)
-        for a, row in enumerate(g.rows):
-            if row != (letter_row if a == r else identity[a]):
-                raise NoInvariantForm(
-                    f"G* H G != H: row {a} is not the Burau letter's for generator {r + 1}"
-                )
+    t, n, m = generators.minus_q, generators.strands_n, generators.m
+    k, letter, entries, negated = point or _squier_at(t)
+    order, dim = t.order, m - 2
+    # The lookup builds the point's generators when none are cached.
+    _check_dims(n, m)
+    if generators is not _generators_at(n, m, order, k):
+        _check_letter_rows(generators.mats, order, dim, letter)
 
-    scaled = (entries, negated, (zero, zero, zero))
+    zero = CyclotomicNumber.zero(order)
+    zeros = (zero, zero, zero)
     for j, h in enumerate(basis):
+        rows = h.rows
+        columns = tuple(zip(*rows))
         for r in range(len(generators.mats)):
-            row, col = h.rows[r], tuple(h_row[r] for h_row in h.rows)
-            if not any(
-                row == _band(dim, r, (diag, above, below), zero)
-                and col == _band(dim, r, (diag, below, above), zero)
-                for diag, above, below in scaled
+            h_rr = rows[r][r]
+            diag, above, below = (
+                entries if h_rr == entries[0] else negated if h_rr == negated[0] else zeros
+            )
+            if rows[r] != _band(dim, r, (diag, above, below), zero) or (
+                columns[r] != _band(dim, r, (diag, below, above), zero)
             ):
                 raise NoInvariantForm(
                     f"G* H G != H: basis form {j} is not +-1 or 0 times S in row and "
@@ -314,26 +392,38 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     -I_k, using c |1+t|^2 det S_{L-1} / det S_L; past a singular S_L,
     diag(0, -1, ..., -1) leaves a 2 x 2 block of inertia (1, 1, 0) (+) -I_{k-1}.
     The basis is H and the k^2 matrix units on the trailing block.
+
+    What is built where: per root, S's entries, t^-1 and the letter's
+    entries (``_values_at``), the leading minors det S_s, extended as far
+    as some call has needed (``_leading_minors``), and per root and L the
+    one division (``_schur_entry``); per cached generator set, the check
+    of its rows (``_generators_at``). Per call: t = -1 is tested against
+    the field's shared -1, k is read off once and conj(t) compared with
+    t^-1 once (``_squier_at``), det S_L = 0 is compared with the closed-form
+    inertia, and the form is built from the shared entries and checked
+    row by row against one band each, with no field product.
     """
     n, m, t = generators.strands_n, generators.m, generators.minus_q
-    if t == -1:
+    order = t.order
+    # The middle entry of the root table is -1 in every field, Q included.
+    roots = _roots_of_unity(order)
+    minus_one = roots[len(roots) // 2]
+    if t == minus_one:
         raise NoInvariantForm(f"no closed-form invariant form at t = {t}")
-    e = root_exponent(t)
-    a = min(e, t.order - e)
+    point = _squier_at(t)
+    e, _, (diag, above, below), negated = point
+    a = min(e, order - e)
     dim, lead, k = m - 2, n - 1, m - 1 - n
-    zero, one = CyclotomicNumber.zero(t.order), CyclotomicNumber.one(t.order)
-    _, (diag, above, below), negated = _squier_at(t)
-    # Leading minors: D_s = diag D_{s-1} - |1+t|^2 D_{s-2}, and |1+t|^2 = diag.
-    minors = [one, diag]
-    for _ in range(2, lead + 1):
-        minors.append(diag * (minors[-1] - minors[-2]))
-    singular = minors[lead].is_zero
-    if singular != (_squier_inertia(lead, a, t.order)[2] > 0):
+    zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)
+    singular = _leading_minors(order, e, lead)[lead].is_zero
+    inertia = _squier_inertia(lead, a, order)
+    if singular != (inertia[2] > 0):
         raise NoInvariantForm("the closed-form inertia of S_L disagrees with det S_L")
 
     pivot = lead - 1 if singular and k else lead
-    pos, neg, zeros = _squier_inertia(pivot, a, t.order)
-    if pos > neg:
+    pos, neg, zeros = inertia if pivot == lead else _squier_inertia(pivot, a, order)
+    flip = pos > neg
+    if flip:
         pos, neg = neg, pos
         diag, above, below = negated
     if not k:
@@ -341,23 +431,25 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     elif singular:
         first, schur = zero, (1, k, 0)
     else:
-        alpha = diag * minors[lead - 1] / minors[lead]
-        first, schur = (one + alpha, (1, k - 1, 0)) if pos == 0 else (alpha - 1, (0, k, 0))
+        alpha = _schur_entry(order, e, lead)
+        if flip:
+            alpha = -alpha
+        first, schur = (one + alpha, (1, k - 1, 0)) if pos == 0 else (alpha + minus_one, (0, k, 0))
     grid = [[zero] * dim for _ in range(dim)]
     for i in range(dim):
-        grid[i][i] = diag if i < lead else first if i == lead else -one
+        grid[i][i] = diag if i < lead else first if i == lead else minus_one
         if i < min(lead, dim - 1):
             grid[i][i + 1], grid[i + 1][i] = above, below
     form = HermitianForm(CycloMatrix(grid), pivot, (pos, neg, zeros), schur)
 
     # The matrix unit at (i, j): row i is the unit row e_j, every other row zero.
-    units, zero_row = _unit_rows(t.order, dim), (zero,) * dim
+    units, zero_row = _unit_rows(order, dim), (zero,) * dim
     basis = (form.matrix,) + tuple(
         CycloMatrix(units[j] if a == i else zero_row for a in range(dim))
         for i in range(lead, dim)
         for j in range(lead, dim)
     )
-    _check_invariant(basis, generators)
+    _check_invariant(basis, generators, point)
     return InvariantFormResult(basis, form, 0)
 
 

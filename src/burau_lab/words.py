@@ -76,10 +76,20 @@ class IndexOutOfRange(ValueError):
 
 
 class InvalidStrandCount(ValueError):
-    """A braid group needs at least 2 strands."""
+    """A braid group needs an integer count of at least 2 strands."""
 
     def __init__(self, strands_n: int):
-        super().__init__(f"a braid group needs at least 2 strands, got {count_text(strands_n)}")
+        if isinstance(strands_n, int):
+            message = f"a braid group needs at least 2 strands, got {count_text(strands_n)}"
+        else:
+            message = f"the strand count is not an integer, got {type(strands_n).__name__}"
+        super().__init__(message)
+
+
+def _check_strand_count(strands_n: int) -> None:
+    """Raise InvalidStrandCount unless strands_n is an int of at least 2."""
+    if not isinstance(strands_n, int) or strands_n < 2:
+        raise InvalidStrandCount(strands_n)
 
 
 class WordTooLong(ValueError):
@@ -135,8 +145,7 @@ class BraidWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.strands_n < 2:
-            raise InvalidStrandCount(self.strands_n)
+        _check_strand_count(self.strands_n)
         letters = tuple((int(i), int(e)) for i, e in self.letters)
         for i, e in letters:
             if not 1 <= i <= self.strands_n - 1:
@@ -218,8 +227,7 @@ def parse_word(text: str, strands_n: int) -> BraidWord:
     IndexOutOfRange when a generator or twist index does not fit the
     strand count.
     """
-    if strands_n < 2:
-        raise InvalidStrandCount(strands_n)
+    _check_strand_count(strands_n)
     letters, pos = _parse_sequence(text, 0, strands_n, depth=0)
     return _valid_word(strands_n, tuple(letters))
 
@@ -317,8 +325,7 @@ def _expand_power(letters: list[tuple[int, int]], exponent: int) -> list[tuple[i
 
 def random_word(strands_n: int, length: int, rng: random.Random) -> BraidWord:
     """A uniformly random word of the given length (letters independent)."""
-    if strands_n < 2:
-        raise InvalidStrandCount(strands_n)
+    _check_strand_count(strands_n)
     if length < 0:
         raise ValueError(f"word length must be nonnegative, got {length}")
     _check_length(length)

@@ -14,7 +14,7 @@ Run from anywhere, with the test dependencies installed:
 
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, or a pytest run does not finish normally.
-It starts one pytest run per mutant, about 50 s in all for the 27 mutants
+It starts one pytest run per mutant, about 60 s in all for the 34 mutants
 below, so it is not part of the tier-1 run; pytest does not collect this
 file.
 """
@@ -79,6 +79,14 @@ SIGNED_MONOMIALS = (
 )
 WORD_INDEX = "tests/test_words.py::TestBraidWord::test_validation"
 POWERS_OF_ZETA = "tests/test_cyclotomic.py::TestSignedRoot::test_powers_of_zeta"
+CORRUPTED_GENERATOR = "tests/test_monodromy.py::TestInvariantForm::test_corrupted_generator_entry_is_caught"
+SIGNATURE_EXAMPLES = "tests/test_monodromy.py::TestInvariantForm::test_signature_examples"
+NAIVE_MINORS = "tests/test_monodromy.py::TestPerRootWork::test_leading_minors_match_the_naive_recurrence"
+CACHE_FILL = (
+    "tests/test_monodromy.py::TestPerRootWork::test_generator_corrupted_before_the_cache_fills_is_caught"
+)
+MINUS_ONE = "tests/test_monodromy.py::TestPerRootWork::test_no_form_at_minus_one"
+SIGNATURE_DIGEST = "tests/test_signature_digest.py::test_signatures_match_the_recorded_digest"
 
 MUTANTS = [
     Mutant(
@@ -168,10 +176,60 @@ MUTANTS = [
     Mutant(
         "the basis check compares row r of a form but not column r",
         "src/burau_lab/monodromy.py",
-        "row == _band(dim, r, (diag, above, below), zero)\n"
-        "                and col == _band(dim, r, (diag, below, above), zero)\n",
-        "row == _band(dim, r, (diag, above, below), zero)\n",
+        "rows[r] != _band(dim, r, (diag, above, below), zero) or (\n"
+        "                columns[r] != _band(dim, r, (diag, below, above), zero)\n"
+        "            )",
+        "rows[r] != _band(dim, r, (diag, above, below), zero)",
         (BASIS_COLUMN,),
+    ),
+    Mutant(
+        "the basis check compares column r with the row's band untransposed",
+        "src/burau_lab/monodromy.py",
+        "columns[r] != _band(dim, r, (diag, below, above), zero)",
+        "columns[r] != _band(dim, r, (diag, above, below), zero)",
+        (SIGNATURE_EXAMPLES,),
+    ),
+    Mutant(
+        "the cached-object shortcut skips the row check of every generator set",
+        "src/burau_lab/monodromy.py",
+        "if generators is not _generators_at(n, m, order, k):",
+        "if False:",
+        (CORRUPTED_GENERATOR,),
+    ),
+    Mutant(
+        "_generators_at caches generators whose rows it never checked",
+        "src/burau_lab/monodromy.py",
+        "    _check_letter_rows(mats, order, m - 2, _values_at(order, k)[1])\n",
+        "",
+        (CACHE_FILL,),
+    ),
+    Mutant(
+        "the minors recurrence drops the D_{s-2} term",
+        "src/burau_lab/monodromy.py",
+        "delta * (minors[s - 1] - minors[s - 2])",
+        "delta * minors[s - 1]",
+        (NAIVE_MINORS,),
+    ),
+    Mutant(
+        "the minors recurrence reads D_{s-1} for D_{s-2}",
+        "src/burau_lab/monodromy.py",
+        "delta * (minors[s - 1] - minors[s - 2])",
+        "delta * (minors[s - 1] - minors[s - 1])",
+        (NAIVE_MINORS,),
+    ),
+    Mutant(
+        "the Schur entry reads D_{L-2} for D_{L-1}",
+        "src/burau_lab/monodromy.py",
+        "minors[1] * minors[size - 1] / minors[size]",
+        "minors[1] * minors[size - 2] / minors[size]",
+        (SIGNATURE_DIGEST,),
+    ),
+    Mutant(
+        "t = -1 is tested against the table's entry 0, which is 1",
+        "src/burau_lab/monodromy.py",
+        "minus_one = roots[len(roots) // 2]",
+        "minus_one = roots[0]",
+        (MINUS_ONE,),
     ),
     Mutant(
         "the root length's quick reject accepts p without the period test",

@@ -226,6 +226,11 @@ class TestWordImages:
                 BurauImage(strands_n, one)
         assert BurauImage(2, one).matrix is one
 
+    def test_image_wrapper_needs_an_integer_strand_count(self):
+        # 2.0 - 1 == 1 == dim, so only the type tells it from 2.
+        with pytest.raises(InvalidStrandCount, match="not an integer, got float$"):
+            BurauImage(2.0, LaurentMatrix(_identity_rows(1)))
+
 
 def _row_map(row):
     """A row of polynomials as the word loop's coefficient map: key

@@ -1,7 +1,8 @@
+import math
 import random
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from burau_lab.cyclotomic import (
     ZeroInput,
     minus_q_from_d,
     specialize_matrix,
+    specialize_poly,
     _unit_rows,
 )
 from burau_lab.monodromy import (
@@ -90,6 +92,17 @@ class TestRhoGenerators:
             rho_generators(4, 4, mq)
         with pytest.raises(InvalidDims):
             rho_generators(2, 5, mq)
+
+    def test_non_integer_dims_are_refused(self):
+        # 3 <= n <= m-1 holds for m = 4.5, and the generators were then
+        # built with a float strand count.
+        mq = minus_q_from_d(5)
+        with pytest.raises(InvalidDims, match="^m is not an integer, got float$"):
+            rho_generators(3, 4.5, mq)
+        with pytest.raises(InvalidDims, match="^n is not an integer, got float$"):
+            rho_generators(3.0, 5, mq)
+        with pytest.raises(InvalidDims, match="^m is not an integer, got float$"):
+            rho_product(parse_word("s1", 3), 4.5, mq)
 
 
 def _signature_points() -> list[tuple[int, int, int]]:
@@ -483,6 +496,95 @@ class TestInvariantForm:
         # Such a point is no zeta_N^k, so no generator is even built.
         with pytest.raises(NotARoot):
             rho_generators(4, 5, CyclotomicNumber.from_fraction(2))
+
+
+class TestPerRootWork:
+    """The certificate builds its minors once per root and checks cached
+    generators once; conj(t), t = -1 and every basis form are still checked
+    on every call."""
+
+    def test_leading_minors_match_the_naive_recurrence(self):
+        # The tridiagonal recurrence in full, D_s = diag D_{s-1} -
+        # above below D_{s-2}, against the memoized delta (D_{s-1} - D_{s-2}),
+        # extended first to s = 6 and then to 12.
+        for order in range(1, 81):
+            for k in range(order):
+                if math.gcd(k, order) != 1:
+                    continue
+                t = CyclotomicNumber.root_of_unity(order, k)
+                diag, above, below = (specialize_poly(p, t) for p in monodromy._SQUIER)
+                off_diagonal = above * below
+                naive = [CyclotomicNumber.one(order), diag]
+                for _ in range(2, 13):
+                    naive.append(diag * naive[-1] - off_diagonal * naive[-2])
+                monodromy._leading_minors(order, k, 6)
+                minors = monodromy._leading_minors(order, k, 12)
+                assert [minors[s] for s in range(13)] == naive, (order, k)
+
+    @pytest.mark.parametrize(
+        "minus_one",
+        [
+            pytest.param(CyclotomicNumber.root_of_unity(2, 1), id="zeta_2"),
+            pytest.param(CyclotomicNumber.root_of_unity(4, 2), id="zeta_4^2"),
+            pytest.param(CyclotomicNumber.root_of_unity(6, 3), id="zeta_6^3"),
+            pytest.param(CyclotomicNumber.root_of_unity(10, 5), id="zeta_10^5"),
+            pytest.param(CyclotomicNumber.from_fraction(-1), id="rational"),
+        ],
+    )
+    def test_no_form_at_minus_one(self, minus_one):
+        # -1 in Q is no power of zeta_1, so rho_generators refuses it: only
+        # a hand-built set holds it, and it gets the same refusal.
+        if minus_one.order == 1:
+            mats = rho_generators(3, 4, CyclotomicNumber.root_of_unity(2, 1)).mats
+            gens = monodromy.MonodromyGenerators(3, 4, minus_one, mats)
+        else:
+            gens = rho_generators(3, 4, minus_one)
+        with pytest.raises(NoInvariantForm, match=r"^no closed-form invariant form at t = -1$"):
+            invariant_hermitian_form(gens)
+
+    def test_one_point_check_per_call(self, monkeypatch):
+        gens = rho_generators(5, 7, minus_q_from_d(8))
+        invariant_hermitian_form(gens)
+        calls = []
+        for name in ("root_exponent", "_squier_at"):
+            real = getattr(monodromy, name)
+            monkeypatch.setattr(
+                monodromy, name, lambda t, name=name, real=real: calls.append(name) or real(t)
+            )
+        invariant_hermitian_form(gens)
+        assert sorted(calls) == ["_squier_at", "root_exponent"]
+
+    def test_only_the_cached_generators_skip_the_row_check(self, monkeypatch):
+        gens = rho_generators(5, 7, minus_q_from_d(8))
+        checked = []
+        check = monodromy._check_letter_rows
+        monkeypatch.setattr(
+            monodromy, "_check_letter_rows", lambda mats, *rest: checked.append(mats) or check(mats, *rest)
+        )
+        result = invariant_hermitian_form(gens)
+        assert checked == []
+        assert invariant_hermitian_form(replace(gens)).basis == result.basis
+        assert len(checked) == 1 and checked[0] is gens.mats
+
+    def test_generator_corrupted_before_the_cache_fills_is_caught(self, monkeypatch):
+        # Each generator built with 1 added to the first entry of its last
+        # row, which no letter of B_4 touches at m = 6.
+        build = monodromy.specialized_burau
+
+        def corrupted(word, minus_q):
+            rows = [list(row) for row in build(word, minus_q).rows]
+            rows[-1][0] += 1
+            return CycloMatrix(rows)
+
+        monkeypatch.setattr(monodromy, "specialized_burau", corrupted)
+        monodromy._generators_at.cache_clear()
+        try:
+            with pytest.raises(
+                NoInvariantForm, match=r"^G\* H G != H: row 3 is not the Burau letter's for generator 1$"
+            ):
+                invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(7)))
+        finally:
+            monodromy._generators_at.cache_clear()
 
 
 def _fraction_inertia(size: int, r: Fraction) -> tuple[int, int, int]:

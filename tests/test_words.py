@@ -179,6 +179,20 @@ class TestBraidWord:
             with pytest.raises(InvalidStrandCount):
                 make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: BraidWord(3.5, ((1, 1),)), id="BraidWord"),
+            pytest.param(lambda: parse_word("s1", 3.5), id="parse_word"),
+            pytest.param(lambda: random_word(3.5, 3, random.Random(0)), id="random_word"),
+        ],
+    )
+    def test_non_integer_strand_count_is_a_typed_error(self, make):
+        # A float count was built, and the word loop then failed on it with
+        # a bare TypeError.
+        with pytest.raises(InvalidStrandCount, match="^the strand count is not an integer, got float$"):
+            make()
+
     def test_inverse_and_power(self):
         w = parse_word("s1 s2", 3)
         assert w.inverse().letters == ((2, -1), (1, -1))
