@@ -95,7 +95,7 @@ from .laurent import (
     _raw,
     _scalar_rows,
 )
-from .words import BraidWord, _check_strand_count
+from .words import BraidWord, _check_integers, _check_strand_count
 
 
 @dataclass(frozen=True)
@@ -512,9 +512,11 @@ def projectively_equal(a: CycloMatrix, b: CycloMatrix) -> bool:
 def ev_map(image: BurauImage, minus_q: CyclotomicNumber, m: int) -> ProjectiveMatrix:
     """Evaluation into PGL_{m-2}: substitute t = minus_q in the image
     itself when m = n+1, and otherwise in its affine extension padded
-    with an identity block up to dimension m-2.
+    with an identity block up to dimension m-2. An m that is not an
+    integer of at least n+1 raises ValueError.
     """
     n = image.strands_n
+    _check_integers(ValueError, ("m", m))
     if m < n + 1:
         raise ValueError(f"target puncture count m={m} must be at least n+1={n + 1}")
     if m == n + 1:

@@ -20,12 +20,12 @@ the outcome is Inconclusive, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import INFINITE, InvalidD, minus_q_from_d, multiplicative_order
-from .words import MAX_FULL_DIGITS, BraidWord, count_text, parse_word, quoted_text
+from .words import MAX_FULL_DIGITS, BraidWord, _check_integers, count_text, parse_word, quoted_text
 
 
 class InvalidFraction(ValueError):
@@ -179,24 +179,24 @@ def _central_power(n: int, d: int) -> int:
 class KernelDescriptor:
     """The kernel of the Burau specialization at a primitive d-th root,
     described as the normal closure of sigma^d and tau_{n-1}^j (j = INFINITE
-    meaning no tau_{n-1} power at all) together with the central tau_n^l. The
-    first and last points' collision stratum has angle 1/j of 2*pi, or none."""
+    meaning no tau_{n-1} power at all) together with the central tau_n^l.
+
+    It is built from (strands_n, d, curvatures) and derives j and l itself:
+    j from the first and last points' collision stratum, whose angle is 1/j
+    of 2*pi, or which is absent (``_twist_order``, ValueError for any other
+    angle), and l = 2d/gcd(2d, (d+2)n) (``_central_power``), once n and d
+    are checked to be integers (InvalidConfiguration)."""
 
     strands_n: int
     d: int
-    j: int | float
-    l: int
+    j: int | float = field(init=False)
+    l: int = field(init=False)
     curvatures: CurvatureVector
 
     def __post_init__(self):
-        if not (self.j == INFINITE or type(self.j) is int and self.j >= 1):
-            raise ValueError(f"j = {self.j!r} is neither INFINITE nor an integer >= 1")
-        j = _twist_order(self.curvatures)
-        if self.j != j:
-            raise ValueError(f"j = {self.j} disagrees with the curvatures, which give {j}")
-        expected = _central_power(self.strands_n, self.d)
-        if self.l != expected:
-            raise ValueError(f"l = {self.l} violates 2d/gcd(2d, (d+2)n) = {expected}")
+        _check_integers(InvalidConfiguration, ("n", self.strands_n), ("d", self.d))
+        object.__setattr__(self, "j", _twist_order(self.curvatures))
+        object.__setattr__(self, "l", _central_power(self.strands_n, self.d))
 
     def normal_generators(self) -> tuple[BraidWord, ...]:
         """The normal generators as words of the grammar: s1^d, T{n-1}^j
@@ -228,7 +228,9 @@ def curvatures_from_nd(n: int, d: int) -> CurvatureVector:
     """The curvature vector on n+1 points that realizes the specialization
     at a primitive d-th root: n points of common curvature with fraction
     (d-2)/(2d) (so that q = exp(i(pi - k))) and a last point supplied by
-    Gauss-Bonnet."""
+    Gauss-Bonnet. An n or d that is not an integer raises
+    InvalidConfiguration."""
+    _check_integers(InvalidConfiguration, ("n", n), ("d", d))
     if n < 3:
         raise InvalidConfiguration("need at least 3 strands")
     if d < 3:
@@ -265,7 +267,7 @@ def kernel_descriptor(n: int, d: int) -> KernelDescriptor | Inconclusive:
             raise ArithmeticError(
                 f"sigma stratum {stratum.pair} has order {stratum.orbifold_order}, not d={d}"
             )
-    return KernelDescriptor(n, d, _twist_order(curvatures), _central_power(n, d), curvatures)
+    return KernelDescriptor(n, d, curvatures)
 
 
 def b3_kernel(d: int) -> KernelDescriptor:

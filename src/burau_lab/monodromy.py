@@ -36,16 +36,17 @@ most equal entries are the same object and compare by identity.
 
 The certificate's work is split by how often it can change. Per root
 t = zeta_N^k, once the Laurent identity holds: Squier's entries, their
-negatives, t^-1 and the letter's entries; the leading minors det S_s, one
-sequence that every n and m extend as far as they need; and, per root and
-leading size L, the Schur complement's one division. Per cached generator
-set: the check of its rows, made before ``_generators_at`` caches it. Per
-call: t is compared with the field's shared -1, k is read off t once and
-conj(t) compared with t^-1 once, det S_L = 0 is compared with the
-closed-form inertia, and row and column r of each basis form are compared
-with the one band of +-S or 0 that h_rr selects. A generator set that is
-not the cached object of its point has its rows checked on every call. No
-call makes a field product once its root's values exist.
+negatives, t^-1 and the letter's entries; the leading minors det S_s,
+memoized per size; and, per root and leading size L, the Schur complement's
+one division. Per generator set: the check of its dims, its point, its count
+and its rows, made once, when ``MonodromyGenerators`` builds it, whether
+``rho_generators`` caches the set or a caller builds it by hand; so the
+invariance check reads no generator rows. Per call: t is compared with the
+field's shared -1, k is read off t once and conj(t) compared with t^-1
+once, det S_L = 0 is compared with the closed-form inertia, and row and
+column r of each basis form are compared with the one band of +-S or 0
+that h_rr selects. No call makes a field product once its root's values
+exist.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .cyclotomic import (
     specialize_poly,
 )
 from .laurent import LaurentMatrix, LaurentPoly
-from .words import BraidWord, _valid_word, count_text
+from .words import BraidWord, _check_integers, _valid_word, count_text
 
 
 class InvalidDims(ValueError):
@@ -77,12 +78,37 @@ class NoInvariantForm(RuntimeError):
 
 @dataclass(frozen=True)
 class MonodromyGenerators:
-    """Monodromy images of the braid generators on m-2 coordinates."""
+    """Monodromy images of the braid generators on m-2 coordinates, checked
+    when built: 3 <= n <= m-1 (InvalidDims), minus_q = zeta_N^k
+    (``root_exponent``), exactly n-1 matrices of size m-2 (InvalidDims), and
+    each matrix's rows (NoInvariantForm). Generator r+1 must be I outside
+    row r and, inside it, the row of the letter (r+1, +1) by the word loop's
+    rule (``burau._word_product``): t in column r-1, -t in column r and 1 in
+    column r+1, where those columns exist. The other rows are compared with
+    the cached unit rows that ``specialized_burau`` emits for untouched
+    rows, and row r with the letter's shared entries, so that equal entries
+    compare by identity. This is the one check of a generator set: the
+    invariance check relies on it and reads no generator rows."""
 
     strands_n: int
     m: int
     minus_q: CyclotomicNumber
     mats: tuple[CycloMatrix, ...]
+
+    def __post_init__(self):
+        n, m, t, mats = self.strands_n, self.m, self.minus_q, self.mats
+        _check_dims(n, m)
+        dim, letter = m - 2, _values_at(t.order, root_exponent(t))[1]
+        if len(mats) != n - 1 or any(g.dim != dim for g in mats):
+            raise InvalidDims(f"need n-1 = {n - 1} matrices of size m-2 = {dim}")
+        zero, identity = CyclotomicNumber.zero(t.order), _unit_rows(t.order, dim)
+        for r, g in enumerate(mats):
+            letter_row = _band(dim, r, letter, zero)
+            for a, row in enumerate(g.rows):
+                if row != (letter_row if a == r else identity[a]):
+                    raise NoInvariantForm(
+                        f"G* H G != H: row {a} is not the Burau letter's for generator {r + 1}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -97,10 +123,17 @@ class HermitianForm:
     schur_inertia: tuple[int, int, int]
 
     def __post_init__(self):
-        """Test h_ij = conj(h_ji) for every pair i <= j. A pair of two shared
+        """Test that the inertias fit: 0 <= pivot_size <= dim, three counts
+        >= 0 each, adding up to pivot_size and to dim - pivot_size. Then
+        test h_ij = conj(h_ji) for every pair i <= j. A pair of two shared
         zeros passes as it stands, and each distinct entry object is
-        conjugated once: a band form repeats a few objects along its rows."""
+        conjugated once: a band form repeats a few objects along its rows.
+        Either failure raises ValueError."""
         rows, dim = self.matrix.rows, self.dim
+        size, pivot, schur = self.pivot_size, self.pivot_inertia, self.schur_inertia
+        sums = (len(pivot), len(schur), sum(pivot), sum(schur))
+        if min(size, dim - size, *pivot, *schur) < 0 or sums != (3, 3, size, dim - size):
+            raise ValueError(f"inertias {pivot}, {schur} do not add up to {size}, {dim - size}")
         zero = CyclotomicNumber.zero(rows[0][0].order)
         conjugates = {}
         for i in range(dim):
@@ -120,9 +153,7 @@ class HermitianForm:
 
 
 def _check_dims(n: int, m: int) -> None:
-    for name, count in (("n", n), ("m", m)):
-        if not isinstance(count, int):
-            raise InvalidDims(f"{name} is not an integer, got {type(count).__name__}")
+    _check_integers(InvalidDims, ("n", n), ("m", m))
     if not 3 <= n <= m - 1:
         raise InvalidDims(f"need 3 <= n <= m-1, got n={count_text(n)}, m={count_text(m)}")
 
@@ -133,9 +164,10 @@ def rho_generators(n: int, m: int, minus_q: CyclotomicNumber) -> MonodromyGenera
     (``rho_product``), each a word on m-1 strands.
 
     They are built once per point and cached under (n, m, N, k), for
-    minus_q = zeta_N^k (``root_exponent``), after their rows are checked
-    against the Burau letter's: every later call at that point returns the
-    same object, whose matrices and values cannot be changed.
+    minus_q = zeta_N^k (``root_exponent``); ``MonodromyGenerators`` checks
+    their rows against the Burau letter's as it builds the set. Every later
+    call at that point returns the same object, whose matrices and values
+    cannot be changed.
     The dims and the point are checked on every call, before the lookup,
     so a bad (n, m) raises InvalidDims, zero ZeroInput and any other point
     that is no zeta_N^k NotARoot. The key is (N, k), not minus_q: rationals
@@ -148,13 +180,11 @@ def rho_generators(n: int, m: int, minus_q: CyclotomicNumber) -> MonodromyGenera
 
 @lru_cache(maxsize=None)
 def _generators_at(n: int, m: int, order: int, k: int) -> MonodromyGenerators:
-    """``rho_generators`` at t = zeta_order^k, the field's shared instance.
-    Every generator's rows are checked against the Burau letter's
-    (``_check_letter_rows``) before the result is cached, so the invariance
-    check need not compare this object's rows again."""
+    """``rho_generators`` at t = zeta_order^k, the field's shared instance:
+    the images of the one-letter words, which ``MonodromyGenerators`` checks
+    as it is built, before the result is cached."""
     minus_q = CyclotomicNumber.root_of_unity(order, k)
     mats = tuple(specialized_burau(_valid_word(m - 1, ((i, 1),)), minus_q) for i in range(1, n))
-    _check_letter_rows(mats, order, m - 2, _values_at(order, k)[1])
     return MonodromyGenerators(n, m, minus_q, mats)
 
 
@@ -262,25 +292,17 @@ def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple, tuple, tupl
 
 
 @lru_cache(maxsize=None)
-def _minors_at(order: int, k: int) -> dict[int, CyclotomicNumber]:
-    """The leading minors D_s = det S_s at t = zeta_order^k found so far,
-    keyed by s; it starts as D_0 = 1 and D_1 = the diagonal entry, and
-    ``_leading_minors`` extends it."""
-    return {0: CyclotomicNumber.one(order), 1: _values_at(order, k)[2][0]}
-
-
-def _leading_minors(order: int, k: int, size: int) -> dict[int, CyclotomicNumber]:
-    """D_0 .. D_size of S at t = zeta_order^k. S is tridiagonal, so
-    D_s = delta D_{s-1} - |1+t|^2 D_{s-2} with delta the diagonal entry,
-    and |1+t|^2 = delta: D_s = delta (D_{s-1} - D_{s-2}). There is one
-    sequence per root, which every n and m read, extended in place as far
-    as a call needs, so each D_s costs one product for the life of the
-    process. A second fill of the same s writes the same value."""
-    minors = _minors_at(order, k)
-    delta = minors[1]
-    for s in range(len(minors), size + 1):
-        minors[s] = delta * (minors[s - 1] - minors[s - 2])
-    return minors
+def _minor(order: int, k: int, s: int) -> CyclotomicNumber:
+    """The leading minor D_s = det S_s at t = zeta_order^k: D_0 = 1, D_1 =
+    delta, the diagonal entry, and, S being tridiagonal with |1+t|^2 =
+    delta, D_s = delta D_{s-1} - |1+t|^2 D_{s-2} = delta (D_{s-1} - D_{s-2}).
+    Each D_s is one product for the life of the process, shared by every n
+    and m. The first call at s reads D_0 .. D_{s-1} bottom up, so the
+    recursion is never more than two calls deep, however large s is."""
+    if s < 2:
+        return CyclotomicNumber.one(order) if s == 0 else _values_at(order, k)[2][0]
+    minors = [_minor(order, k, i) for i in range(s)]
+    return minors[1] * (minors[s - 1] - minors[s - 2])
 
 
 @lru_cache(maxsize=None)
@@ -289,41 +311,20 @@ def _schur_entry(order: int, k: int, size: int) -> CyclotomicNumber:
     bordering c S_size, c = +-1, by S's next row and column with corner x
     leaves the Schur complement x - c alpha. It is the certificate's one
     division, made once per root and size."""
-    minors = _leading_minors(order, k, size)
-    return minors[1] * minors[size - 1] / minors[size]
+    return _minor(order, k, 1) * _minor(order, k, size - 1) / _minor(order, k, size)
 
 
-def _squier_at(t: CyclotomicNumber) -> tuple[int, tuple, tuple, tuple]:
-    """(k, letter, entries, negated) at t = zeta_N^k: k, the Burau letter's
-    (diagonal, above, below), and Squier's and their negatives, one
-    instance of each per root (``_values_at``), which the form and its
-    invariance check share. Squier's are ``_SQUIER`` specialized at t, with
-    conj(t) read as t^-1, so conj(t) is checked against t^-1 = zeta_N^-k
-    first, on every call."""
+def _squier_at(t: CyclotomicNumber) -> tuple[int, tuple, tuple]:
+    """(k, entries, negated) at t = zeta_N^k: k, and Squier's (diagonal,
+    above, below) and their negatives, one instance of each per root
+    (``_values_at``), which the form and its invariance check share.
+    Squier's are ``_SQUIER`` specialized at t, with conj(t) read as t^-1,
+    so conj(t) is checked against t^-1 = zeta_N^-k first, on every call."""
     k = root_exponent(t)
-    t_inverse, letter, entries, negated = _values_at(t.order, k)
+    t_inverse, _, entries, negated = _values_at(t.order, k)
     if t.conjugate() != t_inverse:
         raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
-    return k, letter, entries, negated
-
-
-def _check_letter_rows(mats: tuple[CycloMatrix, ...], order: int, dim: int, letter: tuple) -> None:
-    """Raise NoInvariantForm unless generator r+1 is I outside row r and,
-    inside it, the row of the letter (r+1, +1) by the word loop's rule
-    (``burau._word_product``): t in column r-1, -t in column r and 1 in
-    column r+1, where those columns exist. The other rows are compared with
-    the cached unit rows that ``specialized_burau`` emits for untouched
-    rows, and row r with the letter's shared entries, so that equal entries
-    compare by identity."""
-    zero = CyclotomicNumber.zero(order)
-    identity = _unit_rows(order, dim)
-    for r, g in enumerate(mats):
-        letter_row = _band(dim, r, letter, zero)
-        for a, row in enumerate(g.rows):
-            if row != (letter_row if a == r else identity[a]):
-                raise NoInvariantForm(
-                    f"G* H G != H: row {a} is not the Burau letter's for generator {r + 1}"
-                )
+    return k, entries, negated
 
 
 def _check_invariant(
@@ -341,28 +342,21 @@ def _check_invariant(
     it is c times the specialization of G(t^-1)^T S G(t) - S, which
     ``_laurent_certificate`` proves to be 0 over Z[t, t^-1], provided
     conj(t) = t^-1, so that conjugation commutes with specialization.
-    Those three facts are what is checked here: conj(t) against t^-1
-    (``_squier_at``); every generator's rows (``_check_letter_rows``),
-    which ``_generators_at`` checked before caching its result, so they
-    are compared here unless ``generators`` is that very object; and row
-    and column r of every basis form against c times S's. S's diagonal
-    entry |1+t|^2 is not 0 at t != -1, so h_rr fixes c, and only the band
-    of c S built for that r (``_band``) is compared.
+    Of those three facts, the generators' rows were checked when the set
+    was built (``MonodromyGenerators``), so none is read here. What is
+    checked here is conj(t) against t^-1 (``_squier_at``), and row and
+    column r of every basis form against c times S's. S's diagonal entry
+    |1+t|^2 is not 0 at t != -1, so h_rr fixes c, and only the band of c S
+    built for that r (``_band``) is compared.
     """
-    t, n, m = generators.minus_q, generators.strands_n, generators.m
-    k, letter, entries, negated = point or _squier_at(t)
-    order, dim = t.order, m - 2
-    # The lookup builds the point's generators when none are cached.
-    _check_dims(n, m)
-    if generators is not _generators_at(n, m, order, k):
-        _check_letter_rows(generators.mats, order, dim, letter)
-
-    zero = CyclotomicNumber.zero(order)
+    t, dim = generators.minus_q, generators.m - 2
+    _, entries, negated = point or _squier_at(t)
+    zero = CyclotomicNumber.zero(t.order)
     zeros = (zero, zero, zero)
     for j, h in enumerate(basis):
         rows = h.rows
         columns = tuple(zip(*rows))
-        for r in range(len(generators.mats)):
+        for r in range(generators.strands_n - 1):
             h_rr = rows[r][r]
             diag, above, below = (
                 entries if h_rr == entries[0] else negated if h_rr == negated[0] else zeros
@@ -394,13 +388,13 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     The basis is H and the k^2 matrix units on the trailing block.
 
     What is built where: per root, S's entries, t^-1 and the letter's
-    entries (``_values_at``), the leading minors det S_s, extended as far
-    as some call has needed (``_leading_minors``), and per root and L the
-    one division (``_schur_entry``); per cached generator set, the check
-    of its rows (``_generators_at``). Per call: t = -1 is tested against
-    the field's shared -1, k is read off once and conj(t) compared with
-    t^-1 once (``_squier_at``), det S_L = 0 is compared with the closed-form
-    inertia, and the form is built from the shared entries and checked
+    entries (``_values_at``), the leading minors det S_s (``_minor``), and
+    per root and L the one division (``_schur_entry``); per generator set,
+    the check of its rows, made when it is built (``MonodromyGenerators``).
+    Per call: t = -1 is tested against the field's shared -1, k is read off
+    once and conj(t) compared with t^-1 once (``_squier_at``), det S_L = 0
+    is compared with the closed-form inertia, and the form is built from
+    the shared entries and checked
     row by row against one band each, with no field product.
     """
     n, m, t = generators.strands_n, generators.m, generators.minus_q
@@ -411,11 +405,11 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     if t == minus_one:
         raise NoInvariantForm(f"no closed-form invariant form at t = {t}")
     point = _squier_at(t)
-    e, _, (diag, above, below), negated = point
+    e, (diag, above, below), negated = point
     a = min(e, order - e)
     dim, lead, k = m - 2, n - 1, m - 1 - n
     zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)
-    singular = _leading_minors(order, e, lead)[lead].is_zero
+    singular = _minor(order, e, lead).is_zero
     inertia = _squier_inertia(lead, a, order)
     if singular != (inertia[2] > 0):
         raise NoInvariantForm("the closed-form inertia of S_L disagrees with det S_L")

@@ -92,6 +92,14 @@ def _check_strand_count(strands_n: int) -> None:
         raise InvalidStrandCount(strands_n)
 
 
+def _check_integers(error: type[ValueError], *named: tuple[str, object]) -> None:
+    """Raise error("<name> is not an integer, got <type>") for the first
+    (name, value) pair whose value is not an int."""
+    for name, value in named:
+        if not isinstance(value, int):
+            raise error(f"{name} is not an integer, got {type(value).__name__}")
+
+
 class WordTooLong(ValueError):
     """Expanding a word would exceed MAX_WORD_LETTERS letters."""
 

@@ -80,6 +80,9 @@ SIGNED_MONOMIALS = (
 WORD_INDEX = "tests/test_words.py::TestBraidWord::test_validation"
 POWERS_OF_ZETA = "tests/test_cyclotomic.py::TestSignedRoot::test_powers_of_zeta"
 CORRUPTED_GENERATOR = "tests/test_monodromy.py::TestInvariantForm::test_corrupted_generator_entry_is_caught"
+GENERATOR_COUNT = (
+    "tests/test_monodromy.py::TestInvariantForm::test_generator_sets_of_the_wrong_count_or_size_are_refused"
+)
 SIGNATURE_EXAMPLES = "tests/test_monodromy.py::TestInvariantForm::test_signature_examples"
 NAIVE_MINORS = "tests/test_monodromy.py::TestPerRootWork::test_leading_minors_match_the_naive_recurrence"
 CACHE_FILL = (
@@ -190,38 +193,38 @@ MUTANTS = [
         (SIGNATURE_EXAMPLES,),
     ),
     Mutant(
-        "the cached-object shortcut skips the row check of every generator set",
+        "MonodromyGenerators skips its row check",
         "src/burau_lab/monodromy.py",
-        "if generators is not _generators_at(n, m, order, k):",
+        "if row != (letter_row if a == r else identity[a]):",
         "if False:",
-        (CORRUPTED_GENERATOR,),
+        (CACHE_FILL, CORRUPTED_GENERATOR),
     ),
     Mutant(
-        "_generators_at caches generators whose rows it never checked",
+        "MonodromyGenerators drops its count check",
         "src/burau_lab/monodromy.py",
-        "    _check_letter_rows(mats, order, m - 2, _values_at(order, k)[1])\n",
-        "",
-        (CACHE_FILL,),
+        "if len(mats) != n - 1 or any(g.dim != dim for g in mats):",
+        "if False:",
+        (GENERATOR_COUNT,),
     ),
     Mutant(
         "the minors recurrence drops the D_{s-2} term",
         "src/burau_lab/monodromy.py",
-        "delta * (minors[s - 1] - minors[s - 2])",
-        "delta * minors[s - 1]",
+        "minors[1] * (minors[s - 1] - minors[s - 2])",
+        "minors[1] * minors[s - 1]",
         (NAIVE_MINORS,),
     ),
     Mutant(
         "the minors recurrence reads D_{s-1} for D_{s-2}",
         "src/burau_lab/monodromy.py",
-        "delta * (minors[s - 1] - minors[s - 2])",
-        "delta * (minors[s - 1] - minors[s - 1])",
+        "minors[1] * (minors[s - 1] - minors[s - 2])",
+        "minors[1] * (minors[s - 1] - minors[s - 1])",
         (NAIVE_MINORS,),
     ),
     Mutant(
         "the Schur entry reads D_{L-2} for D_{L-1}",
         "src/burau_lab/monodromy.py",
-        "minors[1] * minors[size - 1] / minors[size]",
-        "minors[1] * minors[size - 2] / minors[size]",
+        "_minor(order, k, size - 1) / _minor(order, k, size)",
+        "_minor(order, k, size - 2) / _minor(order, k, size)",
         (SIGNATURE_DIGEST,),
     ),
     Mutant(

@@ -418,6 +418,12 @@ class TestEvMap:
         with pytest.raises(ZeroInput):
             ev_map(burau_generator(4, 1), CyclotomicNumber.zero(4), 5)
 
+    @pytest.mark.parametrize("m", [4.0, 5.5])
+    def test_rejects_a_non_integer_m(self, m):
+        # 4.0 used to be accepted, and 5.5 raised a bare TypeError from range.
+        with pytest.raises(ValueError, match="^m is not an integer, got float$"):
+            ev_map(burau_generator(3, 1), minus_q_from_d(5), m)
+
 
 class TestSpecializedBurau:
     def test_half_twist_power_in_kernel(self):

@@ -129,15 +129,15 @@ class TestKernelTable:
         from burau_lab.moduli import CurvatureVector
 
         for row in doc["results"]:
+            # j and l are not inputs: the descriptor derives them.
             rebuilt = KernelDescriptor(
                 strands_n=row["n"],
                 d=row["d"],
-                j=INFINITE if row["j"] is None else row["j"],
-                l=row["l"],
                 curvatures=CurvatureVector(
                     tuple(Fraction(f) for f in row["curvatures"])
                 ),
             )
+            assert (rebuilt.j, rebuilt.l) == (INFINITE if row["j"] is None else row["j"], row["l"])
             assert rebuilt == kernel_descriptor(row["n"], row["d"])
 
     def test_inconclusive_row_flagged(self, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -159,39 +160,53 @@ class TestKernelDescriptor:
                 assert sigma.orbifold_order == d
 
     def test_descriptor_invariant_guard(self):
+        # j and l are derived, not passed, so no descriptor holds a j or l
+        # that its (n, d, curvatures) do not give; l = 5.0 used to pass the
+        # check and fail later in normal_generators.
         cv = curvatures_from_nd(4, 5)
-        with pytest.raises(ValueError):
-            KernelDescriptor(4, 5, INFINITE, 4, cv)  # l must be 5
+        assert KernelDescriptor(4, 5, cv).l == 5
+        with pytest.raises(TypeError):
+            KernelDescriptor(4, 5, INFINITE, 4, cv)
+        with pytest.raises(TypeError):
+            KernelDescriptor(4, 5, cv, l=5.0)
+        kd = KernelDescriptor(4, 5, cv)
+        with pytest.raises(FrozenInstanceError):
+            kd.l = 4
 
-    def test_descriptor_rejects_j_that_is_not_a_twist_power(self):
-        # j names the power T{n-1}^j, so it is INFINITE or an int >= 1;
-        # 4.5 used to be truncated to T3^4 and 0 gave an empty generator.
+    def test_descriptor_derives_j_as_a_twist_power(self):
+        # j names the power T{n-1}^j, so it is INFINITE or an int >= 1.
         cv = curvatures_from_nd(4, 12)
-        for j in (4.5, 4.0, 0, -4, True, "4", None, F(4)):
-            with pytest.raises(ValueError, match="neither INFINITE nor an integer"):
-                KernelDescriptor(4, 12, j, 3, cv)
-        kd = KernelDescriptor(4, 12, 4, 3, cv)
+        kd = KernelDescriptor(4, 12, cv)
+        assert (kd.j, kd.l) == (4, 3)
         assert kd == kernel_descriptor(4, 12)
         assert kd.normal_generators()[1].letters == ((1, 1), (2, 1)) * 12
         assert len(kernel_descriptor(4, 5).normal_generators()) == 2
+        for n, d, _, _ in KERNEL_TABLE_FIXTURE:
+            j = KernelDescriptor(n, d, curvatures_from_nd(n, d)).j
+            assert j == INFINITE or type(j) is int and j >= 1, (n, d)
 
-    def test_descriptor_rejects_j_that_disagrees_with_the_curvatures(self):
-        # At (4, 12) the first and last points collide at angle 1/4 of 2pi,
-        # so j is 4: neither another power nor INFINITE is accepted.
-        cv = curvatures_from_nd(4, 12)
-        for j in (7, INFINITE):
-            with pytest.raises(ValueError, match="disagrees with the curvatures"):
-                KernelDescriptor(4, 12, j, 3, cv)
-        # At (4, 5) that stratum is absent, so only INFINITE is accepted.
-        cv = curvatures_from_nd(4, 5)
-        with pytest.raises(ValueError, match="disagrees with the curvatures"):
-            KernelDescriptor(4, 5, 5, 5, cv)
-        assert KernelDescriptor(4, 5, INFINITE, 5, cv) == kernel_descriptor(4, 5)
+    def test_descriptor_derives_j_from_the_curvatures(self):
+        # At (4, 12) the first and last points collide at angle 1/4 of 2pi.
+        assert KernelDescriptor(4, 12, curvatures_from_nd(4, 12)).j == 4
+        # At (4, 5) that stratum is absent, so j is INFINITE.
+        kd = KernelDescriptor(4, 5, curvatures_from_nd(4, 5))
+        assert kd.j == INFINITE and kd == kernel_descriptor(4, 5)
         # At (4, 11) the angle is 5/22 of 2pi, which no j gives.
-        cv = curvatures_from_nd(4, 11)
-        for j in (4, 22, INFINITE):
-            with pytest.raises(ValueError, match="angle 5/22 of 2pi, not 1/j"):
-                KernelDescriptor(4, 11, j, 11, cv)
+        with pytest.raises(ValueError, match="angle 5/22 of 2pi, not 1/j"):
+            KernelDescriptor(4, 11, curvatures_from_nd(4, 11))
+
+    @pytest.mark.parametrize(
+        "n, d", [(4.0, 5), (4, 5.0), (4.5, 5), (4, F(5))], ids=["n-4.0", "d-5.0", "n-4.5", "d-fraction"]
+    )
+    def test_non_integer_n_or_d_is_a_typed_error(self, n, d):
+        # They used to end in a bare TypeError from Fraction or range.
+        name, value = ("n", n) if not isinstance(n, int) else ("d", d)
+        message = f"^{name} is not an integer, got {type(value).__name__}$"
+        for build in (curvatures_from_nd, kernel_descriptor):
+            with pytest.raises(InvalidConfiguration, match=message):
+                build(n, d)
+        with pytest.raises(InvalidConfiguration, match=message):
+            KernelDescriptor(n, d, curvatures_from_nd(4, 5))
 
     def test_normal_generator_words(self):
         # sigma^d and tau_p^k from the ring definition, not from the parser.

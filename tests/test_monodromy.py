@@ -404,9 +404,8 @@ class TestInvariantForm:
         assert t == gens.minus_q
         rows[i - 1][i - 2] = t.conjugate()
         mats = gens.mats[: i - 1] + (CycloMatrix(rows),) + gens.mats[i:]
-        corrupted = monodromy.MonodromyGenerators(n, m, gens.minus_q, mats)
         with pytest.raises(NoInvariantForm, match=rf"generator {i}$"):
-            invariant_hermitian_form(corrupted)
+            monodromy.MonodromyGenerators(n, m, gens.minus_q, mats)
 
     @pytest.mark.parametrize(
         "n, m, d, i, a, b",
@@ -427,9 +426,21 @@ class TestInvariantForm:
         g = CycloMatrix(rows)
         assert _star(g) * form * g != form
         mats = gens.mats[: i - 1] + (g,) + gens.mats[i:]
-        corrupted = monodromy.MonodromyGenerators(n, m, gens.minus_q, mats)
         with pytest.raises(NoInvariantForm, match=rf"generator {i}$"):
-            invariant_hermitian_form(corrupted)
+            monodromy.MonodromyGenerators(n, m, gens.minus_q, mats)
+
+    @pytest.mark.parametrize("n, m", [(4, 6), (3, 4)])
+    def test_generator_sets_of_the_wrong_count_or_size_are_refused(self, n, m):
+        # A set with no generators at all used to be certified, with the
+        # signature of a full one; a count or a size other than n-1 and m-2
+        # is now refused when the set is built.
+        mq = minus_q_from_d(7)
+        mats = rho_generators(n, m, mq).mats
+        wider = rho_generators(n, m + 1, mq).mats
+        for wrong in ((), mats[:1], mats + mats[:1], wider):
+            with pytest.raises(InvalidDims, match=rf"^need n-1 = {n - 1} matrices of size m-2 = {m - 2}$"):
+                monodromy.MonodromyGenerators(n, m, mq, wrong)
+        assert monodromy.MonodromyGenerators(n, m, mq, mats) == rho_generators(n, m, mq)
 
     @pytest.mark.parametrize("n, m, d", [(4, 5, 7), (5, 7, 8), (3, 5, 6)])
     def test_transposed_basis_form_is_caught(self, n, m, d):
@@ -499,14 +510,14 @@ class TestInvariantForm:
 
 
 class TestPerRootWork:
-    """The certificate builds its minors once per root and checks cached
-    generators once; conj(t), t = -1 and every basis form are still checked
-    on every call."""
+    """The certificate builds its minors once per root and checks each
+    generator set once, when it is built; conj(t), t = -1 and every basis
+    form are still checked on every call."""
 
     def test_leading_minors_match_the_naive_recurrence(self):
         # The tridiagonal recurrence in full, D_s = diag D_{s-1} -
         # above below D_{s-2}, against the memoized delta (D_{s-1} - D_{s-2}),
-        # extended first to s = 6 and then to 12.
+        # read first at s = 6 and then up to 12.
         for order in range(1, 81):
             for k in range(order):
                 if math.gcd(k, order) != 1:
@@ -517,9 +528,8 @@ class TestPerRootWork:
                 naive = [CyclotomicNumber.one(order), diag]
                 for _ in range(2, 13):
                     naive.append(diag * naive[-1] - off_diagonal * naive[-2])
-                monodromy._leading_minors(order, k, 6)
-                minors = monodromy._leading_minors(order, k, 12)
-                assert [minors[s] for s in range(13)] == naive, (order, k)
+                assert monodromy._minor(order, k, 6) == naive[6], (order, k)
+                assert [monodromy._minor(order, k, s) for s in range(13)] == naive, (order, k)
 
     @pytest.mark.parametrize(
         "minus_one",
@@ -532,15 +542,17 @@ class TestPerRootWork:
         ],
     )
     def test_no_form_at_minus_one(self, minus_one):
-        # -1 in Q is no power of zeta_1, so rho_generators refuses it: only
-        # a hand-built set holds it, and it gets the same refusal.
+        # -1 in Q is no power of zeta_1, so rho_generators refuses it, and
+        # so does a hand-built set, when it is built.
         if minus_one.order == 1:
             mats = rho_generators(3, 4, CyclotomicNumber.root_of_unity(2, 1)).mats
-            gens = monodromy.MonodromyGenerators(3, 4, minus_one, mats)
-        else:
-            gens = rho_generators(3, 4, minus_one)
+            with pytest.raises(NotARoot):
+                monodromy.MonodromyGenerators(3, 4, minus_one, mats)
+            with pytest.raises(NotARoot):
+                rho_generators(3, 4, minus_one)
+            return
         with pytest.raises(NoInvariantForm, match=r"^no closed-form invariant form at t = -1$"):
-            invariant_hermitian_form(gens)
+            invariant_hermitian_form(rho_generators(3, 4, minus_one))
 
     def test_one_point_check_per_call(self, monkeypatch):
         gens = rho_generators(5, 7, minus_q_from_d(8))
@@ -554,17 +566,18 @@ class TestPerRootWork:
         invariant_hermitian_form(gens)
         assert sorted(calls) == ["_squier_at", "root_exponent"]
 
-    def test_only_the_cached_generators_skip_the_row_check(self, monkeypatch):
+    def test_the_certificate_reads_no_generator_rows(self, monkeypatch):
+        # Every set is checked when it is built, the cached one and one
+        # built by hand alike, so the certificate compares basis forms only.
         gens = rho_generators(5, 7, minus_q_from_d(8))
-        checked = []
-        check = monodromy._check_letter_rows
-        monkeypatch.setattr(
-            monodromy, "_check_letter_rows", lambda mats, *rest: checked.append(mats) or check(mats, *rest)
-        )
-        result = invariant_hermitian_form(gens)
-        assert checked == []
-        assert invariant_hermitian_form(replace(gens)).basis == result.basis
-        assert len(checked) == 1 and checked[0] is gens.mats
+        by_hand = replace(gens)
+        assert by_hand is not gens
+        read = []
+        rows = CycloMatrix.rows
+        monkeypatch.setattr(CycloMatrix, "rows", property(lambda g: read.append(g) or rows.fget(g)))
+        results = [invariant_hermitian_form(g) for g in (gens, by_hand)]
+        assert results[0].basis == results[1].basis
+        assert read and not any(g is h for g in read for h in gens.mats)
 
     def test_generator_corrupted_before_the_cache_fills_is_caught(self, monkeypatch):
         # Each generator built with 1 added to the first entry of its last
@@ -582,7 +595,7 @@ class TestPerRootWork:
             with pytest.raises(
                 NoInvariantForm, match=r"^G\* H G != H: row 3 is not the Burau letter's for generator 1$"
             ):
-                invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(7)))
+                rho_generators(4, 6, minus_q_from_d(7))
         finally:
             monodromy._generators_at.cache_clear()
 
@@ -609,6 +622,26 @@ def test_integer_inertia_matches_the_fraction_form():
 
 
 class TestSignature:
+    @pytest.mark.parametrize(
+        "pivot_size, pivot, schur",
+        [
+            pytest.param(1, (5, 0, 0), (0, 0, 0), id="counts-past-the-dim"),
+            pytest.param(1, (1, 0, 0), (0, 0, 0), id="schur-short"),
+            pytest.param(1, (0, 0, 0), (1, 0, 0), id="pivot-short"),
+            pytest.param(1, (2, -1, 0), (1, 0, 0), id="negative-count"),
+            pytest.param(3, (1, 1, 1), (-1, 0, 0), id="pivot-past-the-dim"),
+            pytest.param(-1, (0, 0, -1), (2, 1, 0), id="negative-pivot"),
+            pytest.param(1, (1, 0), (1, 0), id="two-counts"),
+        ],
+    )
+    def test_rejects_inertias_that_do_not_add_up(self, pivot_size, pivot, schur):
+        # The identity form is Hermitian; (5, 0, 0) + (0, 0, 0) used to be
+        # accepted, and read as the signature of a 2 x 2 form.
+        identity = CycloMatrix(_unit_rows(5, 2))
+        assert signature(HermitianForm(identity, 1, (1, 0, 0), (1, 0, 0))) == (2, 0, 0)
+        with pytest.raises(ValueError, match="do not add up"):
+            HermitianForm(identity, pivot_size, pivot, schur)
+
     def test_rejects_non_hermitian(self):
         one, zero = CyclotomicNumber.one(5), CyclotomicNumber.zero(5)
         zeta = CyclotomicNumber.root_of_unity(5)
