@@ -353,7 +353,7 @@ def cmd_orbifold_check(args: argparse.Namespace) -> int:
     except ZeroDivisionError:
         raise malformed from None
     labels = [part.strip() for part in args.labels.split(",")]
-    curvatures = CurvatureVector(fractions)
+    curvatures = CurvatureVector.from_fractions(fractions)
     report = orbifold_check(curvatures, labels)
     params = {"curvatures": list(map(str, fractions)), "labels": labels}
     results = {"is_orbifold": report.is_orbifold, "strata": _strata_json(report.strata)}

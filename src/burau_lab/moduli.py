@@ -1,10 +1,13 @@
 """Cone-metric moduli analysis: curvature vectors, collision cone angles,
 the orbifold condition, and the kernel descriptors it certifies.
 
-All angle arithmetic is exact rational, measured in units of 2*pi: a
-curvature k is stored as the fraction k/(2*pi) in the open interval
-(0, 1), and a curvature vector on the sphere must sum to 2 (Gauss-Bonnet:
-the angle defects of a flat cone sphere total 4*pi). No floating point
+All angle arithmetic is exact, measured in units of 2*pi: a curvature k
+is stored as k/(2*pi) in the open interval (0, 1), and a curvature vector
+on the sphere must sum to 2 (Gauss-Bonnet: the angle defects of a flat
+cone sphere total 4*pi). A vector holds integer numerators over one
+common denominator D, in lowest terms, so the collision rule below is
+integer arithmetic: a ``Fraction`` is built only for a stratum's reported
+angle, a message, or the ``fractions`` property. No floating point
 appears in this module; integral-submultiple tests must be exact.
 
 Two cone points can collide in the completed moduli space only when their
@@ -43,30 +46,56 @@ class InvalidConfiguration(ValueError):
 
 @dataclass(frozen=True)
 class CurvatureVector:
-    """Cone-point curvatures as fractions of 2*pi: each in (0, 1), summing
-    to exactly 2."""
+    """Cone-point curvatures as fractions of 2*pi, numerators[i] /
+    denominator: each in (0, 1), summing to exactly 2. The vector is kept
+    in lowest terms (no common factor of the denominator and every
+    numerator), so equal curvatures make equal vectors. Build one from
+    fractions with ``from_fractions``."""
 
-    fractions: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self):
-        fracs = tuple(Fraction(f) for f in self.fractions)
-        object.__setattr__(self, "fractions", fracs)
-        if len(fracs) < 3:
+        nums, den = tuple(self.numerators), self.denominator
+        if not all(isinstance(x, int) for x in (den, *nums)):
+            raise InvalidCurvatures("numerators and denominator must be integers")
+        if len(nums) < 3:
             raise InvalidCurvatures("need at least 3 cone points")
-        for f in fracs:
-            if not 0 < f < 1:
-                raise InvalidCurvatures(f"curvature fraction {f} outside (0, 1)")
-        total = sum(fracs)
-        if total != 2:
-            if max(abs(total.numerator), total.denominator) < 10**MAX_FULL_DIGITS:
+        if den < 1:
+            raise InvalidCurvatures(f"the denominator {count_text(den)} is not positive")
+        for a in nums:
+            if not 0 < a < den:
+                raise InvalidCurvatures(f"curvature fraction {Fraction(a, den)} outside (0, 1)")
+        total = sum(nums)
+        if total != 2 * den:
+            total = Fraction(total, den)
+            if max(total.numerator, total.denominator) < 10**MAX_FULL_DIGITS:
                 text = f"{total}, not 2"
             else:
                 side = "less" if total < 2 else "more"
                 text = f"{side} than 2 (denominator {count_text(total.denominator)})"
             raise InvalidCurvatures(f"curvature fractions sum to {text}")
+        common = math.gcd(den, *nums)
+        if common > 1:
+            nums, den = tuple(a // common for a in nums), den // common
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
+
+    @classmethod
+    def from_fractions(cls, fractions: Sequence) -> CurvatureVector:
+        """The vector of these curvatures, each read with ``Fraction``,
+        over the lcm of their denominators."""
+        fracs = tuple(map(Fraction, fractions))
+        den = math.lcm(*(f.denominator for f in fracs))
+        return cls(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
+
+    @property
+    def fractions(self) -> tuple[Fraction, ...]:
+        """The curvatures as ``Fraction`` values, built when read."""
+        return tuple(Fraction(a, self.denominator) for a in self.numerators)
 
     def __len__(self) -> int:
-        return len(self.fractions)
+        return len(self.numerators)
 
 
 @dataclass(frozen=True)
@@ -88,15 +117,27 @@ class OrbifoldReport:
     strata: tuple[ConeStratum, ...]
 
 
+def _collision(a: int, b: int, den: int, same_label: bool) -> tuple[int, int] | None:
+    """The cone angle, (numerator, denominator) of a fraction of 2*pi, not
+    reduced, around the stratum where points of curvature a/den and b/den
+    collide; None when a + b >= den leaves nothing to collide.
+
+    Interchangeable points of common curvature a/den: angle (pi - k)/2*pi,
+    i.e. 1/2 - a/den = (den - 2a)/(2 den). Distinguishable points:
+    2*pi - (k_i + k_j), i.e. (den - a - b)/den. Points with distinct labels
+    always use the second formula, even when their curvature values
+    coincide. The angle is 1/j of 2*pi exactly when its numerator divides
+    its denominator, j being the quotient."""
+    if a + b >= den:
+        return None
+    return (den - 2 * a, 2 * den) if same_label else (den - a - b, den)
+
+
 def cone_angle(k_i: Fraction, k_j: Fraction, same_label: bool) -> Fraction | None:
     """Cone angle (as a fraction of 2*pi) around the stratum where two cone
     points collide, or None when no stratum exists (curvatures summing to
-    at least 2*pi leave nothing to collide).
-
-    Interchangeable points of common curvature k: angle (pi - k)/2*pi,
-    i.e. 1/2 - k/2pi. Distinguishable points: 2*pi - (k_i + k_j), i.e.
-    1 - (k_i + k_j)/2pi. Points with distinct labels always use the second
-    formula, even when their curvature values coincide.
+    at least 2*pi leave nothing to collide): ``_collision`` over the lcm of
+    the two denominators. Same-label points must carry equal curvature.
     """
     k_i, k_j = Fraction(k_i), Fraction(k_j)
     for f in (k_i, k_j):
@@ -104,11 +145,10 @@ def cone_angle(k_i: Fraction, k_j: Fraction, same_label: bool) -> Fraction | Non
             raise InvalidFraction(f"curvature fraction {f} outside (0, 1)")
     if same_label and k_i != k_j:
         raise InvalidFraction("same-label points must have equal curvature")
-    if k_i + k_j >= 1:
-        return None
-    if same_label:
-        return Fraction(1, 2) - k_i
-    return 1 - (k_i + k_j)
+    den = math.lcm(k_i.denominator, k_j.denominator)
+    a, b = (f.numerator * (den // f.denominator) for f in (k_i, k_j))
+    angle = _collision(a, b, den, same_label)
+    return None if angle is None else Fraction(*angle)
 
 
 def orbifold_check(curvatures: CurvatureVector, labels: Sequence[str]) -> OrbifoldReport:
@@ -125,13 +165,14 @@ def orbifold_check(curvatures: CurvatureVector, labels: Sequence[str]) -> Orbifo
         raise InvalidCurvatures(
             f"{len(labels)} labels for {len(curvatures)} cone points"
         )
+    nums, den = curvatures.numerators, curvatures.denominator
     by_label: dict[str, list[int]] = {}
     for idx, label in enumerate(labels):
         by_label.setdefault(label, []).append(idx)
     for label, members in by_label.items():
-        values = {curvatures.fractions[i] for i in members}
+        values = {nums[i] for i in members}
         if len(values) > 1:
-            mixed = ", ".join(map(str, sorted(values)))
+            mixed = ", ".join(str(Fraction(a, den)) for a in sorted(values))
             raise InvalidCurvatures(f"label {quoted_text(label)} mixes curvatures [{mixed}]")
 
     strata: list[ConeStratum] = []
@@ -145,13 +186,12 @@ def orbifold_check(curvatures: CurvatureVector, labels: Sequence[str]) -> Orbifo
                 i, j = by_label[label_a][:2]
             else:
                 i, j = by_label[label_a][0], by_label[label_b][0]
-            angle = cone_angle(
-                curvatures.fractions[i], curvatures.fractions[j], same_label=same
-            )
+            angle = _collision(nums[i], nums[j], den, same)
             if angle is None:
                 continue
-            order = angle.denominator if angle.numerator == 1 else None
-            strata.append(ConeStratum((i, j), angle, order))
+            top, bottom = angle
+            order = None if bottom % top else bottom // top
+            strata.append(ConeStratum((i, j), Fraction(top, bottom), order))
     ok = all(s.orbifold_order is not None for s in strata)
     return OrbifoldReport(ok, tuple(strata))
 
@@ -160,13 +200,14 @@ def _twist_order(curvatures: CurvatureVector) -> int | float:
     """j: the orbifold order of the stratum where the first and last points
     collide, or INFINITE when they cannot. Raises ValueError when the
     stratum's angle is not 1/j of 2*pi."""
-    fractions = curvatures.fractions
-    angle = cone_angle(fractions[0], fractions[-1], same_label=False)
+    nums, den = curvatures.numerators, curvatures.denominator
+    angle = _collision(nums[0], nums[-1], den, same_label=False)
     if angle is None:
         return INFINITE
-    if angle.numerator != 1:
-        raise ValueError(f"the twist stratum has angle {angle} of 2pi, not 1/j")
-    return angle.denominator
+    top, bottom = angle
+    if bottom % top:
+        raise ValueError(f"the twist stratum has angle {Fraction(top, bottom)} of 2pi, not 1/j")
+    return bottom // top
 
 
 def _central_power(n: int, d: int) -> int:
@@ -184,8 +225,10 @@ class KernelDescriptor:
     It is built from (strands_n, d, curvatures) and derives j and l itself:
     j from the first and last points' collision stratum, whose angle is 1/j
     of 2*pi, or which is absent (``_twist_order``, ValueError for any other
-    angle), and l = 2d/gcd(2d, (d+2)n) (``_central_power``), once n and d
-    are checked to be integers (InvalidConfiguration)."""
+    angle), and l = 2d/gcd(2d, (d+2)n) (``_central_power``). Before that it
+    checks that n and d are integers and that the curvatures are those of
+    (n, d), ``curvatures_from_nd(n, d)``, which refuses d < 3 and any (n, d)
+    with no cone sphere: each failure raises InvalidConfiguration."""
 
     strands_n: int
     d: int
@@ -194,7 +237,10 @@ class KernelDescriptor:
     curvatures: CurvatureVector
 
     def __post_init__(self):
-        _check_integers(InvalidConfiguration, ("n", self.strands_n), ("d", self.d))
+        n, d = self.strands_n, self.d
+        _check_integers(InvalidConfiguration, ("n", n), ("d", d))
+        if self.curvatures != curvatures_from_nd(n, d):
+            raise InvalidConfiguration(f"the curvatures are not those of n={n}, d={d}")
         object.__setattr__(self, "j", _twist_order(self.curvatures))
         object.__setattr__(self, "l", _central_power(self.strands_n, self.d))
 
@@ -228,20 +274,20 @@ def curvatures_from_nd(n: int, d: int) -> CurvatureVector:
     """The curvature vector on n+1 points that realizes the specialization
     at a primitive d-th root: n points of common curvature with fraction
     (d-2)/(2d) (so that q = exp(i(pi - k))) and a last point supplied by
-    Gauss-Bonnet. An n or d that is not an integer raises
+    Gauss-Bonnet, (4d - n(d-2))/(2d): numerators over the common
+    denominator 2d, which the vector keeps in lowest terms. An n or d that is not an integer raises
     InvalidConfiguration."""
     _check_integers(InvalidConfiguration, ("n", n), ("d", d))
     if n < 3:
         raise InvalidConfiguration("need at least 3 strands")
     if d < 3:
         raise InvalidConfiguration("need d at least 3")
-    common = Fraction(d - 2, 2 * d)
-    last = 2 - n * common
-    if not 0 < last < 1:
+    last = 4 * d - n * (d - 2)
+    if not 0 < last < 2 * d:
         raise InvalidConfiguration(
-            f"no admissible cone sphere for n={n}, d={d}: last fraction {last}"
+            f"no admissible cone sphere for n={n}, d={d}: last fraction {Fraction(last, 2 * d)}"
         )
-    return CurvatureVector((common,) * n + (last,))
+    return CurvatureVector((d - 2,) * n + (last,), 2 * d)
 
 
 def distinguished_labels(n: int) -> tuple[str, ...]:

@@ -36,17 +36,23 @@ most equal entries are the same object and compare by identity.
 
 The certificate's work is split by how often it can change. Per root
 t = zeta_N^k, once the Laurent identity holds: Squier's entries, their
-negatives, t^-1 and the letter's entries; the leading minors det S_s,
-memoized per size; and, per root and leading size L, the Schur complement's
-one division. Per generator set: the check of its dims, its point, its count
-and its rows, made once, when ``MonodromyGenerators`` builds it, whether
-``rho_generators`` caches the set or a caller builds it by hand; so the
-invariance check reads no generator rows. Per call: t is compared with the
-field's shared -1, k is read off t once and conj(t) compared with t^-1
-once, det S_L = 0 is compared with the closed-form inertia, and row and
-column r of each basis form are compared with the one band of +-S or 0
-that h_rr selects. No call makes a field product once its root's values
-exist.
+negatives, t^-1 and the letter's entries, with the proof that the form's
+band is Hermitian (conj(t) = t^-1, conj(delta) = delta and conj(above) =
+below, for S and -S); the leading minors det S_s, memoized per size; and,
+per root and leading size L, the Schur complement's one division, the
+proof that its alpha is real, and the four corners +-1 +- alpha that the
+trailing block can take. Per generator set: the check of its dims, its
+point, its count and its rows, made once, when ``MonodromyGenerators``
+builds it, whether ``rho_generators`` caches the set or a caller builds it
+by hand; so the invariance check reads no generator rows. Per call: t is
+compared with the field's shared -1, k is read off t once and conj(t)
+compared with t^-1 once, det S_L = 0 is compared with the closed-form
+inertia, the inertias are checked to add up, and row and column r of each
+basis form are compared with the one band of +-S or 0 that h_rr selects.
+The form's entries are the proved shared ones, so it is built without
+``HermitianForm``'s conjugation pass (``_band_form``); a form built through
+the public constructor still gets that pass. No call makes a field
+operation beyond the one conjugation of t once its root's values exist.
 """
 
 from __future__ import annotations
@@ -115,7 +121,10 @@ class MonodromyGenerators:
 class HermitianForm:
     """An exact Hermitian matrix with its inertia certificate: the inertias
     (positive, negative, zero) of a leading pivot block of ``pivot_size``
-    rows and of its Schur complement, which add up to the matrix's."""
+    rows and of its Schur complement, which add up to the matrix's. Built
+    through this constructor, the matrix is checked to be Hermitian pair by
+    pair; ``invariant_hermitian_form`` builds its band form through
+    ``_band_form``, whose entries are proved Hermitian once per root."""
 
     matrix: CycloMatrix
     pivot_size: int
@@ -123,17 +132,13 @@ class HermitianForm:
     schur_inertia: tuple[int, int, int]
 
     def __post_init__(self):
-        """Test that the inertias fit: 0 <= pivot_size <= dim, three counts
-        >= 0 each, adding up to pivot_size and to dim - pivot_size. Then
-        test h_ij = conj(h_ji) for every pair i <= j. A pair of two shared
-        zeros passes as it stands, and each distinct entry object is
-        conjugated once: a band form repeats a few objects along its rows.
-        Either failure raises ValueError."""
+        """Test the inertias (``_check_inertias``), then h_ij = conj(h_ji)
+        for every pair i <= j. A pair of two shared zeros passes as it
+        stands, and each distinct entry object is conjugated once: a band
+        form repeats a few objects along its rows. Either failure raises
+        ValueError."""
+        self._check_inertias()
         rows, dim = self.matrix.rows, self.dim
-        size, pivot, schur = self.pivot_size, self.pivot_inertia, self.schur_inertia
-        sums = (len(pivot), len(schur), sum(pivot), sum(schur))
-        if min(size, dim - size, *pivot, *schur) < 0 or sums != (3, 3, size, dim - size):
-            raise ValueError(f"inertias {pivot}, {schur} do not add up to {size}, {dim - size}")
         zero = CyclotomicNumber.zero(rows[0][0].order)
         conjugates = {}
         for i in range(dim):
@@ -147,9 +152,37 @@ class HermitianForm:
                 if a != conj_b:
                     raise ValueError("matrix is not Hermitian")
 
+    def _check_inertias(self) -> None:
+        """Raise ValueError unless the inertias fit: 0 <= pivot_size <= dim,
+        three counts >= 0 each, adding up to pivot_size and to
+        dim - pivot_size."""
+        dim, size = self.dim, self.pivot_size
+        pivot, schur = self.pivot_inertia, self.schur_inertia
+        sums = (len(pivot), len(schur), sum(pivot), sum(schur))
+        if min(size, dim - size, *pivot, *schur) < 0 or sums != (3, 3, size, dim - size):
+            raise ValueError(f"inertias {pivot}, {schur} do not add up to {size}, {dim - size}")
+
     @property
     def dim(self) -> int:
         return self.matrix.dim
+
+
+def _band_form(
+    matrix: CycloMatrix, pivot_size: int, pivot_inertia: tuple, schur_inertia: tuple
+) -> HermitianForm:
+    """The form holding these values, with ``HermitianForm``'s inertia check
+    but not its conjugation pass: only for the band form that
+    ``invariant_hermitian_form`` builds, every entry of which is proved
+    Hermitian once per root (``_values_at``: conj(delta) = delta and
+    conj(above) = below, for S and -S) or per root and size
+    (``_schur_entry``: conj(alpha) = alpha), or is a shared zero or -1."""
+    form = object.__new__(HermitianForm)
+    object.__setattr__(form, "matrix", matrix)
+    object.__setattr__(form, "pivot_size", pivot_size)
+    object.__setattr__(form, "pivot_inertia", pivot_inertia)
+    object.__setattr__(form, "schur_inertia", schur_inertia)
+    form._check_inertias()
+    return form
 
 
 def _check_dims(n: int, m: int) -> None:
@@ -281,14 +314,25 @@ def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple, tuple, tupl
     -t, 1 and t are the field's shared roots of unity, the very instances
     a generator's row holds. Squier's entries are specialized only after
     ``_laurent_certificate`` has proved the form invariant over
-    Z[t, t^-1], so every root's values rest on that identity."""
+    Z[t, t^-1], so every root's values rest on that identity.
+
+    This is also where the band form's entries are proved Hermitian, once
+    per root: conj(t) = t^-1, and then conj(delta) = delta and conj(above)
+    = below, for S and for -S. Any failure raises NoInvariantForm."""
     _laurent_certificate(_SQUIER)
     t = CyclotomicNumber.root_of_unity(order, k)
+    t_inverse = specialize_poly(LaurentPoly.t(-1), t)
+    if t.conjugate() != t_inverse:
+        raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
     letter = tuple(
         specialize_poly(poly, t) for poly in (-LaurentPoly.t(), LaurentPoly.one(), LaurentPoly.t())
     )
     entries = tuple(specialize_poly(poly, t) for poly in _SQUIER)
-    return specialize_poly(LaurentPoly.t(-1), t), letter, entries, tuple(-x for x in entries)
+    negated = tuple(-x for x in entries)
+    for diag, above, below in (entries, negated):
+        if diag.conjugate() != diag or above.conjugate() != below:
+            raise NoInvariantForm(f"Squier's form is not Hermitian at t = {t}")
+    return t_inverse, letter, entries, negated
 
 
 @lru_cache(maxsize=None)
@@ -306,20 +350,27 @@ def _minor(order: int, k: int, s: int) -> CyclotomicNumber:
 
 
 @lru_cache(maxsize=None)
-def _schur_entry(order: int, k: int, size: int) -> CyclotomicNumber:
-    """alpha = delta D_{size-1} / D_size at t = zeta_order^k, D_size != 0:
+def _schur_entry(order: int, k: int, size: int) -> tuple[CyclotomicNumber, ...]:
+    """The corners 1 + alpha, alpha - 1, 1 - alpha and -alpha - 1 at
+    t = zeta_order^k, for alpha = delta D_{size-1} / D_size, D_size != 0:
     bordering c S_size, c = +-1, by S's next row and column with corner x
-    leaves the Schur complement x - c alpha. It is the certificate's one
-    division, made once per root and size."""
-    return _minor(order, k, 1) * _minor(order, k, size - 1) / _minor(order, k, size)
+    leaves the Schur complement x - c alpha. alpha is the certificate's one
+    division, made once per root and size, and proved real there
+    (NoInvariantForm otherwise), so that every corner is."""
+    alpha = _minor(order, k, 1) * _minor(order, k, size - 1) / _minor(order, k, size)
+    if alpha.conjugate() != alpha:
+        raise NoInvariantForm(f"the Schur entry of size {size} is not real at t = zeta_{order}^{k}")
+    one = CyclotomicNumber.one(order)
+    return one + alpha, alpha - one, one - alpha, -alpha - one
 
 
 def _squier_at(t: CyclotomicNumber) -> tuple[int, tuple, tuple]:
     """(k, entries, negated) at t = zeta_N^k: k, and Squier's (diagonal,
     above, below) and their negatives, one instance of each per root
     (``_values_at``), which the form and its invariance check share.
-    Squier's are ``_SQUIER`` specialized at t, with conj(t) read as t^-1,
-    so conj(t) is checked against t^-1 = zeta_N^-k first, on every call."""
+    Squier's are ``_SQUIER`` specialized at t, with conj(t) read as t^-1.
+    ``_values_at`` proves conj(t) = t^-1 once per root; it is compared
+    again here, on every call, at the cost of one conjugation of t."""
     k = root_exponent(t)
     t_inverse, _, entries, negated = _values_at(t.order, k)
     if t.conjugate() != t_inverse:
@@ -388,14 +439,15 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     The basis is H and the k^2 matrix units on the trailing block.
 
     What is built where: per root, S's entries, t^-1 and the letter's
-    entries (``_values_at``), the leading minors det S_s (``_minor``), and
-    per root and L the one division (``_schur_entry``); per generator set,
-    the check of its rows, made when it is built (``MonodromyGenerators``).
-    Per call: t = -1 is tested against the field's shared -1, k is read off
-    once and conj(t) compared with t^-1 once (``_squier_at``), det S_L = 0
-    is compared with the closed-form inertia, and the form is built from
-    the shared entries and checked
-    row by row against one band each, with no field product.
+    entries, proved Hermitian there (``_values_at``), the leading minors
+    det S_s (``_minor``), and per root and L the one division, proved real,
+    with its corners (``_schur_entry``); per generator set, the check of its
+    rows, made when it is built (``MonodromyGenerators``). Per call: t = -1
+    is tested against the field's shared -1, k is read off once and conj(t)
+    compared with t^-1 once (``_squier_at``), det S_L = 0 is compared with
+    the closed-form inertia, and the form is built from the shared entries
+    (``_band_form``, which checks its inertias) and checked row by row
+    against one band each, with no field product.
     """
     n, m, t = generators.strands_n, generators.m, generators.minus_q
     order = t.order
@@ -408,7 +460,7 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     e, (diag, above, below), negated = point
     a = min(e, order - e)
     dim, lead, k = m - 2, n - 1, m - 1 - n
-    zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)
+    zero = CyclotomicNumber.zero(order)
     singular = _minor(order, e, lead).is_zero
     inertia = _squier_inertia(lead, a, order)
     if singular != (inertia[2] > 0):
@@ -425,16 +477,15 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     elif singular:
         first, schur = zero, (1, k, 0)
     else:
-        alpha = _schur_entry(order, e, lead)
-        if flip:
-            alpha = -alpha
-        first, schur = (one + alpha, (1, k - 1, 0)) if pos == 0 else (alpha + minus_one, (0, k, 0))
+        # The corners for c alpha, c = -1 under flip, else +1.
+        plus, minus = _schur_entry(order, e, lead)[2 * flip:2 * flip + 2]
+        first, schur = (plus, (1, k - 1, 0)) if pos == 0 else (minus, (0, k, 0))
     grid = [[zero] * dim for _ in range(dim)]
     for i in range(dim):
         grid[i][i] = diag if i < lead else first if i == lead else minus_one
         if i < min(lead, dim - 1):
             grid[i][i + 1], grid[i + 1][i] = above, below
-    form = HermitianForm(CycloMatrix(grid), pivot, (pos, neg, zeros), schur)
+    form = _band_form(CycloMatrix(grid), pivot, (pos, neg, zeros), schur)
 
     # The matrix unit at (i, j): row i is the unit row e_j, every other row zero.
     units, zero_row = _unit_rows(order, dim), (zero,) * dim

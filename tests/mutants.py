@@ -14,7 +14,7 @@ Run from anywhere, with the test dependencies installed:
 
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, or a pytest run does not finish normally.
-It starts one pytest run per mutant, about 60 s in all for the 34 mutants
+It starts one pytest run per mutant, about 70 s in all for the 39 mutants
 below, so it is not part of the tier-1 run; pytest does not collect this
 file.
 """
@@ -90,6 +90,16 @@ CACHE_FILL = (
 )
 MINUS_ONE = "tests/test_monodromy.py::TestPerRootWork::test_no_form_at_minus_one"
 SIGNATURE_DIGEST = "tests/test_signature_digest.py::test_signatures_match_the_recorded_digest"
+MODULI_ORACLE = (
+    "tests/test_moduli.py::TestIntegerPathMatchesTheFractionOracle::test_every_n_and_d_up_to_20_and_60"
+)
+HERMITIAN_ENTRIES = (
+    "tests/test_monodromy.py::TestPerRootWork::test_squier_entries_are_proved_hermitian_per_root"
+)
+REAL_SCHUR_ENTRY = "tests/test_monodromy.py::TestPerRootWork::test_schur_entry_is_proved_real"
+DESCRIPTOR_MEMBERSHIP = (
+    "tests/test_moduli.py::TestKernelDescriptor::test_curvatures_must_belong_to_n_and_d"
+)
 
 MUTANTS = [
     Mutant(
@@ -324,6 +334,41 @@ MUTANTS = [
         "if not 1 <= i <= self.strands_n - 1:",
         "if not 1 <= i <= self.strands_n:",
         (WORD_INDEX,),
+    ),
+    Mutant(
+        "a vector in lowest terms keeps twice its common denominator",
+        "src/burau_lab/moduli.py",
+        "nums, den = tuple(a // common for a in nums), den // common",
+        "nums, den = tuple(a // common for a in nums), 2 * den // common",
+        (MODULI_ORACLE,),
+    ),
+    Mutant(
+        "distinct labels collide by the same-label formula",
+        "src/burau_lab/moduli.py",
+        "return (den - 2 * a, 2 * den) if same_label else (den - a - b, den)",
+        "return (den - 2 * a, 2 * den)",
+        (MODULI_ORACLE,),
+    ),
+    Mutant(
+        "the per-root proof that Squier's entries are Hermitian is dropped",
+        "src/burau_lab/monodromy.py",
+        "if diag.conjugate() != diag or above.conjugate() != below:",
+        "if False:",
+        (HERMITIAN_ENTRIES,),
+    ),
+    Mutant(
+        "the Schur entry is not proved real",
+        "src/burau_lab/monodromy.py",
+        "if alpha.conjugate() != alpha:",
+        "if False:",
+        (REAL_SCHUR_ENTRY,),
+    ),
+    Mutant(
+        "KernelDescriptor takes curvatures of any (n, d)",
+        "src/burau_lab/moduli.py",
+        "if self.curvatures != curvatures_from_nd(n, d):",
+        "if False:",
+        (DESCRIPTOR_MEMBERSHIP,),
     ),
     Mutant(
         "root_exponent returns the table index itself, 2k for odd N",

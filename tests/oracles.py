@@ -2,6 +2,7 @@
 under test."""
 
 import itertools
+from fractions import Fraction
 
 
 def leibniz_det(m):
@@ -110,3 +111,55 @@ def ring_row(row, size, width):
     slots = signed_slots(row, size + 1, width)
     slots[0] -= slots.pop()
     return slots
+
+
+# -- the cone-angle rule in Fraction arithmetic --------------------------------
+# The moduli layer works on integer numerators over a common denominator;
+# these are its formulas as first written, one Fraction at a time.
+
+
+def fraction_curvatures(n, d):
+    """The curvatures of (n, d) as Fractions of 2*pi: n points of
+    (d-2)/(2d) and a last point that makes the sum 2; None when the last
+    one falls outside (0, 1)."""
+    common = Fraction(d - 2, 2 * d)
+    last = 2 - n * common
+    return (common,) * n + (last,) if 0 < last < 1 else None
+
+
+def fraction_cone_angle(k_i, k_j, same_label):
+    """1/2 - k_i for interchangeable points, 1 - (k_i + k_j) otherwise, or
+    None when k_i + k_j >= 1."""
+    if k_i + k_j >= 1:
+        return None
+    return Fraction(1, 2) - k_i if same_label else 1 - (k_i + k_j)
+
+
+def fraction_order(angle):
+    """j when the angle is 1/j, else None."""
+    return angle.denominator if angle.numerator == 1 else None
+
+
+def fraction_strata(fractions, labels):
+    """(pair, angle, order) of each stratum, label pairs in sorted order,
+    each with its first two points (same label) or first points."""
+    by_label = {}
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
+    names = sorted(by_label)
+    strata = []
+    for a, label_a in enumerate(names):
+        for label_b in names[a:]:
+            same = label_a == label_b
+            if same and len(by_label[label_a]) < 2:
+                continue
+            i, j = by_label[label_a][:2] if same else (by_label[label_a][0], by_label[label_b][0])
+            angle = fraction_cone_angle(fractions[i], fractions[j], same)
+            if angle is not None:
+                strata.append(((i, j), angle, fraction_order(angle)))
+    return strata
+
+
+def fraction_central_power(n, d):
+    """l, the order of (-q)^n = exp(2*pi*i * n(d+2)/(2d)) at q = exp(2*pi*i/d)."""
+    return Fraction(n * (d + 2), 2 * d).denominator

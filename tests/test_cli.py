@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from pathlib import Path
 
@@ -17,6 +18,17 @@ CLI_TRANSCRIPTS = Path(__file__).parent / "data" / "cli"
 # has a denominator of 600 digits.
 WIDE_SUM_CURVATURES = ",".join(f"1/{10**29 + 7 + 2 * i}" for i in range(21))
 WIDE_SUM_LABELS = ",".join(f"p{i}" for i in range(21))
+
+
+def _coprime_denominators(count: int) -> list[int]:
+    """count pairwise coprime 30-digit numbers, the largest odd ones below
+    10^30 that share no factor with a larger one taken."""
+    taken, candidate = [], 10**30 - 1
+    while len(taken) < count:
+        if all(math.gcd(candidate, x) == 1 for x in taken):
+            taken.append(candidate)
+        candidate -= 2
+    return taken
 
 
 def run(capsys, *argv):
@@ -124,8 +136,6 @@ class TestKernelTable:
         doc = json.loads(out)
         assert doc["fixtures_matched"] is True
         assert len(doc["results"]) == 19
-        from fractions import Fraction
-
         from burau_lab.moduli import CurvatureVector
 
         for row in doc["results"]:
@@ -133,9 +143,7 @@ class TestKernelTable:
             rebuilt = KernelDescriptor(
                 strands_n=row["n"],
                 d=row["d"],
-                curvatures=CurvatureVector(
-                    tuple(Fraction(f) for f in row["curvatures"])
-                ),
+                curvatures=CurvatureVector.from_fractions(row["curvatures"]),
             )
             assert (rebuilt.j, rebuilt.l) == (INFINITE if row["j"] is None else row["j"], row["l"])
             assert rebuilt == kernel_descriptor(row["n"], row["d"])
@@ -469,6 +477,23 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2
         assert (code, out) == (cli.EXIT_INVALID_PARAMS, "")
         assert err.count("\n") == 1 and len(err.encode()) <= 200, err[:80]
+
+    def test_pairwise_coprime_denominators_fail_fast(self, capsys):
+        # 21 entries of 1/x with pairwise coprime 30-digit x: the common
+        # denominator is their product, of 630 digits, and so is the sum's.
+        denominators = _coprime_denominators(21)
+        assert all(len(str(x)) == 30 for x in denominators)
+        assert len(str(math.lcm(*denominators))) == 630
+        curvatures = ",".join(f"1/{x}" for x in denominators)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "moduli", "orbifold-check", "--curvatures", curvatures, "--labels", WIDE_SUM_LABELS
+        )
+        assert time.perf_counter() - start < 2
+        assert (code, out, err) == (
+            cli.EXIT_INVALID_PARAMS, "",
+            "invalid parameters: curvature fractions sum to less than 2 (denominator at least 10^629)\n",
+        )
 
     def test_fraction_entries_up_to_30_digits(self, capsys):
         # 1/4 four times, 1/10, 2/5 and 1/2 sum to 2; the longest runs of

@@ -1,9 +1,13 @@
 import math
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from burau_lab import moduli
 from burau_lab.cyclotomic import INFINITE, InvalidD, minus_q_from_d, multiplicative_order
 from burau_lab.moduli import (
     ConeStratum,
@@ -21,6 +25,13 @@ from burau_lab.moduli import (
     orbifold_check,
 )
 from burau_lab.cli import KERNEL_TABLE_FIXTURE
+from oracles import (
+    fraction_central_power,
+    fraction_cone_angle,
+    fraction_curvatures,
+    fraction_order,
+    fraction_strata,
+)
 
 F = Fraction
 
@@ -56,26 +67,53 @@ class TestConeAngle:
 class TestCurvatureVector:
     def test_gauss_bonnet_enforced(self):
         with pytest.raises(InvalidCurvatures):
-            CurvatureVector((F(1, 2), F(1, 2), F(1, 2)))
+            CurvatureVector.from_fractions((F(1, 2), F(1, 2), F(1, 2)))
 
     def test_open_interval_enforced(self):
         with pytest.raises(InvalidCurvatures):
-            CurvatureVector((F(1), F(1, 2), F(1, 2)))
+            CurvatureVector.from_fractions((F(1), F(1, 2), F(1, 2)))
 
     def test_valid(self):
-        cv = CurvatureVector((F(1, 2), F(1, 2), F(1, 2), F(1, 2)))
+        cv = CurvatureVector.from_fractions((F(1, 2), F(1, 2), F(1, 2), F(1, 2)))
         assert len(cv) == 4
+
+    def test_integer_numerators_over_one_denominator_in_lowest_terms(self):
+        # These sum to 2 over the lcm 12 of their denominators.
+        cv = CurvatureVector.from_fractions(("1/4", "1/3", "3/4", "2/3"))
+        assert (cv.numerators, cv.denominator) == ((3, 4, 9, 8), 12)
+        assert cv.fractions == (F(1, 4), F(1, 3), F(3, 4), F(2, 3))
+        # The same curvatures over a multiple of the denominator are the
+        # same vector.
+        assert CurvatureVector((6, 8, 18, 16), 24) == cv
+        assert curvatures_from_nd(4, 12) == CurvatureVector.from_fractions(
+            curvatures_from_nd(4, 12).fractions
+        )
+        assert curvatures_from_nd(3, 7).denominator == 14
+
+    def test_error_texts(self):
+        cases = {
+            (F(1, 2), F(1, 2)): "need at least 3 cone points",
+            (F(1, 4), F(3, 2), F(1, 4)): "curvature fraction 3/2 outside (0, 1)",
+            (F(1, 4), F(1, 2), F(1, 2)): "curvature fractions sum to 5/4, not 2",
+        }
+        for fractions, message in cases.items():
+            with pytest.raises(InvalidCurvatures, match=f"^{re.escape(message)}$"):
+                CurvatureVector.from_fractions(fractions)
+        with pytest.raises(InvalidCurvatures, match="^numerators and denominator must be integers$"):
+            CurvatureVector((F(1, 2),) * 4, 1)
+        with pytest.raises(InvalidCurvatures, match="^the denominator 0 is not positive$"):
+            CurvatureVector((1, 1, 1, 1), 0)
 
 
 class TestOrbifoldCheck:
     def test_six_plus_one_example(self):
-        cv = CurvatureVector((F(1, 4),) * 6 + (F(2, 4),))
+        cv = CurvatureVector.from_fractions((F(1, 4),) * 6 + (F(2, 4),))
         report = orbifold_check(cv, ["a"] * 6 + ["b"])
         assert report.is_orbifold
         assert sorted(s.orbifold_order for s in report.strata) == [4, 4]
 
     def test_five_plus_one_example(self):
-        cv = CurvatureVector((F(3, 8),) * 5 + (F(1, 8),))
+        cv = CurvatureVector.from_fractions((F(3, 8),) * 5 + (F(1, 8),))
         report = orbifold_check(cv, ["a"] * 5 + ["b"])
         assert report.is_orbifold
         assert sorted(s.orbifold_order for s in report.strata) == [2, 8]
@@ -84,7 +122,7 @@ class TestOrbifoldCheck:
         assert by_pair[(0, 5)].angle_fraction == F(1, 2)
 
     def test_twelve_point_failure(self):
-        cv = CurvatureVector((F(1, 6),) * 12)
+        cv = CurvatureVector.from_fractions((F(1, 6),) * 12)
         report = orbifold_check(cv, ["a"] * 11 + ["b"])
         assert not report.is_orbifold
         failing = [s for s in report.strata if s.orbifold_order is None]
@@ -92,7 +130,7 @@ class TestOrbifoldCheck:
         assert failing[0].angle_fraction == F(2, 3)
 
     def test_label_consistency_enforced(self):
-        cv = CurvatureVector((F(1, 4),) * 6 + (F(2, 4),))
+        cv = CurvatureVector.from_fractions((F(1, 4),) * 6 + (F(2, 4),))
         with pytest.raises(InvalidCurvatures):
             orbifold_check(cv, ["a"] * 7)
         with pytest.raises(InvalidCurvatures):
@@ -101,7 +139,7 @@ class TestOrbifoldCheck:
     def test_non_unit_fraction_angle_has_no_order(self):
         # All points distinguishable: every pair collides at angle 2/3,
         # which is not an integral submultiple, so no stratum gets an order.
-        cv = CurvatureVector((F(1, 6),) * 12)
+        cv = CurvatureVector.from_fractions((F(1, 6),) * 12)
         report = orbifold_check(cv, [str(i) for i in range(12)])
         assert not report.is_orbifold
         assert len(report.strata) == 66
@@ -195,6 +233,23 @@ class TestKernelDescriptor:
         with pytest.raises(ValueError, match="angle 5/22 of 2pi, not 1/j"):
             KernelDescriptor(4, 11, curvatures_from_nd(4, 11))
 
+    def test_curvatures_must_belong_to_n_and_d(self):
+        # A descriptor used to take any curvature vector, and any d: with
+        # the 4-strand sphere's curvatures, (5, 12) read j = 4 off 5 cone
+        # points, and (4, -5) gave l = -5 and the generator s1^-5.
+        cases = [
+            (5, 12, curvatures_from_nd(4, 12), "no admissible cone sphere for n=5, d=12"),
+            (4, -5, curvatures_from_nd(4, 5), "need d at least 3"),
+            (4, 2, curvatures_from_nd(4, 5), "need d at least 3"),
+            (4, 6, curvatures_from_nd(4, 5), "the curvatures are not those of n=4, d=6"),
+            (5, 5, curvatures_from_nd(4, 5), "the curvatures are not those of n=5, d=5"),
+        ]
+        for n, d, cv, message in cases:
+            with pytest.raises(InvalidConfiguration, match=f"^{re.escape(message)}"):
+                KernelDescriptor(n, d, cv)
+        cv = CurvatureVector.from_fractions(curvatures_from_nd(4, 12).fractions)
+        assert KernelDescriptor(4, 12, cv) == kernel_descriptor(4, 12)
+
     @pytest.mark.parametrize(
         "n, d", [(4.0, 5), (4, 5.0), (4.5, 5), (4, F(5))], ids=["n-4.0", "d-5.0", "n-4.5", "d-fraction"]
     )
@@ -265,3 +320,65 @@ class TestCrossChecksAgainstCyclotomic:
     def test_l_formula(self):
         for n, d, _, l in KERNEL_TABLE_FIXTURE:
             assert l == 2 * d // math.gcd(2 * d, (d + 2) * n)
+
+
+class TestIntegerPathMatchesTheFractionOracle:
+    """The integer collision rule against its Fraction formulas
+    (``oracles``): every stratum, angle and order, and j and l."""
+
+    def test_every_n_and_d_up_to_20_and_60(self):
+        for n in range(3, 21):
+            labels = distinguished_labels(n)
+            for d in range(3, 61):
+                fractions = fraction_curvatures(n, d)
+                if fractions is None:
+                    with pytest.raises(InvalidConfiguration):
+                        curvatures_from_nd(n, d)
+                    continue
+                cv = curvatures_from_nd(n, d)
+                assert cv.fractions == fractions, (n, d)
+                strata = fraction_strata(fractions, labels)
+                report = orbifold_check(cv, labels)
+                got = [(s.pair, s.angle_fraction, s.orbifold_order) for s in report.strata]
+                assert got == strata, (n, d)
+                assert report.is_orbifold == all(order for _, _, order in strata), (n, d)
+                twist = fraction_cone_angle(fractions[0], fractions[-1], same_label=False)
+                if twist is None:
+                    j = INFINITE
+                elif fraction_order(twist) is None:
+                    with pytest.raises(ValueError, match=f"angle {twist} of 2pi"):
+                        moduli._twist_order(cv)
+                    j = None
+                else:
+                    j = fraction_order(twist)
+                if j is not None:
+                    assert moduli._twist_order(cv) == j, (n, d)
+                desc = kernel_descriptor(n, d)
+                if not report.is_orbifold:
+                    assert isinstance(desc, Inconclusive), (n, d)
+                    continue
+                assert (desc.j, desc.l) == (j, fraction_central_power(n, d)), (n, d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 60), min_size=1, max_size=5),
+        picks=st.lists(st.integers(0, 4), min_size=3, max_size=9),
+    )
+    def test_random_vectors_and_labels(self, weights, picks):
+        # Each point takes the label and weight of one pick; the weights are
+        # scaled so that the curvatures sum to 2, so points of one label
+        # share their curvature.
+        labels = [f"x{p % len(weights)}" for p in picks]
+        total = sum(weights[p % len(weights)] for p in picks)
+        fractions = tuple(F(2 * weights[p % len(weights)], total) for p in picks)
+        assume(all(f < 1 for f in fractions))
+        cv = CurvatureVector.from_fractions(fractions)
+        assert cv.fractions == fractions
+        assert cv.denominator == math.lcm(*(f.denominator for f in fractions))
+        report = orbifold_check(cv, labels)
+        strata = fraction_strata(fractions, labels)
+        assert [(s.pair, s.angle_fraction, s.orbifold_order) for s in report.strata] == strata
+        for a in fractions:
+            for b in fractions:
+                assert cone_angle(a, b, same_label=False) == fraction_cone_angle(a, b, False)
+            assert cone_angle(a, a, same_label=True) == fraction_cone_angle(a, a, True)

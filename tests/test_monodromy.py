@@ -579,6 +579,45 @@ class TestPerRootWork:
         assert results[0].basis == results[1].basis
         assert read and not any(g is h for g in read for h in gens.mats)
 
+    def test_squier_entries_are_proved_hermitian_per_root(self, monkeypatch):
+        # Squier's entry above the diagonal specialized as its conjugate: the
+        # Laurent identity still holds, and the form and its invariance check
+        # read the same entries, so only the proof conj(above) = below, made
+        # once per root, refuses the root.
+        real = monodromy.specialize_poly
+        above = monodromy._SQUIER[1]
+        monkeypatch.setattr(
+            monodromy, "specialize_poly",
+            lambda poly, t: real(poly, t).conjugate() if poly == above else real(poly, t),
+        )
+        monodromy._values_at.cache_clear()
+        try:
+            with pytest.raises(NoInvariantForm, match=r"^Squier's form is not Hermitian at t = "):
+                invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(37)))
+        finally:
+            monodromy._values_at.cache_clear()
+
+    def test_schur_entry_is_proved_real(self, monkeypatch):
+        # D_{L-1} times t makes alpha = delta D_{L-1} / D_L non-real. alpha
+        # fills the corner of the trailing block, which the invariance check
+        # does not read, so only the proof conj(alpha) = alpha, made once per
+        # root and size, refuses it.
+        n, m, mq = 5, 7, minus_q_from_d(8)
+        gens = rho_generators(n, m, mq)
+        order, k = mq.order, monodromy.root_exponent(mq)
+        real = monodromy._minor
+        # Memoized before the patch, so the recurrence reads no patched minor.
+        assert all(not real(order, k, s).is_zero for s in range(n))
+        monkeypatch.setattr(
+            monodromy, "_minor", lambda o, e, s: real(o, e, s) * mq if s == n - 2 else real(o, e, s)
+        )
+        monodromy._schur_entry.cache_clear()
+        try:
+            with pytest.raises(NoInvariantForm, match=r"^the Schur entry of size 4 is not real at t = "):
+                invariant_hermitian_form(gens)
+        finally:
+            monodromy._schur_entry.cache_clear()
+
     def test_generator_corrupted_before_the_cache_fills_is_caught(self, monkeypatch):
         # Each generator built with 1 added to the first entry of its last
         # row, which no letter of B_4 touches at m = 6.

@@ -8,6 +8,11 @@ in ``tests/data/signature_digest.txt``. The points are every (n, d),
 curvature 2 - n(d-2)/(2d) lies in (0, 1)), each at m = n+1, n+2 and n+3:
 no trailing block, the one Schur division, and a 2 x 2 trailing block.
 
+A second test rebuilds each chosen form through the public
+``HermitianForm``, whose conjugation check compares every pair of entries:
+the package builds the form without it, from entries proved Hermitian once
+per root and size.
+
 After an intended change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_signature_digest.py > tests/data/signature_digest.txt
@@ -18,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from burau_lab.cyclotomic import minus_q_from_d
-from burau_lab.monodromy import invariant_hermitian_form, rho_generators, signature
+from burau_lab.monodromy import HermitianForm, invariant_hermitian_form, rho_generators, signature
 
 DIGEST_FILE = Path(__file__).parent / "data" / "signature_digest.txt"
 
@@ -52,6 +57,19 @@ def signature_digest() -> str:
 def test_signatures_match_the_recorded_digest():
     assert len(cone_sphere_points()) == 83
     assert signature_digest() == DIGEST_FILE.read_text().split()[0]
+
+
+def test_chosen_forms_pass_the_full_hermitian_check():
+    # The package builds its band form without HermitianForm's conjugation
+    # pass, its entries being proved Hermitian once per root and size; the
+    # public constructor, which compares every pair, must accept each one.
+    for n, d in cone_sphere_points():
+        for m in (n + 1, n + 2, n + 3):
+            form = invariant_hermitian_form(rho_generators(n, m, minus_q_from_d(d))).chosen
+            rebuilt = HermitianForm(
+                form.matrix, form.pivot_size, form.pivot_inertia, form.schur_inertia
+            )
+            assert rebuilt == form, (n, d, m)
 
 
 if __name__ == "__main__":
