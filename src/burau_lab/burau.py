@@ -52,14 +52,20 @@ each supplying the step as a function of (row_{i+s}, row_{i-s}, row_i, s):
   (mod Phi_N) once, at the end, by ``cyclotomic._field_value``, the
   module that owns the field's roots of unity.
 
-At a root of unity, a word that is a proper power u^k (u its shortest
-root) is applied one copy of u at a time, each continuing on the rows
-the last left. After j copies, j a proper divisor of k, the product is
-tested for an exact scalar c * I in Q(zeta_N); if it is one, the image is
-c^(k/j) * I and the rest of the word is not applied. The full twist T_n,
-whose image is t^n * I, is (s1 ... s_{n-1})^n, so T_n^k costs one T_n. A
-word that is not a power, or none of whose prefix powers is scalar, costs
-what it did without the test.
+At a root of unity, a word is written u^k, u its shortest root. The full
+twist T_n = (s1 ... s_{n-1})^n is central, with image t^n * I, so every
+block of u that is T_n or T_n^-1 is taken out and counted, and the image
+is multiplied by (t^n)^(net * k) at the end: by one rotation of each
+packed row, as a letter multiplies by t^s. t^n is proved once per root
+and n, by multiplying out T_n's letters. What is left of u is applied one
+copy at a time, each continuing on the rows the last left. After j
+copies, j a proper divisor of k, the product is tested for an exact
+scalar c * I in Q(zeta_N); if it is one, the image is c^(k/j) * I times
+the twists' power, and the rest of the word is not applied. So T_n^k,
+whose root s1 ... s_{n-1} holds no block, costs one T_n by the scalar
+test, and a closure word w T_n^l w^-1 costs the letters of w and w^-1.
+A root shorter than T_n is not scanned. Any other word costs its
+letters, less those of its blocks, plus the scan and the scalar tests.
 
 Every specialization point is a power zeta_N^k (``root_exponent``); any
 other point raises NotARoot.
@@ -83,6 +89,7 @@ from .cyclotomic import (
     CyclotomicNumber,
     _field_value,
     _half_order,
+    _roots_of_unity,
     _unit_rows,
     root_exponent,
     specialize_matrix,
@@ -223,14 +230,10 @@ def _root_step_at(order: int, k: int, dim: int, width: int):
     ``_unpack`` folds the top slot back into slot 0.
     """
     half = _half_order(order)
-    total = dim * half * width
     # Indexed by s: rotations[1] is t's, rotations[-1] is t^-1's.
     rotations = [None] * 3
     for s in (1, -1):
-        p = s * (2 * half // order) * k % (2 * half)
-        shift = p % half * dim * width
-        cut = total - shift
-        rotations[s] = p >= half, shift, cut, (1 << cut) - 1
+        rotations[s] = _rotation(half, dim, width, s * (2 * half // order) * k % (2 * half))
 
     def step(a: int, b: int, c: int, s: int) -> int:
         negate, shift, cut, mask = rotations[s]
@@ -239,6 +242,15 @@ def _root_step_at(order: int, k: int, dim: int, width: int):
         return a - r if negate else a + r
 
     return step
+
+
+def _rotation(half: int, dim: int, width: int, p: int) -> tuple[bool, int, int, int]:
+    """(negate, shift, cut, mask) for multiplying a packed row of dim * H
+    slots of ``width`` bits, H = half, by x^p, 0 <= p < 2H: see
+    ``_root_step_at``, whose step applies it to b - c."""
+    shift = p % half * dim * width
+    cut = dim * half * width - shift
+    return p >= half, shift, cut, (1 << cut) - 1
 
 
 @lru_cache(maxsize=None)
@@ -339,6 +351,114 @@ def _field_row(flat: list, dim: int, order: int, zero: CyclotomicNumber) -> list
     ]
 
 
+def _copies_applied(root: tuple, copies: int, order: int, k: int, dim: int):
+    """Apply ``copies`` copies of the letters ``root`` at t = zeta_order^k,
+    and yield (j, rows, width) after each copy j that divides ``copies``,
+    the last one included: the padded packed rows of root^j, with slots of
+    ``width`` bits (see ``specialized_burau``), as one list that later
+    copies rewrite in place or a widening replaces. The caller may stop at
+    any of them."""
+    # At most K letters each, last first: the order left multiplication takes.
+    chunks = [root[i:i + _CHUNK] for i in reversed(range(0, len(root), _CHUNK))]
+    size = dim * _half_order(order)
+    width = _START_WIDTH
+    step = _root_step_at(order, k, dim, width)
+    rows = [0, *(1 << width * i for i in range(dim)), 0]
+    # Letters applied since every slot was last known to lie in [-2^T, 2^T).
+    fresh = 0
+    for j in range(1, copies + 1):
+        for chunk in chunks:
+            if fresh + len(chunk) > _CHUNK:
+                safe, top, _ = _slot_masks(size + 1, width)
+                if any((row + safe) & top for row in rows):
+                    # At most K letters since the last check: still exact.
+                    rows = [_pack(_unpack(row, size, width), 2 * width) for row in rows]
+                    width *= 2
+                    step = _root_step_at(order, k, dim, width)
+                fresh = 0
+            _word_product(chunk, rows, step)
+            fresh += len(chunk)
+        if copies % j == 0:
+            yield j, rows, width
+
+
+class TwistProofFailed(RuntimeError):
+    """The letter loop did not multiply the full twist T_n out to t^n * I
+    at a root: an internal fault, never a fault of the input."""
+
+
+@lru_cache(maxsize=None)
+def _twist_periods(n: int) -> tuple[None, tuple, tuple]:
+    """Indexed by s = +-1: the period (s1 ... s_{n-1}) of T_n, s = 1, and
+    the period (s_{n-1}^-1 ... s1^-1) of T_n^-1, s = -1. Each block is its
+    period n times over, n(n-1) letters."""
+    return None, tuple((i, 1) for i in range(1, n)), tuple((i, -1) for i in reversed(range(1, n)))
+
+
+def _strip_twists(letters: tuple, n: int) -> tuple[tuple, int]:
+    """(rest, net): the letters with blocks T_n and T_n^-1 taken out as a
+    left to right scan finds them, and the number of T_n blocks taken less
+    the number of T_n^-1 blocks. As T_n is central in B_n, the letters are
+    rest * T_n^net as a braid.
+
+    A block lies in a run of whole periods of one sign, with each letter
+    (i, s) at a fixed place in its period, so runs of either sign are
+    disjoint. Every block holds exactly one of the probes p = n(n-1) - 1,
+    2n(n-1) - 1, ..., so only the probes' letters are read one by one. A
+    probe whose period is a block's is grown into its run, left and right,
+    by comparing slices with themselves shifted by one period, and the run
+    gives up its blocks from its left end, as many as fit. The scan goes on
+    at the first probe past the run.
+    """
+    period, size = n - 1, n * (n - 1)
+    periods = _twist_periods(n)
+    rest, net, done = [], 0, 0
+    p = size - 1
+    while p < len(letters):
+        i, s = letters[p]
+        # The start of the period of sign s that holds p.
+        a = p - (i - 1 if s > 0 else period - i)
+        if letters[a:a + period] != periods[s]:
+            p += size
+            continue
+        start, end = a, a + period
+        while start >= period and letters[start - period:start] == letters[start:start + period]:
+            start -= period
+        while letters[end:end + size] == letters[end - period:end - period + size]:
+            end += size
+        while letters[end:end + period] == letters[end - period:end]:
+            end += period
+        blocks = (end - start) // size
+        if blocks:
+            rest += letters[done:start]
+            done = start + blocks * size
+            net += s * blocks
+        p = end + size - 1
+    if not done:
+        return letters, 0
+    rest += letters[done:]
+    return tuple(rest), net
+
+
+@lru_cache(maxsize=None)
+def _twist_at(order: int, k: int, n: int) -> int:
+    """The entry q of ``cyclotomic._roots_of_unity(order)`` that is t^n at
+    t = zeta_order^k, the image of T_n there being t^n * I. Entry q is
+    zeta_2H^q, the image of x^q, so a packed row is multiplied by it with
+    one rotation (``_rotation``).
+
+    It is proved once per (order, k, n), before any word relies on it: the
+    letter loop multiplies out T_n's n(n-1) letters, and ``_scalar_value``
+    must give exactly entry q. Anything else raises TwistProofFailed.
+    """
+    roots = _roots_of_unity(order)
+    q = n * k * (len(roots) // order) % len(roots)
+    [(_, rows, width)] = _copies_applied(_twist_periods(n)[1] * n, 1, order, k, n - 1)
+    if _scalar_value(rows[1:-1], order, (n - 1) * _half_order(order), width) != roots[q]:
+        raise TwistProofFailed(f"T{n} is not t^{n} * I at t = zeta_{order}^{k}")
+    return q
+
+
 def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix:
     """The word's Burau image specialized at t = minus_q, exactly.
 
@@ -381,48 +501,61 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     the field's shared one and zero, a zero entry skips the reduction, and
     a single +-x^e is the field's shared root of unity.
 
-    The word is written as u^k with u its shortest root and applied one
-    copy of u at a time. When the product after j copies, j a proper
-    divisor of k, reduces exactly to a scalar c * I, the image
-    is c^(k/j) on the diagonal and a shared zero elsewhere, and the
-    remaining copies are not applied: T_n^k, whose root is s1 ... s_{n-1},
-    costs n(n-1) letters and one field power.
+    The word is written as u^k with u its shortest root. When u has at
+    least n(n-1) letters, every disjoint block of u that is the full twist
+    T_n = (s1 ... s_{n-1})^n or its inverse (s_{n-1}^-1 ... s1^-1)^n is
+    taken out, left to right, and counted as +1 or -1 (``_strip_twists``).
+    T_n is central, so u is the rest times T_n^net, and the word's image is
+    the rest's image to the k-th power times c^(net * k), c = t^n, the
+    image of T_n; c is proved once per (N, k, n) (``_twist_at``). What is
+    left of u is applied one copy at a time. When the product after j
+    copies, j a proper divisor of k, reduces exactly to a scalar c' * I,
+    the image is c'^(k/j) * c^(net * k) on the diagonal and a shared zero
+    elsewhere, and the remaining copies are not applied. Otherwise the
+    rows of the last copy are multiplied by c^(net * k), a root of unity
+    x^p, by one rotation each, as a letter's t^s is, unless it is 1. A
+    rotation moves the slots and adds at most one to one of them, and
+    3^14 * (2^T + L) + (3^14 + 1)/2 < 2^(W-1) still holds, so no slot
+    overflows. When nothing is left of u, no letter is applied
+    and the image is c^(net * k) * I. So T_n^k, whose root s1 ... s_{n-1}
+    is shorter than n(n-1), costs n(n-1) letters and one field power, and
+    a closure word w T_n^l w^-1 costs the 2|w| letters of w and w^-1.
 
     Kernel membership for the specialization means exact equality of this
     matrix with the identity (not projective equality).
     """
     order = minus_q.order
-    dim = word.strands_n - 1
+    n = word.strands_n
+    dim = n - 1
     k = root_exponent(minus_q)
     p = _root_length(word.letters)
     copies = len(word.letters) // p if p else 1
-    root = word.letters[:p]
-    # At most K letters each, last first: the order left multiplication takes.
-    chunks = [root[i:i + _CHUNK] for i in reversed(range(0, len(root), _CHUNK))]
-    size = dim * _half_order(order)
-    width = _START_WIDTH
-    step = _root_step_at(order, k, dim, width)
-    rows = [0, *(1 << width * i for i in range(dim)), 0]
-    # Letters applied since every slot was last known to lie in [-2^T, 2^T).
-    fresh = 0
+    half = _half_order(order)
+    root, twist = word.letters[:p], 0
+    if p >= n * dim:
+        root, net = _strip_twists(root, n)
+        if net:
+            # c^(net * copies), c = t^n, as x^twist: its entry in the table
+            # of the 2H roots of unity.
+            twist = _twist_at(order, k, n) * net * copies % (2 * half)
     zero = CyclotomicNumber.zero(order)
-    for j in range(1, copies + 1):
-        for chunk in chunks:
-            if fresh + len(chunk) > _CHUNK:
-                safe, top, _ = _slot_masks(size + 1, width)
-                if any((row + safe) & top for row in rows):
-                    # At most K letters since the last check: still exact.
-                    rows = [_pack(_unpack(row, size, width), 2 * width) for row in rows]
-                    width *= 2
-                    step = _root_step_at(order, k, dim, width)
-                fresh = 0
-            _word_product(chunk, rows, step)
-            fresh += len(chunk)
-        if j < copies and copies % j == 0:
+    if not root:
+        return CycloMatrix(_scalar_rows(dim, _roots_of_unity(order)[twist], zero))
+    size = dim * half
+    for j, rows, width in _copies_applied(root, copies, order, k, dim):
+        if j < copies:
             c = _scalar_value(rows[1:-1], order, size, width)
             if c is not None:
                 c = c ** (copies // j)
+                if twist:
+                    c = c * _roots_of_unity(order)[twist]
                 return CycloMatrix(_scalar_rows(dim, c, zero))
+    if twist:
+        # The step's rotation, by x^twist, of every row.
+        negate, shift, cut, mask = _rotation(half, dim, width, twist)
+        for i in range(1, dim + 1):
+            r = ((rows[i] & mask) << shift) - (rows[i] >> cut)
+            rows[i] = -r if negate else r
     units = _unit_rows(order, dim)
     return CycloMatrix(
         units[i] if row == 1 << width * i

@@ -228,7 +228,9 @@ class KernelDescriptor:
     angle), and l = 2d/gcd(2d, (d+2)n) (``_central_power``). Before that it
     checks that n and d are integers and that the curvatures are those of
     (n, d), ``curvatures_from_nd(n, d)``, which refuses d < 3 and any (n, d)
-    with no cone sphere: each failure raises InvalidConfiguration."""
+    with no cone sphere: each failure raises InvalidConfiguration.
+    ``kernel_descriptor`` builds the curvatures itself, so it skips these
+    checks (``_valid_descriptor``) rather than build the vector twice."""
 
     strands_n: int
     d: int
@@ -241,6 +243,10 @@ class KernelDescriptor:
         _check_integers(InvalidConfiguration, ("n", n), ("d", d))
         if self.curvatures != curvatures_from_nd(n, d):
             raise InvalidConfiguration(f"the curvatures are not those of n={n}, d={d}")
+        self._derive()
+
+    def _derive(self) -> None:
+        """Set j and l from the curvatures and (n, d)."""
         object.__setattr__(self, "j", _twist_order(self.curvatures))
         object.__setattr__(self, "l", _central_power(self.strands_n, self.d))
 
@@ -253,6 +259,19 @@ class KernelDescriptor:
             texts.append(f"T{n - 1}^{self.j}")
         texts.append(f"T{n}^{self.l}")
         return tuple(parse_word(text, n) for text in texts)
+
+
+def _valid_descriptor(n: int, d: int, curvatures: CurvatureVector) -> KernelDescriptor:
+    """The descriptor of (n, d) holding ``curvatures`` as given, with j and
+    l derived as ``KernelDescriptor`` derives them but without its integer
+    and membership checks: only for the vector ``curvatures_from_nd(n, d)``
+    itself, which ``kernel_descriptor`` has just built."""
+    kd = object.__new__(KernelDescriptor)
+    object.__setattr__(kd, "strands_n", n)
+    object.__setattr__(kd, "d", d)
+    object.__setattr__(kd, "curvatures", curvatures)
+    kd._derive()
+    return kd
 
 
 @dataclass(frozen=True)
@@ -313,7 +332,7 @@ def kernel_descriptor(n: int, d: int) -> KernelDescriptor | Inconclusive:
             raise ArithmeticError(
                 f"sigma stratum {stratum.pair} has order {stratum.orbifold_order}, not d={d}"
             )
-    return KernelDescriptor(n, d, curvatures)
+    return _valid_descriptor(n, d, curvatures)
 
 
 def b3_kernel(d: int) -> KernelDescriptor:

@@ -45,14 +45,14 @@ trailing block can take. Per generator set: the check of its dims, its
 point, its count and its rows, made once, when ``MonodromyGenerators``
 builds it, whether ``rho_generators`` caches the set or a caller builds it
 by hand; so the invariance check reads no generator rows. Per call: t is
-compared with the field's shared -1, k is read off t once and conj(t)
-compared with t^-1 once, det S_L = 0 is compared with the closed-form
+compared with the field's shared -1, k is read off t once, which finds
+the root's proved values, det S_L = 0 is compared with the closed-form
 inertia, the inertias are checked to add up, and row and column r of each
 basis form are compared with the one band of +-S or 0 that h_rr selects.
 The form's entries are the proved shared ones, so it is built without
 ``HermitianForm``'s conjugation pass (``_band_form``); a form built through
-the public constructor still gets that pass. No call makes a field
-operation beyond the one conjugation of t once its root's values exist.
+the public constructor still gets that pass. Once its root's values
+exist, a call makes no field arithmetic, only comparisons.
 """
 
 from __future__ import annotations
@@ -368,13 +368,13 @@ def _squier_at(t: CyclotomicNumber) -> tuple[int, tuple, tuple]:
     """(k, entries, negated) at t = zeta_N^k: k, and Squier's (diagonal,
     above, below) and their negatives, one instance of each per root
     (``_values_at``), which the form and its invariance check share.
-    Squier's are ``_SQUIER`` specialized at t, with conj(t) read as t^-1.
-    ``_values_at`` proves conj(t) = t^-1 once per root; it is compared
-    again here, on every call, at the cost of one conjugation of t."""
+    Squier's are ``_SQUIER`` specialized at t, with conj(t) read as t^-1,
+    which ``_values_at`` proves once per root, before any entry is
+    returned. t equals that root, zeta_N^k (``root_exponent`` finds k only
+    for an exact match), so its conjugate is the root's, and nothing is
+    left to compare per call."""
     k = root_exponent(t)
-    t_inverse, _, entries, negated = _values_at(t.order, k)
-    if t.conjugate() != t_inverse:
-        raise NoInvariantForm(f"G* H G != H: conj(t) is not t^-1 at t = {t}")
+    _, _, entries, negated = _values_at(t.order, k)
     return k, entries, negated
 
 
@@ -394,9 +394,10 @@ def _check_invariant(
     ``_laurent_certificate`` proves to be 0 over Z[t, t^-1], provided
     conj(t) = t^-1, so that conjugation commutes with specialization.
     Of those three facts, the generators' rows were checked when the set
-    was built (``MonodromyGenerators``), so none is read here. What is
-    checked here is conj(t) against t^-1 (``_squier_at``), and row and
-    column r of every basis form against c times S's. S's diagonal entry
+    was built (``MonodromyGenerators``), so none is read here, and
+    conj(t) = t^-1 was proved once per root (``_values_at``, reached
+    through ``_squier_at``). What is checked here is row and column r of
+    every basis form against c times S's. S's diagonal entry
     |1+t|^2 is not 0 at t != -1, so h_rr fixes c, and only the band of c S
     built for that r (``_band``) is compared.
     """
@@ -443,8 +444,8 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     det S_s (``_minor``), and per root and L the one division, proved real,
     with its corners (``_schur_entry``); per generator set, the check of its
     rows, made when it is built (``MonodromyGenerators``). Per call: t = -1
-    is tested against the field's shared -1, k is read off once and conj(t)
-    compared with t^-1 once (``_squier_at``), det S_L = 0 is compared with
+    is tested against the field's shared -1, k is read off once to find
+    the root's proved values (``_squier_at``), det S_L = 0 is compared with
     the closed-form inertia, and the form is built from the shared entries
     (``_band_form``, which checks its inertias) and checked row by row
     against one band each, with no field product.

@@ -12,11 +12,15 @@ Run from anywhere, with the test dependencies installed:
 
     python tests/mutants.py
 
+A mutant is also killed when its run is still going after TIMEOUT_S
+seconds and is stopped: a fault that hangs a loop is caught. The unmutated
+run must finish within that time.
+
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
-text is missing or ambiguous, or a pytest run does not finish normally.
-It starts one pytest run per mutant, about 70 s in all for the 39 mutants
-below, so it is not part of the tier-1 run; pytest does not collect this
-file.
+text is missing or ambiguous, a pytest run does not finish normally, or
+the unmutated run fails or is stopped. It starts one pytest run per
+mutant, about 70 s in all for the 42 mutants below, so it is not part of
+the tier-1 run; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# A pytest run takes 1-2 s per mutant and about 10 s unmutated. One still
+# going after this long is stopped: a mutant that makes a loop run forever
+# (a scan that never moves on, say) is caught as surely as one that fails.
+TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -100,6 +108,9 @@ REAL_SCHUR_ENTRY = "tests/test_monodromy.py::TestPerRootWork::test_schur_entry_i
 DESCRIPTOR_MEMBERSHIP = (
     "tests/test_moduli.py::TestKernelDescriptor::test_curvatures_must_belong_to_n_and_d"
 )
+TWIST_WORDS = "tests/test_burau.py::TestTwistBlocks::test_words_with_twist_blocks_equal_the_full_product"
+TWIST_SCAN = "tests/test_burau.py::TestTwistBlocks::test_strip_matches_a_naive_scan"
+TWIST_PROOF = "tests/test_burau.py::TestTwistBlocks::test_a_corrupted_proof_raises_the_typed_error"
 
 MUTANTS = [
     Mutant(
@@ -371,6 +382,27 @@ MUTANTS = [
         (DESCRIPTOR_MEMBERSHIP,),
     ),
     Mutant(
+        "the net count of full twists taken out has its sign flipped",
+        "src/burau_lab/burau.py",
+        "net += s * blocks",
+        "net -= s * blocks",
+        (TWIST_WORDS,),
+    ),
+    Mutant(
+        "the full-twist block is one period short",
+        "src/burau_lab/burau.py",
+        "period, size = n - 1, n * (n - 1)",
+        "period, size = n - 1, (n - 1) * (n - 1)",
+        (TWIST_SCAN, TWIST_WORDS),
+    ),
+    Mutant(
+        "the per-root proof that T_n is t^n * I is skipped",
+        "src/burau_lab/burau.py",
+        "if _scalar_value(rows[1:-1], order, (n - 1) * _half_order(order), width) != roots[q]:",
+        "if False:",
+        (TWIST_PROOF,),
+    ),
+    Mutant(
         "root_exponent returns the table index itself, 2k for odd N",
         "src/burau_lab/cyclotomic.py",
         "return p // step",
@@ -387,13 +419,18 @@ def copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def run_tests(tree: Path, tests: tuple[str, ...]) -> tuple[int, str]:
-    """pytest's exit code and its last output line, for ``tests`` in ``tree``."""
+def run_tests(tree: Path, tests: tuple[str, ...]) -> tuple[int | None, str]:
+    """pytest's exit code and its last output line, for ``tests`` in ``tree``.
+    A run still going after TIMEOUT_S seconds is stopped, and its code is
+    None."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None, f"stopped after {TIMEOUT_S} s"
     lines = done.stdout.strip().splitlines()
     return done.returncode, lines[-1] if lines else done.stderr.strip()
 
@@ -407,7 +444,7 @@ def main() -> int:
         code, summary = run_tests(base, every)
         print(f"unmutated: {summary}")
         if code != 0:
-            print("the named tests fail without a mutant; nothing is checked")
+            print("the named tests fail or do not finish without a mutant; nothing is checked")
             return 1
         for number, mutant in enumerate(MUTANTS, 1):
             tree = Path(tmp) / f"mutant-{number}"
@@ -425,6 +462,8 @@ def main() -> int:
             seconds = time.perf_counter() - start
             if code == 1:
                 verdict = "killed"
+            elif code is None:
+                verdict = "killed (timed out)"
             elif code == 0:
                 verdict, bad = "SURVIVED", bad + 1
             else:

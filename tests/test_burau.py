@@ -798,6 +798,173 @@ class TestPowerEarlyStop:
             assert _root_length(letters) == naive(letters), letters
 
 
+class TestTwistBlocks:
+    """Inside a word that is not a whole power of the full twist, each
+    block T_n^+-1 = (s1 ... s_{n-1})^(+-n) is taken out and counted, and
+    the rest's image is multiplied by t^(n * net); the result must still
+    equal the product of every letter."""
+
+    @staticmethod
+    def naive_strip(letters, n):
+        # One left-to-right scan for either block, skipping past each one.
+        delta = tuple((i, 1) for i in range(1, n))
+        blocks = {delta * n: 1, tuple((i, -1) for i in reversed(range(1, n))) * n: -1}
+        size = n * (n - 1)
+        rest, net, i = [], 0, 0
+        while i < len(letters):
+            sign = blocks.get(tuple(letters[i:i + size]))
+            if sign:
+                net += sign
+                i += size
+            else:
+                rest.append(letters[i])
+                i += 1
+        return tuple(rest), net
+
+    @staticmethod
+    def words_with_twists(n, rng, count):
+        """Random words with T_n^+-1 blocks at random places: adjacent
+        blocks of either sign, blocks next to partial periods of either
+        sign, and words that are proper powers of a root holding a block."""
+        delta = tuple((i, 1) for i in range(1, n))
+        inverse = tuple((i, -1) for i in reversed(range(1, n)))
+        twist, untwist = delta * n, inverse * n
+        words = []
+        for _ in range(count):
+            letters, inserted = list(random_word(n, rng.randint(0, 12), rng).letters), 0
+            pieces = []
+            for _ in range(rng.randint(1, 4)):
+                block, sign = rng.choice(((twist, 1), (untwist, -1)))
+                piece = list(block)
+                if rng.random() < 0.5:
+                    # A partial period on one side, of either sign.
+                    part = list(rng.choice((delta, inverse))[:rng.randint(1, n - 1)])
+                    piece = part + piece if rng.random() < 0.5 else piece + part
+                if rng.random() < 0.3:
+                    piece += block
+                    inserted += sign
+                pieces.append((rng.randint(0, len(letters)), piece))
+                inserted += sign
+            # Last place first, so that no piece lands inside another.
+            for at, piece in sorted(pieces, key=lambda p: p[0], reverse=True):
+                letters[at:at] = piece
+            words.append((BraidWord(n, tuple(letters)), inserted))
+        # A proper power whose root holds a block.
+        words.append((BraidWord(n, (((n - 1, 1), (1, -1)) + twist) * 3), 3))
+        # What is left, s1^-1 s1 delta, is scalar at its n-th power, a proper
+        # divisor of 2n, so the early stop meets a stripped twist.
+        words.append((BraidWord(n, (twist + ((1, -1), (1, 1)) + delta) * (2 * n)), 2 * n))
+        return words
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_words_with_twist_blocks_equal_the_full_product(self, n):
+        rng = random.Random(100 + n)
+        # d = 3, 5, 7, 12 give even N = 6, 10, 14, 12 and d = 6, 10 odd
+        # N = 3, 5; the cubes of -q reach other exponents k.
+        points = [x for d in (3, 5, 6, 7, 10, 12) for x in (minus_q_from_d(d), minus_q_from_d(d) ** 3)]
+        for w, inserted in self.words_with_twists(n, rng, 4):
+            rest, net = burau._strip_twists(w.letters, n)
+            assert (rest, net) == self.naive_strip(w.letters, n)
+            p = _root_length(w.letters)
+            if n > 2 and p >= n * (n - 1):
+                # Every block inserted is taken out of the root, unless the
+                # root is shorter than T_n, as for a power of delta, which
+                # keeps the whole-word path. On two strands the random
+                # letters form blocks of their own.
+                assert burau._strip_twists(w.letters[:p], n)[1] * (len(w) // p) == inserted
+            laurent = burau_of_word(w).matrix
+            for x in points:
+                assert specialized_burau(w, x) == specialize_matrix(laurent, x), (w, x)
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_small_words_with_twist_blocks_equal_the_dense_product(self, n):
+        rng = random.Random(200 + n)
+        for w, _ in self.words_with_twists(n, rng, 3):
+            dense = naive_word_image(w)
+            for d in (3, 4, 6, 10, 40):
+                for x in (minus_q_from_d(d), q_point(d)):
+                    assert specialized_burau(w, x) == specialize_matrix(dense, x), (w, x)
+
+    @pytest.mark.parametrize("text, n", [("(s1 s2^-1)^50 s1 T3", 3), ("T4^-1 (s1 s2^-1 s3)^40 T4^2", 4)])
+    def test_twists_rotate_rows_that_were_widened(self, monkeypatch, text, n):
+        # What is left outgrows 64-bit slots, so the twists' power is a
+        # rotation of rows of 128-bit slots.
+        packed = TestPackedRows.record_widenings(monkeypatch)
+        w = parse_word(text, n)
+        assert burau._strip_twists(w.letters, n)[1] != 0
+        laurent = burau_of_word(w).matrix
+        for d in (7, 12, 40):
+            x = minus_q_from_d(d)
+            packed.clear()
+            assert specialized_burau(w, x) == specialize_matrix(laurent, x), (text, d)
+            assert 128 in packed, (text, d)
+
+    def test_strip_matches_a_naive_scan(self):
+        # Letters drawn mostly from runs of the two blocks' periods, whole or
+        # cut short, so that blocks, runs too short for one, runs with a
+        # partial period at either end and runs of both signs side by side
+        # are common; words shorter than a block included.
+        rng = random.Random(11)
+        for _ in range(2000):
+            n = rng.randint(2, 6)
+            pool = [(i, 1) for i in range(1, n)] + [(i, -1) for i in range(1, n)]
+            periods = (
+                tuple((i, 1) for i in range(1, n)),
+                tuple((i, -1) for i in reversed(range(1, n))),
+            )
+            letters = []
+            while len(letters) < rng.randint(0, 80):
+                r = rng.random()
+                if r < 0.4:
+                    letters += rng.choice(periods) * rng.randint(1, 2 * n + 1)
+                elif r < 0.55:
+                    period = rng.choice(periods)
+                    letters += period[rng.randint(0, n - 2):] if r < 0.5 else period[:rng.randint(1, n - 1)]
+                else:
+                    letters.append(rng.choice(pool))
+            letters = tuple(letters)
+            assert burau._strip_twists(letters, n) == self.naive_strip(letters, n), (n, letters)
+
+    def test_closure_word_applies_only_the_conjugator_letters(self, monkeypatch):
+        applied = []
+        inner = burau._word_product
+
+        def counting(letters, *rest):
+            applied.append(len(letters))
+            return inner(letters, *rest)
+
+        rng = random.Random(3)
+        for n, d, l in ((4, 5, 5), (7, 3, 6), (10, 3, 3)):
+            x = minus_q_from_d(d)
+            g = random_word(n, 20, rng)
+            word = g * parse_word(f"T{n}^{l}", n) * g.inverse()
+            # The first call proves t^n at this root; later calls reuse it.
+            specialized_burau(word, x)
+            monkeypatch.setattr(burau, "_word_product", counting)
+            applied.clear()
+            assert specialized_burau(word, x).is_identity
+            assert sum(applied) == 2 * len(g)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("fault", ["not scalar", "another root"])
+    def test_a_corrupted_proof_raises_the_typed_error(self, monkeypatch, fault):
+        # t^n is proved once per (N, k, n) by multiplying out T_n's letters;
+        # a product that is not exactly t^n * I refuses the root.
+        def corrupted(rows, order, *rest):
+            c = _scalar_value(rows, order, *rest)
+            return None if fault == "not scalar" else c * CyclotomicNumber.root_of_unity(order)
+
+        n, x = 5, minus_q_from_d(7)
+        word = parse_word("s1 T5 s2^-1", n)
+        monkeypatch.setattr(burau, "_scalar_value", corrupted)
+        burau._twist_at.cache_clear()
+        try:
+            with pytest.raises(burau.TwistProofFailed, match=r"^T5 is not t\^5 \* I at t = zeta_14\^"):
+                specialized_burau(word, x)
+        finally:
+            burau._twist_at.cache_clear()
+
+
 class TestPackedRows:
     """At a root of unity each row is one int of W-bit slots. Before each
     chunk of at most 14 letters (but the first), every slot must lie in

@@ -250,6 +250,22 @@ class TestKernelDescriptor:
         cv = CurvatureVector.from_fractions(curvatures_from_nd(4, 12).fractions)
         assert KernelDescriptor(4, 12, cv) == kernel_descriptor(4, 12)
 
+    def test_kernel_descriptor_builds_its_curvatures_once(self, monkeypatch):
+        # kernel_descriptor builds the vector and then the descriptor from
+        # it, with no second vector for the membership check; a descriptor
+        # built by hand still makes that check.
+        real = moduli.curvatures_from_nd
+        built = []
+        monkeypatch.setattr(
+            moduli, "curvatures_from_nd", lambda n, d: built.append((n, d)) or real(n, d)
+        )
+        for n, d in ((10, 3), (4, 7), (4, 5), (5, 8)):
+            built.clear()
+            kd = kernel_descriptor(n, d)
+            assert built == [(n, d)]
+            assert kd == KernelDescriptor(n, d, kd.curvatures)
+            assert built == [(n, d)] * 2
+
     @pytest.mark.parametrize(
         "n, d", [(4.0, 5), (4, 5.0), (4.5, 5), (4, F(5))], ids=["n-4.0", "d-5.0", "n-4.5", "d-fraction"]
     )

@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
@@ -377,21 +378,39 @@ class TestInvariantForm:
         result = invariant_hermitian_form(rho_generators(3, 4, minus_q_from_d(6)))
         assert signature(result.chosen) == (0, 1, 1)
 
+    @staticmethod
+    @contextmanager
+    def conjugation_dropped(monkeypatch):
+        # conj(t) = t^-1 is proved once per root, when the root's values are
+        # made (_values_at). With conjugation dropped and the values
+        # cleared, they must be made again, and the proof refuses the root.
+        with monkeypatch.context() as patch:
+            patch.setattr(CyclotomicNumber, "conjugate", lambda x: x)
+            monodromy._values_at.cache_clear()
+            try:
+                yield
+            finally:
+                monodromy._values_at.cache_clear()
+
     def test_dropping_conjugation_is_caught(self, monkeypatch):
-        # At m = n+1 nothing is divided; conj(t) is compared with t^-1,
-        # the invariance check's first step, before the form is built.
-        monkeypatch.setattr(CyclotomicNumber, "conjugate", lambda x: x)
-        with pytest.raises(NoInvariantForm, match=r"G\* H G != H"):
-            invariant_hermitian_form(rho_generators(4, 5, minus_q_from_d(7)))
+        # At m = n+1 nothing is divided; conj(t) = t^-1 is proved with the
+        # root's values, before the form is built.
+        gens = rho_generators(4, 5, minus_q_from_d(7))
+        with self.conjugation_dropped(monkeypatch), pytest.raises(
+            NoInvariantForm, match=r"G\* H G != H"
+        ):
+            invariant_hermitian_form(gens)
 
     def test_dropping_conjugation_is_caught_before_the_pivot_inverse(self, monkeypatch):
         # At m = n+2 the Schur complement divides by det S_L. S's entries
         # read conj(t) as t^-1, so det S_L is real and its inverse comes out
-        # right even without conjugation; conj(t) is checked against t^-1
-        # before the form is built, and the run stops there.
-        monkeypatch.setattr(CyclotomicNumber, "conjugate", lambda x: x)
-        with pytest.raises(NoInvariantForm, match=r"conj\(t\) is not t\^-1"):
-            invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(7)))
+        # right even without conjugation; conj(t) = t^-1 is proved with the
+        # root's values, before the form is built, and the run stops there.
+        gens = rho_generators(4, 6, minus_q_from_d(7))
+        with self.conjugation_dropped(monkeypatch), pytest.raises(
+            NoInvariantForm, match=r"conj\(t\) is not t\^-1"
+        ):
+            invariant_hermitian_form(gens)
 
     @pytest.mark.parametrize("n, m, d", [(4, 5, 7), (5, 7, 8), (6, 7, 5), (10, 11, 3)])
     def test_corrupted_generator_entry_is_caught(self, n, m, d):
@@ -454,10 +473,13 @@ class TestInvariantForm:
             monodromy._check_invariant(basis[:1] + (transposed,), gens)
 
     def test_conjugation_checked_at_the_point(self, monkeypatch):
+        # Called without the point, the check makes it, from the root's
+        # values: with conjugation dropped, the proof made with them fails.
         gens = rho_generators(4, 6, minus_q_from_d(7))
         basis = invariant_hermitian_form(gens).basis
-        monkeypatch.setattr(CyclotomicNumber, "conjugate", lambda x: x)
-        with pytest.raises(NoInvariantForm, match=r"conj\(t\) is not t\^-1"):
+        with self.conjugation_dropped(monkeypatch), pytest.raises(
+            NoInvariantForm, match=r"conj\(t\) is not t\^-1"
+        ):
             monodromy._check_invariant(basis, gens)
 
     def test_laurent_identity_rejects_a_transposed_form(self):
