@@ -52,20 +52,15 @@ each supplying the step as a function of (row_{i+s}, row_{i-s}, row_i, s):
   (mod Phi_N) once, at the end, by ``cyclotomic._field_value``, the
   module that owns the field's roots of unity.
 
-At a root of unity, a word is written u^k, u its shortest root. The full
-twist T_n = (s1 ... s_{n-1})^n is central, with image t^n * I, so every
-block of u that is T_n or T_n^-1 is taken out and counted, and the image
-is multiplied by (t^n)^(net * k) at the end: by one rotation of each
-packed row, as a letter multiplies by t^s. t^n is proved once per root
-and n, by multiplying out T_n's letters. What is left of u is applied one
-copy at a time, each continuing on the rows the last left. After j
-copies, j a proper divisor of k, the product is tested for an exact
-scalar c * I in Q(zeta_N); if it is one, the image is c^(k/j) * I times
-the twists' power, and the rest of the word is not applied. So T_n^k,
-whose root s1 ... s_{n-1} holds no block, costs one T_n by the scalar
-test, and a closure word w T_n^l w^-1 costs the letters of w and w^-1.
-A root shorter than T_n is not scanned. Any other word costs its
-letters, less those of its blocks, plus the scan and the scalar tests.
+At a root of unity, a word takes one pass. The full twist
+T_n = (s1 ... s_{n-1})^n is central, with image t^n * I, so every block
+of the word that is T_n or T_n^-1 is taken out and counted, and the image
+is multiplied by (t^n)^net at the end: by one rotation of each packed
+row, as a letter multiplies by t^s. t^n is proved once per root and n,
+by multiplying out T_n's letters and reading them out into the field as
+any word is. What is left is applied once. So T_n^k costs no letters,
+and a closure word w T_n^l w^-1 costs the letters of w and w^-1. Any
+other word costs its letters, less those of its blocks, plus the scan.
 
 Every specialization point is a power zeta_N^k (``root_exponent``); any
 other point raises NotARoot.
@@ -79,7 +74,6 @@ to compare against the cone-metric monodromy.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -295,53 +289,6 @@ def _pack(slots: list, width: int) -> int:
     return (int.from_bytes(data, "little") ^ sign) - sign
 
 
-def _root_length(letters: tuple) -> int:
-    """The length p of the shortest u with letters = u^(len/p).
-
-    Only divisors p of the length are tried, in increasing order, each by
-    the period test letters[p:] == letters[:-p]. By Fine and Wilf, every
-    period dividing the length is a multiple of the shortest such one, so
-    the first hit is the primitive root. A divisor whose second block of p
-    letters differs from the first is rejected in O(p) before that test.
-    The empty word gives 0.
-    """
-    length = len(letters)
-    small = [p for p in range(1, math.isqrt(length) + 1) if length % p == 0]
-    for p in small + [length // p for p in reversed(small)]:
-        if letters[p:2 * p] == letters[:p] and letters[p:] == letters[:-p]:
-            return p
-    return length
-
-
-def _scalar_value(rows: list, order: int, size: int, width: int) -> CyclotomicNumber | None:
-    """c when the matrix over Z[x]/(x^H + 1) with these packed rows of
-    ``size`` slots of ``width`` bits reduces to c * I in Q(zeta_order),
-    else None; entry (i, j) is the strided slice flat[j::dim] of row i
-    unpacked.
-
-    Entries of the ring can be nonzero vectors that vanish in the field
-    (1 - x + x^2, H = 3, at order 3 or 6: x -> zeta_6 is a root of it), so
-    each test is made in the field. Rows are unpacked one at a time, as
-    the test reaches them, and it stops at the first failure: an
-    off-diagonal entry is reduced only when its vector is nonzero, and it
-    must vanish; the diagonal entry must reduce to row 0's, which is c.
-    """
-    dim = len(rows)
-    c = None
-    for i, packed in enumerate(rows):
-        flat = _unpack(packed, size, width)
-        for j in range(dim):
-            v = flat[j::dim]
-            if i != j and any(v) and not _field_value(order, v).is_zero:
-                return None
-        diagonal = _field_value(order, flat[i::dim])
-        if c is None:
-            c = diagonal
-        elif diagonal != c:
-            return None
-    return c
-
-
 def _field_row(flat: list, dim: int, order: int, zero: CyclotomicNumber) -> list:
     """The dim entries in Q(zeta_order) of an unpacked row, entry j the
     strided slice flat[j::dim]; an all-zero entry is the shared zero."""
@@ -351,35 +298,44 @@ def _field_row(flat: list, dim: int, order: int, zero: CyclotomicNumber) -> list
     ]
 
 
-def _copies_applied(root: tuple, copies: int, order: int, k: int, dim: int):
-    """Apply ``copies`` copies of the letters ``root`` at t = zeta_order^k,
-    and yield (j, rows, width) after each copy j that divides ``copies``,
-    the last one included: the padded packed rows of root^j, with slots of
-    ``width`` bits (see ``specialized_burau``), as one list that later
-    copies rewrite in place or a widening replaces. The caller may stop at
-    any of them."""
-    # At most K letters each, last first: the order left multiplication takes.
-    chunks = [root[i:i + _CHUNK] for i in reversed(range(0, len(root), _CHUNK))]
+def _read_out(rows: list, order: int, dim: int, width: int) -> CycloMatrix:
+    """The matrix in Q(zeta_order) of the padded packed rows ``rows``, with
+    slots of ``width`` bits: a row equal to the packed unit row e_i is the
+    cached unit row of ``cyclotomic._unit_rows``, and any other row is
+    unpacked and reduced entry by entry (``_field_row``). Entries of the
+    ring can be nonzero vectors that vanish in the field (1 - x + x^2,
+    H = 3, at order 3 or 6: x -> zeta_6 is a root of it), so no entry is
+    judged by its vector, only by its value in the field."""
+    size = dim * _half_order(order)
+    units = _unit_rows(order, dim)
+    zero = CyclotomicNumber.zero(order)
+    return CycloMatrix(
+        units[i] if row == 1 << width * i
+        else _field_row(_unpack(row, size, width), dim, order, zero)
+        for i, row in enumerate(rows[1:-1])
+    )
+
+
+def _packed_product(letters: tuple, order: int, k: int, dim: int) -> tuple[list, int]:
+    """(rows, width): the padded packed rows of the product of ``letters``
+    at t = zeta_order^k, with slots of ``width`` bits (see
+    ``specialized_burau``)."""
     size = dim * _half_order(order)
     width = _START_WIDTH
     step = _root_step_at(order, k, dim, width)
     rows = [0, *(1 << width * i for i in range(dim)), 0]
-    # Letters applied since every slot was last known to lie in [-2^T, 2^T).
-    fresh = 0
-    for j in range(1, copies + 1):
-        for chunk in chunks:
-            if fresh + len(chunk) > _CHUNK:
-                safe, top, _ = _slot_masks(size + 1, width)
-                if any((row + safe) & top for row in rows):
-                    # At most K letters since the last check: still exact.
-                    rows = [_pack(_unpack(row, size, width), 2 * width) for row in rows]
-                    width *= 2
-                    step = _root_step_at(order, k, dim, width)
-                fresh = 0
-            _word_product(chunk, rows, step)
-            fresh += len(chunk)
-        if copies % j == 0:
-            yield j, rows, width
+    # Chunks of at most K letters, last first: the order left multiplication
+    # takes. Every chunk but the first is preceded by the range check.
+    for i in reversed(range(0, len(letters), _CHUNK)):
+        if i + _CHUNK < len(letters):
+            safe, top, _ = _slot_masks(size + 1, width)
+            if any((row + safe) & top for row in rows):
+                # At most K letters since the last check: still exact.
+                rows = [_pack(_unpack(row, size, width), 2 * width) for row in rows]
+                width *= 2
+                step = _root_step_at(order, k, dim, width)
+        _word_product(letters[i:i + _CHUNK], rows, step)
+    return rows, width
 
 
 class TwistProofFailed(RuntimeError):
@@ -448,13 +404,16 @@ def _twist_at(order: int, k: int, n: int) -> int:
     one rotation (``_rotation``).
 
     It is proved once per (order, k, n), before any word relies on it: the
-    letter loop multiplies out T_n's n(n-1) letters, and ``_scalar_value``
-    must give exactly entry q. Anything else raises TwistProofFailed.
+    letter loop multiplies out T_n's n(n-1) letters, and their read-out
+    into the field (``_read_out``), the one every word takes, must be
+    exactly entry q times I. Anything else raises TwistProofFailed.
     """
     roots = _roots_of_unity(order)
     q = n * k * (len(roots) // order) % len(roots)
-    [(_, rows, width)] = _copies_applied(_twist_periods(n)[1] * n, 1, order, k, n - 1)
-    if _scalar_value(rows[1:-1], order, (n - 1) * _half_order(order), width) != roots[q]:
+    dim = n - 1
+    rows, width = _packed_product(_twist_periods(n)[1] * n, order, k, dim)
+    scalar = CycloMatrix(_scalar_rows(dim, roots[q], CyclotomicNumber.zero(order)))
+    if _read_out(rows, order, dim, width) != scalar:
         raise TwistProofFailed(f"T{n} is not t^{n} * I at t = zeta_{order}^{k}")
     return q
 
@@ -474,7 +433,7 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     a small count in a top slot, index dim * H, and the same count in slot
     0, which ``_unpack`` folds back; it moves by at most one per letter.
 
-    W starts at 64. The root's letters are cut once into chunks of at most
+    W starts at 64. The letters are cut once into chunks of at most
     K = 14, and before each chunk but the first every row is checked, with
     one add and one AND, to have all its dim * H + 1 slots in [-2^T, 2^T),
     T = W - 24. Let M bound every slot and every coefficient of x^0 in
@@ -491,35 +450,29 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     and the word goes on from there: nothing is applied twice. A word of at
     most 14 letters is never checked.
 
-    Rows are unpacked only for the scalar test below, one at a time as it
-    reaches them, and at the end, where entry (i, j), the strided slice
-    row[j::dim] of row i, is reduced into Q(zeta_N)
-    (``cyclotomic._field_value``). Only the entries that can differ from
-    the identity's are read: a row equal to the packed unit row e_i, such
-    as one no letter touched, is emitted as the cached unit row e_i of
-    ``cyclotomic._unit_rows``, which holds
-    the field's shared one and zero, a zero entry skips the reduction, and
-    a single +-x^e is the field's shared root of unity.
+    Before any letter is applied, every disjoint block of the word that
+    is the full twist T_n = (s1 ... s_{n-1})^n or its inverse
+    (s_{n-1}^-1 ... s1^-1)^n is taken out, left to right, and counted as
+    +1 or -1 (``_strip_twists``).
+    T_n is central, so the word is the rest times T_n^net, and its image is
+    the rest's image times c^net, c = t^n, the image of T_n; c is proved
+    once per (N, k, n) (``_twist_at``). The rest is applied once, and its
+    rows are multiplied by c^net, a root of unity x^p, by one rotation
+    each, as a letter's t^s is, unless it is 1. A rotation moves the slots
+    and adds at most one to one of them, and 3^14 * (2^T + L) +
+    (3^14 + 1)/2 < 2^(W-1) still holds, so no slot overflows. When nothing
+    is left, no letter is applied and the image is c^net * I. So T_n^k
+    costs no letters, and a closure word w T_n^l w^-1 costs the 2|w|
+    letters of w and w^-1.
 
-    The word is written as u^k with u its shortest root. When u has at
-    least n(n-1) letters, every disjoint block of u that is the full twist
-    T_n = (s1 ... s_{n-1})^n or its inverse (s_{n-1}^-1 ... s1^-1)^n is
-    taken out, left to right, and counted as +1 or -1 (``_strip_twists``).
-    T_n is central, so u is the rest times T_n^net, and the word's image is
-    the rest's image to the k-th power times c^(net * k), c = t^n, the
-    image of T_n; c is proved once per (N, k, n) (``_twist_at``). What is
-    left of u is applied one copy at a time. When the product after j
-    copies, j a proper divisor of k, reduces exactly to a scalar c' * I,
-    the image is c'^(k/j) * c^(net * k) on the diagonal and a shared zero
-    elsewhere, and the remaining copies are not applied. Otherwise the
-    rows of the last copy are multiplied by c^(net * k), a root of unity
-    x^p, by one rotation each, as a letter's t^s is, unless it is 1. A
-    rotation moves the slots and adds at most one to one of them, and
-    3^14 * (2^T + L) + (3^14 + 1)/2 < 2^(W-1) still holds, so no slot
-    overflows. When nothing is left of u, no letter is applied
-    and the image is c^(net * k) * I. So T_n^k, whose root s1 ... s_{n-1}
-    is shorter than n(n-1), costs n(n-1) letters and one field power, and
-    a closure word w T_n^l w^-1 costs the 2|w| letters of w and w^-1.
+    Rows are unpacked only at the end, where entry (i, j), the strided
+    slice row[j::dim] of row i, is reduced into Q(zeta_N)
+    (``_read_out``, ``cyclotomic._field_value``). Only the entries that
+    can differ from the identity's are read: a row equal to the packed
+    unit row e_i, such as one no letter touched, is emitted as the cached
+    unit row e_i of ``cyclotomic._unit_rows``, which holds the field's
+    shared one and zero, a zero entry skips the reduction, and a single
+    +-x^e is the field's shared root of unity.
 
     Kernel membership for the specialization means exact equality of this
     matrix with the identity (not projective equality).
@@ -528,40 +481,22 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     n = word.strands_n
     dim = n - 1
     k = root_exponent(minus_q)
-    p = _root_length(word.letters)
-    copies = len(word.letters) // p if p else 1
     half = _half_order(order)
-    root, twist = word.letters[:p], 0
-    if p >= n * dim:
-        root, net = _strip_twists(root, n)
-        if net:
-            # c^(net * copies), c = t^n, as x^twist: its entry in the table
-            # of the 2H roots of unity.
-            twist = _twist_at(order, k, n) * net * copies % (2 * half)
-    zero = CyclotomicNumber.zero(order)
-    if not root:
+    rest, net = _strip_twists(word.letters, n)
+    # c^net, c = t^n, as x^twist: its entry in the table of the 2H roots
+    # of unity.
+    twist = _twist_at(order, k, n) * net % (2 * half) if net else 0
+    if not rest:
+        zero = CyclotomicNumber.zero(order)
         return CycloMatrix(_scalar_rows(dim, _roots_of_unity(order)[twist], zero))
-    size = dim * half
-    for j, rows, width in _copies_applied(root, copies, order, k, dim):
-        if j < copies:
-            c = _scalar_value(rows[1:-1], order, size, width)
-            if c is not None:
-                c = c ** (copies // j)
-                if twist:
-                    c = c * _roots_of_unity(order)[twist]
-                return CycloMatrix(_scalar_rows(dim, c, zero))
+    rows, width = _packed_product(rest, order, k, dim)
     if twist:
         # The step's rotation, by x^twist, of every row.
         negate, shift, cut, mask = _rotation(half, dim, width, twist)
         for i in range(1, dim + 1):
             r = ((rows[i] & mask) << shift) - (rows[i] >> cut)
             rows[i] = -r if negate else r
-    units = _unit_rows(order, dim)
-    return CycloMatrix(
-        units[i] if row == 1 << width * i
-        else _field_row(_unpack(row, size, width), dim, order, zero)
-        for i, row in enumerate(rows[1:-1])
-    )
+    return _read_out(rows, order, dim, width)
 
 
 def crossed_v(image: BurauImage) -> tuple[LaurentPoly, ...]:

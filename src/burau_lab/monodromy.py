@@ -104,7 +104,7 @@ class MonodromyGenerators:
     def __post_init__(self):
         n, m, t, mats = self.strands_n, self.m, self.minus_q, self.mats
         _check_dims(n, m)
-        dim, letter = m - 2, _values_at(t.order, root_exponent(t))[1]
+        dim, letter = m - 2, _values_at(t.order, root_exponent(t))[0]
         if len(mats) != n - 1 or any(g.dim != dim for g in mats):
             raise InvalidDims(f"need n-1 = {n - 1} matrices of size m-2 = {dim}")
         zero, identity = CyclotomicNumber.zero(t.order), _unit_rows(t.order, dim)
@@ -307,12 +307,12 @@ def _laurent_certificate(entries: tuple[LaurentPoly, ...]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple, tuple, tuple]:
-    """At t = zeta_order^k: t^-1; the letter's (diagonal, above, below)
-    entries (-t, 1, t); and Squier's (diagonal, above, below) and their
-    negatives. Each is its Laurent polynomial specialized at t, so t^-1,
-    -t, 1 and t are the field's shared roots of unity, the very instances
-    a generator's row holds. Squier's entries are specialized only after
+def _values_at(order: int, k: int) -> tuple[tuple, tuple, tuple]:
+    """At t = zeta_order^k: the letter's (diagonal, above, below) entries
+    (-t, 1, t), and Squier's (diagonal, above, below) and their negatives.
+    Each is its Laurent polynomial specialized at t, so -t, 1 and t are the
+    field's shared roots of unity, the very instances a generator's row
+    holds. Squier's entries are specialized only after
     ``_laurent_certificate`` has proved the form invariant over
     Z[t, t^-1], so every root's values rest on that identity.
 
@@ -332,7 +332,7 @@ def _values_at(order: int, k: int) -> tuple[CyclotomicNumber, tuple, tuple, tupl
     for diag, above, below in (entries, negated):
         if diag.conjugate() != diag or above.conjugate() != below:
             raise NoInvariantForm(f"Squier's form is not Hermitian at t = {t}")
-    return t_inverse, letter, entries, negated
+    return letter, entries, negated
 
 
 @lru_cache(maxsize=None)
@@ -344,7 +344,7 @@ def _minor(order: int, k: int, s: int) -> CyclotomicNumber:
     and m. The first call at s reads D_0 .. D_{s-1} bottom up, so the
     recursion is never more than two calls deep, however large s is."""
     if s < 2:
-        return CyclotomicNumber.one(order) if s == 0 else _values_at(order, k)[2][0]
+        return CyclotomicNumber.one(order) if s == 0 else _values_at(order, k)[1][0]
     minors = [_minor(order, k, i) for i in range(s)]
     return minors[1] * (minors[s - 1] - minors[s - 2])
 
@@ -374,7 +374,7 @@ def _squier_at(t: CyclotomicNumber) -> tuple[int, tuple, tuple]:
     for an exact match), so its conjugate is the root's, and nothing is
     left to compare per call."""
     k = root_exponent(t)
-    _, _, entries, negated = _values_at(t.order, k)
+    _, entries, negated = _values_at(t.order, k)
     return k, entries, negated
 
 

@@ -66,7 +66,6 @@ CROSSED_V = "tests/test_burau.py::TestCrossedHomomorphism::test_generator_values
 ZERO_PATTERN = "tests/test_burau.py::TestProjectiveEquality::test_zero_pattern_mismatch"
 OFF_BAND = "tests/test_monodromy.py::TestSignature::test_rejects_a_fault_off_the_band"
 BASIS_COLUMN = "tests/test_monodromy.py::TestInvariantForm::test_column_of_a_basis_form_is_checked"
-ROOT_LENGTH = "tests/test_burau.py::TestPowerEarlyStop::test_root_length_is_the_shortest_root"
 SCALAR_TEST = "tests/test_burau.py::TestPowerEarlyStop::test_scalar_test_is_made_in_the_field"
 CACHE_KEY = "tests/test_monodromy.py::TestGeneratorCache::test_key_is_the_field_and_exponent"
 SHARED_ROOTS = (
@@ -111,6 +110,8 @@ DESCRIPTOR_MEMBERSHIP = (
 TWIST_WORDS = "tests/test_burau.py::TestTwistBlocks::test_words_with_twist_blocks_equal_the_full_product"
 TWIST_SCAN = "tests/test_burau.py::TestTwistBlocks::test_strip_matches_a_naive_scan"
 TWIST_PROOF = "tests/test_burau.py::TestTwistBlocks::test_a_corrupted_proof_raises_the_typed_error"
+TWIST_POWERS = "tests/test_burau.py::TestPowerEarlyStop::test_central_twist_powers_are_scalar_matrices"
+WIDENED_TWISTS = "tests/test_burau.py::TestTwistBlocks::test_twists_rotate_rows_that_were_widened"
 
 MUTANTS = [
     Mutant(
@@ -144,7 +145,7 @@ MUTANTS = [
     Mutant(
         "a widening keeps the step built for the old slot width",
         "src/burau_lab/burau.py",
-        "width *= 2\n                    step = _root_step_at(order, k, dim, width)\n",
+        "width *= 2\n                step = _root_step_at(order, k, dim, width)\n",
         "width *= 2\n",
         (WIDENING,),
     ),
@@ -256,20 +257,6 @@ MUTANTS = [
         (MINUS_ONE,),
     ),
     Mutant(
-        "the root length's quick reject accepts p without the period test",
-        "src/burau_lab/burau.py",
-        "if letters[p:2 * p] == letters[:p] and letters[p:] == letters[:-p]:",
-        "if letters[p:2 * p] == letters[:p]:",
-        (ROOT_LENGTH,),
-    ),
-    Mutant(
-        "the scalar test never reaches the last row",
-        "src/burau_lab/burau.py",
-        "for i, packed in enumerate(rows):",
-        "for i, packed in enumerate(rows[:-1]):",
-        (SCALAR_TEST,),
-    ),
-    Mutant(
         "the generators are cached under minus_q itself, not (N, k)",
         "src/burau_lab/monodromy.py",
         "def rho_generators(",
@@ -337,7 +324,7 @@ MUTANTS = [
         "src/burau_lab/cyclotomic.py",
         "powers[e * half % order] = -a if e % 2 else a",
         "powers[e * half % order] = a",
-        (DENSE,),
+        (DENSE, SCALAR_TEST),
     ),
     Mutant(
         "BraidWord accepts the generator index n",
@@ -398,9 +385,23 @@ MUTANTS = [
     Mutant(
         "the per-root proof that T_n is t^n * I is skipped",
         "src/burau_lab/burau.py",
-        "if _scalar_value(rows[1:-1], order, (n - 1) * _half_order(order), width) != roots[q]:",
+        "if _read_out(rows, order, dim, width) != scalar:",
         "if False:",
         (TWIST_PROOF,),
+    ),
+    Mutant(
+        "the twists' power is dropped when nothing is left",
+        "src/burau_lab/burau.py",
+        "_roots_of_unity(order)[twist]",
+        "_roots_of_unity(order)[0]",
+        (TWIST_POWERS,),
+    ),
+    Mutant(
+        "the rows are not rotated by the twists' power",
+        "src/burau_lab/burau.py",
+        "    if twist:\n        # The step's rotation",
+        "    if False:\n        # The step's rotation",
+        (TWIST_WORDS, WIDENED_TWISTS),
     ),
     Mutant(
         "root_exponent returns the table index itself, 2k for odd N",

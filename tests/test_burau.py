@@ -12,9 +12,8 @@ from burau_lab.burau import (
     BurauImage,
     _laurent_row,
     _laurent_step_at,
-    _root_length,
+    _read_out,
     _root_step_at,
-    _scalar_value,
     _unpack,
     affine_extension,
     burau_generator,
@@ -24,6 +23,7 @@ from burau_lab.burau import (
     projectively_equal,
     specialized_burau,
 )
+from burau_lab.cli import KERNEL_TABLE_FIXTURE
 from burau_lab.cyclotomic import (
     CycloMatrix,
     CyclotomicNumber,
@@ -34,6 +34,7 @@ from burau_lab.cyclotomic import (
     specialize_matrix,
     specialize_poly,
     _field_value,
+    _roots_of_unity,
     _unit_rows,
 )
 from burau_lab.laurent import (
@@ -555,8 +556,9 @@ class TestSpecializedBurau:
     def test_signed_unit_vectors_are_the_shared_roots(self):
         # A single +-x^e is read from the field's table of roots of unity;
         # it must equal the reduction of that vector, after the signed
-        # permutation x^e -> (-1)^e zeta_N^(e(N+1)/2) for odd N, and t^-1
-        # of the signature check, read from the same table, must be t's.
+        # permutation x^e -> (-1)^e zeta_N^(e(N+1)/2) for odd N; t^-1, read
+        # from the same table, must be t's inverse, and the signature
+        # check's letter entries -t, 1 and t its shared instances.
         for order in range(1, 81):
             half = order // 2 if order % 2 == 0 else order
             for e in range(half):
@@ -571,10 +573,11 @@ class TestSpecializedBurau:
                     value = _field_value(order, v)
                     assert value == CyclotomicNumber.from_powers(order, powers), (order, e, c)
                     assert _field_value(order, list(v)) is value
+            roots = _roots_of_unity(order)
             for k in range(order):
                 t = CyclotomicNumber.root_of_unity(order, k)
-                t_inverse, (minus_t, one, at_t), _, _ = _values_at(order, k)
-                assert t_inverse == CyclotomicNumber.root_of_unity(order, -k)
+                t_inverse = roots[-k * (len(roots) // order) % len(roots)]
+                (minus_t, one, at_t), _, _ = _values_at(order, k)
                 assert (t * t_inverse).is_one and one.is_one
                 assert at_t is t and minus_t == -t
 
@@ -683,15 +686,16 @@ class TestPointsThatAreNotRoots:
 
 
 class TestPowerEarlyStop:
-    """At a root of unity a word u^k stops at its first scalar prefix u^j,
-    j | k, j < k; the result must still equal the full product."""
+    """At a root of unity a power u^k is applied in one pass, its full
+    twists taken out; the result must still equal the full product, also
+    where a partial power u^j is already scalar."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_powers_agree_with_specializing_the_laurent_image(self, n):
-        # Central twists (scalar at j = n), powers that are never scalar
-        # before the end, delta^(n+1) (scalar prefix delta^n, n not dividing
-        # n+1), and words of length 0 and 1, at -q and (-q)^3 for d = 2..40:
-        # N even and odd, and sign -1 (d = 2 mod 4 at -q).
+        # Central twists, powers that are never scalar before the end,
+        # delta^(n+1) (scalar at delta^n, n not dividing n+1), and words of
+        # length 0 and 1, at -q and (-q)^3 for d = 2..40: N even and odd,
+        # and sign -1 (d = 2 mod 4 at -q).
         delta = " ".join(f"s{i}" for i in range(1, n))
         texts = [f"({delta})^{n + 1}", "", "s1"]
         for k in (1, 2, n, 2 * n + 1):
@@ -701,14 +705,32 @@ class TestPowerEarlyStop:
         if n > 2:
             # Never scalar unless the identity, so applied in full: kept short.
             texts += [f"T{n - 1}", f"T{n - 1}^2"]
+            # (s1 s2 s1)^2 is T3 in another spelling, which the strip does
+            # not see: central in B_3.
+            texts += [f"(s1 s2 s1)^{2 * r}" for r in (1, 2, 3)]
         points = [x for d in range(2, 41) for x in (minus_q_from_d(d), minus_q_from_d(d) ** 3)]
         for text in texts:
             w = parse_word(text, n)
             laurent = burau_of_word(w).matrix
             for x in points:
                 assert specialized_burau(w, x) == specialize_matrix(laurent, x), (text, x)
+        # Powers of the kernel generators s1^d and T_{n-1}^j (the known
+        # kernel rows): at -q for that d their partial powers u^d and u^j
+        # are already the identity.
+        twist_orders = {d: j for strands, d, j, _ in KERNEL_TABLE_FIXTURE if strands == n and j}
+        for d in range(2, 41):
+            texts = [f"s1^{d * r}" for r in (2, 3)]
+            if d in twist_orders:
+                texts += [f"T{n - 1}^{twist_orders[d] * r}" for r in (2, 3)]
+            for text in texts:
+                w = parse_word(text, n)
+                laurent = burau_of_word(w).matrix
+                for x in (minus_q_from_d(d), minus_q_from_d(d) ** 3):
+                    assert specialized_burau(w, x) == specialize_matrix(laurent, x), (text, x)
 
     def test_central_twist_power_applies_one_twist(self, monkeypatch):
+        # The proof that T10 is t^10 * I multiplies out one T10; once it is
+        # cached, T10^27 applies no letters at all.
         applied = []
         inner = burau._word_product
 
@@ -719,8 +741,13 @@ class TestPowerEarlyStop:
         monkeypatch.setattr(burau, "_word_product", counting)
         word = parse_word("T10^27", 10)
         assert len(word) == 2430
-        assert specialized_burau(word, minus_q_from_d(3)).is_identity
-        assert sum(applied) <= 90
+        x = minus_q_from_d(3)
+        burau._twist_at.cache_clear()
+        assert specialized_burau(word, x).is_identity
+        assert sum(applied) == 90
+        applied.clear()
+        assert specialized_burau(word, x).is_identity
+        assert applied == []
 
     def test_central_twist_powers_are_scalar_matrices(self):
         # The full twist's image is t^n * I, so T_n^k gives x^(n*k) on the
@@ -740,62 +767,30 @@ class TestPowerEarlyStop:
         # Rows over Z[x]/(x^3 + 1), the ring of orders 6 and 3, where
         # x -> zeta_6; 1 - x + x^2 is nonzero there but vanishes in the field.
         # Each row is flat, entry j's coefficient of x^k at index 2k + j, and
-        # packed into one int of 6 slots of 64 bits, as the word loop holds it.
-        def scalar_value(order, *rows):
+        # packed into one int of 6 slots of 64 bits, as the word loop holds
+        # it; the read-out must give the scalar matrix the rows stand for.
+        def read_out(order, *rows):
             flat = [[a for pair in zip(*row) for a in pair] for row in rows]
-            return _scalar_value([burau._pack(row, 64) for row in flat], order, 6, 64)
+            return _read_out([0, *(burau._pack(row, 64) for row in flat), 0], order, 2, 64)
+
+        def scalar(order, c):
+            return CycloMatrix([[c, CyclotomicNumber.zero(order)], [CyclotomicNumber.zero(order), c]])
 
         one, zero, minus_one = [1, 0, 0], [0] * 3, [-1, 0, 0]
         vanishing = [1, -1, 1]
         one_plus_vanishing = [2, -1, 1]
-        assert scalar_value(6, [one, vanishing], [vanishing, one_plus_vanishing]) == 1
-        assert scalar_value(6, [minus_one, zero], [zero, minus_one]) == -1
-        assert scalar_value(6, [one, zero], [zero, minus_one]) is None
-        assert scalar_value(6, [one, zero], [one, one]) is None
+        assert read_out(6, [one, vanishing], [vanishing, one_plus_vanishing]) == scalar(6, 1)
+        assert read_out(6, [minus_one, zero], [zero, minus_one]) == scalar(6, -1)
+        assert read_out(6, [one, zero], [zero, minus_one]) != scalar(6, 1)
+        assert read_out(6, [one, zero], [one, one]) != scalar(6, 1)
         # At odd order 3, x is zeta_6 = -zeta_3^2: x^2 is zeta_3 and -x is
         # zeta_3^2, and the vanishing vector still vanishes.
         x_squared, minus_x = [0, 0, 1], [0, -1, 0]
         zeta3 = CyclotomicNumber.root_of_unity(3)
-        assert scalar_value(3, [x_squared, vanishing], [vanishing, [1, -1, 2]]) == zeta3
-        assert scalar_value(3, [minus_x, zero], [zero, minus_x]) == zeta3**2
-        assert scalar_value(3, [one, vanishing], [zero, minus_one]) is None
-        assert scalar_value(3, [x_squared, [1, 1, 0]], [zero, x_squared]) is None
-
-    def test_scalar_test_unpacks_rows_as_it_reaches_them(self, monkeypatch):
-        # A fault in row 0 ends the test before rows 1 and 2 are unpacked.
-        unpacked = []
-        inner = burau._unpack
-
-        def spy(row, *rest):
-            unpacked.append(row)
-            return inner(row, *rest)
-
-        monkeypatch.setattr(burau, "_unpack", spy)
-        one, zero = [1, 0, 0], [0, 0, 0]
-        rows = [[one, one, zero], [zero, one, zero], [zero, zero, one]]
-        packed = [burau._pack([a for slots in zip(*row) for a in slots], 64) for row in rows]
-        assert _scalar_value(packed, 6, 9, 64) is None
-        assert unpacked == packed[:1]
-        unpacked.clear()
-        rows[0][1] = zero
-        packed[0] = burau._pack([a for slots in zip(*rows[0]) for a in slots], 64)
-        assert _scalar_value(packed, 6, 9, 64) == 1
-        assert unpacked == packed
-
-    def test_root_length_is_the_shortest_root(self):
-        def naive(letters):
-            length = len(letters)
-            return next(
-                p for p in range(1, length + 1)
-                if length % p == 0 and letters == letters[:p] * (length // p)
-            )
-
-        rng = random.Random(5)
-        assert _root_length(()) == 0
-        for _ in range(300):
-            root = random_word(4, rng.randint(1, 6), rng).letters
-            letters = root * rng.randint(1, 12)
-            assert _root_length(letters) == naive(letters), letters
+        assert read_out(3, [x_squared, vanishing], [vanishing, [1, -1, 2]]) == scalar(3, zeta3)
+        assert read_out(3, [minus_x, zero], [zero, minus_x]) == scalar(3, zeta3**2)
+        assert read_out(3, [one, vanishing], [zero, minus_one]) != scalar(3, 1)
+        assert read_out(3, [x_squared, [1, 1, 0]], [zero, x_squared]) != scalar(3, zeta3)
 
 
 class TestTwistBlocks:
@@ -851,8 +846,8 @@ class TestTwistBlocks:
             words.append((BraidWord(n, tuple(letters)), inserted))
         # A proper power whose root holds a block.
         words.append((BraidWord(n, (((n - 1, 1), (1, -1)) + twist) * 3), 3))
-        # What is left, s1^-1 s1 delta, is scalar at its n-th power, a proper
-        # divisor of 2n, so the early stop meets a stripped twist.
+        # What is left, (s1^-1 s1 delta)^(2n), is scalar at its n-th power,
+        # a proper divisor of 2n, and its twists are taken out around it.
         words.append((BraidWord(n, (twist + ((1, -1), (1, 1)) + delta) * (2 * n)), 2 * n))
         return words
 
@@ -865,13 +860,10 @@ class TestTwistBlocks:
         for w, inserted in self.words_with_twists(n, rng, 4):
             rest, net = burau._strip_twists(w.letters, n)
             assert (rest, net) == self.naive_strip(w.letters, n)
-            p = _root_length(w.letters)
-            if n > 2 and p >= n * (n - 1):
-                # Every block inserted is taken out of the root, unless the
-                # root is shorter than T_n, as for a power of delta, which
-                # keeps the whole-word path. On two strands the random
-                # letters form blocks of their own.
-                assert burau._strip_twists(w.letters[:p], n)[1] * (len(w) // p) == inserted
+            if n > 2:
+                # Every block inserted is taken out of the whole word. On two
+                # strands the random letters form blocks of their own.
+                assert net == inserted
             laurent = burau_of_word(w).matrix
             for x in points:
                 assert specialized_burau(w, x) == specialize_matrix(laurent, x), (w, x)
@@ -949,14 +941,18 @@ class TestTwistBlocks:
     @pytest.mark.parametrize("fault", ["not scalar", "another root"])
     def test_a_corrupted_proof_raises_the_typed_error(self, monkeypatch, fault):
         # t^n is proved once per (N, k, n) by multiplying out T_n's letters;
-        # a product that is not exactly t^n * I refuses the root.
+        # a read-out that is not exactly t^n * I refuses the root.
         def corrupted(rows, order, *rest):
-            c = _scalar_value(rows, order, *rest)
-            return None if fault == "not scalar" else c * CyclotomicNumber.root_of_unity(order)
+            m = _read_out(rows, order, *rest)
+            if fault == "another root":
+                return scaled(m, CyclotomicNumber.root_of_unity(order))
+            entries = [list(row) for row in m.rows]
+            entries[0][1] = entries[0][0]
+            return CycloMatrix(entries)
 
         n, x = 5, minus_q_from_d(7)
         word = parse_word("s1 T5 s2^-1", n)
-        monkeypatch.setattr(burau, "_scalar_value", corrupted)
+        monkeypatch.setattr(burau, "_read_out", corrupted)
         burau._twist_at.cache_clear()
         try:
             with pytest.raises(burau.TwistProofFailed, match=r"^T5 is not t\^5 \* I at t = zeta_14\^"):
@@ -989,8 +985,7 @@ class TestPackedRows:
         "text, n, ds, widths",
         [
             ("(s1 s2^-1)^50", 3, (7, 12, 40), {128}),
-            # The scalar test runs at every proper divisor of 300, so also
-            # on rows that were widened three times, to 512 bits.
+            # Widened three times, to 512 bits.
             ("(s1 s2^-1)^300", 3, (7,), {128, 256, 512}),
             # Not a power: its 122 letters are one chunked pass.
             ("(s1 s2^-1 s3)^40 s1 s2", 4, (7, 12, 40), {128}),
