@@ -54,11 +54,11 @@ each supplying the step as a function of (row_{i+s}, row_{i-s}, row_i, s):
 
 At a root of unity, a word takes one pass. The full twist
 T_n = (s1 ... s_{n-1})^n is central, with image t^n * I, so every block
-of the word that is T_n or T_n^-1 is taken out and counted, and the image
-is multiplied by (t^n)^net at the end: by one rotation of each packed
-row, as a letter multiplies by t^s. t^n is proved once per root and n,
-by multiplying out T_n's letters and reading them out into the field as
-any word is. What is left is applied once. So T_n^k costs no letters,
+of the word that is T_n or T_n^-1 is taken out and counted, and what is
+left is applied once, to the packed rows of (t^n)^net * I in place of
+I's: each row starts as one slot of +-1. t^n is proved once per root and
+n, by multiplying out T_n's letters, as ``words`` spells them, and reading
+them out into the field as any word is. So T_n^k costs no letters,
 and a closure word w T_n^l w^-1 costs the letters of w and w^-1. Any
 other word costs its letters, less those of its blocks, plus the scan.
 
@@ -96,7 +96,7 @@ from .laurent import (
     _raw,
     _scalar_rows,
 )
-from .words import BraidWord, _check_integers, _check_strand_count
+from .words import BraidWord, _check_integers, _check_strand_count, _inverse_letters, _twist_period
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,13 @@ def _root_step_at(order: int, k: int, dim: int, width: int):
     ``_unpack`` folds the top slot back into slot 0.
     """
     half = _half_order(order)
+    total = dim * half * width
     # Indexed by s: rotations[1] is t's, rotations[-1] is t^-1's.
     rotations = [None] * 3
     for s in (1, -1):
-        rotations[s] = _rotation(half, dim, width, s * (2 * half // order) * k % (2 * half))
+        p = s * (2 * half // order) * k % (2 * half)
+        shift = p % half * dim * width
+        rotations[s] = p >= half, shift, total - shift, (1 << total - shift) - 1
 
     def step(a: int, b: int, c: int, s: int) -> int:
         negate, shift, cut, mask = rotations[s]
@@ -236,15 +239,6 @@ def _root_step_at(order: int, k: int, dim: int, width: int):
         return a - r if negate else a + r
 
     return step
-
-
-def _rotation(half: int, dim: int, width: int, p: int) -> tuple[bool, int, int, int]:
-    """(negate, shift, cut, mask) for multiplying a packed row of dim * H
-    slots of ``width`` bits, H = half, by x^p, 0 <= p < 2H: see
-    ``_root_step_at``, whose step applies it to b - c."""
-    shift = p % half * dim * width
-    cut = dim * half * width - shift
-    return p >= half, shift, cut, (1 << cut) - 1
 
 
 @lru_cache(maxsize=None)
@@ -316,14 +310,18 @@ def _read_out(rows: list, order: int, dim: int, width: int) -> CycloMatrix:
     )
 
 
-def _packed_product(letters: tuple, order: int, k: int, dim: int) -> tuple[list, int]:
-    """(rows, width): the padded packed rows of the product of ``letters``
-    at t = zeta_order^k, with slots of ``width`` bits (see
-    ``specialized_burau``)."""
-    size = dim * _half_order(order)
+def _packed_product(letters: tuple, order: int, k: int, dim: int, twist: int) -> tuple[list, int]:
+    """(rows, width): the padded packed rows of x^twist times the product
+    of ``letters`` at t = zeta_order^k, 0 <= twist < 2H, with slots of
+    ``width`` bits (see ``specialized_burau``). The rows start as those of
+    x^twist * I, a scalar, which the letters multiply from the left: row
+    i holds x^twist in entry i, stored as -x^(twist - H) when twist >= H."""
+    half = _half_order(order)
+    size = dim * half
     width = _START_WIDTH
     step = _root_step_at(order, k, dim, width)
-    rows = [0, *(1 << width * i for i in range(dim)), 0]
+    sign = -1 if twist >= half else 1
+    rows = [0, *(sign << width * (twist % half * dim + i) for i in range(dim)), 0]
     # Chunks of at most K letters, last first: the order left multiplication
     # takes. Every chunk but the first is preceded by the range check.
     for i in reversed(range(0, len(letters), _CHUNK)):
@@ -345,10 +343,11 @@ class TwistProofFailed(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _twist_periods(n: int) -> tuple[None, tuple, tuple]:
-    """Indexed by s = +-1: the period (s1 ... s_{n-1}) of T_n, s = 1, and
-    the period (s_{n-1}^-1 ... s1^-1) of T_n^-1, s = -1. Each block is its
-    period n times over, n(n-1) letters."""
-    return None, tuple((i, 1) for i in range(1, n)), tuple((i, -1) for i in reversed(range(1, n)))
+    """Indexed by s = +-1: the period (s1 ... s_{n-1}) of T_n, s = 1, as
+    ``words`` spells it, and its inverse (s_{n-1}^-1 ... s1^-1), the
+    period of T_n^-1, s = -1. Each block is its period n times over,
+    n(n-1) letters."""
+    return None, _twist_period(n), tuple(_inverse_letters(_twist_period(n)))
 
 
 def _strip_twists(letters: tuple, n: int) -> tuple[tuple, int]:
@@ -400,8 +399,8 @@ def _strip_twists(letters: tuple, n: int) -> tuple[tuple, int]:
 def _twist_at(order: int, k: int, n: int) -> int:
     """The entry q of ``cyclotomic._roots_of_unity(order)`` that is t^n at
     t = zeta_order^k, the image of T_n there being t^n * I. Entry q is
-    zeta_2H^q, the image of x^q, so a packed row is multiplied by it with
-    one rotation (``_rotation``).
+    zeta_2H^q, the image of x^q, so the product of a word's other letters
+    can start from the packed rows of (x^q)^net * I (``_packed_product``).
 
     It is proved once per (order, k, n), before any word relies on it: the
     letter loop multiplies out T_n's n(n-1) letters, and their read-out
@@ -411,7 +410,7 @@ def _twist_at(order: int, k: int, n: int) -> int:
     roots = _roots_of_unity(order)
     q = n * k * (len(roots) // order) % len(roots)
     dim = n - 1
-    rows, width = _packed_product(_twist_periods(n)[1] * n, order, k, dim)
+    rows, width = _packed_product(_twist_periods(n)[1] * n, order, k, dim, 0)
     scalar = CycloMatrix(_scalar_rows(dim, roots[q], CyclotomicNumber.zero(order)))
     if _read_out(rows, order, dim, width) != scalar:
         raise TwistProofFailed(f"T{n} is not t^{n} * I at t = zeta_{order}^{k}")
@@ -456,12 +455,11 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     +1 or -1 (``_strip_twists``).
     T_n is central, so the word is the rest times T_n^net, and its image is
     the rest's image times c^net, c = t^n, the image of T_n; c is proved
-    once per (N, k, n) (``_twist_at``). The rest is applied once, and its
-    rows are multiplied by c^net, a root of unity x^p, by one rotation
-    each, as a letter's t^s is, unless it is 1. A rotation moves the slots
-    and adds at most one to one of them, and 3^14 * (2^T + L) +
-    (3^14 + 1)/2 < 2^(W-1) still holds, so no slot overflows. When nothing
-    is left, no letter is applied and the image is c^net * I. So T_n^k
+    once per (N, k, n) (``_twist_at``). c^net is a root of unity x^p, a
+    scalar, so the rest is applied once, to the rows of x^p * I in place
+    of I's (``_packed_product``): each starts as one slot of +-1, and the
+    bound above holds as it does from I. When nothing is left, no letter
+    is applied and the image is c^net * I. So T_n^k
     costs no letters, and a closure word w T_n^l w^-1 costs the 2|w|
     letters of w and w^-1.
 
@@ -481,21 +479,14 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     n = word.strands_n
     dim = n - 1
     k = root_exponent(minus_q)
-    half = _half_order(order)
     rest, net = _strip_twists(word.letters, n)
     # c^net, c = t^n, as x^twist: its entry in the table of the 2H roots
     # of unity.
-    twist = _twist_at(order, k, n) * net % (2 * half) if net else 0
+    roots = _roots_of_unity(order)
+    twist = _twist_at(order, k, n) * net % len(roots) if net else 0
     if not rest:
-        zero = CyclotomicNumber.zero(order)
-        return CycloMatrix(_scalar_rows(dim, _roots_of_unity(order)[twist], zero))
-    rows, width = _packed_product(rest, order, k, dim)
-    if twist:
-        # The step's rotation, by x^twist, of every row.
-        negate, shift, cut, mask = _rotation(half, dim, width, twist)
-        for i in range(1, dim + 1):
-            r = ((rows[i] & mask) << shift) - (rows[i] >> cut)
-            rows[i] = -r if negate else r
+        return CycloMatrix(_scalar_rows(dim, roots[twist], CyclotomicNumber.zero(order)))
+    rows, width = _packed_product(rest, order, k, dim, twist)
     return _read_out(rows, order, dim, width)
 
 

@@ -41,7 +41,6 @@ from .moduli import (
     InvalidConfiguration,
     InvalidCurvatures,
     KernelDescriptor,
-    distinguished_labels,
     kernel_descriptor,
     orbifold_check,
 )
@@ -101,8 +100,9 @@ MAX_SPEC_VALUES = 1000
 """The most integers one --n or --d spec may list."""
 
 MAX_STRANDS = 20
-"""The largest strand count (--n) or puncture count (--m) accepted: every
-command builds matrices of that order before doing any work."""
+"""The largest strand count (--n) or puncture count (--m, n+1 when not
+given) accepted: every command builds matrices of that order before doing
+any work."""
 
 _DIGITS = f"[0-9]{{1,{MAX_FULL_DIGITS}}}"
 _FRACTION_TEXT = re.compile(f"[+-]?{_DIGITS}(?:[/.]{_DIGITS})?")
@@ -257,10 +257,6 @@ def cmd_check_word(args: argparse.Namespace) -> int:
 
 def _descriptor_json(desc: KernelDescriptor | Inconclusive) -> dict:
     inconclusive = isinstance(desc, Inconclusive)
-    if inconclusive:
-        report = desc.report
-    else:
-        report = orbifold_check(desc.curvatures, distinguished_labels(desc.strands_n))
     return {
         "n": desc.strands_n,
         "d": desc.d,
@@ -268,7 +264,7 @@ def _descriptor_json(desc: KernelDescriptor | Inconclusive) -> dict:
         "l": None if inconclusive else desc.l,
         "status": "inconclusive" if inconclusive else "orbifold",
         "curvatures": list(map(str, desc.curvatures.fractions)),
-        "strata": _strata_json(report.strata),
+        "strata": _strata_json(desc.report.strata),
     }
 
 
@@ -372,14 +368,14 @@ def cmd_orbifold_check(args: argparse.Namespace) -> int:
 
 def cmd_monodromy_check(args: argparse.Namespace) -> int:
     _check_cap("--n", args.n)
-    _check_cap("--m", args.m)
+    n, d = args.n, args.d
+    m = args.m if args.m is not None else n + 1
+    _check_cap("--m", m)
     if args.words < 1 or args.length < 1:
         raise InvalidConfiguration(
             f"--words and --length must be at least 1, got {count_text(args.words)} "
             f"and {count_text(args.length)}"
         )
-    n, d = args.n, args.d
-    m = args.m if args.m is not None else n + 1
     minus_q = minus_q_from_d(d, args.numerator)
     # A single word over the cap is reported by random_word's own check.
     if args.length <= MAX_WORD_LETTERS < args.words * args.length:
@@ -408,9 +404,9 @@ def cmd_monodromy_check(args: argparse.Namespace) -> int:
 
 def cmd_monodromy_signature(args: argparse.Namespace) -> int:
     _check_cap("--n", args.n)
-    _check_cap("--m", args.m)
     n, d = args.n, args.d
     m = args.m if args.m is not None else n + 1
+    _check_cap("--m", m)
     minus_q = minus_q_from_d(d, args.numerator)
     result = invariant_hermitian_form(rho_generators(n, m, minus_q))
     form = result.chosen

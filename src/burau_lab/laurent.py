@@ -44,7 +44,7 @@ class LaurentPoly:
     1
     """
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if type(coeffs) is dict or isinstance(coeffs, Mapping) else coeffs
@@ -57,7 +57,6 @@ class LaurentPoly:
                 if not data[exp]:
                     del data[exp]
         self._coeffs = data
-        self._hash: int | None = None
 
     @classmethod
     def zero(cls) -> LaurentPoly:
@@ -107,14 +106,11 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            # A constant equals the int of the same value, so it must hash
-            # like that int.
-            if self._coeffs.keys() <= {0}:
-                self._hash = hash(self._coeffs.get(0, 0))
-            else:
-                self._hash = hash(frozenset(self._coeffs.items()))
-        return self._hash
+        # A constant equals the int of the same value, so it must hash like
+        # that int.
+        if self._coeffs.keys() <= {0}:
+            return hash(self._coeffs.get(0, 0))
+        return hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
         if type(other) is not LaurentPoly:
@@ -244,7 +240,6 @@ def _accumulate(
 def _raw(coeffs: dict[int, int]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._coeffs = coeffs
-    p._hash = None
     return p
 
 

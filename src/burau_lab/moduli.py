@@ -18,6 +18,12 @@ submultiple of 2*pi, and orbifold stratum orders translate into powers of
 twists normally generating the kernel of the specialized Burau
 representation. When the orbifold condition fails, the method is silent:
 the outcome is Inconclusive, not an error.
+
+Each outcome carries the one orbifold report it was read from, as
+``report``: a kernel descriptor's j is the order of that report's stratum
+holding the distinguished last point, and an Inconclusive outcome's
+failing strata are that report's. Nothing checks the orbifold condition a
+second time for the same outcome.
 """
 
 from __future__ import annotations
@@ -196,20 +202,6 @@ def orbifold_check(curvatures: CurvatureVector, labels: Sequence[str]) -> Orbifo
     return OrbifoldReport(ok, tuple(strata))
 
 
-def _twist_order(curvatures: CurvatureVector) -> int | float:
-    """j: the orbifold order of the stratum where the first and last points
-    collide, or INFINITE when they cannot. Raises ValueError when the
-    stratum's angle is not 1/j of 2*pi."""
-    nums, den = curvatures.numerators, curvatures.denominator
-    angle = _collision(nums[0], nums[-1], den, same_label=False)
-    if angle is None:
-        return INFINITE
-    top, bottom = angle
-    if bottom % top:
-        raise ValueError(f"the twist stratum has angle {Fraction(top, bottom)} of 2pi, not 1/j")
-    return bottom // top
-
-
 def _central_power(n: int, d: int) -> int:
     """l = 2d/gcd(2d, (d+2)n), the power of the central twist tau_n in the
     kernel at a primitive d-th root."""
@@ -222,32 +214,40 @@ class KernelDescriptor:
     described as the normal closure of sigma^d and tau_{n-1}^j (j = INFINITE
     meaning no tau_{n-1} power at all) together with the central tau_n^l.
 
-    It is built from (strands_n, d, curvatures) and derives j and l itself:
-    j from the first and last points' collision stratum, whose angle is 1/j
-    of 2*pi, or which is absent (``_twist_order``, ValueError for any other
-    angle), and l = 2d/gcd(2d, (d+2)n) (``_central_power``). Before that it
-    checks that n and d are integers and that the curvatures are those of
-    (n, d), ``curvatures_from_nd(n, d)``, which refuses d < 3 and any (n, d)
-    with no cone sphere: each failure raises InvalidConfiguration.
-    ``kernel_descriptor`` builds the curvatures itself, so it skips these
-    checks (``_valid_descriptor``) rather than build the vector twice."""
+    It is built from (strands_n, d, curvatures) and derives the rest
+    itself: ``report``, the orbifold report of the curvatures under
+    ``distinguished_labels(n)``; j, read off the report's one stratum that
+    holds the last point, n, whose angle is 1/j of 2*pi (ValueError for
+    any other angle), or INFINITE when no stratum holds it; and
+    l = 2d/gcd(2d, (d+2)n) (``_central_power``). Before that it checks
+    that n and d are integers and that the curvatures are those of (n, d),
+    ``curvatures_from_nd(n, d)``, which refuses d < 3 and any (n, d) with
+    no cone sphere: each failure raises InvalidConfiguration.
+    ``kernel_descriptor`` has built the curvatures and the report itself,
+    so it skips these checks and hands its report over
+    (``_valid_descriptor``) rather than build either twice."""
 
     strands_n: int
     d: int
     j: int | float = field(init=False)
     l: int = field(init=False)
     curvatures: CurvatureVector
+    report: OrbifoldReport = field(init=False)
 
     def __post_init__(self):
         n, d = self.strands_n, self.d
         _check_integers(InvalidConfiguration, ("n", n), ("d", d))
         if self.curvatures != curvatures_from_nd(n, d):
             raise InvalidConfiguration(f"the curvatures are not those of n={n}, d={d}")
-        self._derive()
+        self._derive(orbifold_check(self.curvatures, distinguished_labels(n)))
 
-    def _derive(self) -> None:
-        """Set j and l from the curvatures and (n, d)."""
-        object.__setattr__(self, "j", _twist_order(self.curvatures))
+    def _derive(self, report: OrbifoldReport) -> None:
+        """Set the report, j from its stratum holding point n, and l."""
+        twist = next((s for s in report.strata if self.strands_n in s.pair), None)
+        if twist is not None and twist.orbifold_order is None:
+            raise ValueError(f"the twist stratum has angle {twist.angle_fraction} of 2pi, not 1/j")
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "j", INFINITE if twist is None else twist.orbifold_order)
         object.__setattr__(self, "l", _central_power(self.strands_n, self.d))
 
     def normal_generators(self) -> tuple[BraidWord, ...]:
@@ -261,16 +261,20 @@ class KernelDescriptor:
         return tuple(parse_word(text, n) for text in texts)
 
 
-def _valid_descriptor(n: int, d: int, curvatures: CurvatureVector) -> KernelDescriptor:
-    """The descriptor of (n, d) holding ``curvatures`` as given, with j and
-    l derived as ``KernelDescriptor`` derives them but without its integer
-    and membership checks: only for the vector ``curvatures_from_nd(n, d)``
-    itself, which ``kernel_descriptor`` has just built."""
+def _valid_descriptor(
+    n: int, d: int, curvatures: CurvatureVector, report: OrbifoldReport
+) -> KernelDescriptor:
+    """The descriptor of (n, d) holding ``curvatures`` and ``report`` as
+    given, with j and l derived as ``KernelDescriptor`` derives them but
+    without its integer and membership checks: only for the vector
+    ``curvatures_from_nd(n, d)`` itself and its report under
+    ``distinguished_labels(n)``, which ``kernel_descriptor`` has just
+    built."""
     kd = object.__new__(KernelDescriptor)
     object.__setattr__(kd, "strands_n", n)
     object.__setattr__(kd, "d", d)
     object.__setattr__(kd, "curvatures", curvatures)
-    kd._derive()
+    kd._derive(report)
     return kd
 
 
@@ -332,7 +336,7 @@ def kernel_descriptor(n: int, d: int) -> KernelDescriptor | Inconclusive:
             raise ArithmeticError(
                 f"sigma stratum {stratum.pair} has order {stratum.orbifold_order}, not d={d}"
             )
-    return _valid_descriptor(n, d, curvatures)
+    return _valid_descriptor(n, d, curvatures, report)
 
 
 def b3_kernel(d: int) -> KernelDescriptor:

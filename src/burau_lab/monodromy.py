@@ -34,8 +34,9 @@ t, t^-1 and -t, Squier's entries and their negatives are one shared
 instance each, and a generator's row holds the very same t, -t and 1, so
 most equal entries are the same object and compare by identity.
 
-The certificate's work is split by how often it can change. Per root
-t = zeta_N^k, once the Laurent identity holds: Squier's entries, their
+The certificate's work is split by how often it can change. Per process:
+the Laurent identity for ``_SQUIER``'s entries. Per root t = zeta_N^k,
+once that identity holds: Squier's entries, their
 negatives, t^-1 and the letter's entries, with the proof that the form's
 band is Hermitian (conj(t) = t^-1, conj(delta) = delta and conj(above) =
 below, for S and -S); the leading minors det S_s, memoized per size; and,
@@ -46,12 +47,14 @@ point, its count and its rows, made once, when ``MonodromyGenerators``
 builds it, whether ``rho_generators`` caches the set or a caller builds it
 by hand; so the invariance check reads no generator rows. Per call: t is
 compared with the field's shared -1, k is read off t once, which finds
-the root's proved values, det S_L = 0 is compared with the closed-form
+the root's proved values, handed both to the form and to its invariance
+check (``_values_at``), det S_L = 0 is compared with the closed-form
 inertia, the inertias are checked to add up, and row and column r of each
 basis form are compared with the one band of +-S or 0 that h_rr selects.
 The form's entries are the proved shared ones, so it is built without
 ``HermitianForm``'s conjugation pass (``_band_form``); a form built through
-the public constructor still gets that pass. Once its root's values
+the public constructor still gets that pass, every entry on and above
+the diagonal compared with the conjugate of its mirror. Once its root's values
 exist, a call makes no field arithmetic, only comparisons.
 """
 
@@ -133,24 +136,11 @@ class HermitianForm:
 
     def __post_init__(self):
         """Test the inertias (``_check_inertias``), then h_ij = conj(h_ji)
-        for every pair i <= j. A pair of two shared zeros passes as it
-        stands, and each distinct entry object is conjugated once: a band
-        form repeats a few objects along its rows. Either failure raises
-        ValueError."""
+        for every pair i <= j. Either failure raises ValueError."""
         self._check_inertias()
         rows, dim = self.matrix.rows, self.dim
-        zero = CyclotomicNumber.zero(rows[0][0].order)
-        conjugates = {}
-        for i in range(dim):
-            for j in range(i, dim):
-                a, b = rows[i][j], rows[j][i]
-                if a is zero and b is zero:
-                    continue
-                conj_b = conjugates.get(id(b))
-                if conj_b is None:
-                    conj_b = conjugates[id(b)] = b.conjugate()
-                if a != conj_b:
-                    raise ValueError("matrix is not Hermitian")
+        if any(rows[i][j] != rows[j][i].conjugate() for i in range(dim) for j in range(i, dim)):
+            raise ValueError("matrix is not Hermitian")
 
     def _check_inertias(self) -> None:
         """Raise ValueError unless the inertias fit: 0 <= pivot_size <= dim,
@@ -283,20 +273,20 @@ def _band(dim: int, r: int, entries: tuple, zero) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _laurent_certificate(entries: tuple[LaurentPoly, ...]) -> None:
+def _laurent_certificate() -> None:
     """Raise NoInvariantForm unless G(t^-1)^T S G(t) = S over Z[t, t^-1] for
     the Burau images G of sigma_1 .. sigma_4 in B_5, S the tridiagonal form
-    with the given (diagonal, above, below) entries.
+    with ``_SQUIER``'s (diagonal, above, below) entries. It is proved once
+    per process.
 
     sigma_1, sigma_2 and sigma_4 are the three shapes a letter's row takes
     in any dimension >= 2: first (no t in a left column), interior, and
     last (no 1 in a right column). By the formula in ``_check_invariant``,
     G* S G - S is local to the letter's row and column, so this identity
     for the shape is the identity for every letter of that shape, in any
-    dimension. The entries are a parameter so that a form that is not
-    invariant, such as Squier's transposed, can be shown to fail.
+    dimension.
     """
-    s = LaurentMatrix(_band(4, r, entries, LaurentPoly.zero()) for r in range(4))
+    s = LaurentMatrix(_band(4, r, _SQUIER, LaurentPoly.zero()) for r in range(4))
     for i in range(1, 5):
         g = burau_generator(5, i).matrix
         g_star = LaurentMatrix(
@@ -319,7 +309,7 @@ def _values_at(order: int, k: int) -> tuple[tuple, tuple, tuple]:
     This is also where the band form's entries are proved Hermitian, once
     per root: conj(t) = t^-1, and then conj(delta) = delta and conj(above)
     = below, for S and for -S. Any failure raises NoInvariantForm."""
-    _laurent_certificate(_SQUIER)
+    _laurent_certificate()
     t = CyclotomicNumber.root_of_unity(order, k)
     t_inverse = specialize_poly(LaurentPoly.t(-1), t)
     if t.conjugate() != t_inverse:
@@ -364,26 +354,13 @@ def _schur_entry(order: int, k: int, size: int) -> tuple[CyclotomicNumber, ...]:
     return one + alpha, alpha - one, one - alpha, -alpha - one
 
 
-def _squier_at(t: CyclotomicNumber) -> tuple[int, tuple, tuple]:
-    """(k, entries, negated) at t = zeta_N^k: k, and Squier's (diagonal,
-    above, below) and their negatives, one instance of each per root
-    (``_values_at``), which the form and its invariance check share.
-    Squier's are ``_SQUIER`` specialized at t, with conj(t) read as t^-1,
-    which ``_values_at`` proves once per root, before any entry is
-    returned. t equals that root, zeta_N^k (``root_exponent`` finds k only
-    for an exact match), so its conjugate is the root's, and nothing is
-    left to compare per call."""
-    k = root_exponent(t)
-    _, entries, negated = _values_at(t.order, k)
-    return k, entries, negated
-
-
 def _check_invariant(
-    basis: tuple[CycloMatrix, ...], generators: MonodromyGenerators, point: tuple | None = None
+    basis: tuple[CycloMatrix, ...], generators: MonodromyGenerators, entries: tuple, negated: tuple
 ) -> None:
     """Raise NoInvariantForm unless every basis form H is proved to satisfy
-    G* H G = H for every generator G, by comparisons only. ``point`` is
-    ``_squier_at(t)`` when the caller has made it; else it is made here.
+    G* H G = H for every generator G, by comparisons only. ``entries`` and
+    ``negated`` are Squier's (diagonal, above, below) at the generators'
+    root t and their negatives, as ``_values_at`` gives them.
 
     Generator i is I outside row r = i-1. With u = row_r(G) - e_r,
     G* H G - H = (H e_r + h_rr conj(u)) u + conj(u) (e_r^T H), which is
@@ -395,14 +372,13 @@ def _check_invariant(
     conj(t) = t^-1, so that conjugation commutes with specialization.
     Of those three facts, the generators' rows were checked when the set
     was built (``MonodromyGenerators``), so none is read here, and
-    conj(t) = t^-1 was proved once per root (``_values_at``, reached
-    through ``_squier_at``). What is checked here is row and column r of
+    conj(t) = t^-1 was proved once per root (``_values_at``), with the
+    entries passed in. What is checked here is row and column r of
     every basis form against c times S's. S's diagonal entry
     |1+t|^2 is not 0 at t != -1, so h_rr fixes c, and only the band of c S
     built for that r (``_band``) is compared.
     """
     t, dim = generators.minus_q, generators.m - 2
-    _, entries, negated = point or _squier_at(t)
     zero = CyclotomicNumber.zero(t.order)
     zeros = (zero, zero, zero)
     for j, h in enumerate(basis):
@@ -429,7 +405,7 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
 
     S is tridiagonal, with 2 + t + conj(t) on the diagonal, -(1 + conj(t))
     above it and -(1 + t) below it (|1+t|^2 times Squier's, so integral):
-    the entries ``_check_invariant`` compares against (``_squier_at``).
+    the entries ``_check_invariant`` compares against (``_values_at``).
     With L = n-1 and k = m-1-n, H is c * S, c = +-1, outside the trailing
     k x k block, which no generator changes. The pivot is c * S_L, or
     c * S_{L-1} when k > 0 and det S_L = 0, with no more positive than
@@ -445,7 +421,7 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     with its corners (``_schur_entry``); per generator set, the check of its
     rows, made when it is built (``MonodromyGenerators``). Per call: t = -1
     is tested against the field's shared -1, k is read off once to find
-    the root's proved values (``_squier_at``), det S_L = 0 is compared with
+    the root's proved values (``_values_at``), det S_L = 0 is compared with
     the closed-form inertia, and the form is built from the shared entries
     (``_band_form``, which checks its inertias) and checked row by row
     against one band each, with no field product.
@@ -457,8 +433,8 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     minus_one = roots[len(roots) // 2]
     if t == minus_one:
         raise NoInvariantForm(f"no closed-form invariant form at t = {t}")
-    point = _squier_at(t)
-    e, (diag, above, below), negated = point
+    e = root_exponent(t)
+    _, entries, negated = _values_at(order, e)
     a = min(e, order - e)
     dim, lead, k = m - 2, n - 1, m - 1 - n
     zero = CyclotomicNumber.zero(order)
@@ -472,7 +448,7 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     flip = pos > neg
     if flip:
         pos, neg = neg, pos
-        diag, above, below = negated
+    diag, above, below = negated if flip else entries
     if not k:
         first, schur = None, (0, 0, 0)
     elif singular:
@@ -495,7 +471,7 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
         for i in range(lead, dim)
         for j in range(lead, dim)
     )
-    _check_invariant(basis, generators, point)
+    _check_invariant(basis, generators, entries, negated)
     return InvariantFormResult(basis, form, 0)
 
 

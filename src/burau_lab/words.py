@@ -210,6 +210,13 @@ def _valid_word(strands_n: int, letters: tuple[tuple[int, int], ...]) -> BraidWo
     return word
 
 
+def _twist_period(p: int) -> tuple[tuple[int, int], ...]:
+    """The letters s1 ... s_{p-1} of the period of the full twist T<p>,
+    which is that period p times over: the one spelling of T<p>, which
+    ``burau`` also scans words for."""
+    return tuple((i, 1) for i in range(1, p))
+
+
 def _inverse_letters(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """The letters of the inverse word: reversed, each with its sign negated."""
     return [(i, -e) for i, e in reversed(letters)]
@@ -309,7 +316,7 @@ def _parse_term(
                 f"twist T{support} needs support in 2..{strands_n}", start
             )
         _check_length(support * (support - 1))
-        base = [(i, 1) for i in range(1, support)] * support
+        base = list(_twist_period(support)) * support
     elif ch == "(":
         if depth == MAX_GROUP_DEPTH:
             raise WordSyntaxError(f"groups nested more than {MAX_GROUP_DEPTH} deep", pos)

@@ -19,7 +19,7 @@ run must finish within that time.
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, a pytest run does not finish normally, or
 the unmutated run fails or is stopped. It starts one pytest run per
-mutant, about 70 s in all for the 42 mutants below, so it is not part of
+mutant, about 70 s in all for the 44 mutants below, so it is not part of
 the tier-1 run; pytest does not collect this file.
 """
 
@@ -112,6 +112,7 @@ TWIST_SCAN = "tests/test_burau.py::TestTwistBlocks::test_strip_matches_a_naive_s
 TWIST_PROOF = "tests/test_burau.py::TestTwistBlocks::test_a_corrupted_proof_raises_the_typed_error"
 TWIST_POWERS = "tests/test_burau.py::TestPowerEarlyStop::test_central_twist_powers_are_scalar_matrices"
 WIDENED_TWISTS = "tests/test_burau.py::TestTwistBlocks::test_twists_rotate_rows_that_were_widened"
+REST_TWIST = "tests/test_burau.py::TestTwistBlocks::test_rest_starts_from_the_twists_power"
 
 MUTANTS = [
     Mutant(
@@ -194,8 +195,8 @@ MUTANTS = [
     Mutant(
         "the Hermitian test skips the pairs off the tridiagonal band",
         "src/burau_lab/monodromy.py",
-        "for j in range(i, dim):",
-        "for j in range(i, min(i + 2, dim)):",
+        "for j in range(i, dim))",
+        "for j in range(i, min(i + 2, dim)))",
         (OFF_BAND,),
     ),
     Mutant(
@@ -392,16 +393,30 @@ MUTANTS = [
     Mutant(
         "the twists' power is dropped when nothing is left",
         "src/burau_lab/burau.py",
-        "_roots_of_unity(order)[twist]",
-        "_roots_of_unity(order)[0]",
+        "roots[twist]",
+        "roots[0]",
         (TWIST_POWERS,),
     ),
     Mutant(
-        "the rows are not rotated by the twists' power",
+        "the start rows ignore the twist",
         "src/burau_lab/burau.py",
-        "    if twist:\n        # The step's rotation",
-        "    if False:\n        # The step's rotation",
-        (TWIST_WORDS, WIDENED_TWISTS),
+        "sign << width * (twist % half * dim + i)",
+        "1 << width * i",
+        (TWIST_WORDS, WIDENED_TWISTS, REST_TWIST),
+    ),
+    Mutant(
+        "a start row past x^H keeps the sign +1",
+        "src/burau_lab/burau.py",
+        "sign = -1 if twist >= half else 1",
+        "sign = 1",
+        (REST_TWIST,),
+    ),
+    Mutant(
+        "j is read from the stratum without point n",
+        "src/burau_lab/moduli.py",
+        "if self.strands_n in s.pair",
+        "if self.strands_n not in s.pair",
+        (MODULI_ORACLE,),
     ),
     Mutant(
         "root_exponent returns the table index itself, 2k for odd N",

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from burau_lab import cli
+from burau_lab import cli, moduli
 from burau_lab.cyclotomic import INFINITE, MAX_D
 from burau_lab.moduli import KernelDescriptor, kernel_descriptor
 from burau_lab.words import MAX_WORD_LETTERS
@@ -147,6 +147,22 @@ class TestKernelTable:
             )
             assert (rebuilt.j, rebuilt.l) == (INFINITE if row["j"] is None else row["j"], row["l"])
             assert rebuilt == kernel_descriptor(row["n"], row["d"])
+
+    def test_one_orbifold_check_per_row(self, capsys, monkeypatch):
+        # A descriptor carries the report it was read from, and the table
+        # prints that report's strata: no row is checked twice.
+        calls = []
+        real = moduli.orbifold_check
+        for module in (moduli, cli):
+            monkeypatch.setattr(
+                module, "orbifold_check", lambda *args: calls.append(args) or real(*args)
+            )
+        code, out, _ = run(capsys, "moduli", "kernel-table", "--n", "4,11", "--d", "3,11", "--json")
+        assert code == 0
+        rows = json.loads(out)["results"]
+        statuses = {r["status"] for r in rows}
+        assert statuses == {"orbifold", "inconclusive", "invalid"}
+        assert len(calls) == sum(r["status"] != "invalid" for r in rows)
 
     def test_inconclusive_row_flagged(self, capsys):
         code, out, _ = run(capsys, "moduli", "kernel-table", "--n", "11", "--d", "3")
@@ -359,6 +375,17 @@ class TestExitCodes:
         assert code == 0
         assert out == "d = 3: in kernel\nkernel member at d = 3\n"
 
+    def test_default_puncture_count_at_cap_runs(self, capsys):
+        # --m defaults to n+1, which is the cap at n = MAX_STRANDS - 1.
+        n = str(cli.MAX_STRANDS - 1)
+        code, out, err = run(capsys, "monodromy", "signature", "--n", n, "--d", "7", "--json")
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["params"]["m"] == cli.MAX_STRANDS
+        argv = ("monodromy", "check", "--n", n, "--d", "7", "--words", "2", "--length", "5")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert f"(n={n}, d=7, m={cli.MAX_STRANDS})" in out
+
     def test_stderr_lines_pinned(self, capsys):
         over = str(cli.MAX_STRANDS + 1)
         cases = {
@@ -394,6 +421,11 @@ class TestExitCodes:
             ("moduli", "kernel-table", "--n", f"4,{over}", "--d", "3"):
                 f"--n {over} is above the cap of {cli.MAX_STRANDS}",
             ("monodromy", "signature", "--n", "4", "--d", "7", "--m", over):
+                f"--m {over} is above the cap of {cli.MAX_STRANDS}",
+            # Without --m, m is n+1, and that is the count capped.
+            ("monodromy", "signature", "--n", str(cli.MAX_STRANDS), "--d", "7"):
+                f"--m {over} is above the cap of {cli.MAX_STRANDS}",
+            ("monodromy", "check", "--n", str(cli.MAX_STRANDS), "--d", "7"):
                 f"--m {over} is above the cap of {cli.MAX_STRANDS}",
             ("moduli", "kernel-table", "--n", "4", "--d", f"3,{MAX_D + 1}"):
                 f"--d {MAX_D + 1} is above the cap of {MAX_D}",

@@ -359,21 +359,20 @@ class TestIntegerPathMatchesTheFractionOracle:
                 assert got == strata, (n, d)
                 assert report.is_orbifold == all(order for _, _, order in strata), (n, d)
                 twist = fraction_cone_angle(fractions[0], fractions[-1], same_label=False)
-                if twist is None:
-                    j = INFINITE
-                elif fraction_order(twist) is None:
+                if twist is not None and fraction_order(twist) is None:
                     with pytest.raises(ValueError, match=f"angle {twist} of 2pi"):
-                        moduli._twist_order(cv)
+                        KernelDescriptor(n, d, cv)
                     j = None
                 else:
-                    j = fraction_order(twist)
-                if j is not None:
-                    assert moduli._twist_order(cv) == j, (n, d)
+                    j = INFINITE if twist is None else fraction_order(twist)
+                    built = KernelDescriptor(n, d, cv)
+                    assert (built.j, built.report) == (j, report), (n, d)
                 desc = kernel_descriptor(n, d)
                 if not report.is_orbifold:
                     assert isinstance(desc, Inconclusive), (n, d)
                     continue
                 assert (desc.j, desc.l) == (j, fraction_central_power(n, d)), (n, d)
+                assert desc.report == report and desc == built, (n, d)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -244,6 +244,13 @@ class TestDiagramCheck:
             diagram_check(parse_word("s1", 3), 4, 5, minus_q_from_d(5))
 
 
+def _squier_values(gens) -> tuple[tuple, tuple]:
+    """Squier's entries at the generators' root and their negatives, as the
+    certificate passes them to its invariance check."""
+    t = gens.minus_q
+    return monodromy._values_at(t.order, monodromy.root_exponent(t))[1:]
+
+
 def _star(g: CycloMatrix) -> CycloMatrix:
     """The conjugate transpose, entry by entry."""
     return CycloMatrix(
@@ -470,23 +477,34 @@ class TestInvariantForm:
         transposed = CycloMatrix(zip(*basis[0].rows))
         assert all(_star(g) * transposed * g != transposed for g in gens.mats)
         with pytest.raises(NoInvariantForm, match=r"basis form 1 .* generator 1$"):
-            monodromy._check_invariant(basis[:1] + (transposed,), gens)
+            monodromy._check_invariant(basis[:1] + (transposed,), gens, *_squier_values(gens))
 
     def test_conjugation_checked_at_the_point(self, monkeypatch):
-        # Called without the point, the check makes it, from the root's
-        # values: with conjugation dropped, the proof made with them fails.
+        # The certificate looks up the root's values before it builds the
+        # form, and its invariance check reads only the entries handed to
+        # it: with conjugation dropped and the values cleared, their proof
+        # refuses the root at m = n+2, as at m = n+1.
         gens = rho_generators(4, 6, minus_q_from_d(7))
-        basis = invariant_hermitian_form(gens).basis
+        invariant_hermitian_form(gens)
         with self.conjugation_dropped(monkeypatch), pytest.raises(
             NoInvariantForm, match=r"conj\(t\) is not t\^-1"
         ):
-            monodromy._check_invariant(basis, gens)
+            invariant_hermitian_form(gens)
 
-    def test_laurent_identity_rejects_a_transposed_form(self):
+    def test_laurent_identity_rejects_a_transposed_form(self, monkeypatch):
+        # The identity is proved once per process, for the entries in
+        # _SQUIER: with them transposed and the proof cleared, it fails.
         diag, above, below = monodromy._SQUIER
-        assert monodromy._laurent_certificate((diag, above, below)) is None
-        with pytest.raises(NoInvariantForm, match=r"over Z\[t, t\^-1\] for generator"):
-            monodromy._laurent_certificate((diag, below, above))
+        monodromy._laurent_certificate.cache_clear()
+        assert monodromy._laurent_certificate() is None
+        monkeypatch.setattr(monodromy, "_SQUIER", (diag, below, above))
+        monodromy._laurent_certificate.cache_clear()
+        try:
+            with pytest.raises(NoInvariantForm, match=r"over Z\[t, t\^-1\] for generator"):
+                monodromy._laurent_certificate()
+        finally:
+            monkeypatch.undo()
+            monodromy._laurent_certificate.cache_clear()
 
     def test_roots_rest_on_the_laurent_identity(self, monkeypatch):
         # With Squier's entries transposed, the certificate fails on the
@@ -494,11 +512,14 @@ class TestInvariantForm:
         diag, above, below = monodromy._SQUIER
         monkeypatch.setattr(monodromy, "_SQUIER", (diag, below, above))
         monodromy._values_at.cache_clear()
+        monodromy._laurent_certificate.cache_clear()
         try:
             with pytest.raises(NoInvariantForm, match=r"over Z\[t, t\^-1\]"):
                 invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(7)))
         finally:
+            monkeypatch.undo()
             monodromy._values_at.cache_clear()
+            monodromy._laurent_certificate.cache_clear()
 
     def test_column_of_a_basis_form_is_checked(self):
         # The matrix unit at (L, 0) has a zero row 0 but column 0 = e_L, so
@@ -512,7 +533,7 @@ class TestInvariantForm:
         ])
         assert _star(gens.mats[0]) * unit * gens.mats[0] != unit
         with pytest.raises(NoInvariantForm, match=rf"basis form {len(basis)} .* generator 1$"):
-            monodromy._check_invariant(basis + (unit,), gens)
+            monodromy._check_invariant(basis + (unit,), gens, *_squier_values(gens))
 
     @pytest.mark.parametrize(
         "n, d, a, m",
@@ -580,13 +601,13 @@ class TestPerRootWork:
         gens = rho_generators(5, 7, minus_q_from_d(8))
         invariant_hermitian_form(gens)
         calls = []
-        for name in ("root_exponent", "_squier_at"):
+        for name in ("root_exponent", "_values_at"):
             real = getattr(monodromy, name)
             monkeypatch.setattr(
-                monodromy, name, lambda t, name=name, real=real: calls.append(name) or real(t)
+                monodromy, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
             )
         invariant_hermitian_form(gens)
-        assert sorted(calls) == ["_squier_at", "root_exponent"]
+        assert sorted(calls) == ["_values_at", "root_exponent"]
 
     def test_the_certificate_reads_no_generator_rows(self, monkeypatch):
         # Every set is checked when it is built, the cached one and one
