@@ -7,7 +7,7 @@ Every line of ``src/burau_lab`` that runs is recorded with
   kernel-table``, through ``burau_lab.cli.main`` with BURAU_LAB_SEED
   unset and the output discarded;
 - each workload of ``bench/workloads.py`` (closure, diagram and certify):
-  its warm-up, then its seeded op stream for a few seconds, each op run as
+  its warm-up, then its op stream at seed 7 for 3 seconds, each op run as
   the benchmark runs it at ``--trace 0``, but untimed and unchecked.
 
 Then, per module, it prints the functions that never ran and, inside the
@@ -15,7 +15,7 @@ functions that did, the lines that never ran. A line counts when the
 compiler gives it an instruction, so a line that only cleans up after an
 exception can show as never run. Run from anywhere:
 
-    python tests/reach_audit.py [--seconds S] [--seed N]
+    python tests/reach_audit.py
 
 ``bench/`` is imported, never written. Only the standard library is used.
 The list is a figure to read, not a check: the script always exits 0, and
@@ -24,7 +24,6 @@ pytest does not collect this file.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import inspect
 import io
@@ -38,12 +37,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "burau_lab"
 CASES = ROOT / "tests" / "data" / "cli" / "cases.json"
+SECONDS = 3.0  # per workload
+SEED = 7
 
 
-def function_lines(path: Path) -> dict[tuple[int, str], tuple[str, set[int]]]:
-    """For each function of a module, keyed by (first line, name): its
-    qualified name and the lines the compiler gives an instruction, less
-    the ``def`` line itself. Module and class bodies, which run on import,
+def function_lines(path: Path) -> dict[tuple[int, str], set[int]]:
+    """For each function of a module, keyed by (first line, name): the
+    lines the compiler gives an instruction, less the ``def`` line itself. Module and class bodies, which run on import,
     are left out; a function nested in another is listed on its own."""
     found = {}
     pending = [compile(path.read_text(), str(path), "exec")]
@@ -53,9 +53,7 @@ def function_lines(path: Path) -> dict[tuple[int, str], tuple[str, set[int]]]:
         if not code.co_flags & inspect.CO_NEWLOCALS:
             continue
         lines = {line for _, _, line in code.co_lines() if line is not None}
-        found[code.co_firstlineno, code.co_name] = (
-            code.co_qualname, lines - {code.co_firstlineno}
-        )
+        found[code.co_firstlineno, code.co_name] = lines - {code.co_firstlineno}
     return found
 
 
@@ -128,11 +126,7 @@ def ranges(lines: list[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seconds", type=float, default=3.0, help="per workload (default 3)")
-    parser.add_argument("--seed", type=int, default=7, help="workload seed (default 7)")
-    args = parser.parse_args(argv)
+def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     sys.dont_write_bytecode = True  # nothing is written under bench/ or src/
 
@@ -141,25 +135,25 @@ def main(argv: list[str] | None = None) -> int:
     sys.settrace(recorder)
     try:
         cases = run_cli_cases()
-        ops = {name: run_workload(name, args.seed, args.seconds)
+        ops = {name: run_workload(name, SEED, SECONDS)
                for name in ("closure", "diagram", "certify")}
     finally:
         sys.settrace(None)
 
     print(f"traced: {cases} CLI runs, then "
           + ", ".join(f"{name} {count} ops" for name, count in ops.items())
-          + f" ({args.seconds:g} s each, seed {args.seed})")
+          + f" ({SECONDS:g} s each, seed {SEED})")
     for filename, path in modules.items():
         functions = function_lines(path)
         never = []
         partly = []
-        for (first, name), (qualname, lines) in sorted(functions.items()):
+        for (first, name), lines in sorted(functions.items()):
             if (filename, first, name) not in recorder.calls:
-                never.append(f"{qualname} ({first})")
+                never.append(f"{name} ({first})")
                 continue
             missed = sorted(line for line in lines if (filename, line) not in recorder.lines)
             if missed:
-                partly.append(f"{qualname}: {ranges(missed)}")
+                partly.append(f"{name} ({first}): {ranges(missed)}")
         print(f"{path.name}: {len(never)} of {len(functions)} functions never ran, "
               f"{len(partly)} ran in part")
         for text in never:

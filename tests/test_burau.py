@@ -892,38 +892,27 @@ class TestTwistBlocks:
             assert 128 in packed, (text, d)
 
     @pytest.mark.parametrize(
-        "text, n, widened",
-        [
-            ("s1 T3 s2^-1", 3, False),
-            ("T4^-1 s2 s3^-1 s1 T4^2", 4, False),
-            ("s2 T5^-1 s1^-1 s4", 5, False),
-            ("(s1 s2^-1)^50 s1 T3", 3, True),
-            ("T4^-1 (s1 s2^-1 s3)^40 T4^2", 4, True),
-        ],
+        "text, n", [("s1 T3 s2^-1", 3), ("T4^-1 s2 s3^-1 s1 T4^2", 4), ("s2 T5^-1 s1^-1 s4", 5)]
     )
-    def test_rest_starts_from_the_twists_power(self, monkeypatch, text, n, widened):
+    def test_rest_starts_from_the_twists_power(self, text, n):
         # Letters are left after the twists are taken out, so the product
         # starts from the rows of x^twist * I: x^twist itself in [0, H) or
-        # -x^(twist - H) in [H, 2H), at even and odd N, and, for the long
-        # words, at slots widened to 128 bits.
-        packed = TestPackedRows.record_widenings(monkeypatch)
+        # -x^(twist - H) in [H, 2H), at even and odd N. Rows widened to
+        # 128-bit slots are test_twists_rotate_rows_that_were_widened's.
         w = parse_word(text, n)
         rest, net = burau._strip_twists(w.letters, n)
         assert rest and net
         dense = naive_word_image(w)
-        parities, halves, widths = set(), set(), set()
+        parities, halves = set(), set()
         for d in (3, 4, 5, 6, 7, 9, 10, 12, 40):
             x = minus_q_from_d(d)
             order = x.order
             roots = _roots_of_unity(order)
             twist = burau._twist_at(order, root_exponent(x), n) * net % len(roots)
-            packed.clear()
             assert specialized_burau(w, x) == specialize_matrix(dense, x), (text, d)
-            widths.update(packed)
             if twist:
                 parities.add(order % 2)
                 halves.add(twist >= len(roots) // 2)
-        assert (128 in widths) == widened, text
         assert parities == {0, 1} and halves == {False, True}, text
 
     def test_strip_matches_a_naive_scan(self):

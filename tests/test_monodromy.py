@@ -479,17 +479,19 @@ class TestInvariantForm:
         with pytest.raises(NoInvariantForm, match=r"basis form 1 .* generator 1$"):
             monodromy._check_invariant(basis[:1] + (transposed,), gens, *_squier_values(gens))
 
-    def test_conjugation_checked_at_the_point(self, monkeypatch):
-        # The certificate looks up the root's values before it builds the
-        # form, and its invariance check reads only the entries handed to
-        # it: with conjugation dropped and the values cleared, their proof
-        # refuses the root at m = n+2, as at m = n+1.
-        gens = rho_generators(4, 6, minus_q_from_d(7))
-        invariant_hermitian_form(gens)
-        with self.conjugation_dropped(monkeypatch), pytest.raises(
-            NoInvariantForm, match=r"conj\(t\) is not t\^-1"
-        ):
-            invariant_hermitian_form(gens)
+    def test_conjugation_checked_at_the_point(self):
+        # The check compares against the entries it is handed, not against
+        # S rebuilt at the generators' root: handed Squier's entries at
+        # conj(t) = t^-1, whose entries above and below the diagonal are
+        # swapped, it refuses the basis it certifies at t.
+        for n, m, d in ((4, 5, 7), (4, 6, 7), (5, 7, 8)):
+            gens = rho_generators(n, m, minus_q_from_d(d))
+            basis = invariant_hermitian_form(gens).basis
+            t = gens.minus_q
+            at_conjugate = monodromy._values_at(t.order, t.order - monodromy.root_exponent(t))[1:]
+            monodromy._check_invariant(basis, gens, *_squier_values(gens))
+            with pytest.raises(NoInvariantForm, match=r"basis form 0 .* generator 1$"):
+                monodromy._check_invariant(basis, gens, *at_conjugate)
 
     def test_laurent_identity_rejects_a_transposed_form(self, monkeypatch):
         # The identity is proved once per process, for the entries in
