@@ -54,13 +54,16 @@ each supplying the step as a function of (row_{i+s}, row_{i-s}, row_i, s):
 
 At a root of unity, a word takes one pass. The full twist
 T_n = (s1 ... s_{n-1})^n is central, with image t^n * I, so every block
-of the word that is T_n or T_n^-1 is taken out and counted, and what is
-left is applied once, to the packed rows of (t^n)^net * I in place of
-I's: each row starts as one slot of +-1. t^n is proved once per root and
-n, by multiplying out T_n's letters, as ``words`` spells them, and reading
-them out into the field as any word is. So T_n^k costs no letters,
-and a closure word w T_n^l w^-1 costs the letters of w and w^-1. Any
-other word costs its letters, less those of its blocks, plus the scan.
+of the word that is T_n or T_n^-1 is taken out and counted, what is left
+is freely reduced (``words._free_reduced``), and what remains is applied
+once, to the packed rows of (t^n)^net * I in place of I's: each row
+starts as one slot of +-1. t^n is proved once per root and n, by
+multiplying out T_n's letters, as ``words`` spells them, and reading them
+out into the field as any word is. So T_n^k costs no letters, and nor
+does a closure word w T_n^l w^-1: with its twists out it is w w^-1, which
+cancels. A conjugate w s1^d w^-1 costs the letters of w and w^-1 that do
+not cancel. Any other word costs its letters, less those of its blocks
+and its cancelled pairs, plus the scan and the reduction.
 
 Every specialization point is a power zeta_N^k (``root_exponent``); any
 other point raises NotARoot.
@@ -96,7 +99,14 @@ from .laurent import (
     _raw,
     _scalar_rows,
 )
-from .words import BraidWord, _check_integers, _check_strand_count, _inverse_letters, _twist_period
+from .words import (
+    BraidWord,
+    _check_integers,
+    _check_strand_count,
+    _free_reduced,
+    _inverse_letters,
+    _twist_period,
+)
 
 
 @dataclass(frozen=True)
@@ -173,7 +183,9 @@ def burau_of_word(word: BraidWord) -> BurauImage:
     """The Burau image of a word: the exact product of generator images in
     word order.
 
-    Each row is one coefficient map while the letters are applied
+    The word is freely reduced first (``words._free_reduced``): a pair
+    s_i^e s_i^-e is the identity, so it costs no merges. Each row is one
+    coefficient map while the letters are applied
     (``_laurent_step_at``) and is split into its dim polynomials at the
     end. A row that no letter touched is emitted as the shared unit row of
     ``laurent._identity_rows``, which holds ``LaurentPoly.one()`` and
@@ -183,7 +195,7 @@ def burau_of_word(word: BraidWord) -> BurauImage:
     dim = n - 1
     start = [{i: 1} for i in range(dim)]
     rows = [{}, *start, {}]
-    _word_product(word.letters, rows, _laurent_step_at(dim))
+    _word_product(_free_reduced(word.letters), rows, _laurent_step_at(dim))
     units = _identity_rows(dim)
     return BurauImage(n, LaurentMatrix(
         units[i] if row is start[i] else _laurent_row(row, dim)
@@ -452,16 +464,20 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     Before any letter is applied, every disjoint block of the word that
     is the full twist T_n = (s1 ... s_{n-1})^n or its inverse
     (s_{n-1}^-1 ... s1^-1)^n is taken out, left to right, and counted as
-    +1 or -1 (``_strip_twists``).
+    +1 or -1 (``_strip_twists``), and the rest is freely reduced
+    (``words._free_reduced``). The strip is not repeated after the
+    reduction, though a cancellation can join a block that the strip
+    split: on the closure benchmark's words a second strip finds none.
     T_n is central, so the word is the rest times T_n^net, and its image is
     the rest's image times c^net, c = t^n, the image of T_n; c is proved
     once per (N, k, n) (``_twist_at``). c^net is a root of unity x^p, a
     scalar, so the rest is applied once, to the rows of x^p * I in place
     of I's (``_packed_product``): each starts as one slot of +-1, and the
     bound above holds as it does from I. When nothing is left, no letter
-    is applied and the image is c^net * I. So T_n^k
-    costs no letters, and a closure word w T_n^l w^-1 costs the 2|w|
-    letters of w and w^-1.
+    is applied and the image is c^net * I. So T_n^k costs no letters, and
+    nor does a closure word w T_n^l w^-1, whose rest w w^-1 cancels; a
+    conjugate w g w^-1 of any other g costs the letters that survive the
+    cancellation, at most 2|w| + |g|.
 
     Rows are unpacked only at the end, where entry (i, j), the strided
     slice row[j::dim] of row i, is reduced into Q(zeta_N)
@@ -480,6 +496,7 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     dim = n - 1
     k = root_exponent(minus_q)
     rest, net = _strip_twists(word.letters, n)
+    rest = _free_reduced(rest)
     # c^net, c = t^n, as x^twist: its entry in the table of the 2H roots
     # of unity.
     roots = _roots_of_unity(order)

@@ -27,6 +27,17 @@ hold letters that are valid by construction, so they skip it
 here, ``monodromy.rho_product``, which reads a word on n strands as the
 same letters on m - 1 >= n strands, and ``monodromy.rho_generators``'
 one-letter words sigma_i on m - 1 strands.
+
+The seeded draws. ``random_word`` and ``sample_normal_closure`` draw every
+integer through ``rng.getrandbits`` by CPython's own rejection rule:
+below(b) repeats getrandbits(b.bit_length()) until the value is less than
+b. A letter's index is 1 + below(n - 1) and its sign (1, -1)[below(2)],
+which is what ``rng.randint(1, n - 1)`` and ``rng.choice((1, -1))`` draw;
+a conjugator's length is below(max_conj_len + 1), ``rng.randint(0,
+max_conj_len)``, and a generator's position below(len(gens)),
+``rng.randrange(len(gens))``. So the letters, and the generator's state
+after the draw, are those of the standard library's calls, checked on
+CPython 3.10, 3.11, 3.12 and 3.13, for less work per letter.
 """
 
 from __future__ import annotations
@@ -222,15 +233,23 @@ def _inverse_letters(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]
     return [(i, -e) for i, e in reversed(letters)]
 
 
-def free_reduce(word: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs s_i s_i^-1 until none remain."""
-    stack: list[tuple[int, int]] = []
-    for letter in word.letters:
-        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-            stack.pop()
+def _free_reduced(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The letters with adjacent inverse pairs s_i^e s_i^-e cancelled until
+    none remain: the freely reduced word, the same braid. One pass with a
+    stack, which starts with the sentinel (0, 0) that cancels no letter."""
+    stack = [(0, 0)]
+    for letter in letters:
+        top = stack[-1]
+        if letter[0] == top[0] and letter[1] == -top[1]:
+            del stack[-1]
         else:
             stack.append(letter)
-    return _valid_word(word.strands_n, tuple(stack))
+    return tuple(stack[1:])
+
+
+def free_reduce(word: BraidWord) -> BraidWord:
+    """Cancel adjacent inverse pairs s_i s_i^-1 until none remain."""
+    return _valid_word(word.strands_n, _free_reduced(word.letters))
 
 
 def parse_word(text: str, strands_n: int) -> BraidWord:
@@ -338,16 +357,44 @@ def _expand_power(letters: list[tuple[int, int]], exponent: int) -> list[tuple[i
     return _inverse_letters(letters) * (-exponent)
 
 
+def _below(getrandbits, bound: int) -> int:
+    """A uniform draw from 0..bound-1, bound >= 1, as CPython's
+    ``random.Random`` makes it: getrandbits(bound.bit_length()), repeated
+    until the value is less than bound."""
+    bits = bound.bit_length()
+    value = getrandbits(bits)
+    while value >= bound:
+        value = getrandbits(bits)
+    return value
+
+
+def _drawn_letters(getrandbits, strands_n: int, length: int) -> list[tuple[int, int]]:
+    """``length`` letters, each an index 1 + below(n - 1) then a sign
+    (1, -1)[below(2)] (see the module docstring), with ``_below``'s
+    rejection inlined: below(2) draws 2 bits until the value is 0 or 1."""
+    span = strands_n - 1
+    bits = span.bit_length()
+    letters = []
+    for _ in range(length):
+        i = getrandbits(bits)
+        while i >= span:
+            i = getrandbits(bits)
+        s = getrandbits(2)
+        while s >= 2:
+            s = getrandbits(2)
+        letters.append((i + 1, -1 if s else 1))
+    return letters
+
+
 def random_word(strands_n: int, length: int, rng: random.Random) -> BraidWord:
-    """A uniformly random word of the given length (letters independent)."""
+    """A uniformly random word of the given length (letters independent),
+    drawn as the module docstring states."""
     _check_strand_count(strands_n)
+    _check_integers(ValueError, ("length", length))
     if length < 0:
         raise ValueError(f"word length must be nonnegative, got {length}")
     _check_length(length)
-    letters = tuple(
-        (rng.randint(1, strands_n - 1), rng.choice((1, -1))) for _ in range(length)
-    )
-    return _valid_word(strands_n, letters)
+    return _valid_word(strands_n, tuple(_drawn_letters(rng.getrandbits, strands_n, length)))
 
 
 def sample_normal_closure(
@@ -361,25 +408,34 @@ def sample_normal_closure(
     with conjugator length at most ``max_conj_len`` and g drawn from ``gens``.
 
     Every output lies in the normal closure of the generators, which makes
-    this the test feed for kernel-membership claims.
+    this the test feed for kernel-membership claims. Each factor draws g's
+    position, then ``rng.random() < 0.5`` for g's inverse, then the
+    conjugator's length and letters, as the module docstring states; a
+    product that would pass MAX_WORD_LETTERS raises WordTooLong before its
+    conjugator's letters are drawn.
     """
     if not gens:
         raise EmptyGeneratorSet("need at least one normal generator")
+    _check_integers(ValueError, ("num_factors", num_factors), ("max_conj_len", max_conj_len))
     if num_factors < 1:
         raise ValueError("num_factors must be at least 1")
     if num_factors > MAX_WORD_LETTERS:
         raise WordTooLong(f"{num_factors} factors, more than {MAX_WORD_LETTERS}")
+    if max_conj_len < 0:
+        raise ValueError(f"max_conj_len must be nonnegative, got {max_conj_len}")
     for g in gens:
         if g.strands_n != strands_n:
             raise ValueError("generator strand count differs from strands_n")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     letters: list[tuple[int, int]] = []
     for _ in range(num_factors):
-        g = gens[rng.randrange(len(gens))].letters
+        g = gens[_below(getrandbits, len(gens))].letters
         if rng.random() < 0.5:
             g = _inverse_letters(g)
-        conj = random_word(strands_n, rng.randint(0, max_conj_len), rng).letters
-        _check_length(len(letters) + 2 * len(conj) + len(g))
+        length = _below(getrandbits, max_conj_len + 1)
+        _check_length(len(letters) + 2 * length + len(g))
+        conj = _drawn_letters(getrandbits, strands_n, length)
         letters += conj
         letters += g
         letters += _inverse_letters(conj)

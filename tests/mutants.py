@@ -19,7 +19,7 @@ run must finish within that time.
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, a pytest run does not finish normally, or
 the unmutated run fails or is stopped. It starts one pytest run per
-mutant, about 70 s in all for the 44 mutants below, so it is not part of
+mutant, about 90 s in all for the 50 mutants below, so it is not part of
 the tier-1 run; pytest does not collect this file.
 """
 
@@ -113,6 +113,17 @@ TWIST_PROOF = "tests/test_burau.py::TestTwistBlocks::test_a_corrupted_proof_rais
 TWIST_POWERS = "tests/test_burau.py::TestPowerEarlyStop::test_central_twist_powers_are_scalar_matrices"
 WIDENED_TWISTS = "tests/test_burau.py::TestTwistBlocks::test_twists_rotate_rows_that_were_widened"
 REST_TWIST = "tests/test_burau.py::TestTwistBlocks::test_rest_starts_from_the_twists_power"
+RANDOM_DRAW = "tests/test_words.py::TestSampler::test_random_word_matches_the_reference_draw"
+SAMPLER_DRAW = "tests/test_words.py::TestSampler::test_matches_the_reference_draw"
+ONLY_INVERSES_CANCEL = "tests/test_words.py::TestFreeReduce::test_only_a_letter_and_its_inverse_cancel"
+NAIVE_REDUCTION = "tests/test_words.py::TestFreeReduce::test_matches_a_naive_reduction"
+CANCELLING_PAIRS = "tests/test_burau.py::TestTwistBlocks::test_cancelling_pairs_around_twist_blocks"
+CLOSURE_LETTERS = (
+    "tests/test_burau.py::TestTwistBlocks::test_closure_word_applies_only_the_conjugator_letters"
+)
+INVERSE_LETTERS = (
+    "tests/test_burau.py::TestWordImages::test_a_word_times_its_inverse_applies_no_letters"
+)
 
 MUTANTS = [
     Mutant(
@@ -316,9 +327,51 @@ MUTANTS = [
     Mutant(
         "random_word draws generator indices from 1..n",
         "src/burau_lab/words.py",
-        "rng.randint(1, strands_n - 1)",
-        "rng.randint(1, strands_n)",
+        "span = strands_n - 1",
+        "span = strands_n",
         (RANDOM_LETTERS,),
+    ),
+    Mutant(
+        "the letter index is rejected only above its bound, not at it",
+        "src/burau_lab/words.py",
+        "while i >= span:",
+        "while i > span:",
+        (RANDOM_DRAW,),
+    ),
+    Mutant(
+        "below(b) is rejected only above b, not at it",
+        "src/burau_lab/words.py",
+        "while value >= bound:",
+        "while value > bound:",
+        (SAMPLER_DRAW,),
+    ),
+    Mutant(
+        "free reduction cancels s_i against s_j^-1 for any j",
+        "src/burau_lab/words.py",
+        "if letter[0] == top[0] and letter[1] == -top[1]:",
+        "if letter[1] == -top[1]:",
+        (ONLY_INVERSES_CANCEL, NAIVE_REDUCTION, CANCELLING_PAIRS),
+    ),
+    Mutant(
+        "free reduction cancels s_i against s_i",
+        "src/burau_lab/words.py",
+        "if letter[0] == top[0] and letter[1] == -top[1]:",
+        "if letter[0] == top[0]:",
+        (ONLY_INVERSES_CANCEL, NAIVE_REDUCTION, CANCELLING_PAIRS),
+    ),
+    Mutant(
+        "specialized_burau applies the rest without reducing it",
+        "src/burau_lab/burau.py",
+        "    rest = _free_reduced(rest)\n",
+        "",
+        (CLOSURE_LETTERS,),
+    ),
+    Mutant(
+        "burau_of_word applies the word without reducing it",
+        "src/burau_lab/burau.py",
+        "_word_product(_free_reduced(word.letters), rows",
+        "_word_product(word.letters, rows",
+        (INVERSE_LETTERS,),
     ),
     Mutant(
         "the odd-order permutation of the powers drops the sign (-1)^e",

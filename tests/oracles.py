@@ -2,6 +2,7 @@
 under test."""
 
 import itertools
+import random
 from fractions import Fraction
 
 
@@ -59,6 +60,49 @@ def shift(p, exp):
 def writhe(word):
     """The exponent sum of a braid word."""
     return sum(e for _, e in word.letters)
+
+
+def naive_free_reduce(letters):
+    """The letters with the first adjacent pair s_i^e s_i^-e deleted, again
+    and again, until no such pair is left."""
+    letters = list(letters)
+    while True:
+        pairs = zip(letters, letters[1:])
+        k = next((k for k, (a, b) in enumerate(pairs) if a[0] == b[0] and a[1] == -b[1]), None)
+        if k is None:
+            return tuple(letters)
+        del letters[k:k + 2]
+
+
+# -- the seeded draws through the standard library's calls ---------------------
+# The package draws through rng.getrandbits; these are its draws as first
+# written, one standard-library call per integer.
+
+
+def reference_letters(strands_n, length, rng):
+    """``length`` random letters, each rng.randint(1, n - 1) for the index
+    and rng.choice((1, -1)) for the sign."""
+    return tuple((rng.randint(1, strands_n - 1), rng.choice((1, -1))) for _ in range(length))
+
+
+def reference_normal_closure(strands_n, gens, num_factors, max_conj_len, seed):
+    """The letters of num_factors conjugates c g^+-1 c^-1: per factor,
+    g = gens[rng.randrange(len(gens))], inverted when rng.random() < 0.5,
+    then c of length rng.randint(0, max_conj_len) (``reference_letters``)."""
+    rng = random.Random(seed)
+    letters = []
+    for _ in range(num_factors):
+        g = gens[rng.randrange(len(gens))].letters
+        if rng.random() < 0.5:
+            g = inverse_letters(g)
+        conj = reference_letters(strands_n, rng.randint(0, max_conj_len), rng)
+        letters += conj + g + inverse_letters(conj)
+    return tuple(letters)
+
+
+def inverse_letters(letters):
+    """The letters of the inverse word: reversed, each sign negated."""
+    return tuple((i, -e) for i, e in reversed(letters))
 
 
 def rounding_root_step(order, k, dim, width):

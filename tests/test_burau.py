@@ -48,6 +48,7 @@ from burau_lab.monodromy import _values_at, rho_generators
 from burau_lab.words import BraidWord, InvalidStrandCount, parse_word, random_word
 from oracles import (
     leibniz_det,
+    naive_free_reduce,
     pack_slots,
     q_point,
     ring_row,
@@ -205,6 +206,31 @@ class TestWordImages:
                     else:
                         assert row is unit and row[a] is ONE, (n, w, a)
                         assert all(e is ZERO for b, e in enumerate(row) if b != a)
+
+    def test_a_word_times_its_inverse_applies_no_letters(self, monkeypatch):
+        # w w^-1 cancels to nothing before any letter is applied, so every
+        # row is the shared unit row of laurent._identity_rows.
+        applied = []
+        inner = burau._word_product
+
+        def counting(letters, *rest):
+            applied.append(len(letters))
+            return inner(letters, *rest)
+
+        monkeypatch.setattr(burau, "_word_product", counting)
+        rng = random.Random(8)
+        for n in (2, 3, 6, 11):
+            units = _identity_rows(n - 1)
+            w = random_word(n, 15, rng)
+            rows = burau_of_word(w * w.inverse()).matrix.rows
+            assert all(row is unit for row, unit in zip(rows, units)), n
+            assert sum(applied) == 0, n
+            # Only the letters that survive the cancellation are applied.
+            word = w * parse_word("s1 s1^-1", n) * w
+            image = burau_of_word(word).matrix
+            assert applied[-1] == len(naive_free_reduce(word.letters)) <= 30
+            assert image == naive_word_image(word)
+            applied.clear()
 
     def test_determinant_tracks_writhe(self):
         rng = random.Random(5)
@@ -942,6 +968,9 @@ class TestTwistBlocks:
             assert burau._strip_twists(letters, n) == self.naive_strip(letters, n), (n, letters)
 
     def test_closure_word_applies_only_the_conjugator_letters(self, monkeypatch):
+        # With its twists taken out, g T_n^l g^-1 is g g^-1, which cancels:
+        # no letter is applied. A conjugate of s1^d applies the letters that
+        # survive free reduction; g ends in s1^-1, so two cancel at the seams.
         applied = []
         inner = burau._word_product
 
@@ -952,15 +981,44 @@ class TestTwistBlocks:
         rng = random.Random(3)
         for n, d, l in ((4, 5, 5), (7, 3, 6), (10, 3, 3)):
             x = minus_q_from_d(d)
-            g = random_word(n, 20, rng)
-            word = g * parse_word(f"T{n}^{l}", n) * g.inverse()
+            g = random_word(n, 20, rng) * BraidWord(n, ((1, -1),))
+            closure = g * parse_word(f"T{n}^{l}", n) * g.inverse()
+            conjugate = g * parse_word(f"s1^{d}", n) * g.inverse()
             # The first call proves t^n at this root; later calls reuse it.
-            specialized_burau(word, x)
+            specialized_burau(closure, x)
             monkeypatch.setattr(burau, "_word_product", counting)
             applied.clear()
-            assert specialized_burau(word, x).is_identity
-            assert sum(applied) == 2 * len(g)
+            assert specialized_burau(closure, x).is_identity
+            assert applied == []
+            reduced = naive_free_reduce(conjugate.letters)
+            assert len(reduced) <= 2 * len(g) + d - 2
+            assert specialized_burau(conjugate, x) == specialize_matrix(naive_word_image(conjugate), x)
+            assert sum(applied) == len(reduced)
             monkeypatch.undo()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_cancelling_pairs_around_twist_blocks(self, data):
+        # Pieces of a word: a random letter, a block T_n^+-1, a pair
+        # s_i^e s_i^-e, or a block between a letter and its inverse. The
+        # strip and the reduction each take some of them out; the image
+        # must still be the product of every letter.
+        n = data.draw(st.integers(2, 5), label="n")
+        delta = tuple((i, 1) for i in range(1, n))
+        blocks = (delta * n, tuple((i, -1) for i in reversed(range(1, n))) * n)
+        letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+        letters = []
+        for kind, a in data.draw(st.lists(st.tuples(st.integers(0, 3), letter), max_size=8)):
+            inverse = (a[0], -a[1])
+            block = blocks[data.draw(st.integers(0, 1))]
+            letters += ([a], list(block), [a, inverse], [a, *block, inverse])[kind]
+        w = BraidWord(n, tuple(letters))
+        dense = naive_word_image(w)
+        assert burau_of_word(w).matrix == dense
+        for d in data.draw(st.lists(st.sampled_from((3, 4, 5, 6, 10, 12)), min_size=1, max_size=2)):
+            x = minus_q_from_d(d)
+            assert specialized_burau(w, x) == specialize_matrix(burau_of_word(w).matrix, x)
+            assert specialized_burau(w, x) == specialize_matrix(dense, x)
 
     @pytest.mark.parametrize("fault", ["not scalar", "another root"])
     def test_a_corrupted_proof_raises_the_typed_error(self, monkeypatch, fault):

@@ -20,7 +20,7 @@ from burau_lab.words import (
     random_word,
     sample_normal_closure,
 )
-from oracles import writhe
+from oracles import naive_free_reduce, reference_letters, reference_normal_closure, writhe
 
 
 def braid_words(max_n=6, max_len=12):
@@ -281,6 +281,18 @@ class TestFreeReduce:
         for a, b in zip(reduced, reduced[1:]):
             assert not (a[0] == b[0] and a[1] == -b[1])
 
+    def test_only_a_letter_and_its_inverse_cancel(self):
+        # s_i never cancels s_j^-1 for j != i, nor s_i itself.
+        for text in ("s1 s2^-1", "s2^-1 s1", "s1 s1", "s2^-1 s2^-1", "s1 s3^-1 s3 s2^-1"):
+            w = parse_word(text, 4)
+            assert free_reduce(w).letters == naive_free_reduce(w.letters), text
+        assert free_reduce(parse_word("s1 s3^-1 s3 s2^-1", 4)).letters == ((1, 1), (2, -1))
+
+    @given(braid_words(max_n=4, max_len=30))
+    def test_matches_a_naive_reduction(self, w):
+        # Few strands and long words, so that pairs meet after others cancel.
+        assert free_reduce(w).letters == naive_free_reduce(w.letters)
+
 
 class TestNamedTwists:
     """tau_p is the grammar's full-twist macro T<p>, the ring s1 ... s_{p-1}
@@ -345,7 +357,11 @@ class TestSampler:
                 g = gens[rng.randrange(len(gens))]
                 if rng.random() < 0.5:
                     g = g.inverse()
-                conj = random_word(strands_n, rng.randint(0, max_conj_len), rng)
+                # The reference draw, not random_word: a fault in the
+                # package's draw must not reach this side too.
+                conj = BraidWord(
+                    strands_n, reference_letters(strands_n, rng.randint(0, max_conj_len), rng)
+                )
                 word = word * conj * g * conj.inverse()
             return word
 
@@ -371,6 +387,37 @@ class TestSampler:
             args = (4, gen_sets[4], 3, 8, seed)
             assert outcome(sample_normal_closure, *args) == outcome(concatenated, *args)
 
+    def test_matches_the_reference_draw(self):
+        gen_sets = {
+            2: [parse_word("s1^3", 2), BraidWord(2)],
+            4: [parse_word("T4", 4), parse_word("s2^-5", 4), BraidWord(4)],
+            7: [BraidWord(7)],
+            9: [parse_word("T8^2 s8", 9), parse_word("s5 s4^-1 s1", 9)],
+        }
+        seed = 0
+        for strands_n, gens in gen_sets.items():
+            for num_factors in range(1, 8):
+                for max_conj_len in range(21):
+                    seed += 1
+                    args = (strands_n, gens, num_factors, max_conj_len, seed)
+                    assert sample_normal_closure(*args).letters == reference_normal_closure(*args), args
+
+    @pytest.mark.parametrize("max_conj_len, message", [
+        (-1, "max_conj_len must be nonnegative, got -1"),
+        (-7, "max_conj_len must be nonnegative, got -7"),
+        (2.0, "max_conj_len is not an integer, got float"),
+        ("3", "max_conj_len is not an integer, got str"),
+    ])
+    def test_bad_conjugator_length(self, max_conj_len, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_normal_closure(4, [parse_word("s1", 4)], 1, max_conj_len, seed=0)
+
+    @pytest.mark.parametrize("num_factors", [2.0, "3", None])
+    def test_non_integer_factor_count(self, num_factors):
+        message = f"^num_factors is not an integer, got {type(num_factors).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            sample_normal_closure(4, [parse_word("s1", 4)], num_factors, 5, seed=0)
+
     def test_empty_generators(self):
         with pytest.raises(EmptyGeneratorSet):
             sample_normal_closure(4, [], 1, 5, seed=0)
@@ -388,6 +435,29 @@ class TestSampler:
         w = random_word(5, 20, rng)
         assert len(w) == 20
         assert all(1 <= i <= 4 for i, _ in w.letters)
+
+    def test_random_word_matches_the_reference_draw(self):
+        # The letters, and the generator's state after the draw, are those
+        # of rng.randint and rng.choice: at every n and length, 3 seeds each.
+        seed = 0
+        for strands_n in range(2, 21):
+            for length in range(41):
+                for _ in range(3):
+                    seed += 1
+                    ours, reference = random.Random(seed), random.Random(seed)
+                    w = random_word(strands_n, length, ours)
+                    assert w.letters == reference_letters(strands_n, length, reference), seed
+                    assert ours.getstate() == reference.getstate(), seed
+
+    @pytest.mark.parametrize("length", [2.0, "3", None])
+    def test_random_word_rejects_a_non_integer_length(self, length):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(
+            ValueError, match=f"^length is not an integer, got {type(length).__name__}$"
+        ):
+            random_word(4, length, rng)
+        assert rng.getstate() == state
 
     def test_random_word_rejects_a_negative_length(self):
         for length in (-1, -3):
