@@ -53,17 +53,23 @@ each supplying the step as a function of (row_{i+s}, row_{i-s}, row_i, s):
   module that owns the field's roots of unity.
 
 At a root of unity, a word takes one pass. The full twist
-T_n = (s1 ... s_{n-1})^n is central, with image t^n * I, so every block
-of the word that is T_n or T_n^-1 is taken out and counted, what is left
-is freely reduced (``words._free_reduced``), and what remains is applied
-once, to the packed rows of (t^n)^net * I in place of I's: each row
-starts as one slot of +-1. t^n is proved once per root and n, by
-multiplying out T_n's letters, as ``words`` spells them, and reading them
-out into the field as any word is. So T_n^k costs no letters, and nor
-does a closure word w T_n^l w^-1: with its twists out it is w w^-1, which
-cancels. A conjugate w s1^d w^-1 costs the letters of w and w^-1 that do
-not cancel. Any other word costs its letters, less those of its blocks
-and its cancelled pairs, plus the scan and the reduction.
+T_n = (s1 ... s_{n-1})^n is central, with image t^n * I. A word holds
+each power T_n^k it was written with as the count k (see ``words``), so
+the counts are added up and only the letters between them are read;
+every block of those letters that is T_n or T_n^-1, such as a twist
+typed as letters, ``(s1 s2 s3)^4`` on 4 strands, is taken out and counted
+too, what is left is freely reduced (``words._free_reduced``), and what
+remains is applied once, to the packed rows of (t^n)^net * I in place of
+I's: each row starts as one slot of +-1. t^n is proved once per root and
+n, by multiplying out T_n's letters, as ``words`` spells them, and
+reading them out into the field as any word is. So T_n^k costs no
+letters and no scan, and nor does a closure word w T_n^l w^-1: with its
+twists out it is w w^-1, which cancels. A conjugate w s1^d w^-1 costs
+the letters of w and w^-1 that do not cancel. Any other word costs its
+letters, less those of its blocks and its cancelled pairs, plus the scan
+and the reduction. The Laurent image adds the counts up in the same way,
+from t^n * I proved once per n over Z[t, t^-1], and reduces the letters,
+but does not scan them for blocks.
 
 Every specialization point is a power zeta_N^k (``root_exponent``); any
 other point raises NotARoot.
@@ -104,8 +110,8 @@ from .words import (
     _check_integers,
     _check_strand_count,
     _free_reduced,
-    _inverse_letters,
-    _twist_period,
+    _twist_periods,
+    _twists_apart,
 )
 
 
@@ -179,26 +185,50 @@ def _laurent_row(row: dict, dim: int) -> list[LaurentPoly]:
     return [_raw(m) if m else zero for m in entries]
 
 
+@lru_cache(maxsize=None)
+def _laurent_twist(n: int) -> int:
+    """n * (n - 1): the key shift of t^n on rows of n - 1 entries (see
+    ``_laurent_step_at``), the image of T_n over Z[t, t^-1] being t^n * I.
+
+    It is proved once per n, before any word relies on it, as ``_twist_at``
+    proves t^n at a root: the letter loop multiplies out T_n's n(n-1)
+    letters from I, and the rows must come out exactly those of t^n * I.
+    Anything else raises TwistProofFailed.
+    """
+    dim = n - 1
+    shift = n * dim
+    rows = [{}, *({i: 1} for i in range(dim)), {}]
+    _word_product(_twist_periods(n)[1] * n, rows, _laurent_step_at(dim))
+    if rows[1:-1] != [{shift + i: 1} for i in range(dim)]:
+        raise TwistProofFailed(f"T{n} is not t^{n} * I over Z[t, t^-1]")
+    return shift
+
+
 def burau_of_word(word: BraidWord) -> BurauImage:
     """The Burau image of a word: the exact product of generator images in
     word order.
 
-    The word is freely reduced first (``words._free_reduced``): a pair
-    s_i^e s_i^-e is the identity, so it costs no merges. Each row is one
-    coefficient map while the letters are applied
-    (``_laurent_step_at``) and is split into its dim polynomials at the
-    end. A row that no letter touched is emitted as the shared unit row of
-    ``laurent._identity_rows``, which holds ``LaurentPoly.one()`` and
-    ``zero()``.
+    The word's counts of T_n are added up to net (``words._twists_apart``),
+    as T_n is central with image t^n * I (``_laurent_twist``), so the rows
+    start as those of t^(n * net) * I, row i the one key (n * net) * dim + i.
+    Only the letter segments are applied, freely reduced first
+    (``words._free_reduced``): a pair s_i^e s_i^-e is the identity, so it
+    costs no merges. Each row is one coefficient map while the letters are
+    applied (``_laurent_step_at``) and is split into its dim polynomials at
+    the end. When net is 0, a row that no letter touched is emitted as the
+    shared unit row of ``laurent._identity_rows``, which holds
+    ``LaurentPoly.one()`` and ``zero()``.
     """
     n = word.strands_n
     dim = n - 1
-    start = [{i: 1} for i in range(dim)]
+    rest, net = _twists_apart(word)
+    shift = _laurent_twist(n) * net if net else 0
+    start = [{shift + i: 1} for i in range(dim)]
     rows = [{}, *start, {}]
-    _word_product(_free_reduced(word.letters), rows, _laurent_step_at(dim))
+    _word_product(_free_reduced(rest), rows, _laurent_step_at(dim))
     units = _identity_rows(dim)
     return BurauImage(n, LaurentMatrix(
-        units[i] if row is start[i] else _laurent_row(row, dim)
+        units[i] if row is start[i] and not net else _laurent_row(row, dim)
         for i, row in enumerate(rows[1:-1])
     ))
 
@@ -349,17 +379,9 @@ def _packed_product(letters: tuple, order: int, k: int, dim: int, twist: int) ->
 
 
 class TwistProofFailed(RuntimeError):
-    """The letter loop did not multiply the full twist T_n out to t^n * I
-    at a root: an internal fault, never a fault of the input."""
-
-
-@lru_cache(maxsize=None)
-def _twist_periods(n: int) -> tuple[None, tuple, tuple]:
-    """Indexed by s = +-1: the period (s1 ... s_{n-1}) of T_n, s = 1, as
-    ``words`` spells it, and its inverse (s_{n-1}^-1 ... s1^-1), the
-    period of T_n^-1, s = -1. Each block is its period n times over,
-    n(n-1) letters."""
-    return None, _twist_period(n), tuple(_inverse_letters(_twist_period(n)))
+    """The letter loop did not multiply the full twist T_n out to t^n * I,
+    over Z[t, t^-1] or at a root: an internal fault, never a fault of the
+    input."""
 
 
 def _strip_twists(letters: tuple, n: int) -> tuple[tuple, int]:
@@ -461,21 +483,23 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     and the word goes on from there: nothing is applied twice. A word of at
     most 14 letters is never checked.
 
-    Before any letter is applied, every disjoint block of the word that
-    is the full twist T_n = (s1 ... s_{n-1})^n or its inverse
-    (s_{n-1}^-1 ... s1^-1)^n is taken out, left to right, and counted as
-    +1 or -1 (``_strip_twists``), and the rest is freely reduced
-    (``words._free_reduced``). The strip is not repeated after the
-    reduction, though a cancellation can join a block that the strip
-    split: on the closure benchmark's words a second strip finds none.
+    Before any letter is applied, the word's counts of the full twist
+    T_n = (s1 ... s_{n-1})^n are added up, and its letter segments are
+    joined (``words._twists_apart``). Every disjoint block of those letters
+    that is T_n or its inverse (s_{n-1}^-1 ... s1^-1)^n is taken out, left
+    to right, and counted as +1 or -1 (``_strip_twists``), and the rest is
+    freely reduced (``words._free_reduced``). The strip is not repeated
+    after the reduction, though a cancellation can join a block that the
+    strip split: on the closure benchmark's words a second strip finds none.
     T_n is central, so the word is the rest times T_n^net, and its image is
     the rest's image times c^net, c = t^n, the image of T_n; c is proved
     once per (N, k, n) (``_twist_at``). c^net is a root of unity x^p, a
     scalar, so the rest is applied once, to the rows of x^p * I in place
     of I's (``_packed_product``): each starts as one slot of +-1, and the
     bound above holds as it does from I. When nothing is left, no letter
-    is applied and the image is c^net * I. So T_n^k costs no letters, and
-    nor does a closure word w T_n^l w^-1, whose rest w w^-1 cancels; a
+    is applied and the image is c^net * I, the cached unit rows when
+    c^net is 1. So T_n^k costs no letters and no scan, and nor does a
+    closure word w T_n^l w^-1, whose rest w w^-1 cancels; a
     conjugate w g w^-1 of any other g costs the letters that survive the
     cancellation, at most 2|w| + |g|.
 
@@ -495,13 +519,17 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     n = word.strands_n
     dim = n - 1
     k = root_exponent(minus_q)
-    rest, net = _strip_twists(word.letters, n)
+    rest, net = _twists_apart(word)
+    rest, blocks = _strip_twists(rest, n)
+    net += blocks
     rest = _free_reduced(rest)
     # c^net, c = t^n, as x^twist: its entry in the table of the 2H roots
     # of unity.
     roots = _roots_of_unity(order)
     twist = _twist_at(order, k, n) * net % len(roots) if net else 0
     if not rest:
+        if not twist:
+            return CycloMatrix(_unit_rows(order, dim))
         return CycloMatrix(_scalar_rows(dim, roots[twist], CyclotomicNumber.zero(order)))
     rows, width = _packed_product(rest, order, k, dim, twist)
     return _read_out(rows, order, dim, width)

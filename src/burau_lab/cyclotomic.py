@@ -640,11 +640,10 @@ class CycloMatrix(SquareMatrix):
 
     @property
     def is_identity(self) -> bool:
-        return all(
-            (e.is_one if i == j else e.is_zero)
-            for i, row in enumerate(self._rows)
-            for j, e in enumerate(row)
-        )
+        """Equality with the rows of I_dim built from the field's shared one
+        and zero (``_unit_rows``): one comparison, which finds a shared
+        entry or row by identity and any other entry by value."""
+        return self._rows == _unit_rows(self._rows[0][0].order, self.dim)
 
     def to_complex_rows(self) -> list[list[complex]]:
         return [[e.to_complex() for e in row] for row in self._rows]

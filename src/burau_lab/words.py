@@ -1,9 +1,37 @@
 """Braid words: the data model, a text parser, free reduction, and a
 seeded sampler for normal-closure elements.
 
-Words are plain sequences of signed Artin generators. No normal-form
+Words are sequences of signed Artin generators. No normal-form
 machinery is implemented here; representation images are the equality
 oracle for everything downstream.
+
+The data model. A ``BraidWord`` holds its letters as segments, in order:
+each is a non-empty tuple of letters or a nonzero int k, which stands for
+T_n^k, the full twist on all n strands to the power k: |k| blocks of
+n(n - 1) letters, all of one sign (``_twist_periods``). Letters between
+two counts form one tuple, and two adjacent counts are one count only when
+they have the same sign (``_joined``), so ``T4^-1 T4`` keeps its 24
+letters and ``T4^-2 T4^2`` its 48. ``letters`` is the whole letter
+sequence, built from the segments on first read and then kept, and
+``len``, ``==``, ``hash``, ``str``, ``repr``, ``*`` and ``inverse`` mean
+what they mean on it; a word built from letters holds them as one
+segment. T_n is central with image
+t^n * I, so ``burau`` adds the counts up and applies only the letter
+segments: a power of T_n costs no letters and no scan. The parser makes a
+count of every ``T<n>`` on the word's own n strands; a twist on fewer
+strands, ``T<p>`` with p < n, and a twist typed as letters, such as
+``(s1 s2 s3)^4`` on 4 strands, are letters.
+
+    >>> len(parse_word("T4^210", 4)) == 2520
+    True
+    >>> parse_word("T4^210", 4)._segments
+    (210,)
+    >>> w = parse_word("T4^-1 T4", 4)
+    >>> w._segments, len(w), len(w.letters)
+    ((-1, 1), 24, 24)
+    >>> w = parse_word("T4^-2 T4^2", 4)
+    >>> w._segments, len(w), len(w.letters)
+    ((-2, 2), 48, 48)
 
 Word grammar (used by the CLI and by ``str``):
 
@@ -11,22 +39,25 @@ Word grammar (used by the CLI and by ``str``):
     term  := gen ('^' signed_int)?
     gen   := 's' INT | 'T' INT | '(' word ')'
 
-``s<i>`` is the Artin generator sigma_i (1-indexed), ``T<p>`` expands to
-the canonical full twist on the first p strands, (s1 ... s_{p-1})^p, and
-exponents expand by repetition or inversion. Whitespace separates terms.
+``s<i>`` is the Artin generator sigma_i (1-indexed), ``T<p>`` is the
+canonical full twist on the first p strands, (s1 ... s_{p-1})^p, and
+exponents repeat or invert what they raise; a power of a count multiplies
+the count. Whitespace separates terms.
 
 Expansion is bounded: a word that would have more than MAX_WORD_LETTERS
-letters raises WordTooLong before any list of that size is built.
+letters raises WordTooLong, the count being read from the segments' sizes
+before any segment of that size is built.
 
 Which constructors check their letters: ``BraidWord(n, letters)`` converts
 every letter to a pair of ints and checks its index and sign, one letter at
 a time; that is the one letter check. The words the package builds itself
 hold letters that are valid by construction, so they skip it
-(``_valid_word``): ``parse_word`` after its own index checks, ``*``,
-``inverse``, ``free_reduce``, ``random_word`` and ``sample_normal_closure``
-here, ``monodromy.rho_product``, which reads a word on n strands as the
-same letters on m - 1 >= n strands, and ``monodromy.rho_generators``'
-one-letter words sigma_i on m - 1 strands.
+(``_valid_word`` for letters, ``_from_segments`` for segments):
+``parse_word`` after its own index checks, ``*``, ``inverse``,
+``free_reduce``, ``random_word`` and ``sample_normal_closure`` here,
+``monodromy.rho_product``, which reads a word on n strands as the same
+letters on m - 1 >= n strands, and ``monodromy.rho_generators``' one-letter
+words sigma_i on m - 1 strands.
 
 The seeded draws. ``random_word`` and ``sample_normal_closure`` draw every
 integer through ``rng.getrandbits`` by CPython's own rejection rule:
@@ -44,7 +75,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from functools import lru_cache
 from typing import Sequence
 
 MAX_WORD_LETTERS = 10**6
@@ -149,7 +181,6 @@ class EmptyGeneratorSet(ValueError):
     """The normal-closure sampler needs at least one generator."""
 
 
-@dataclass(frozen=True)
 class BraidWord:
     """A word in the braid group on ``strands_n`` strands.
 
@@ -157,35 +188,82 @@ class BraidWord:
     It is stored as a tuple of int pairs: every letter is converted with
     ``int`` and then checked, which raises the error for the first invalid
     one. The package's own constructors of valid words skip this (see the
-    module docstring).
+    module docstring), and may hold powers of T_n as counts (``_segments``);
+    ``letters`` then spells them out on first read. Assigning or deleting
+    an attribute raises FrozenInstanceError.
     """
 
-    strands_n: int
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("strands_n", "_segments", "_letters")
 
-    def __post_init__(self):
-        _check_strand_count(self.strands_n)
-        letters = tuple((int(i), int(e)) for i, e in self.letters)
+    def __init__(self, strands_n: int, letters: Sequence[tuple[int, int]] = ()):
+        _check_strand_count(strands_n)
+        letters = tuple((int(i), int(e)) for i, e in letters)
         for i, e in letters:
-            if not 1 <= i <= self.strands_n - 1:
-                raise IndexOutOfRange(f"generator index {i} outside 1..{self.strands_n - 1}")
+            if not 1 <= i <= strands_n - 1:
+                raise IndexOutOfRange(f"generator index {i} outside 1..{strands_n - 1}")
             if e not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {e}")
-        object.__setattr__(self, "letters", letters)
+        _set(self, "strands_n", strands_n)
+        _set(self, "_segments", (letters,) if letters else ())
+        _set(self, "_letters", letters)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild the word from its segments, as they cannot
+        # assign its slots.
+        return _from_segments, (self.strands_n, self._segments)
+
+    @property
+    def letters(self) -> tuple[tuple[int, int], ...]:
+        """The whole letter sequence: a word holding counts spells them out
+        on the first read and keeps the result."""
+        letters = self._letters
+        if letters is None:
+            n = self.strands_n
+            periods = _twist_periods(n)
+            spelled = []
+            for s in self._segments:
+                spelled += s if type(s) is tuple else periods[1 if s > 0 else -1] * (n * abs(s))
+            letters = tuple(spelled)
+            _set(self, "_letters", letters)
+        return letters
 
     def __len__(self) -> int:
-        return len(self.letters)
+        letters = self._letters
+        if letters is not None:
+            return len(letters)
+        size = self.strands_n * (self.strands_n - 1)
+        return sum(abs(s) * size if type(s) is int else len(s) for s in self._segments)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not BraidWord:
+            return NotImplemented
+        return (self.strands_n, self.letters) == (other.strands_n, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.strands_n, self.letters))
+
+    def __repr__(self) -> str:
+        return f"BraidWord(strands_n={self.strands_n!r}, letters={self.letters!r})"
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         if not isinstance(other, BraidWord):
             return NotImplemented
         if self.strands_n != other.strands_n:
             raise ValueError("cannot concatenate words on different strand counts")
-        _check_length(len(self.letters) + len(other.letters))
-        return _valid_word(self.strands_n, self.letters + other.letters)
+        _check_length(len(self) + len(other))
+        a, b = self._segments, other._segments
+        if len(a) == len(b) == 1 and type(a[0]) is type(b[0]) is tuple:
+            return _valid_word(self.strands_n, a[0] + b[0])
+        return _from_segments(self.strands_n, _joined((*a, *b)))
 
     def inverse(self) -> BraidWord:
-        return _valid_word(self.strands_n, tuple(_inverse_letters(self.letters)))
+        return _from_segments(self.strands_n, tuple(_inverse_segments(self._segments)))
 
     def __str__(self) -> str:
         if not self.letters:
@@ -211,21 +289,91 @@ class BraidWord:
         return " ".join(parts)
 
 
+# The slots' own setter: BraidWord refuses attribute assignment.
+_set = object.__setattr__
+
+
 def _valid_word(strands_n: int, letters: tuple[tuple[int, int], ...]) -> BraidWord:
     """The word on ``strands_n`` strands holding ``letters`` as given,
     without ``BraidWord``'s checks: only for a tuple of int pairs (i, +-1),
     1 <= i < strands_n, which the callers' letters are by construction."""
     word = object.__new__(BraidWord)
-    object.__setattr__(word, "strands_n", strands_n)
-    object.__setattr__(word, "letters", letters)
+    _set(word, "strands_n", strands_n)
+    _set(word, "_segments", (letters,) if letters else ())
+    _set(word, "_letters", letters)
     return word
 
 
-def _twist_period(p: int) -> tuple[tuple[int, int], ...]:
-    """The letters s1 ... s_{p-1} of the period of the full twist T<p>,
-    which is that period p times over: the one spelling of T<p>, which
-    ``burau`` also scans words for."""
-    return tuple((i, 1) for i in range(1, p))
+def _from_segments(strands_n: int, segments: tuple) -> BraidWord:
+    """The word on ``strands_n`` strands holding ``segments`` as given,
+    without checks: only for segments as ``_joined`` returns them, each
+    tuple of valid letters. A word with no count knows its letters."""
+    word = object.__new__(BraidWord)
+    _set(word, "strands_n", strands_n)
+    _set(word, "_segments", segments)
+    if not segments:
+        _set(word, "_letters", ())
+    elif len(segments) == 1 and type(segments[0]) is tuple:
+        _set(word, "_letters", segments[0])
+    else:
+        _set(word, "_letters", None)
+    return word
+
+
+def _joined(pieces) -> tuple:
+    """The segments of the word made of ``pieces`` one after another, each
+    a sequence of letters or an int count of T_n: the letters between two
+    counts join into one tuple, a count joins the count just before it only
+    when both have the same sign, and empty pieces and zero counts drop
+    out. Every letter is copied once."""
+    segments, run = [], []
+    for piece in pieces:
+        if type(piece) is not int:
+            run += piece
+        elif piece:
+            if run:
+                segments.append(tuple(run))
+                run = []
+            elif segments and (segments[-1] > 0) == (piece > 0):
+                # With no letters since it, the last segment is a count.
+                segments[-1] += piece
+                continue
+            segments.append(piece)
+    if run:
+        segments.append(tuple(run))
+    return tuple(segments)
+
+
+def _inverse_segments(segments: Sequence) -> list:
+    """The segments of the inverse word: reversed, a count negated and a
+    run of letters inverted (``_inverse_letters``)."""
+    return [-s if type(s) is int else tuple(_inverse_letters(s)) for s in reversed(segments)]
+
+
+def _twists_apart(word: BraidWord) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(rest, net): the word's letter segments joined in order, and the sum
+    of its counts. As T_n is central in B_n, the word is rest * T_n^net as
+    a braid."""
+    segments = word._segments
+    if len(segments) == 1 and type(segments[0]) is tuple:
+        return segments[0], 0
+    rest, net = [], 0
+    for s in segments:
+        if type(s) is int:
+            net += s
+        else:
+            rest += s
+    return tuple(rest), net
+
+
+@lru_cache(maxsize=None)
+def _twist_periods(p: int) -> tuple[None, tuple, tuple]:
+    """Indexed by s = +-1: the period (s1 ... s_{p-1}) of T<p>, s = 1, and
+    its inverse (s_{p-1}^-1 ... s1^-1), the period of T<p>^-1, s = -1.
+    Each block is its period p times over, p(p - 1) letters: the one
+    spelling of T<p>, which ``burau`` also scans words for."""
+    period = tuple((i, 1) for i in range(1, p))
+    return None, period, tuple(_inverse_letters(period))
 
 
 def _inverse_letters(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -262,8 +410,8 @@ def parse_word(text: str, strands_n: int) -> BraidWord:
     strand count.
     """
     _check_strand_count(strands_n)
-    letters, pos = _parse_sequence(text, 0, strands_n, depth=0)
-    return _valid_word(strands_n, tuple(letters))
+    pieces, _, _ = _parse_sequence(text, 0, strands_n, depth=0)
+    return _from_segments(strands_n, _joined(pieces))
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -289,13 +437,13 @@ def _parse_int(text: str, pos: int, signed: bool = False) -> tuple[int, int]:
     raise WordSyntaxError(f"unreadable integer literal (length {pos - digits})", start)
 
 
-def _parse_sequence(
-    text: str, pos: int, strands_n: int, depth: int
-) -> tuple[list[tuple[int, int]], int]:
-    """The terms from pos up to an unmatched ')' or the end of the text,
-    inside ``depth`` open groups (0: the whole word)."""
+def _parse_sequence(text: str, pos: int, strands_n: int, depth: int) -> tuple[list, int, int]:
+    """(pieces, size, pos): the terms from pos up to an unmatched ')' or
+    the end of the text, inside ``depth`` open groups (0: the whole word),
+    as pieces for ``_joined`` that spell ``size`` letters."""
     top_level = depth == 0
-    letters: list[tuple[int, int]] = []
+    pieces: list = []
+    size = 0
     saw_term = False
     pos = _skip_ws(text, pos)
     while pos < len(text):
@@ -304,21 +452,22 @@ def _parse_sequence(
             if top_level:
                 raise WordSyntaxError("unmatched ')'", pos)
             break
-        term, pos = _parse_term(text, pos, strands_n, depth)
-        _check_length(len(letters) + len(term))
-        letters.extend(term)
+        term, term_size, pos = _parse_term(text, pos, strands_n, depth)
+        size += term_size
+        _check_length(size)
+        pieces += term
         saw_term = True
         pos = _skip_ws(text, pos)
     if not top_level and (pos >= len(text) or text[pos] != ")"):
         raise WordSyntaxError("expected ')'", pos)
     if not saw_term and not top_level:
         raise WordSyntaxError("empty group", pos)
-    return letters, pos
+    return pieces, size, pos
 
 
-def _parse_term(
-    text: str, pos: int, strands_n: int, depth: int
-) -> tuple[list[tuple[int, int]], int]:
+def _parse_term(text: str, pos: int, strands_n: int, depth: int) -> tuple[list, int, int]:
+    """(pieces, size, pos) of the term at pos, as ``_parse_sequence``'s:
+    ``T<n>`` on all n strands is the count 1."""
     start = pos
     ch = text[pos]
     if ch == "s":
@@ -327,34 +476,43 @@ def _parse_term(
             raise IndexOutOfRange(
                 f"generator s{idx} outside 1..{strands_n - 1}", start
             )
-        base = [(idx, 1)]
+        base, size = [((idx, 1),)], 1
     elif ch == "T":
         support, pos = _parse_int(text, pos + 1)
         if not 2 <= support <= strands_n:
             raise IndexOutOfRange(
                 f"twist T{support} needs support in 2..{strands_n}", start
             )
-        _check_length(support * (support - 1))
-        base = list(_twist_period(support)) * support
+        size = support * (support - 1)
+        _check_length(size)
+        base = [1] if support == strands_n else [_twist_periods(support)[1] * support]
     elif ch == "(":
         if depth == MAX_GROUP_DEPTH:
             raise WordSyntaxError(f"groups nested more than {MAX_GROUP_DEPTH} deep", pos)
-        inner, pos = _parse_sequence(text, pos + 1, strands_n, depth + 1)
+        base, size, pos = _parse_sequence(text, pos + 1, strands_n, depth + 1)
         pos += 1  # consume ')'
-        base = inner
     else:
         raise WordSyntaxError(f"unexpected character {ch!r}", pos)
     if pos < len(text) and text[pos] == "^":
         exponent, pos = _parse_int(text, pos + 1, signed=True)
-        base = _expand_power(base, exponent)
-    return base, pos
+        base, size = _expand_power(base, size, exponent)
+    return base, size, pos
 
 
-def _expand_power(letters: list[tuple[int, int]], exponent: int) -> list[tuple[int, int]]:
-    _check_length(len(letters) * abs(exponent))
-    if exponent >= 0:
-        return letters * exponent
-    return _inverse_letters(letters) * (-exponent)
+def _expand_power(pieces: list, size: int, exponent: int) -> tuple[list, int]:
+    """(pieces, size) of the word that ``pieces``, ``size`` letters, spell,
+    to the power ``exponent``, checked against the cap before anything is
+    built. The word is joined once (``_joined``), and inverted when the
+    exponent is negative; a single run of letters is then repeated, and a
+    single count multiplied, as one piece, and any other word is repeated
+    as references to its segments."""
+    _check_length(size * abs(exponent))
+    segments = _joined(pieces)
+    if exponent < 0:
+        segments, exponent = _inverse_segments(segments), -exponent
+    if len(segments) == 1:
+        return [segments[0] * exponent], size * exponent
+    return list(segments) * exponent, size * exponent
 
 
 def _below(getrandbits, bound: int) -> int:
@@ -412,7 +570,8 @@ def sample_normal_closure(
     position, then ``rng.random() < 0.5`` for g's inverse, then the
     conjugator's length and letters, as the module docstring states; a
     product that would pass MAX_WORD_LETTERS raises WordTooLong before its
-    conjugator's letters are drawn.
+    conjugator's letters are drawn. g's segments are taken as they are, so
+    a power of T_n in g stays a count.
     """
     if not gens:
         raise EmptyGeneratorSet("need at least one normal generator")
@@ -428,15 +587,16 @@ def sample_normal_closure(
             raise ValueError("generator strand count differs from strands_n")
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
-    letters: list[tuple[int, int]] = []
+    pieces: list = []
+    size = 0
     for _ in range(num_factors):
-        g = gens[_below(getrandbits, len(gens))].letters
+        g = gens[_below(getrandbits, len(gens))]
+        segments = g._segments
         if rng.random() < 0.5:
-            g = _inverse_letters(g)
+            segments = _inverse_segments(segments)
         length = _below(getrandbits, max_conj_len + 1)
-        _check_length(len(letters) + 2 * length + len(g))
+        size += 2 * length + len(g)
+        _check_length(size)
         conj = _drawn_letters(getrandbits, strands_n, length)
-        letters += conj
-        letters += g
-        letters += _inverse_letters(conj)
-    return _valid_word(strands_n, tuple(letters))
+        pieces += (conj, *segments, _inverse_letters(conj))
+    return _from_segments(strands_n, _joined(pieces))

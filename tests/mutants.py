@@ -19,7 +19,7 @@ run must finish within that time.
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, a pytest run does not finish normally, or
 the unmutated run fails or is stopped. It starts one pytest run per
-mutant, about 90 s in all for the 50 mutants below, so it is not part of
+mutant, about 100 s in all for the 58 mutants below, so it is not part of
 the tier-1 run; pytest does not collect this file.
 """
 
@@ -123,6 +123,18 @@ CLOSURE_LETTERS = (
 )
 INVERSE_LETTERS = (
     "tests/test_burau.py::TestWordImages::test_a_word_times_its_inverse_applies_no_letters"
+)
+PROGRAMS = "tests/test_words.py::TestSegments::test_programs_match_the_flat_parser"
+OPPOSITE_COUNTS = "tests/test_words.py::TestSegments::test_counts_of_opposite_signs_stay_apart"
+EXPANSION_CAP = "tests/test_words.py::TestExpansionCap::test_expansion_up_to_the_cap"
+SPELLED_OUT = "tests/test_burau.py::TestTwistBlocks::test_counts_give_the_spelled_out_word_s_image"
+KERNEL_COUNTS = "tests/test_burau.py::TestTwistBlocks::test_kernel_generators_as_counts_are_the_identity"
+LAURENT_COUNTS = "tests/test_burau.py::TestWordImages::test_twist_counts_apply_no_letters"
+LAURENT_PROOF = (
+    "tests/test_burau.py::TestWordImages::test_a_corrupted_laurent_proof_raises_the_typed_error"
+)
+UNTOUCHED_TWIST_ROWS = (
+    "tests/test_burau.py::TestWordImages::test_untouched_rows_under_a_twist_are_not_the_unit_rows"
 )
 
 MUTANTS = [
@@ -369,8 +381,8 @@ MUTANTS = [
     Mutant(
         "burau_of_word applies the word without reducing it",
         "src/burau_lab/burau.py",
-        "_word_product(_free_reduced(word.letters), rows",
-        "_word_product(word.letters, rows",
+        "_word_product(_free_reduced(rest), rows",
+        "_word_product(rest, rows",
         (INVERSE_LETTERS,),
     ),
     Mutant(
@@ -383,8 +395,8 @@ MUTANTS = [
     Mutant(
         "BraidWord accepts the generator index n",
         "src/burau_lab/words.py",
-        "if not 1 <= i <= self.strands_n - 1:",
-        "if not 1 <= i <= self.strands_n:",
+        "if not 1 <= i <= strands_n - 1:",
+        "if not 1 <= i <= strands_n:",
         (WORD_INDEX,),
     ),
     Mutant(
@@ -477,6 +489,62 @@ MUTANTS = [
         "return p // step",
         "return p",
         (POWERS_OF_ZETA,),
+    ),
+    Mutant(
+        "counts of T_n of opposite signs are merged",
+        "src/burau_lab/words.py",
+        "elif segments and (segments[-1] > 0) == (piece > 0):",
+        "elif segments:",
+        (OPPOSITE_COUNTS, PROGRAMS),
+    ),
+    Mutant(
+        "inverse keeps a count's sign",
+        "src/burau_lab/words.py",
+        "[-s if type(s) is int else",
+        "[s if type(s) is int else",
+        (PROGRAMS, SAMPLER_DRAW),
+    ),
+    Mutant(
+        "specialized_burau ignores the word's counts of T_n",
+        "src/burau_lab/burau.py",
+        "net += blocks",
+        "net = blocks",
+        (SPELLED_OUT, KERNEL_COUNTS),
+    ),
+    Mutant(
+        "len counts a count of T_n as one letter",
+        "src/burau_lab/words.py",
+        "abs(s) * size if type(s) is int else len(s)",
+        "1 if type(s) is int else len(s)",
+        (PROGRAMS, EXPANSION_CAP),
+    ),
+    Mutant(
+        "the sampler drops a generator's counts of T_n",
+        "src/burau_lab/words.py",
+        "pieces += (conj, *segments, _inverse_letters(conj))",
+        "pieces += (conj, *(s for s in segments if type(s) is not int), _inverse_letters(conj))",
+        (SAMPLER_DRAW,),
+    ),
+    Mutant(
+        "the Laurent image drops the counts' power of t^n",
+        "src/burau_lab/burau.py",
+        "shift = _laurent_twist(n) * net if net else 0",
+        "shift = 0",
+        (LAURENT_COUNTS,),
+    ),
+    Mutant(
+        "the proof that T_n is t^n * I over Z[t, t^-1] is skipped",
+        "src/burau_lab/burau.py",
+        "if rows[1:-1] != [{shift + i: 1} for i in range(dim)]:",
+        "if False:",
+        (LAURENT_PROOF,),
+    ),
+    Mutant(
+        "an untouched row under a power of t^n is the shared unit row",
+        "src/burau_lab/burau.py",
+        "units[i] if row is start[i] and not net else",
+        "units[i] if row is start[i] else",
+        (UNTOUCHED_TWIST_ROWS,),
     ),
 ]
 

@@ -74,6 +74,131 @@ def naive_free_reduce(letters):
         del letters[k:k + 2]
 
 
+# -- the flat word parser -------------------------------------------------------
+# The package keeps each power of T_n as a count; this is its parser as first
+# written, which spells every term out letter by letter. It raises the
+# package's errors with the same messages, against the package's cap as it
+# stands at the call.
+
+
+def reference_parse(text, strands_n):
+    """The letters of the word that ``text`` spells on ``strands_n``
+    strands, every term expanded as it is read."""
+    from burau_lab import words
+
+    words._check_strand_count(strands_n)
+    letters, _ = _flat_sequence(text, 0, strands_n, 0)
+    return tuple(letters)
+
+
+def _flat_check_length(letters):
+    from burau_lab import words
+
+    if letters > words.MAX_WORD_LETTERS:
+        raise words.WordTooLong(
+            f"word would expand to {words.count_text(letters)} letters, more than {words.MAX_WORD_LETTERS}"
+        )
+
+
+def _flat_int(text, pos, signed=False):
+    from burau_lab import words
+
+    start = pos
+    if signed and pos < len(text) and text[pos] in "+-":
+        pos += 1
+    digits = pos
+    while pos < len(text) and text[pos].isdigit():
+        pos += 1
+    if pos == digits:
+        raise words.WordSyntaxError("expected an integer", start)
+    if pos - digits <= words.MAX_LITERAL_DIGITS:
+        try:
+            return int(text[start:pos]), pos
+        except ValueError:
+            pass
+    raise words.WordSyntaxError(f"unreadable integer literal (length {pos - digits})", start)
+
+
+def _flat_skip_ws(text, pos):
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _flat_sequence(text, pos, strands_n, depth):
+    from burau_lab import words
+
+    top_level = depth == 0
+    letters = []
+    saw_term = False
+    pos = _flat_skip_ws(text, pos)
+    while pos < len(text):
+        if text[pos] == ")":
+            if top_level:
+                raise words.WordSyntaxError("unmatched ')'", pos)
+            break
+        term, pos = _flat_term(text, pos, strands_n, depth)
+        _flat_check_length(len(letters) + len(term))
+        letters.extend(term)
+        saw_term = True
+        pos = _flat_skip_ws(text, pos)
+    if not top_level and (pos >= len(text) or text[pos] != ")"):
+        raise words.WordSyntaxError("expected ')'", pos)
+    if not saw_term and not top_level:
+        raise words.WordSyntaxError("empty group", pos)
+    return letters, pos
+
+
+def _flat_term(text, pos, strands_n, depth):
+    from burau_lab import words
+
+    start = pos
+    ch = text[pos]
+    if ch == "s":
+        idx, pos = _flat_int(text, pos + 1)
+        if not 1 <= idx <= strands_n - 1:
+            raise words.IndexOutOfRange(f"generator s{idx} outside 1..{strands_n - 1}", start)
+        base = [(idx, 1)]
+    elif ch == "T":
+        support, pos = _flat_int(text, pos + 1)
+        if not 2 <= support <= strands_n:
+            raise words.IndexOutOfRange(f"twist T{support} needs support in 2..{strands_n}", start)
+        _flat_check_length(support * (support - 1))
+        base = [(i, 1) for i in range(1, support)] * support
+    elif ch == "(":
+        if depth == words.MAX_GROUP_DEPTH:
+            raise words.WordSyntaxError(f"groups nested more than {words.MAX_GROUP_DEPTH} deep", pos)
+        base, pos = _flat_sequence(text, pos + 1, strands_n, depth + 1)
+        pos += 1
+    else:
+        raise words.WordSyntaxError(f"unexpected character {ch!r}", pos)
+    if pos < len(text) and text[pos] == "^":
+        exponent, pos = _flat_int(text, pos + 1, signed=True)
+        _flat_check_length(len(base) * abs(exponent))
+        base = base * exponent if exponent >= 0 else list(inverse_letters(base)) * -exponent
+    return base, pos
+
+
+def word_programs(n, max_leaves=5):
+    """Word texts on n strands mixing s_i^+-e, T<n>^+-k, T<p> with p < n,
+    groups and negative powers, every term with or without an exponent."""
+    from hypothesis import strategies as st
+
+    exponent = st.one_of(st.just(""), st.integers(-3, 3).map(lambda e: f"^{e}"))
+    names = [st.integers(1, n - 1).map(lambda i: f"s{i}"), st.just(f"T{n}")]
+    if n > 2:
+        names.append(st.integers(2, n - 1).map(lambda p: f"T{p}"))
+    leaf = st.tuples(st.one_of(*names), exponent).map("".join)
+    term = st.recursive(
+        leaf,
+        lambda inner: st.tuples(
+            st.lists(inner, min_size=1, max_size=3).map(" ".join), exponent
+        ).map(lambda group: f"({group[0]}){group[1]}"),
+        max_leaves=max_leaves,
+    )
+    return st.lists(term, max_size=5).map(" ".join)
+
+
 # -- the seeded draws through the standard library's calls ---------------------
 # The package draws through rng.getrandbits; these are its draws as first
 # written, one standard-library call per integer.
@@ -85,11 +210,13 @@ def reference_letters(strands_n, length, rng):
     return tuple((rng.randint(1, strands_n - 1), rng.choice((1, -1))) for _ in range(length))
 
 
-def reference_normal_closure(strands_n, gens, num_factors, max_conj_len, seed):
+def reference_normal_closure(strands_n, gens, num_factors, max_conj_len, seed, rng=None):
     """The letters of num_factors conjugates c g^+-1 c^-1: per factor,
     g = gens[rng.randrange(len(gens))], inverted when rng.random() < 0.5,
-    then c of length rng.randint(0, max_conj_len) (``reference_letters``)."""
-    rng = random.Random(seed)
+    then c of length rng.randint(0, max_conj_len) (``reference_letters``).
+    The draws are made from ``rng`` when given, else from
+    random.Random(seed)."""
+    rng = random.Random(seed) if rng is None else rng
     letters = []
     for _ in range(num_factors):
         g = gens[rng.randrange(len(gens))].letters

@@ -56,6 +56,7 @@ from oracles import (
     scaled,
     shift,
     signed_slots,
+    word_programs,
     writhe,
 )
 
@@ -231,6 +232,57 @@ class TestWordImages:
             assert applied[-1] == len(naive_free_reduce(word.letters)) <= 30
             assert image == naive_word_image(word)
             applied.clear()
+
+    def test_twist_counts_apply_no_letters(self, monkeypatch):
+        # t^n * I is proved once per n by multiplying out T_n's letters; once
+        # it is cached, a count of T_n applies no letters, and the rows
+        # start as those of t^(n * net) * I.
+        applied = []
+        inner = burau._word_product
+
+        def counting(letters, *rest):
+            applied.append(len(letters))
+            return inner(letters, *rest)
+
+        monkeypatch.setattr(burau, "_word_product", counting)
+        burau._laurent_twist.cache_clear()
+        image = burau_of_word(parse_word("T4^10", 4)).matrix
+        assert applied == [12, 0]
+        assert image == scaled(LaurentMatrix(_identity_rows(3)), LaurentPoly.t(40))
+        applied.clear()
+        for text, power in (("T4^10", 40), ("T4^-3", -12), ("T4^-2 T4^2", 0), ("", 0)):
+            image = burau_of_word(parse_word(text, 4)).matrix
+            assert image == scaled(LaurentMatrix(_identity_rows(3)), LaurentPoly.t(power)), text
+        assert sum(applied) == 0
+        # Only the letters between the counts are applied.
+        w = parse_word("s1 T4^-2 s2 T4^3", 4)
+        image = burau_of_word(w).matrix
+        assert applied[-1] == 2
+        assert image == naive_word_image(BraidWord(4, w.letters))
+
+    def test_untouched_rows_under_a_twist_are_not_the_unit_rows(self):
+        # With net != 0 a row no letter touched is t^(n * net) on the
+        # diagonal, not the shared unit row.
+        for n in (2, 3, 6):
+            units = _identity_rows(n - 1)
+            w = parse_word(f"T{n}^2 s1", n)
+            rows = burau_of_word(w).matrix.rows
+            assert rows == naive_word_image(BraidWord(n, w.letters)).rows
+            for a, row in enumerate(rows[1:], 1):
+                assert row is not units[a] and row[a] == LaurentPoly.t(2 * n), (n, a)
+
+    @pytest.mark.parametrize("fault", ["short period", "wrong letter"])
+    def test_a_corrupted_laurent_proof_raises_the_typed_error(self, monkeypatch, fault):
+        # t^n * I over Z[t, t^-1] is proved by multiplying out T_n's letters
+        # as words spells them; letters that are not T_n refuse every count.
+        period = ((1, 1), (2, 1)) if fault == "short period" else ((1, 1), (2, 1), (2, 1))
+        monkeypatch.setattr(burau, "_twist_periods", lambda n: (None, period, None))
+        burau._laurent_twist.cache_clear()
+        try:
+            with pytest.raises(burau.TwistProofFailed, match=r"^T4 is not t\^4 \* I over Z\[t, t\^-1\]$"):
+                burau_of_word(parse_word("s1 T4^2", 4))
+        finally:
+            burau._laurent_twist.cache_clear()
 
     def test_determinant_tracks_writhe(self):
         rng = random.Random(5)
@@ -1019,6 +1071,35 @@ class TestTwistBlocks:
             x = minus_q_from_d(d)
             assert specialized_burau(w, x) == specialize_matrix(burau_of_word(w).matrix, x)
             assert specialized_burau(w, x) == specialize_matrix(dense, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_counts_give_the_spelled_out_word_s_image(self, data):
+        # A word that keeps its powers of T_n as counts has the image of the
+        # same letters spelled out, at the golden rows' roots and over
+        # Z[t, t^-1].
+        n, d, _, _ = data.draw(
+            st.sampled_from([row for row in KERNEL_TABLE_FIXTURE if row[0] <= 6]), label="row"
+        )
+        text = data.draw(word_programs(n, max_leaves=4), label="text")
+        w = parse_word(text, n)
+        flat = BraidWord(n, w.letters)
+        assert burau_of_word(w) == burau_of_word(flat)
+        for x in (minus_q_from_d(d), minus_q_from_d(d) ** 3):
+            assert specialized_burau(w, x) == specialized_burau(flat, x), (text, d)
+
+    def test_kernel_generators_as_counts_are_the_identity(self):
+        # T_n^l, a count, is in the kernel at its row's root, and a count one
+        # short or with a letter between is not.
+        for n, d, _, l in KERNEL_TABLE_FIXTURE:
+            x = minus_q_from_d(d)
+            member = specialized_burau(parse_word(f"T{n}^{l}", n), x)
+            assert member.is_identity and member.rows == _unit_rows(x.order, n - 1)
+            assert all(row is unit for row, unit in zip(member.rows, _unit_rows(x.order, n - 1)))
+            assert not specialized_burau(parse_word(f"T{n}^{l - 1}", n), x).is_identity
+            for text in (f"T{n}^{l + 1} T{n}^-1", f"(T{n} s1)^{l} s1^-{l}"):
+                assert specialized_burau(parse_word(text, n), x).is_identity, text
+            assert not specialized_burau(parse_word(f"T{n}^{l} s1", n), x).is_identity
 
     @pytest.mark.parametrize("fault", ["not scalar", "another root"])
     def test_a_corrupted_proof_raises_the_typed_error(self, monkeypatch, fault):

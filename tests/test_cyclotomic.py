@@ -456,6 +456,28 @@ class TestCycloMatrix:
         assert scaled(eye, z).entry(0, 0) == z
         assert scaled(eye, z).entry(0, 1).is_zero
 
+    @given(st.data())
+    def test_identity_test_is_the_entrywise_test(self, data):
+        # One comparison with the shared unit rows answers what the test of
+        # every entry answers, also for entries that are fresh copies of one
+        # and zero, or one and zero over a denominator.
+        order = data.draw(st.sampled_from((3, 4, 5, 7, 12)), label="order")
+        dim = data.draw(st.integers(1, 4), label="dim")
+        deg = len(cyclotomic_polynomial(order)) - 1
+        zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)
+        choices = st.sampled_from((
+            zero, one, CyclotomicNumber(order, [0] * deg), CyclotomicNumber(order, [1] + [0] * (deg - 1)),
+            CyclotomicNumber(order, [2] + [0] * (deg - 1), 2), CyclotomicNumber(order, [0] * deg, 3),
+            -one, CyclotomicNumber.root_of_unity(order), CyclotomicNumber(order, [1] * deg),
+        ))
+        rows = [
+            [data.draw(choices if data.draw(st.booleans()) else st.just(one if i == j else zero))
+             for j in range(dim)]
+            for i in range(dim)
+        ]
+        entrywise = all((e.is_one if i == j else e.is_zero) for i, row in enumerate(rows) for j, e in enumerate(row))
+        assert CycloMatrix(rows).is_identity == entrywise
+
 
 def test_str_forms():
     z = CyclotomicNumber.root_of_unity(8, 3)

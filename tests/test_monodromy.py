@@ -170,8 +170,10 @@ def test_package_words_skip_the_letter_check(monkeypatch):
     # BraidWord's check is for letters from outside the package: the words
     # that the package builds for itself hold valid letters and skip it.
     checked = []
-    check = BraidWord.__post_init__
-    monkeypatch.setattr(BraidWord, "__post_init__", lambda w: checked.append(w) or check(w))
+    check = BraidWord.__init__
+    monkeypatch.setattr(
+        BraidWord, "__init__", lambda w, *args: checked.append(w) or check(w, *args)
+    )
     # The generators uncached, as at the first call at a point.
     monkeypatch.setattr(monodromy, "_generators_at", monodromy._generators_at.__wrapped__)
     mq = minus_q_from_d(7)

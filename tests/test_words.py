@@ -1,8 +1,11 @@
+import copy
+import pickle
 import random
 import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burau_lab import words
@@ -20,7 +23,15 @@ from burau_lab.words import (
     random_word,
     sample_normal_closure,
 )
-from oracles import naive_free_reduce, reference_letters, reference_normal_closure, writhe
+from oracles import (
+    inverse_letters,
+    naive_free_reduce,
+    reference_letters,
+    reference_normal_closure,
+    reference_parse,
+    word_programs,
+    writhe,
+)
 
 
 def braid_words(max_n=6, max_len=12):
@@ -209,6 +220,113 @@ class TestBraidWord:
             parse_word("s1", 3) * parse_word("s1", 4)
 
 
+def assert_segments_joined(w):
+    """Every segment is a non-empty tuple of letters or a nonzero count,
+    no two tuples are adjacent, and adjacent counts differ in sign."""
+    segments = w._segments
+    assert type(segments) is tuple
+    for s in segments:
+        assert (type(s) is tuple and s) or (type(s) is int and s), segments
+    for a, b in zip(segments, segments[1:]):
+        assert type(a) is int or type(b) is int, segments
+        assert type(a) is tuple or type(b) is tuple or (a > 0) != (b > 0), segments
+
+
+class TestSegments:
+    """A word keeps each power of T_n as a count; on the letters it spells,
+    every operation must mean what it means on the flat parser's letters."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_programs_match_the_flat_parser(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        text = data.draw(word_programs(n), label="text")
+        other = data.draw(word_programs(n), label="other")
+        w, v = parse_word(text, n), parse_word(other, n)
+        expected, expected_v = reference_parse(text, n), reference_parse(other, n)
+        assert_segments_joined(w)
+        # len reads the segments, before any letter is spelled out.
+        assert len(w) == len(expected)
+        assert len(w * v) == len(expected) + len(expected_v)
+        assert len(w.inverse()) == len(expected)
+        assert w.letters == expected
+        flat = BraidWord(n, expected)
+        assert w == flat and hash(w) == hash(flat)
+        assert str(w) == str(flat) and repr(w) == repr(flat)
+        assert parse_word(str(w), n) == w
+        assert (w * v).letters == expected + expected_v
+        assert w * v == flat * BraidWord(n, expected_v)
+        inverse = parse_word(text, n).inverse()
+        assert_segments_joined(inverse)
+        assert inverse.letters == inverse_letters(expected)
+        assert inverse == flat.inverse()
+        assert (w != v) == (expected != expected_v)
+        for clone in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert clone == w and clone._segments == w._segments
+            assert clone.letters == expected
+
+    @given(st.data())
+    def test_programs_raise_what_the_flat_parser_raises(self, data):
+        # Under a small cap, both refuse the same texts with the same message.
+        n = data.draw(st.integers(2, 5), label="n")
+        text = data.draw(word_programs(n), label="text")
+        cap = data.draw(st.integers(0, 60), label="cap")
+
+        def outcome(parse):
+            try:
+                return parse(text, n)
+            except WordTooLong as err:
+                return str(err)
+
+        limit = words.MAX_WORD_LETTERS
+        words.MAX_WORD_LETTERS = cap
+        try:
+            got = outcome(lambda t, n: parse_word(t, n).letters)
+            assert got == outcome(reference_parse), text
+        finally:
+            words.MAX_WORD_LETTERS = limit
+
+    def test_counts_of_opposite_signs_stay_apart(self):
+        for text, counts in (("T4^-1 T4", (-1, 1)), ("T4^-2 T4^2", (-2, 2))):
+            w = parse_word(text, 4)
+            assert w._segments == counts
+            assert len(w) == 24 * counts[1] and len(w.letters) == 24 * counts[1]
+            assert w.letters == reference_parse(text, 4)
+        assert parse_word("T4^2 T4^3 (T4^-1)^2", 4)._segments == (5, -2)
+        assert (parse_word("T4^-1", 4) * parse_word("T4", 4))._segments == (-1, 1)
+        assert (parse_word("T4^2", 4) * parse_word("T4", 4))._segments == (3,)
+
+    def test_full_twists_on_all_strands_are_counts(self):
+        assert parse_word("T4^210", 4)._segments == (210,)
+        assert len(parse_word("T4^210", 4)) == 2520
+        assert parse_word("T4^0", 4)._segments == ()
+        assert parse_word("(T5 s1)^3 s1^-3 T5^-2", 5)._segments == (
+            1, ((1, 1),), 1, ((1, 1),), 1, ((1, 1), (1, -1), (1, -1), (1, -1)), -2
+        )
+        assert parse_word("s1 T4^-2 s2 T4^3", 4).inverse()._segments == (
+            -3, ((2, -1),), 2, ((1, -1),)
+        )
+        # A twist on fewer strands, and one typed as letters, stay letters.
+        assert parse_word("T3^2", 4)._segments == (((1, 1), (2, 1)) * 6,)
+        assert parse_word("(s1 s2 s3)^4", 4)._segments == (((1, 1), (2, 1), (3, 1)) * 4,)
+
+    def test_a_word_built_from_letters_holds_one_segment(self):
+        letters = ((1, 1), (2, -1)) * 6
+        for w in (BraidWord(3, letters), parse_word("(s1 s2^-1)^6", 3), random_word(3, 12, random.Random(1))):
+            assert len(w._segments) == 1 and type(w._segments[0]) is tuple
+        assert BraidWord(3)._segments == ()
+        assert (BraidWord(3, letters) * BraidWord(3, letters))._segments == (letters * 2,)
+
+    def test_words_are_immutable(self):
+        w = parse_word("s1 T3", 3)
+        for name in ("strands_n", "letters", "_segments", "_letters"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(w, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(w, name)
+        assert w._segments == (((1, 1),), 1)
+
+
 class TestTrustedConstructors:
     """``*``, ``inverse``, ``free_reduce``, ``parse_word``, ``random_word``
     and ``sample_normal_closure`` store their letters unchecked; every
@@ -387,10 +505,23 @@ class TestSampler:
             args = (4, gen_sets[4], 3, 8, seed)
             assert outcome(sample_normal_closure, *args) == outcome(concatenated, *args)
 
-    def test_matches_the_reference_draw(self):
+    def test_matches_the_reference_draw(self, monkeypatch):
+        # The letters, and the generator's state after the draw, are those of
+        # the reference; generators that hold counts of T_n of both signs
+        # give their letters as the flat parser spells them.
+        made = []
+
+        class Recorded(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(words, "random", type(random)("recorded"))
+        words.random.Random = Recorded
         gen_sets = {
-            2: [parse_word("s1^3", 2), BraidWord(2)],
+            2: [parse_word("s1^3", 2), BraidWord(2), parse_word("T2^-3", 2)],
             4: [parse_word("T4", 4), parse_word("s2^-5", 4), BraidWord(4)],
+            5: [parse_word("T5^-2 s1 T5^3", 5), parse_word("T5^-1 T5", 5), parse_word("(s2 T5^-1)^2", 5)],
             7: [BraidWord(7)],
             9: [parse_word("T8^2 s8", 9), parse_word("s5 s4^-1 s1", 9)],
         }
@@ -400,7 +531,12 @@ class TestSampler:
                 for max_conj_len in range(21):
                     seed += 1
                     args = (strands_n, gens, num_factors, max_conj_len, seed)
-                    assert sample_normal_closure(*args).letters == reference_normal_closure(*args), args
+                    reference = random.Random(seed)
+                    expected = reference_normal_closure(*args, rng=reference)
+                    w = sample_normal_closure(*args)
+                    assert len(w) == len(expected), args
+                    assert w.letters == expected, args
+                    assert made.pop().getstate() == reference.getstate(), args
 
     @pytest.mark.parametrize("max_conj_len, message", [
         (-1, "max_conj_len must be nonnegative, got -1"),
@@ -484,7 +620,12 @@ class TestExpansionCap:
             parse_word(f"s1^{MAX_WORD_LETTERS} s2", 4)
 
     def test_expansion_up_to_the_cap(self):
-        assert len(_expand_power([(1, 1)], MAX_WORD_LETTERS)) == MAX_WORD_LETTERS
+        # A one-letter piece raised to the cap is one run of exactly that
+        # many letters.
+        pieces, size = _expand_power([((1, 1),)], 1, MAX_WORD_LETTERS)
+        assert size == MAX_WORD_LETTERS
+        assert [len(piece) for piece in pieces] == [MAX_WORD_LETTERS]
+        assert len(parse_word(f"s1^{MAX_WORD_LETTERS}", 4).letters) == MAX_WORD_LETTERS
         assert len(parse_word("T5^125", 5)) == 2500
 
     def test_twist_rejected(self):
