@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .burau import burau_generator, burau_of_word, ev_map, projectively_equal, specialized_burau
+from .burau import burau_of_word, ev_map, projectively_equal, specialized_burau
 from .cyclotomic import (
     CycloMatrix,
     CyclotomicNumber,
@@ -288,7 +288,7 @@ def _laurent_certificate() -> None:
     """
     s = LaurentMatrix(_band(4, r, _SQUIER, LaurentPoly.zero()) for r in range(4))
     for i in range(1, 5):
-        g = burau_generator(5, i).matrix
+        g = burau_of_word(_valid_word(5, ((i, 1),))).matrix
         g_star = LaurentMatrix(
             [[LaurentPoly({-e: c for e, c in g.entry(b, a)}) for b in range(4)] for a in range(4)]
         )

@@ -56,8 +56,9 @@ hold letters that are valid by construction, so they skip it
 ``parse_word`` after its own index checks, ``*``, ``inverse``,
 ``free_reduce``, ``random_word`` and ``sample_normal_closure`` here,
 ``monodromy.rho_product``, which reads a word on n strands as the same
-letters on m - 1 >= n strands, and ``monodromy.rho_generators``' one-letter
-words sigma_i on m - 1 strands.
+letters on m - 1 >= n strands, ``monodromy.rho_generators``' one-letter
+words sigma_i on m - 1 strands, and the one-letter words sigma_1 ..
+sigma_4 on 5 strands of ``monodromy._laurent_certificate``.
 
 The seeded draws. ``random_word`` and ``sample_normal_closure`` draw every
 integer through ``rng.getrandbits`` by CPython's own rejection rule:
@@ -384,14 +385,18 @@ def _inverse_letters(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]
 def _free_reduced(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The letters with adjacent inverse pairs s_i^e s_i^-e cancelled until
     none remain: the freely reduced word, the same braid. One pass with a
-    stack, which starts with the sentinel (0, 0) that cancels no letter."""
+    stack, which starts with the sentinel (0, 0) that cancels no letter;
+    the top letter's index and sign are kept in locals."""
     stack = [(0, 0)]
+    top_i = top_s = 0
     for letter in letters:
-        top = stack[-1]
-        if letter[0] == top[0] and letter[1] == -top[1]:
+        i, s = letter
+        if i == top_i and s == -top_s:
             del stack[-1]
+            top_i, top_s = stack[-1]
         else:
             stack.append(letter)
+            top_i, top_s = i, s
     return tuple(stack[1:])
 
 

@@ -19,7 +19,7 @@ run must finish within that time.
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, a pytest run does not finish normally, or
 the unmutated run fails or is stopped. It starts one pytest run per
-mutant, about 100 s in all for the 58 mutants below, so it is not part of
+mutant, about 100 s in all for the 62 mutants below, so it is not part of
 the tier-1 run; pytest does not collect this file.
 """
 
@@ -136,6 +136,10 @@ LAURENT_PROOF = (
 UNTOUCHED_TWIST_ROWS = (
     "tests/test_burau.py::TestWordImages::test_untouched_rows_under_a_twist_are_not_the_unit_rows"
 )
+CUT_SCAN = "tests/test_burau.py::TestTwistBlocks::test_cuts_match_a_naive_scan"
+CUT_ORDERS = "tests/test_burau.py::TestTwistBlocks::test_cut_orders_are_the_golden_rows_j_and_d"
+CUT_DENSE = "tests/test_burau.py::TestTwistBlocks::test_cut_runs_give_the_dense_product"
+CUT_PROOF = "tests/test_burau.py::TestTwistBlocks::test_a_corrupted_cut_proof_raises_the_typed_error"
 
 MUTANTS = [
     Mutant(
@@ -360,15 +364,15 @@ MUTANTS = [
     Mutant(
         "free reduction cancels s_i against s_j^-1 for any j",
         "src/burau_lab/words.py",
-        "if letter[0] == top[0] and letter[1] == -top[1]:",
-        "if letter[1] == -top[1]:",
+        "if i == top_i and s == -top_s:",
+        "if s == -top_s:",
         (ONLY_INVERSES_CANCEL, NAIVE_REDUCTION, CANCELLING_PAIRS),
     ),
     Mutant(
         "free reduction cancels s_i against s_i",
         "src/burau_lab/words.py",
-        "if letter[0] == top[0] and letter[1] == -top[1]:",
-        "if letter[0] == top[0]:",
+        "if i == top_i and s == -top_s:",
+        "if i == top_i:",
         (ONLY_INVERSES_CANCEL, NAIVE_REDUCTION, CANCELLING_PAIRS),
     ),
     Mutant(
@@ -437,19 +441,19 @@ MUTANTS = [
     Mutant(
         "the net count of full twists taken out has its sign flipped",
         "src/burau_lab/burau.py",
-        "net += s * blocks",
-        "net -= s * blocks",
+        "net += period[0][1] * (cut // size)",
+        "net -= period[0][1] * (cut // size)",
         (TWIST_WORDS,),
     ),
     Mutant(
-        "the full-twist block is one period short",
+        "a twist block is one period short",
         "src/burau_lab/burau.py",
-        "period, size = n - 1, n * (n - 1)",
-        "period, size = n - 1, (n - 1) * (n - 1)",
+        "size = p * (p - 1) or 1",
+        "size = (p - 1) * (p - 1) or 1",
         (TWIST_SCAN, TWIST_WORDS),
     ),
     Mutant(
-        "the per-root proof that T_n is t^n * I is skipped",
+        "the per-root proofs that T_n is t^n * I and a cut block's power I are skipped",
         "src/burau_lab/burau.py",
         "if _read_out(rows, order, dim, width) != scalar:",
         "if False:",
@@ -545,6 +549,34 @@ MUTANTS = [
         "units[i] if row is start[i] and not net else",
         "units[i] if row is start[i] else",
         (UNTOUCHED_TWIST_ROWS,),
+    ),
+    Mutant(
+        "a run gives up every block it holds, ignoring o",
+        "src/burau_lab/burau.py",
+        "cut = (end - start) // step * step",
+        "cut = (end - start) // size * size",
+        (CUT_SCAN, CUT_DENSE),
+    ),
+    Mutant(
+        "o_T is the order of t^n, not of t^(n-1)",
+        "src/burau_lab/burau.py",
+        "(n - 1, e * (n - 1))",
+        "(n - 1, e * n)",
+        (CUT_ORDERS,),
+    ),
+    Mutant(
+        "the lazy proof of a cut's block is skipped",
+        "src/burau_lab/burau.py",
+        "            _prove_cut(order, k, n, p, o)\n",
+        "",
+        (CUT_PROOF,),
+    ),
+    Mutant(
+        "the probes are o * size + 1 letters apart",
+        "src/burau_lab/burau.py",
+        "            at += step\n",
+        "            at += step + 1\n",
+        (CUT_SCAN,),
     ),
 ]
 

@@ -878,16 +878,22 @@ class TestTwistBlocks:
     equal the product of every letter."""
 
     @staticmethod
-    def naive_strip(letters, n):
-        # One left-to-right scan for either block, skipping past each one.
-        delta = tuple((i, 1) for i in range(1, n))
-        blocks = {delta * n: 1, tuple((i, -1) for i in reversed(range(1, n))) * n: -1}
-        size = n * (n - 1)
+    def naive_cut(letters, n, p, o):
+        # One left-to-right scan for o blocks in a row, all of one sign,
+        # skipping past each find: blocks T<p>^+-1 for p >= 2, and for p = 1
+        # single letters s_i^+-1, any i. Each find counts +-o blocks.
+        if p == 1:
+            chunks = {((i, s),) * o: s * o for i in range(1, n) for s in (1, -1)}
+        else:
+            delta = tuple((i, 1) for i in range(1, p))
+            inverse = tuple((i, -1) for i in reversed(range(1, p)))
+            chunks = {delta * (p * o): o, inverse * (p * o): -o}
+        size = len(next(iter(chunks)))
         rest, net, i = [], 0, 0
         while i < len(letters):
-            sign = blocks.get(tuple(letters[i:i + size]))
-            if sign:
-                net += sign
+            count = chunks.get(tuple(letters[i:i + size]))
+            if count:
+                net += count
                 i += size
             else:
                 rest.append(letters[i])
@@ -936,8 +942,8 @@ class TestTwistBlocks:
         # N = 3, 5; the cubes of -q reach other exponents k.
         points = [x for d in (3, 5, 6, 7, 10, 12) for x in (minus_q_from_d(d), minus_q_from_d(d) ** 3)]
         for w, inserted in self.words_with_twists(n, rng, 4):
-            rest, net = burau._strip_twists(w.letters, n)
-            assert (rest, net) == self.naive_strip(w.letters, n)
+            rest, net = burau._cut_runs(w.letters, n, n, 1)
+            assert (rest, net) == self.naive_cut(w.letters, n, n, 1)
             if n > 2:
                 # Every block inserted is taken out of the whole word. On two
                 # strands the random letters form blocks of their own.
@@ -961,7 +967,7 @@ class TestTwistBlocks:
         # twists' power are widened to 128-bit slots.
         packed = TestPackedRows.record_widenings(monkeypatch)
         w = parse_word(text, n)
-        assert burau._strip_twists(w.letters, n)[1] != 0
+        assert burau._cut_runs(w.letters, n, n, 1)[1] != 0
         laurent = burau_of_word(w).matrix
         for d in (7, 12, 40):
             x = minus_q_from_d(d)
@@ -978,7 +984,7 @@ class TestTwistBlocks:
         # -x^(twist - H) in [H, 2H), at even and odd N. Rows widened to
         # 128-bit slots are test_twists_rotate_rows_that_were_widened's.
         w = parse_word(text, n)
-        rest, net = burau._strip_twists(w.letters, n)
+        rest, net = burau._cut_runs(w.letters, n, n, 1)
         assert rest and net
         dense = naive_word_image(w)
         parities, halves = set(), set()
@@ -1017,12 +1023,168 @@ class TestTwistBlocks:
                 else:
                     letters.append(rng.choice(pool))
             letters = tuple(letters)
-            assert burau._strip_twists(letters, n) == self.naive_strip(letters, n), (n, letters)
+            assert burau._cut_runs(letters, n, n, 1) == self.naive_cut(letters, n, n, 1), (n, letters)
+
+    @staticmethod
+    def run_words(n, p, o, rng, count):
+        """Words built mostly from runs of the blocks cut by (p, o): whole
+        cuts, runs one block or one period short of a cut or one over,
+        partial periods at either edge, both signs side by side, single
+        letters, and words shorter than a cut. A block is T<p>^+-1, and
+        for p = 1 one letter s_i^+-1."""
+        if p == 1:
+            periods = [((i, s),) for i in range(1, n) for s in (1, -1)]
+            reps = 1
+        else:
+            periods = [tuple((i, 1) for i in range(1, p)), tuple((i, -1) for i in reversed(range(1, p)))]
+            reps = p
+        pool = [(i, s) for i in range(1, n) for s in (1, -1)]
+        words = []
+        for _ in range(count):
+            letters, target = [], rng.randint(0, 3 * o * reps * len(periods[0]))
+            while len(letters) < target:
+                period, r = rng.choice(periods), rng.random()
+                if r < 0.5:
+                    blocks = o * rng.randint(1, 2) + rng.choice((-1, 0, 0, 1))
+                    letters += period * max(0, blocks * reps + rng.choice((-1, 0, 0, 0)))
+                elif r < 0.7:
+                    letters += period[rng.randint(0, len(period) - 1):] if r < 0.6 else period[:rng.randint(1, len(period))]
+                else:
+                    letters.append(rng.choice(pool))
+            words.append(tuple(letters))
+        return words
+
+    def test_cuts_match_a_naive_scan(self):
+        # Every kind of cut, on words made of its runs, against one
+        # left-to-right scan for o blocks in a row: T_n with o = 1, as the
+        # twists are stripped, T_{n-1} and single letters with o >= 2: 45
+        # words of each of the 45 kinds. A scan that cuts nothing hands back
+        # the letters it was given.
+        rng = random.Random(12)
+        for n in range(2, 8):
+            kinds = [(n, 1)] + [(n - 1, o) for o in (2, 3, 4) if n > 2] + [(1, o) for o in (2, 3, 5, 7)]
+            for p, o in kinds:
+                for letters in self.run_words(n, p, o, rng, 45):
+                    cut = burau._cut_runs(letters, n, p, o)
+                    assert cut == self.naive_cut(letters, n, p, o), (n, p, o, letters)
+                    if len(cut[0]) == len(letters):
+                        assert cut[0] is letters
+
+    def test_cut_orders_are_the_golden_rows_j_and_d(self):
+        # At each golden row's root, -t has order d, and t^(n-1) has order
+        # j wherever the row needs a power of T_{n-1}.
+        for n, d, j, _ in KERNEL_TABLE_FIXTURE:
+            x = minus_q_from_d(d)
+            orders = dict(burau._cut_orders(x.order, root_exponent(x), n))
+            assert orders[1] == d, (n, d)
+            if j:
+                assert orders[n - 1] == j, (n, d)
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_cut_runs_give_the_dense_product(self, n):
+        # Random words with runs s_i^+-(o r) and T_{n-1}^+-(o r), one over or
+        # one short, inserted, at roots of even and odd N and their cubes,
+        # and at points where a block has no power that is I: t = -1, where
+        # -t = 1, and t = zeta_3 on 4 strands, where t^3 = 1.
+        rng = random.Random(300 + n)
+        points = [minus_q_from_d(d) ** e for d in (3, 5, 6, 7, 8) for e in (1, 3)]
+        points.append(CyclotomicNumber.root_of_unity(2))
+        if n == 4:
+            points.append(minus_q_from_d(6))
+        kinds = (1, n - 1) if n > 2 else (1,)
+        for x in points:
+            orders = dict(burau._cut_orders(x.order, root_exponent(x), n))
+            if x.order == 2:
+                assert 1 not in orders
+            if n == 4 and x == minus_q_from_d(6):
+                assert 3 not in orders
+            for _ in range(2):
+                letters = list(random_word(n, rng.randint(0, 8), rng).letters)
+                for _ in range(rng.randint(1, 3)):
+                    p = rng.choice(kinds)
+                    count = orders.get(p, 4) * rng.randint(1, 2) + rng.choice((-1, 0, 0, 1))
+                    if p == 1:
+                        run = [(rng.randint(1, n - 1), rng.choice((1, -1)))] * count
+                    else:
+                        run = [(i, 1) for i in range(1, p)] * (p * count)
+                        if rng.random() < 0.5:
+                            run = [(i, -s) for i, s in reversed(run)]
+                    at = rng.randint(0, len(letters))
+                    letters[at:at] = run
+                w = BraidWord(n, tuple(letters))
+                assert specialized_burau(w, x) == specialize_matrix(naive_word_image(w), x), (w, x)
+
+    def test_long_power_of_a_letter_applies_no_letters(self, monkeypatch):
+        # s1^999995 at d = 5 is s1^(5 * 199999): its run is cut whole, and
+        # once s1^5 is proved no letter is applied. One short of a cut, four
+        # letters are left.
+        applied = []
+        inner = burau._word_product
+
+        def counting(letters, *rest):
+            applied.append(len(letters))
+            return inner(letters, *rest)
+
+        x = minus_q_from_d(5)
+        specialized_burau(parse_word("s1^5", 3), x)
+        monkeypatch.setattr(burau, "_word_product", counting)
+        assert specialized_burau(parse_word("s1^999995", 3), x).is_identity
+        assert applied == []
+        short = specialized_burau(parse_word("s1^999994", 3), x)
+        assert applied == [4]
+        assert short == specialized_burau(parse_word("s1^-1", 3), x)
+
+    @pytest.mark.parametrize(
+        "text, n, claim",
+        [("s2 s1^5 s2^-1", 3, r"s1\^5"), ("s3 T3^10 s1", 4, r"T3\^10"), ("s1^10 s2 s1^-1", 3, r"T2\^5")],
+    )
+    def test_a_corrupted_cut_proof_raises_the_typed_error(self, monkeypatch, text, n, claim):
+        # The first cut that relies on an order at a root proves the block's
+        # power I there; a read-out that is not exactly I refuses the cut.
+        # A word with nothing to cut needs no proof.
+        def corrupted(rows, order, *rest):
+            return scaled(_read_out(rows, order, *rest), CyclotomicNumber.root_of_unity(order))
+
+        x = minus_q_from_d(5)
+        burau._prove_cut.cache_clear()
+        monkeypatch.setattr(burau, "_read_out", corrupted)
+        try:
+            specialized_burau(parse_word("s1^4 s2", n), x)
+            assert burau._prove_cut.cache_info().currsize == 0
+            with pytest.raises(burau.TwistProofFailed, match=rf"^{claim} is not I at t = zeta_10\^"):
+                specialized_burau(parse_word(text, n), x)
+        finally:
+            burau._prove_cut.cache_clear()
+
+    def test_a_cut_is_proved_once_per_root_and_block(self, monkeypatch):
+        # The first cut of s1^5 at d = 5 multiplies out s1^5 once; a later cut
+        # of the same block reuses the proof, and a word with no cut proves
+        # nothing.
+        applied = []
+        inner = burau._word_product
+
+        def counting(letters, *rest):
+            applied.append(len(letters))
+            return inner(letters, *rest)
+
+        x = minus_q_from_d(5)
+        burau._prove_cut.cache_clear()
+        monkeypatch.setattr(burau, "_word_product", counting)
+        assert not specialized_burau(parse_word("s1^4 s2 s1^3", 4), x).is_identity
+        assert sum(applied) == 8
+        applied.clear()
+        assert specialized_burau(parse_word("s2 s1^10 s2^-1", 4), x).is_identity
+        assert applied == [5]
+        applied.clear()
+        assert specialized_burau(parse_word("s3^-5", 4), x).is_identity
+        assert applied == []
 
     def test_closure_word_applies_only_the_conjugator_letters(self, monkeypatch):
         # With its twists taken out, g T_n^l g^-1 is g g^-1, which cancels:
-        # no letter is applied. A conjugate of s1^d applies the letters that
-        # survive free reduction; g ends in s1^-1, so two cancel at the seams.
+        # no letter is applied. So is g s1^d g^-1 once the run s1^d is cut,
+        # the letter at g's end, s1^-1, being no part of it. The near miss
+        # g s1^(d+1) g^-1 keeps one s1 of its run and applies exactly the
+        # letters of g s1 g^-1 freely reduced.
         applied = []
         inner = burau._word_product
 
@@ -1036,16 +1198,21 @@ class TestTwistBlocks:
             g = random_word(n, 20, rng) * BraidWord(n, ((1, -1),))
             closure = g * parse_word(f"T{n}^{l}", n) * g.inverse()
             conjugate = g * parse_word(f"s1^{d}", n) * g.inverse()
-            # The first call proves t^n at this root; later calls reuse it.
+            near_miss = g * parse_word(f"s1^{d + 1}", n) * g.inverse()
+            # The first calls prove t^n and s1^d at this root; later calls
+            # reuse the proofs.
             specialized_burau(closure, x)
+            specialized_burau(conjugate, x)
             monkeypatch.setattr(burau, "_word_product", counting)
             applied.clear()
             assert specialized_burau(closure, x).is_identity
+            assert specialized_burau(conjugate, x).is_identity
             assert applied == []
-            reduced = naive_free_reduce(conjugate.letters)
-            assert len(reduced) <= 2 * len(g) + d - 2
-            assert specialized_burau(conjugate, x) == specialize_matrix(naive_word_image(conjugate), x)
+            reduced = naive_free_reduce((g * BraidWord(n, ((1, 1),)) * g.inverse()).letters)
+            image = specialized_burau(near_miss, x)
             assert sum(applied) == len(reduced)
+            assert image == specialize_matrix(naive_word_image(near_miss), x)
+            assert not image.is_identity
             monkeypatch.undo()
 
     @settings(max_examples=40, deadline=None)

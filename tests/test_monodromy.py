@@ -174,8 +174,11 @@ def test_package_words_skip_the_letter_check(monkeypatch):
     monkeypatch.setattr(
         BraidWord, "__init__", lambda w, *args: checked.append(w) or check(w, *args)
     )
-    # The generators uncached, as at the first call at a point.
+    # The generators, the values at the point and the Laurent certificate
+    # uncached, as at the first call at a point and in a process.
     monkeypatch.setattr(monodromy, "_generators_at", monodromy._generators_at.__wrapped__)
+    monkeypatch.setattr(monodromy, "_values_at", monodromy._values_at.__wrapped__)
+    monkeypatch.setattr(monodromy, "_laurent_certificate", monodromy._laurent_certificate.__wrapped__)
     mq = minus_q_from_d(7)
     rho_generators(4, 6, mq)
     sample = sample_normal_closure(4, [parse_word("T4 s3^-2", 4)], 3, 5, seed=1)
