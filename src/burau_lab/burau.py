@@ -52,31 +52,28 @@ each supplying the step as a function of (row_{i+s}, row_{i-s}, row_i, s):
   (mod Phi_N) once, at the end, by ``cyclotomic._field_value``, the
   module that owns the field's roots of unity.
 
-At a root of unity, a word takes one pass, and the paper's normal
-generators cost no letters. The full twist T_n = (s1 ... s_{n-1})^n is
-central, with image t^n * I. A word holds each power T_n^k it was written
-with as the count k (see ``words``), so the counts are added up and only
-the letters between them are read. One scan (``_cut_runs``) then takes
-out of those letters every block that is T_n or T_n^-1, such as a twist
-typed as letters, ``(s1 s2 s3)^4`` on 4 strands, counted too, and cuts
-two kinds of runs in multiples of an order o read off the root's table
-index: runs of one letter sigma_i^+-1 by o = ord(-t), and runs of blocks
-T_{n-1}^+-1 by o = ord(t^(n-1)), as those powers are I (``_cut_orders``).
-What is left is freely reduced (``words._free_reduced``), and what
-remains is applied once, to the packed rows of (t^n)^net * I in place of
-I's: each row starts as one slot of +-1. t^n is proved once per root and
-n, and each cut's power I once per root, n and block, at the first cut
-that relies on it, by multiplying out the letters, as ``words`` spells
-them, and reading them out into the field as any word is. So T_n^k costs
-no letters and no scan, and nor do the closure words w T_n^l w^-1,
-w s1^d w^-1 and w T_{n-1}^j w^-1: with their twists out and their runs
-cut they are w w^-1, which cancels. ``s1^999995`` at n = 3, d = 5 costs
-no letters either. Any other word costs its letters, less those of its
-blocks, its cuts and its cancelled pairs, plus the scan and the
-reduction. The Laurent image adds the counts up in the same way, from
-t^n * I proved once per n over Z[t, t^-1], and reduces the letters, but
-neither scans them for blocks nor cuts runs, as no power of sigma_i or
-T_{n-1} is I there: it applies every other letter.
+At a root of unity, a word takes one pass over its segments, and the
+paper's normal generators cost no letters. A word holds each power it was
+written with as a count, a segment (block, k) (see ``words``). The full
+twist T_n = (s1 ... s_{n-1})^n is central, with image t^n * I, so the
+counts of T_n are added up to net. A count of sigma_i is reduced by
+o = ord(-t), and a count of T_{n-1} by o = ord(t^(n-1)), both read off the
+root's table index (``_cut_orders``), as those powers are I: k becomes the
+r with |r| < o and k's sign that k is congruent to mod o. Every other
+segment, and what the reductions leave, is spelled out, freely reduced
+(``words._free_reduced``) and applied once, to the packed rows of
+(t^n)^net * I in place of I's: each row starts as one slot of +-1. t^n is
+proved once per root and n, and each order once per root, n and block, at
+the first reduction that relies on it, by multiplying out the letters, as
+``words`` spells them, and reading them out into the field as any word
+is. So T_n^k costs no letters, and nor do s1^d and T_{n-1}^j at their
+rows' roots, the closure words w T_n^l w^-1, w s1^d w^-1 and
+w T_{n-1}^j w^-1, which are w w^-1 and cancel, or ``s1^999995`` at n = 3,
+d = 5. Any other word costs the letters it spells, less its cancelled
+pairs: a twist typed as letters, such as ``(s1 s2 s3)^4`` on 4 strands,
+costs its letters. The Laurent image adds the counts of T_n up in the
+same way, from t^n * I proved once per n over Z[t, t^-1], and spells out
+every other count, as no power of sigma_i or T_{n-1} is I there.
 
 Every specialization point is a power zeta_N^k (``root_exponent``); any
 other point raises NotARoot.
@@ -118,8 +115,8 @@ from .words import (
     _check_integers,
     _check_strand_count,
     _free_reduced,
-    _twist_periods,
-    _twists_apart,
+    _spelled,
+    _twist_block,
 )
 
 
@@ -206,7 +203,7 @@ def _laurent_twist(n: int) -> int:
     dim = n - 1
     shift = n * dim
     rows = [{}, *({i: 1} for i in range(dim)), {}]
-    _word_product(_twist_periods(n)[1] * n, rows, _laurent_step_at(dim))
+    _word_product(_twist_block(n), rows, _laurent_step_at(dim))
     if rows[1:-1] != [{shift + i: 1} for i in range(dim)]:
         raise TwistProofFailed(f"T{n} is not t^{n} * I over Z[t, t^-1]")
     return shift
@@ -216,20 +213,20 @@ def burau_of_word(word: BraidWord) -> BurauImage:
     """The Burau image of a word: the exact product of generator images in
     word order.
 
-    The word's counts of T_n are added up to net (``words._twists_apart``),
-    as T_n is central with image t^n * I (``_laurent_twist``), so the rows
+    The word's counts of T_n are added up to net (``_rest_and_net``), as
+    T_n is central with image t^n * I (``_laurent_twist``), so the rows
     start as those of t^(n * net) * I, row i the one key (n * net) * dim + i.
-    Only the letter segments are applied, freely reduced first
-    (``words._free_reduced``): a pair s_i^e s_i^-e is the identity, so it
-    costs no merges. Each row is one coefficient map while the letters are
-    applied (``_laurent_step_at``) and is split into its dim polynomials at
-    the end. When net is 0, a row that no letter touched is emitted as the
+    Every other segment is spelled out and the letters are applied, freely
+    reduced first (``words._free_reduced``): a pair s_i^e s_i^-e is the
+    identity, so it costs no merges. Each row is one coefficient map while
+    the letters are applied (``_laurent_step_at``) and is split into its
+    dim polynomials at the end. When net is 0, a row that no letter touched is emitted as the
     shared unit row of ``laurent._identity_rows``, which holds
     ``LaurentPoly.one()`` and ``zero()``.
     """
     n = word.strands_n
     dim = n - 1
-    rest, net = _twists_apart(word)
+    rest, net = _rest_and_net(word)
     shift = _laurent_twist(n) * net if net else 0
     start = [{shift + i: 1} for i in range(dim)]
     rows = [{}, *start, {}]
@@ -389,78 +386,37 @@ def _packed_product(letters: tuple, order: int, k: int, dim: int, twist: int) ->
 class TwistProofFailed(RuntimeError):
     """The letter loop did not multiply a power out to the scalar it must
     be: the full twist T_n to t^n * I, over Z[t, t^-1] or at a root, or at
-    a root the o-th power of a block that ``_cut_runs`` cuts to I. An
-    internal fault, never a fault of the input."""
+    a root the o-th power of a block whose counts are reduced by o to I.
+    An internal fault, never a fault of the input."""
 
 
-@lru_cache(maxsize=None)
-def _periods_at(n: int, p: int) -> dict:
-    """The periods of the runs ``_cut_runs`` finds on n strands, as a map
-    from each letter to (its place in its period, the period): for
-    2 <= p <= n the periods of T<p> and T<p>^-1 (``words._twist_periods``),
-    and for p = 1 every letter sigma_i^+-1, 1 <= i < n, a period of its own.
-    No letter is in two periods, and no period repeats a letter."""
-    if p == 1:
-        periods = [((i, s),) for i in range(1, n) for s in (1, -1)]
-    else:
-        periods = _twist_periods(p)[1:]
-    return {a: (place, period) for period in periods for place, a in enumerate(period)}
-
-
-def _cut_runs(letters: tuple, n: int, p: int, o: int) -> tuple[tuple, int]:
-    """(rest, net): the letters with o blocks at a time taken out of every
-    maximal run of one period of ``_periods_at(n, p)``, and the number of
-    blocks taken, each counted with its run's sign. A block is T<p>^+-1,
-    p periods of p - 1 letters, or for p = 1 a single letter. For p = n
-    and o = 1, as T_n is central, the letters are rest * T_n^net as a
-    braid; where a block's o-th power is I, rest has the letters' image.
-
-    A run holds its period's letters each at a fixed place, so runs are
-    disjoint, and only a run of at least o * size letters, size the block's
-    letters, can give up a cut. Every such run holds one of the probes
-    o * size - 1, 2 * o * size - 1, ..., so only the probes' letters are
-    read one by one, and as o * size is at least two periods, a probe whose
-    letter is not repeated one period before or after it is passed over.
-    Any other probe whose period is a run's is grown into its run:
-    left period by period, and right by slices compared with themselves
-    shifted by one period, of a period, then twice as many letters as the
-    last slice that matched, and half as many after one that did not. The
-    run gives up whole multiples of o blocks from its left end, as many as
-    fit, and the scan goes on at the first probe past the run.
-    """
-    size = p * (p - 1) or 1
-    step = o * size
-    table = _periods_at(n, p)
-    rest, net, done = [], 0, 0
-    at = step - 1
-    while at < len(letters):
-        place, period = table.get(letters[at], (0, ()))
-        start, m = at - place, len(period)
-        # A run of o * size >= 2m letters through the probe holds the
-        # probe's letter again one period before it or one after it.
-        if (not m or letters[at] not in letters[at - m:at + m + 1:2 * m]
-                or letters[start:start + m] != period):
-            at += step
+def _rest_and_net(word: BraidWord, root: tuple[int, int] | None = None) -> tuple[list, int]:
+    """(rest, net): the word's letters with its counts of T_n taken out,
+    and their sum. As T_n is central in B_n, the word is rest * T_n^net as
+    a braid. Every other segment (block, count) is spelled out
+    (``words._spelled``). At a root t = zeta_order^k, root = (order, k), a
+    count of a block whose o-th power is I there (``_cut_orders``) is first
+    reduced to the r congruent to it mod o with |r| < o and the count's
+    sign, which keeps the image. The first reduction that relies on o at
+    the root proves it (``_prove_cut``), so a word with nothing to reduce
+    proves nothing. A count of +-1 is never reduced, as every o is at
+    least 2."""
+    n = word.strands_n
+    twist = _twist_block(n)
+    cuts = _cut_orders(*root, n) if root else {}
+    rest, net = [], 0
+    for block, count in word._segments:
+        if block == twist:
+            net += count
             continue
-        end = start + m
-        while start >= m and letters[start - m:start] == period:
-            start -= m
-        grow = m
-        while grow >= m:
-            if letters[end:end + grow] == letters[end - m:end - m + grow]:
-                end, grow = end + grow, 2 * grow
-            else:
-                grow //= 2
-        cut = (end - start) // step * step
-        if cut:
-            rest += letters[done:start]
-            done = start + cut
-            net += period[0][1] * (cut // size)
-        at = end + step - 1
-    if not done:
-        return letters, 0
-    rest += letters[done:]
-    return tuple(rest), net
+        if count * count > 1 and block in cuts:
+            p, o = cuts[block]
+            r = count % o if count > 0 else -(-count % o)
+            if r != count:
+                _prove_cut(*root, n, p, o)
+                count = r
+        rest += _spelled(block, count)
+    return rest, net
 
 
 def _prove_scalar(letters: tuple, order: int, k: int, dim: int, q: int, claim: str) -> None:
@@ -487,20 +443,20 @@ def _twist_at(order: int, k: int, n: int) -> int:
     """
     roots = len(_roots_of_unity(order))
     q = n * k * (roots // order) % roots
-    _prove_scalar(_twist_periods(n)[1] * n, order, k, n - 1, q, f"T{n} is not t^{n} * I")
+    _prove_scalar(_twist_block(n), order, k, n - 1, q, f"T{n} is not t^{n} * I")
     return q
 
 
 @lru_cache(maxsize=None)
-def _cut_orders(order: int, k: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The (p, o) of the runs ``specialized_burau`` cuts at t = zeta_order^k
-    on n strands (``_cut_runs``): (n - 1, o_T) for blocks of T_{n-1}, o_T
-    the order of c = t^(n-1), and (1, o_sigma) for the letters sigma_i^+-1,
-    o_sigma the order of c = -t. The orders are read off the exponents in
-    the table of the 2H roots of unity, where t is entry k * 2H / order and
-    -1 entry H. A pair whose c is 1 is left out, as the powers below are
-    then not shown to be I, and so is T_{n-1} for n = 2, which has no
-    letters.
+def _cut_orders(order: int, k: int, n: int) -> dict:
+    """The blocks whose counts ``specialized_burau`` reduces at
+    t = zeta_order^k on n strands, each mapped to (p, o): T_{n-1}'s
+    letters to (n - 1, o_T), o_T the order of c = t^(n-1), and each
+    sigma_i to (1, o_sigma), o_sigma the order of c = -t. The orders are
+    read off the exponents in the table of the 2H roots of unity, where t
+    is entry k * 2H / order and -1 entry H. A block whose c is 1 is left
+    out, as the powers below are then not shown to be I, and so is
+    T_{n-1} for n = 2, which has no letters.
 
     sigma_i's image is I + e_i r^T with eigenvalue c = -t, so its e-th
     power is I + (1 + c + ... + c^(e-1)) e_i r^T, which is I at e = o when
@@ -510,17 +466,20 @@ def _cut_orders(order: int, k: int, n: int) -> tuple[tuple[int, int], ...]:
     """
     roots = 2 * _half_order(order)
     e = k * (roots // order)
-    pairs = ((n - 1, e * (n - 1)), (1, e + roots // 2)) if n > 2 else ((1, e + roots // 2),)
-    return tuple((p, roots // gcd(c, roots)) for p, c in pairs if c % roots)
+    kinds = [(1, [((i, 1),) for i in range(1, n)], e + roots // 2)]
+    if n > 2:
+        kinds.append((n - 1, [_twist_block(n - 1)], e * (n - 1)))
+    return {b: (p, roots // gcd(c, roots)) for p, blocks, c in kinds if c % roots for b in blocks}
 
 
 @lru_cache(maxsize=None)
 def _prove_cut(order: int, k: int, n: int, p: int, o: int) -> None:
-    """Prove, once per (order, k, n) and block, what a cut of ``_cut_runs``
-    relies on: the o-th power of sigma_1 (p = 1) or of T<p> is I on n
+    """Prove, once per (order, k, n) and block, what a reduction of a count
+    by o relies on: the o-th power of sigma_1 (p = 1) or of T<p> is I on n
     strands at t = zeta_order^k. The letter loop multiplies it out, and
-    anything but exactly I raises TwistProofFailed (``_prove_scalar``)."""
-    name, block = ("s1", ((1, 1),)) if p == 1 else (f"T{p}", _twist_periods(p)[1] * p)
+    anything but exactly I raises TwistProofFailed (``_prove_scalar``).
+    sigma_i^o is conjugate to sigma_1^o, so one proof serves every i."""
+    name, block = ("s1", ((1, 1),)) if p == 1 else (f"T{p}", _twist_block(p))
     _prove_scalar(block * o, order, k, n - 1, 0, f"{name}^{o} is not I")
 
 
@@ -556,33 +515,30 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     and the word goes on from there: nothing is applied twice. A word of at
     most 14 letters is never checked.
 
-    Before any letter is applied, the word's counts of the full twist
-    T_n = (s1 ... s_{n-1})^n are added up, and its letter segments are
-    joined (``words._twists_apart``). Every disjoint block of those letters
-    that is T_n or its inverse (s_{n-1}^-1 ... s1^-1)^n is taken out, left
-    to right, and counted as +1 or -1 (``_cut_runs`` with o = 1). The same
-    scan then cuts, in place, every maximal run of one letter sigma_i^+-1
-    in multiples of o_sigma = ord(-t), and every maximal run of blocks
-    T_{n-1}^+-1 = (s1 ... s_{n-2})^+-(n-1) in multiples of
-    o_T = ord(t^(n-1)), where those orders are not 1 (``_cut_orders``):
-    sigma_i^o_sigma and T_{n-1}^o_T are I. The first cut at (N, k, n) that
-    relies on an order proves that power I (``_prove_cut``), so a word
-    with nothing to cut proves nothing. What is left is freely reduced
-    (``words._free_reduced``). Neither the scan nor the cuts are repeated
-    after the reduction, though a cancellation can join a block or a run
-    that they split. T_n is central, so the word is the rest times
-    T_n^net, and its image is the rest's image times c^net, c = t^n, the
-    image of T_n; c is proved once per (N, k, n) (``_twist_at``). c^net is
-    a root of unity x^p, a scalar, so the rest is applied once, to the
+    Before any letter is applied, the word's segments are read once
+    (``_rest_and_net``): its counts of the full twist
+    T_n = (s1 ... s_{n-1})^n are added up to net, a count k of sigma_i is
+    reduced by o_sigma = ord(-t) and one of T_{n-1} = (s1 ... s_{n-2})^(n-1)
+    by o_T = ord(t^(n-1)), where those orders are not 1 (``_cut_orders``),
+    to the r with |r| < o and k's sign: sigma_i^o_sigma and T_{n-1}^o_T are
+    I. The first reduction at (N, k, n) that relies on an order proves that
+    power I (``_prove_cut``), so a word with nothing to reduce proves
+    nothing. Every other segment, and what is left of a reduced count, is
+    spelled out, and the letters are freely reduced
+    (``words._free_reduced``). T_n is central, so the word is the rest
+    times T_n^net, and its image is the rest's image times c^net, c = t^n,
+    the image of T_n; c is proved once per (N, k, n) (``_twist_at``). c^net
+    is a root of unity x^p, a scalar, so the rest is applied once, to the
     rows of x^p * I in place of I's (``_packed_product``): each starts as
     one slot of +-1, and the bound above holds as it does from I. When
     nothing is left, no letter is applied and the image is c^net * I, the
-    cached unit rows when c^net is 1. So T_n^k costs no letters and no
-    scan, and nor do the closure words w T_n^l w^-1, w s1^d w^-1 and
-    w T_{n-1}^j w^-1 at their rows' roots, whose rest w w^-1 cancels, nor
-    s1^999995 at n = 3, d = 5; a conjugate w g w^-1 of any other g costs
-    the letters that survive the cuts and the cancellation, at most
-    2|w| + |g|.
+    cached unit rows when c^net is 1. So T_n^k costs no letters, and nor
+    do the closure words w T_n^l w^-1, w s1^d w^-1 and w T_{n-1}^j w^-1 at
+    their rows' roots, whose rest w w^-1 cancels, nor s1^999995 at n = 3,
+    d = 5; a conjugate w g w^-1 of any other g costs the letters that
+    survive the reductions and the cancellation, at most 2|w| + |g|. A
+    power typed as letters, such as (s1 s2 s3)^4 on 4 strands, is spelled
+    out and costs its letters.
 
     Rows are unpacked only at the end, where entry (i, j), the strided
     slice row[j::dim] of row i, is reduced into Q(zeta_N)
@@ -600,14 +556,7 @@ def specialized_burau(word: BraidWord, minus_q: CyclotomicNumber) -> CycloMatrix
     n = word.strands_n
     dim = n - 1
     k = root_exponent(minus_q)
-    rest, net = _twists_apart(word)
-    rest, blocks = _cut_runs(rest, n, n, 1)
-    net += blocks
-    for p, o in _cut_orders(order, k, n):
-        cut = _cut_runs(rest, n, p, o)[0]
-        if cut is not rest:
-            _prove_cut(order, k, n, p, o)
-            rest = cut
+    rest, net = _rest_and_net(word, (order, k))
     rest = _free_reduced(rest)
     # c^net, c = t^n, as x^twist: its entry in the table of the 2H roots
     # of unity.

@@ -5,33 +5,42 @@ Words are sequences of signed Artin generators. No normal-form
 machinery is implemented here; representation images are the equality
 oracle for everything downstream.
 
-The data model. A ``BraidWord`` holds its letters as segments, in order:
-each is a non-empty tuple of letters or a nonzero int k, which stands for
-T_n^k, the full twist on all n strands to the power k: |k| blocks of
-n(n - 1) letters, all of one sign (``_twist_periods``). Letters between
-two counts form one tuple, and two adjacent counts are one count only when
-they have the same sign (``_joined``), so ``T4^-1 T4`` keeps its 24
-letters and ``T4^-2 T4^2`` its 48. ``letters`` is the whole letter
-sequence, built from the segments on first read and then kept, and
-``len``, ``==``, ``hash``, ``str``, ``repr``, ``*`` and ``inverse`` mean
-what they mean on it; a word built from letters holds them as one
-segment. T_n is central with image
-t^n * I, so ``burau`` adds the counts up and applies only the letter
-segments: a power of T_n costs no letters and no scan. The parser makes a
-count of every ``T<n>`` on the word's own n strands; a twist on fewer
-strands, ``T<p>`` with p < n, and a twist typed as letters, such as
-``(s1 s2 s3)^4`` on 4 strands, are letters.
+The data model. A ``BraidWord`` holds its letters as segments, in order,
+each a pair (block, k) of a non-empty tuple of letters and a nonzero int:
+block to the power k, inverted when k < 0 (``_spelled``). A run is one
+copy of a block that is not a whole twist, k = +-1; a word built from
+letters holds them as the one run (letters, 1). The parser makes a count
+of every power it reads: ``s<i>^e`` is (s_i, e), ``T<p>^k`` is (T<p>'s
+p(p - 1) letters, k) for every p (``_twist_block``), and a group that
+joins to one segment (block, j), raised to e, is (block, j * e).
+``_joined`` forms the segments and merges two adjacent ones in two cases
+only: the same block with k of the same sign, whose counts add up, and
+two runs, which become one run (k = 1). So ``s1 s2^-1`` is one run and
+``(s1 s2^-1)^9`` the count 9 of it, a bare ``T<p>``, (T<p>, 1), stays a
+count, ``T4^-1 T4`` keeps its 24 letters and ``T4^-2 T4^2`` its 48.
+``letters`` is the whole letter sequence, built from the segments on
+first read and then kept, and ``len``, ``==``, ``hash``, ``str``,
+``repr``, ``*`` and ``inverse`` mean what they mean on it. At a root of
+unity ``burau`` adds up the counts of T_n, which is central, and reduces
+a count of sigma_i or of T_{n-1} by its order there before it spells it
+out.
 
     >>> len(parse_word("T4^210", 4)) == 2520
     True
-    >>> parse_word("T4^210", 4)._segments
-    (210,)
+    >>> parse_word("T4^210", 4)._segments == ((_twist_block(4), 210),)
+    True
+    >>> parse_word("s1^5 s2 s3^-1", 4)._segments
+    ((((1, 1),), 5), (((2, 1), (3, -1)), 1))
+    >>> parse_word("(s1 s2)^3 s1 s1", 4)._segments
+    ((((1, 1), (2, 1)), 3), (((1, 1),), 2))
+    >>> [k for _, k in parse_word("s1 s2 T3 s1", 3)._segments]
+    [1, 1, 1]
     >>> w = parse_word("T4^-1 T4", 4)
-    >>> w._segments, len(w), len(w.letters)
-    ((-1, 1), 24, 24)
+    >>> [k for _, k in w._segments], len(w), len(w.letters)
+    ([-1, 1], 24, 24)
     >>> w = parse_word("T4^-2 T4^2", 4)
-    >>> w._segments, len(w), len(w.letters)
-    ((-2, 2), 48, 48)
+    >>> [k for _, k in w._segments], len(w), len(w.letters)
+    ([-2, 2], 48, 48)
 
 Word grammar (used by the CLI and by ``str``):
 
@@ -41,8 +50,8 @@ Word grammar (used by the CLI and by ``str``):
 
 ``s<i>`` is the Artin generator sigma_i (1-indexed), ``T<p>`` is the
 canonical full twist on the first p strands, (s1 ... s_{p-1})^p, and
-exponents repeat or invert what they raise; a power of a count multiplies
-the count. Whitespace separates terms.
+exponents repeat or invert what they raise; a power of a word of one
+segment multiplies its count. Whitespace separates terms.
 
 Expansion is bounded: a word that would have more than MAX_WORD_LETTERS
 letters raises WordTooLong, the count being read from the segments' sizes
@@ -189,7 +198,7 @@ class BraidWord:
     It is stored as a tuple of int pairs: every letter is converted with
     ``int`` and then checked, which raises the error for the first invalid
     one. The package's own constructors of valid words skip this (see the
-    module docstring), and may hold powers of T_n as counts (``_segments``);
+    module docstring), and may hold powers as counts (``_segments``);
     ``letters`` then spells them out on first read. Assigning or deleting
     an attribute raises FrozenInstanceError.
     """
@@ -205,7 +214,7 @@ class BraidWord:
             if e not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {e}")
         _set(self, "strands_n", strands_n)
-        _set(self, "_segments", (letters,) if letters else ())
+        _set(self, "_segments", ((letters, 1),) if letters else ())
         _set(self, "_letters", letters)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -225,11 +234,9 @@ class BraidWord:
         on the first read and keeps the result."""
         letters = self._letters
         if letters is None:
-            n = self.strands_n
-            periods = _twist_periods(n)
             spelled = []
-            for s in self._segments:
-                spelled += s if type(s) is tuple else periods[1 if s > 0 else -1] * (n * abs(s))
+            for block, k in self._segments:
+                spelled += _spelled(block, k)
             letters = tuple(spelled)
             _set(self, "_letters", letters)
         return letters
@@ -238,8 +245,7 @@ class BraidWord:
         letters = self._letters
         if letters is not None:
             return len(letters)
-        size = self.strands_n * (self.strands_n - 1)
-        return sum(abs(s) * size if type(s) is int else len(s) for s in self._segments)
+        return sum(len(block) * abs(k) for block, k in self._segments)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not BraidWord:
@@ -258,13 +264,10 @@ class BraidWord:
         if self.strands_n != other.strands_n:
             raise ValueError("cannot concatenate words on different strand counts")
         _check_length(len(self) + len(other))
-        a, b = self._segments, other._segments
-        if len(a) == len(b) == 1 and type(a[0]) is type(b[0]) is tuple:
-            return _valid_word(self.strands_n, a[0] + b[0])
-        return _from_segments(self.strands_n, _joined((*a, *b)))
+        return _from_segments(self.strands_n, _joined(self._segments + other._segments))
 
     def inverse(self) -> BraidWord:
-        return _from_segments(self.strands_n, tuple(_inverse_segments(self._segments)))
+        return _from_segments(self.strands_n, _joined(_inverse_segments(self._segments)))
 
     def __str__(self) -> str:
         if not self.letters:
@@ -300,7 +303,7 @@ def _valid_word(strands_n: int, letters: tuple[tuple[int, int], ...]) -> BraidWo
     1 <= i < strands_n, which the callers' letters are by construction."""
     word = object.__new__(BraidWord)
     _set(word, "strands_n", strands_n)
-    _set(word, "_segments", (letters,) if letters else ())
+    _set(word, "_segments", ((letters, 1),) if letters else ())
     _set(word, "_letters", letters)
     return word
 
@@ -308,14 +311,14 @@ def _valid_word(strands_n: int, letters: tuple[tuple[int, int], ...]) -> BraidWo
 def _from_segments(strands_n: int, segments: tuple) -> BraidWord:
     """The word on ``strands_n`` strands holding ``segments`` as given,
     without checks: only for segments as ``_joined`` returns them, each
-    tuple of valid letters. A word with no count knows its letters."""
+    block a tuple of valid letters. A word of one run knows its letters."""
     word = object.__new__(BraidWord)
     _set(word, "strands_n", strands_n)
     _set(word, "_segments", segments)
     if not segments:
         _set(word, "_letters", ())
-    elif len(segments) == 1 and type(segments[0]) is tuple:
-        _set(word, "_letters", segments[0])
+    elif len(segments) == 1 and segments[0][1] == 1:
+        _set(word, "_letters", segments[0][0])
     else:
         _set(word, "_letters", None)
     return word
@@ -323,63 +326,63 @@ def _from_segments(strands_n: int, segments: tuple) -> BraidWord:
 
 def _joined(pieces) -> tuple:
     """The segments of the word made of ``pieces`` one after another, each
-    a sequence of letters or an int count of T_n: the letters between two
-    counts join into one tuple, a count joins the count just before it only
-    when both have the same sign, and empty pieces and zero counts drop
-    out. Every letter is copied once."""
-    segments, run = [], []
+    a pair (block, k) of a tuple of letters and an int, the block to the
+    power k. A piece joins the segment before it in two cases only: the
+    same block with k of the same sign, whose counts add up, and two runs,
+    which become one run (k = 1), grown as a list in place so that every
+    letter is copied once or twice. A run is one copy of a block that is
+    not a whole twist (``_is_twist``), k = 1 or k = -1 spelled inverted,
+    so ``s1 s2^-1`` is one run and a bare ``T<p>`` stays a count. Empty
+    blocks and zero counts drop out."""
+    segments = []
     for piece in pieces:
-        if type(piece) is not int:
-            run += piece
-        elif piece:
-            if run:
-                segments.append(tuple(run))
-                run = []
-            elif segments and (segments[-1] > 0) == (piece > 0):
-                # With no letters since it, the last segment is a count.
-                segments[-1] += piece
+        block, k = piece
+        if not (block and k):
+            continue
+        if segments:
+            last, j = segments[-1]
+            if (j > 0) == (k > 0) and len(last) == len(block) and tuple(last) == block:
+                segments[-1] = block, j + k
                 continue
-            segments.append(piece)
-    if run:
-        segments.append(tuple(run))
-    return tuple(segments)
+            if j * j == k * k == 1 and not (_is_twist(last) or _is_twist(block)):
+                if type(last) is tuple:
+                    last = list(_spelled(last, j))
+                    segments[-1] = last, 1
+                last += _spelled(block, k)
+                continue
+        segments.append(piece)
+    return tuple(s if type(s[0]) is tuple else (tuple(s[0]), 1) for s in segments)
+
+
+def _is_twist(block) -> bool:
+    """Whether ``block`` is the letters of a whole twist T<p>
+    (``_twist_block``); a list, a run still growing, is not."""
+    p = block[-1][0] + 1
+    return len(block) == p * (p - 1) and block == _twist_block(p)
 
 
 def _inverse_segments(segments: Sequence) -> list:
-    """The segments of the inverse word: reversed, a count negated and a
-    run of letters inverted (``_inverse_letters``)."""
-    return [-s if type(s) is int else tuple(_inverse_letters(s)) for s in reversed(segments)]
+    """The segments of the inverse word: reversed, each count negated."""
+    return [(block, -k) for block, k in reversed(segments)]
 
 
-def _twists_apart(word: BraidWord) -> tuple[tuple[tuple[int, int], ...], int]:
-    """(rest, net): the word's letter segments joined in order, and the sum
-    of its counts. As T_n is central in B_n, the word is rest * T_n^net as
-    a braid."""
-    segments = word._segments
-    if len(segments) == 1 and type(segments[0]) is tuple:
-        return segments[0], 0
-    rest, net = [], 0
-    for s in segments:
-        if type(s) is int:
-            net += s
-        else:
-            rest += s
-    return tuple(rest), net
+def _spelled(block: tuple, k: int):
+    """The letters of ``block`` to the power k: k copies of it, or -k of
+    its inverse when k < 0."""
+    return block * k if k > 0 else _inverse_letters(block) * -k
 
 
 @lru_cache(maxsize=None)
-def _twist_periods(p: int) -> tuple[None, tuple, tuple]:
-    """Indexed by s = +-1: the period (s1 ... s_{p-1}) of T<p>, s = 1, and
-    its inverse (s_{p-1}^-1 ... s1^-1), the period of T<p>^-1, s = -1.
-    Each block is its period p times over, p(p - 1) letters: the one
-    spelling of T<p>, which ``burau`` also scans words for."""
-    period = tuple((i, 1) for i in range(1, p))
-    return None, period, tuple(_inverse_letters(period))
+def _twist_block(p: int) -> tuple[tuple[int, int], ...]:
+    """The letters of T<p>, the full twist on the first p strands:
+    (s1 ... s_{p-1})^p, p(p - 1) letters. The one spelling of T<p>, which
+    ``burau`` also compares blocks with and multiplies out in its proofs."""
+    return tuple((i, 1) for i in range(1, p)) * p
 
 
-def _inverse_letters(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+def _inverse_letters(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """The letters of the inverse word: reversed, each with its sign negated."""
-    return [(i, -e) for i, e in reversed(letters)]
+    return tuple([(i, -e) for i, e in reversed(letters)])
 
 
 def _free_reduced(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -472,7 +475,7 @@ def _parse_sequence(text: str, pos: int, strands_n: int, depth: int) -> tuple[li
 
 def _parse_term(text: str, pos: int, strands_n: int, depth: int) -> tuple[list, int, int]:
     """(pieces, size, pos) of the term at pos, as ``_parse_sequence``'s:
-    ``T<n>`` on all n strands is the count 1."""
+    a generator or twist is one segment (its block, 1)."""
     start = pos
     ch = text[pos]
     if ch == "s":
@@ -481,7 +484,7 @@ def _parse_term(text: str, pos: int, strands_n: int, depth: int) -> tuple[list, 
             raise IndexOutOfRange(
                 f"generator s{idx} outside 1..{strands_n - 1}", start
             )
-        base, size = [((idx, 1),)], 1
+        base, size = [(((idx, 1),), 1)], 1
     elif ch == "T":
         support, pos = _parse_int(text, pos + 1)
         if not 2 <= support <= strands_n:
@@ -490,7 +493,7 @@ def _parse_term(text: str, pos: int, strands_n: int, depth: int) -> tuple[list, 
             )
         size = support * (support - 1)
         _check_length(size)
-        base = [1] if support == strands_n else [_twist_periods(support)[1] * support]
+        base = [(_twist_block(support), 1)]
     elif ch == "(":
         if depth == MAX_GROUP_DEPTH:
             raise WordSyntaxError(f"groups nested more than {MAX_GROUP_DEPTH} deep", pos)
@@ -507,16 +510,17 @@ def _parse_term(text: str, pos: int, strands_n: int, depth: int) -> tuple[list, 
 def _expand_power(pieces: list, size: int, exponent: int) -> tuple[list, int]:
     """(pieces, size) of the word that ``pieces``, ``size`` letters, spell,
     to the power ``exponent``, checked against the cap before anything is
-    built. The word is joined once (``_joined``), and inverted when the
-    exponent is negative; a single run of letters is then repeated, and a
-    single count multiplied, as one piece, and any other word is repeated
-    as references to its segments."""
+    built. The word is joined once (``_joined``): one segment (block, k)
+    becomes the count (block, k * exponent), and any other word is
+    repeated as references to its segments, inverted first when the
+    exponent is negative."""
     _check_length(size * abs(exponent))
     segments = _joined(pieces)
+    if len(segments) == 1:
+        block, k = segments[0]
+        return [(block, k * exponent)], size * abs(exponent)
     if exponent < 0:
         segments, exponent = _inverse_segments(segments), -exponent
-    if len(segments) == 1:
-        return [segments[0] * exponent], size * exponent
     return list(segments) * exponent, size * exponent
 
 
@@ -576,7 +580,7 @@ def sample_normal_closure(
     conjugator's length and letters, as the module docstring states; a
     product that would pass MAX_WORD_LETTERS raises WordTooLong before its
     conjugator's letters are drawn. g's segments are taken as they are, so
-    a power of T_n in g stays a count.
+    its counts stay counts.
     """
     if not gens:
         raise EmptyGeneratorSet("need at least one normal generator")
@@ -602,6 +606,6 @@ def sample_normal_closure(
         length = _below(getrandbits, max_conj_len + 1)
         size += 2 * length + len(g)
         _check_length(size)
-        conj = _drawn_letters(getrandbits, strands_n, length)
-        pieces += (conj, *segments, _inverse_letters(conj))
+        conj = tuple(_drawn_letters(getrandbits, strands_n, length))
+        pieces += ((conj, 1), *segments, (_inverse_letters(conj), 1))
     return _from_segments(strands_n, _joined(pieces))

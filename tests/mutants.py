@@ -19,7 +19,7 @@ run must finish within that time.
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, a pytest run does not finish normally, or
 the unmutated run fails or is stopped. It starts one pytest run per
-mutant, about 100 s in all for the 62 mutants below, so it is not part of
+mutant, about 100 s in all for the 66 mutants below, so it is not part of
 the tier-1 run; pytest does not collect this file.
 """
 
@@ -140,6 +140,13 @@ CUT_SCAN = "tests/test_burau.py::TestTwistBlocks::test_cuts_match_a_naive_scan"
 CUT_ORDERS = "tests/test_burau.py::TestTwistBlocks::test_cut_orders_are_the_golden_rows_j_and_d"
 CUT_DENSE = "tests/test_burau.py::TestTwistBlocks::test_cut_runs_give_the_dense_product"
 CUT_PROOF = "tests/test_burau.py::TestTwistBlocks::test_a_corrupted_cut_proof_raises_the_typed_error"
+REDUCED_COUNTS = (
+    "tests/test_burau.py::TestTwistBlocks::test_reduced_counts_give_the_spelled_out_word_s_image"
+)
+LAURENT_SPELLED = (
+    "tests/test_burau.py::TestWordImages::test_counts_of_other_blocks_are_spelled_out_in_full"
+)
+IMMUTABLE = "tests/test_words.py::TestSegments::test_words_are_immutable"
 
 MUTANTS = [
     Mutant(
@@ -439,18 +446,18 @@ MUTANTS = [
         (DESCRIPTOR_MEMBERSHIP,),
     ),
     Mutant(
-        "the net count of full twists taken out has its sign flipped",
+        "the net count of full twists has its sign flipped",
         "src/burau_lab/burau.py",
-        "net += period[0][1] * (cut // size)",
-        "net -= period[0][1] * (cut // size)",
-        (TWIST_WORDS,),
+        "            net += count\n",
+        "            net -= count\n",
+        (REST_TWIST, WIDENED_TWISTS, SPELLED_OUT),
     ),
     Mutant(
         "a twist block is one period short",
-        "src/burau_lab/burau.py",
-        "size = p * (p - 1) or 1",
-        "size = (p - 1) * (p - 1) or 1",
-        (TWIST_SCAN, TWIST_WORDS),
+        "src/burau_lab/words.py",
+        "return tuple((i, 1) for i in range(1, p)) * p",
+        "return tuple((i, 1) for i in range(1, p)) * (p - 1)",
+        (TWIST_SCAN, PROGRAMS),
     ),
     Mutant(
         "the per-root proofs that T_n is t^n * I and a cut block's power I are skipped",
@@ -495,38 +502,52 @@ MUTANTS = [
         (POWERS_OF_ZETA,),
     ),
     Mutant(
-        "counts of T_n of opposite signs are merged",
+        "counts of one block with opposite signs are merged",
         "src/burau_lab/words.py",
-        "elif segments and (segments[-1] > 0) == (piece > 0):",
-        "elif segments:",
+        "if (j > 0) == (k > 0) and len(last) == len(block) and tuple(last) == block:",
+        "if len(last) == len(block) and tuple(last) == block:",
         (OPPOSITE_COUNTS, PROGRAMS),
+    ),
+    Mutant(
+        "counts of different blocks with one sign are merged",
+        "src/burau_lab/words.py",
+        "if (j > 0) == (k > 0) and len(last) == len(block) and tuple(last) == block:",
+        "if (j > 0) == (k > 0):",
+        (OPPOSITE_COUNTS, PROGRAMS),
+    ),
+    Mutant(
+        "a bare twist joins the run beside it",
+        "src/burau_lab/words.py",
+        "if j * j == k * k == 1 and not (_is_twist(last) or _is_twist(block)):",
+        "if j * j == k * k == 1:",
+        (IMMUTABLE, REST_TWIST),
     ),
     Mutant(
         "inverse keeps a count's sign",
         "src/burau_lab/words.py",
-        "[-s if type(s) is int else",
-        "[s if type(s) is int else",
+        "return [(block, -k) for block, k in reversed(segments)]",
+        "return [(block, k) for block, k in reversed(segments)]",
         (PROGRAMS, SAMPLER_DRAW),
     ),
     Mutant(
-        "specialized_burau ignores the word's counts of T_n",
+        "the word's counts of T_n are dropped",
         "src/burau_lab/burau.py",
-        "net += blocks",
-        "net = blocks",
+        "            net += count\n            continue\n",
+        "            continue\n",
         (SPELLED_OUT, KERNEL_COUNTS),
     ),
     Mutant(
-        "len counts a count of T_n as one letter",
+        "len counts each segment's block once",
         "src/burau_lab/words.py",
-        "abs(s) * size if type(s) is int else len(s)",
-        "1 if type(s) is int else len(s)",
+        "sum(len(block) * abs(k) for block, k in self._segments)",
+        "sum(len(block) for block, k in self._segments)",
         (PROGRAMS, EXPANSION_CAP),
     ),
     Mutant(
-        "the sampler drops a generator's counts of T_n",
+        "the sampler drops a generator's counts",
         "src/burau_lab/words.py",
-        "pieces += (conj, *segments, _inverse_letters(conj))",
-        "pieces += (conj, *(s for s in segments if type(s) is not int), _inverse_letters(conj))",
+        "pieces += ((conj, 1), *segments, (_inverse_letters(conj), 1))",
+        "pieces += ((conj, 1), *(s for s in segments if s[1] == 1), (_inverse_letters(conj), 1))",
         (SAMPLER_DRAW,),
     ),
     Mutant(
@@ -551,32 +572,46 @@ MUTANTS = [
         (UNTOUCHED_TWIST_ROWS,),
     ),
     Mutant(
-        "a run gives up every block it holds, ignoring o",
+        "a count is reduced to 0, ignoring its remainder mod o",
         "src/burau_lab/burau.py",
-        "cut = (end - start) // step * step",
-        "cut = (end - start) // size * size",
+        "r = count % o if count > 0 else -(-count % o)",
+        "r = 0",
+        (CUT_SCAN, CUT_DENSE),
+    ),
+    Mutant(
+        "a negative count is reduced to a positive remainder",
+        "src/burau_lab/burau.py",
+        "r = count % o if count > 0 else -(-count % o)",
+        "r = count % o",
         (CUT_SCAN, CUT_DENSE),
     ),
     Mutant(
         "o_T is the order of t^n, not of t^(n-1)",
         "src/burau_lab/burau.py",
-        "(n - 1, e * (n - 1))",
-        "(n - 1, e * n)",
+        "[_twist_block(n - 1)], e * (n - 1))",
+        "[_twist_block(n - 1)], e * n)",
         (CUT_ORDERS,),
     ),
     Mutant(
-        "the lazy proof of a cut's block is skipped",
+        "a count of T_{n-1} is reduced by o_sigma",
         "src/burau_lab/burau.py",
-        "            _prove_cut(order, k, n, p, o)\n",
+        "[_twist_block(n - 1)], e * (n - 1))",
+        "[_twist_block(n - 1)], e + roots // 2)",
+        (CUT_ORDERS, CUT_SCAN, REDUCED_COUNTS),
+    ),
+    Mutant(
+        "a count is reduced without the proof of its block's order",
+        "src/burau_lab/burau.py",
+        "                _prove_cut(*root, n, p, o)\n",
         "",
         (CUT_PROOF,),
     ),
     Mutant(
-        "the probes are o * size + 1 letters apart",
+        "the Laurent image reduces counts of s_i as at t = zeta_3",
         "src/burau_lab/burau.py",
-        "            at += step\n",
-        "            at += step + 1\n",
-        (CUT_SCAN,),
+        "rest, net = _rest_and_net(word)\n",
+        "rest, net = _rest_and_net(word, (3, 1))\n",
+        (LAURENT_SPELLED, SPELLED_OUT),
     ),
 ]
 

@@ -179,20 +179,23 @@ def _flat_term(text, pos, strands_n, depth):
     return base, pos
 
 
-def word_programs(n, max_leaves=5):
+def word_programs(n, max_leaves=5, max_exponent=3):
     """Word texts on n strands mixing s_i^+-e, T<n>^+-k, T<p> with p < n,
-    groups and negative powers, every term with or without an exponent."""
+    groups and negative powers, every term with or without an exponent: a
+    generator's or twist's up to max_exponent in size, a group's up to 3."""
     from hypothesis import strategies as st
 
-    exponent = st.one_of(st.just(""), st.integers(-3, 3).map(lambda e: f"^{e}"))
+    def exponents(top):
+        return st.one_of(st.just(""), st.integers(-top, top).map(lambda e: f"^{e}"))
+
     names = [st.integers(1, n - 1).map(lambda i: f"s{i}"), st.just(f"T{n}")]
     if n > 2:
         names.append(st.integers(2, n - 1).map(lambda p: f"T{p}"))
-    leaf = st.tuples(st.one_of(*names), exponent).map("".join)
+    leaf = st.tuples(st.one_of(*names), exponents(max_exponent)).map("".join)
     term = st.recursive(
         leaf,
         lambda inner: st.tuples(
-            st.lists(inner, min_size=1, max_size=3).map(" ".join), exponent
+            st.lists(inner, min_size=1, max_size=3).map(" ".join), exponents(3)
         ).map(lambda group: f"({group[0]}){group[1]}"),
         max_leaves=max_leaves,
     )

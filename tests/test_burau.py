@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burau_lab import burau
+from burau_lab import burau, words
 from burau_lab.burau import (
     BurauImage,
     _laurent_row,
@@ -47,6 +47,7 @@ from burau_lab.laurent import (
 from burau_lab.monodromy import _values_at, rho_generators
 from burau_lab.words import BraidWord, InvalidStrandCount, parse_word, random_word
 from oracles import (
+    inverse_letters,
     leibniz_det,
     naive_free_reduce,
     pack_slots,
@@ -260,6 +261,25 @@ class TestWordImages:
         assert applied[-1] == 2
         assert image == naive_word_image(BraidWord(4, w.letters))
 
+    def test_counts_of_other_blocks_are_spelled_out_in_full(self, monkeypatch):
+        # No power of s_i or T_{n-1} is I over Z[t, t^-1], so their counts
+        # are spelled out whole and every letter that survives the free
+        # reduction is applied.
+        applied = []
+        inner = burau._word_product
+
+        def counting(letters, *rest):
+            applied.append(len(letters))
+            return inner(letters, *rest)
+
+        monkeypatch.setattr(burau, "_word_product", counting)
+        for text in ("s1^60", "T3^-60 s2", "s1^-7 s2^12 T4^5 s3^30", "(s1 s2^-1)^9"):
+            w = parse_word(text, 4)
+            image = burau_of_word(w)
+            # The last call applies the word; a first one proves t^4 * I.
+            assert applied[-1] == len(naive_free_reduce(w.letters)) - (60 if "T4" in text else 0), text
+            assert image == burau_of_word(BraidWord(4, w.letters)), text
+
     def test_untouched_rows_under_a_twist_are_not_the_unit_rows(self):
         # With net != 0 a row no letter touched is t^(n * net) on the
         # diagonal, not the shared unit row.
@@ -276,7 +296,8 @@ class TestWordImages:
         # t^n * I over Z[t, t^-1] is proved by multiplying out T_n's letters
         # as words spells them; letters that are not T_n refuse every count.
         period = ((1, 1), (2, 1)) if fault == "short period" else ((1, 1), (2, 1), (2, 1))
-        monkeypatch.setattr(burau, "_twist_periods", lambda n: (None, period, None))
+        for module in (words, burau):
+            monkeypatch.setattr(module, "_twist_block", lambda p: period * 4)
         burau._laurent_twist.cache_clear()
         try:
             with pytest.raises(burau.TwistProofFailed, match=r"^T4 is not t\^4 \* I over Z\[t, t\^-1\]$"):
@@ -783,8 +804,8 @@ class TestPowerEarlyStop:
         if n > 2:
             # Never scalar unless the identity, so applied in full: kept short.
             texts += [f"T{n - 1}", f"T{n - 1}^2"]
-            # (s1 s2 s1)^2 is T3 in another spelling, which the strip does
-            # not see: central in B_3.
+            # (s1 s2 s1)^2 is T3 in another spelling, which is not read as
+            # a twist: central in B_3.
             texts += [f"(s1 s2 s1)^{2 * r}" for r in (1, 2, 3)]
         points = [x for d in range(2, 41) for x in (minus_q_from_d(d), minus_q_from_d(d) ** 3)]
         for text in texts:
@@ -872,45 +893,31 @@ class TestPowerEarlyStop:
 
 
 class TestTwistBlocks:
-    """Inside a word that is not a whole power of the full twist, each
-    block T_n^+-1 = (s1 ... s_{n-1})^(+-n) is taken out and counted, and
-    the rest's image is multiplied by t^(n * net); the result must still
-    equal the product of every letter."""
+    """A word holds each power it was written with as a count (block, k).
+    At a root of unity the counts of T_n are added up to net and the rest's
+    image is multiplied by t^(n * net); a count of s_i or T_{n-1} is reduced
+    by its order there. The result must still equal the product of every
+    letter. A twist typed as letters is letters, and costs them."""
 
     @staticmethod
-    def naive_cut(letters, n, p, o):
-        # One left-to-right scan for o blocks in a row, all of one sign,
-        # skipping past each find: blocks T<p>^+-1 for p >= 2, and for p = 1
-        # single letters s_i^+-1, any i. Each find counts +-o blocks.
-        if p == 1:
-            chunks = {((i, s),) * o: s * o for i in range(1, n) for s in (1, -1)}
-        else:
-            delta = tuple((i, 1) for i in range(1, p))
-            inverse = tuple((i, -1) for i in reversed(range(1, p)))
-            chunks = {delta * (p * o): o, inverse * (p * o): -o}
-        size = len(next(iter(chunks)))
-        rest, net, i = [], 0, 0
-        while i < len(letters):
-            count = chunks.get(tuple(letters[i:i + size]))
-            if count:
-                net += count
-                i += size
-            else:
-                rest.append(letters[i])
-                i += 1
-        return tuple(rest), net
+    def twist_count(w):
+        """The sum of the word's counts whose block is T_n's letters."""
+        n = w.strands_n
+        block = tuple((i, 1) for i in range(1, n)) * n
+        return sum(k for b, k in w._segments if b == block)
 
     @staticmethod
     def words_with_twists(n, rng, count):
-        """Random words with T_n^+-1 blocks at random places: adjacent
-        blocks of either sign, blocks next to partial periods of either
-        sign, and words that are proper powers of a root holding a block."""
+        """Random words with T_n^+-1 blocks typed as letters at random
+        places: adjacent blocks of either sign, blocks next to partial
+        periods of either sign, and words that are proper powers of a root
+        holding a block."""
         delta = tuple((i, 1) for i in range(1, n))
         inverse = tuple((i, -1) for i in reversed(range(1, n)))
         twist, untwist = delta * n, inverse * n
-        words = []
+        found = []
         for _ in range(count):
-            letters, inserted = list(random_word(n, rng.randint(0, 12), rng).letters), 0
+            letters = list(random_word(n, rng.randint(0, 12), rng).letters)
             pieces = []
             for _ in range(rng.randint(1, 4)):
                 block, sign = rng.choice(((twist, 1), (untwist, -1)))
@@ -921,19 +928,17 @@ class TestTwistBlocks:
                     piece = part + piece if rng.random() < 0.5 else piece + part
                 if rng.random() < 0.3:
                     piece += block
-                    inserted += sign
                 pieces.append((rng.randint(0, len(letters)), piece))
-                inserted += sign
             # Last place first, so that no piece lands inside another.
             for at, piece in sorted(pieces, key=lambda p: p[0], reverse=True):
                 letters[at:at] = piece
-            words.append((BraidWord(n, tuple(letters)), inserted))
+            found.append(BraidWord(n, tuple(letters)))
         # A proper power whose root holds a block.
-        words.append((BraidWord(n, (((n - 1, 1), (1, -1)) + twist) * 3), 3))
-        # What is left, (s1^-1 s1 delta)^(2n), is scalar at its n-th power,
-        # a proper divisor of 2n, and its twists are taken out around it.
-        words.append((BraidWord(n, (twist + ((1, -1), (1, 1)) + delta) * (2 * n)), 2 * n))
-        return words
+        found.append(BraidWord(n, (((n - 1, 1), (1, -1)) + twist) * 3))
+        # (T_n s1^-1 s1 delta)^(2n), whose n-th power, a proper divisor of
+        # 2n, is already scalar.
+        found.append(BraidWord(n, (twist + ((1, -1), (1, 1)) + delta) * (2 * n)))
+        return found
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_words_with_twist_blocks_equal_the_full_product(self, n):
@@ -941,13 +946,12 @@ class TestTwistBlocks:
         # d = 3, 5, 7, 12 give even N = 6, 10, 14, 12 and d = 6, 10 odd
         # N = 3, 5; the cubes of -q reach other exponents k.
         points = [x for d in (3, 5, 6, 7, 10, 12) for x in (minus_q_from_d(d), minus_q_from_d(d) ** 3)]
-        for w, inserted in self.words_with_twists(n, rng, 4):
-            rest, net = burau._cut_runs(w.letters, n, n, 1)
-            assert (rest, net) == self.naive_cut(w.letters, n, n, 1)
-            if n > 2:
-                # Every block inserted is taken out of the whole word. On two
-                # strands the random letters form blocks of their own.
-                assert net == inserted
+        for w in self.words_with_twists(n, rng, 4):
+            # Blocks typed as letters stay letters: the word is one run, and
+            # every letter is applied unless the run is T_n's block itself.
+            assert w._segments == ((w.letters, 1),)
+            net = self.twist_count(w)
+            assert burau._rest_and_net(w) == (([], 1) if net else (list(w.letters), 0))
             laurent = burau_of_word(w).matrix
             for x in points:
                 assert specialized_burau(w, x) == specialize_matrix(laurent, x), (w, x)
@@ -955,7 +959,7 @@ class TestTwistBlocks:
     @pytest.mark.parametrize("n", (2, 3, 4))
     def test_small_words_with_twist_blocks_equal_the_dense_product(self, n):
         rng = random.Random(200 + n)
-        for w, _ in self.words_with_twists(n, rng, 3):
+        for w in self.words_with_twists(n, rng, 3):
             dense = naive_word_image(w)
             for d in (3, 4, 6, 10, 40):
                 for x in (minus_q_from_d(d), q_point(d)):
@@ -967,7 +971,7 @@ class TestTwistBlocks:
         # twists' power are widened to 128-bit slots.
         packed = TestPackedRows.record_widenings(monkeypatch)
         w = parse_word(text, n)
-        assert burau._cut_runs(w.letters, n, n, 1)[1] != 0
+        assert self.twist_count(w) != 0
         laurent = burau_of_word(w).matrix
         for d in (7, 12, 40):
             x = minus_q_from_d(d)
@@ -984,8 +988,8 @@ class TestTwistBlocks:
         # -x^(twist - H) in [H, 2H), at even and odd N. Rows widened to
         # 128-bit slots are test_twists_rotate_rows_that_were_widened's.
         w = parse_word(text, n)
-        rest, net = burau._cut_runs(w.letters, n, n, 1)
-        assert rest and net
+        net = self.twist_count(w)
+        assert net and len(w) > abs(net) * n * (n - 1)
         dense = naive_word_image(w)
         parities, halves = set(), set()
         for d in (3, 4, 5, 6, 7, 9, 10, 12, 40):
@@ -999,93 +1003,117 @@ class TestTwistBlocks:
                 halves.add(twist >= len(roots) // 2)
         assert parities == {0, 1} and halves == {False, True}, text
 
-    def test_strip_matches_a_naive_scan(self):
-        # Letters drawn mostly from runs of the two blocks' periods, whole or
-        # cut short, so that blocks, runs too short for one, runs with a
-        # partial period at either end and runs of both signs side by side
-        # are common; words shorter than a block included.
-        rng = random.Random(11)
-        for _ in range(2000):
-            n = rng.randint(2, 6)
-            pool = [(i, 1) for i in range(1, n)] + [(i, -1) for i in range(1, n)]
-            periods = (
-                tuple((i, 1) for i in range(1, n)),
-                tuple((i, -1) for i in reversed(range(1, n))),
-            )
-            letters = []
-            while len(letters) < rng.randint(0, 80):
-                r = rng.random()
-                if r < 0.4:
-                    letters += rng.choice(periods) * rng.randint(1, 2 * n + 1)
-                elif r < 0.55:
-                    period = rng.choice(periods)
-                    letters += period[rng.randint(0, n - 2):] if r < 0.5 else period[:rng.randint(1, n - 1)]
-                else:
-                    letters.append(rng.choice(pool))
-            letters = tuple(letters)
-            assert burau._cut_runs(letters, n, n, 1) == self.naive_cut(letters, n, n, 1), (n, letters)
+    @staticmethod
+    def naive_order(c):
+        """The least e >= 1 with c^e = 1, by repeated multiplication; None
+        when c is 1, as no count is reduced by that order."""
+        if c.is_one:
+            return None
+        e, power = 1, c
+        while not power.is_one:
+            power, e = power * c, e + 1
+        return e
+
+    @classmethod
+    def naive_scan(cls, w, x=None):
+        """(rest, net) read off w's segments one at a time: a count of T_n's
+        letters adds to net; at t = x a count of s_i or of T_{n-1}'s letters
+        is brought below the order of -t or t^(n-1) by subtracting that
+        order again and again; what is left is spelled out letter by
+        letter."""
+        n = w.strands_n
+        delta = tuple((i, 1) for i in range(1, n))
+        orders = {}
+        if x is not None:
+            for i in range(1, n):
+                orders[((i, 1),)] = cls.naive_order(-x)
+            if n > 2:
+                orders[delta[:-1] * (n - 1)] = cls.naive_order(x ** (n - 1))
+        rest, net = [], 0
+        for block, k in w._segments:
+            if block == delta * n:
+                net += k
+                continue
+            o = orders.get(block)
+            while o and abs(k) >= o:
+                k -= o if k > 0 else -o
+            for _ in range(abs(k)):
+                rest.extend(block if k > 0 else inverse_letters(block))
+        return rest, net
 
     @staticmethod
-    def run_words(n, p, o, rng, count):
-        """Words built mostly from runs of the blocks cut by (p, o): whole
-        cuts, runs one block or one period short of a cut or one over,
-        partial periods at either edge, both signs side by side, single
-        letters, and words shorter than a cut. A block is T<p>^+-1, and
-        for p = 1 one letter s_i^+-1."""
-        if p == 1:
-            periods = [((i, s),) for i in range(1, n) for s in (1, -1)]
-            reps = 1
-        else:
-            periods = [tuple((i, 1) for i in range(1, p)), tuple((i, -1) for i in reversed(range(1, p)))]
-            reps = p
-        pool = [(i, s) for i in range(1, n) for s in (1, -1)]
-        words = []
-        for _ in range(count):
-            letters, target = [], rng.randint(0, 3 * o * reps * len(periods[0]))
-            while len(letters) < target:
-                period, r = rng.choice(periods), rng.random()
-                if r < 0.5:
-                    blocks = o * rng.randint(1, 2) + rng.choice((-1, 0, 0, 1))
-                    letters += period * max(0, blocks * reps + rng.choice((-1, 0, 0, 0)))
-                elif r < 0.7:
-                    letters += period[rng.randint(0, len(period) - 1):] if r < 0.6 else period[:rng.randint(1, len(period))]
-                else:
-                    letters.append(rng.choice(pool))
-            words.append(tuple(letters))
-        return words
+    def program(n, rng, orders=None):
+        """A word text of about 1 to 8 terms on n strands: counts of T_n,
+        of T_{n-1} and of s_i, each a multiple of its order (4 where it
+        has none) by 0 to 3, one under, one over or exact, of either sign,
+        and bare letters, T<p> and partial periods of T_n typed as letters,
+        so that runs join between the counts."""
+        orders = orders or {}
+        terms = []
+        for _ in range(rng.randint(1, 8)):
+            r = rng.random()
+            if r < 0.6:
+                name = rng.choice([f"s{rng.randint(1, n - 1)}", f"T{n}"] + ([f"T{n - 1}"] if n > 2 else []))
+                o = orders.get(name[0] if name[0] == "s" else name, 4)
+                e = o * rng.randint(0, 3) + rng.choice((-1, 0, 0, 1))
+                terms.append(f"{name}^{rng.choice((1, -1)) * e}")
+            elif r < 0.8:
+                terms.append(rng.choice([f"s{rng.randint(1, n - 1)}", f"s{rng.randint(1, n - 1)}^-1", f"T{rng.randint(2, n)}"]))
+            else:
+                period = [f"s{i}" for i in range(1, n)] * rng.randint(1, n)
+                terms.append(" ".join(period[:rng.randint(1, len(period))]))
+        return " ".join(terms)
+
+    def test_strip_matches_a_naive_scan(self):
+        # Parsed words with counts of T_n of any sign and size, bare twists,
+        # other counts and runs typed as letters: their counts of T_n add up
+        # to net and every other segment is spelled out, as a naive scan of
+        # the segments finds.
+        rng = random.Random(11)
+        for _ in range(1000):
+            n = rng.randint(2, 6)
+            w = parse_word(self.program(n, rng), n)
+            assert burau._rest_and_net(w) == self.naive_scan(w), w._segments
 
     def test_cuts_match_a_naive_scan(self):
-        # Every kind of cut, on words made of its runs, against one
-        # left-to-right scan for o blocks in a row: T_n with o = 1, as the
-        # twists are stripped, T_{n-1} and single letters with o >= 2: 45
-        # words of each of the 45 kinds. A scan that cuts nothing hands back
-        # the letters it was given.
+        # At roots of even and odd N, their cubes and t = -1, parsed words
+        # whose counts of s_i and T_{n-1} are near multiples of their orders
+        # there: each such count is reduced below its order, with its sign,
+        # as a naive scan of the segments finds, and the image is the
+        # spelled-out word's.
         rng = random.Random(12)
+        points = [minus_q_from_d(d) ** e for d in (3, 4, 5, 6, 7, 8, 10, 12) for e in (1, 3)]
+        points.append(CyclotomicNumber.root_of_unity(2))
         for n in range(2, 8):
-            kinds = [(n, 1)] + [(n - 1, o) for o in (2, 3, 4) if n > 2] + [(1, o) for o in (2, 3, 5, 7)]
-            for p, o in kinds:
-                for letters in self.run_words(n, p, o, rng, 45):
-                    cut = burau._cut_runs(letters, n, p, o)
-                    assert cut == self.naive_cut(letters, n, p, o), (n, p, o, letters)
-                    if len(cut[0]) == len(letters):
-                        assert cut[0] is letters
+            for x in points:
+                root = (x.order, root_exponent(x))
+                orders = {"s": self.naive_order(-x), f"T{n - 1}": self.naive_order(x ** (n - 1))}
+                for _ in range(4):
+                    w = parse_word(self.program(n, rng, {k: o for k, o in orders.items() if o}), n)
+                    assert burau._rest_and_net(w, root) == self.naive_scan(w, x), (n, x, w._segments)
+                    if len(w) <= 400:
+                        flat = BraidWord(n, w.letters)
+                        assert specialized_burau(w, x) == specialized_burau(flat, x), (n, x, w._segments)
 
     def test_cut_orders_are_the_golden_rows_j_and_d(self):
         # At each golden row's root, -t has order d, and t^(n-1) has order
         # j wherever the row needs a power of T_{n-1}.
         for n, d, j, _ in KERNEL_TABLE_FIXTURE:
             x = minus_q_from_d(d)
-            orders = dict(burau._cut_orders(x.order, root_exponent(x), n))
+            cuts = burau._cut_orders(x.order, root_exponent(x), n)
+            assert all(cuts[((i, 1),)] == (1, d) for i in range(1, n)), (n, d)
+            orders = dict(cuts.values())
             assert orders[1] == d, (n, d)
             if j:
                 assert orders[n - 1] == j, (n, d)
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
     def test_cut_runs_give_the_dense_product(self, n):
-        # Random words with runs s_i^+-(o r) and T_{n-1}^+-(o r), one over or
-        # one short, inserted, at roots of even and odd N and their cubes,
+        # Random words with counts s_i^+-(o r) and T_{n-1}^+-(o r), one over
+        # or one short, inserted, at roots of even and odd N and their cubes,
         # and at points where a block has no power that is I: t = -1, where
-        # -t = 1, and t = zeta_3 on 4 strands, where t^3 = 1.
+        # -t = 1, and t = zeta_3 on 4 strands, where t^3 = 1. The counts are
+        # reduced by o; the dense product multiplies every letter.
         rng = random.Random(300 + n)
         points = [minus_q_from_d(d) ** e for d in (3, 5, 6, 7, 8) for e in (1, 3)]
         points.append(CyclotomicNumber.root_of_unity(2))
@@ -1093,30 +1121,27 @@ class TestTwistBlocks:
             points.append(minus_q_from_d(6))
         kinds = (1, n - 1) if n > 2 else (1,)
         for x in points:
-            orders = dict(burau._cut_orders(x.order, root_exponent(x), n))
+            orders = dict(burau._cut_orders(x.order, root_exponent(x), n).values())
             if x.order == 2:
                 assert 1 not in orders
             if n == 4 and x == minus_q_from_d(6):
                 assert 3 not in orders
             for _ in range(2):
-                letters = list(random_word(n, rng.randint(0, 8), rng).letters)
-                for _ in range(rng.randint(1, 3)):
+                letters = random_word(n, rng.randint(0, 8), rng).letters
+                pieces, done = [], 0
+                for at in sorted(rng.randint(0, len(letters)) for _ in range(rng.randint(1, 3))):
                     p = rng.choice(kinds)
                     count = orders.get(p, 4) * rng.randint(1, 2) + rng.choice((-1, 0, 0, 1))
-                    if p == 1:
-                        run = [(rng.randint(1, n - 1), rng.choice((1, -1)))] * count
-                    else:
-                        run = [(i, 1) for i in range(1, p)] * (p * count)
-                        if rng.random() < 0.5:
-                            run = [(i, -s) for i, s in reversed(run)]
-                    at = rng.randint(0, len(letters))
-                    letters[at:at] = run
-                w = BraidWord(n, tuple(letters))
+                    block = ((rng.randint(1, n - 1), 1),) if p == 1 else words._twist_block(p)
+                    pieces += [(letters[done:at], 1), (block, rng.choice((1, -1)) * count)]
+                    done = at
+                pieces.append((letters[done:], 1))
+                w = words._from_segments(n, words._joined(pieces))
                 assert specialized_burau(w, x) == specialize_matrix(naive_word_image(w), x), (w, x)
 
     def test_long_power_of_a_letter_applies_no_letters(self, monkeypatch):
-        # s1^999995 at d = 5 is s1^(5 * 199999): its run is cut whole, and
-        # once s1^5 is proved no letter is applied. One short of a cut, four
+        # s1^999995 at d = 5 is s1^(5 * 199999): its count is reduced to 0,
+        # and once s1^5 is proved no letter is applied. One short, four
         # letters are left.
         applied = []
         inner = burau._word_product
@@ -1136,12 +1161,12 @@ class TestTwistBlocks:
 
     @pytest.mark.parametrize(
         "text, n, claim",
-        [("s2 s1^5 s2^-1", 3, r"s1\^5"), ("s3 T3^10 s1", 4, r"T3\^10"), ("s1^10 s2 s1^-1", 3, r"T2\^5")],
+        [("s2 s1^5 s2^-1", 3, r"s1\^5"), ("s3 T3^10 s1", 4, r"T3\^10"), ("T2^10 s2 s1^-1", 3, r"T2\^5")],
     )
     def test_a_corrupted_cut_proof_raises_the_typed_error(self, monkeypatch, text, n, claim):
-        # The first cut that relies on an order at a root proves the block's
-        # power I there; a read-out that is not exactly I refuses the cut.
-        # A word with nothing to cut needs no proof.
+        # The first reduction that relies on an order at a root proves the
+        # block's power I there; a read-out that is not exactly I refuses
+        # it. A word with nothing to reduce needs no proof.
         def corrupted(rows, order, *rest):
             return scaled(_read_out(rows, order, *rest), CyclotomicNumber.root_of_unity(order))
 
@@ -1157,9 +1182,9 @@ class TestTwistBlocks:
             burau._prove_cut.cache_clear()
 
     def test_a_cut_is_proved_once_per_root_and_block(self, monkeypatch):
-        # The first cut of s1^5 at d = 5 multiplies out s1^5 once; a later cut
-        # of the same block reuses the proof, and a word with no cut proves
-        # nothing.
+        # The first reduction of a count of s1 by 5 at d = 5 multiplies out
+        # s1^5 once; a later one of the same block reuses the proof, and a
+        # word with nothing to reduce proves nothing.
         applied = []
         inner = burau._word_product
 
@@ -1181,10 +1206,10 @@ class TestTwistBlocks:
 
     def test_closure_word_applies_only_the_conjugator_letters(self, monkeypatch):
         # With its twists taken out, g T_n^l g^-1 is g g^-1, which cancels:
-        # no letter is applied. So is g s1^d g^-1 once the run s1^d is cut,
-        # the letter at g's end, s1^-1, being no part of it. The near miss
-        # g s1^(d+1) g^-1 keeps one s1 of its run and applies exactly the
-        # letters of g s1 g^-1 freely reduced.
+        # no letter is applied. So is g s1^d g^-1 once the count s1^d is
+        # reduced to 0, the letter at g's end, s1^-1, being no part of it.
+        # The near miss g s1^(d+1) g^-1 keeps one s1 of its count and
+        # applies exactly the letters of g s1 g^-1 freely reduced.
         applied = []
         inner = burau._word_product
 
@@ -1219,8 +1244,8 @@ class TestTwistBlocks:
     @given(st.data())
     def test_cancelling_pairs_around_twist_blocks(self, data):
         # Pieces of a word: a random letter, a block T_n^+-1, a pair
-        # s_i^e s_i^-e, or a block between a letter and its inverse. The
-        # strip and the reduction each take some of them out; the image
+        # s_i^e s_i^-e, or a block between a letter and its inverse, all
+        # typed as letters. The reduction takes some of them out; the image
         # must still be the product of every letter.
         n = data.draw(st.integers(2, 5), label="n")
         delta = tuple((i, 1) for i in range(1, n))
@@ -1254,6 +1279,32 @@ class TestTwistBlocks:
         assert burau_of_word(w) == burau_of_word(flat)
         for x in (minus_q_from_d(d), minus_q_from_d(d) ** 3):
             assert specialized_burau(w, x) == specialized_burau(flat, x), (text, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_reduced_counts_give_the_spelled_out_word_s_image(self, data):
+        # Counts of s_i and T<p> up to three times the larger of the orders
+        # of -t and t^(n-1) at the point, where those counts are reduced:
+        # the image is the spelled-out word's, which applies every letter.
+        # Points: the golden rows' roots and their cubes, t = -1, where -t is
+        # 1 and no count of s_i is reduced, and t = zeta_3 on 4 strands
+        # (n = 4, d = 6), where t^3 is 1 and no count of T_3 is reduced.
+        n, d, _, _ = data.draw(
+            st.sampled_from([row for row in KERNEL_TABLE_FIXTURE if row[0] <= 5]), label="row"
+        )
+        x = data.draw(st.sampled_from(
+            [minus_q_from_d(d), minus_q_from_d(d) ** 3, CyclotomicNumber.root_of_unity(2)]
+            + ([minus_q_from_d(6)] if n == 4 else [])
+        ), label="x")
+        cuts = burau._cut_orders(x.order, root_exponent(x), n)
+        if x.order == 2:
+            assert ((1, 1),) not in cuts
+        if n == 4 and x == minus_q_from_d(6):
+            assert words._twist_block(3) not in cuts
+        top = 3 * max([o for _, o in cuts.values()] + [2])
+        w = parse_word(data.draw(word_programs(n, max_leaves=3, max_exponent=top), label="text"), n)
+        flat = BraidWord(n, w.letters)
+        assert specialized_burau(w, x) == specialized_burau(flat, x), (w._segments, x)
 
     def test_kernel_generators_as_counts_are_the_identity(self):
         # T_n^l, a count, is in the kernel at its row's root, and a count one

@@ -18,6 +18,7 @@ from burau_lab.words import (
     WordSyntaxError,
     WordTooLong,
     _expand_power,
+    _twist_block,
     free_reduce,
     parse_word,
     random_word,
@@ -221,27 +222,38 @@ class TestBraidWord:
 
 
 def assert_segments_joined(w):
-    """Every segment is a non-empty tuple of letters or a nonzero count,
-    no two tuples are adjacent, and adjacent counts differ in sign."""
+    """Every segment is a pair (block, k) of a non-empty tuple of letters
+    and a nonzero int, and no two adjacent segments are runs, one copy
+    (k = +-1) of a block that is not a whole twist: those join into one."""
     segments = w._segments
     assert type(segments) is tuple
     for s in segments:
-        assert (type(s) is tuple and s) or (type(s) is int and s), segments
-    for a, b in zip(segments, segments[1:]):
-        assert type(a) is int or type(b) is int, segments
-        assert type(a) is tuple or type(b) is tuple or (a > 0) != (b > 0), segments
+        assert type(s) is tuple and len(s) == 2, segments
+        block, k = s
+        assert type(block) is tuple and block and type(k) is int and k, segments
+        assert all(type(a) is tuple and len(a) == 2 for a in block), segments
+    runs = [k * k == 1 and not words._is_twist(block) for block, k in segments]
+    assert not any(a and b for a, b in zip(runs, runs[1:])), segments
+
+
+# The blocks of s1, s2 and s3.
+S1, S2, S3 = ((1, 1),), ((2, 1),), ((3, 1),)
 
 
 class TestSegments:
-    """A word keeps each power of T_n as a count; on the letters it spells,
-    every operation must mean what it means on the flat parser's letters."""
+    """A word keeps each power it was written with as a count, a segment
+    (block, k); on the letters it spells, every operation must mean what it
+    means on the flat parser's letters."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_programs_match_the_flat_parser(self, data):
+        # Exponents up to 30 on s_i and T<p> reach three times the orders
+        # of -t and t^(n-1) at the golden rows' roots with n <= 5.
         n = data.draw(st.integers(2, 5), label="n")
-        text = data.draw(word_programs(n), label="text")
-        other = data.draw(word_programs(n), label="other")
+        top = data.draw(st.sampled_from((3, 12, 30)), label="top")
+        text = data.draw(word_programs(n, max_exponent=top), label="text")
+        other = data.draw(word_programs(n, max_exponent=top), label="other")
         w, v = parse_word(text, n), parse_word(other, n)
         expected, expected_v = reference_parse(text, n), reference_parse(other, n)
         assert_segments_joined(w)
@@ -256,6 +268,7 @@ class TestSegments:
         assert parse_word(str(w), n) == w
         assert (w * v).letters == expected + expected_v
         assert w * v == flat * BraidWord(n, expected_v)
+        assert_segments_joined(w * v)
         inverse = parse_word(text, n).inverse()
         assert_segments_joined(inverse)
         assert inverse.letters == inverse_letters(expected)
@@ -269,7 +282,7 @@ class TestSegments:
     def test_programs_raise_what_the_flat_parser_raises(self, data):
         # Under a small cap, both refuse the same texts with the same message.
         n = data.draw(st.integers(2, 5), label="n")
-        text = data.draw(word_programs(n), label="text")
+        text = data.draw(word_programs(n, max_exponent=12), label="text")
         cap = data.draw(st.integers(0, 60), label="cap")
 
         def outcome(parse):
@@ -287,35 +300,62 @@ class TestSegments:
             words.MAX_WORD_LETTERS = limit
 
     def test_counts_of_opposite_signs_stay_apart(self):
+        # Two counts of one block join only when their signs agree, and
+        # counts of different blocks never join.
+        t4 = _twist_block(4)
         for text, counts in (("T4^-1 T4", (-1, 1)), ("T4^-2 T4^2", (-2, 2))):
             w = parse_word(text, 4)
-            assert w._segments == counts
+            assert w._segments == tuple((t4, k) for k in counts)
             assert len(w) == 24 * counts[1] and len(w.letters) == 24 * counts[1]
             assert w.letters == reference_parse(text, 4)
-        assert parse_word("T4^2 T4^3 (T4^-1)^2", 4)._segments == (5, -2)
-        assert (parse_word("T4^-1", 4) * parse_word("T4", 4))._segments == (-1, 1)
-        assert (parse_word("T4^2", 4) * parse_word("T4", 4))._segments == (3,)
+        assert parse_word("T4^2 T4^3 (T4^-1)^2", 4)._segments == ((t4, 5), (t4, -2))
+        assert (parse_word("T4^-1", 4) * parse_word("T4", 4))._segments == ((t4, -1), (t4, 1))
+        assert (parse_word("T4^2", 4) * parse_word("T4", 4))._segments == ((t4, 3),)
+        assert parse_word("s1^3 s1^2 s1^-4 s1", 4)._segments == ((S1, 5), (S1, -4), (S1, 1))
+        assert parse_word("s1^3 s2^2 T3^2 T4^2", 4)._segments == (
+            (S1, 3), (S2, 2), (_twist_block(3), 2), (t4, 2)
+        )
 
     def test_full_twists_on_all_strands_are_counts(self):
-        assert parse_word("T4^210", 4)._segments == (210,)
+        t4, t5 = _twist_block(4), _twist_block(5)
+        assert parse_word("T4^210", 4)._segments == ((t4, 210),)
         assert len(parse_word("T4^210", 4)) == 2520
         assert parse_word("T4^0", 4)._segments == ()
+        # A bare twist is a count of 1 and joins no run.
         assert parse_word("(T5 s1)^3 s1^-3 T5^-2", 5)._segments == (
-            1, ((1, 1),), 1, ((1, 1),), 1, ((1, 1), (1, -1), (1, -1), (1, -1)), -2
+            (t5, 1), (S1, 1), (t5, 1), (S1, 1), (t5, 1), (S1, 1), (S1, -3), (t5, -2)
         )
         assert parse_word("s1 T4^-2 s2 T4^3", 4).inverse()._segments == (
-            -3, ((2, -1),), 2, ((1, -1),)
+            (t4, -3), (S2, -1), (t4, 2), (S1, -1)
         )
-        # A twist on fewer strands, and one typed as letters, stay letters.
-        assert parse_word("T3^2", 4)._segments == (((1, 1), (2, 1)) * 6,)
-        assert parse_word("(s1 s2 s3)^4", 4)._segments == (((1, 1), (2, 1), (3, 1)) * 4,)
+        # A twist on fewer strands is a count too; one typed as letters is
+        # a count of its period, and a group of one segment multiplies it.
+        assert parse_word("T3^2", 4)._segments == ((_twist_block(3), 2),)
+        assert parse_word("(s1 s2 s3)^4", 4)._segments == ((((1, 1), (2, 1), (3, 1)), 4),)
+        assert parse_word("((s1 s2)^2)^-3 s3^99995", 4)._segments == (
+            (((1, 1), (2, 1)), -6), (S3, 99995)
+        )
 
     def test_a_word_built_from_letters_holds_one_segment(self):
         letters = ((1, 1), (2, -1)) * 6
-        for w in (BraidWord(3, letters), parse_word("(s1 s2^-1)^6", 3), random_word(3, 12, random.Random(1))):
-            assert len(w._segments) == 1 and type(w._segments[0]) is tuple
+        for w in (BraidWord(3, letters), random_word(3, 12, random.Random(1))):
+            assert w._segments == ((w.letters, 1),)
+        # s1 s2^-1 is one run, and a group of one run raised to 6 a count.
+        assert parse_word("(s1 s2^-1)^6", 3)._segments == ((letters[:2], 6),)
         assert BraidWord(3)._segments == ()
-        assert (BraidWord(3, letters) * BraidWord(3, letters))._segments == (letters * 2,)
+        # Two runs join; a run times itself is a count of 2.
+        assert (BraidWord(3, letters) * BraidWord(3, letters[:5]))._segments == (
+            (letters + letters[:5], 1),
+        )
+        assert (BraidWord(3, letters) * BraidWord(3, letters))._segments == ((letters, 2),)
+        # One copy of a block inverted is a run too, and joins the others.
+        inverse = BraidWord(3, letters).inverse()
+        assert inverse._segments == ((letters, -1),)
+        assert (BraidWord(3, letters[:3]) * inverse)._segments == (
+            (letters[:3] + inverse.letters, 1),
+        )
+        assert parse_word("s1^-1 s2^-1 s1^-2", 3)._segments == ((((1, -1), (2, -1)), 1), (S1, -2))
+        assert parse_word("s1^-1 s1^-1", 3)._segments == ((S1, -2),)
 
     def test_words_are_immutable(self):
         w = parse_word("s1 T3", 3)
@@ -324,7 +364,7 @@ class TestSegments:
                 setattr(w, name, None)
             with pytest.raises(FrozenInstanceError):
                 delattr(w, name)
-        assert w._segments == (((1, 1),), 1)
+        assert w._segments == ((S1, 1), (_twist_block(3), 1))
 
 
 class TestTrustedConstructors:
@@ -620,11 +660,11 @@ class TestExpansionCap:
             parse_word(f"s1^{MAX_WORD_LETTERS} s2", 4)
 
     def test_expansion_up_to_the_cap(self):
-        # A one-letter piece raised to the cap is one run of exactly that
+        # A one-letter piece raised to the cap is one count of exactly that
         # many letters.
-        pieces, size = _expand_power([((1, 1),)], 1, MAX_WORD_LETTERS)
+        pieces, size = _expand_power([(((1, 1),), 1)], 1, MAX_WORD_LETTERS)
         assert size == MAX_WORD_LETTERS
-        assert [len(piece) for piece in pieces] == [MAX_WORD_LETTERS]
+        assert pieces == [(((1, 1),), MAX_WORD_LETTERS)]
         assert len(parse_word(f"s1^{MAX_WORD_LETTERS}", 4).letters) == MAX_WORD_LETTERS
         assert len(parse_word("T5^125", 5)) == 2500
 
