@@ -390,7 +390,7 @@ class TwistProofFailed(RuntimeError):
     An internal fault, never a fault of the input."""
 
 
-def _rest_and_net(word: BraidWord, root: tuple[int, int] | None = None) -> tuple[list, int]:
+def _rest_and_net(word: BraidWord, root: tuple[int, int] | None = None) -> tuple[list | tuple, int]:
     """(rest, net): the word's letters with its counts of T_n taken out,
     and their sum. As T_n is central in B_n, the word is rest * T_n^net as
     a braid. Every other segment (block, count) is spelled out
@@ -400,12 +400,18 @@ def _rest_and_net(word: BraidWord, root: tuple[int, int] | None = None) -> tuple
     sign, which keeps the image. The first reduction that relies on o at
     the root proves it (``_prove_cut``), so a word with nothing to reduce
     proves nothing. A count of +-1 is never reduced, as every o is at
-    least 2."""
+    least 2, so a word of one segment (block, 1) other than T_n is handed
+    back as its block, uncopied."""
     n = word.strands_n
     twist = _twist_block(n)
+    segments = word._segments
+    if len(segments) == 1:
+        block, count = segments[0]
+        if count == 1 and block != twist:
+            return block, 0
     cuts = _cut_orders(*root, n) if root else {}
     rest, net = [], 0
-    for block, count in word._segments:
+    for block, count in segments:
         if block == twist:
             net += count
             continue

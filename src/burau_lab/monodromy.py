@@ -45,17 +45,22 @@ proof that its alpha is real, and the four corners +-1 +- alpha that the
 trailing block can take. Per generator set: the check of its dims, its
 point, its count and its rows, made once, when ``MonodromyGenerators``
 builds it, whether ``rho_generators`` caches the set or a caller builds it
-by hand; so the invariance check reads no generator rows. Per call: t is
-compared with the field's shared -1, k is read off t once, which finds
-the root's proved values, handed both to the form and to its invariance
-check (``_values_at``), det S_L = 0 is compared with the closed-form
-inertia, the inertias are checked to add up, and row and column r of each
-basis form are compared with the one band of +-S or 0 that h_rr selects.
+by hand; so the invariance check reads no generator rows. Per point
+(n, m, N, k), -q = zeta_N^k, the key the generators are cached under, once
+(``_form_at``): the root's proved values are looked up, handed both to the
+form and to its invariance check (``_values_at``), det S_L = 0 is
+compared with the closed-form inertia, the inertias are checked to add
+up, and row and column r of each basis form are compared with the one
+band of +-S or 0 that h_rr selects.
 The form's entries are the proved shared ones, so it is built without
 ``HermitianForm``'s conjugation pass (``_band_form``); a form built through
 the public constructor still gets that pass, every entry on and above
-the diagonal compared with the conjugate of its mirror. Once its root's values
-exist, a call makes no field arithmetic, only comparisons.
+the diagonal compared with the conjugate of its mirror. The set's rows are
+fixed by its (n, m, t), so every set at a point, cached or built by hand,
+gets the one result, and a point that fails a check raises on every call.
+Per call: t is compared with the field's shared -1 and k is read off t,
+which finds the point's result; a call at a point already certified makes
+no field arithmetic and builds nothing.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ class HermitianForm:
     (positive, negative, zero) of a leading pivot block of ``pivot_size``
     rows and of its Schur complement, which add up to the matrix's. Built
     through this constructor, the matrix is checked to be Hermitian pair by
-    pair; ``invariant_hermitian_form`` builds its band form through
+    pair; the certificate builds its band form once per point through
     ``_band_form``, whose entries are proved Hermitian once per root."""
 
     matrix: CycloMatrix
@@ -162,7 +167,7 @@ def _band_form(
 ) -> HermitianForm:
     """The form holding these values, with ``HermitianForm``'s inertia check
     but not its conjugation pass: only for the band form that
-    ``invariant_hermitian_form`` builds, every entry of which is proved
+    ``_form_at`` builds, every entry of which is proved
     Hermitian once per root (``_values_at``: conj(delta) = delta and
     conj(above) = below, for S and -S) or per root and size
     (``_schur_entry``: conj(alpha) = alpha), or is a shared zero or -1."""
@@ -419,25 +424,38 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
     entries, proved Hermitian there (``_values_at``), the leading minors
     det S_s (``_minor``), and per root and L the one division, proved real,
     with its corners (``_schur_entry``); per generator set, the check of its
-    rows, made when it is built (``MonodromyGenerators``). Per call: t = -1
-    is tested against the field's shared -1, k is read off once to find
-    the root's proved values (``_values_at``), det S_L = 0 is compared with
-    the closed-form inertia, and the form is built from the shared entries
-    (``_band_form``, which checks its inertias) and checked row by row
-    against one band each, with no field product.
+    rows, made when it is built (``MonodromyGenerators``); per point
+    (n, m, N, k), -q = zeta_N^k, the form, its inertia checks, its basis
+    and their invariance check, made once and cached (``_form_at``). Per
+    call: t = -1 is tested against the field's shared -1, and k is read
+    off t to find the point's result, the same object on every call.
     """
-    n, m, t = generators.strands_n, generators.m, generators.minus_q
-    order = t.order
-    # The middle entry of the root table is -1 in every field, Q included.
-    roots = _roots_of_unity(order)
-    minus_one = roots[len(roots) // 2]
-    if t == minus_one:
+    t = generators.minus_q
+    if t == _minus_one(t.order):
         raise NoInvariantForm(f"no closed-form invariant form at t = {t}")
-    e = root_exponent(t)
+    return _form_at(generators.strands_n, generators.m, t.order, root_exponent(t))
+
+
+def _minus_one(order: int) -> CyclotomicNumber:
+    """The field's shared -1: the middle entry of its root table, in every
+    field, Q included."""
+    roots = _roots_of_unity(order)
+    return roots[len(roots) // 2]
+
+
+@lru_cache(maxsize=None)
+def _form_at(n: int, m: int, order: int, e: int) -> InvariantFormResult:
+    """``invariant_hermitian_form`` at t = zeta_order^e != -1, built and
+    checked once per point, under the key ``rho_generators`` uses.
+    ``MonodromyGenerators`` fixes every row of a valid set for its
+    (n, m, t), so every set at this point, cached or built by hand, is the
+    cached one (``_generators_at``) that the invariance check is handed.
+    A failed check raises and caches nothing, so the next call at the
+    point raises again."""
     _, entries, negated = _values_at(order, e)
     a = min(e, order - e)
     dim, lead, k = m - 2, n - 1, m - 1 - n
-    zero = CyclotomicNumber.zero(order)
+    zero, minus_one = CyclotomicNumber.zero(order), _minus_one(order)
     singular = _minor(order, e, lead).is_zero
     inertia = _squier_inertia(lead, a, order)
     if singular != (inertia[2] > 0):
@@ -471,7 +489,7 @@ def invariant_hermitian_form(generators: MonodromyGenerators) -> InvariantFormRe
         for i in range(lead, dim)
         for j in range(lead, dim)
     )
-    _check_invariant(basis, generators, entries, negated)
+    _check_invariant(basis, _generators_at(n, m, order, e), entries, negated)
     return InvariantFormResult(basis, form, 0)
 
 

@@ -19,7 +19,7 @@ run must finish within that time.
 It exits 0 when every mutant is killed, and 1 when a mutant survives, its
 text is missing or ambiguous, a pytest run does not finish normally, or
 the unmutated run fails or is stopped. It starts one pytest run per
-mutant, about 100 s in all for the 66 mutants below, so it is not part of
+mutant, about 100 s in all for the 70 mutants below, so it is not part of
 the tier-1 run; pytest does not collect this file.
 """
 
@@ -104,6 +104,28 @@ HERMITIAN_ENTRIES = (
     "tests/test_monodromy.py::TestPerRootWork::test_squier_entries_are_proved_hermitian_per_root"
 )
 REAL_SCHUR_ENTRY = "tests/test_monodromy.py::TestPerRootWork::test_schur_entry_is_proved_real"
+FORM_ONCE = "tests/test_monodromy.py::TestFormCache::test_a_second_call_returns_the_first_result"
+FORM_KEY = (
+    "tests/test_monodromy.py::TestFormCache::test_points_that_differ_in_m_or_k_get_their_own_results"
+)
+# A cache of _form_at under key(n, m, order, e) in place of all four
+# arguments, with lru_cache's cache_clear and __wrapped__.
+KEYED_FORM_CACHE = """def _keyed(key):
+    def wrap(build):
+        seen = {}
+
+        def cached(*args):
+            if key(*args) not in seen:
+                seen[key(*args)] = build(*args)
+            return seen[key(*args)]
+
+        cached.cache_clear, cached.__wrapped__ = seen.clear, build
+        return cached
+
+    return wrap
+
+
+"""
 DESCRIPTOR_MEMBERSHIP = (
     "tests/test_moduli.py::TestKernelDescriptor::test_curvatures_must_belong_to_n_and_d"
 )
@@ -287,8 +309,8 @@ MUTANTS = [
     Mutant(
         "t = -1 is tested against the table's entry 0, which is 1",
         "src/burau_lab/monodromy.py",
-        "minus_one = roots[len(roots) // 2]",
-        "minus_one = roots[0]",
+        "return roots[len(roots) // 2]",
+        "return roots[0]",
         (MINUS_ONE,),
     ),
     Mutant(
@@ -416,6 +438,27 @@ MUTANTS = [
         "nums, den = tuple(a // common for a in nums), den // common",
         "nums, den = tuple(a // common for a in nums), 2 * den // common",
         (MODULI_ORACLE,),
+    ),
+    Mutant(
+        "the form's cache key drops m",
+        "src/burau_lab/monodromy.py",
+        "@lru_cache(maxsize=None)\ndef _form_at(",
+        KEYED_FORM_CACHE + "@_keyed(lambda n, m, order, e: (n, order, e))\ndef _form_at(",
+        (FORM_KEY,),
+    ),
+    Mutant(
+        "the form's cache key drops k",
+        "src/burau_lab/monodromy.py",
+        "@lru_cache(maxsize=None)\ndef _form_at(",
+        KEYED_FORM_CACHE + "@_keyed(lambda n, m, order, e: (n, m, order))\ndef _form_at(",
+        (FORM_KEY,),
+    ),
+    Mutant(
+        "a point's form is cached without its invariance check",
+        "src/burau_lab/monodromy.py",
+        "    _check_invariant(basis, _generators_at(n, m, order, e), entries, negated)\n",
+        "",
+        (FORM_ONCE,),
     ),
     Mutant(
         "distinct labels collide by the same-label formula",
@@ -598,6 +641,13 @@ MUTANTS = [
         "[_twist_block(n - 1)], e * (n - 1))",
         "[_twist_block(n - 1)], e + roots // 2)",
         (CUT_ORDERS, CUT_SCAN, REDUCED_COUNTS),
+    ),
+    Mutant(
+        "a word of one segment (T_n, 1) is handed back as letters",
+        "src/burau_lab/burau.py",
+        "if count == 1 and block != twist:",
+        "if count == 1:",
+        (TWIST_WORDS,),
     ),
     Mutant(
         "a count is reduced without the proof of its block's order",

@@ -951,10 +951,19 @@ class TestTwistBlocks:
             # every letter is applied unless the run is T_n's block itself.
             assert w._segments == ((w.letters, 1),)
             net = self.twist_count(w)
-            assert burau._rest_and_net(w) == (([], 1) if net else (list(w.letters), 0))
+            assert self.rest_and_net(w) == (([], 1) if net else (list(w.letters), 0))
+            if not net:
+                # A word of one run hands the run itself to the free reduction.
+                assert burau._rest_and_net(w)[0] is w._segments[0][0]
             laurent = burau_of_word(w).matrix
             for x in points:
                 assert specialized_burau(w, x) == specialize_matrix(laurent, x), (w, x)
+        # T_n alone, as a count or typed as letters, is one segment and is
+        # all net, with no letters left to apply.
+        for w in (parse_word(f"T{n}", n), BraidWord(n, burau._twist_block(n))):
+            assert w._segments == ((burau._twist_block(n), 1),)
+            assert burau._rest_and_net(w) == ([], 1)
+            assert burau._rest_and_net(w, (7, 1)) == ([], 1)
 
     @pytest.mark.parametrize("n", (2, 3, 4))
     def test_small_words_with_twist_blocks_equal_the_dense_product(self, n):
@@ -1013,6 +1022,14 @@ class TestTwistBlocks:
         while not power.is_one:
             power, e = power * c, e + 1
         return e
+
+    @staticmethod
+    def rest_and_net(w, root=None):
+        """``burau._rest_and_net`` with its rest as a list, as ``naive_scan``
+        gives it: for a word of one run (run, 1), the rest is the run's
+        tuple itself."""
+        rest, net = burau._rest_and_net(w, root)
+        return list(rest), net
 
     @classmethod
     def naive_scan(cls, w, x=None):
@@ -1073,7 +1090,7 @@ class TestTwistBlocks:
         for _ in range(1000):
             n = rng.randint(2, 6)
             w = parse_word(self.program(n, rng), n)
-            assert burau._rest_and_net(w) == self.naive_scan(w), w._segments
+            assert self.rest_and_net(w) == self.naive_scan(w), w._segments
 
     def test_cuts_match_a_naive_scan(self):
         # At roots of even and odd N, their cubes and t = -1, parsed words
@@ -1090,7 +1107,7 @@ class TestTwistBlocks:
                 orders = {"s": self.naive_order(-x), f"T{n - 1}": self.naive_order(x ** (n - 1))}
                 for _ in range(4):
                     w = parse_word(self.program(n, rng, {k: o for k, o in orders.items() if o}), n)
-                    assert burau._rest_and_net(w, root) == self.naive_scan(w, x), (n, x, w._segments)
+                    assert self.rest_and_net(w, root) == self.naive_scan(w, x), (n, x, w._segments)
                     if len(w) <= 400:
                         flat = BraidWord(n, w.letters)
                         assert specialized_burau(w, x) == specialized_burau(flat, x), (n, x, w._segments)

@@ -394,15 +394,18 @@ class TestInvariantForm:
     @contextmanager
     def conjugation_dropped(monkeypatch):
         # conj(t) = t^-1 is proved once per root, when the root's values are
-        # made (_values_at). With conjugation dropped and the values
-        # cleared, they must be made again, and the proof refuses the root.
+        # made (_values_at). With conjugation dropped and the values and
+        # the points' forms cleared, they must be made again, and the proof
+        # refuses the root.
         with monkeypatch.context() as patch:
             patch.setattr(CyclotomicNumber, "conjugate", lambda x: x)
             monodromy._values_at.cache_clear()
+            monodromy._form_at.cache_clear()
             try:
                 yield
             finally:
                 monodromy._values_at.cache_clear()
+                monodromy._form_at.cache_clear()
 
     def test_dropping_conjugation_is_caught(self, monkeypatch):
         # At m = n+1 nothing is divided; conj(t) = t^-1 is proved with the
@@ -520,6 +523,7 @@ class TestInvariantForm:
         monkeypatch.setattr(monodromy, "_SQUIER", (diag, below, above))
         monodromy._values_at.cache_clear()
         monodromy._laurent_certificate.cache_clear()
+        monodromy._form_at.cache_clear()
         try:
             with pytest.raises(NoInvariantForm, match=r"over Z\[t, t\^-1\]"):
                 invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(7)))
@@ -527,6 +531,7 @@ class TestInvariantForm:
             monkeypatch.undo()
             monodromy._values_at.cache_clear()
             monodromy._laurent_certificate.cache_clear()
+            monodromy._form_at.cache_clear()
 
     def test_column_of_a_basis_form_is_checked(self):
         # The matrix unit at (L, 0) has a zero row 0 but column 0 = e_L, so
@@ -560,9 +565,9 @@ class TestInvariantForm:
 
 
 class TestPerRootWork:
-    """The certificate builds its minors once per root and checks each
-    generator set once, when it is built; conj(t), t = -1 and every basis
-    form are still checked on every call."""
+    """The certificate builds its minors once per root, checks each
+    generator set once, when it is built, and builds and checks each
+    point's form once; t = -1 is still refused on every call."""
 
     def test_leading_minors_match_the_naive_recurrence(self):
         # The tridiagonal recurrence in full, D_s = diag D_{s-1} -
@@ -605,6 +610,8 @@ class TestPerRootWork:
             invariant_hermitian_form(rho_generators(3, 4, minus_one))
 
     def test_one_point_check_per_call(self, monkeypatch):
+        # A warm call reads k off t to find the point's result, and looks
+        # up none of the root's values.
         gens = rho_generators(5, 7, minus_q_from_d(8))
         invariant_hermitian_form(gens)
         calls = []
@@ -614,7 +621,7 @@ class TestPerRootWork:
                 monodromy, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
             )
         invariant_hermitian_form(gens)
-        assert sorted(calls) == ["_values_at", "root_exponent"]
+        assert calls == ["root_exponent"]
 
     def test_the_certificate_reads_no_generator_rows(self, monkeypatch):
         # Every set is checked when it is built, the cached one and one
@@ -622,6 +629,8 @@ class TestPerRootWork:
         gens = rho_generators(5, 7, minus_q_from_d(8))
         by_hand = replace(gens)
         assert by_hand is not gens
+        # Built afresh at the point, so that the basis forms are read.
+        monodromy._form_at.cache_clear()
         read = []
         rows = CycloMatrix.rows
         monkeypatch.setattr(CycloMatrix, "rows", property(lambda g: read.append(g) or rows.fget(g)))
@@ -641,11 +650,13 @@ class TestPerRootWork:
             lambda poly, t: real(poly, t).conjugate() if poly == above else real(poly, t),
         )
         monodromy._values_at.cache_clear()
+        monodromy._form_at.cache_clear()
         try:
             with pytest.raises(NoInvariantForm, match=r"^Squier's form is not Hermitian at t = "):
                 invariant_hermitian_form(rho_generators(4, 6, minus_q_from_d(37)))
         finally:
             monodromy._values_at.cache_clear()
+            monodromy._form_at.cache_clear()
 
     def test_schur_entry_is_proved_real(self, monkeypatch):
         # D_{L-1} times t makes alpha = delta D_{L-1} / D_L non-real. alpha
@@ -662,11 +673,13 @@ class TestPerRootWork:
             monodromy, "_minor", lambda o, e, s: real(o, e, s) * mq if s == n - 2 else real(o, e, s)
         )
         monodromy._schur_entry.cache_clear()
+        monodromy._form_at.cache_clear()
         try:
             with pytest.raises(NoInvariantForm, match=r"^the Schur entry of size 4 is not real at t = "):
                 invariant_hermitian_form(gens)
         finally:
             monodromy._schur_entry.cache_clear()
+            monodromy._form_at.cache_clear()
 
     def test_generator_corrupted_before_the_cache_fills_is_caught(self, monkeypatch):
         # Each generator built with 1 added to the first entry of its last
@@ -687,6 +700,63 @@ class TestPerRootWork:
                 rho_generators(4, 6, minus_q_from_d(7))
         finally:
             monodromy._generators_at.cache_clear()
+
+
+class TestFormCache:
+    """invariant_hermitian_form builds and checks each point's form once,
+    cached under (n, m, N, k) as the generators are."""
+
+    def test_a_second_call_returns_the_first_result(self, monkeypatch):
+        # The first call at a point checks the basis with the point's cached
+        # generators; a second call finds the result and checks nothing.
+        gens = rho_generators(4, 6, minus_q_from_d(7))
+        checked = []
+        real = monodromy._check_invariant
+        monkeypatch.setattr(
+            monodromy, "_check_invariant", lambda *args: checked.append(args) or real(*args)
+        )
+        monodromy._form_at.cache_clear()
+        first = invariant_hermitian_form(gens)
+        [(basis, checked_gens, *_)] = checked
+        assert basis == first.basis and checked_gens is gens
+        assert invariant_hermitian_form(gens) is first
+        assert len(checked) == 1
+
+    def test_a_set_built_by_hand_gets_the_cached_result(self):
+        mq = minus_q_from_d(8)
+        gens = rho_generators(5, 7, mq)
+        result = invariant_hermitian_form(gens)
+        by_hand = replace(gens)
+        at_an_equal_point = monodromy.MonodromyGenerators(
+            5, 7, CyclotomicNumber(mq.order, mq.numerators), gens.mats
+        )
+        assert by_hand is not gens and at_an_equal_point.minus_q is not gens.minus_q
+        assert invariant_hermitian_form(by_hand) is result
+        assert invariant_hermitian_form(at_an_equal_point) is result
+
+    def test_points_that_differ_in_m_or_k_get_their_own_results(self):
+        # (4, 5) and (4, 6) at d = 7 differ only in m; d = 7 with numerators
+        # 1 and 3 gives zeta_14^9 and zeta_14^13, which differ only in k.
+        monodromy._form_at.cache_clear()
+        points = [(4, 5, minus_q_from_d(7)), (4, 6, minus_q_from_d(7)), (4, 5, minus_q_from_d(7, 3))]
+        assert len({(mq.order, monodromy.root_exponent(mq)) for _, _, mq in points}) == 2
+        assert {mq.order for _, _, mq in points} == {14}
+        results = [invariant_hermitian_form(rho_generators(n, m, mq)) for n, m, mq in points]
+        assert [r.chosen.dim for r in results] == [3, 4, 3]
+        assert [signature(r.chosen) for r in results] == [(1, 2, 0), (1, 3, 0), (0, 3, 0)]
+        assert results[0].chosen.matrix != results[2].chosen.matrix
+        for (n, m, mq), result in zip(points, results):
+            fresh = monodromy._form_at.__wrapped__(n, m, mq.order, monodromy.root_exponent(mq))
+            assert fresh is not result and fresh == result
+
+    def test_minus_one_is_refused_after_a_cached_call_in_its_field(self):
+        mq = minus_q_from_d(7)
+        invariant_hermitian_form(rho_generators(3, 4, mq))
+        minus_one = CyclotomicNumber.root_of_unity(mq.order, mq.order // 2)
+        gens = rho_generators(3, 4, minus_one)
+        for _ in range(2):
+            with pytest.raises(NoInvariantForm, match=r"^no closed-form invariant form at t = -1$"):
+                invariant_hermitian_form(gens)
 
 
 def _fraction_inertia(size: int, r: Fraction) -> tuple[int, int, int]:
